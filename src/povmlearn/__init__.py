@@ -20,21 +20,13 @@ from povmlearn.bloch import (
     rotate_in_plane,
     wrap_angle,
 )
-from povmlearn.constz import (
-    ConstZFrame,
-    cos_theta_z,
-    decompose_constz,
-    learn_axis_constz,
-    mixture_targets_constz,
-    success_prob_constz,
-)
 from povmlearn.decomposition import (
     EPS_CLAMP,
     DecompositionPair,
     MixtureTargets,
     cos_theta,
     decompose,
-    learn_axis_equal_counts,
+    learn_axis,
     mixture_targets,
     success_prob,
 )
@@ -43,10 +35,10 @@ from povmlearn.ensemble import (
     PauliEstimate,
     RngStream,
     ShotBatch,
-    draw_qubit,
     ensemble_bloch,
     estimate_pauli,
     measure_shots,
+    pauli_axes,
 )
 from povmlearn.equal_prior import (
     EqualPriorEstimate,
@@ -78,7 +70,6 @@ from povmlearn.experiment import (
 from povmlearn.helstrom import (
     HelstromResult,
     detector_probabilities,
-    equal_count_condition,
     helstrom,
     success_equal_priors,
 )

@@ -84,6 +84,12 @@ class Plane:
             raise ContractViolation(f"constant-z plane needs |nz| < 1, got {nz}")
         return cls("constz", nz)
 
+    @property
+    def radius_sq(self) -> float:
+        """Squared radius 1 - nz^2 of the plane's cut through the Bloch sphere;
+        exactly 1.0 for the x-z plane."""
+        return 1.0 - self.nz * self.nz
+
     def coords(self, v) -> np.ndarray:
         """Project v onto plane coordinates (first axis, second axis)."""
         v = np.asarray(v, dtype=float)

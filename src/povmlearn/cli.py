@@ -8,7 +8,8 @@ Subcommands:
 * ``selftest``     full library invariant battery
 
 Exit codes: 0 success (including recoverable per-trial statuses), 2 for
-configuration errors, 1 for I/O failures.
+configuration errors (any DiscriminationError), 1 for I/O failures.  Any
+other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -102,12 +103,17 @@ def _coerce(key: str, value: str, sweep_mode: bool):
     if key == "out":
         return Path(value)
     if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
+        convert = int
+    elif key in _FLOAT_KEYS:
         if sweep_mode and key in _SWEEP_KEYS:
             return value  # may be a comma-separated list; resolved later
-        return float(value)
-    raise ContractViolation(f"unknown config key {key!r}")
+        convert = float
+    else:
+        raise ContractViolation(f"unknown config key {key!r}")
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ContractViolation(f"invalid value for {key}: {value!r}") from exc
 
 
 def _float_list(key: str, text: str) -> list[float]:
@@ -218,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (DiscriminationError, TypeError, ValueError) as exc:
+    except DiscriminationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

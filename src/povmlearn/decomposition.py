@@ -1,15 +1,23 @@
-"""Two-branch decomposition of an x-z plane qubit ensemble with known priors.
+"""Two-branch decomposition of a two-state qubit ensemble with known priors.
+
+Both pure states lie in a declared Plane: the x-z plane through the
+origin, or the slice z = nz they share.  Every function works in plane
+coordinates u of the ensemble Bloch vector n and scales by the squared
+slice radius rho^2 = 1 - nz^2.  On the x-z plane rho^2 is exactly 1.0, so
+the scaling is exact and the x-z arithmetic is that of the unscaled
+formulas bit for bit; a slice at nz = 0 is the x-z plane with its second
+axis relabeled.
 
 With unequal priors (eta0, eta1) the ensemble Bloch vector n no longer
 determines the two pure states.  The separation angle theta follows from
-|n| alone, but there are exactly two unit-vector pairs reproducing n:
-branch A puts state 1 at angle -theta from state 0, branch B at +theta,
-mirror images of each other about n.  No measurement distinguishes the
-branches, so the operational targets are the branch-averaged mixtures
-m0 (state 0 of branch A averaged with state 1 of branch B) and m1 (the
-complement).  These straddle n symmetrically with equal purity, and the
-in-plane axis perpendicular to n, which fires both detectors equally
-often, is the minimum-error measurement for that pair.
+|u|/rho alone, but there are exactly two unit-vector pairs reproducing n:
+branch A puts state 1 at in-plane angle -theta from state 0, branch B at
++theta, mirror images of each other about n.  No measurement
+distinguishes the branches, so the operational targets are the
+branch-averaged mixtures m0 (state 0 of branch A averaged with state 1 of
+branch B) and m1 (the complement).  These straddle n symmetrically with
+equal purity, and the in-plane axis perpendicular to n, which fires both
+detectors equally often, is the minimum-error measurement for that pair.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from povmlearn.bloch import EPS_DEGENERATE, EPS_PHYS, Plane, perp_in_plane
-from povmlearn.ensemble import EnsembleSpec, estimate_pauli
+from povmlearn.ensemble import EnsembleSpec, PauliEstimate, estimate_pauli
 from povmlearn.errors import (
     ContractViolation,
     CosThetaOutOfRange,
@@ -74,7 +82,42 @@ def _check_case(case: str) -> float:
     raise ContractViolation(f"decomposition branch must be 'A' or 'B', got {case!r}")
 
 
-def _clamp_cosine(c: float, tol: float) -> float:
+def _slice_coords(n, plane: Plane) -> tuple[np.ndarray, float]:
+    """Plane coordinates u of an ensemble vector n and |u|^2.
+
+    n must lie in the plane, with an in-plane norm no larger than the slice
+    radius (up to the shot-noise slack) and large enough to define a
+    direction.
+    """
+    n = np.asarray(n, dtype=float)
+    if not plane.contains(n):
+        raise ContractViolation(f"ensemble vector {n} does not lie in the {plane.kind} plane")
+    u = plane.coords(n)
+    uu = float(u @ u)
+    r, radius = math.sqrt(uu), math.sqrt(plane.radius_sq)
+    if r > radius * (1.0 + EPS_CLAMP):
+        raise ContractViolation(f"in-plane norm {r:.6g} exceeds the slice radius {radius:.6g}")
+    if r <= EPS_DEGENERATE:
+        raise DegenerateEnsemble(f"in-plane norm {r:.3g} is too small to decompose")
+    return u, uu
+
+
+def cos_theta(
+    n_norm: float, eta0: float, eta1: float, tol: float = EPS_PHYS, plane: Plane = _PLANE_XZ
+) -> float:
+    """Separation cosine between the two pure states, from the in-plane norm
+    |u| of the ensemble vector and the priors.
+
+    |u|^2 = rho^2 (eta0^2 + eta1^2 + 2 eta0 eta1 cos(theta)), inverted for
+    cos(theta).  Pass tol=EPS_CLAMP for shot-noise estimates of |u|.
+    """
+    _check_priors(eta0, eta1)
+    # Rescale by the slice radius before squaring and write the inversion
+    # as 1 + (r^2 - 1)/(2 eta0 eta1), which equals the direct one because
+    # the priors sum to 1: a coincident ensemble (|u| equal to the radius)
+    # then yields exactly 1.0 with no rounding residue.
+    r = float(n_norm) / math.sqrt(plane.radius_sq)
+    c = 1.0 + (r * r - 1.0) / (2.0 * eta0 * eta1)
     if c > 1.0 + tol or c < -1.0 - tol:
         raise CosThetaOutOfRange(
             f"separation cosine {c:.6g} outside [-1, 1] beyond tolerance {tol:g}"
@@ -82,83 +125,57 @@ def _clamp_cosine(c: float, tol: float) -> float:
     return min(1.0, max(-1.0, c))
 
 
-def cos_theta(n_norm: float, eta0: float, eta1: float, tol: float = EPS_PHYS) -> float:
-    """Separation cosine between the two pure states, from |n| and the priors.
-
-    |n|^2 = eta0^2 + eta1^2 + 2 eta0 eta1 cos(theta), inverted for cos(theta).
-    Pass tol=EPS_CLAMP for shot-noise estimates of |n|.
-    """
-    _check_priors(eta0, eta1)
-    n_norm = float(n_norm)
-    # Written as 1 + (|n|^2 - 1)/(2 eta0 eta1), which equals the direct
-    # inversion because the priors sum to 1, so a coincident ensemble
-    # (|n| = 1) yields exactly 1.0 with no rounding residue.
-    c = 1.0 + (n_norm * n_norm - 1.0) / (2.0 * eta0 * eta1)
-    return _clamp_cosine(c, tol)
-
-
-def _decompose_plane_coords(u, theta, eta0, eta1, case, prefactor):
-    """Apply the branch matrices to plane coordinates u with a given prefactor.
+def decompose(
+    n, theta: float, eta0: float, eta1: float, case: str, plane: Plane = _PLANE_XZ
+) -> DecompositionPair:
+    """Recover the pure-state pair of one branch from (n, theta, priors).
 
     Solving n = eta0*n0 + eta1*n1 with n1 rotated by -theta (branch A) or
-    +theta (branch B) from n0 inverts to a rotation-scaling of n for each
-    state.  Shared by the x-z and constant-z decompositions so that the
-    nz = 0 limit reproduces the x-z arithmetic bit for bit.
+    +theta (branch B) from n0 inverts to a rotation-scaling of u for each
+    state.  For inputs with |u| consistent with (theta, eta0, eta1) the
+    outputs are unit vectors in the plane recombining to n under the priors.
     """
+    _check_priors(eta0, eta1)
+    _check_theta(theta)
     sgn = _check_case(case)
+    u, uu = _slice_coords(n, plane)
+    prefactor = plane.radius_sq / uu
     ct, st = math.cos(theta), math.sin(theta)
     a0, b1 = eta0 + eta1 * ct, eta1 * st
     a1, b0 = eta1 + eta0 * ct, eta0 * st
     u0 = prefactor * np.array([a0 * u[0] - sgn * b1 * u[1], sgn * b1 * u[0] + a0 * u[1]])
     u1 = prefactor * np.array([a1 * u[0] + sgn * b0 * u[1], -sgn * b0 * u[0] + a1 * u[1]])
-    return u0, u1
+    return DecompositionPair(n0=plane.embed(u0), n1=plane.embed(u1), case=case)
 
 
-def decompose(n, theta: float, eta0: float, eta1: float, case: str) -> DecompositionPair:
-    """Recover the pure-state pair of one branch from (n, theta, priors).
+def mixture_targets(
+    n, theta: float, eta0: float, eta1: float, plane: Plane = _PLANE_XZ
+) -> MixtureTargets:
+    """Branch-averaged mixtures m0, m1 = n +- (2 eta0 eta1 sin(theta) rho^2/|u|) n_perp.
 
-    For inputs with |n| consistent with (theta, eta0, eta1) the outputs are
-    unit vectors recombining to n under the priors.
+    n_perp = (-u2, u1)/|u| is the in-plane perpendicular, so the offset is
+    written componentwise over |u|^2.
     """
     _check_priors(eta0, eta1)
     _check_theta(theta)
-    u = _PLANE_XZ.coords(n)
-    nn = float(u @ u)
-    if math.sqrt(nn) <= EPS_DEGENERATE:
-        raise DegenerateEnsemble(f"|n| = {math.sqrt(nn):.3g} is too small to decompose")
-    u0, u1 = _decompose_plane_coords(u, theta, eta0, eta1, case, 1.0 / nn)
-    return DecompositionPair(
-        n0=_PLANE_XZ.embed(u0), n1=_PLANE_XZ.embed(u1), case=case
-    )
+    u, uu = _slice_coords(n, plane)
+    shift = 2.0 * eta0 * eta1 * math.sin(theta) * plane.radius_sq
+    m0u = np.array([(u[0] * uu - shift * u[1]) / uu, (shift * u[0] + u[1] * uu) / uu])
+    m1u = np.array([(u[0] * uu + shift * u[1]) / uu, (-shift * u[0] + u[1] * uu) / uu])
+    return MixtureTargets(m0=plane.embed(m0u), m1=plane.embed(m1u), theta=theta)
 
 
-def mixture_targets(n, theta: float, eta0: float, eta1: float) -> MixtureTargets:
-    """Branch-averaged mixtures m0, m1 = n +- (2 eta0 eta1 sin(theta)/|n|) n_perp."""
-    _check_priors(eta0, eta1)
-    _check_theta(theta)
-    u = _PLANE_XZ.coords(n)
-    nn = float(u @ u)
-    if math.sqrt(nn) <= EPS_DEGENERATE:
-        raise DegenerateEnsemble(f"|n| = {math.sqrt(nn):.3g} is too small to split")
-    shift = 2.0 * eta0 * eta1 * math.sin(theta)
-    m0u = np.array([(u[0] * nn - shift * u[1]) / nn, (shift * u[0] + u[1] * nn) / nn])
-    m1u = np.array([(u[0] * nn + shift * u[1]) / nn, (-shift * u[0] + u[1] * nn) / nn])
-    # Cross-check the component form against the symmetric perp form.
-    perp_u = _PLANE_XZ.coords(perp_in_plane(_PLANE_XZ.embed(u), _PLANE_XZ))
-    off = (shift / math.sqrt(nn)) * perp_u
-    assert float(np.max(np.abs(m0u - (u + off)))) <= 1e-12
-    assert float(np.max(np.abs(m1u - (u - off)))) <= 1e-12
-    return MixtureTargets(m0=_PLANE_XZ.embed(m0u), m1=_PLANE_XZ.embed(m1u), theta=theta)
-
-
-def success_prob(eta0: float, eta1: float, theta: float, n_norm: float) -> float:
-    """Optimal success probability 1/2 + eta0 eta1 sin(theta)/|n| of the axis rule."""
+def success_prob(
+    eta0: float, eta1: float, theta: float, n_norm: float, plane: Plane = _PLANE_XZ
+) -> float:
+    """Optimal success probability 1/2 + eta0 eta1 sin(theta) rho^2/|u| of the
+    axis rule, from the in-plane norm |u| of the ensemble vector."""
     _check_priors(eta0, eta1)
     _check_theta(theta)
     n_norm = float(n_norm)
     if n_norm <= EPS_DEGENERATE:
-        raise DegenerateEnsemble(f"|n| = {n_norm:.3g} is too small for a success target")
-    ps = 0.5 + eta0 * eta1 * math.sin(theta) / n_norm
+        raise DegenerateEnsemble(f"|u| = {n_norm:.3g} is too small for a success target")
+    ps = 0.5 + eta0 * eta1 * math.sin(theta) * plane.radius_sq / n_norm
     if ps > 1.0 + EPS_PHYS:
         raise ContractViolation(
             f"inconsistent inputs: success probability {ps:.6g} exceeds 1"
@@ -166,14 +183,13 @@ def success_prob(eta0: float, eta1: float, theta: float, n_norm: float) -> float
     return min(ps, 1.0)
 
 
-def learn_axis_equal_counts(
+def learn_axis(
     spec: EnsembleSpec,
     shots_per_axis: int,
     rng: np.random.Generator | Sequence[np.random.Generator],
-) -> np.ndarray:
+) -> tuple[np.ndarray, PauliEstimate]:
     """Estimate the ensemble Bloch vector and return the in-plane unit axis
-    perpendicular to it, the setting on which both detectors fire equally."""
-    if spec.plane.kind != "xz":
-        raise ContractViolation("the equal-count axis learner requires an x-z plane ensemble")
+    perpendicular to it (the setting on which both detectors fire equally,
+    with zero z component on a slice), together with the estimate."""
     est = estimate_pauli(spec, shots_per_axis, rng)
-    return perp_in_plane(est.n_hat, spec.plane)
+    return perp_in_plane(est.n_hat, spec.plane), est

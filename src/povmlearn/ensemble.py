@@ -104,13 +104,6 @@ def ensemble_bloch(spec: EnsembleSpec) -> np.ndarray:
     return spec.eta0 * spec.psi0 + spec.eta1 * spec.psi1
 
 
-def draw_qubit(spec: EnsembleSpec, rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """Draw one ensemble member; returns its hidden label and Bloch vector."""
-    if rng.random() < spec.eta0:
-        return 0, spec.psi0
-    return 1, spec.psi1
-
-
 def measure_shots(spec: EnsembleSpec, axis, shots: int, rng: np.random.Generator) -> ShotBatch:
     """Measure `shots` fresh ensemble members along one unit axis.
 
@@ -129,9 +122,9 @@ def measure_shots(spec: EnsembleSpec, axis, shots: int, rng: np.random.Generator
     return ShotBatch(axis=axis, n_plus=n_plus, n_minus=shots - n_plus, total=shots)
 
 
-def _pauli_axes(plane: Plane) -> list[np.ndarray]:
-    # Order matters for stream assignment: first plane axis, second plane
-    # axis, then (constant-z only) the offset axis.
+def pauli_axes(plane: Plane) -> list[np.ndarray]:
+    """Axes estimate_pauli measures on a plane, in stream order: first plane
+    axis, second plane axis, then (constant-z only) the offset axis."""
     if plane.kind == "xz":
         return [UNIT_X, UNIT_Z]
     return [UNIT_X, UNIT_Y, UNIT_Z]
@@ -161,7 +154,7 @@ def estimate_pauli(
     callers give each axis an independent stream.
     """
     plane = plane if plane is not None else spec.plane
-    axes = _pauli_axes(plane)
+    axes = pauli_axes(plane)
     rngs = _as_rng_list(rng, len(axes))
     batches = tuple(
         measure_shots(spec, axis, shots_per_axis, g) for axis, g in zip(axes, rngs)

@@ -3,9 +3,14 @@
 Each trial runs generate -> learn -> classify -> score.  Randomness is
 addressed by (seed, trial, role): every trial owns a block of stream ids,
 one per role (branch draw, each measurement axis or setting in order,
-holdout), so trials are independent, reruns are byte-identical, and the
-constant-z pipeline at nz = 0 consumes exactly the streams the x-z
-pipeline does for the corresponding measurements.
+holdout), so trials are independent and reruns are byte-identical.
+
+The two-fold scenarios share one pipeline on a Plane: unequal-prior-xz
+runs it on the x-z plane, const-z on the slice z = nz, and the scenario
+only chooses the plane.  The slice pipeline measures one extra axis (z),
+whose stream comes after the two in-plane ones, so at nz = 0 it consumes
+exactly the streams of the x-z pipeline for the corresponding
+measurements.
 """
 
 from __future__ import annotations
@@ -21,22 +26,16 @@ from typing import Sequence
 
 import numpy as np
 
-from povmlearn.bloch import Plane, bloch_from_state_angle, norm, plane_angle, perp_in_plane
-from povmlearn.constz import (
-    ConstZFrame,
-    cos_theta_z,
-    decompose_constz,
-    mixture_targets_constz,
-    success_prob_constz,
-)
+from povmlearn.bloch import Plane, bloch_from_state_angle, norm, plane_angle
 from povmlearn.decomposition import (
     EPS_CLAMP,
     cos_theta,
     decompose,
+    learn_axis,
     mixture_targets,
     success_prob,
 )
-from povmlearn.ensemble import EnsembleSpec, RngStream, estimate_pauli
+from povmlearn.ensemble import EnsembleSpec, RngStream, pauli_axes
 from povmlearn.equal_prior import learn_equal_prior, povm_axis_from_phi
 from povmlearn.errors import (
     ContractViolation,
@@ -73,14 +72,14 @@ CSV_COLUMNS = (
     "status",
 )
 
-# Stream roles within a trial's block of ids.  AXIS0/AXIS1 are the first and
-# second plane measurements (or the two angle settings); AXIS2 is the extra
-# z measurement of the constant-z pipeline; keeping the roles aligned makes
+# Stream roles within a trial's block of ids.  Measured axes take
+# consecutive slots from AXIS0 in pauli_axes order: the first and second
+# plane measurements (or the two angle settings), then the extra z
+# measurement of the constant-z pipeline; keeping the roles aligned makes
 # the nz = 0 reduction exact shot for shot.
 _SLOT_CASE = 0
 _SLOT_AXIS0 = 1
 _SLOT_AXIS1 = 2
-_SLOT_AXIS2 = 3
 _SLOT_HOLDOUT = 4
 _SLOTS_PER_TRIAL = 8
 
@@ -137,6 +136,9 @@ class ExperimentConfig:
             raise ContractViolation(f"seed must be a nonnegative integer, got {self.seed}")
         # Field domains hold regardless of which scenario consumes the field,
         # so an out-of-range value never passes silently as an unused flag.
+        for name in ("alpha", "phi0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractViolation(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.eta0 < 1.0:
             raise ContractViolation(f"eta0 must lie in (0, 1), got {self.eta0}")
         if not 0.0 <= self.beta <= math.pi / 2 + 1e-12:
@@ -201,29 +203,31 @@ def _mixed_norm(eta0: float, eta1: float, theta: float) -> float:
     return math.sqrt(eta0 * eta0 + eta1 * eta1 + 2.0 * eta0 * eta1 * math.cos(theta))
 
 
-def two_fold_ensemble(eta0: float, theta: float, direction: float, case: str) -> EnsembleSpec:
-    """x-z plane ensemble whose Bloch vector points along `direction` with the
-    norm implied by (eta0, theta); the hidden pair is the requested branch."""
+def _plane_of(cfg: ExperimentConfig) -> Plane:
+    return Plane.const_z(cfg.nz) if cfg.scenario == "const-z" else Plane.xz()
+
+
+def _two_fold_truth(eta0: float, theta: float, direction: float, case: str, plane: Plane):
+    """Hidden branch spec, closed-form success and oracle value of the ensemble
+    in `plane` whose Bloch vector points along `direction` in plane
+    coordinates, with the norm implied by (eta0, theta).  The ensemble vector
+    is built once and everything derives from it."""
     eta1 = 1.0 - eta0
-    q = _mixed_norm(eta0, eta1, theta)
-    n = np.array([q * math.cos(direction), 0.0, q * math.sin(direction)])
-    pair = decompose(n, theta, eta0, eta1, case)
-    return EnsembleSpec(eta0=eta0, eta1=eta1, psi0=pair.n0, psi1=pair.n1, plane=Plane.xz(), case_tag=case)
+    r = math.sqrt(plane.radius_sq) * _mixed_norm(eta0, eta1, theta)
+    n = plane.embed(np.array([r * math.cos(direction), r * math.sin(direction)]))
+    pair = decompose(n, theta, eta0, eta1, case, plane)
+    spec = EnsembleSpec(eta0=eta0, eta1=eta1, psi0=pair.n0, psi1=pair.n1, plane=plane, case_tag=case)
+    targets = mixture_targets(n, theta, eta0, eta1, plane)
+    analytic = success_prob(eta0, eta1, theta, r, plane)
+    return spec, analytic, success_equal_priors(targets.m0, targets.m1)
 
 
-def constz_ensemble(
-    eta0: float, theta: float, direction: float, nz: float, case: str
+def two_fold_ensemble(
+    eta0: float, theta: float, direction: float, case: str, plane: Plane = Plane.xz()
 ) -> EnsembleSpec:
-    """Constant-z ensemble whose in-plane part points along `direction`."""
-    eta1 = 1.0 - eta0
-    r_norm = math.sqrt(1.0 - nz * nz) * _mixed_norm(eta0, eta1, theta)
-    frame = ConstZFrame(
-        nz=nz, r=np.array([r_norm * math.cos(direction), r_norm * math.sin(direction), 0.0])
-    )
-    pair = decompose_constz(frame, theta, eta0, eta1, case)
-    return EnsembleSpec(
-        eta0=eta0, eta1=eta1, psi0=pair.n0, psi1=pair.n1, plane=Plane.const_z(nz), case_tag=case
-    )
+    """Ensemble in `plane` whose Bloch vector points along `direction` with
+    the norm implied by (eta0, theta); the hidden pair is the requested branch."""
+    return _two_fold_truth(eta0, theta, direction, case, plane)[0]
 
 
 def _equal_prior_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
@@ -268,32 +272,9 @@ def _equal_prior_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     return row
 
 
-def _two_fold_truth(cfg: ExperimentConfig, case: str):
-    eta1 = cfg.eta1
-    if cfg.scenario == "const-z":
-        spec = constz_ensemble(cfg.eta0, cfg.theta, cfg.alpha, cfg.nz, case)
-        r_norm = math.sqrt(1.0 - cfg.nz * cfg.nz) * _mixed_norm(cfg.eta0, eta1, cfg.theta)
-        frame = ConstZFrame(
-            nz=cfg.nz,
-            r=np.array(
-                [r_norm * math.cos(cfg.alpha), r_norm * math.sin(cfg.alpha), 0.0]
-            ),
-        )
-        targets = mixture_targets_constz(frame, cfg.theta, cfg.eta0, eta1)
-        analytic = success_prob_constz(cfg.eta0, eta1, cfg.theta, r_norm, cfg.nz)
-    else:
-        spec = two_fold_ensemble(cfg.eta0, cfg.theta, cfg.alpha, case)
-        q = _mixed_norm(cfg.eta0, eta1, cfg.theta)
-        n = np.array([q * math.cos(cfg.alpha), 0.0, q * math.sin(cfg.alpha)])
-        targets = mixture_targets(n, cfg.theta, cfg.eta0, eta1)
-        analytic = success_prob(cfg.eta0, eta1, cfg.theta, q)
-    oracle = success_equal_priors(targets.m0, targets.m1)
-    return spec, analytic, oracle
-
-
 def _two_fold_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     case = "A" if _gen(cfg, trial, _SLOT_CASE).random() < 0.5 else "B"
-    is_constz = cfg.scenario == "const-z"
+    plane = _plane_of(cfg)
     row = TrialResult(
         trial=trial,
         scenario=cfg.scenario,
@@ -302,7 +283,7 @@ def _two_fold_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         theta_true=cfg.theta,
         alpha_true=cfg.alpha,
         beta_true=None,
-        n_z=cfg.nz if is_constz else 0.0,
+        n_z=plane.nz,
         axis=None,
         alpha_hat=None,
         success_emp=None,
@@ -314,31 +295,29 @@ def _two_fold_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         status=_STATUS_OK,
     )
     try:
-        spec, analytic, oracle = _two_fold_truth(cfg, case)
+        spec, analytic, oracle = _two_fold_truth(cfg.eta0, cfg.theta, cfg.alpha, case, plane)
     except DegenerateEnsemble as exc:
         row.status = _status_of(exc)
         return row
     row.success_analytic = analytic
     row.success_oracle = oracle
-    slots = (_SLOT_AXIS0, _SLOT_AXIS1, _SLOT_AXIS2) if is_constz else (_SLOT_AXIS0, _SLOT_AXIS1)
-    gens = [_gen(cfg, trial, s) for s in slots]
-    est = estimate_pauli(spec, cfg.shots_learn, gens)
-    row.shots_learn = est.shots_used
-    row.n_hat = est.n_hat
+    gens = [_gen(cfg, trial, _SLOT_AXIS0 + k) for k in range(len(pauli_axes(plane)))]
     try:
-        axis = perp_in_plane(est.n_hat, spec.plane)
+        axis, est = learn_axis(spec, cfg.shots_learn, gens)
     except DegenerateEnsemble as exc:
         row.status = _status_of(exc)
+        row.shots_learn = len(gens) * cfg.shots_learn
         row.qubits_used = row.shots_learn
         return row
+    row.shots_learn = est.shots_used
+    row.n_hat = est.n_hat
     row.axis = axis
-    row.alpha_hat = plane_angle(est.n_hat, spec.plane)
+    row.alpha_hat = plane_angle(est.n_hat, plane)
     try:
-        if is_constz:
-            in_plane = norm(np.array([est.n_hat[0], est.n_hat[1], 0.0]))
-            c = cos_theta_z(in_plane, cfg.nz, cfg.eta0, cfg.eta1, tol=EPS_CLAMP)
-        else:
-            c = cos_theta(norm(est.n_hat), cfg.eta0, cfg.eta1, tol=EPS_CLAMP)
+        # The separation cosine reads the in-plane part of the estimate; the
+        # measured z of a slice is not used.
+        in_plane = norm(plane.embed(plane.coords(est.n_hat), with_offset=False))
+        c = cos_theta(in_plane, cfg.eta0, cfg.eta1, tol=EPS_CLAMP, plane=plane)
         row.theta_hat = math.acos(c)
     except CosThetaOutOfRange as exc:
         # Diagnostic only; the learned axis is still usable.

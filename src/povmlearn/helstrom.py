@@ -54,18 +54,6 @@ def success_equal_priors(m0, m1) -> float:
     return helstrom(m0, m1, allow_degenerate=True).success
 
 
-def equal_count_condition(m0, m1) -> float:
-    """Purity imbalance |m0|^2 - |m1|^2.
-
-    Zero exactly when the optimal measurement fires both detectors equally
-    often on the 50/50 mixture, since the axis along m0 - m1 satisfies
-    axis.(m0 + m1) = |m0|^2 - |m1|^2 up to the |m0 - m1| factor.
-    """
-    m0 = np.asarray(m0, dtype=float)
-    m1 = np.asarray(m1, dtype=float)
-    return float(np.dot(m0, m0) - np.dot(m1, m1))
-
-
 def detector_probabilities(axis, m0, m1) -> tuple[float, float]:
     """Detector firing rates (p0, p1) of a unit axis on the 50/50 mixture."""
     axis = check_unit(axis, "measurement axis")

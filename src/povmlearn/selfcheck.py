@@ -18,9 +18,9 @@ from povmlearn.bloch import (
     rotate_in_plane,
     wrap_angle,
 )
-from povmlearn.constz import ConstZFrame, cos_theta_z, decompose_constz, success_prob_constz
 from povmlearn.decomposition import cos_theta, decompose, mixture_targets, success_prob
 from povmlearn.equal_prior import delta_analytic, povm_axis_from_phi, solve_alpha
+from povmlearn.errors import ContractViolation
 from povmlearn.helstrom import detector_probabilities, helstrom, success_equal_priors
 
 _XZ = Plane.xz()
@@ -40,20 +40,24 @@ def _axis_match(axis, reference) -> float:
     return min(norm(axis - reference), norm(axis + reference))
 
 
-def _random_instances(rng: np.random.Generator, count: int):
-    """Consistent (eta0, theta, direction, n) tuples away from degeneracy."""
+def _random_instances(rng: np.random.Generator, count: int, plane: Plane = _XZ):
+    """Consistent (eta0, eta1, theta, direction, |u|, n) tuples in a plane,
+    away from degeneracy; |u| is the in-plane norm of n."""
     for _ in range(count):
         eta0 = rng.uniform(0.05, 0.95)
         eta1 = 1.0 - eta0
         theta = rng.uniform(0.05, math.pi - 0.05)
         direction = rng.uniform(0.0, 2.0 * math.pi)
         q = math.sqrt(eta0 * eta0 + eta1 * eta1 + 2.0 * eta0 * eta1 * math.cos(theta))
-        n = np.array([q * math.cos(direction), 0.0, q * math.sin(direction)])
-        yield eta0, eta1, theta, direction, q, n
+        r = math.sqrt(plane.radius_sq) * q
+        n = plane.embed(np.array([r * math.cos(direction), r * math.sin(direction)]))
+        yield eta0, eta1, theta, direction, r, n
 
 
 def oracle_battery(n_instances: int = 10_000, seed: int = 12345) -> list[CheckOutcome]:
     """Property battery for the minimum-error oracle on random instances."""
+    if n_instances < 1:
+        raise ContractViolation(f"the oracle battery needs at least 1 instance, got {n_instances}")
     rng = np.random.default_rng(seed)
     worst_purity = worst_axis = worst_lam = worst_converse = worst_balance = 0.0
     pairs = []
@@ -162,12 +166,12 @@ def invariant_battery(seed: int = 12345) -> list[CheckOutcome]:
     outcomes.append(CheckOutcome("axis-rule success equals the oracle bound", worst <= 1e-12, f"worst {worst:.3g}"))
 
     worst = 0.0
+    slice0 = Plane.const_z(0.0)
     for eta0, eta1, theta, direction, q, n in _random_instances(rng, 1000):
-        u = _XZ.coords(n)
-        frame = ConstZFrame(nz=0.0, r=np.array([u[0], u[1], 0.0]))
+        m = slice0.embed(_XZ.coords(n))
         for case in ("A", "B"):
             pair_xz = decompose(n, theta, eta0, eta1, case)
-            pair_cz = decompose_constz(frame, theta, eta0, eta1, case)
+            pair_cz = decompose(m, theta, eta0, eta1, case, slice0)
             worst = max(
                 worst,
                 abs(pair_xz.n0[0] - pair_cz.n0[0]),
@@ -177,10 +181,23 @@ def invariant_battery(seed: int = 12345) -> list[CheckOutcome]:
             )
         worst = max(
             worst,
-            abs(cos_theta(q, eta0, eta1) - cos_theta_z(q, 0.0, eta0, eta1)),
-            abs(success_prob(eta0, eta1, theta, q) - success_prob_constz(eta0, eta1, theta, q, 0.0)),
+            abs(cos_theta(q, eta0, eta1) - cos_theta(q, eta0, eta1, plane=slice0)),
+            abs(success_prob(eta0, eta1, theta, q) - success_prob(eta0, eta1, theta, q, slice0)),
         )
     outcomes.append(CheckOutcome("constant-z slice reduces to the x-z plane at nz = 0", worst <= 1e-12, f"worst {worst:.3g}"))
+
+    worst = 0.0
+    for plane in (_XZ, Plane.const_z(-0.7), Plane.const_z(0.35)):
+        for eta0, eta1, theta, direction, r, n in _random_instances(rng, 500, plane):
+            t = mixture_targets(n, theta, eta0, eta1, plane)
+            a = decompose(n, theta, eta0, eta1, "A", plane)
+            b = decompose(n, theta, eta0, eta1, "B", plane)
+            worst = max(
+                worst,
+                norm(t.m0 - (eta0 * a.n0 + eta1 * b.n1)),
+                norm(t.m1 - (eta1 * a.n1 + eta0 * b.n0)),
+            )
+    outcomes.append(CheckOutcome("closed-form mixture targets equal the branch averages", worst <= 1e-12, f"worst {worst:.3g}"))
 
     worst = 0.0
     for _ in range(500):

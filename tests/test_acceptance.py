@@ -16,8 +16,7 @@ import numpy as np
 
 from povmlearn.bloch import Plane, norm, perp_in_plane
 from povmlearn.cli import main as cli_main
-from povmlearn.constz import cos_theta_z
-from povmlearn.decomposition import decompose, mixture_targets, success_prob
+from povmlearn.decomposition import cos_theta, decompose, mixture_targets, success_prob
 from povmlearn.ensemble import RngStream
 from povmlearn.equal_prior import delta_analytic, learn_equal_prior, povm_axis_from_phi, solve_alpha
 from povmlearn.evaluate import classify_holdout, score
@@ -227,7 +226,9 @@ def test_criterion_7_constant_z_reduction(capfd):
         # the variant without the factor 2 in the denominator would give 2.
         for nz in (0.0, 0.3, -0.6):
             for eta0 in (0.5, 0.65, 0.8):
-                value = cos_theta_z(math.sqrt(1.0 - nz * nz), nz, eta0, 1.0 - eta0)
+                value = cos_theta(
+                    math.sqrt(1.0 - nz * nz), eta0, 1.0 - eta0, plane=Plane.const_z(nz)
+                )
                 assert value == 1.0
                 assert value != 2.0
 

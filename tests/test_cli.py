@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from povmlearn import cli
 from povmlearn.cli import main
 
 
@@ -136,6 +137,14 @@ class TestConfigFile:
         code, _, _ = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 2
 
+    def test_non_integer_value_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("scenario = unequal-prior-xz\ntrials = 2.5\n")
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2
+        assert "trials" in err
+        assert out == ""
+
 
 class TestSweep:
     def test_comma_lists_form_a_grid(self, capsys):
@@ -186,6 +195,13 @@ class TestBatteries:
         assert "FAIL" not in out
         assert out.count("PASS") == 6
 
+    @pytest.mark.parametrize("instances", ["0", "-1"])
+    def test_oracle_check_rejects_empty_battery(self, capsys, instances):
+        code, out, err = run_cli(capsys, "oracle-check", "--instances", instances)
+        assert code == 2
+        assert "PASS" not in out
+        assert "at least 1 instance" in err
+
     def test_selftest_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest", "--seed", "1")
         assert code == 0
@@ -200,3 +216,20 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         code, _, _ = run_cli(capsys, "--help")
         assert code == 0
+
+    def test_non_finite_angle_is_config_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "run", "--scenario", "unequal-prior-xz", "--alpha", "inf", *COMMON
+        )
+        assert code == 2
+        assert "alpha" in err
+
+    def test_library_bug_is_not_a_config_error(self, monkeypatch):
+        # Only DiscriminationError maps to exit 2; anything else is a bug and
+        # must surface with its traceback.
+        def broken(config):
+            raise TypeError("library bug")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        with pytest.raises(TypeError, match="library bug"):
+            main(["run", "--scenario", "equal-prior-xz", *COMMON])

@@ -1,4 +1,8 @@
-"""Constant-z slice: frame handling, decomposition, and the slice axis rule."""
+"""Constant-z slice: the shared decomposition functions on Plane.const_z(nz).
+
+The slice has no functions of its own; these cases run decomposition.py
+with a plane argument and compare the nz = 0 slice against the x-z plane.
+"""
 
 import math
 
@@ -8,15 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmlearn.bloch import Plane, norm
-from povmlearn.constz import (
-    ConstZFrame,
-    cos_theta_z,
-    decompose_constz,
-    learn_axis_constz,
-    mixture_targets_constz,
-    success_prob_constz,
+from povmlearn.decomposition import (
+    cos_theta,
+    decompose,
+    learn_axis,
+    mixture_targets,
+    success_prob,
 )
-from povmlearn.decomposition import cos_theta, decompose, mixture_targets, success_prob
 from povmlearn.ensemble import EnsembleSpec, RngStream
 from povmlearn.errors import ContractViolation, CosThetaOutOfRange, DegenerateEnsemble
 from povmlearn.helstrom import success_equal_priors
@@ -24,45 +26,50 @@ from povmlearn.helstrom import success_equal_priors
 slice_instances = st.tuples(
     st.floats(0.05, 0.95),            # eta0
     st.floats(0.05, math.pi - 0.05),  # theta
-    st.floats(0.0, 2 * math.pi),      # direction of r
+    st.floats(0.0, 2 * math.pi),      # direction of the in-plane part
     st.floats(-0.9, 0.9),             # nz
 )
 
 
-def make_frame(eta0, theta, direction, nz):
+def make_n(eta0, theta, direction, nz):
+    """Slice plane, ensemble vector (in-plane part plus nz along z), and |r|."""
     eta1 = 1.0 - eta0
     q = math.sqrt(eta0 * eta0 + eta1 * eta1 + 2 * eta0 * eta1 * math.cos(theta))
     r_norm = math.sqrt(1.0 - nz * nz) * q
-    r = np.array([r_norm * math.cos(direction), r_norm * math.sin(direction), 0.0])
-    return ConstZFrame(nz=nz, r=r), r_norm
+    n = np.array([r_norm * math.cos(direction), r_norm * math.sin(direction), nz])
+    return Plane.const_z(nz), n, r_norm
 
 
 class TestConstZFrame:
     def test_radius(self):
-        frame = ConstZFrame(nz=0.6, r=np.array([0.3, 0.4, 0.0]))
-        assert frame.r_radius == pytest.approx(0.8, abs=1e-12)
+        assert Plane.const_z(0.6).radius_sq == pytest.approx(0.64, abs=1e-12)
 
     def test_from_bloch(self):
-        frame = ConstZFrame.from_bloch([0.1, 0.2, 0.5])
-        assert frame.nz == 0.5
-        assert np.allclose(frame.r, [0.1, 0.2, 0.0], atol=1e-15)
+        plane = Plane.const_z(0.5)
+        assert plane.contains([0.1, 0.2, 0.5])
+        assert np.allclose(plane.coords([0.1, 0.2, 0.5]), [0.1, 0.2], atol=1e-15)
 
     def test_rejects_out_of_plane_r(self):
         with pytest.raises(ContractViolation):
-            ConstZFrame(nz=0.5, r=np.array([0.1, 0.2, 0.3]))
+            decompose([0.1, 0.2, 0.3], 1.0, 0.5, 0.5, "A", Plane.const_z(0.5))
+        with pytest.raises(ContractViolation):
+            mixture_targets([0.1, 0.2, 0.3], 1.0, 0.5, 0.5, Plane.const_z(0.5))
 
     def test_rejects_r_beyond_slice_radius(self):
         with pytest.raises(ContractViolation):
-            ConstZFrame(nz=0.8, r=np.array([0.9, 0.0, 0.0]))
+            decompose([0.9, 0.0, 0.8], 1.0, 0.5, 0.5, "A", Plane.const_z(0.8))
+        with pytest.raises(ContractViolation):
+            mixture_targets([0.9, 0.0, 0.8], 1.0, 0.5, 0.5, Plane.const_z(0.8))
 
     def test_rejects_bad_offset(self):
         with pytest.raises(ContractViolation):
-            ConstZFrame(nz=1.0, r=np.array([0.0, 0.0, 0.0]))
+            Plane.const_z(1.0)
 
 
 class TestCosThetaZ:
     def test_reference_right_angle(self):
-        assert cos_theta_z(0.8 / math.sqrt(2), 0.6, 0.5, 0.5) == pytest.approx(0.0, abs=1e-12)
+        value = cos_theta(0.8 / math.sqrt(2), 0.5, 0.5, plane=Plane.const_z(0.6))
+        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_coincident_states_give_exactly_one(self):
         # With both states equal, |r| is the full slice radius and the
@@ -71,7 +78,7 @@ class TestCosThetaZ:
         for nz in (0.0, 0.3, -0.7):
             for eta0 in (0.5, 0.6, 0.8):
                 r_norm = math.sqrt(1.0 - nz * nz)
-                value = cos_theta_z(r_norm, nz, eta0, 1.0 - eta0)
+                value = cos_theta(r_norm, eta0, 1.0 - eta0, plane=Plane.const_z(nz))
                 assert value == 1.0
                 assert value != 2.0
 
@@ -79,20 +86,20 @@ class TestCosThetaZ:
         # Norms above |eta0 - eta1| = 0.4 are reachable for both priors.
         for r_norm in (0.45, 0.62, 0.95):
             for eta0 in (0.5, 0.7):
-                assert cos_theta_z(r_norm, 0.0, eta0, 1.0 - eta0) == cos_theta(
-                    r_norm, eta0, 1.0 - eta0
+                assert cos_theta(r_norm, eta0, 1.0 - eta0, plane=Plane.const_z(0.0)) == cos_theta(
+                    r_norm, eta0, 1.0 - eta0, plane=Plane.xz()
                 )
 
     def test_out_of_range_rejected(self):
         with pytest.raises(CosThetaOutOfRange):
-            cos_theta_z(0.99, 0.6, 0.5, 0.5)
+            cos_theta(0.99, 0.5, 0.5, plane=Plane.const_z(0.6))
 
     @given(slice_instances)
     @settings(max_examples=300)
     def test_inverts_the_norm_relation(self, inst):
         eta0, theta, direction, nz = inst
-        _, r_norm = make_frame(eta0, theta, direction, nz)
-        assert abs(cos_theta_z(r_norm, nz, eta0, 1.0 - eta0) - math.cos(theta)) <= 1e-8
+        plane, _, r_norm = make_n(eta0, theta, direction, nz)
+        assert abs(cos_theta(r_norm, eta0, 1.0 - eta0, plane=plane) - math.cos(theta)) <= 1e-8
 
 
 class TestDecomposeConstZ:
@@ -101,37 +108,34 @@ class TestDecomposeConstZ:
     def test_round_trip_and_unit(self, inst, case):
         eta0, theta, direction, nz = inst
         eta1 = 1.0 - eta0
-        frame, _ = make_frame(eta0, theta, direction, nz)
-        pair = decompose_constz(frame, theta, eta0, eta1, case)
-        target = frame.r + np.array([0.0, 0.0, nz])
-        assert norm(eta0 * pair.n0 + eta1 * pair.n1 - target) <= 1e-11
+        plane, n, _ = make_n(eta0, theta, direction, nz)
+        pair = decompose(n, theta, eta0, eta1, case, plane)
+        assert norm(eta0 * pair.n0 + eta1 * pair.n1 - n) <= 1e-11
         assert abs(norm(pair.n0) - 1.0) <= 1e-11
         assert abs(norm(pair.n1) - 1.0) <= 1e-11
         assert pair.n0[2] == pytest.approx(nz, abs=1e-12)
         assert pair.n1[2] == pytest.approx(nz, abs=1e-12)
 
     def test_coincident_states(self):
-        frame = ConstZFrame(nz=0.6, r=np.array([0.8, 0.0, 0.0]))
-        pair = decompose_constz(frame, 0.0, 0.7, 0.3, "A")
+        pair = decompose([0.8, 0.0, 0.6], 0.0, 0.7, 0.3, "A", Plane.const_z(0.6))
         assert np.allclose(pair.n0, [0.8, 0.0, 0.6], atol=1e-12)
         assert np.allclose(pair.n1, [0.8, 0.0, 0.6], atol=1e-12)
 
     def test_zero_offset_matches_plane_decomposition_bitwise(self):
         for eta0, theta, direction in [(0.6, 1.0, 0.3), (0.8, 2.2, 4.1), (0.5, 0.4, 5.9)]:
             eta1 = 1.0 - eta0
-            frame, _ = make_frame(eta0, theta, direction, 0.0)
-            n = np.array([frame.r[0], 0.0, frame.r[1]])
+            plane, m, _ = make_n(eta0, theta, direction, 0.0)
+            n = np.array([m[0], 0.0, m[1]])
             for case in ("A", "B"):
-                flat = decompose(n, theta, eta0, eta1, case)
-                sliced = decompose_constz(frame, theta, eta0, eta1, case)
+                flat = decompose(n, theta, eta0, eta1, case, Plane.xz())
+                sliced = decompose(m, theta, eta0, eta1, case, plane)
                 assert sliced.n0[0] == flat.n0[0] and sliced.n0[1] == flat.n0[2]
                 assert sliced.n1[0] == flat.n1[0] and sliced.n1[1] == flat.n1[2]
                 assert sliced.n0[2] == 0.0 and sliced.n1[2] == 0.0
 
     def test_degenerate_rejected(self):
-        frame = ConstZFrame(nz=0.5, r=np.array([0.0, 0.0, 0.0]))
         with pytest.raises(DegenerateEnsemble):
-            decompose_constz(frame, 1.0, 0.5, 0.5, "A")
+            decompose([0.0, 0.0, 0.5], 1.0, 0.5, 0.5, "A", Plane.const_z(0.5))
 
 
 class TestMixtureTargetsConstZ:
@@ -139,34 +143,32 @@ class TestMixtureTargetsConstZ:
         # theta = 0 forces |r| to sit at the slice radius.
         radius = math.sqrt(1.0 - 0.3 * 0.3)
         direction = np.array([0.5, 0.2, 0.0]) / norm(np.array([0.5, 0.2, 0.0]))
-        frame = ConstZFrame(nz=0.3, r=radius * direction)
-        t = mixture_targets_constz(frame, 0.0, 0.6, 0.4)
-        full = frame.r + np.array([0.0, 0.0, 0.3])
+        full = radius * direction + np.array([0.0, 0.0, 0.3])
+        t = mixture_targets(full, 0.0, 0.6, 0.4, Plane.const_z(0.3))
         assert norm(t.m0 - full) <= 1e-12
         assert norm(t.m1 - full) <= 1e-12
 
     def test_zero_offset_matches_plane_targets(self):
-        frame, _ = make_frame(0.65, 1.1, 0.9, 0.0)
-        n = np.array([frame.r[0], 0.0, frame.r[1]])
-        flat = mixture_targets(n, 1.1, 0.65, 0.35)
-        sliced = mixture_targets_constz(frame, 1.1, 0.65, 0.35)
-        assert abs(sliced.m0[0] - flat.m0[0]) <= 1e-15
-        assert abs(sliced.m0[1] - flat.m0[2]) <= 1e-15
-        assert abs(sliced.m1[0] - flat.m1[0]) <= 1e-15
-        assert abs(sliced.m1[1] - flat.m1[2]) <= 1e-15
+        plane, m, _ = make_n(0.65, 1.1, 0.9, 0.0)
+        n = np.array([m[0], 0.0, m[1]])
+        flat = mixture_targets(n, 1.1, 0.65, 0.35, Plane.xz())
+        sliced = mixture_targets(m, 1.1, 0.65, 0.35, plane)
+        assert sliced.m0[0] == flat.m0[0] and sliced.m0[1] == flat.m0[2]
+        assert sliced.m1[0] == flat.m1[0] and sliced.m1[1] == flat.m1[2]
+        assert sliced.m0[2] == 0.0 and sliced.m1[2] == 0.0
 
     def test_equal_priors_yield_branch_state(self):
-        frame, _ = make_frame(0.5, 0.8, 0.2, 0.4)
-        t = mixture_targets_constz(frame, 0.8, 0.5, 0.5)
-        pair = decompose_constz(frame, 0.8, 0.5, 0.5, "A")
+        plane, n, _ = make_n(0.5, 0.8, 0.2, 0.4)
+        t = mixture_targets(n, 0.8, 0.5, 0.5, plane)
+        pair = decompose(n, 0.8, 0.5, 0.5, "A", plane)
         assert norm(t.m0 - pair.n0) <= 1e-12
 
     @given(slice_instances)
     @settings(max_examples=200)
     def test_equal_purity_and_common_offset(self, inst):
         eta0, theta, direction, nz = inst
-        frame, _ = make_frame(eta0, theta, direction, nz)
-        t = mixture_targets_constz(frame, theta, eta0, 1.0 - eta0)
+        plane, n, _ = make_n(eta0, theta, direction, nz)
+        t = mixture_targets(n, theta, eta0, 1.0 - eta0, plane)
         assert abs(norm(t.m0) - norm(t.m1)) <= 1e-12
         assert t.m0[2] == pytest.approx(nz, abs=1e-12)
         assert t.m1[2] == pytest.approx(nz, abs=1e-12)
@@ -178,17 +180,19 @@ class TestSuccessProbConstZ:
     def test_matches_oracle_on_slice_targets(self, inst):
         eta0, theta, direction, nz = inst
         eta1 = 1.0 - eta0
-        frame, r_norm = make_frame(eta0, theta, direction, nz)
-        t = mixture_targets_constz(frame, theta, eta0, eta1)
-        ours = success_prob_constz(eta0, eta1, theta, r_norm, nz)
+        plane, n, r_norm = make_n(eta0, theta, direction, nz)
+        t = mixture_targets(n, theta, eta0, eta1, plane)
+        ours = success_prob(eta0, eta1, theta, r_norm, plane)
         assert abs(ours - success_equal_priors(t.m0, t.m1)) <= 1e-12
 
     def test_zero_offset_reduction(self):
-        assert success_prob_constz(0.6, 0.4, 1.0, 0.55, 0.0) == success_prob(0.6, 0.4, 1.0, 0.55)
+        assert success_prob(0.6, 0.4, 1.0, 0.55, Plane.const_z(0.0)) == success_prob(
+            0.6, 0.4, 1.0, 0.55, Plane.xz()
+        )
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateEnsemble):
-            success_prob_constz(0.5, 0.5, 1.0, 0.0, 0.3)
+            success_prob(0.5, 0.5, 1.0, 0.0, Plane.const_z(0.3))
 
 
 class TestLearnAxisConstZ:
@@ -197,21 +201,17 @@ class TestLearnAxisConstZ:
         # +90 degree rotation convention; tight at a large shot budget.
         r = math.sqrt(1 - 0.36)
         spec = EnsembleSpec(1.0, 0.0, [r, 0, 0.6], [r, 0, 0.6], Plane.const_z(0.6))
-        axis = learn_axis_constz(spec, 100_000, RngStream(0).generator())
+        axis, _ = learn_axis(spec, 100_000, RngStream(0).generator())
         assert np.allclose(axis, [0, 1, 0], atol=0.02)
         spec = EnsembleSpec(1.0, 0.0, [0, r, 0.6], [0, r, 0.6], Plane.const_z(0.6))
-        axis = learn_axis_constz(spec, 100_000, RngStream(0).generator())
+        axis, _ = learn_axis(spec, 100_000, RngStream(0).generator())
         assert np.allclose(axis, [-1, 0, 0], atol=0.02)
 
     def test_axis_properties(self):
-        frame, _ = make_frame(0.6, 1.0, 0.7, 0.4)
-        pair = decompose_constz(frame, 1.0, 0.6, 0.4, "A")
-        spec = EnsembleSpec(0.6, 0.4, pair.n0, pair.n1, Plane.const_z(0.4), case_tag="A")
-        axis = learn_axis_constz(spec, 100_000, RngStream(5).generator())
+        plane, n, _ = make_n(0.6, 1.0, 0.7, 0.4)
+        pair = decompose(n, 1.0, 0.6, 0.4, "A", plane)
+        spec = EnsembleSpec(0.6, 0.4, pair.n0, pair.n1, plane, case_tag="A")
+        axis, est = learn_axis(spec, 100_000, RngStream(5).generator())
         assert axis[2] == 0.0
         assert abs(norm(axis) - 1.0) <= 1e-12
-
-    def test_requires_constz_plane(self):
-        spec = EnsembleSpec(0.5, 0.5, [1, 0, 0], [0, 0, 1], Plane.xz())
-        with pytest.raises(ContractViolation):
-            learn_axis_constz(spec, 100, RngStream(0).generator())
+        assert est.shots_used == 3 * 100_000

@@ -11,7 +11,7 @@ from povmlearn.bloch import Plane, norm, perp_in_plane, plane_angle
 from povmlearn.decomposition import (
     cos_theta,
     decompose,
-    learn_axis_equal_counts,
+    learn_axis,
     mixture_targets,
     success_prob,
 )
@@ -173,6 +173,23 @@ class TestMixtureTargets:
         assert norm(t.m0 - (eta0 * a.n0 + eta1 * b.n1)) <= 1e-12
         assert norm(t.m1 - (eta1 * a.n1 + eta0 * b.n0)) <= 1e-12
 
+    @given(consistent_instances, st.one_of(st.just(None), st.floats(-0.9, 0.9)))
+    @settings(max_examples=300)
+    def test_closed_form_equals_branch_average_on_both_planes(self, inst, nz):
+        # The library builds m0, m1 from the closed form only; the branch
+        # average (A.n0 with B.n1, A.n1 with B.n0) is the definition.
+        eta0, theta, direction = inst
+        eta1 = 1.0 - eta0
+        plane = Plane.xz() if nz is None else Plane.const_z(nz)
+        _, q = make_n(eta0, theta, direction)
+        r = math.sqrt(plane.radius_sq) * q
+        n = plane.embed(np.array([r * math.cos(direction), r * math.sin(direction)]))
+        a = decompose(n, theta, eta0, eta1, "A", plane)
+        b = decompose(n, theta, eta0, eta1, "B", plane)
+        t = mixture_targets(n, theta, eta0, eta1, plane)
+        assert norm(t.m0 - (eta0 * a.n0 + eta1 * b.n1)) <= 1e-12
+        assert norm(t.m1 - (eta1 * a.n1 + eta0 * b.n0)) <= 1e-12
+
 
 class TestSuccessProb:
     def test_reference_equal_priors(self):
@@ -227,19 +244,20 @@ class TestLearnAxisEqualCounts:
         # A single-state ensemble pins one Pauli component exactly; the
         # other still carries coin-flip noise, so allow a few sigma of it.
         spec = EnsembleSpec(1.0, 0.0, [1, 0, 0], [1, 0, 0], Plane.xz())
-        axis = learn_axis_equal_counts(spec, 100_000, RngStream(0).generator())
+        axis, _ = learn_axis(spec, 100_000, RngStream(0).generator())
         assert np.allclose(axis, [0, 0, 1], atol=0.02)
         spec = EnsembleSpec(1.0, 0.0, [0, 0, 1], [0, 0, 1], Plane.xz())
-        axis = learn_axis_equal_counts(spec, 100_000, RngStream(0).generator())
+        axis, _ = learn_axis(spec, 100_000, RngStream(0).generator())
         assert np.allclose(axis, [-1, 0, 0], atol=0.02)
 
     def test_orthogonal_to_estimate_by_construction(self):
         n, _ = make_n(0.6, 1.0, 0.7)
         pair = decompose(n, 1.0, 0.6, 0.4, "A")
         spec = EnsembleSpec(0.6, 0.4, pair.n0, pair.n1, Plane.xz(), case_tag="A")
-        axis = learn_axis_equal_counts(spec, 100_000, RngStream(1).generator())
+        axis, est = learn_axis(spec, 100_000, RngStream(1).generator())
         assert abs(norm(axis) - 1.0) <= 1e-12
         assert abs(axis[1]) == 0.0
+        assert abs(float(np.dot(axis, est.n_hat))) <= 1e-12
 
     def test_angular_accuracy_at_large_budget(self):
         n, _ = make_n(0.6, 1.2, 0.54)
@@ -248,13 +266,8 @@ class TestLearnAxisEqualCounts:
         target = perp_in_plane(ensemble_bloch(spec), Plane.xz())
         hits = 0
         for seed in range(50):
-            axis = learn_axis_equal_counts(spec, 1_000_000, RngStream(seed, 3).generator())
+            axis, _ = learn_axis(spec, 1_000_000, RngStream(seed, 3).generator())
             err = min(norm(axis - target), norm(axis + target))
             if err <= 0.01:
                 hits += 1
         assert hits >= 49
-
-    def test_requires_xz_plane(self):
-        spec = EnsembleSpec(0.5, 0.5, [1, 0, 0], [0, 1, 0], Plane.const_z(0.0))
-        with pytest.raises(ContractViolation):
-            learn_axis_equal_counts(spec, 100, RngStream(0).generator())

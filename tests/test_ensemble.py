@@ -10,7 +10,6 @@ from povmlearn.ensemble import (
     EnsembleSpec,
     RngStream,
     ShotBatch,
-    draw_qubit,
     ensemble_bloch,
     estimate_pauli,
     measure_shots,
@@ -70,23 +69,6 @@ class TestRngStream:
         a = RngStream(7, 3).generator().random(5)
         b = RngStream(7, 4).generator().random(5)
         assert not np.array_equal(a, b)
-
-
-class TestDrawQubit:
-    def test_deterministic_priors(self):
-        spec = EnsembleSpec(1.0, 0.0, [0, 0, 1], [1, 0, 0], Plane.xz())
-        label, state = draw_qubit(spec, RngStream(0).generator())
-        assert label == 0 and np.array_equal(state, spec.psi0)
-        spec = EnsembleSpec(0.0, 1.0, [0, 0, 1], [1, 0, 0], Plane.xz())
-        label, state = draw_qubit(spec, RngStream(0).generator())
-        assert label == 1 and np.array_equal(state, spec.psi1)
-
-    def test_label_frequency(self):
-        spec = xz_spec()
-        rng = RngStream(11).generator()
-        n = 100_000
-        zeros = sum(1 - draw_qubit(spec, rng)[0] for _ in range(n))
-        assert abs(zeros / n - 0.5) <= 5 * math.sqrt(0.25 / n)
 
 
 class TestMeasureShots:

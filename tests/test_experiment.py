@@ -8,11 +8,11 @@ import math
 import numpy as np
 import pytest
 
+from povmlearn.bloch import Plane
 from povmlearn.errors import ContractViolation
 from povmlearn.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
-    constz_ensemble,
     emit_results,
     equal_prior_ensemble,
     render_results,
@@ -92,7 +92,7 @@ class TestScenarioBuilders:
         assert math.atan2(n[2], n[0]) == pytest.approx(0.4, abs=1e-12)
 
     def test_constz_consistency(self):
-        spec = constz_ensemble(0.6, 0.9, 1.2, 0.35, "A")
+        spec = two_fold_ensemble(0.6, 0.9, 1.2, "A", Plane.const_z(0.35))
         assert spec.psi0[2] == pytest.approx(0.35, abs=1e-12)
         assert spec.psi1[2] == pytest.approx(0.35, abs=1e-12)
         assert abs(np.linalg.norm(spec.psi0) - 1.0) <= 1e-12

@@ -8,7 +8,6 @@ import pytest
 from povmlearn.errors import ContractViolation, DegenerateEnsemble
 from povmlearn.helstrom import (
     detector_probabilities,
-    equal_count_condition,
     helstrom,
     success_equal_priors,
 )
@@ -54,17 +53,6 @@ class TestHelstrom:
             s = helstrom(base + [0, 0, gap], base - [0, 0, gap]).success
             assert s >= last - 1e-15
             last = s
-
-
-class TestEqualCountCondition:
-    def test_equal_norms_balance(self):
-        assert equal_count_condition([0.6, 0, 0.3], [0.3, 0, 0.6]) == pytest.approx(0.0, abs=1e-15)
-
-    def test_reference_difference(self):
-        assert equal_count_condition([0.9, 0, 0], [0.1, 0, 0]) == pytest.approx(0.80, abs=1e-12)
-
-    def test_purity_extremes(self):
-        assert equal_count_condition([1, 0, 0], [0, 0, 0]) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestDetectorProbabilities:

@@ -1,0 +1,61 @@
+"""The README's output-schema table matches what the code writes."""
+
+import csv
+import io
+import re
+from pathlib import Path
+
+from povmlearn.experiment import CSV_COLUMNS, SCENARIOS, ExperimentConfig, render_results, run_experiment
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def schema_table() -> list[tuple[list[str], str]]:
+    """(column names, meaning) per row of the README's output-schema table."""
+    section = README.read_text().split("## Output schema", 1)[1]
+    rows = []
+    for line in section.splitlines():
+        if line.startswith("#"):
+            break
+        if not line.startswith("| `"):
+            continue
+        names_cell, meaning = line.strip().strip("|").split("|", 1)
+        rows.append((re.findall(r"`([^`]+)`", names_cell), meaning))
+    return rows
+
+
+def rendered_rows() -> list[dict]:
+    rows = []
+    for scenario in SCENARIOS:
+        cfg = ExperimentConfig(
+            scenario=scenario,
+            eta0=0.5 if scenario == "equal-prior-xz" else 0.6,
+            nz=0.3 if scenario == "const-z" else 0.0,
+            shots_learn=1000,
+            shots_holdout=500,
+            trials=2,
+            seed=4,
+        )
+        rows.extend(csv.DictReader(io.StringIO(render_results(run_experiment(cfg)))))
+    return rows
+
+
+def test_table_lists_every_column_in_order():
+    names = [name for row_names, _ in schema_table() for name in row_names]
+    assert tuple(names) == CSV_COLUMNS
+
+
+def test_scenario_only_columns_are_empty_elsewhere():
+    rows = rendered_rows()
+    annotated = 0
+    for names, meaning in schema_table():
+        only = re.search(r"\(`([\w-]+)` only\)", meaning)
+        if only is None:
+            continue
+        assert only.group(1) in SCENARIOS
+        annotated += 1
+        for row in rows:
+            if row["scenario"] != only.group(1):
+                for name in names:
+                    assert row[name] == "", f"{name} is set on a {row['scenario']} row"
+    assert annotated >= 1
