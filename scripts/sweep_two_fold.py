@@ -10,7 +10,7 @@ success per cell is printed next to 1/2 + eta0 eta1 sin(theta)/|n|.
 import argparse
 import math
 
-from povmlearn.decomposition import success_prob
+from povmlearn.decomposition import ensemble_vector, success_prob
 from povmlearn.experiment import ExperimentConfig, sweep
 
 
@@ -44,8 +44,7 @@ def main():
             scored = [r for r in cell if r.success_emp is not None]
             correct = sum(r.holdout_correct for r in scored)
             total = sum(r.shots_holdout for r in scored)
-            q = math.sqrt(eta0 * eta0 + (1 - eta0) ** 2
-                          + 2 * eta0 * (1 - eta0) * math.cos(theta))
+            _, q = ensemble_vector(eta0, theta, 0.0)
             target = success_prob(eta0, 1 - eta0, theta, q)
             pooled = correct / total if total else float("nan")
             sigma = math.sqrt(target * (1 - target) / total) if total else float("nan")

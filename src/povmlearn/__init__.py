@@ -26,6 +26,7 @@ from povmlearn.decomposition import (
     MixtureTargets,
     cos_theta,
     decompose,
+    ensemble_vector,
     learn_axis,
     mixture_targets,
     success_prob,

@@ -24,6 +24,7 @@ from povmlearn.errors import ContractViolation, DiscriminationError
 from povmlearn.experiment import (
     FORMATS,
     SCENARIOS,
+    SWEEP_KEYS,
     ExperimentConfig,
     emit_results,
     run_experiment,
@@ -33,7 +34,6 @@ from povmlearn.experiment import (
 
 _FLOAT_KEYS = ("alpha", "beta", "eta0", "theta", "nz", "phi0")
 _INT_KEYS = ("shots_learn", "shots_holdout", "trials", "seed")
-_SWEEP_KEYS = ("eta0", "theta", "alpha", "beta", "nz")
 
 
 def _add_common_options(parser: argparse.ArgumentParser, sweep_mode: bool) -> None:
@@ -42,7 +42,7 @@ def _add_common_options(parser: argparse.ArgumentParser, sweep_mode: bool) -> No
     parser.add_argument("--scenario", choices=SCENARIOS, default=None)
     for key in _FLOAT_KEYS:
         flag = "--" + key.replace("_", "-")
-        if sweep_mode and key in _SWEEP_KEYS:
+        if sweep_mode and key in SWEEP_KEYS:
             parser.add_argument(flag, type=str, default=None, metavar="V[,V...]",
                                 help=f"{key} value or comma-separated list to sweep")
         else:
@@ -105,7 +105,7 @@ def _coerce(key: str, value: str, sweep_mode: bool):
     if key in _INT_KEYS:
         convert = int
     elif key in _FLOAT_KEYS:
-        if sweep_mode and key in _SWEEP_KEYS:
+        if sweep_mode and key in SWEEP_KEYS:
             return value  # may be a comma-separated list; resolved later
         convert = float
     else:
@@ -148,7 +148,7 @@ def _gather_kwargs(args: argparse.Namespace, sweep_mode: bool) -> tuple[dict, di
     merged = {**file_kwargs, **cli_kwargs}
     grid: dict[str, list[float]] = {}
     if sweep_mode:
-        for key in _SWEEP_KEYS:
+        for key in SWEEP_KEYS:
             value = merged.get(key)
             if isinstance(value, str):
                 values = _float_list(key, value)

@@ -102,6 +102,19 @@ def _slice_coords(n, plane: Plane) -> tuple[np.ndarray, float]:
     return u, uu
 
 
+def ensemble_vector(
+    eta0: float, theta: float, direction: float, plane: Plane = _PLANE_XZ
+) -> tuple[np.ndarray, float]:
+    """Ensemble Bloch vector n of priors (eta0, 1 - eta0) and separation
+    theta, pointing along `direction` in plane coordinates, and its in-plane
+    norm |u| = rho sqrt(eta0^2 + eta1^2 + 2 eta0 eta1 cos(theta)), the
+    relation cos_theta inverts."""
+    eta1 = 1.0 - eta0
+    q = math.sqrt(eta0 * eta0 + eta1 * eta1 + 2.0 * eta0 * eta1 * math.cos(theta))
+    r = math.sqrt(plane.radius_sq) * q
+    return plane.embed(np.array([r * math.cos(direction), r * math.sin(direction)])), r
+
+
 def cos_theta(
     n_norm: float, eta0: float, eta1: float, tol: float = EPS_PHYS, plane: Plane = _PLANE_XZ
 ) -> float:

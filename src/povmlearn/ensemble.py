@@ -143,7 +143,6 @@ def estimate_pauli(
     spec: EnsembleSpec,
     shots_per_axis: int,
     rng: np.random.Generator | Sequence[np.random.Generator],
-    plane: Plane | None = None,
 ) -> PauliEstimate:
     """Estimate the ensemble Bloch vector from per-axis expectation values.
 
@@ -153,14 +152,13 @@ def estimate_pauli(
     single generator or one generator per axis (in axis order), which lets
     callers give each axis an independent stream.
     """
-    plane = plane if plane is not None else spec.plane
-    axes = pauli_axes(plane)
+    axes = pauli_axes(spec.plane)
     rngs = _as_rng_list(rng, len(axes))
     batches = tuple(
         measure_shots(spec, axis, shots_per_axis, g) for axis, g in zip(axes, rngs)
     )
     means = [b.mean for b in batches]
-    if plane.kind == "xz":
+    if spec.plane.kind == "xz":
         n_hat = np.array([means[0], 0.0, means[1]])
     else:
         n_hat = np.array([means[0], means[1], means[2]])

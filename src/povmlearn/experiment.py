@@ -5,6 +5,11 @@ addressed by (seed, trial, role): every trial owns a block of stream ids,
 one per role (branch draw, each measurement axis or setting in order,
 holdout), so trials are independent and reruns are byte-identical.
 
+Ground truth (the hidden spec, the closed-form success and the oracle
+value) is fixed by a cell's parameters and the trial's case, and is never
+random: run_experiment builds it at most once per (cell, case), on the
+first trial that needs it, and trials only sample.
+
 The two-fold scenarios share one pipeline on a Plane: unequal-prior-xz
 runs it on the x-z plane, const-z on the slice z = nz, and the scenario
 only chooses the plane.  The slice pipeline measures one extra axis (z),
@@ -31,6 +36,7 @@ from povmlearn.decomposition import (
     EPS_CLAMP,
     cos_theta,
     decompose,
+    ensemble_vector,
     learn_axis,
     mixture_targets,
     success_prob,
@@ -49,6 +55,10 @@ from povmlearn.helstrom import success_equal_priors
 SCENARIOS = ("equal-prior-xz", "unequal-prior-xz", "const-z")
 
 FORMATS = ("csv", "json")
+
+# Parameters a sweep may fan out over, in the order that fixes the cell
+# order and so the trial indices.
+SWEEP_KEYS = ("eta0", "theta", "alpha", "beta", "nz")
 
 CSV_COLUMNS = (
     "trial",
@@ -71,6 +81,7 @@ CSV_COLUMNS = (
     "shots_holdout",
     "status",
 )
+_AXIS_INDEX = {k: i for i, k in enumerate(k for k in CSV_COLUMNS if k.startswith("axis_"))}
 
 # Stream roles within a trial's block of ids.  Measured axes take
 # consecutive slots from AXIS0 in pauli_axes order: the first and second
@@ -83,7 +94,6 @@ _SLOT_AXIS1 = 2
 _SLOT_HOLDOUT = 4
 _SLOTS_PER_TRIAL = 8
 
-_STATUS_OK = "ok"
 _STATUS_OF = {
     WeakSignal: "weak_signal",
     DegenerateEnsemble: "degenerate_ensemble",
@@ -157,7 +167,8 @@ class ExperimentConfig:
 
 @dataclass
 class TrialResult:
-    """One trial's emitted row plus diagnostics kept for tests and summaries."""
+    """One trial's emitted row plus diagnostics kept for tests and summaries;
+    a trial names its cell-constant fields and fills the rest as it goes."""
 
     trial: int
     scenario: str
@@ -167,21 +178,24 @@ class TrialResult:
     alpha_true: float | None
     beta_true: float | None
     n_z: float | None
-    axis: np.ndarray | None
-    alpha_hat: float | None
-    success_emp: float | None
-    success_analytic: float | None
-    success_oracle: float | None
-    z_score: float | None
-    shots_learn: int
-    shots_holdout: int
-    status: str
+    axis: np.ndarray | None = None
+    alpha_hat: float | None = None
+    success_emp: float | None = None
+    success_analytic: float | None = None
+    success_oracle: float | None = None
+    z_score: float | None = None
+    shots_learn: int = 0
+    shots_holdout: int = 0
+    status: str = "ok"
     # Diagnostics, not serialized.
     theta_hat: float | None = None
     n_hat: np.ndarray | None = None
     swapped: bool | None = None
     holdout_correct: int | None = None
-    qubits_used: int = 0
+
+    @property
+    def qubits_used(self) -> int:
+        return self.shots_learn + self.shots_holdout
 
 
 def _gen(cfg: ExperimentConfig, trial: int, slot: int) -> np.random.Generator:
@@ -199,22 +213,16 @@ def equal_prior_ensemble(alpha: float, beta: float) -> EnsembleSpec:
     )
 
 
-def _mixed_norm(eta0: float, eta1: float, theta: float) -> float:
-    return math.sqrt(eta0 * eta0 + eta1 * eta1 + 2.0 * eta0 * eta1 * math.cos(theta))
-
-
-def _plane_of(cfg: ExperimentConfig) -> Plane:
-    return Plane.const_z(cfg.nz) if cfg.scenario == "const-z" else Plane.xz()
-
-
-def _two_fold_truth(eta0: float, theta: float, direction: float, case: str, plane: Plane):
+def two_fold_truth(
+    eta0: float, theta: float, direction: float, case: str, plane: Plane = Plane.xz()
+) -> tuple[EnsembleSpec, float, float]:
     """Hidden branch spec, closed-form success and oracle value of the ensemble
     in `plane` whose Bloch vector points along `direction` in plane
-    coordinates, with the norm implied by (eta0, theta).  The ensemble vector
-    is built once and everything derives from it."""
+    coordinates, with the norm implied by (eta0, theta); the hidden pair is
+    the requested branch.  The ensemble vector is built once and everything
+    derives from it."""
     eta1 = 1.0 - eta0
-    r = math.sqrt(plane.radius_sq) * _mixed_norm(eta0, eta1, theta)
-    n = plane.embed(np.array([r * math.cos(direction), r * math.sin(direction)]))
+    n, r = ensemble_vector(eta0, theta, direction, plane)
     pair = decompose(n, theta, eta0, eta1, case, plane)
     spec = EnsembleSpec(eta0=eta0, eta1=eta1, psi0=pair.n0, psi1=pair.n1, plane=plane, case_tag=case)
     targets = mixture_targets(n, theta, eta0, eta1, plane)
@@ -222,18 +230,11 @@ def _two_fold_truth(eta0: float, theta: float, direction: float, case: str, plan
     return spec, analytic, success_equal_priors(targets.m0, targets.m1)
 
 
-def two_fold_ensemble(
-    eta0: float, theta: float, direction: float, case: str, plane: Plane = Plane.xz()
-) -> EnsembleSpec:
-    """Ensemble in `plane` whose Bloch vector points along `direction` with
-    the norm implied by (eta0, theta); the hidden pair is the requested branch."""
-    return _two_fold_truth(eta0, theta, direction, case, plane)[0]
-
-
-def _equal_prior_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
-    spec = equal_prior_ensemble(cfg.alpha, cfg.beta)
-    analytic = 0.5 * (1.0 + math.sin(cfg.beta))
-    oracle = success_equal_priors(spec.psi0, spec.psi1)
+def _equal_prior_trial(cfg: ExperimentConfig, trial: int, truths: dict) -> TrialResult:
+    if None not in truths:
+        spec = equal_prior_ensemble(cfg.alpha, cfg.beta)
+        oracle = success_equal_priors(spec.psi0, spec.psi1)
+        truths[None] = spec, 0.5 * (1.0 + math.sin(cfg.beta)), oracle
     row = TrialResult(
         trial=trial,
         scenario=cfg.scenario,
@@ -243,38 +244,25 @@ def _equal_prior_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         alpha_true=cfg.alpha,
         beta_true=cfg.beta,
         n_z=0.0,
-        axis=None,
-        alpha_hat=None,
-        success_emp=None,
-        success_analytic=analytic,
-        success_oracle=oracle,
-        z_score=None,
-        shots_learn=0,
-        shots_holdout=0,
-        status=_STATUS_OK,
     )
+    spec, row.success_analytic, row.success_oracle = truths[None]
+    gens = (_gen(cfg, trial, _SLOT_AXIS0), _gen(cfg, trial, _SLOT_AXIS1))
     try:
-        est = learn_equal_prior(
-            spec,
-            cfg.phi0,
-            cfg.shots_learn,
-            (_gen(cfg, trial, _SLOT_AXIS0), _gen(cfg, trial, _SLOT_AXIS1)),
-        )
+        est = learn_equal_prior(spec, cfg.phi0, cfg.shots_learn, gens)
     except (WeakSignal, DegenerateEnsemble) as exc:
         row.status = _status_of(exc)
-        row.shots_learn = 2 * cfg.shots_learn
-        row.qubits_used = row.shots_learn
+        row.shots_learn = len(gens) * cfg.shots_learn
         return row
     row.shots_learn = est.shots_used
     row.alpha_hat = est.alpha_hat
     row.axis = povm_axis_from_phi(est.phi_star)
-    _classify_into(row, cfg, spec, trial, analytic)
+    _classify_into(row, cfg, spec, trial)
     return row
 
 
-def _two_fold_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
+def _two_fold_trial(cfg: ExperimentConfig, trial: int, truths: dict) -> TrialResult:
     case = "A" if _gen(cfg, trial, _SLOT_CASE).random() < 0.5 else "B"
-    plane = _plane_of(cfg)
+    plane = Plane.const_z(cfg.nz) if cfg.scenario == "const-z" else Plane.xz()
     row = TrialResult(
         trial=trial,
         scenario=cfg.scenario,
@@ -284,30 +272,21 @@ def _two_fold_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         alpha_true=cfg.alpha,
         beta_true=None,
         n_z=plane.nz,
-        axis=None,
-        alpha_hat=None,
-        success_emp=None,
-        success_analytic=None,
-        success_oracle=None,
-        z_score=None,
-        shots_learn=0,
-        shots_holdout=0,
-        status=_STATUS_OK,
     )
     try:
-        spec, analytic, oracle = _two_fold_truth(cfg.eta0, cfg.theta, cfg.alpha, case, plane)
+        # A truth that raises is not stored: each trial of the case retries it.
+        if case not in truths:
+            truths[case] = two_fold_truth(cfg.eta0, cfg.theta, cfg.alpha, case, plane)
     except DegenerateEnsemble as exc:
         row.status = _status_of(exc)
         return row
-    row.success_analytic = analytic
-    row.success_oracle = oracle
+    spec, row.success_analytic, row.success_oracle = truths[case]
     gens = [_gen(cfg, trial, _SLOT_AXIS0 + k) for k in range(len(pauli_axes(plane)))]
     try:
         axis, est = learn_axis(spec, cfg.shots_learn, gens)
     except DegenerateEnsemble as exc:
         row.status = _status_of(exc)
         row.shots_learn = len(gens) * cfg.shots_learn
-        row.qubits_used = row.shots_learn
         return row
     row.shots_learn = est.shots_used
     row.n_hat = est.n_hat
@@ -322,39 +301,34 @@ def _two_fold_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     except CosThetaOutOfRange as exc:
         # Diagnostic only; the learned axis is still usable.
         row.status = _status_of(exc)
-    _classify_into(row, cfg, spec, trial, analytic)
+    _classify_into(row, cfg, spec, trial)
     return row
 
 
-def _classify_into(row, cfg, spec, trial, analytic) -> None:
+def _classify_into(row: TrialResult, cfg: ExperimentConfig, spec: EnsembleSpec, trial: int) -> None:
     confusion = classify_holdout(spec, row.axis, cfg.shots_holdout, _gen(cfg, trial, _SLOT_HOLDOUT))
-    report = score(confusion, analytic)
+    report = score(confusion, row.success_analytic)
     row.shots_holdout = cfg.shots_holdout
     row.success_emp = report.empirical_success
     row.z_score = report.z_score
     row.swapped = report.swapped
     row.holdout_correct = max(confusion.correct, confusion.total - confusion.correct)
-    row.qubits_used = row.shots_learn + row.shots_holdout
 
 
 def run_experiment(config: ExperimentConfig, trial_offset: int = 0) -> list[TrialResult]:
     """Run config.trials independent trials; recoverable per-trial errors are
-    recorded in the row status, never raised."""
+    recorded in the row status, never raised.  Truth is built at most once
+    per case (None for equal-prior-xz) and shared by this call's trials."""
     config.validate()
-    rows = []
-    for i in range(int(config.trials)):
-        trial = trial_offset + i
-        if config.scenario == "equal-prior-xz":
-            rows.append(_equal_prior_trial(config, trial))
-        else:
-            rows.append(_two_fold_trial(config, trial))
-    return rows
+    trial_fn = _equal_prior_trial if config.scenario == "equal-prior-xz" else _two_fold_trial
+    truths: dict = {}
+    return [trial_fn(config, trial_offset + i, truths) for i in range(int(config.trials))]
 
 
 def sweep(base: ExperimentConfig, grid: dict[str, Sequence[float]]) -> list[TrialResult]:
     """Cartesian sweep over parameter value lists, with globally unique trial
     indices so every row draws from its own random streams."""
-    keys = [k for k in ("eta0", "theta", "alpha", "beta", "nz") if k in grid]
+    keys = [k for k in SWEEP_KEYS if k in grid]
     unknown = set(grid) - set(keys)
     if unknown:
         raise ContractViolation(f"cannot sweep over {sorted(unknown)}")
@@ -392,28 +366,10 @@ def _fmt_float(x: float) -> str:
 
 
 def _row_record(r: TrialResult) -> dict:
+    """The row's value for each of CSV_COLUMNS: the TrialResult field of that
+    name, or for an axis_* column its component of r.axis."""
     axis = r.axis if r.axis is not None else (None, None, None)
-    return {
-        "trial": r.trial,
-        "scenario": r.scenario,
-        "case": r.case,
-        "eta0": r.eta0,
-        "theta_true": r.theta_true,
-        "alpha_true": r.alpha_true,
-        "beta_true": r.beta_true,
-        "n_z": r.n_z,
-        "axis_x": axis[0],
-        "axis_y": axis[1],
-        "axis_z": axis[2],
-        "alpha_hat": r.alpha_hat,
-        "success_emp": r.success_emp,
-        "success_analytic": r.success_analytic,
-        "success_oracle": r.success_oracle,
-        "z_score": r.z_score,
-        "shots_learn": r.shots_learn,
-        "shots_holdout": r.shots_holdout,
-        "status": r.status,
-    }
+    return {k: axis[_AXIS_INDEX[k]] if k in _AXIS_INDEX else getattr(r, k) for k in CSV_COLUMNS}
 
 
 def _csv_cell(value) -> str:

@@ -18,7 +18,7 @@ from povmlearn.bloch import (
     rotate_in_plane,
     wrap_angle,
 )
-from povmlearn.decomposition import cos_theta, decompose, mixture_targets, success_prob
+from povmlearn.decomposition import cos_theta, decompose, ensemble_vector, mixture_targets, success_prob
 from povmlearn.equal_prior import delta_analytic, povm_axis_from_phi, solve_alpha
 from povmlearn.errors import ContractViolation
 from povmlearn.helstrom import detector_probabilities, helstrom, success_equal_priors
@@ -45,13 +45,10 @@ def _random_instances(rng: np.random.Generator, count: int, plane: Plane = _XZ):
     away from degeneracy; |u| is the in-plane norm of n."""
     for _ in range(count):
         eta0 = rng.uniform(0.05, 0.95)
-        eta1 = 1.0 - eta0
         theta = rng.uniform(0.05, math.pi - 0.05)
         direction = rng.uniform(0.0, 2.0 * math.pi)
-        q = math.sqrt(eta0 * eta0 + eta1 * eta1 + 2.0 * eta0 * eta1 * math.cos(theta))
-        r = math.sqrt(plane.radius_sq) * q
-        n = plane.embed(np.array([r * math.cos(direction), r * math.sin(direction)]))
-        yield eta0, eta1, theta, direction, r, n
+        n, r = ensemble_vector(eta0, theta, direction, plane)
+        yield eta0, 1.0 - eta0, theta, direction, r, n
 
 
 def oracle_battery(n_instances: int = 10_000, seed: int = 12345) -> list[CheckOutcome]:

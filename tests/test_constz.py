@@ -15,6 +15,7 @@ from povmlearn.bloch import Plane, norm
 from povmlearn.decomposition import (
     cos_theta,
     decompose,
+    ensemble_vector,
     learn_axis,
     mixture_targets,
     success_prob,
@@ -98,8 +99,10 @@ class TestCosThetaZ:
     @settings(max_examples=300)
     def test_inverts_the_norm_relation(self, inst):
         eta0, theta, direction, nz = inst
-        plane, _, r_norm = make_n(eta0, theta, direction, nz)
+        plane, n, r_norm = make_n(eta0, theta, direction, nz)
         assert abs(cos_theta(r_norm, eta0, 1.0 - eta0, plane=plane) - math.cos(theta)) <= 1e-8
+        n_lib, r_lib = ensemble_vector(eta0, theta, direction, plane)
+        assert np.array_equal(n_lib, n) and r_lib == r_norm
 
 
 class TestDecomposeConstZ:

@@ -11,6 +11,7 @@ from povmlearn.bloch import Plane, norm, perp_in_plane, plane_angle
 from povmlearn.decomposition import (
     cos_theta,
     decompose,
+    ensemble_vector,
     learn_axis,
     mixture_targets,
     success_prob,
@@ -67,8 +68,10 @@ class TestCosTheta:
     @settings(max_examples=300)
     def test_inverts_the_norm_relation(self, inst):
         eta0, theta, direction = inst
-        _, q = make_n(eta0, theta, direction)
+        n, q = make_n(eta0, theta, direction)
         assert abs(cos_theta(q, eta0, 1.0 - eta0) - math.cos(theta)) <= 1e-9
+        n_lib, q_lib = ensemble_vector(eta0, theta, direction)
+        assert np.array_equal(n_lib, n) and q_lib == q
 
 
 class TestDecompose:

@@ -8,7 +8,9 @@ import math
 import numpy as np
 import pytest
 
+import povmlearn.experiment as experiment
 from povmlearn.bloch import Plane
+from povmlearn.decomposition import success_prob
 from povmlearn.errors import ContractViolation
 from povmlearn.experiment import (
     CSV_COLUMNS,
@@ -19,7 +21,7 @@ from povmlearn.experiment import (
     run_experiment,
     summarize,
     sweep,
-    two_fold_ensemble,
+    two_fold_truth,
 )
 
 BASE = dict(shots_learn=5_000, shots_holdout=2_000, trials=4, seed=42)
@@ -82,7 +84,7 @@ class TestScenarioBuilders:
         )
 
     def test_two_fold_consistency(self):
-        spec = two_fold_ensemble(0.65, 1.1, 0.4, "B")
+        spec = two_fold_truth(0.65, 1.1, 0.4, "B")[0]
         n = spec.eta0 * spec.psi0 + spec.eta1 * spec.psi1
         q = np.linalg.norm(n)
         expect = math.sqrt(
@@ -92,7 +94,7 @@ class TestScenarioBuilders:
         assert math.atan2(n[2], n[0]) == pytest.approx(0.4, abs=1e-12)
 
     def test_constz_consistency(self):
-        spec = two_fold_ensemble(0.6, 0.9, 1.2, "A", Plane.const_z(0.35))
+        spec = two_fold_truth(0.6, 0.9, 1.2, "A", Plane.const_z(0.35))[0]
         assert spec.psi0[2] == pytest.approx(0.35, abs=1e-12)
         assert spec.psi1[2] == pytest.approx(0.35, abs=1e-12)
         assert abs(np.linalg.norm(spec.psi0) - 1.0) <= 1e-12
@@ -197,6 +199,61 @@ class TestRunExperiment:
         shifted = run_experiment(cfg, trial_offset=4)
         assert [r.trial for r in shifted] == [4, 5, 6, 7]
         assert plain[0].success_emp != shifted[0].success_emp
+
+
+def count_calls(monkeypatch, name):
+    """Wrap povmlearn.experiment.<name> and return its list of call args."""
+    calls = []
+    fn = getattr(experiment, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(experiment, name, counted)
+    return calls
+
+
+class TestTruthOncePerCell:
+    """Ground truth is a function of (cell, case) only, so a cell builds it at
+    most once per case, and never hands it to another cell."""
+
+    @pytest.mark.parametrize("scenario", ["unequal-prior-xz", "const-z"])
+    def test_two_fold_run_builds_truth_per_case(self, monkeypatch, scenario):
+        calls = count_calls(monkeypatch, "two_fold_truth")
+        cfg = ExperimentConfig(scenario=scenario, eta0=0.6, nz=0.3, **{**BASE, "trials": 40})
+        rows = run_experiment(cfg)
+        assert len(rows) == 40
+        assert {r.case for r in rows} == {"A", "B"}
+        assert sorted(args[3] for args in calls) == ["A", "B"]
+
+    def test_equal_prior_run_builds_ensemble_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "equal_prior_ensemble")
+        rows = run_experiment(ExperimentConfig(scenario="equal-prior-xz", **{**BASE, "trials": 10}))
+        assert len(rows) == 10
+        assert len(calls) == 1
+
+    def test_sweep_builds_truth_per_cell(self, monkeypatch):
+        calls = count_calls(monkeypatch, "two_fold_truth")
+        base = ExperimentConfig(scenario="unequal-prior-xz", **{**BASE, "trials": 5})
+        thetas = [0.5, 1.0, 1.5]
+        rows = sweep(base, {"theta": thetas})
+        for theta in thetas:
+            assert sum(args[1] == theta for args in calls) <= 2
+        for r in rows:
+            eta1 = 1.0 - r.eta0
+            q = math.sqrt(r.eta0**2 + eta1**2 + 2 * r.eta0 * eta1 * math.cos(r.theta_true))
+            assert r.success_analytic == pytest.approx(success_prob(r.eta0, eta1, r.theta_true, q), abs=1e-12)
+
+    def test_degenerate_truth_is_not_stored(self, monkeypatch):
+        calls = count_calls(monkeypatch, "two_fold_truth")
+        cfg = ExperimentConfig(
+            scenario="unequal-prior-xz", eta0=0.5, theta=math.pi, trials=3,
+            shots_learn=500, shots_holdout=100, seed=1,
+        )
+        rows = run_experiment(cfg)
+        assert all(r.status == "degenerate_ensemble" for r in rows)
+        assert len(calls) == 3
 
 
 class TestSweep:
