@@ -3,6 +3,9 @@
 Every entry of GOLDEN_RUNS is run through the CLI with ``--out`` and its
 file must equal ``tests/golden/<name>`` byte for byte, so any change to
 sampled counts, stream layout, arithmetic or rendering shows up here.
+Every entry of GOLDEN_STDOUT is a verification battery whose stdout must
+equal its fixture file the same way; the batteries print rounding-level
+residues, so a change to the shared geometry shows up there too.
 After a deliberate change of output, rewrite the fixture with
 
     python tests/test_golden.py --regen
@@ -57,23 +60,35 @@ GOLDEN_RUNS = {
     ),
 }
 
+# Fixture file name -> CLI argv of a battery whose stdout is pinned.
+GOLDEN_STDOUT = {
+    "oracle-check.txt": ("oracle-check", "--instances", "2000", "--seed", "7"),
+    "selftest.txt": ("selftest",),
+}
 
-def render(argv, out: Path) -> bytes:
-    """Run the CLI with rows written to `out`; return the file's bytes."""
+
+def render(argv, out: Path | None = None) -> bytes:
+    """Run the CLI; return the bytes of the file `out` when given (rows are
+    written there with --out), else the bytes it wrote on stdout."""
     from povmlearn.cli import main
 
-    sink = io.StringIO()
-    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        code = main([*argv, "--out", str(out)])
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([*argv, "--out", str(out)] if out is not None else list(argv))
     if code != 0:
-        raise RuntimeError(f"exit {code} for {argv}: {sink.getvalue()}")
-    return out.read_bytes()
+        raise RuntimeError(f"exit {code} for {argv}: {stdout.getvalue()}{stderr.getvalue()}")
+    return out.read_bytes() if out is not None else stdout.getvalue().encode()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_output_matches_golden_bytes(name, tmp_path):
     expected = (GOLDEN_DIR / name).read_bytes()
     assert render(GOLDEN_RUNS[name], tmp_path / name) == expected
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
+def test_battery_stdout_matches_golden_bytes(name):
+    assert render(GOLDEN_STDOUT[name]) == (GOLDEN_DIR / name).read_bytes()
 
 
 def test_constz_sweep_pins_every_row_status():
@@ -89,6 +104,10 @@ def regenerate() -> None:
             data = render(argv, Path(tmp) / name)
             (GOLDEN_DIR / name).write_bytes(data)
             print(f"wrote {GOLDEN_DIR / name} ({len(data)} bytes)")
+    for name, argv in GOLDEN_STDOUT.items():
+        data = render(argv)
+        (GOLDEN_DIR / name).write_bytes(data)
+        print(f"wrote {GOLDEN_DIR / name} ({len(data)} bytes)")
 
 
 if __name__ == "__main__":
