@@ -51,7 +51,10 @@ def angle_dist(a: float, b: float, period: float = _TAU) -> float:
 
 
 def norm(v) -> float:
-    return float(np.linalg.norm(np.asarray(v, dtype=float)))
+    """Euclidean norm, computed as np.linalg.norm does for a real vector
+    (sqrt of the self dot product), so the value is bit-identical."""
+    v = np.asarray(v, dtype=float).ravel()
+    return math.sqrt(v.dot(v))
 
 
 def check_unit(v, what: str = "vector", tol: float = EPS_PHYS) -> np.ndarray:
@@ -130,7 +133,12 @@ def prob_plus(s, n, tol: float = EPS_PHYS) -> float:
     r = norm(n)
     if r > 1.0 + tol:
         raise ContractViolation(f"Bloch vector must satisfy |n| <= 1, got {r:.9g}")
-    p = 0.5 + 0.5 * float(np.dot(s, n))
+    return prob_plus_unchecked(s, n)
+
+
+def prob_plus_unchecked(s: np.ndarray, n: np.ndarray) -> float:
+    """prob_plus for a float unit axis and a Bloch vector already validated."""
+    p = 0.5 + 0.5 * float(s.dot(n))
     # Clip roundoff overshoot only; the complement 0.5 - 0.5*d clips symmetrically.
     return min(max(p, 0.0), 1.0)
 

@@ -1,10 +1,13 @@
 """Hidden two-state qubit ensembles and simulated destructive measurements.
 
 An EnsembleSpec is the ground truth of a simulation: two pure Bloch vectors
-with prior probabilities, confined to a declared plane.  Learners never see
-the ground truth directly; they only get measurement counts.  Every simulated
-shot consumes one fresh ensemble member, so the qubit budget of a procedure
-is the sum of its batch totals.
+with prior probabilities, confined to a declared plane.  It is validated
+once, when it is built, and is immutable afterwards: the states are
+read-only copies of the caller's vectors.  Learners never see the ground
+truth directly; they only get measurement counts.  Every simulated shot
+consumes one fresh ensemble member, so the qubit budget of a procedure is
+the sum of its batch totals.  One sampler, EnsembleSpec.sample, draws those
+members for learning (measure_shots) and for holdout classification alike.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from povmlearn.bloch import EPS_PHYS, UNIT_X, UNIT_Y, UNIT_Z, Plane, check_unit, norm, prob_plus
+from povmlearn.bloch import EPS_PHYS, UNIT_X, UNIT_Y, UNIT_Z, Plane, check_unit, norm, prob_plus_unchecked
 from povmlearn.errors import ContractViolation
 
 _CASE_TAGS = (None, "A", "B")
@@ -58,9 +61,13 @@ class ShotBatch:
         return (self.n_plus - self.n_minus) / self.total
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnsembleSpec:
-    """Ground truth: priors, two pure in-plane states, declared plane, branch tag."""
+    """Ground truth: priors, two pure in-plane states, declared plane, branch tag.
+
+    Validated once at construction; psi0 and psi1 are read-only copies, so
+    the checks hold for the spec's lifetime and sampling need not redo them.
+    """
 
     eta0: float
     eta1: float
@@ -70,21 +77,42 @@ class EnsembleSpec:
     case_tag: str | None = None
 
     def __post_init__(self):
-        self.eta0 = float(self.eta0)
-        self.eta1 = float(self.eta1)
-        if abs(self.eta0 + self.eta1 - 1.0) > 1e-12 or not (0.0 <= self.eta0 <= 1.0):
-            raise ContractViolation(
-                f"priors must be in [0, 1] and sum to 1, got ({self.eta0}, {self.eta1})"
-            )
-        self.psi0 = np.asarray(self.psi0, dtype=float)
-        self.psi1 = np.asarray(self.psi1, dtype=float)
-        for name, psi in (("psi0", self.psi0), ("psi1", self.psi1)):
+        eta0, eta1 = float(self.eta0), float(self.eta1)
+        if abs(eta0 + eta1 - 1.0) > 1e-12 or not (0.0 <= eta0 <= 1.0):
+            raise ContractViolation(f"priors must be in [0, 1] and sum to 1, got ({eta0}, {eta1})")
+        object.__setattr__(self, "eta0", eta0)
+        object.__setattr__(self, "eta1", eta1)
+        for name in ("psi0", "psi1"):
+            psi = np.array(getattr(self, name), dtype=float)
             if abs(norm(psi) - 1.0) > EPS_PHYS:
                 raise ContractViolation(f"{name} must be pure (unit norm), |n| = {norm(psi):.9g}")
             if not self.plane.contains(psi):
                 raise ContractViolation(f"{name} = {psi} violates the {self.plane.kind} plane constraint")
+            psi.flags.writeable = False
+            object.__setattr__(self, name, psi)
         if self.case_tag not in _CASE_TAGS:
             raise ContractViolation(f"case tag must be one of {_CASE_TAGS}, got {self.case_tag!r}")
+
+    def sample(
+        self, axis, shots: int, rng: np.random.Generator, what: str = "measurement axis"
+    ) -> tuple[int, int, int]:
+        """Measure `shots` fresh members along a unit axis; return
+        (k0, c0_plus, c1_plus): how many carry label 0, and the +1 outcomes
+        among the label-0 and the label-1 members.
+
+        Sampling is exact: the label split is binomial in the priors and each
+        label contributes a binomial in its outcome probability, which is
+        distribution-identical to drawing qubits one at a time.  The three
+        binomials are drawn in that order.
+        """
+        axis = check_unit(axis, what)
+        shots = int(shots)
+        if shots < 1:
+            raise ContractViolation(f"shots must be >= 1, got {shots}")
+        p0 = prob_plus_unchecked(axis, self.psi0)
+        p1 = prob_plus_unchecked(axis, self.psi1)
+        k0 = int(rng.binomial(shots, self.eta0))
+        return k0, int(rng.binomial(k0, p0)), int(rng.binomial(shots - k0, p1))
 
 
 @dataclass(frozen=True)
@@ -105,21 +133,12 @@ def ensemble_bloch(spec: EnsembleSpec) -> np.ndarray:
 
 
 def measure_shots(spec: EnsembleSpec, axis, shots: int, rng: np.random.Generator) -> ShotBatch:
-    """Measure `shots` fresh ensemble members along one unit axis.
-
-    Sampling is exact: the label split is binomial in the priors and each
-    label contributes a binomial in its outcome probability, which is
-    distribution-identical to drawing qubits one at a time.
-    """
-    axis = check_unit(axis, "measurement axis")
-    shots = int(shots)
-    if shots < 1:
-        raise ContractViolation(f"shots must be >= 1, got {shots}")
-    p0 = prob_plus(axis, spec.psi0)
-    p1 = prob_plus(axis, spec.psi1)
-    k0 = int(rng.binomial(shots, spec.eta0))
-    n_plus = int(rng.binomial(k0, p0)) + int(rng.binomial(shots - k0, p1))
-    return ShotBatch(axis=axis, n_plus=n_plus, n_minus=shots - n_plus, total=shots)
+    """Measure `shots` fresh ensemble members along one unit axis
+    (EnsembleSpec.sample) and pool the +1 outcomes of both labels."""
+    axis = np.asarray(axis, dtype=float)
+    _, c0_plus, c1_plus = spec.sample(axis, shots, rng)
+    n_plus = c0_plus + c1_plus
+    return ShotBatch(axis=axis, n_plus=n_plus, n_minus=int(shots) - n_plus, total=int(shots))
 
 
 def pauli_axes(plane: Plane) -> list[np.ndarray]:

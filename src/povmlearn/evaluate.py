@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from povmlearn.bloch import check_unit, prob_plus
 from povmlearn.ensemble import EnsembleSpec
 from povmlearn.errors import ContractViolation
 
@@ -60,25 +59,12 @@ class EvalReport:
 def classify_holdout(
     spec: EnsembleSpec, axis, n_holdout: int, rng: np.random.Generator
 ) -> ConfusionMatrix:
-    """Measure n_holdout fresh qubits along a unit axis and tabulate
-    (hidden label, predicted label) counts; +1 outcomes predict label 0."""
-    axis = check_unit(axis, "classification axis")
-    n_holdout = int(n_holdout)
-    if n_holdout < 1:
-        raise ContractViolation(f"holdout size must be >= 1, got {n_holdout}")
-    p0 = prob_plus(axis, spec.psi0)
-    p1 = prob_plus(axis, spec.psi1)
-    k0 = int(rng.binomial(n_holdout, spec.eta0))
-    c0_plus = int(rng.binomial(k0, p0))
-    c1_plus = int(rng.binomial(n_holdout - k0, p1))
-    return ConfusionMatrix(
-        np.array(
-            [
-                [c0_plus, k0 - c0_plus],
-                [c1_plus, (n_holdout - k0) - c1_plus],
-            ]
-        )
-    )
+    """Measure n_holdout fresh qubits along a unit axis (EnsembleSpec.sample)
+    and tabulate (hidden label, predicted label) counts; +1 outcomes predict
+    label 0."""
+    k0, c0_plus, c1_plus = spec.sample(axis, n_holdout, rng, what="classification axis")
+    k1 = int(n_holdout) - k0
+    return ConfusionMatrix(np.array([[c0_plus, k0 - c0_plus], [c1_plus, k1 - c1_plus]]))
 
 
 def score(confusion: ConfusionMatrix, analytic_ps: float) -> EvalReport:

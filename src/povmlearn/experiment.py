@@ -249,7 +249,7 @@ def _equal_prior_trial(cfg: ExperimentConfig, trial: int, truths: dict) -> Trial
     gens = (_gen(cfg, trial, _SLOT_AXIS0), _gen(cfg, trial, _SLOT_AXIS1))
     try:
         est = learn_equal_prior(spec, cfg.phi0, cfg.shots_learn, gens)
-    except (WeakSignal, DegenerateEnsemble) as exc:
+    except WeakSignal as exc:
         row.status = _status_of(exc)
         row.shots_learn = len(gens) * cfg.shots_learn
         return row

@@ -25,6 +25,7 @@ from povmlearn.errors import ContractViolation, DegenerateEnsemble
 from helpers import circ_diff
 
 angles = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+components = st.one_of(st.just(0.0), st.floats(1e-8, 1e2), st.floats(-1e2, -1e-8))
 
 
 class TestStateAngle:
@@ -191,3 +192,12 @@ class TestCheckUnit:
     def test_rejects_nonunit(self):
         with pytest.raises(ContractViolation):
             check_unit([1.0, 1.0, 0.0])
+
+
+class TestNorm:
+    @given(st.lists(components, min_size=2, max_size=3))
+    @settings(max_examples=200)
+    def test_bit_identical_to_numpy(self, v):
+        # norm feeds cos_theta and so the cos_theta_out_of_range status:
+        # it must equal numpy's value exactly, not merely to rounding.
+        assert norm(v) == float(np.linalg.norm(np.array(v)))

@@ -1,5 +1,6 @@
 """Ensemble generation and simulated destructive measurements."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -43,6 +44,38 @@ class TestEnsembleSpec:
     def test_case_tag_domain(self):
         with pytest.raises(ContractViolation):
             EnsembleSpec(0.5, 0.5, [0, 0, 1], [1, 0, 0], Plane.xz(), case_tag="C")
+
+    def test_states_are_read_only(self):
+        spec = xz_spec()
+        with pytest.raises(ValueError):
+            spec.psi0[0] = 0.0
+
+    def test_fields_cannot_be_reassigned(self):
+        spec = xz_spec()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.psi0 = np.array([0.0, 0.0, 1.0])
+
+    def test_caller_array_is_copied_and_stays_writeable(self):
+        psi0 = np.array([0.0, 0.0, 1.0])
+        spec = EnsembleSpec(0.5, 0.5, psi0, [1, 0, 0], Plane.xz())
+        assert psi0.flags.writeable
+        psi0[2] = -1.0
+        assert spec.psi0[2] == 1.0
+
+
+class TestSample:
+    def test_matches_measure_shots_draw_for_draw(self):
+        spec = xz_spec(eta0=0.7)
+        k0, c0_plus, c1_plus = spec.sample([1, 0, 0], 1000, RngStream(5, 3).generator())
+        batch = measure_shots(spec, [1, 0, 0], 1000, RngStream(5, 3).generator())
+        assert batch.n_plus == c0_plus + c1_plus
+        assert 0 <= c0_plus <= k0 and 0 <= c1_plus <= 1000 - k0
+
+    def test_rejects_nonunit_axis_and_empty_batch(self):
+        with pytest.raises(ContractViolation, match="probe axis"):
+            xz_spec().sample([0.5, 0, 0], 10, RngStream(0).generator(), what="probe axis")
+        with pytest.raises(ContractViolation):
+            xz_spec().sample([1, 0, 0], 0, RngStream(0).generator())
 
 
 class TestEnsembleBloch:

@@ -72,8 +72,14 @@ class TestClassifyHoldout:
         assert np.array_equal(a.counts, b.counts)
 
     def test_nonunit_axis_rejected(self):
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match="classification axis"):
             classify_holdout(equal_spec(), [0.5, 0, 0], 10, RngStream(0).generator())
+
+    def test_counts_are_the_ensemble_sample(self):
+        spec = equal_spec(beta=0.4)
+        k0, c0_plus, c1_plus = spec.sample([0, 0, 1], 500, RngStream(4, 9).generator())
+        cm = classify_holdout(spec, [0, 0, 1], 500, RngStream(4, 9).generator())
+        assert cm.counts.tolist() == [[c0_plus, k0 - c0_plus], [c1_plus, 500 - k0 - c1_plus]]
 
     def test_empty_holdout_rejected(self):
         with pytest.raises(ContractViolation):

@@ -4,11 +4,13 @@ import csv
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import povmlearn.experiment as experiment
+from povmlearn import bloch
 from povmlearn.bloch import Plane
 from povmlearn.decomposition import success_prob
 from povmlearn.errors import ContractViolation
@@ -254,6 +256,32 @@ class TestTruthOncePerCell:
         rows = run_experiment(cfg)
         assert all(r.status == "degenerate_ensemble" for r in rows)
         assert len(calls) == 3
+
+
+class TestValidateOnce:
+    """Specs are validated when built, so a trial checks only the axes it
+    measures along: one unit check per learning axis or setting, one for
+    the holdout axis."""
+
+    @pytest.mark.parametrize(
+        "scenario, per_trial", [("equal-prior-xz", 3), ("unequal-prior-xz", 3), ("const-z", 4)]
+    )
+    def test_unit_checks_per_trial(self, monkeypatch, scenario, per_trial):
+        calls = []
+        real = bloch.check_unit
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("povmlearn") and getattr(module, "check_unit", None) is real:
+                monkeypatch.setattr(module, "check_unit", counted)
+        cfg = ExperimentConfig(scenario=scenario, eta0=0.5 if scenario == "equal-prior-xz" else 0.6,
+                               nz=0.3, **{**BASE, "trials": 6})
+        rows = run_experiment(cfg)
+        assert all(r.success_emp is not None for r in rows)
+        assert len(calls) == per_trial * len(rows)
 
 
 class TestSweep:
