@@ -27,9 +27,13 @@ EPS_PHYS = 1e-9
 # Below this in-plane norm a perpendicular direction is meaningless.
 EPS_DEGENERATE = 1e-6
 
+# Read-only: measurement batches hand these arrays out as their axes.
 UNIT_X = np.array([1.0, 0.0, 0.0])
 UNIT_Y = np.array([0.0, 1.0, 0.0])
 UNIT_Z = np.array([0.0, 0.0, 1.0])
+for _unit in (UNIT_X, UNIT_Y, UNIT_Z):
+    _unit.flags.writeable = False
+del _unit
 
 _TAU = 2.0 * math.pi
 

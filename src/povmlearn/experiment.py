@@ -3,12 +3,17 @@
 Each trial runs generate -> learn -> classify -> score.  Randomness is
 addressed by (seed, trial, role): every trial owns a block of stream ids,
 one per role (branch draw, each measurement axis or setting in order,
-holdout), so trials are independent and reruns are byte-identical.
+holdout), so trials are independent and reruns are byte-identical.  The
+streams' seed words are computed for up to _BLOCK_TRIALS trials at a time
+in one vectorised pass (ensemble.stream_states), shared by the cells of a
+sweep; only one block is held at a time, and the streams are exactly those
+each trial would build alone.
 
 Ground truth (the hidden spec, the closed-form success and the oracle
-value) is fixed by a cell's parameters and the trial's case, and is never
-random: run_experiment builds it at most once per (cell, case), on the
-first trial that needs it, and trials only sample.
+value) is fixed by a cell's parameters and is never random.  run_experiment
+builds the case-independent part (the ensemble vector, the closed-form
+success and the oracle value) once per cell and the hidden spec once per
+(cell, case), on the first trial that needs them, and trials only sample.
 
 The two-fold scenarios share one pipeline on a Plane: unequal-prior-xz
 runs it on the x-z plane, const-z on the slice z = nz, and the scenario
@@ -41,7 +46,7 @@ from povmlearn.decomposition import (
     mixture_targets,
     success_prob,
 )
-from povmlearn.ensemble import EnsembleSpec, RngStream, pauli_axes
+from povmlearn.ensemble import EnsembleSpec, RngStream, pauli_axes, stream_states
 from povmlearn.equal_prior import learn_equal_prior, povm_axis_from_phi
 from povmlearn.errors import (
     ContractViolation,
@@ -93,6 +98,9 @@ _SLOT_AXIS0 = 1
 _SLOT_AXIS1 = 2
 _SLOT_HOLDOUT = 4
 _SLOTS_PER_TRIAL = 8
+# Trials whose stream seed words are computed in one pass: 1024 streams,
+# 32 KiB of seed words.
+_BLOCK_TRIALS = 128
 
 _STATUS_OF = {
     WeakSignal: "weak_signal",
@@ -198,8 +206,28 @@ class TrialResult:
         return self.shots_learn + self.shots_holdout
 
 
-def _gen(cfg: ExperimentConfig, trial: int, slot: int) -> np.random.Generator:
-    return RngStream(cfg.seed, trial * _SLOTS_PER_TRIAL + slot).generator()
+class _StreamBlocks:
+    """Generators of trials [first, stop) under one seed.  Their seed words
+    are computed one block of _BLOCK_TRIALS trials at a time, counted from
+    `first`, and only the current block is held."""
+
+    def __init__(self, seed: int, first: int, stop: int):
+        self.seed, self.first, self.stop = int(seed), int(first), int(stop)
+        self._start: int | None = None
+        self._states: np.ndarray | None = None
+
+    def generator(self, trial: int, slot: int) -> np.random.Generator:
+        if not self.first <= trial < self.stop:
+            raise ContractViolation(f"trial {trial} is outside this run's trials [{self.first}, {self.stop})")
+        start = trial - (trial - self.first) % _BLOCK_TRIALS
+        if start != self._start:
+            self._states = None
+            end = min(start + _BLOCK_TRIALS, self.stop)
+            ids = np.arange(start * _SLOTS_PER_TRIAL, end * _SLOTS_PER_TRIAL, dtype=np.uint64)
+            self._states = stream_states(self.seed, ids)
+            self._start = start
+        stream_id = trial * _SLOTS_PER_TRIAL + slot
+        return RngStream(self.seed, stream_id, self._states[stream_id - start * _SLOTS_PER_TRIAL]).generator()
 
 
 def equal_prior_ensemble(alpha: float, beta: float) -> EnsembleSpec:
@@ -213,24 +241,28 @@ def equal_prior_ensemble(alpha: float, beta: float) -> EnsembleSpec:
     )
 
 
-def two_fold_truth(
-    eta0: float, theta: float, direction: float, case: str, plane: Plane = Plane.xz()
-) -> tuple[EnsembleSpec, float, float]:
-    """Hidden branch spec, closed-form success and oracle value of the ensemble
-    in `plane` whose Bloch vector points along `direction` in plane
-    coordinates, with the norm implied by (eta0, theta); the hidden pair is
-    the requested branch.  The ensemble vector is built once and everything
-    derives from it."""
+def two_fold_cell(
+    eta0: float, theta: float, direction: float, plane: Plane = Plane.xz()
+) -> tuple[np.ndarray, float, float]:
+    """Case-independent truth of a two-fold cell: the ensemble vector of the
+    ensemble in `plane` pointing along `direction` in plane coordinates,
+    with the norm implied by (eta0, theta), its closed-form success and its
+    oracle value.  Both branches share all three."""
     eta1 = 1.0 - eta0
     n, r = ensemble_vector(eta0, theta, direction, plane)
-    pair = decompose(n, theta, eta0, eta1, case, plane)
-    spec = EnsembleSpec(eta0=eta0, eta1=eta1, psi0=pair.n0, psi1=pair.n1, plane=plane, case_tag=case)
     targets = mixture_targets(n, theta, eta0, eta1, plane)
     analytic = success_prob(eta0, eta1, theta, r, plane)
-    return spec, analytic, success_equal_priors(targets.m0, targets.m1)
+    return n, analytic, success_equal_priors(targets.m0, targets.m1)
 
 
-def _equal_prior_trial(cfg: ExperimentConfig, trial: int, truths: dict) -> TrialResult:
+def two_fold_spec(n, eta0: float, theta: float, case: str, plane: Plane = Plane.xz()) -> EnsembleSpec:
+    """Hidden spec of one branch of the ensemble with Bloch vector n."""
+    eta1 = 1.0 - eta0
+    pair = decompose(n, theta, eta0, eta1, case, plane)
+    return EnsembleSpec(eta0=eta0, eta1=eta1, psi0=pair.n0, psi1=pair.n1, plane=plane, case_tag=case)
+
+
+def _equal_prior_trial(cfg: ExperimentConfig, trial: int, truths: dict, streams: _StreamBlocks) -> TrialResult:
     if None not in truths:
         spec = equal_prior_ensemble(cfg.alpha, cfg.beta)
         oracle = success_equal_priors(spec.psi0, spec.psi1)
@@ -246,7 +278,7 @@ def _equal_prior_trial(cfg: ExperimentConfig, trial: int, truths: dict) -> Trial
         n_z=0.0,
     )
     spec, row.success_analytic, row.success_oracle = truths[None]
-    gens = (_gen(cfg, trial, _SLOT_AXIS0), _gen(cfg, trial, _SLOT_AXIS1))
+    gens = (streams.generator(trial, _SLOT_AXIS0), streams.generator(trial, _SLOT_AXIS1))
     try:
         est = learn_equal_prior(spec, cfg.phi0, cfg.shots_learn, gens)
     except WeakSignal as exc:
@@ -256,12 +288,12 @@ def _equal_prior_trial(cfg: ExperimentConfig, trial: int, truths: dict) -> Trial
     row.shots_learn = est.shots_used
     row.alpha_hat = est.alpha_hat
     row.axis = povm_axis_from_phi(est.phi_star)
-    _classify_into(row, cfg, spec, trial)
+    _classify_into(row, cfg, spec, streams.generator(trial, _SLOT_HOLDOUT))
     return row
 
 
-def _two_fold_trial(cfg: ExperimentConfig, trial: int, truths: dict) -> TrialResult:
-    case = "A" if _gen(cfg, trial, _SLOT_CASE).random() < 0.5 else "B"
+def _two_fold_trial(cfg: ExperimentConfig, trial: int, truths: dict, streams: _StreamBlocks) -> TrialResult:
+    case = "A" if streams.generator(trial, _SLOT_CASE).random() < 0.5 else "B"
     plane = Plane.const_z(cfg.nz) if cfg.scenario == "const-z" else Plane.xz()
     row = TrialResult(
         trial=trial,
@@ -274,14 +306,17 @@ def _two_fold_trial(cfg: ExperimentConfig, trial: int, truths: dict) -> TrialRes
         n_z=plane.nz,
     )
     try:
-        # A truth that raises is not stored: each trial of the case retries it.
+        # Truth that raises is not stored: each trial of the cell retries it.
+        if None not in truths:
+            truths[None] = two_fold_cell(cfg.eta0, cfg.theta, cfg.alpha, plane)
         if case not in truths:
-            truths[case] = two_fold_truth(cfg.eta0, cfg.theta, cfg.alpha, case, plane)
+            truths[case] = two_fold_spec(truths[None][0], cfg.eta0, cfg.theta, case, plane)
     except DegenerateEnsemble as exc:
         row.status = _status_of(exc)
         return row
-    spec, row.success_analytic, row.success_oracle = truths[case]
-    gens = [_gen(cfg, trial, _SLOT_AXIS0 + k) for k in range(len(pauli_axes(plane)))]
+    _, row.success_analytic, row.success_oracle = truths[None]
+    spec = truths[case]
+    gens = [streams.generator(trial, _SLOT_AXIS0 + k) for k in range(len(pauli_axes(plane)))]
     try:
         axis, est = learn_axis(spec, cfg.shots_learn, gens)
     except DegenerateEnsemble as exc:
@@ -301,12 +336,12 @@ def _two_fold_trial(cfg: ExperimentConfig, trial: int, truths: dict) -> TrialRes
     except CosThetaOutOfRange as exc:
         # Diagnostic only; the learned axis is still usable.
         row.status = _status_of(exc)
-    _classify_into(row, cfg, spec, trial)
+    _classify_into(row, cfg, spec, streams.generator(trial, _SLOT_HOLDOUT))
     return row
 
 
-def _classify_into(row: TrialResult, cfg: ExperimentConfig, spec: EnsembleSpec, trial: int) -> None:
-    confusion = classify_holdout(spec, row.axis, cfg.shots_holdout, _gen(cfg, trial, _SLOT_HOLDOUT))
+def _classify_into(row: TrialResult, cfg: ExperimentConfig, spec: EnsembleSpec, rng: np.random.Generator) -> None:
+    confusion = classify_holdout(spec, row.axis, cfg.shots_holdout, rng)
     report = score(confusion, row.success_analytic)
     row.shots_holdout = cfg.shots_holdout
     row.success_emp = report.empirical_success
@@ -315,28 +350,40 @@ def _classify_into(row: TrialResult, cfg: ExperimentConfig, spec: EnsembleSpec, 
     row.holdout_correct = max(confusion.correct, confusion.total - confusion.correct)
 
 
-def run_experiment(config: ExperimentConfig, trial_offset: int = 0) -> list[TrialResult]:
+def run_experiment(
+    config: ExperimentConfig, trial_offset: int = 0, streams: _StreamBlocks | None = None
+) -> list[TrialResult]:
     """Run config.trials independent trials; recoverable per-trial errors are
     recorded in the row status, never raised.  Truth is built at most once
-    per case (None for equal-prior-xz) and shared by this call's trials."""
+    per cell and per case and shared by this call's trials.  `streams`, if
+    given, must cover the trials of this call under config.seed; by
+    default the call builds its own."""
     config.validate()
     trial_fn = _equal_prior_trial if config.scenario == "equal-prior-xz" else _two_fold_trial
+    trials = range(trial_offset, trial_offset + int(config.trials))
+    if streams is None:
+        streams = _StreamBlocks(config.seed, trials.start, trials.stop)
+    elif streams.seed != int(config.seed):
+        raise ContractViolation(f"streams of seed {streams.seed} cannot serve seed {config.seed}")
     truths: dict = {}
-    return [trial_fn(config, trial_offset + i, truths) for i in range(int(config.trials))]
+    return [trial_fn(config, trial, truths, streams) for trial in trials]
 
 
 def sweep(base: ExperimentConfig, grid: dict[str, Sequence[float]]) -> list[TrialResult]:
     """Cartesian sweep over parameter value lists, with globally unique trial
-    indices so every row draws from its own random streams."""
+    indices so every row draws from its own random streams.  The cells share
+    one block source, so the streams of consecutive cells are built together."""
     keys = [k for k in SWEEP_KEYS if k in grid]
     unknown = set(grid) - set(keys)
     if unknown:
         raise ContractViolation(f"cannot sweep over {sorted(unknown)}")
+    combos = list(itertools.product(*(grid[k] for k in keys)))
+    streams = _StreamBlocks(base.seed, 0, len(combos) * int(base.trials))
     rows: list[TrialResult] = []
     offset = 0
-    for combo in itertools.product(*(grid[k] for k in keys)):
+    for combo in combos:
         cfg = replace(base, **{k: float(v) for k, v in zip(keys, combo)})
-        rows.extend(run_experiment(cfg, trial_offset=offset))
+        rows.extend(run_experiment(cfg, trial_offset=offset, streams=streams))
         offset += int(cfg.trials)
     return rows
 

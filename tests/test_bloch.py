@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from povmlearn.bloch import (
     EPS_DEGENERATE,
+    UNIT_X,
+    UNIT_Y,
+    UNIT_Z,
     Plane,
     angle_dist,
     bloch_from_state_angle,
@@ -20,6 +23,7 @@ from povmlearn.bloch import (
     rotate_in_plane,
     wrap_angle,
 )
+from povmlearn.ensemble import EnsembleSpec, estimate_pauli
 from povmlearn.errors import ContractViolation, DegenerateEnsemble
 
 from helpers import circ_diff
@@ -201,3 +205,17 @@ class TestNorm:
         # norm feeds cos_theta and so the cos_theta_out_of_range status:
         # it must equal numpy's value exactly, not merely to rounding.
         assert norm(v) == float(np.linalg.norm(np.array(v)))
+
+
+class TestUnitVectors:
+    def test_read_only_through_measured_batches(self):
+        # Every Pauli batch carries one of the module's unit vectors as its
+        # axis; a write through it must not rewrite the axis for the process.
+        spec = EnsembleSpec(0.5, 0.5, [0, 0, 1], [1, 0, 0], Plane.xz())
+        est = estimate_pauli(spec, 10, np.random.default_rng(0))
+        assert est.batches[0].axis is UNIT_X
+        with pytest.raises(ValueError):
+            est.batches[0].axis[0] = 2.0
+        assert UNIT_X.tolist() == [1.0, 0.0, 0.0]
+        for unit in (UNIT_X, UNIT_Y, UNIT_Z):
+            assert not unit.flags.writeable

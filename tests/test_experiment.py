@@ -1,10 +1,14 @@
 """Experiment harness: trial pipeline, sweeps, serialization, determinism."""
 
 import csv
+import gc
 import io
 import json
 import math
 import sys
+import weakref
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +27,8 @@ from povmlearn.experiment import (
     run_experiment,
     summarize,
     sweep,
-    two_fold_truth,
+    two_fold_cell,
+    two_fold_spec,
 )
 
 BASE = dict(shots_learn=5_000, shots_holdout=2_000, trials=4, seed=42)
@@ -86,7 +91,7 @@ class TestScenarioBuilders:
         )
 
     def test_two_fold_consistency(self):
-        spec = two_fold_truth(0.65, 1.1, 0.4, "B")[0]
+        spec = two_fold_spec(two_fold_cell(0.65, 1.1, 0.4)[0], 0.65, 1.1, "B")
         n = spec.eta0 * spec.psi0 + spec.eta1 * spec.psi1
         q = np.linalg.norm(n)
         expect = math.sqrt(
@@ -96,7 +101,8 @@ class TestScenarioBuilders:
         assert math.atan2(n[2], n[0]) == pytest.approx(0.4, abs=1e-12)
 
     def test_constz_consistency(self):
-        spec = two_fold_truth(0.6, 0.9, 1.2, "A", Plane.const_z(0.35))[0]
+        plane = Plane.const_z(0.35)
+        spec = two_fold_spec(two_fold_cell(0.6, 0.9, 1.2, plane)[0], 0.6, 0.9, "A", plane)
         assert spec.psi0[2] == pytest.approx(0.35, abs=1e-12)
         assert spec.psi1[2] == pytest.approx(0.35, abs=1e-12)
         assert abs(np.linalg.norm(spec.psi0) - 1.0) <= 1e-12
@@ -217,17 +223,20 @@ def count_calls(monkeypatch, name):
 
 
 class TestTruthOncePerCell:
-    """Ground truth is a function of (cell, case) only, so a cell builds it at
-    most once per case, and never hands it to another cell."""
+    """Ground truth is a function of (cell, case) only, so a cell builds its
+    case-independent part once and its hidden spec at most once per case,
+    and never hands either to another cell."""
 
     @pytest.mark.parametrize("scenario", ["unequal-prior-xz", "const-z"])
     def test_two_fold_run_builds_truth_per_case(self, monkeypatch, scenario):
-        calls = count_calls(monkeypatch, "two_fold_truth")
+        cells = count_calls(monkeypatch, "two_fold_cell")
+        specs = count_calls(monkeypatch, "two_fold_spec")
         cfg = ExperimentConfig(scenario=scenario, eta0=0.6, nz=0.3, **{**BASE, "trials": 40})
         rows = run_experiment(cfg)
         assert len(rows) == 40
         assert {r.case for r in rows} == {"A", "B"}
-        assert sorted(args[3] for args in calls) == ["A", "B"]
+        assert len(cells) == 1
+        assert sorted(args[3] for args in specs) == ["A", "B"]
 
     def test_equal_prior_run_builds_ensemble_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "equal_prior_ensemble")
@@ -236,19 +245,18 @@ class TestTruthOncePerCell:
         assert len(calls) == 1
 
     def test_sweep_builds_truth_per_cell(self, monkeypatch):
-        calls = count_calls(monkeypatch, "two_fold_truth")
+        calls = count_calls(monkeypatch, "two_fold_cell")
         base = ExperimentConfig(scenario="unequal-prior-xz", **{**BASE, "trials": 5})
         thetas = [0.5, 1.0, 1.5]
         rows = sweep(base, {"theta": thetas})
-        for theta in thetas:
-            assert sum(args[1] == theta for args in calls) <= 2
+        assert sorted(args[1] for args in calls) == thetas
         for r in rows:
             eta1 = 1.0 - r.eta0
             q = math.sqrt(r.eta0**2 + eta1**2 + 2 * r.eta0 * eta1 * math.cos(r.theta_true))
             assert r.success_analytic == pytest.approx(success_prob(r.eta0, eta1, r.theta_true, q), abs=1e-12)
 
     def test_degenerate_truth_is_not_stored(self, monkeypatch):
-        calls = count_calls(monkeypatch, "two_fold_truth")
+        calls = count_calls(monkeypatch, "two_fold_cell")
         cfg = ExperimentConfig(
             scenario="unequal-prior-xz", eta0=0.5, theta=math.pi, trials=3,
             shots_learn=500, shots_holdout=100, seed=1,
@@ -282,6 +290,74 @@ class TestValidateOnce:
         rows = run_experiment(cfg)
         assert all(r.success_emp is not None for r in rows)
         assert len(calls) == per_trial * len(rows)
+
+
+def streams_built_alone(self, trial, slot):
+    """Stand-in for _StreamBlocks.generator that builds each stream on its
+    own, straight from numpy's SeedSequence."""
+    stream_id = trial * experiment._SLOTS_PER_TRIAL + slot
+    return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(stream_id,)))
+
+
+SMALL = dict(shots_learn=300, shots_holdout=100, seed=11)
+
+
+class TestStreamBlocks:
+    """A run computes its streams' seed words one block of trials at a time:
+    the streams are those each trial builds alone, a sweep's cells share the
+    blocks, and only one block is held at a time."""
+
+    @pytest.mark.parametrize("scenario", ["equal-prior-xz", "unequal-prior-xz", "const-z"])
+    def test_rows_across_a_block_edge_match_streams_built_alone(self, monkeypatch, scenario):
+        eta0 = 0.5 if scenario == "equal-prior-xz" else 0.6
+        cfg = ExperimentConfig(scenario=scenario, eta0=eta0, nz=0.3, trials=experiment._BLOCK_TRIALS + 4, **SMALL)
+        blocked = render_results(run_experiment(cfg, trial_offset=5))
+        monkeypatch.setattr(experiment._StreamBlocks, "generator", streams_built_alone)
+        assert render_results(run_experiment(cfg, trial_offset=5)) == blocked
+
+    def test_sweep_builds_states_per_block_not_per_cell(self, monkeypatch):
+        calls = count_calls(monkeypatch, "stream_states")
+        slots = experiment._SLOTS_PER_TRIAL
+        base = ExperimentConfig(scenario="const-z", eta0=0.6, trials=1, **SMALL)
+        rows = sweep(base, {"nz": [-0.3, 0.0, 0.3], "alpha": [0.0, 1.0]})
+        assert len(rows) == 6
+        assert [ids.tolist() for _, ids in calls] == [list(range(6 * slots))]
+
+        calls.clear()
+        per_cell = experiment._BLOCK_TRIALS // 2 + 1
+        rows = sweep(replace(base, trials=per_cell), {"nz": [-0.3, 0.0, 0.3]})
+        assert len(rows) == 3 * per_cell
+        edges = [(ids[0], ids[-1] + 1) for _, ids in calls]
+        block = experiment._BLOCK_TRIALS * slots
+        assert edges == [(0, block), (block, 3 * per_cell * slots)]
+
+    def test_run_holds_one_block_at_a_time(self, monkeypatch):
+        real = experiment.stream_states
+        held = []
+        sizes = []
+
+        def tracked(seed, ids):
+            gc.collect()
+            assert all(ref() is None for ref in held), "an earlier block is still held"
+            states = real(seed, ids)
+            held.append(weakref.ref(states))
+            sizes.append(len(ids))
+            return states
+
+        monkeypatch.setattr(experiment, "stream_states", tracked)
+        block = experiment._BLOCK_TRIALS
+        cfg = ExperimentConfig(scenario="unequal-prior-xz", eta0=0.6, trials=2 * block + 3, **SMALL)
+        rows = run_experiment(cfg, trial_offset=7)
+        assert len(rows) == 2 * block + 3
+        slots = experiment._SLOTS_PER_TRIAL
+        assert sizes == [block * slots, block * slots, 3 * slots]
+
+    def test_streams_serve_only_their_seed_and_trials(self):
+        cfg = ExperimentConfig(scenario="unequal-prior-xz", eta0=0.6, trials=2, **SMALL)
+        with pytest.raises(ContractViolation, match="seed"):
+            run_experiment(cfg, streams=experiment._StreamBlocks(cfg.seed + 1, 0, 2))
+        with pytest.raises(ContractViolation, match="outside"):
+            run_experiment(cfg, trial_offset=1, streams=experiment._StreamBlocks(cfg.seed, 0, 2))
 
 
 class TestSweep:
