@@ -15,6 +15,7 @@ other exception is a bug and propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -54,7 +55,10 @@ def _add_common_options(parser: argparse.ArgumentParser, sweep_mode: bool) -> No
                         help="output path (default: stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on the first call and shared by every
+    later one: parsing leaves no state in it, so main calls reuse it."""
     parser = argparse.ArgumentParser(
         prog="povmlearn",
         description="Learn a two-outcome qubit discrimination measurement "

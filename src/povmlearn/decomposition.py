@@ -41,8 +41,6 @@ from povmlearn.errors import (
 # values within this slack are clamped, anything beyond is an error.
 EPS_CLAMP = 0.02
 
-CASES = ("A", "B")
-
 _PLANE_XZ = Plane.xz()
 
 

@@ -25,13 +25,13 @@ measurements.
 
 from __future__ import annotations
 
-import csv
-import io
+import functools
 import itertools
-import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -86,7 +86,6 @@ CSV_COLUMNS = (
     "shots_holdout",
     "status",
 )
-_AXIS_INDEX = {k: i for i, k in enumerate(k for k in CSV_COLUMNS if k.startswith("axis_"))}
 
 # Stream roles within a trial's block of ids.  Measured axes take
 # consecutive slots from AXIS0 in pauli_axes order: the first and second
@@ -408,50 +407,93 @@ def summarize(rows: Sequence[TrialResult]) -> dict:
     }
 
 
-def _fmt_float(x: float) -> str:
-    return f"{float(x):.12g}"
+# A row's cells in CSV_COLUMNS order are its TrialResult fields of those
+# names, except that the three axis_* columns hold the components of r.axis.
+_AXIS_FIRST = CSV_COLUMNS.index("axis_x")
+_HEAD = attrgetter(*CSV_COLUMNS[:_AXIS_FIRST])
+_TAIL = attrgetter(*CSV_COLUMNS[_AXIS_FIRST + 3 :])
 
 
-def _row_record(r: TrialResult) -> dict:
-    """The row's value for each of CSV_COLUMNS: the TrialResult field of that
-    name, or for an axis_* column its component of r.axis."""
-    axis = r.axis if r.axis is not None else (None, None, None)
-    return {k: axis[_AXIS_INDEX[k]] if k in _AXIS_INDEX else getattr(r, k) for k in CSV_COLUMNS}
+def _cells(r: TrialResult) -> tuple:
+    axis = (None, None, None) if r.axis is None else r.axis.tolist()
+    return (*_HEAD(r), *axis, *_TAIL(r))
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _fmt_float(value)
+def _kind(t: type) -> str:
+    """How a cell of type t is written: as null, str, int or float."""
+    if t is type(None):
+        return "null"
+    if issubclass(t, str):
+        return "str"
+    if issubclass(t, (int, np.integer)):
+        return "int"
+    return "float"
 
 
-def _json_value(value):
-    if value is None or isinstance(value, (str, int, np.integer)):
-        return int(value) if isinstance(value, np.integer) else value
-    return float(_fmt_float(value))
+# CSV: empty for None (%.0s consumes the cell and writes nothing), strings
+# as they are, integers in full, anything else as a float at 12
+# significant digits.  No cell needs quoting: floats and integers hold no
+# comma, quote or newline, and render_results checks that no string does.
+_CSV_SPEC = {"null": "%.0s", "str": "%s", "int": "%d", "float": "%.12g"}
+_CSV_HEADER = ",".join(CSV_COLUMNS)
+
+
+@functools.cache
+def _csv_template(types: tuple) -> str:
+    """The %-template of a CSV line whose cells have these types."""
+    return ",".join(_CSV_SPEC[_kind(t)] for t in types)
+
+
+# JSON: the text json.dumps(indent=2) writes for each cell; a float is the
+# shortest repr of its 12-significant-digit value.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x) -> str:
+    text = float.__repr__(float("%.12g" % x))
+    return _JSON_NONFINITE.get(text, text)
+
+
+_JSON_CELL = {
+    "null": lambda v: "null",
+    "str": encode_basestring_ascii,
+    "int": "%d".__mod__,
+    "float": _json_float,
+}
+_JSON_OBJECT = "  {\n" + ",\n".join(f"    {encode_basestring_ascii(k)}: %s" for k in CSV_COLUMNS) + "\n  }"
+
+
+@functools.cache
+def _json_writers(types: tuple) -> tuple:
+    """The function writing each cell of a JSON object whose cells have these types."""
+    return tuple(_JSON_CELL[_kind(t)] for t in types)
 
 
 def render_results(rows: Sequence[TrialResult], fmt: str = "csv") -> str:
     """Render result rows to CSV or JSON text; both carry the same fields,
-    floats at 12 significant digits, empty/null for inapplicable values."""
+    floats at 12 significant digits, empty/null for inapplicable values.
+
+    The bytes are those of csv.writer (lineterminator "\\n") and of
+    json.dumps(indent=2) over the rows' cells.  Each row is written in one
+    pass, through a template chosen by the types of its cells."""
     if not rows:
         raise ContractViolation("no result rows to emit")
     if fmt not in FORMATS:
         raise ContractViolation(f"format must be one of {FORMATS}, got {fmt!r}")
-    records = [_row_record(r) for r in rows]
+    cells = map(_cells, rows)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow([_csv_cell(rec[k]) for k in CSV_COLUMNS])
-        return buf.getvalue()
-    payload = [{k: _json_value(rec[k]) for k in CSV_COLUMNS} for rec in records]
-    return json.dumps(payload, indent=2) + "\n"
+        lines = [_CSV_HEADER]
+        lines += [_csv_template(tuple(map(type, c))) % c for c in cells]
+        text = "\n".join(lines) + "\n"
+        # A comma, quote or newline inside a string cell would need CSV quoting.
+        if text.count(",") != len(lines) * (len(CSV_COLUMNS) - 1) or '"' in text or text.count("\n") != len(lines):
+            raise ContractViolation("a string cell holds a comma, quote or newline")
+        return text
+    objects = [
+        _JSON_OBJECT % tuple([write(v) for write, v in zip(_json_writers(tuple(map(type, c))), c)])
+        for c in cells
+    ]
+    return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
 def emit_results(rows: Sequence[TrialResult], fmt: str = "csv", path: str | None = None) -> None:

@@ -233,3 +233,34 @@ class TestUsage:
         monkeypatch.setattr(cli, "run_experiment", broken)
         with pytest.raises(TypeError, match="library bug"):
             main(["run", "--scenario", "equal-prior-xz", *COMMON])
+
+
+class TestParserReuse:
+    """main builds the parser once per process, and a call leaves nothing
+    in it that a later call could see."""
+
+    RUN = ("run", "--scenario", "const-z", "--eta0", "0.6", "--nz", "0.25",
+           "--trials", "2", "--shots-learn", "500", "--shots-holdout", "200")
+
+    def test_built_once_across_calls(self, capsys):
+        cli.build_parser.cache_clear()
+        for _ in range(3):
+            assert run_cli(capsys, *self.RUN)[0] == 0
+        assert run_cli(capsys, "oracle-check", "--instances", "5")[0] == 0
+        assert cli.build_parser.cache_info().misses == 1
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_seed_does_not_carry_over(self, capsys):
+        cli.build_parser.cache_clear()
+        fresh = run_cli(capsys, *self.RUN, "--seed", "0")
+        seeded = run_cli(capsys, *self.RUN, "--seed", "5")
+        unseeded = run_cli(capsys, *self.RUN)
+        assert seeded[1] != fresh[1]
+        assert unseeded == fresh
+
+    @pytest.mark.parametrize("argv", [("--help",), ("run", "--help"), ("run", "--trials", "x"), ("run", "--bogus")])
+    def test_help_and_usage_errors_leave_the_parser_usable(self, capsys, argv):
+        before = run_cli(capsys, *self.RUN)
+        code = run_cli(capsys, *argv)[0]
+        assert code == (0 if "--help" in argv else 2)
+        assert run_cli(capsys, *self.RUN) == before

@@ -1,0 +1,226 @@
+"""Row rendering: render_results against a reference renderer.
+
+The reference is the straightforward one: a dict of cells per row, then
+csv.writer or json.dumps(indent=2).  render_results writes each row in one
+pass through a template chosen by the types of its cells, and must give
+the same bytes for every row, including every pattern of empty cells the
+four statuses produce and floats at the edges of the double range.
+"""
+
+import csv
+import functools
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from povmlearn.errors import ContractViolation
+from povmlearn.experiment import (
+    CSV_COLUMNS,
+    FORMATS,
+    SCENARIOS,
+    ExperimentConfig,
+    TrialResult,
+    render_results,
+    run_experiment,
+)
+
+# --- reference renderer -----------------------------------------------------
+
+_AXIS_INDEX = {k: i for i, k in enumerate(k for k in CSV_COLUMNS if k.startswith("axis_"))}
+
+
+def _row_record(r: TrialResult) -> dict:
+    axis = r.axis if r.axis is not None else (None, None, None)
+    return {k: axis[_AXIS_INDEX[k]] if k in _AXIS_INDEX else getattr(r, k) for k in CSV_COLUMNS}
+
+
+def _fmt_float(x) -> str:
+    return f"{float(x):.12g}"
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return _fmt_float(value)
+
+
+def _json_value(value):
+    if value is None or isinstance(value, (str, int, np.integer)):
+        return int(value) if isinstance(value, np.integer) else value
+    return float(_fmt_float(value))
+
+
+def reference_render(rows, fmt: str) -> str:
+    records = [_row_record(r) for r in rows]
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for rec in records:
+            writer.writerow([_csv_cell(rec[k]) for k in CSV_COLUMNS])
+        return buf.getvalue()
+    payload = [{k: _json_value(rec[k]) for k in CSV_COLUMNS} for rec in records]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# --- rows the program writes, one per (scenario, status, empty cells) --------
+
+_SMALL = dict(shots_learn=2_000, shots_holdout=200, trials=4, seed=5)
+STATUS_CONFIGS = (
+    ExperimentConfig(scenario="equal-prior-xz", **_SMALL),
+    # Nearly orthogonal settings at 50 shots: the difference signal is lost.
+    ExperimentConfig(scenario="equal-prior-xz", beta=1.55, shots_learn=50, shots_holdout=100, trials=2, seed=3),
+    ExperimentConfig(scenario="unequal-prior-xz", eta0=0.6, theta=1.2, **_SMALL),
+    # Coincident states: noise pushes the separation cosine past 1.
+    ExperimentConfig(scenario="unequal-prior-xz", eta0=0.6, theta=0.0, shots_learn=2_000, shots_holdout=100,
+                     trials=10, seed=5),
+    # Antipodal equal-prior pair: the ensemble vector vanishes, no truth.
+    ExperimentConfig(scenario="unequal-prior-xz", eta0=0.5, theta=math.pi, shots_learn=50, shots_holdout=100,
+                     trials=1, seed=1),
+    # Nearly antipodal at 2 shots per axis: the estimate can vanish.
+    ExperimentConfig(scenario="const-z", eta0=0.5, theta=math.pi - 0.01, nz=0.3, shots_learn=2, shots_holdout=10,
+                     trials=2, seed=1),
+    ExperimentConfig(scenario="const-z", eta0=0.6, theta=1.2, nz=0.4, **_SMALL),
+)
+
+
+def _empty_cells(r: TrialResult) -> tuple:
+    return tuple(k for k, v in _row_record(r).items() if v is None)
+
+
+@functools.cache
+def status_rows() -> tuple:
+    """The first row of each (scenario, status, empty-cell pattern)."""
+    seen = {}
+    for cfg in STATUS_CONFIGS:
+        for r in run_experiment(cfg):
+            seen.setdefault((r.scenario, r.status, _empty_cells(r)), r)
+    return tuple(seen.values())
+
+
+def test_status_rows_cover_every_status_and_empty_pattern():
+    rows = status_rows()
+    assert {r.status for r in rows} == {"ok", "weak_signal", "degenerate_ensemble", "cos_theta_out_of_range"}
+    patterns = {_empty_cells(r) for r in rows}
+    axis_etc = ("axis_x", "axis_y", "axis_z", "alpha_hat", "success_emp")
+    assert patterns == {
+        ("case",),  # equal-prior, scored
+        ("case", *axis_etc, "z_score"),  # equal-prior, weak_signal
+        ("beta_true",),  # two-fold, scored
+        ("beta_true", *axis_etc, "z_score"),  # two-fold, degenerate while learning
+        ("beta_true", *axis_etc, "success_analytic", "success_oracle", "z_score"),  # two-fold, no truth
+    }
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_program_rows_match_reference(fmt):
+    rows = status_rows()
+    assert render_results(rows, fmt) == reference_render(rows, fmt)
+    for r in rows:
+        assert render_results([r], fmt) == reference_render([r], fmt)
+
+
+# --- generated rows ------------------------------------------------------------
+
+EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, -2.225073858507201e-308,
+    1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308, 1.0, -1.0, 2.0, 0.5, 1e-5, 1e11, 1e12,
+    1e15, 1e16, 123456789012.0, 1234567890123456.0, 0.1 + 0.2, math.pi,
+    math.inf, -math.inf, math.nan,
+)
+floats = st.one_of(
+    st.floats(),  # subnormals, infinities and nan included
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(-(2**60), 2**60).map(float),  # integer-valued: CSV "1", JSON "1.0"
+    st.floats(1e-310, 1e-290) | st.floats(1e290, 1e308),
+    st.floats(-1e308, -1e290) | st.floats(-1e-290, -1e-310),
+)
+float_cells = floats | floats.map(np.float64)
+int_cells = st.integers(0, 2**63 - 1) | st.integers(0, 2**63 - 1).map(np.int64)
+# A float field may also hold an integer (ExperimentConfig(theta=1) from a
+# library caller); it is written as an integer.
+number_cells = float_cells | int_cells
+
+FLOAT_FIELDS = (
+    "eta0", "theta_true", "alpha_true", "beta_true", "n_z",
+    "alpha_hat", "success_emp", "success_analytic", "success_oracle", "z_score",
+)
+
+
+@st.composite
+def trial_rows(draw) -> TrialResult:
+    """A row with the empty cells of a program row and any values elsewhere."""
+    template = draw(st.sampled_from(status_rows()))
+    cells = {name: None if getattr(template, name) is None else draw(number_cells) for name in FLOAT_FIELDS}
+    axis = None if template.axis is None else np.array([draw(float_cells) for _ in range(3)], dtype=np.float64)
+    return TrialResult(
+        trial=draw(int_cells),
+        scenario=draw(st.sampled_from(SCENARIOS)),
+        case=template.case if template.case is None else draw(st.sampled_from(("A", "B"))),
+        axis=axis,
+        shots_learn=draw(int_cells),
+        shots_holdout=draw(int_cells),
+        status=template.status,
+        **cells,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(trial_rows(), min_size=1, max_size=4))
+def test_generated_rows_match_reference(rows):
+    for fmt in FORMATS:
+        assert render_results(rows, fmt) == reference_render(rows, fmt)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64("nan"), -0.0, 1.0, 5e-324])
+def test_edge_float_cells(value):
+    r = TrialResult(trial=0, scenario="const-z", case="A", eta0=value, theta_true=value, alpha_true=value,
+                    beta_true=None, n_z=value, axis=np.array([value, 0.0, -value]), z_score=value)
+    for fmt in FORMATS:
+        assert render_results([r], fmt) == reference_render([r], fmt)
+    # How each format spells the value.
+    cell = {"inf": ("inf", "Infinity"), "-inf": ("-inf", "-Infinity"), "nan": ("nan", "NaN"),
+            "-0.0": ("-0", "-0.0"), "1.0": ("1", "1.0"), "5e-324": ("4.94065645841e-324", "5e-324")}[repr(float(value))]
+    assert render_results([r], "csv").splitlines()[1].split(",")[CSV_COLUMNS.index("eta0")] == cell[0]
+    assert f'"eta0": {cell[1]},' in render_results([r], "json")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+def test_json_escapes_any_string(text):
+    r = TrialResult(trial=1, scenario=text, case=text, eta0=0.5, theta_true=None, alpha_true=None,
+                    beta_true=None, n_z=0.0, status=text)
+    assert render_results([r], "json") == reference_render([r], "json")
+
+
+@pytest.mark.parametrize("text", ["a,b", 'say "x"', "two\nlines"])
+def test_csv_rejects_a_string_cell_that_needs_quoting(text):
+    r = TrialResult(trial=1, scenario="const-z", case="A", eta0=0.5, theta_true=None, alpha_true=None,
+                    beta_true=None, n_z=0.0, status=text)
+    with pytest.raises(ContractViolation):
+        render_results([r], "csv")
+
+
+@settings(max_examples=1000)
+@given(st.floats())
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(2.2250738585072014e-308)
+@example(1e300)
+@example(-1e-300)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+def test_percent_format_equals_format_spec(x):
+    # CSV floats are written with '%.12g'; the reference used format(x, '.12g').
+    assert "%.12g" % x == format(x, ".12g") == "%.12g" % np.float64(x)
