@@ -16,7 +16,6 @@ from povmlearn.bloch import (
     bloch_from_state_angle,
     perp_in_plane,
     plane_angle,
-    prob_plus,
     rotate_in_plane,
     wrap_angle,
 )
@@ -33,18 +32,13 @@ from povmlearn.decomposition import (
 )
 from povmlearn.ensemble import (
     EnsembleSpec,
-    PauliEstimate,
     RngStream,
-    ShotBatch,
-    ensemble_bloch,
     estimate_pauli,
-    measure_shots,
     pauli_axes,
 )
 from povmlearn.equal_prior import (
     EqualPriorEstimate,
     delta_analytic,
-    estimate_delta,
     learn_equal_prior,
     povm_axis_from_phi,
     solve_alpha,
@@ -58,7 +52,7 @@ from povmlearn.errors import (
     InvalidPriors,
     WeakSignal,
 )
-from povmlearn.evaluate import ConfusionMatrix, EvalReport, classify_holdout, score
+from povmlearn.evaluate import ConfusionMatrix, EvalReport, classify_holdout, folded_success, score
 from povmlearn.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,

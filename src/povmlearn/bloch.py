@@ -38,8 +38,12 @@ del _unit
 _TAU = 2.0 * math.pi
 
 
-def wrap_angle(a: float) -> float:
-    """Reduce an angle to [0, 2*pi)."""
+def wrap_angle(a):
+    """Reduce an angle, or an array of angles, to [0, 2*pi)."""
+    if np.ndim(a):
+        r = np.fmod(a, _TAU)
+        r = np.where(r < 0.0, r + _TAU, r)
+        return np.where(r >= _TAU, r - _TAU, r)
     r = math.fmod(float(a), _TAU)
     if r < 0.0:
         r += _TAU
@@ -61,10 +65,22 @@ def norm(v) -> float:
     return math.sqrt(v.dot(v))
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of arrays of 3-vectors, summed in component order."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
 def check_unit(v, what: str = "vector", tol: float = EPS_PHYS) -> np.ndarray:
-    """Return v as an array after verifying |v| = 1 within tol."""
+    """Return v as an array after verifying |v| = 1 within tol; a 2-D v
+    holds one vector per row, and every row is checked."""
     v = np.asarray(v, dtype=float)
-    if abs(norm(v) - 1.0) > tol:
+    if v.ndim > 1:
+        r = np.sqrt(row_dot(v, v))
+        ok = np.abs(r - 1.0) <= tol
+        if not ok.all():
+            raise ContractViolation(f"{what} must be unit length, got |v| = {r[~ok][0]:.9g}")
+        return v
+    if not abs(norm(v) - 1.0) <= tol:
         raise ContractViolation(f"{what} must be unit length, got |v| = {norm(v):.9g}")
     return v
 
@@ -74,25 +90,35 @@ class Plane:
     """Constraint plane for Bloch vectors.
 
     kind "xz" is the x-z plane through the origin (plane axes x then z);
-    kind "constz" is the slice z = nz (plane axes x then y).
+    kind "constz" is the slice z = nz (plane axes x then y).  A const-z
+    plane may carry one nz per row (a read-only 1-D array), for batches
+    whose rows lie in different slices; its methods then take one vector
+    per row.  Any vector argument may hold one vector per row on its last
+    axis.
     """
 
     kind: str
-    nz: float = 0.0
+    nz: float | np.ndarray = 0.0
 
     @classmethod
     def xz(cls) -> "Plane":
         return cls("xz", 0.0)
 
     @classmethod
-    def const_z(cls, nz: float) -> "Plane":
+    def const_z(cls, nz) -> "Plane":
+        if np.ndim(nz):
+            nz = np.array(nz, dtype=float)
+            if not np.all(np.abs(nz) < 1.0):
+                raise ContractViolation(f"constant-z plane needs |nz| < 1, got {nz}")
+            nz.flags.writeable = False
+            return cls("constz", nz)
         nz = float(nz)
         if not -1.0 < nz < 1.0:
             raise ContractViolation(f"constant-z plane needs |nz| < 1, got {nz}")
         return cls("constz", nz)
 
     @property
-    def radius_sq(self) -> float:
+    def radius_sq(self):
         """Squared radius 1 - nz^2 of the plane's cut through the Bloch sphere;
         exactly 1.0 for the x-z plane."""
         return 1.0 - self.nz * self.nz
@@ -100,6 +126,8 @@ class Plane:
     def coords(self, v) -> np.ndarray:
         """Project v onto plane coordinates (first axis, second axis)."""
         v = np.asarray(v, dtype=float)
+        if v.ndim > 1:
+            return v[..., (0, 2) if self.kind == "xz" else (0, 1)]
         if self.kind == "xz":
             return np.array([v[0], v[2]])
         return np.array([v[0], v[1]])
@@ -112,39 +140,47 @@ class Plane:
         live in the parallel plane through the origin).
         """
         u = np.asarray(u, dtype=float)
+        off = self.nz if with_offset else 0.0
+        if u.ndim > 1:
+            out = np.empty(u.shape[:-1] + (3,))
+            first, second, third = (0, 2, 1) if self.kind == "xz" else (0, 1, 2)
+            out[..., first], out[..., second] = u[..., 0], u[..., 1]
+            out[..., third] = off
+            return out
         if self.kind == "xz":
             return np.array([u[0], 0.0, u[1]])
-        off = self.nz if with_offset else 0.0
         return np.array([u[0], u[1], off])
 
     def contains(self, v, tol: float = EPS_PHYS) -> bool:
+        """Whether v (every row of v) lies in the plane."""
         v = np.asarray(v, dtype=float)
+        if v.ndim > 1:
+            off = v[..., 1] if self.kind == "xz" else v[..., 2] - self.nz
+            return bool((np.abs(off) <= tol).all())
         if self.kind == "xz":
             return abs(v[1]) <= tol
         return abs(v[2] - self.nz) <= tol
 
 
-def bloch_from_state_angle(gamma: float) -> np.ndarray:
-    """Bloch vector (sin g, 0, cos g) of the pure state cos(g/2)|0> + sin(g/2)|1>."""
+def bloch_from_state_angle(gamma) -> np.ndarray:
+    """Bloch vector (sin g, 0, cos g) of the pure state cos(g/2)|0> + sin(g/2)|1>;
+    an array of angles gives one vector per row."""
+    if np.ndim(gamma):
+        g = np.asarray(gamma, dtype=float)
+        return np.stack((np.sin(g), np.zeros_like(g), np.cos(g)), axis=-1)
     g = float(gamma)
     return np.array([math.sin(g), 0.0, math.cos(g)])
 
 
-def prob_plus(s, n, tol: float = EPS_PHYS) -> float:
-    """Probability of the +1 outcome when measuring unit axis s on state n."""
-    s = check_unit(s, "measurement axis", tol)
-    n = np.asarray(n, dtype=float)
-    r = norm(n)
-    if r > 1.0 + tol:
-        raise ContractViolation(f"Bloch vector must satisfy |n| <= 1, got {r:.9g}")
-    return prob_plus_unchecked(s, n)
-
-
-def prob_plus_unchecked(s: np.ndarray, n: np.ndarray) -> float:
-    """prob_plus for a float unit axis and a Bloch vector already validated."""
-    p = 0.5 + 0.5 * float(s.dot(n))
-    # Clip roundoff overshoot only; the complement 0.5 - 0.5*d clips symmetrically.
-    return min(max(p, 0.0), 1.0)
+def prob_plus_unchecked(s: np.ndarray, n: np.ndarray):
+    """Probability (1 + s.n)/2 of the +1 outcome along a float unit axis s on
+    a Bloch vector n already validated; with rows on either side, one
+    probability per row."""
+    if s.ndim == 1 and n.ndim == 1:
+        p = 0.5 + 0.5 * float(s.dot(n))
+        # Clip roundoff overshoot only; the complement 0.5 - 0.5*d clips symmetrically.
+        return min(max(p, 0.0), 1.0)
+    return np.minimum(np.maximum(0.5 + 0.5 * row_dot(s, n), 0.0), 1.0)
 
 
 def rotate_in_plane(v, plane: Plane, angle: float) -> np.ndarray:
@@ -163,9 +199,17 @@ def perp_in_plane(n, plane: Plane) -> np.ndarray:
 
     The +90 degree rotation convention is fixed: plane coordinates
     (u1, u2) map to (-u2, u1), normalized.  For a constant-z plane the
-    result has zero z component (it is a direction, not a state).
+    result has zero z component (it is a direction, not a state).  With
+    one vector per row, a row whose in-plane part is too short to define a
+    direction gets the zero vector instead of raising.
     """
     u = plane.coords(np.asarray(n, dtype=float))
+    if u.ndim > 1:
+        r = np.hypot(u[..., 0], u[..., 1])[..., None]
+        ok = r > EPS_DEGENERATE
+        w = np.where(ok, u[..., ::-1] / np.where(ok, r, 1.0), 0.0)
+        w[..., 0] = -w[..., 0]
+        return plane.embed(w, with_offset=False)
     r = float(np.hypot(u[0], u[1]))
     if r <= EPS_DEGENERATE:
         raise DegenerateEnsemble(
@@ -174,7 +218,10 @@ def perp_in_plane(n, plane: Plane) -> np.ndarray:
     return plane.embed(np.array([-u[1] / r, u[0] / r]), with_offset=False)
 
 
-def plane_angle(v, plane: Plane) -> float:
-    """In-plane direction angle of v, counterclockwise from the first plane axis."""
+def plane_angle(v, plane: Plane):
+    """In-plane direction angle of v, counterclockwise from the first plane
+    axis; one angle per row for rows of vectors."""
     u = plane.coords(np.asarray(v, dtype=float))
+    if u.ndim > 1:
+        return wrap_angle(np.arctan2(u[..., 1], u[..., 0]))
     return wrap_angle(math.atan2(u[1], u[0]))

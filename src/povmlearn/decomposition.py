@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from povmlearn.bloch import EPS_DEGENERATE, EPS_PHYS, Plane, perp_in_plane
-from povmlearn.ensemble import EnsembleSpec, PauliEstimate, estimate_pauli
+from povmlearn.ensemble import EnsembleSpec, estimate_pauli
 from povmlearn.errors import (
     ContractViolation,
     CosThetaOutOfRange,
@@ -113,15 +112,21 @@ def ensemble_vector(
     return plane.embed(np.array([r * math.cos(direction), r * math.sin(direction)])), r
 
 
-def cos_theta(
-    n_norm: float, eta0: float, eta1: float, tol: float = EPS_PHYS, plane: Plane = _PLANE_XZ
-) -> float:
+def cos_theta(n_norm, eta0, eta1, tol: float = EPS_PHYS, plane: Plane = _PLANE_XZ):
     """Separation cosine between the two pure states, from the in-plane norm
     |u| of the ensemble vector and the priors.
 
     |u|^2 = rho^2 (eta0^2 + eta1^2 + 2 eta0 eta1 cos(theta)), inverted for
-    cos(theta).  Pass tol=EPS_CLAMP for shot-noise estimates of |u|.
+    cos(theta).  Pass tol=EPS_CLAMP for shot-noise estimates of |u|.  Rows
+    of norms (with priors and plane per row or shared) give one cosine per
+    row, NaN where it is out of range instead of raising.
     """
+    if np.ndim(n_norm):
+        if not ((np.abs(eta0 + eta1 - 1.0) <= 1e-12) & (0.0 < eta0) & (eta0 < 1.0)).all():
+            raise InvalidPriors(f"priors must be interior and sum to 1, got ({eta0}, {eta1})")
+        r = n_norm / np.sqrt(plane.radius_sq)
+        c = 1.0 + (r * r - 1.0) / (2.0 * eta0 * eta1)
+        return np.where(np.abs(c) <= 1.0 + tol, np.clip(c, -1.0, 1.0), np.nan)
     _check_priors(eta0, eta1)
     # Rescale by the slice radius before squaring and write the inversion
     # as 1 + (r^2 - 1)/(2 eta0 eta1), which equals the direct one because
@@ -194,13 +199,12 @@ def success_prob(
     return min(ps, 1.0)
 
 
-def learn_axis(
-    spec: EnsembleSpec,
-    shots_per_axis: int,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-) -> tuple[np.ndarray, PauliEstimate]:
-    """Estimate the ensemble Bloch vector and return the in-plane unit axis
-    perpendicular to it (the setting on which both detectors fire equally,
-    with zero z component on a slice), together with the estimate."""
-    est = estimate_pauli(spec, shots_per_axis, rng)
-    return perp_in_plane(est.n_hat, spec.plane), est
+def learn_axis(spec: EnsembleSpec, shots_per_axis: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate the ensemble Bloch vector (estimate_pauli) and return the
+    in-plane unit axis perpendicular to it (the setting on which both
+    detectors fire equally, with zero z component on a slice), together with
+    the estimate.  A batch gets one axis per row, the zero vector on a row
+    whose estimate has no in-plane direction; a single ensemble raises
+    DegenerateEnsemble there."""
+    n_hat = estimate_pauli(spec, shots_per_axis, rng)
+    return perp_in_plane(n_hat, spec.plane), n_hat

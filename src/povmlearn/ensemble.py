@@ -1,21 +1,22 @@
 """Hidden two-state qubit ensembles and simulated destructive measurements.
 
 An EnsembleSpec is the ground truth of a simulation: two pure Bloch vectors
-with prior probabilities, confined to a declared plane.  It is validated
-once, when it is built, and is immutable afterwards: the states are
-read-only copies of the caller's vectors.  Learners never see the ground
-truth directly; they only get measurement counts.  Every simulated shot
-consumes one fresh ensemble member, so the qubit budget of a procedure is
-the sum of its batch totals.  One sampler, EnsembleSpec.sample, draws those
-members for learning (measure_shots) and for holdout classification alike.
+with prior probabilities, confined to a declared plane, for one ensemble or
+for a batch of rows with one ensemble each.  It is validated once, when it
+is built, and is immutable afterwards: its fields are read-only copies of
+the caller's values.  Learners never see the ground truth directly; they
+only get measurement counts.  Every simulated shot consumes one fresh
+ensemble member, so the qubit budget of a procedure is the sum of its
+measurement sizes.  One sampler, EnsembleSpec.sample, draws those members
+for learning (expectation, estimate_pauli) and for holdout classification
+alike, as one array per draw over the rows of a batch.
 
 Randomness is addressed by (seed, stream id): a stream's generator is
 PCG64 seeded by SeedSequence(seed, spawn_key=(id,)), as in numpy's
 parallel-RNG guide.  stream_states computes those seed words for a whole
-array of ids in one vectorised pass of the SeedSequence hash, bit for bit,
-so a run can build the streams of many trials at once; RngStream.generator
-builds each generator from its precomputed words, or computes its own
-words with SeedSequence when it has none.
+array of ids in one vectorised pass of the SeedSequence hash, bit for bit;
+RngStream.generator builds each generator from its precomputed words, or
+computes its own words with SeedSequence when it has none.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from povmlearn.bloch import EPS_PHYS, UNIT_X, UNIT_Y, UNIT_Z, Plane, check_unit, norm, prob_plus_unchecked
+from povmlearn.bloch import EPS_PHYS, UNIT_X, UNIT_Y, UNIT_Z, Plane, check_unit, norm, prob_plus_unchecked, row_dot
 from povmlearn.errors import ContractViolation
 
 _CASE_TAGS = (None, "A", "B")
@@ -154,53 +154,43 @@ class RngStream:
 
 
 @dataclass(frozen=True)
-class ShotBatch:
-    """Outcome counts of repeated projective measurements along one axis."""
-
-    axis: np.ndarray
-    n_plus: int
-    n_minus: int
-    total: int
-
-    def __post_init__(self):
-        if self.n_plus + self.n_minus != self.total:
-            raise ContractViolation("shot counts must sum to the batch total")
-        if min(self.n_plus, self.n_minus) < 0:
-            raise ContractViolation("shot counts must be nonnegative")
-
-    @property
-    def mean(self) -> float:
-        """Empirical expectation value (n_plus - n_minus) / total."""
-        return (self.n_plus - self.n_minus) / self.total
-
-
-@dataclass(frozen=True)
 class EnsembleSpec:
     """Ground truth: priors, two pure in-plane states, declared plane, branch tag.
 
-    Validated once at construction; psi0 and psi1 are read-only copies, so
-    the checks hold for the spec's lifetime and sampling need not redo them.
+    A spec is one ensemble, or a batch of rows with one ensemble each: then
+    eta0 and eta1 are 1-D arrays and psi0 and psi1 hold one state per row.
+    Validated once at construction, every row; the fields are read-only
+    copies, so the checks hold for the spec's lifetime and sampling need
+    not redo them.
     """
 
-    eta0: float
-    eta1: float
+    eta0: float | np.ndarray
+    eta1: float | np.ndarray
     psi0: np.ndarray
     psi1: np.ndarray
     plane: Plane
     case_tag: str | None = None
 
     def __post_init__(self):
-        eta0, eta1 = float(self.eta0), float(self.eta1)
-        if abs(eta0 + eta1 - 1.0) > 1e-12 or not (0.0 <= eta0 <= 1.0):
+        eta0, eta1 = (np.array(getattr(self, name), dtype=float) for name in ("eta0", "eta1"))
+        if eta0.ndim > 1 or eta1.shape != eta0.shape or eta0.size == 0:
+            raise ContractViolation(
+                "priors must be two numbers or two nonempty 1-D arrays of one shape, "
+                f"got shapes {eta0.shape}, {eta1.shape}"
+            )
+        if not ((np.abs(eta0 + eta1 - 1.0) <= 1e-12) & (0.0 <= eta0) & (eta0 <= 1.0)).all():
             raise ContractViolation(f"priors must be in [0, 1] and sum to 1, got ({eta0}, {eta1})")
-        object.__setattr__(self, "eta0", eta0)
-        object.__setattr__(self, "eta1", eta1)
+        for name, eta in (("eta0", eta0), ("eta1", eta1)):
+            if eta.ndim:
+                eta.flags.writeable = False
+            object.__setattr__(self, name, eta if eta.ndim else float(eta))
         for name in ("psi0", "psi1"):
             psi = np.array(getattr(self, name), dtype=float)
-            if psi.shape != (3,):
-                raise ContractViolation(f"{name} must be a Bloch 3-vector, got shape {psi.shape}")
-            if abs(norm(psi) - 1.0) > EPS_PHYS:
-                raise ContractViolation(f"{name} must be pure (unit norm), |n| = {norm(psi):.9g}")
+            if psi.shape != eta0.shape + (3,):
+                raise ContractViolation(f"{name} must be a Bloch 3-vector per row, got shape {psi.shape}")
+            r = np.sqrt(row_dot(psi, psi)) if psi.ndim > 1 else norm(psi)
+            if not (np.abs(r - 1.0) <= EPS_PHYS).all():
+                raise ContractViolation(f"{name} must be pure (unit norm), |n| = {r}")
             if not self.plane.contains(psi):
                 raise ContractViolation(f"{name} = {psi} violates the {self.plane.kind} plane constraint")
             psi.flags.writeable = False
@@ -208,52 +198,64 @@ class EnsembleSpec:
         if self.case_tag not in _CASE_TAGS:
             raise ContractViolation(f"case tag must be one of {_CASE_TAGS}, got {self.case_tag!r}")
 
-    def sample(
-        self, axis, shots: int, rng: np.random.Generator, what: str = "measurement axis"
-    ) -> tuple[int, int, int]:
+    def sample(self, axis, shots: int, rng, what: str = "measurement axis"):
         """Measure `shots` fresh members along a unit axis; return
         (k0, c0_plus, c1_plus): how many carry label 0, and the +1 outcomes
         among the label-0 and the label-1 members.
 
         Sampling is exact: the label split is binomial in the priors and each
         label contributes a binomial in its outcome probability, which is
-        distribution-identical to drawing qubits one at a time.  The three
-        binomials are drawn in that order.
+        distribution-identical to drawing qubits one at a time.  `rng` is one
+        generator, which takes the three draws in that order, or a triple
+        (label split, label-0 count, label-1 count) with one generator per
+        draw.  A batch draws each as one array over its rows, in row order,
+        along one axis or one axis per row (every row's axis is checked);
+        a single ensemble along one axis returns three ints.
         """
+        axis = np.asarray(axis, dtype=float)
+        if axis.ndim < self.psi0.ndim:
+            axis = np.broadcast_to(axis, self.psi0.shape)
         axis = check_unit(axis, what)
         shots = int(shots)
         if shots < 1:
             raise ContractViolation(f"shots must be >= 1, got {shots}")
+        split, label0, label1 = _draw_generators(rng)
         p0 = prob_plus_unchecked(axis, self.psi0)
         p1 = prob_plus_unchecked(axis, self.psi1)
-        k0 = int(rng.binomial(shots, self.eta0))
-        return k0, int(rng.binomial(k0, p0)), int(rng.binomial(shots - k0, p1))
+        if axis.ndim == 1:
+            k0 = int(split.binomial(shots, self.eta0))
+            return k0, int(label0.binomial(k0, p0)), int(label1.binomial(shots - k0, p1))
+        k0 = split.binomial(shots, self.eta0 if np.ndim(self.eta0) else np.full(p0.shape, self.eta0))
+        return k0, label0.binomial(k0, p0), label1.binomial(shots - k0, p1)
+
+    def expectation(self, axis, shots: int, rng):
+        """Empirical expectation (n_plus - n_minus)/shots of `shots` fresh
+        members measured along a unit axis (sample), per row for a batch."""
+        _, c0_plus, c1_plus = self.sample(axis, shots, rng)
+        return (2 * (c0_plus + c1_plus) - shots) / shots
 
 
-@dataclass(frozen=True)
-class PauliEstimate:
-    """Bloch-vector estimate assembled from per-axis shot batches."""
-
-    n_hat: np.ndarray
-    batches: tuple[ShotBatch, ...]
-
-    @property
-    def shots_used(self) -> int:
-        return sum(b.total for b in self.batches)
-
-
-def ensemble_bloch(spec: EnsembleSpec) -> np.ndarray:
-    """Bloch vector of the ensemble density matrix, eta0*psi0 + eta1*psi1."""
-    return spec.eta0 * spec.psi0 + spec.eta1 * spec.psi1
+def _draw_generators(rng) -> tuple:
+    """The (label split, label-0 count, label-1 count) generators of one
+    measurement: a single generator serves all three draws."""
+    if isinstance(rng, np.random.Generator):
+        return rng, rng, rng
+    gens = tuple(rng)
+    if len(gens) != 3:
+        raise ContractViolation(f"expected a generator or 3 per-draw generators, got {len(gens)}")
+    return gens
 
 
-def measure_shots(spec: EnsembleSpec, axis, shots: int, rng: np.random.Generator) -> ShotBatch:
-    """Measure `shots` fresh ensemble members along one unit axis
-    (EnsembleSpec.sample) and pool the +1 outcomes of both labels."""
-    axis = np.asarray(axis, dtype=float)
-    _, c0_plus, c1_plus = spec.sample(axis, shots, rng)
-    n_plus = c0_plus + c1_plus
-    return ShotBatch(axis=axis, n_plus=n_plus, n_minus=int(shots) - n_plus, total=int(shots))
+def role_generators(rng, count: int) -> list:
+    """One entry per measuring role (axis or setting), in order: a single
+    generator serves every role, otherwise `rng` holds `count` entries, each
+    a generator or a per-draw triple (_draw_generators)."""
+    if isinstance(rng, np.random.Generator):
+        return [rng] * count
+    entries = list(rng)
+    if len(entries) != count:
+        raise ContractViolation(f"expected {count} generators or triples, one per axis, got {len(entries)}")
+    return entries
 
 
 def pauli_axes(plane: Plane) -> list[np.ndarray]:
@@ -264,36 +266,19 @@ def pauli_axes(plane: Plane) -> list[np.ndarray]:
     return [UNIT_X, UNIT_Y, UNIT_Z]
 
 
-def _as_rng_list(rng, count: int) -> list[np.random.Generator]:
-    if isinstance(rng, np.random.Generator):
-        return [rng] * count
-    rngs = list(rng)
-    if len(rngs) != count:
-        raise ContractViolation(f"expected {count} generators, got {len(rngs)}")
-    return rngs
-
-
-def estimate_pauli(
-    spec: EnsembleSpec,
-    shots_per_axis: int,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-) -> PauliEstimate:
-    """Estimate the ensemble Bloch vector from per-axis expectation values.
+def estimate_pauli(spec: EnsembleSpec, shots_per_axis: int, rng) -> np.ndarray:
+    """Estimate the ensemble Bloch vector from per-axis expectation values,
+    consuming shots_per_axis members per axis; one estimate per row for a
+    batch.
 
     The x-z plane needs two axes (x, z); the y estimate is pinned to zero by
     the plane constraint.  A constant-z plane measures all of x, y, z and
-    retains the measured z alongside the in-plane part.  `rng` may be a
-    single generator or one generator per axis (in axis order), which lets
-    callers give each axis an independent stream.
+    retains the measured z alongside the in-plane part.  `rng` is one
+    generator or one entry per axis in axis order (role_generators), which
+    lets callers give each axis, or each draw, an independent stream.
     """
     axes = pauli_axes(spec.plane)
-    rngs = _as_rng_list(rng, len(axes))
-    batches = tuple(
-        measure_shots(spec, axis, shots_per_axis, g) for axis, g in zip(axes, rngs)
-    )
-    means = [b.mean for b in batches]
+    means = [spec.expectation(axis, shots_per_axis, g) for axis, g in zip(axes, role_generators(rng, len(axes)))]
     if spec.plane.kind == "xz":
-        n_hat = np.array([means[0], 0.0, means[1]])
-    else:
-        n_hat = np.array([means[0], means[1], means[2]])
-    return PauliEstimate(n_hat=n_hat, batches=batches)
+        means.insert(1, np.zeros_like(means[0]))
+    return np.stack(means, axis=-1)

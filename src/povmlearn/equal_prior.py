@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from povmlearn.bloch import bloch_from_state_angle, wrap_angle
-from povmlearn.ensemble import EnsembleSpec, _as_rng_list, measure_shots
+from povmlearn.ensemble import EnsembleSpec, role_generators
 from povmlearn.errors import ContractViolation, InvalidPriors, WeakSignal
 
 
@@ -35,13 +34,16 @@ def weak_signal_threshold(shots: int) -> float:
 
 @dataclass(frozen=True)
 class EqualPriorEstimate:
-    """Learned orientation angle and optimal measurement setting."""
+    """Learned orientation angle and optimal measurement setting, one per
+    row for a batch; `weak` marks the rows whose readings sit at or below
+    the noise floor, whose angles are then meaningless."""
 
-    alpha_hat: float
-    phi_star: float
-    delta0: float
-    delta1: float
+    alpha_hat: float | np.ndarray
+    phi_star: float | np.ndarray
+    delta0: float | np.ndarray
+    delta1: float | np.ndarray
     shots_used: int
+    weak: bool | np.ndarray = False
 
 
 def delta_analytic(alpha: float, beta: float, phi: float) -> float:
@@ -49,17 +51,10 @@ def delta_analytic(alpha: float, beta: float, phi: float) -> float:
     return math.cos(alpha - 2.0 * phi) * math.cos(beta)
 
 
-def povm_axis_from_phi(phi: float) -> np.ndarray:
-    """Bloch axis (sin 2 phi, 0, cos 2 phi) of the +1 projector at setting phi."""
-    return bloch_from_state_angle(2.0 * phi)
-
-
-def estimate_delta(
-    spec: EnsembleSpec, phi: float, shots: int, rng: np.random.Generator
-) -> float:
-    """Empirical detector difference at setting phi, consuming `shots` qubits."""
-    batch = measure_shots(spec, povm_axis_from_phi(phi), shots, rng)
-    return batch.mean
+def povm_axis_from_phi(phi) -> np.ndarray:
+    """Bloch axis (sin 2 phi, 0, cos 2 phi) of the +1 projector at setting
+    phi; one axis per row for an array of settings."""
+    return bloch_from_state_angle(np.multiply(2.0, phi))
 
 
 def solve_alpha(delta0: float, delta1: float, phi0: float, tau_weak: float = 0.0) -> float:
@@ -81,33 +76,43 @@ def solve_alpha(delta0: float, delta1: float, phi0: float, tau_weak: float = 0.0
 
 def learn_equal_prior(
     spec: EnsembleSpec,
-    phi0: float,
+    phi0,
     shots_per_setting: int,
-    rng: np.random.Generator | Sequence[np.random.Generator],
+    rng,
     tau_weak: float | None = None,
 ) -> EqualPriorEstimate:
     """Measure at phi0 and phi0 + pi/4, then invert to the optimal setting.
 
     Requires a 50/50 x-z plane ensemble and consumes 2 * shots_per_setting
-    qubits.  `rng` may be one generator or a pair, one per setting.  The
-    returned phi_star = alpha_hat/2 + pi/4 is reported modulo pi; the
-    projector pair is invariant under phi -> phi + pi.
+    qubits per row.  `rng` may be one generator or a pair, one entry per
+    setting (each a generator or a per-draw triple).  The returned
+    phi_star = alpha_hat/2 + pi/4 is reported modulo pi; the projector pair
+    is invariant under phi -> phi + pi.  A single ensemble raises WeakSignal
+    where solve_alpha does; a batch marks those rows in `weak` instead.
     """
     if spec.plane.kind != "xz":
         raise ContractViolation("the angle learner requires an x-z plane ensemble")
-    if abs(spec.eta0 - 0.5) > 1e-12:
+    if not np.all(np.abs(spec.eta0 - 0.5) <= 1e-12):
         raise InvalidPriors(f"the angle learner requires equal priors, got eta0 = {spec.eta0}")
     if tau_weak is None:
         tau_weak = weak_signal_threshold(shots_per_setting)
-    g0, g1 = _as_rng_list(rng, 2)
-    delta0 = estimate_delta(spec, phi0, shots_per_setting, g0)
-    delta1 = estimate_delta(spec, phi0 + 0.25 * math.pi, shots_per_setting, g1)
-    alpha_hat = solve_alpha(delta0, delta1, phi0, tau_weak=tau_weak)
-    phi_star = math.fmod(0.5 * alpha_hat + 0.25 * math.pi, math.pi)
+    g0, g1 = role_generators(rng, 2)
+    delta0 = spec.expectation(povm_axis_from_phi(phi0), shots_per_setting, g0)
+    delta1 = spec.expectation(povm_axis_from_phi(phi0 + 0.25 * math.pi), shots_per_setting, g1)
+    if np.ndim(delta0):
+        # solve_alpha row by row, with weak rows marked rather than raised.
+        weak = np.maximum(np.abs(delta0), np.abs(delta1)) <= tau_weak
+        alpha_hat = wrap_angle(2.0 * phi0 + np.arctan2(delta1, delta0))
+        phi_star = np.fmod(0.5 * alpha_hat + 0.25 * math.pi, math.pi)
+    else:
+        weak = False
+        alpha_hat = solve_alpha(delta0, delta1, phi0, tau_weak=tau_weak)
+        phi_star = math.fmod(0.5 * alpha_hat + 0.25 * math.pi, math.pi)
     return EqualPriorEstimate(
         alpha_hat=alpha_hat,
         phi_star=phi_star,
         delta0=delta0,
         delta1=delta1,
         shots_used=2 * shots_per_setting,
+        weak=weak,
     )

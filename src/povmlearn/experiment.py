@@ -1,25 +1,30 @@
-"""Seeded experiment harness: scenario setup, trial pipeline, result rows.
+"""Seeded experiment harness: scenario setup, the trial engine, result rows.
 
-Each trial runs generate -> learn -> classify -> score.  Randomness is
-addressed by (seed, trial, role): every trial owns a block of stream ids,
-one per role (branch draw, each measurement axis or setting in order,
-holdout), so trials are independent and reruns are byte-identical.  The
-streams' seed words are computed for up to _BLOCK_TRIALS trials at a time
-in one vectorised pass (ensemble.stream_states), shared by the cells of a
-sweep; only one block is held at a time, and the streams are exactly those
-each trial would build alone.
+A trial runs generate -> learn -> classify -> score.  The engine runs all
+rows of a run or sweep together: the library functions take arrays of
+rows, and statuses are masks (degenerate_ensemble per cell, or per row
+when an estimate has no in-plane direction; weak_signal and
+cos_theta_out_of_range per row).  A run is the one-cell sweep.
+
+Randomness follows stream layout v2: one stream per (role, draw), each
+drawing one array over all rows in row order, and every row draws from
+every stream of its scenario whatever its status (rows that report
+nothing draw with placeholder states or axes).  Row k therefore depends on
+the rows before it, never on those after it, so a run's leading rows are
+those of any shorter run with the same seed, and reruns are
+byte-identical.
 
 Ground truth (the hidden spec, the closed-form success and the oracle
-value) is fixed by a cell's parameters and is never random.  run_experiment
+value) is fixed by a cell's parameters and is never random.  The engine
 builds the case-independent part (the ensemble vector, the closed-form
 success and the oracle value) once per cell and the hidden spec once per
-(cell, case), on the first trial that needs them, and trials only sample.
+(cell, case) that occurs, and rows only sample.
 
 The two-fold scenarios share one pipeline on a Plane: unequal-prior-xz
 runs it on the x-z plane, const-z on the slice z = nz, and the scenario
 only chooses the plane.  The slice pipeline measures one extra axis (z),
-whose stream comes after the two in-plane ones, so at nz = 0 it consumes
-exactly the streams of the x-z pipeline for the corresponding
+whose streams come after the two in-plane ones, so at nz = 0 it draws
+exactly the counts of the x-z pipeline for the corresponding
 measurements.
 """
 
@@ -29,14 +34,14 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
-from povmlearn.bloch import Plane, bloch_from_state_angle, norm, plane_angle
+from povmlearn.bloch import UNIT_X, Plane, bloch_from_state_angle, plane_angle
 from povmlearn.decomposition import (
     EPS_CLAMP,
     cos_theta,
@@ -46,14 +51,9 @@ from povmlearn.decomposition import (
     mixture_targets,
     success_prob,
 )
-from povmlearn.ensemble import EnsembleSpec, RngStream, pauli_axes, stream_states
+from povmlearn.ensemble import EnsembleSpec, RngStream, stream_states
 from povmlearn.equal_prior import learn_equal_prior, povm_axis_from_phi
-from povmlearn.errors import (
-    ContractViolation,
-    CosThetaOutOfRange,
-    DegenerateEnsemble,
-    WeakSignal,
-)
+from povmlearn.errors import ContractViolation, DegenerateEnsemble
 from povmlearn.evaluate import classify_holdout, score
 from povmlearn.helstrom import success_equal_priors
 
@@ -87,32 +87,19 @@ CSV_COLUMNS = (
     "status",
 )
 
-# Stream roles within a trial's block of ids.  Measured axes take
-# consecutive slots from AXIS0 in pauli_axes order: the first and second
-# plane measurements (or the two angle settings), then the extra z
-# measurement of the constant-z pipeline; keeping the roles aligned makes
-# the nz = 0 reduction exact shot for shot.
-_SLOT_CASE = 0
-_SLOT_AXIS0 = 1
-_SLOT_AXIS1 = 2
-_SLOT_HOLDOUT = 4
-_SLOTS_PER_TRIAL = 8
-# Trials whose stream seed words are computed in one pass: 1024 streams,
-# 32 KiB of seed words.
-_BLOCK_TRIALS = 128
+# Stream layout v2: one stream per (role, draw), with stream id
+# len(_DRAWS) * (index of the role in _ROLES) + draw.  The case role draws
+# one uniform per row; a measuring role draws the label split, the label-0
+# +1 count and the label-1 +1 count (EnsembleSpec.sample).  Measured axes
+# take axis0, axis1, axis2 in pauli_axes order (or the two angle settings),
+# so the slice pipeline's extra z measurement has its own streams and the
+# nz = 0 reduction stays exact count for count.  Each stream draws one
+# array over all rows of a run or sweep, in row order.
+_ROLES = ("case", "axis0", "axis1", "axis2", "holdout")
+_DRAWS = ("split", "label0", "label1")
 
-_STATUS_OF = {
-    WeakSignal: "weak_signal",
-    DegenerateEnsemble: "degenerate_ensemble",
-    CosThetaOutOfRange: "cos_theta_out_of_range",
-}
-
-
-def _status_of(exc: Exception) -> str:
-    for cls, tag in _STATUS_OF.items():
-        if isinstance(exc, cls):
-            return tag
-    raise exc
+_OK, _OUT_OF_RANGE, _DEGENERATE, _WEAK = "ok", "cos_theta_out_of_range", "degenerate_ensemble", "weak_signal"
+_XZ = Plane.xz()
 
 
 @dataclass
@@ -175,7 +162,7 @@ class ExperimentConfig:
 @dataclass
 class TrialResult:
     """One trial's emitted row plus diagnostics kept for tests and summaries;
-    a trial names its cell-constant fields and fills the rest as it goes."""
+    fields a row's status leaves empty are None (counts 0)."""
 
     trial: int
     scenario: str
@@ -203,30 +190,6 @@ class TrialResult:
     @property
     def qubits_used(self) -> int:
         return self.shots_learn + self.shots_holdout
-
-
-class _StreamBlocks:
-    """Generators of trials [first, stop) under one seed.  Their seed words
-    are computed one block of _BLOCK_TRIALS trials at a time, counted from
-    `first`, and only the current block is held."""
-
-    def __init__(self, seed: int, first: int, stop: int):
-        self.seed, self.first, self.stop = int(seed), int(first), int(stop)
-        self._start: int | None = None
-        self._states: np.ndarray | None = None
-
-    def generator(self, trial: int, slot: int) -> np.random.Generator:
-        if not self.first <= trial < self.stop:
-            raise ContractViolation(f"trial {trial} is outside this run's trials [{self.first}, {self.stop})")
-        start = trial - (trial - self.first) % _BLOCK_TRIALS
-        if start != self._start:
-            self._states = None
-            end = min(start + _BLOCK_TRIALS, self.stop)
-            ids = np.arange(start * _SLOTS_PER_TRIAL, end * _SLOTS_PER_TRIAL, dtype=np.uint64)
-            self._states = stream_states(self.seed, ids)
-            self._start = start
-        stream_id = trial * _SLOTS_PER_TRIAL + slot
-        return RngStream(self.seed, stream_id, self._states[stream_id - start * _SLOTS_PER_TRIAL]).generator()
 
 
 def equal_prior_ensemble(alpha: float, beta: float) -> EnsembleSpec:
@@ -261,130 +224,178 @@ def two_fold_spec(n, eta0: float, theta: float, case: str, plane: Plane = Plane.
     return EnsembleSpec(eta0=eta0, eta1=eta1, psi0=pair.n0, psi1=pair.n1, plane=plane, case_tag=case)
 
 
-def _equal_prior_trial(cfg: ExperimentConfig, trial: int, truths: dict, streams: _StreamBlocks) -> TrialResult:
-    if None not in truths:
+def _role_streams(seed: int, roles: Sequence[str]) -> dict[str, tuple]:
+    """The generators of each role, by draw: one for the case role, three
+    for a measuring role.  Their seed words come from one stream_states call."""
+    draws = [1 if role == "case" else len(_DRAWS) for role in roles]
+    ids = [len(_DRAWS) * _ROLES.index(role) + d for role, k in zip(roles, draws) for d in range(k)]
+    states = stream_states(seed, np.array(ids, dtype=np.uint64))
+    gens = iter([RngStream(seed, i, words).generator() for i, words in zip(ids, states)])
+    return {role: tuple(itertools.islice(gens, k)) for role, k in zip(roles, draws)}
+
+
+def _masked(keep: list, values) -> list:
+    """values where keep is true, None elsewhere."""
+    return [v if k else None for v, k in zip(values, keep)]
+
+
+def _classify(spec: EnsembleSpec, axis: np.ndarray, cfg: ExperimentConfig, gens, analytic, scored) -> dict:
+    """Holdout columns: every row draws its holdout qubits, the scored rows
+    report them."""
+    confusion = classify_holdout(spec, axis, cfg.shots_holdout, gens)
+    report = score(confusion, analytic)
+    correct = confusion.correct
+    keep = scored.tolist()
+    return {
+        "axis": _masked(keep, axis),
+        "success_emp": _masked(keep, report.empirical_success.tolist()),
+        "z_score": _masked(keep, report.z_score.tolist()),
+        "shots_holdout": [cfg.shots_holdout if k else 0 for k in keep],
+        "swapped": _masked(keep, report.swapped.tolist()),
+        "holdout_correct": _masked(keep, np.maximum(correct, confusion.total - correct).tolist()),
+    }
+
+
+def _equal_prior_rows(cells: list[ExperimentConfig], cell_of: np.ndarray) -> dict:
+    base = cells[0]
+    streams = _role_streams(base.seed, ("axis0", "axis1", "holdout"))
+    truth = []
+    for cfg in cells:
         spec = equal_prior_ensemble(cfg.alpha, cfg.beta)
-        oracle = success_equal_priors(spec.psi0, spec.psi1)
-        truths[None] = spec, 0.5 * (1.0 + math.sin(cfg.beta)), oracle
-    row = TrialResult(
-        trial=trial,
-        scenario=cfg.scenario,
-        case=None,
-        eta0=0.5,
-        theta_true=2.0 * cfg.beta,
-        alpha_true=cfg.alpha,
-        beta_true=cfg.beta,
-        n_z=0.0,
+        analytic = 0.5 * (1.0 + math.sin(cfg.beta))
+        truth.append((spec.psi0, spec.psi1, analytic, success_equal_priors(spec.psi0, spec.psi1)))
+    psi0, psi1, analytic, oracle = (np.array(column)[cell_of] for column in zip(*truth))
+    half = np.full(len(cell_of), 0.5)
+    spec = EnsembleSpec(half, half, psi0, psi1, _XZ)
+    est = learn_equal_prior(spec, base.phi0, base.shots_learn, (streams["axis0"], streams["axis1"]))
+    # A weak row's setting is meaningless but still a unit axis, so every
+    # row classifies its holdout qubits.
+    scored = ~est.weak
+    keep = scored.tolist()
+    cell_list = cell_of.tolist()
+    return {
+        "scenario": base.scenario,
+        "case": None,
+        "eta0": 0.5,
+        "theta_true": [2.0 * cells[c].beta for c in cell_list],
+        "alpha_true": [cells[c].alpha for c in cell_list],
+        "beta_true": [cells[c].beta for c in cell_list],
+        "n_z": 0.0,
+        "alpha_hat": _masked(keep, est.alpha_hat.tolist()),
+        "success_analytic": analytic.tolist(),
+        "success_oracle": oracle.tolist(),
+        "shots_learn": est.shots_used,
+        "status": [_OK if k else _WEAK for k in keep],
+        "theta_hat": None,
+        "n_hat": None,
+        **_classify(spec, povm_axis_from_phi(est.phi_star), base, streams["holdout"], analytic, scored),
+    }
+
+
+def _two_fold_rows(cells: list[ExperimentConfig], cell_of: np.ndarray) -> dict:
+    base = cells[0]
+    trials = int(base.trials)
+    constz = base.scenario == "const-z"
+    axis_roles = ("axis0", "axis1", "axis2") if constz else ("axis0", "axis1")
+    streams = _role_streams(base.seed, ("case", *axis_roles, "holdout"))
+    case_b = streams["case"][0].random(len(cell_of)) >= 0.5
+    case_list = case_b.tolist()
+    # Truth: the case-independent part once per cell, the hidden spec once
+    # per (cell, case) that occurs.  A degenerate cell has neither, and its
+    # rows draw with a placeholder state.
+    states = np.empty((len(cells), 2, 2, 3))
+    targets = np.full((len(cells), 2), 0.5)
+    reached = np.ones(len(cells), dtype=bool)
+    for c, cfg in enumerate(cells):
+        plane = Plane.const_z(cfg.nz) if constz else _XZ
+        try:
+            vec, analytic, oracle = two_fold_cell(cfg.eta0, cfg.theta, cfg.alpha, plane)
+        except DegenerateEnsemble:
+            reached[c] = False
+            states[c] = plane.embed([math.sqrt(plane.radius_sq), 0.0])
+            continue
+        targets[c] = analytic, oracle
+        for b in set(case_list[c * trials : (c + 1) * trials]):
+            spec = two_fold_spec(vec, cfg.eta0, cfg.theta, "B" if b else "A", plane)
+            states[c, int(b)] = spec.psi0, spec.psi1
+    eta0 = np.array([cfg.eta0 for cfg in cells])[cell_of]
+    plane = Plane.const_z(np.array([cfg.nz for cfg in cells])[cell_of]) if constz else _XZ
+    psi = states[cell_of, case_b.astype(np.intp)]
+    spec = EnsembleSpec(eta0, 1.0 - eta0, psi[:, 0], psi[:, 1], plane)
+
+    axis, n_hat = learn_axis(spec, base.shots_learn, [streams[role] for role in axis_roles])
+    reached_rows = reached[cell_of]
+    scored = reached_rows & axis.any(axis=-1)
+    # The separation cosine reads the in-plane part of the estimate; the
+    # measured z of a slice is not used.  It is a diagnostic only: a row
+    # out of range still classifies along its axis.
+    u = plane.coords(n_hat)
+    cos = cos_theta(np.sqrt((u * u).sum(axis=-1)), spec.eta0, spec.eta1, tol=EPS_CLAMP, plane=plane)
+    in_range = ~np.isnan(cos)
+    reach, keep, cell_list = reached_rows.tolist(), scored.tolist(), cell_of.tolist()
+    analytic, oracle = targets[cell_of].T
+    return {
+        "scenario": base.scenario,
+        "case": ["B" if b else "A" for b in case_list],
+        "eta0": [cells[c].eta0 for c in cell_list],
+        "theta_true": [cells[c].theta for c in cell_list],
+        "alpha_true": [cells[c].alpha for c in cell_list],
+        "beta_true": None,
+        "n_z": [float(cells[c].nz) if constz else 0.0 for c in cell_list],
+        "alpha_hat": _masked(keep, plane_angle(n_hat, plane).tolist()),
+        "success_analytic": _masked(reach, analytic.tolist()),
+        "success_oracle": _masked(reach, oracle.tolist()),
+        "shots_learn": [len(axis_roles) * base.shots_learn if r else 0 for r in reach],
+        "status": [
+            (_OK if ok else _OUT_OF_RANGE) if k else _DEGENERATE for k, ok in zip(keep, in_range.tolist())
+        ],
+        "theta_hat": _masked((scored & in_range).tolist(), np.arccos(np.nan_to_num(cos)).tolist()),
+        "n_hat": _masked(keep, n_hat),
+        # A row with no learned axis classifies along the first plane axis.
+        **_classify(spec, np.where(scored[:, None], axis, UNIT_X), base, streams["holdout"], analytic, scored),
+    }
+
+
+_FIELDS = tuple(f.name for f in fields(TrialResult))
+
+
+def _simulate(cells: list[ExperimentConfig]) -> list[TrialResult]:
+    """The engine: the rows of all cells, `trials` per cell in cell order,
+    each role's streams drawing one array over them.  Nothing is kept after
+    it returns."""
+    count = len(cells) * int(cells[0].trials)
+    cell_of = np.repeat(np.arange(len(cells)), int(cells[0].trials))
+    fill = _equal_prior_rows if cells[0].scenario == "equal-prior-xz" else _two_fold_rows
+    columns = {"trial": list(range(count)), **fill(cells, cell_of)}
+    return list(
+        map(TrialResult, *(
+            columns[name] if isinstance(columns[name], list) else itertools.repeat(columns[name], count)
+            for name in _FIELDS
+        ))
     )
-    spec, row.success_analytic, row.success_oracle = truths[None]
-    gens = (streams.generator(trial, _SLOT_AXIS0), streams.generator(trial, _SLOT_AXIS1))
-    try:
-        est = learn_equal_prior(spec, cfg.phi0, cfg.shots_learn, gens)
-    except WeakSignal as exc:
-        row.status = _status_of(exc)
-        row.shots_learn = len(gens) * cfg.shots_learn
-        return row
-    row.shots_learn = est.shots_used
-    row.alpha_hat = est.alpha_hat
-    row.axis = povm_axis_from_phi(est.phi_star)
-    _classify_into(row, cfg, spec, streams.generator(trial, _SLOT_HOLDOUT))
-    return row
 
 
-def _two_fold_trial(cfg: ExperimentConfig, trial: int, truths: dict, streams: _StreamBlocks) -> TrialResult:
-    case = "A" if streams.generator(trial, _SLOT_CASE).random() < 0.5 else "B"
-    plane = Plane.const_z(cfg.nz) if cfg.scenario == "const-z" else Plane.xz()
-    row = TrialResult(
-        trial=trial,
-        scenario=cfg.scenario,
-        case=case,
-        eta0=cfg.eta0,
-        theta_true=cfg.theta,
-        alpha_true=cfg.alpha,
-        beta_true=None,
-        n_z=plane.nz,
-    )
-    try:
-        # Truth that raises is not stored: each trial of the cell retries it.
-        if None not in truths:
-            truths[None] = two_fold_cell(cfg.eta0, cfg.theta, cfg.alpha, plane)
-        if case not in truths:
-            truths[case] = two_fold_spec(truths[None][0], cfg.eta0, cfg.theta, case, plane)
-    except DegenerateEnsemble as exc:
-        row.status = _status_of(exc)
-        return row
-    _, row.success_analytic, row.success_oracle = truths[None]
-    spec = truths[case]
-    gens = [streams.generator(trial, _SLOT_AXIS0 + k) for k in range(len(pauli_axes(plane)))]
-    try:
-        axis, est = learn_axis(spec, cfg.shots_learn, gens)
-    except DegenerateEnsemble as exc:
-        row.status = _status_of(exc)
-        row.shots_learn = len(gens) * cfg.shots_learn
-        return row
-    row.shots_learn = est.shots_used
-    row.n_hat = est.n_hat
-    row.axis = axis
-    row.alpha_hat = plane_angle(est.n_hat, plane)
-    try:
-        # The separation cosine reads the in-plane part of the estimate; the
-        # measured z of a slice is not used.
-        in_plane = norm(plane.embed(plane.coords(est.n_hat), with_offset=False))
-        c = cos_theta(in_plane, cfg.eta0, cfg.eta1, tol=EPS_CLAMP, plane=plane)
-        row.theta_hat = math.acos(c)
-    except CosThetaOutOfRange as exc:
-        # Diagnostic only; the learned axis is still usable.
-        row.status = _status_of(exc)
-    _classify_into(row, cfg, spec, streams.generator(trial, _SLOT_HOLDOUT))
-    return row
-
-
-def _classify_into(row: TrialResult, cfg: ExperimentConfig, spec: EnsembleSpec, rng: np.random.Generator) -> None:
-    confusion = classify_holdout(spec, row.axis, cfg.shots_holdout, rng)
-    report = score(confusion, row.success_analytic)
-    row.shots_holdout = cfg.shots_holdout
-    row.success_emp = report.empirical_success
-    row.z_score = report.z_score
-    row.swapped = report.swapped
-    row.holdout_correct = max(confusion.correct, confusion.total - confusion.correct)
-
-
-def run_experiment(
-    config: ExperimentConfig, trial_offset: int = 0, streams: _StreamBlocks | None = None
-) -> list[TrialResult]:
-    """Run config.trials independent trials; recoverable per-trial errors are
-    recorded in the row status, never raised.  Truth is built at most once
-    per cell and per case and shared by this call's trials.  `streams`, if
-    given, must cover the trials of this call under config.seed; by
-    default the call builds its own."""
-    config.validate()
-    trial_fn = _equal_prior_trial if config.scenario == "equal-prior-xz" else _two_fold_trial
-    trials = range(trial_offset, trial_offset + int(config.trials))
-    if streams is None:
-        streams = _StreamBlocks(config.seed, trials.start, trials.stop)
-    elif streams.seed != int(config.seed):
-        raise ContractViolation(f"streams of seed {streams.seed} cannot serve seed {config.seed}")
-    truths: dict = {}
-    return [trial_fn(config, trial, truths, streams) for trial in trials]
+def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
+    """Run config.trials trials: the one-cell sweep of config.  Recoverable
+    per-row outcomes are recorded in the row status, never raised."""
+    return sweep(config, {})
 
 
 def sweep(base: ExperimentConfig, grid: dict[str, Sequence[float]]) -> list[TrialResult]:
-    """Cartesian sweep over parameter value lists, with globally unique trial
-    indices so every row draws from its own random streams.  The cells share
-    one block source, so the streams of consecutive cells are built together."""
+    """Cartesian sweep over parameter value lists, base.trials rows per cell
+    in cell order, with globally unique trial indices.  All cells draw from
+    the same role streams, one array per stream over every row."""
     keys = [k for k in SWEEP_KEYS if k in grid]
     unknown = set(grid) - set(keys)
     if unknown:
         raise ContractViolation(f"cannot sweep over {sorted(unknown)}")
-    combos = list(itertools.product(*(grid[k] for k in keys)))
-    streams = _StreamBlocks(base.seed, 0, len(combos) * int(base.trials))
-    rows: list[TrialResult] = []
-    offset = 0
-    for combo in combos:
-        cfg = replace(base, **{k: float(v) for k, v in zip(keys, combo)})
-        rows.extend(run_experiment(cfg, trial_offset=offset, streams=streams))
-        offset += int(cfg.trials)
-    return rows
+    cells = [
+        replace(base, **{k: float(v) for k, v in zip(keys, combo)})
+        for combo in itertools.product(*(grid[k] for k in keys))
+    ]
+    for cfg in cells:
+        cfg.validate()
+    return _simulate(cells) if cells else []
 
 
 def summarize(rows: Sequence[TrialResult]) -> dict:

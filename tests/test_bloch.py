@@ -19,11 +19,11 @@ from povmlearn.bloch import (
     norm,
     perp_in_plane,
     plane_angle,
-    prob_plus,
+    prob_plus_unchecked,
     rotate_in_plane,
     wrap_angle,
 )
-from povmlearn.ensemble import EnsembleSpec, estimate_pauli
+from povmlearn.ensemble import EnsembleSpec, pauli_axes
 from povmlearn.errors import ContractViolation, DegenerateEnsemble
 
 from helpers import circ_diff
@@ -47,7 +47,14 @@ class TestStateAngle:
         assert abs(norm(bloch_from_state_angle(g)) - 1.0) <= 1e-12
 
 
+def prob_plus(s, n):
+    return prob_plus_unchecked(np.asarray(s, dtype=float), np.asarray(n, dtype=float))
+
+
 class TestProbPlus:
+    """The +1 probability; the checks on its inputs live where the axis and
+    the state enter: EnsembleSpec.sample and the EnsembleSpec constructor."""
+
     def test_eigenstate(self):
         assert prob_plus([0, 0, 1], [0, 0, 1]) == 1.0
 
@@ -58,17 +65,20 @@ class TestProbPlus:
         assert prob_plus([0, 1, 0], [0, 0.6, 0.6]) == pytest.approx(0.8, abs=1e-12)
 
     def test_nonunit_axis_rejected(self):
-        with pytest.raises(ContractViolation):
-            prob_plus([0, 0, 0.5], [0, 0, 1])
+        spec = EnsembleSpec(0.5, 0.5, [0, 0, 1], [0, 0, 1], Plane.xz())
+        with pytest.raises(ContractViolation, match="unit length"):
+            spec.sample([0, 0, 0.5], 10, np.random.default_rng(0))
 
     def test_unphysical_state_rejected(self):
-        with pytest.raises(ContractViolation):
-            prob_plus([0, 0, 1], [0, 0, 1.5])
+        with pytest.raises(ContractViolation, match="pure"):
+            EnsembleSpec(0.5, 0.5, [0, 0, 1.5], [0, 0, 1], Plane.xz())
 
     def test_exact_complement_on_geometric_inputs(self):
         # The +1 and -1 outcome probabilities must sum to 1 exactly for
-        # geometry produced the way the library produces it.
+        # geometry produced the way the library produces it, one pair at a
+        # time and row by row.
         rng = np.random.default_rng(4242)
+        axes, states = [], []
         for _ in range(2000):
             a = rng.uniform(0.0, 2 * math.pi)
             s = np.array([math.cos(a), 0.0, math.sin(a)])
@@ -76,6 +86,10 @@ class TestProbPlus:
             b = rng.uniform(0.0, 2 * math.pi)
             n = np.array([r * math.cos(b), 0.0, r * math.sin(b)])
             assert prob_plus(s, n) + prob_plus(-s, n) == 1.0
+            axes.append(s)
+            states.append(n)
+        axes, states = np.array(axes), np.array(states)
+        assert np.all(prob_plus(axes, states) + prob_plus(-axes, states) == 1.0)
 
 
 class TestWrapAngle:
@@ -209,13 +223,68 @@ class TestNorm:
 
 class TestUnitVectors:
     def test_read_only_through_measured_batches(self):
-        # Every Pauli batch carries one of the module's unit vectors as its
-        # axis; a write through it must not rewrite the axis for the process.
-        spec = EnsembleSpec(0.5, 0.5, [0, 0, 1], [1, 0, 0], Plane.xz())
-        est = estimate_pauli(spec, 10, np.random.default_rng(0))
-        assert est.batches[0].axis is UNIT_X
-        with pytest.raises(ValueError):
-            est.batches[0].axis[0] = 2.0
+        # Every Pauli measurement is made along one of the module's unit
+        # vectors; a write through it must not rewrite the axis for the process.
+        for plane in (Plane.xz(), Plane.const_z(0.3)):
+            axes = pauli_axes(plane)
+            assert axes[0] is UNIT_X
+            with pytest.raises(ValueError):
+                axes[0][0] = 2.0
         assert UNIT_X.tolist() == [1.0, 0.0, 0.0]
         for unit in (UNIT_X, UNIT_Y, UNIT_Z):
             assert not unit.flags.writeable
+
+
+class TestRows:
+    """The geometry functions take one vector per row; each row gets what a
+    call on that vector alone gives."""
+
+    def vectors(self, plane, count=50, seed=8):
+        rng = np.random.default_rng(seed)
+        radius = math.sqrt(plane.radius_sq)
+        u = rng.uniform(-radius, radius, size=(count, 2)) / math.sqrt(2.0)
+        u[3] = 0.0  # a row with no in-plane direction
+        return plane.embed(u)
+
+    @pytest.mark.parametrize("plane", [Plane.xz(), Plane.const_z(0.35)], ids=["xz", "constz"])
+    def test_perp_and_angle_match_one_at_a_time(self, plane):
+        v = self.vectors(plane)
+        perp, angle = perp_in_plane(v, plane), plane_angle(v, plane)
+        for k, row in enumerate(v):
+            if k == 3:
+                with pytest.raises(DegenerateEnsemble):
+                    perp_in_plane(row, plane)
+                assert not perp[k].any()
+                continue
+            assert perp[k].tolist() == perp_in_plane(row, plane).tolist()
+            assert angle[k] == pytest.approx(plane_angle(row, plane), abs=1e-15)
+
+    def test_plane_with_one_offset_per_row(self):
+        nz = np.array([-0.5, 0.0, 0.7])
+        plane = Plane.const_z(nz)
+        u = np.array([[0.1, 0.2], [0.3, -0.4], [0.0, 0.5]])
+        v = plane.embed(u)
+        assert v[:, 2].tolist() == nz.tolist()
+        assert plane.coords(v).tolist() == u.tolist()
+        assert plane.contains(v)
+        assert not plane.contains(v[::-1])
+        assert plane.embed(u, with_offset=False)[:, 2].tolist() == [0.0, 0.0, 0.0]
+        assert plane.radius_sq.tolist() == (1.0 - nz * nz).tolist()
+        with pytest.raises(ContractViolation):
+            Plane.const_z(np.array([0.2, 1.0]))
+
+    def test_check_unit_checks_every_row(self):
+        rows = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        assert check_unit(rows) is not None
+        for bad in ([0.0, 0.5, 0.0], [math.nan, 0.0, 0.0]):
+            with pytest.raises(ContractViolation, match="probe"):
+                check_unit(np.vstack([rows, bad]), "probe")
+        with pytest.raises(ContractViolation):
+            check_unit([math.nan, 0.0, 0.0])
+
+    def test_wrap_angle_and_state_angle_match_one_at_a_time(self):
+        a = np.linspace(-20.0, 20.0, 81)
+        assert wrap_angle(a).tolist() == [wrap_angle(x) for x in a.tolist()]
+        rows = bloch_from_state_angle(a)
+        for g, row in zip(a.tolist(), rows):
+            assert row.tolist() == pytest.approx(bloch_from_state_angle(g).tolist(), abs=1e-15)

@@ -9,15 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmlearn.bloch import Plane, bloch_from_state_angle
-from povmlearn.ensemble import (
-    EnsembleSpec,
-    RngStream,
-    ShotBatch,
-    ensemble_bloch,
-    estimate_pauli,
-    measure_shots,
-    stream_states,
-)
+from povmlearn.decomposition import ensemble_vector
+from povmlearn.ensemble import EnsembleSpec, RngStream, estimate_pauli, stream_states
 from povmlearn.errors import ContractViolation
 
 
@@ -29,6 +22,32 @@ def xz_spec(eta0=0.5, g0=0.3, g1=1.1):
         psi1=bloch_from_state_angle(g1),
         plane=Plane.xz(),
     )
+
+
+def batch(spec, count):
+    """The spec repeated on `count` rows."""
+    rows = np.full(count, spec.eta0)
+    return EnsembleSpec(rows, 1.0 - rows, np.tile(spec.psi0, (count, 1)), np.tile(spec.psi1, (count, 1)), spec.plane)
+
+
+class SplitRecorder:
+    """Stands in for the label-split generator and records each draw's shots."""
+
+    def __init__(self, gen):
+        self.gen, self.shots = gen, []
+
+    def binomial(self, n, p):
+        self.shots.append(n)
+        return self.gen.binomial(n, p)
+
+
+def recorded(seed, axes):
+    """Per-axis (split, label-0, label-1) triples whose split draws are recorded."""
+    entries = []
+    for k in range(axes):
+        g = RngStream(seed, k).generator()
+        entries.append((SplitRecorder(g), g, g))
+    return entries
 
 
 class TestEnsembleSpec:
@@ -73,34 +92,85 @@ class TestEnsembleSpec:
         psi0[2] = -1.0
         assert spec.psi0[2] == 1.0
 
+    def test_batch_checks_every_row(self):
+        rows = batch(xz_spec(eta0=0.7), 4)
+        assert rows.eta0.tolist() == [0.7] * 4 and rows.psi0.shape == (4, 3)
+        assert not rows.psi0.flags.writeable and not rows.eta0.flags.writeable
+        bad_state = rows.psi1.copy()
+        bad_state[2] = [0.0, 0.0, 0.9]
+        with pytest.raises(ContractViolation, match="pure"):
+            EnsembleSpec(rows.eta0, rows.eta1, rows.psi0, bad_state, Plane.xz())
+        bad_state[2] = [0.0, 1.0, 0.0]
+        with pytest.raises(ContractViolation, match="plane"):
+            EnsembleSpec(rows.eta0, rows.eta1, rows.psi0, bad_state, Plane.xz())
+        with pytest.raises(ContractViolation, match="priors"):
+            EnsembleSpec(rows.eta0, rows.eta0, rows.psi0, rows.psi1, Plane.xz())
+        with pytest.raises(ContractViolation, match="shape"):
+            EnsembleSpec(rows.eta0, rows.eta1, rows.psi0[:3], rows.psi1, Plane.xz())
+        with pytest.raises(ContractViolation, match="nonempty"):
+            EnsembleSpec(rows.eta0[:0], rows.eta1[:0], rows.psi0[:0], rows.psi1[:0], Plane.xz())
+
 
 class TestSample:
-    def test_matches_measure_shots_draw_for_draw(self):
+    def test_batch_of_one_matches_single_draw_for_draw(self):
+        # One generator takes the three draws in order, whether they are
+        # numbers or arrays of one row.
         spec = xz_spec(eta0=0.7)
-        k0, c0_plus, c1_plus = spec.sample([1, 0, 0], 1000, RngStream(5, 3).generator())
-        batch = measure_shots(spec, [1, 0, 0], 1000, RngStream(5, 3).generator())
-        assert batch.n_plus == c0_plus + c1_plus
+        single = spec.sample([1, 0, 0], 1000, RngStream(5, 3).generator())
+        rows = batch(spec, 1).sample([1, 0, 0], 1000, RngStream(5, 3).generator())
+        assert [int(x[0]) for x in rows] == list(single)
+        k0, c0_plus, c1_plus = single
         assert 0 <= c0_plus <= k0 and 0 <= c1_plus <= 1000 - k0
+
+    def test_rows_draw_in_row_order_from_per_draw_streams(self):
+        # With one stream per draw, each draws one array in row order, so the
+        # leading rows of a batch are a shorter batch, along one axis or one
+        # axis per row.
+        spec = xz_spec(eta0=0.6)
+        axes = bloch_from_state_angle(np.linspace(0.0, 3.0, 8))
+
+        def streams():
+            return tuple(RngStream(9, k).generator() for k in range(3))
+
+        for axis in (axes, axes[0]):
+            long = batch(spec, 8).sample(axis, 500, streams())
+            short = batch(spec, 5).sample(axis if axis.ndim == 1 else axis[:5], 500, streams())
+            assert [x[:5].tolist() for x in long] == [x.tolist() for x in short]
 
     def test_rejects_nonunit_axis_and_empty_batch(self):
         with pytest.raises(ContractViolation, match="probe axis"):
             xz_spec().sample([0.5, 0, 0], 10, RngStream(0).generator(), what="probe axis")
         with pytest.raises(ContractViolation):
             xz_spec().sample([1, 0, 0], 0, RngStream(0).generator())
+        with pytest.raises(ContractViolation, match="3 per-draw"):
+            xz_spec().sample([1, 0, 0], 10, [RngStream(0).generator()] * 2)
 
 
 class TestEnsembleBloch:
+    """decomposition.ensemble_vector is the Bloch vector eta0 psi0 + eta1 psi1
+    of the ensemble density matrix."""
+
+    @staticmethod
+    def average(spec):
+        return spec.eta0 * spec.psi0 + spec.eta1 * spec.psi1
+
     def test_antipodal_average(self):
         spec = EnsembleSpec(0.5, 0.5, [0, 0, 1], [0, 0, -1], Plane.xz())
-        assert np.allclose(ensemble_bloch(spec), [0, 0, 0], atol=1e-15)
+        n, r = ensemble_vector(0.5, math.pi, 0.3)
+        assert r == 0.0
+        assert np.allclose(n, self.average(spec), atol=1e-15)
 
     def test_even_average(self):
         spec = EnsembleSpec(0.5, 0.5, [1, 0, 0], [0, 0, 1], Plane.xz())
-        assert np.allclose(ensemble_bloch(spec), [0.5, 0, 0.5], atol=1e-15)
+        n, _ = ensemble_vector(0.5, math.pi / 2, math.pi / 4)
+        assert np.allclose(n, self.average(spec), atol=1e-15)
+        assert np.allclose(n, [0.5, 0, 0.5], atol=1e-15)
 
     def test_weighted_average(self):
         spec = EnsembleSpec(0.7, 0.3, [1, 0, 0], [0, 0, 1], Plane.xz())
-        assert np.allclose(ensemble_bloch(spec), [0.7, 0, 0.3], atol=1e-15)
+        n, _ = ensemble_vector(0.7, math.pi / 2, math.atan2(0.3, 0.7))
+        assert np.allclose(n, self.average(spec), atol=1e-15)
+        assert np.allclose(n, [0.7, 0, 0.3], atol=1e-15)
 
 
 class TestRngStream:
@@ -188,91 +258,85 @@ class TestStreamStates:
 
 
 class TestMeasureShots:
+    """EnsembleSpec.sample and expectation: one measurement batch per row."""
+
     def test_eigenstate_all_plus(self):
         spec = EnsembleSpec(1.0, 0.0, [0, 0, 1], [1, 0, 0], Plane.xz())
-        batch = measure_shots(spec, [0, 0, 1], 100, RngStream(1).generator())
-        assert batch.n_plus == 100 and batch.n_minus == 0
+        k0, c0_plus, c1_plus = spec.sample([0, 0, 1], 100, RngStream(1).generator())
+        assert (k0, c0_plus, c1_plus) == (100, 100, 0)
+        assert spec.expectation([0, 0, 1], 100, RngStream(1).generator()) == 1.0
 
     def test_symmetric_axis_is_chance_level(self):
-        spec = xz_spec()
-        batch = measure_shots(spec, [0, 1, 0], 100_000, RngStream(2).generator())
-        assert abs(batch.mean) <= 5 * math.sqrt(1.0 / batch.total)
+        mean = xz_spec().expectation([0, 1, 0], 100_000, RngStream(2).generator())
+        assert abs(mean) <= 5 * math.sqrt(1.0 / 100_000)
 
     def test_counts_sum_to_total(self):
-        batch = measure_shots(xz_spec(), [1, 0, 0], 997, RngStream(3).generator())
-        assert batch.n_plus + batch.n_minus == batch.total == 997
+        k0, c0_plus, c1_plus = batch(xz_spec(), 50).sample([1, 0, 0], 997, RngStream(3).generator())
+        assert np.all((0 <= k0) & (k0 <= 997))
+        assert np.all((0 <= c0_plus) & (c0_plus <= k0))
+        assert np.all((0 <= c1_plus) & (c1_plus <= 997 - k0))
 
     def test_frequency_matches_two_term_mixture(self):
         # Brute-force oracle: the +1 frequency converges to the prior-weighted
-        # sum of the two per-state outcome probabilities.
+        # sum of the two per-state outcome probabilities, on every row.
         spec = xz_spec(eta0=0.7, g0=0.2, g1=1.3)
         axis = bloch_from_state_angle(0.9)
         p = 0.7 * (0.5 + 0.5 * math.cos(0.9 - 0.2)) + 0.3 * (0.5 + 0.5 * math.cos(0.9 - 1.3))
-        hits = 0
-        for seed in range(100):
-            batch = measure_shots(spec, axis, 10_000, RngStream(seed, 0).generator())
-            if abs(batch.n_plus / batch.total - p) <= 5 * math.sqrt(p * (1 - p) / batch.total):
-                hits += 1
-        assert hits >= 99
+        _, c0_plus, c1_plus = batch(spec, 100).sample(axis, 10_000, RngStream(0, 0).generator())
+        freq = (c0_plus + c1_plus) / 10_000
+        assert np.sum(np.abs(freq - p) <= 5 * math.sqrt(p * (1 - p) / 10_000)) >= 99
 
     def test_determinism(self):
-        spec = xz_spec()
-        a = measure_shots(spec, [1, 0, 0], 1000, RngStream(5, 2).generator())
-        b = measure_shots(spec, [1, 0, 0], 1000, RngStream(5, 2).generator())
-        assert a.n_plus == b.n_plus
+        spec = batch(xz_spec(), 6)
+        a = spec.sample([1, 0, 0], 1000, RngStream(5, 2).generator())
+        b = spec.sample([1, 0, 0], 1000, RngStream(5, 2).generator())
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_shots_must_be_positive(self):
         with pytest.raises(ContractViolation):
-            measure_shots(xz_spec(), [1, 0, 0], 0, RngStream(0).generator())
+            xz_spec().expectation([1, 0, 0], 0, RngStream(0).generator())
 
     def test_nonunit_axis_rejected(self):
         with pytest.raises(ContractViolation):
-            measure_shots(xz_spec(), [0.5, 0, 0], 10, RngStream(0).generator())
-
-
-class TestShotBatch:
-    def test_count_consistency_enforced(self):
+            xz_spec().expectation([0.5, 0, 0], 10, RngStream(0).generator())
+        axes = np.array([[1.0, 0, 0], [0.5, 0, 0]])
         with pytest.raises(ContractViolation):
-            ShotBatch(axis=np.array([1.0, 0, 0]), n_plus=3, n_minus=3, total=7)
-
-    def test_mean(self):
-        batch = ShotBatch(axis=np.array([1.0, 0, 0]), n_plus=75, n_minus=25, total=100)
-        assert batch.mean == pytest.approx(0.5, abs=1e-15)
+            batch(xz_spec(), 2).expectation(axes, 10, RngStream(0).generator())
 
 
 class TestEstimatePauli:
     def test_pure_z_ensemble_is_exact(self):
         spec = EnsembleSpec(0.5, 0.5, [0, 0, 1], [0, 0, 1], Plane.xz())
-        est = estimate_pauli(spec, 500, RngStream(0).generator())
-        assert est.n_hat[2] == 1.0
+        n_hat = estimate_pauli(spec, 500, RngStream(0).generator())
+        assert n_hat[2] == 1.0
+        assert estimate_pauli(batch(spec, 3), 500, RngStream(0).generator())[:, 2].tolist() == [1.0] * 3
 
     def test_xz_estimate_zeroes_y(self):
-        est = estimate_pauli(xz_spec(), 1000, RngStream(1).generator())
-        assert est.n_hat[1] == 0.0
-        assert est.shots_used == 2000
+        gens = recorded(1, 2)
+        n_hat = estimate_pauli(xz_spec(), 1000, gens)
+        assert n_hat[1] == 0.0
+        assert [g[0].shots for g in gens] == [[1000], [1000]]
+        assert np.all(estimate_pauli(batch(xz_spec(), 4), 1000, RngStream(1).generator())[:, 1] == 0.0)
 
     def test_constz_measures_three_axes(self):
         plane = Plane.const_z(0.4)
         r = math.sqrt(1 - 0.16)
         spec = EnsembleSpec(0.5, 0.5, [r, 0, 0.4], [0, r, 0.4], plane)
-        est = estimate_pauli(spec, 1000, RngStream(2).generator())
-        assert est.shots_used == 3000
-        assert len(est.batches) == 3
+        gens = recorded(2, 3)
+        n_hat = estimate_pauli(spec, 1000, gens)
+        assert n_hat.shape == (3,)
+        assert [g[0].shots for g in gens] == [[1000]] * 3
 
     def test_component_error_bound(self):
         spec = xz_spec(eta0=0.5, g0=0.3, g1=1.1)
-        n = ensemble_bloch(spec)
-        hits = 0
-        for seed in range(100):
-            est = estimate_pauli(spec, 10_000, RngStream(seed, 1).generator())
-            if float(np.max(np.abs(est.n_hat - n))) <= 5.0 / math.sqrt(10_000):
-                hits += 1
-        assert hits >= 99
+        n = spec.eta0 * spec.psi0 + spec.eta1 * spec.psi1
+        n_hat = estimate_pauli(batch(spec, 100), 10_000, RngStream(0, 1).generator())
+        assert np.sum(np.max(np.abs(n_hat - n), axis=1) <= 5.0 / math.sqrt(10_000)) >= 99
 
     def test_large_shot_limit(self):
         spec = xz_spec(eta0=0.65, g0=0.2, g1=1.4)
-        est = estimate_pauli(spec, 10_000_000, RngStream(9).generator())
-        assert float(np.max(np.abs(est.n_hat - ensemble_bloch(spec)))) <= 2e-3
+        n_hat = estimate_pauli(spec, 10_000_000, RngStream(9).generator())
+        assert float(np.max(np.abs(n_hat - (spec.eta0 * spec.psi0 + spec.eta1 * spec.psi1)))) <= 2e-3
 
     def test_per_axis_generators(self):
         spec = xz_spec()
@@ -280,12 +344,13 @@ class TestEstimatePauli:
         est1 = estimate_pauli(spec, 1000, gens)
         gens = [RngStream(3, 10).generator(), RngStream(3, 11).generator()]
         est2 = estimate_pauli(spec, 1000, gens)
-        assert np.array_equal(est1.n_hat, est2.n_hat)
+        assert np.array_equal(est1, est2)
 
     def test_wrong_generator_count_rejected(self):
         with pytest.raises(ContractViolation):
             estimate_pauli(xz_spec(), 100, [RngStream(0).generator()])
 
     def test_budget_accounting_is_exact(self):
-        est = estimate_pauli(xz_spec(), 1234, RngStream(4).generator())
-        assert est.shots_used == sum(b.total for b in est.batches) == 2 * 1234
+        gens = recorded(4, 2)
+        estimate_pauli(batch(xz_spec(), 3), 1234, gens)
+        assert sum(sum(g[0].shots) for g in gens) == 2 * 1234

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmlearn.bloch import Plane, bloch_from_state_angle, perp_in_plane
-from povmlearn.ensemble import EnsembleSpec, RngStream, ensemble_bloch
+from povmlearn.ensemble import EnsembleSpec, RngStream
 from povmlearn.equal_prior import (
     delta_analytic,
-    estimate_delta,
     learn_equal_prior,
     povm_axis_from_phi,
     solve_alpha,
@@ -93,6 +92,11 @@ class TestSolveAlpha:
         assert circ_diff(solve_alpha(d0, d1, phi0), alpha) <= 1e-9
 
 
+def estimate_delta(spec, phi, shots, rng):
+    """Empirical detector difference at setting phi."""
+    return spec.expectation(povm_axis_from_phi(phi), shots, rng)
+
+
 class TestEstimateDelta:
     def test_orthogonal_states_give_zero_expectation(self):
         spec = equal_prior_ensemble(0.9, math.pi / 2)
@@ -139,7 +143,7 @@ class TestLearnEqualPrior:
         spec = equal_prior_ensemble(2.2, 0.6)
         est = learn_equal_prior(spec, 0.1, 5_000_000, self.gens(8))
         axis = povm_axis_from_phi(est.phi_star)
-        perp = perp_in_plane(ensemble_bloch(spec), Plane.xz())
+        perp = perp_in_plane(0.5 * (spec.psi0 + spec.psi1), Plane.xz())
         assert min(np.linalg.norm(axis - perp), np.linalg.norm(axis + perp)) <= 5e-3
 
     def test_weak_signal_near_orthogonal_states(self):
@@ -159,6 +163,33 @@ class TestLearnEqualPrior:
         spec = EnsembleSpec(0.5, 0.5, [1, 0, 0], [0, 1, 0], plane)
         with pytest.raises(ContractViolation):
             learn_equal_prior(spec, 0.0, 100, self.gens(11))
+
+
+class TestLearnRows:
+    """A batch of ensembles learns one setting per row, as each ensemble
+    alone would, and marks weak rows instead of raising."""
+
+    def rows(self, alphas, beta):
+        specs = [equal_prior_ensemble(a, beta) for a in alphas]
+        half = np.full(len(specs), 0.5)
+        return EnsembleSpec(half, half, [s.psi0 for s in specs], [s.psi1 for s in specs], Plane.xz())
+
+    def test_batch_of_one_matches_single(self):
+        one = learn_equal_prior(equal_prior_ensemble(2.2, 0.6), 0.1, 20_000, TestLearnEqualPrior().gens(4))
+        rows = learn_equal_prior(self.rows([2.2], 0.6), 0.1, 20_000, TestLearnEqualPrior().gens(4))
+        assert (rows.delta0[0], rows.delta1[0]) == (one.delta0, one.delta1)
+        assert rows.alpha_hat[0] == pytest.approx(one.alpha_hat, abs=1e-15)
+        assert rows.phi_star[0] == pytest.approx(one.phi_star, abs=1e-15)
+        assert not rows.weak[0] and rows.shots_used == one.shots_used
+
+    def test_rows_learn_their_own_angle_and_mark_weak_rows(self):
+        alphas = [0.5, 2.4, 4.0, 5.9]
+        est = learn_equal_prior(self.rows(alphas, 0.5), 0.3, 1_000_000, TestLearnEqualPrior().gens(5))
+        assert all(circ_diff(a, b) <= 1e-2 for a, b in zip(est.alpha_hat.tolist(), alphas))
+        assert not est.weak.any()
+        weak = learn_equal_prior(self.rows([1.0] * 20, 1.45), 0.0, 400, TestLearnEqualPrior().gens(9))
+        assert weak.weak.any()
+        assert np.all(weak.weak == (np.maximum(np.abs(weak.delta0), np.abs(weak.delta1)) <= 3.0 / 20.0))
 
 
 class TestWeakSignalThreshold:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from povmlearn.bloch import Plane, bloch_from_state_angle, perp_in_plane
-from povmlearn.ensemble import EnsembleSpec, RngStream, ensemble_bloch
+from povmlearn.ensemble import EnsembleSpec, RngStream
 from povmlearn.errors import ContractViolation
-from povmlearn.evaluate import ConfusionMatrix, classify_holdout, score
+from povmlearn.evaluate import ConfusionMatrix, classify_holdout, folded_success, score
 from povmlearn.helstrom import helstrom
 
 
@@ -35,8 +35,16 @@ class TestConfusionMatrix:
         assert cm.correct == 85
 
     def test_swap(self):
-        cm = ConfusionMatrix(np.array([[40, 10], [5, 45]])).swap_predictions()
+        # Swapping the predicted labels (the columns) swaps correct and wrong.
+        cm = ConfusionMatrix(np.array([[40, 10], [5, 45]])[:, ::-1])
         assert cm.correct == 15
+
+    def test_rows(self):
+        cm = ConfusionMatrix(np.array([[[40, 10], [5, 45]], [[1, 2], [3, 4]]]))
+        assert cm.total.tolist() == [100, 10]
+        assert cm.correct.tolist() == [85, 5]
+        with pytest.raises(ContractViolation):
+            ConfusionMatrix(np.zeros((0, 2, 2)))
 
 
 class TestClassifyHoldout:
@@ -48,7 +56,7 @@ class TestClassifyHoldout:
 
     def test_identical_states_are_chance_level(self):
         spec = equal_spec(beta=0.0)
-        axis = perp_in_plane(ensemble_bloch(spec), Plane.xz())
+        axis = perp_in_plane(spec.psi0, Plane.xz())
         cm = classify_holdout(spec, axis, 100_000, RngStream(1).generator())
         assert abs(cm.correct / cm.total - 0.5) <= 5 * math.sqrt(0.25 / cm.total)
 
@@ -108,7 +116,7 @@ class TestScore:
         # swapped matrix must agree in empirical success and z-score.
         cm = ConfusionMatrix(np.array([[40, 10], [5, 45]]))
         a = score(cm, 0.8)
-        b = score(cm.swap_predictions(), 0.8)
+        b = score(ConfusionMatrix(cm.counts[:, ::-1]), 0.8)
         assert a.empirical_success == b.empirical_success
         assert a.z_score == b.z_score
         assert a.swapped != b.swapped
@@ -118,7 +126,61 @@ class TestScore:
             score(ConfusionMatrix(np.array([[1, 0], [0, 1]])), float("nan"))
 
     def test_z_score_magnitude(self):
-        # 60% empirical against a 50% target over 100 draws is exactly 2 sigma.
+        # 60% empirical against a 50% target over 100 draws: the folded
+        # success max(X, 1 - X) at p = 1/2 is 1/2 + a half-normal of scale
+        # sigma = 0.05, with mean sigma sqrt(2/pi) and sd sigma sqrt(1 - 2/pi).
         cm = ConfusionMatrix(np.array([[30, 20], [20, 30]]))
         report = score(cm, 0.5)
-        assert report.z_score == pytest.approx(2.0, abs=1e-12)
+        expected = (0.1 - 0.05 * math.sqrt(2 / math.pi)) / (0.05 * math.sqrt(1 - 2 / math.pi))
+        assert report.z_score == pytest.approx(expected, abs=1e-12)
+
+
+class TestFoldedSuccess:
+    def test_half_normal_at_chance(self):
+        mean, sd = folded_success(0.5, 100)
+        assert mean == pytest.approx(0.5 + 0.05 * math.sqrt(2 / math.pi), abs=1e-15)
+        assert sd == pytest.approx(0.05 * math.sqrt(1 - 2 / math.pi), abs=1e-15)
+
+    def test_far_from_chance_is_the_unfolded_normal(self):
+        mean, sd = folded_success(0.75, 10_000)
+        assert mean == 0.75
+        assert sd == pytest.approx(math.sqrt(0.75 * 0.25 / 10_000), rel=1e-9)
+
+    def test_matches_a_numerical_fold(self):
+        # Against the folded normal's moments integrated on a fine grid.
+        for p, n in [(0.5, 400), (0.505, 10_000), (0.52, 1000), (0.3, 50)]:
+            sigma = math.sqrt(p * (1 - p) / n)
+            x = np.linspace(p - 12 * sigma, p + 12 * sigma, 200_001)
+            w = np.exp(-0.5 * ((x - p) / sigma) ** 2)
+            w /= w.sum()
+            folded = np.maximum(x, 1 - x)
+            mean = float((w * folded).sum())
+            sd = math.sqrt(float((w * (folded - mean) ** 2).sum()))
+            got = folded_success(p, n)
+            assert got[0] == pytest.approx(mean, abs=1e-9)
+            assert got[1] == pytest.approx(sd, rel=1e-6)
+
+    def test_zero_variance(self):
+        assert folded_success(1.0, 10) == (1.0, 0.0)
+        assert folded_success(0.0, 10) == (1.0, 0.0)
+
+
+class TestScoreRows:
+    def test_rows_match_one_at_a_time(self):
+        counts = np.array([[[30, 20], [20, 30]], [[40, 10], [5, 45]], [[0, 50], [50, 0]], [[37, 13], [12, 38]]])
+        targets = [0.5, 0.8, 1.0, 0.8]
+        rows = score(ConfusionMatrix(counts), targets)
+        for k, (c, p) in enumerate(zip(counts, targets)):
+            one = score(ConfusionMatrix(c), p)
+            assert rows.empirical_success[k] == one.empirical_success
+            assert rows.z_score[k] == one.z_score
+            assert rows.swapped[k] == one.swapped
+
+    def test_classify_rows(self):
+        spec = equal_spec(beta=0.4)
+        rows = EnsembleSpec(np.full(3, 0.5), np.full(3, 0.5), np.tile(spec.psi0, (3, 1)), np.tile(spec.psi1, (3, 1)),
+                            Plane.xz())
+        axes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+        cm = classify_holdout(rows, axes, 500, RngStream(4, 9).generator())
+        assert cm.counts.shape == (3, 2, 2)
+        assert cm.total.tolist() == [500] * 3

@@ -201,13 +201,6 @@ class TestRunExperiment:
             assert r.success_oracle == 0.5
             assert abs(r.success_emp - 0.5) <= 0.05
 
-    def test_trial_offset_shifts_streams(self):
-        cfg = ExperimentConfig(scenario="equal-prior-xz", **BASE)
-        plain = run_experiment(cfg)
-        shifted = run_experiment(cfg, trial_offset=4)
-        assert [r.trial for r in shifted] == [4, 5, 6, 7]
-        assert plain[0].success_emp != shifted[0].success_emp
-
 
 def count_calls(monkeypatch, name):
     """Wrap povmlearn.experiment.<name> and return its list of call args."""
@@ -263,13 +256,16 @@ class TestTruthOncePerCell:
         )
         rows = run_experiment(cfg)
         assert all(r.status == "degenerate_ensemble" for r in rows)
-        assert len(calls) == 3
+        # Once per cell: the engine asks for a cell's truth once, and the
+        # failure marks every row of the cell.
+        assert len(calls) == 1
 
 
 class TestValidateOnce:
-    """Specs are validated when built, so a trial checks only the axes it
+    """Specs are validated when built, so a row checks only the axes it
     measures along: one unit check per learning axis or setting, one for
-    the holdout axis."""
+    the holdout axis.  A check covers all rows at once, so the count is of
+    the rows checked."""
 
     @pytest.mark.parametrize(
         "scenario, per_trial", [("equal-prior-xz", 3), ("unequal-prior-xz", 3), ("const-z", 4)]
@@ -278,9 +274,9 @@ class TestValidateOnce:
         calls = []
         real = bloch.check_unit
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counted(v, *args, **kwargs):
+            calls.extend(np.atleast_2d(v))
+            return real(v, *args, **kwargs)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("povmlearn") and getattr(module, "check_unit", None) is real:
@@ -292,72 +288,87 @@ class TestValidateOnce:
         assert len(calls) == per_trial * len(rows)
 
 
-def streams_built_alone(self, trial, slot):
-    """Stand-in for _StreamBlocks.generator that builds each stream on its
-    own, straight from numpy's SeedSequence."""
-    stream_id = trial * experiment._SLOTS_PER_TRIAL + slot
-    return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(stream_id,)))
+def streams_built_alone(seed, roles):
+    """Stand-in for experiment._role_streams that builds each stream on its
+    own, straight from numpy's SeedSequence, at its layout-v2 id:
+    3 * role index + draw, for the roles case, axis0, axis1, axis2, holdout."""
+    order = ("case", "axis0", "axis1", "axis2", "holdout")
+    return {
+        role: tuple(
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3 * order.index(role) + draw,)))
+            for draw in range(1 if role == "case" else 3)
+        )
+        for role in roles
+    }
 
 
 SMALL = dict(shots_learn=300, shots_holdout=100, seed=11)
+SCENARIO_CELLS = {
+    "equal-prior-xz": dict(scenario="equal-prior-xz"),
+    "unequal-prior-xz": dict(scenario="unequal-prior-xz", eta0=0.6),
+    "const-z": dict(scenario="const-z", eta0=0.6, nz=0.3),
+}
 
 
-class TestStreamBlocks:
-    """A run computes its streams' seed words one block of trials at a time:
-    the streams are those each trial builds alone, a sweep's cells share the
-    blocks, and only one block is held at a time."""
+class TestStreamLayout:
+    """Layout v2: one stream per (role, draw), each drawing one array over
+    all rows of a run or sweep in row order."""
 
-    @pytest.mark.parametrize("scenario", ["equal-prior-xz", "unequal-prior-xz", "const-z"])
-    def test_rows_across_a_block_edge_match_streams_built_alone(self, monkeypatch, scenario):
-        eta0 = 0.5 if scenario == "equal-prior-xz" else 0.6
-        cfg = ExperimentConfig(scenario=scenario, eta0=eta0, nz=0.3, trials=experiment._BLOCK_TRIALS + 4, **SMALL)
-        blocked = render_results(run_experiment(cfg, trial_offset=5))
-        monkeypatch.setattr(experiment._StreamBlocks, "generator", streams_built_alone)
-        assert render_results(run_experiment(cfg, trial_offset=5)) == blocked
+    @pytest.mark.parametrize("scenario", sorted(SCENARIO_CELLS))
+    def test_rows_match_streams_built_alone(self, monkeypatch, scenario):
+        cfg = ExperimentConfig(**SCENARIO_CELLS[scenario], trials=30, **SMALL)
+        rows = render_results(run_experiment(cfg))
+        monkeypatch.setattr(experiment, "_role_streams", streams_built_alone)
+        assert render_results(run_experiment(cfg)) == rows
 
-    def test_sweep_builds_states_per_block_not_per_cell(self, monkeypatch):
+    @pytest.mark.parametrize("scenario", sorted(SCENARIO_CELLS))
+    def test_run_is_prefix_stable(self, scenario):
+        cfg = ExperimentConfig(**SCENARIO_CELLS[scenario], trials=20, **SMALL)
+        long = run_experiment(cfg)
+        short = run_experiment(replace(cfg, trials=10))
+        assert render_results(long[:10]) == render_results(short)
+
+    def test_sweep_is_prefix_stable(self):
+        # The leading cells of a sweep are the shorter sweep; the grid holds
+        # a degenerate cell (eta0 = 0.5, theta = pi) among the leading ones.
+        base = ExperimentConfig(scenario="const-z", eta0=0.5, trials=3, **SMALL)
+        long = sweep(base, {"theta": [0.5, math.pi, 1.5, 2.0]})
+        short = sweep(base, {"theta": [0.5, math.pi, 1.5]})
+        assert {r.status for r in short[3:6]} == {"degenerate_ensemble"}
+        assert render_results(long[:9]) == render_results(short)
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIO_CELLS))
+    def test_run_equals_one_cell_sweep(self, scenario):
+        cfg = ExperimentConfig(**SCENARIO_CELLS[scenario], trials=7, **SMALL)
+        assert rows_equal(run_experiment(cfg), sweep(cfg, {}))
+        key = "alpha" if scenario == "equal-prior-xz" else "theta"
+        assert rows_equal(run_experiment(cfg), sweep(cfg, {key: [getattr(cfg, key)]}))
+
+    def test_sweep_builds_states_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "stream_states")
-        slots = experiment._SLOTS_PER_TRIAL
         base = ExperimentConfig(scenario="const-z", eta0=0.6, trials=1, **SMALL)
         rows = sweep(base, {"nz": [-0.3, 0.0, 0.3], "alpha": [0.0, 1.0]})
         assert len(rows) == 6
-        assert [ids.tolist() for _, ids in calls] == [list(range(6 * slots))]
-
+        assert [ids.tolist() for _, ids in calls] == [[0, *range(3, 15)]]
         calls.clear()
-        per_cell = experiment._BLOCK_TRIALS // 2 + 1
-        rows = sweep(replace(base, trials=per_cell), {"nz": [-0.3, 0.0, 0.3]})
-        assert len(rows) == 3 * per_cell
-        edges = [(ids[0], ids[-1] + 1) for _, ids in calls]
-        block = experiment._BLOCK_TRIALS * slots
-        assert edges == [(0, block), (block, 3 * per_cell * slots)]
+        run_experiment(ExperimentConfig(scenario="equal-prior-xz", trials=200, **SMALL))
+        assert [ids.tolist() for _, ids in calls] == [list(range(3, 9)) + [12, 13, 14]]
 
-    def test_run_holds_one_block_at_a_time(self, monkeypatch):
+    def test_engine_keeps_nothing_after_return(self, monkeypatch):
         real = experiment.stream_states
         held = []
-        sizes = []
 
         def tracked(seed, ids):
-            gc.collect()
-            assert all(ref() is None for ref in held), "an earlier block is still held"
             states = real(seed, ids)
             held.append(weakref.ref(states))
-            sizes.append(len(ids))
             return states
 
         monkeypatch.setattr(experiment, "stream_states", tracked)
-        block = experiment._BLOCK_TRIALS
-        cfg = ExperimentConfig(scenario="unequal-prior-xz", eta0=0.6, trials=2 * block + 3, **SMALL)
-        rows = run_experiment(cfg, trial_offset=7)
-        assert len(rows) == 2 * block + 3
-        slots = experiment._SLOTS_PER_TRIAL
-        assert sizes == [block * slots, block * slots, 3 * slots]
-
-    def test_streams_serve_only_their_seed_and_trials(self):
-        cfg = ExperimentConfig(scenario="unequal-prior-xz", eta0=0.6, trials=2, **SMALL)
-        with pytest.raises(ContractViolation, match="seed"):
-            run_experiment(cfg, streams=experiment._StreamBlocks(cfg.seed + 1, 0, 2))
-        with pytest.raises(ContractViolation, match="outside"):
-            run_experiment(cfg, trial_offset=1, streams=experiment._StreamBlocks(cfg.seed, 0, 2))
+        for scenario in sorted(SCENARIO_CELLS):
+            rows = run_experiment(ExperimentConfig(**SCENARIO_CELLS[scenario], trials=5, **SMALL))
+            assert len(rows) == 5
+        gc.collect()
+        assert len(held) == 3 and all(ref() is None for ref in held)
 
 
 class TestSweep:

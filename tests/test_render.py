@@ -86,9 +86,10 @@ STATUS_CONFIGS = (
     # Antipodal equal-prior pair: the ensemble vector vanishes, no truth.
     ExperimentConfig(scenario="unequal-prior-xz", eta0=0.5, theta=math.pi, shots_learn=50, shots_holdout=100,
                      trials=1, seed=1),
-    # Nearly antipodal at 2 shots per axis: the estimate can vanish.
+    # Nearly antipodal at 2 shots per axis: the estimate vanishes on about
+    # a quarter of the rows.
     ExperimentConfig(scenario="const-z", eta0=0.5, theta=math.pi - 0.01, nz=0.3, shots_learn=2, shots_holdout=10,
-                     trials=2, seed=1),
+                     trials=20, seed=1),
     ExperimentConfig(scenario="const-z", eta0=0.6, theta=1.2, nz=0.4, **_SMALL),
 )
 
