@@ -42,6 +42,7 @@ from povmlearn.equal_prior import (
     learn_equal_prior,
     povm_axis_from_phi,
     solve_alpha,
+    weak_readings,
     weak_signal_threshold,
 )
 from povmlearn.errors import (

@@ -40,16 +40,10 @@ _TAU = 2.0 * math.pi
 
 def wrap_angle(a):
     """Reduce an angle, or an array of angles, to [0, 2*pi)."""
-    if np.ndim(a):
-        r = np.fmod(a, _TAU)
-        r = np.where(r < 0.0, r + _TAU, r)
-        return np.where(r >= _TAU, r - _TAU, r)
-    r = math.fmod(float(a), _TAU)
-    if r < 0.0:
-        r += _TAU
-    if r >= _TAU:
-        r -= _TAU
-    return r
+    r = np.fmod(a, _TAU)
+    r = np.where(r < 0.0, r + _TAU, r)
+    # [()] unwraps the 0-d result of a single angle into a numpy float.
+    return np.where(r >= _TAU, r - _TAU, r)[()]
 
 
 def angle_dist(a: float, b: float, period: float = _TAU) -> float:
@@ -70,19 +64,33 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
+def row_norm(v: np.ndarray):
+    """Euclidean norm of a vector, or of each row of an array of vectors.
+    One vector takes the float norm, about half the time of the row sums;
+    oracle-check and the per-cell truth check single vectors."""
+    return norm(v) if v.ndim == 1 else np.sqrt(row_dot(v, v))
+
+
+def every_row(mask) -> bool:
+    """Whether a boolean mask holds on every row.  A single flag is read
+    directly: reducing a numpy scalar costs more than the check it ends."""
+    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
 def check_unit(v, what: str = "vector", tol: float = EPS_PHYS) -> np.ndarray:
     """Return v as an array after verifying |v| = 1 within tol; a 2-D v
     holds one vector per row, and every row is checked."""
     v = np.asarray(v, dtype=float)
-    if v.ndim > 1:
-        r = np.sqrt(row_dot(v, v))
-        ok = np.abs(r - 1.0) <= tol
-        if not ok.all():
-            raise ContractViolation(f"{what} must be unit length, got |v| = {r[~ok][0]:.9g}")
-        return v
-    if not abs(norm(v) - 1.0) <= tol:
-        raise ContractViolation(f"{what} must be unit length, got |v| = {norm(v):.9g}")
+    r = row_norm(v)
+    ok = abs(r - 1.0) <= tol
+    if not every_row(ok):
+        raise ContractViolation(f"{what} must be unit length, got |v| = {np.ravel(r)[np.argmin(ok)]:.9g}")
     return v
+
+
+# Per plane kind: the slice of a 3-vector's last axis that holds its plane
+# coordinates (first axis, second axis), and the index of the offset axis.
+_PLANE_SLOTS = {"xz": (np.s_[..., ::2], 1), "constz": (np.s_[..., :2], 2)}
 
 
 @dataclass(frozen=True)
@@ -106,16 +114,13 @@ class Plane:
 
     @classmethod
     def const_z(cls, nz) -> "Plane":
-        if np.ndim(nz):
-            nz = np.array(nz, dtype=float)
-            if not np.all(np.abs(nz) < 1.0):
-                raise ContractViolation(f"constant-z plane needs |nz| < 1, got {nz}")
-            nz.flags.writeable = False
-            return cls("constz", nz)
-        nz = float(nz)
-        if not -1.0 < nz < 1.0:
+        nz = np.array(nz, dtype=float)
+        if not every_row(abs(nz) < 1.0):
             raise ContractViolation(f"constant-z plane needs |nz| < 1, got {nz}")
-        return cls("constz", nz)
+        nz.flags.writeable = False
+        # A single nz is kept as a float: float arithmetic downstream is
+        # cheaper than numpy-scalar arithmetic, and the plane stays hashable.
+        return cls("constz", nz if nz.ndim else float(nz))
 
     @property
     def radius_sq(self):
@@ -124,13 +129,8 @@ class Plane:
         return 1.0 - self.nz * self.nz
 
     def coords(self, v) -> np.ndarray:
-        """Project v onto plane coordinates (first axis, second axis)."""
-        v = np.asarray(v, dtype=float)
-        if v.ndim > 1:
-            return v[..., (0, 2) if self.kind == "xz" else (0, 1)]
-        if self.kind == "xz":
-            return np.array([v[0], v[2]])
-        return np.array([v[0], v[1]])
+        """Plane coordinates (first axis, second axis) of v, as a view of v."""
+        return np.asarray(v, dtype=float)[_PLANE_SLOTS[self.kind][0]]
 
     def embed(self, u, with_offset: bool = True) -> np.ndarray:
         """Map plane coordinates back to a 3-vector.
@@ -140,46 +140,33 @@ class Plane:
         live in the parallel plane through the origin).
         """
         u = np.asarray(u, dtype=float)
-        off = self.nz if with_offset else 0.0
-        if u.ndim > 1:
-            out = np.empty(u.shape[:-1] + (3,))
-            first, second, third = (0, 2, 1) if self.kind == "xz" else (0, 1, 2)
-            out[..., first], out[..., second] = u[..., 0], u[..., 1]
-            out[..., third] = off
-            return out
-        if self.kind == "xz":
-            return np.array([u[0], 0.0, u[1]])
-        return np.array([u[0], u[1], off])
+        coords, offset = _PLANE_SLOTS[self.kind]
+        out = np.zeros(u.shape[:-1] + (3,))
+        out[coords] = u
+        if with_offset and self.kind == "constz":
+            out[..., offset] = self.nz
+        return out
 
     def contains(self, v, tol: float = EPS_PHYS) -> bool:
         """Whether v (every row of v) lies in the plane."""
-        v = np.asarray(v, dtype=float)
-        if v.ndim > 1:
-            off = v[..., 1] if self.kind == "xz" else v[..., 2] - self.nz
-            return bool((np.abs(off) <= tol).all())
-        if self.kind == "xz":
-            return abs(v[1]) <= tol
-        return abs(v[2] - self.nz) <= tol
+        off = np.asarray(v, dtype=float)[..., _PLANE_SLOTS[self.kind][1]]
+        if self.kind == "constz":
+            off = off - self.nz
+        return every_row(abs(off) <= tol)
 
 
 def bloch_from_state_angle(gamma) -> np.ndarray:
     """Bloch vector (sin g, 0, cos g) of the pure state cos(g/2)|0> + sin(g/2)|1>;
     an array of angles gives one vector per row."""
-    if np.ndim(gamma):
-        g = np.asarray(gamma, dtype=float)
-        return np.stack((np.sin(g), np.zeros_like(g), np.cos(g)), axis=-1)
-    g = float(gamma)
-    return np.array([math.sin(g), 0.0, math.cos(g)])
+    g = np.asarray(gamma, dtype=float)
+    return np.stack((np.sin(g), np.zeros_like(g), np.cos(g)), axis=-1)
 
 
 def prob_plus_unchecked(s: np.ndarray, n: np.ndarray):
     """Probability (1 + s.n)/2 of the +1 outcome along a float unit axis s on
     a Bloch vector n already validated; with rows on either side, one
-    probability per row."""
-    if s.ndim == 1 and n.ndim == 1:
-        p = 0.5 + 0.5 * float(s.dot(n))
-        # Clip roundoff overshoot only; the complement 0.5 - 0.5*d clips symmetrically.
-        return min(max(p, 0.0), 1.0)
+    probability per row.  Roundoff overshoot is clipped; the complement
+    0.5 - 0.5*d clips symmetrically."""
     return np.minimum(np.maximum(0.5 + 0.5 * row_dot(s, n), 0.0), 1.0)
 
 
@@ -199,29 +186,28 @@ def perp_in_plane(n, plane: Plane) -> np.ndarray:
 
     The +90 degree rotation convention is fixed: plane coordinates
     (u1, u2) map to (-u2, u1), normalized.  For a constant-z plane the
-    result has zero z component (it is a direction, not a state).  With
-    one vector per row, a row whose in-plane part is too short to define a
-    direction gets the zero vector instead of raising.
+    result has zero z component (it is a direction, not a state).  A
+    single n whose in-plane part is too short to define a direction
+    raises; with one vector per row, such a row gets the zero vector.
     """
-    u = plane.coords(np.asarray(n, dtype=float))
-    if u.ndim > 1:
-        r = np.hypot(u[..., 0], u[..., 1])[..., None]
-        ok = r > EPS_DEGENERATE
-        w = np.where(ok, u[..., ::-1] / np.where(ok, r, 1.0), 0.0)
-        w[..., 0] = -w[..., 0]
-        return plane.embed(w, with_offset=False)
-    r = float(np.hypot(u[0], u[1]))
-    if r <= EPS_DEGENERATE:
-        raise DegenerateEnsemble(
-            f"in-plane norm {r:.3g} too small to define a perpendicular direction"
-        )
-    return plane.embed(np.array([-u[1] / r, u[0] / r]), with_offset=False)
+    u = plane.coords(n)
+    if u.ndim == 1:
+        # Float arithmetic: the row code below takes about 1.8 times as
+        # long on one vector, and oracle-check makes two calls per instance.
+        r = float(np.hypot(u[0], u[1]))
+        if r <= EPS_DEGENERATE:
+            raise DegenerateEnsemble(f"in-plane norm {r:.3g} too small to define a perpendicular direction")
+        return plane.embed(np.array([-u[1] / r, u[0] / r]), with_offset=False)
+    r = np.hypot(u[..., :1], u[..., 1:])
+    out = np.zeros(u.shape[:-1] + (3,))
+    w = plane.coords(out)
+    np.divide(u[..., ::-1], r, out=w, where=r > EPS_DEGENERATE)
+    w[..., 0] *= -1.0
+    return out
 
 
 def plane_angle(v, plane: Plane):
     """In-plane direction angle of v, counterclockwise from the first plane
     axis; one angle per row for rows of vectors."""
-    u = plane.coords(np.asarray(v, dtype=float))
-    if u.ndim > 1:
-        return wrap_angle(np.arctan2(u[..., 1], u[..., 0]))
-    return wrap_angle(math.atan2(u[1], u[0]))
+    u = plane.coords(v)
+    return wrap_angle(np.arctan2(u[..., 1], u[..., 0]))

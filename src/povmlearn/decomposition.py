@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from povmlearn.bloch import EPS_DEGENERATE, EPS_PHYS, Plane, perp_in_plane
+from povmlearn.bloch import EPS_DEGENERATE, EPS_PHYS, Plane, every_row, perp_in_plane
 from povmlearn.ensemble import EnsembleSpec, estimate_pauli
 from povmlearn.errors import (
     ContractViolation,
@@ -61,8 +61,10 @@ class MixtureTargets:
     theta: float
 
 
-def _check_priors(eta0: float, eta1: float) -> None:
-    if abs(eta0 + eta1 - 1.0) > 1e-12 or not (0.0 < eta0 < 1.0):
+def _check_priors(eta0, eta1) -> None:
+    """Priors interior and summing to 1, in every row for arrays of priors."""
+    ok = (abs(eta0 + eta1 - 1.0) <= 1e-12) & (0.0 < eta0) & (eta0 < 1.0)
+    if not every_row(ok):
         raise InvalidPriors(f"priors must be interior and sum to 1, got ({eta0}, {eta1})")
 
 
@@ -117,28 +119,22 @@ def cos_theta(n_norm, eta0, eta1, tol: float = EPS_PHYS, plane: Plane = _PLANE_X
     |u| of the ensemble vector and the priors.
 
     |u|^2 = rho^2 (eta0^2 + eta1^2 + 2 eta0 eta1 cos(theta)), inverted for
-    cos(theta).  Pass tol=EPS_CLAMP for shot-noise estimates of |u|.  Rows
-    of norms (with priors and plane per row or shared) give one cosine per
-    row, NaN where it is out of range instead of raising.
+    cos(theta).  Pass tol=EPS_CLAMP for shot-noise estimates of |u|.  A
+    single norm out of range raises CosThetaOutOfRange; rows of norms (with
+    priors and plane per row or shared) give one cosine per row, NaN where
+    it is out of range.
     """
-    if np.ndim(n_norm):
-        if not ((np.abs(eta0 + eta1 - 1.0) <= 1e-12) & (0.0 < eta0) & (eta0 < 1.0)).all():
-            raise InvalidPriors(f"priors must be interior and sum to 1, got ({eta0}, {eta1})")
-        r = n_norm / np.sqrt(plane.radius_sq)
-        c = 1.0 + (r * r - 1.0) / (2.0 * eta0 * eta1)
-        return np.where(np.abs(c) <= 1.0 + tol, np.clip(c, -1.0, 1.0), np.nan)
     _check_priors(eta0, eta1)
     # Rescale by the slice radius before squaring and write the inversion
     # as 1 + (r^2 - 1)/(2 eta0 eta1), which equals the direct one because
     # the priors sum to 1: a coincident ensemble (|u| equal to the radius)
     # then yields exactly 1.0 with no rounding residue.
-    r = float(n_norm) / math.sqrt(plane.radius_sq)
+    r = n_norm / np.sqrt(plane.radius_sq)
     c = 1.0 + (r * r - 1.0) / (2.0 * eta0 * eta1)
-    if c > 1.0 + tol or c < -1.0 - tol:
-        raise CosThetaOutOfRange(
-            f"separation cosine {c:.6g} outside [-1, 1] beyond tolerance {tol:g}"
-        )
-    return min(1.0, max(-1.0, c))
+    out = np.abs(c) > 1.0 + tol
+    if np.ndim(c) == 0 and out:
+        raise CosThetaOutOfRange(f"separation cosine {c:.6g} outside [-1, 1] beyond tolerance {tol:g}")
+    return np.where(out, np.nan, np.clip(c, -1.0, 1.0))[()]
 
 
 def decompose(
@@ -159,9 +155,12 @@ def decompose(
     ct, st = math.cos(theta), math.sin(theta)
     a0, b1 = eta0 + eta1 * ct, eta1 * st
     a1, b0 = eta1 + eta0 * ct, eta0 * st
-    u0 = prefactor * np.array([a0 * u[0] - sgn * b1 * u[1], sgn * b1 * u[0] + a0 * u[1]])
-    u1 = prefactor * np.array([a1 * u[0] + sgn * b0 * u[1], -sgn * b0 * u[0] + a1 * u[1]])
-    return DecompositionPair(n0=plane.embed(u0), n1=plane.embed(u1), case=case)
+    rows = [
+        [a0 * u[0] - sgn * b1 * u[1], sgn * b1 * u[0] + a0 * u[1]],
+        [a1 * u[0] + sgn * b0 * u[1], -sgn * b0 * u[0] + a1 * u[1]],
+    ]
+    n0, n1 = plane.embed(prefactor * np.array(rows))
+    return DecompositionPair(n0=n0, n1=n1, case=case)
 
 
 def mixture_targets(
@@ -176,9 +175,12 @@ def mixture_targets(
     _check_theta(theta)
     u, uu = _slice_coords(n, plane)
     shift = 2.0 * eta0 * eta1 * math.sin(theta) * plane.radius_sq
-    m0u = np.array([(u[0] * uu - shift * u[1]) / uu, (shift * u[0] + u[1] * uu) / uu])
-    m1u = np.array([(u[0] * uu + shift * u[1]) / uu, (-shift * u[0] + u[1] * uu) / uu])
-    return MixtureTargets(m0=plane.embed(m0u), m1=plane.embed(m1u), theta=theta)
+    rows = [
+        [(u[0] * uu - shift * u[1]) / uu, (shift * u[0] + u[1] * uu) / uu],
+        [(u[0] * uu + shift * u[1]) / uu, (-shift * u[0] + u[1] * uu) / uu],
+    ]
+    m0, m1 = plane.embed(np.array(rows))
+    return MixtureTargets(m0=m0, m1=m1, theta=theta)
 
 
 def success_prob(

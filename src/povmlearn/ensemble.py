@@ -27,7 +27,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from povmlearn.bloch import EPS_PHYS, UNIT_X, UNIT_Y, UNIT_Z, Plane, check_unit, norm, prob_plus_unchecked, row_dot
+from povmlearn.bloch import (
+    EPS_PHYS,
+    UNIT_X,
+    UNIT_Y,
+    UNIT_Z,
+    Plane,
+    check_unit,
+    every_row,
+    prob_plus_unchecked,
+    row_norm,
+)
 from povmlearn.errors import ContractViolation
 
 _CASE_TAGS = (None, "A", "B")
@@ -178,7 +188,7 @@ class EnsembleSpec:
                 "priors must be two numbers or two nonempty 1-D arrays of one shape, "
                 f"got shapes {eta0.shape}, {eta1.shape}"
             )
-        if not ((np.abs(eta0 + eta1 - 1.0) <= 1e-12) & (0.0 <= eta0) & (eta0 <= 1.0)).all():
+        if not every_row((abs(eta0 + eta1 - 1.0) <= 1e-12) & (0.0 <= eta0) & (eta0 <= 1.0)):
             raise ContractViolation(f"priors must be in [0, 1] and sum to 1, got ({eta0}, {eta1})")
         for name, eta in (("eta0", eta0), ("eta1", eta1)):
             if eta.ndim:
@@ -188,8 +198,8 @@ class EnsembleSpec:
             psi = np.array(getattr(self, name), dtype=float)
             if psi.shape != eta0.shape + (3,):
                 raise ContractViolation(f"{name} must be a Bloch 3-vector per row, got shape {psi.shape}")
-            r = np.sqrt(row_dot(psi, psi)) if psi.ndim > 1 else norm(psi)
-            if not (np.abs(r - 1.0) <= EPS_PHYS).all():
+            r = row_norm(psi)
+            if not every_row(abs(r - 1.0) <= EPS_PHYS):
                 raise ContractViolation(f"{name} must be pure (unit norm), |n| = {r}")
             if not self.plane.contains(psi):
                 raise ContractViolation(f"{name} = {psi} violates the {self.plane.kind} plane constraint")
@@ -209,24 +219,22 @@ class EnsembleSpec:
         generator, which takes the three draws in that order, or a triple
         (label split, label-0 count, label-1 count) with one generator per
         draw.  A batch draws each as one array over its rows, in row order,
-        along one axis or one axis per row (every row's axis is checked);
-        a single ensemble along one axis returns three ints.
+        along one axis or along one axis per row (every row's axis is
+        checked); a single ensemble draws three numbers.
         """
         axis = np.asarray(axis, dtype=float)
-        if axis.ndim < self.psi0.ndim:
+        if axis.shape != self.psi0.shape:
+            if axis.ndim != 1:
+                raise ContractViolation(f"{what} must be one 3-vector or one per row, got shape {axis.shape}")
             axis = np.broadcast_to(axis, self.psi0.shape)
         axis = check_unit(axis, what)
         shots = int(shots)
         if shots < 1:
             raise ContractViolation(f"shots must be >= 1, got {shots}")
         split, label0, label1 = _draw_generators(rng)
-        p0 = prob_plus_unchecked(axis, self.psi0)
-        p1 = prob_plus_unchecked(axis, self.psi1)
-        if axis.ndim == 1:
-            k0 = int(split.binomial(shots, self.eta0))
-            return k0, int(label0.binomial(k0, p0)), int(label1.binomial(shots - k0, p1))
-        k0 = split.binomial(shots, self.eta0 if np.ndim(self.eta0) else np.full(p0.shape, self.eta0))
-        return k0, label0.binomial(k0, p0), label1.binomial(shots - k0, p1)
+        k0 = split.binomial(shots, self.eta0)
+        c0_plus = label0.binomial(k0, prob_plus_unchecked(axis, self.psi0))
+        return k0, c0_plus, label1.binomial(shots - k0, prob_plus_unchecked(axis, self.psi1))
 
     def expectation(self, axis, shots: int, rng):
         """Empirical expectation (n_plus - n_minus)/shots of `shots` fresh

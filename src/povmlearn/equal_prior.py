@@ -57,21 +57,29 @@ def povm_axis_from_phi(phi) -> np.ndarray:
     return bloch_from_state_angle(np.multiply(2.0, phi))
 
 
-def solve_alpha(delta0: float, delta1: float, phi0: float, tau_weak: float = 0.0) -> float:
+def weak_readings(delta0, delta1, tau_weak: float):
+    """Whether both detector differences sit at or below tau_weak in
+    magnitude, where the quadrant of alpha is unresolvable; one flag per
+    row for arrays of readings."""
+    return np.maximum(np.abs(delta0), np.abs(delta1)) <= tau_weak
+
+
+def solve_alpha(delta0, delta1, phi0, tau_weak: float = 0.0):
     """Invert two quarter-turn-separated detector differences to alpha.
 
     delta0 is the reading at phi0 and delta1 at phi0 + pi/4; these are
     proportional to cos and sin of (alpha - 2 phi0) with a common positive
     factor, so alpha = 2 phi0 + atan2(delta1, delta0), wrapped to [0, 2 pi).
-    Raises WeakSignal when both readings sit at or below tau_weak in
-    magnitude, since the quadrant is then unresolvable.
+    A single pair of readings raises WeakSignal when it is weak
+    (weak_readings); with one pair per row every row gets an angle, and
+    the caller masks the weak ones.
     """
-    if max(abs(delta0), abs(delta1)) <= tau_weak:
+    if np.ndim(delta0) == 0 and weak_readings(delta0, delta1, tau_weak):
         raise WeakSignal(
             f"detector differences ({delta0:.4g}, {delta1:.4g}) are below the "
             f"noise floor {tau_weak:.4g}"
         )
-    return wrap_angle(2.0 * phi0 + math.atan2(delta1, delta0))
+    return wrap_angle(2.0 * phi0 + np.arctan2(delta1, delta0))
 
 
 def learn_equal_prior(
@@ -88,7 +96,7 @@ def learn_equal_prior(
     setting (each a generator or a per-draw triple).  The returned
     phi_star = alpha_hat/2 + pi/4 is reported modulo pi; the projector pair
     is invariant under phi -> phi + pi.  A single ensemble raises WeakSignal
-    where solve_alpha does; a batch marks those rows in `weak` instead.
+    where solve_alpha does; a batch marks those rows in `weak`.
     """
     if spec.plane.kind != "xz":
         raise ContractViolation("the angle learner requires an x-z plane ensemble")
@@ -99,20 +107,12 @@ def learn_equal_prior(
     g0, g1 = role_generators(rng, 2)
     delta0 = spec.expectation(povm_axis_from_phi(phi0), shots_per_setting, g0)
     delta1 = spec.expectation(povm_axis_from_phi(phi0 + 0.25 * math.pi), shots_per_setting, g1)
-    if np.ndim(delta0):
-        # solve_alpha row by row, with weak rows marked rather than raised.
-        weak = np.maximum(np.abs(delta0), np.abs(delta1)) <= tau_weak
-        alpha_hat = wrap_angle(2.0 * phi0 + np.arctan2(delta1, delta0))
-        phi_star = np.fmod(0.5 * alpha_hat + 0.25 * math.pi, math.pi)
-    else:
-        weak = False
-        alpha_hat = solve_alpha(delta0, delta1, phi0, tau_weak=tau_weak)
-        phi_star = math.fmod(0.5 * alpha_hat + 0.25 * math.pi, math.pi)
+    alpha_hat = solve_alpha(delta0, delta1, phi0, tau_weak=tau_weak)
     return EqualPriorEstimate(
         alpha_hat=alpha_hat,
-        phi_star=phi_star,
+        phi_star=np.fmod(0.5 * alpha_hat + 0.25 * math.pi, math.pi),
         delta0=delta0,
         delta1=delta1,
         shots_used=2 * shots_per_setting,
-        weak=weak,
+        weak=weak_readings(delta0, delta1, tau_weak),
     )

@@ -8,7 +8,7 @@ orientation-maximized success with an explicit swap flag; silently
 relabeling would hide sign bugs in a learner.
 
 Every function takes one classification or a batch of rows, one per row;
-a single classification gives plain numbers.
+a single classification gives numpy scalars, by the same code.
 """
 
 from __future__ import annotations
@@ -39,13 +39,11 @@ class ConfusionMatrix:
 
     @property
     def total(self):
-        total = self.counts.sum(axis=(-2, -1))
-        return total if total.ndim else int(total)
+        return self.counts.sum(axis=(-2, -1))
 
     @property
     def correct(self):
-        correct = self.counts[..., 0, 0] + self.counts[..., 1, 1]
-        return correct if correct.ndim else int(correct)
+        return self.counts[..., 0, 0] + self.counts[..., 1, 1]
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,7 @@ def score(confusion: ConfusionMatrix, analytic_ps) -> EvalReport:
     convention.
     """
     total = confusion.total
-    if (np.asarray(total) < 1).any():
+    if (total < 1).any():
         raise ContractViolation("cannot score an empty confusion matrix")
     analytic = np.asarray(analytic_ps, dtype=float)
     if np.isnan(analytic).any():
@@ -111,20 +109,17 @@ def score(confusion: ConfusionMatrix, analytic_ps) -> EvalReport:
     raw = confusion.correct / total
     swapped = (1.0 - raw) > raw
     empirical = np.maximum(raw, 1.0 - raw)
-    if np.ndim(raw):
-        # Group the rows by (target, holdout size), held exactly as the real
-        # and imaginary parts of one complex key.
-        keys, row_key = np.unique(np.broadcast_to(analytic, raw.shape) + 1j * total, return_inverse=True)
-        mean, sd = np.array([folded_success(k.real, int(k.imag)) for k in keys.tolist()]).T[:, row_key]
-        z = np.divide(empirical - mean, sd, out=np.zeros_like(raw), where=sd > 0.0)
-    else:
-        analytic, empirical, swapped = float(analytic), float(empirical), bool(swapped)
-        mean, sd = folded_success(analytic, total)
-        z = 0.0 if sd <= 0.0 else (empirical - mean) / sd
+    # Group the rows by (target, holdout size), held exactly as the real and
+    # imaginary parts of one complex key.
+    keys, row_key = np.unique(np.broadcast_to(analytic, raw.shape) + 1j * total, return_inverse=True)
+    moments = np.array([folded_success(k.real, int(k.imag)) for k in keys.tolist()])
+    mean, sd = moments.T[:, row_key.reshape(raw.shape)]
+    # [()] unwraps the 0-d results of a single classification.
+    z = np.divide(empirical - mean, sd, out=np.zeros_like(empirical), where=sd > 0.0)[()]
     return EvalReport(
         confusion=confusion,
         empirical_success=empirical,
-        analytic_success=analytic,
+        analytic_success=analytic[()],
         z_score=z,
         success_raw=raw,
         swapped=swapped,

@@ -145,6 +145,13 @@ class TestSample:
         with pytest.raises(ContractViolation, match="3 per-draw"):
             xz_spec().sample([1, 0, 0], 10, [RngStream(0).generator()] * 2)
 
+    def test_axis_per_row_only_for_a_batch_of_as_many_rows(self):
+        axes = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        for spec in (xz_spec(), batch(xz_spec(), 3)):
+            with pytest.raises(ContractViolation, match="one per row"):
+                spec.sample(axes, 10, RngStream(0).generator())
+        assert batch(xz_spec(), 2).sample(axes, 10, RngStream(0).generator())[0].shape == (2,)
+
 
 class TestEnsembleBloch:
     """decomposition.ensemble_vector is the Bloch vector eta0 psi0 + eta1 psi1
