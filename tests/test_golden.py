@@ -33,7 +33,9 @@ _PI = repr(math.pi)
 
 # Fixture file name -> CLI argv (without --out).  The const-z sweep spans
 # the nz edges and holds eta0 = 0.5 with theta = pi, so degenerate_ensemble
-# and cos_theta_out_of_range rows are pinned alongside ok rows.
+# and cos_theta_out_of_range rows are pinned alongside ok rows.  The
+# equal-prior sweep holds the coincident (beta = 0) and antipodal
+# (beta = pi/2) pairs at the edges of the beta domain.
 GOLDEN_RUNS = {
     "run-equal-prior-xz.csv": (
         "run", "--scenario", "equal-prior-xz", "--alpha", "1.0", "--beta", "0.5",
@@ -51,6 +53,11 @@ GOLDEN_RUNS = {
         "sweep", "--scenario", "unequal-prior-xz", "--eta0", "0.5,0.7",
         "--theta", f"0.0,1.2,{_PI}", "--alpha", "0.3,4.0", "--trials", "2",
         *_BUDGETS, "--seed", "11", "--format", "json",
+    ),
+    "sweep-equal-prior-xz.json": (
+        "sweep", "--scenario", "equal-prior-xz", "--alpha", f"0.0,1.0,{_PI}",
+        "--beta", f"0.0,0.5,{math.pi / 2!r}", "--trials", "2", *_BUDGETS,
+        "--seed", "17", "--format", "json",
     ),
     "sweep-const-z.json": (
         "sweep", "--scenario", "const-z", "--eta0", "0.05,0.5,0.95",
