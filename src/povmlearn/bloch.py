@@ -16,7 +16,7 @@ convert at the boundary via a_from_x = pi/2 - gamma_from_z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,17 +64,61 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
+def self_dot(v):
+    """v . v as `v @ v` sums it, for one vector (a float) or for each row of
+    an array of vectors.  Each row takes the same dot product as a single
+    vector, so a row and its single-vector call agree bit for bit; a plain
+    row sum (row_dot) may round differently."""
+    v = np.asarray(v, dtype=float)
+    return float(v @ v) if v.ndim == 1 else (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def row_norm(v: np.ndarray):
-    """Euclidean norm of a vector, or of each row of an array of vectors.
-    One vector takes the float norm, about half the time of the row sums;
-    oracle-check and the per-cell truth check single vectors."""
-    return norm(v) if v.ndim == 1 else np.sqrt(row_dot(v, v))
+    """Euclidean norm of a vector, or of each row of an array of vectors,
+    bit for bit the norm of that row alone (self_dot).  One vector takes
+    the float norm, about half the time of the row code; oracle-check
+    checks single vectors."""
+    return norm(v) if v.ndim == 1 else np.sqrt(self_dot(v))
 
 
 def every_row(mask) -> bool:
     """Whether a boolean mask holds on every row.  A single flag is read
     directly: reducing a numpy scalar costs more than the check it ends."""
     return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def any_row(mask) -> bool:
+    """Whether a boolean mask holds on some row; a single flag is read directly."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def _hash_key(v):
+    if isinstance(v, np.ndarray):
+        return v.item() if v.ndim == 0 else (v.shape, tuple(v.ravel().tolist()))
+    return v
+
+
+class ValueEquality:
+    """== and hash by value for a frozen dataclass whose fields may hold
+    numpy arrays: array fields compare as np.array_equal does (shape and
+    values), others with ==, and equal objects hash alike.  Declare the
+    dataclass with eq=False so that it keeps these."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+
+    def __hash__(self):
+        return hash(tuple(_hash_key(getattr(self, f.name)) for f in fields(self) if f.compare))
 
 
 def check_unit(v, what: str = "vector", tol: float = EPS_PHYS) -> np.ndarray:
@@ -93,8 +137,8 @@ def check_unit(v, what: str = "vector", tol: float = EPS_PHYS) -> np.ndarray:
 _PLANE_SLOTS = {"xz": (np.s_[..., ::2], 1), "constz": (np.s_[..., :2], 2)}
 
 
-@dataclass(frozen=True)
-class Plane:
+@dataclass(frozen=True, eq=False)
+class Plane(ValueEquality):
     """Constraint plane for Bloch vectors.
 
     kind "xz" is the x-z plane through the origin (plane axes x then z);
@@ -102,7 +146,7 @@ class Plane:
     plane may carry one nz per row (a read-only 1-D array), for batches
     whose rows lie in different slices; its methods then take one vector
     per row.  Any vector argument may hold one vector per row on its last
-    axis.
+    axis.  Planes compare and hash by value (ValueEquality).
     """
 
     kind: str
@@ -119,7 +163,7 @@ class Plane:
             raise ContractViolation(f"constant-z plane needs |nz| < 1, got {nz}")
         nz.flags.writeable = False
         # A single nz is kept as a float: float arithmetic downstream is
-        # cheaper than numpy-scalar arithmetic, and the plane stays hashable.
+        # cheaper than numpy-scalar arithmetic.
         return cls("constz", nz if nz.ndim else float(nz))
 
     @property

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from povmlearn.bloch import EPS_DEGENERATE, EPS_PHYS, Plane, every_row, perp_in_plane
+from povmlearn.bloch import EPS_DEGENERATE, EPS_PHYS, Plane, any_row, every_row, perp_in_plane, self_dot
 from povmlearn.ensemble import EnsembleSpec, estimate_pauli
 from povmlearn.errors import (
     ContractViolation,
@@ -45,20 +45,49 @@ _PLANE_XZ = Plane.xz()
 
 @dataclass(frozen=True)
 class DecompositionPair:
-    """The two pure states of one decomposition branch."""
+    """The two pure states of one decomposition branch, one pair per row
+    for a batch."""
 
     n0: np.ndarray
     n1: np.ndarray
-    case: str
+    case: str | np.ndarray
 
 
 @dataclass(frozen=True)
 class MixtureTargets:
-    """Branch-averaged mixtures the measurement actually discriminates."""
+    """Branch-averaged mixtures the measurement actually discriminates, one
+    pair per row for a batch."""
 
     m0: np.ndarray
     m1: np.ndarray
-    theta: float
+    theta: float | np.ndarray
+
+
+# Each truth function takes numpy's sqrt, sin and cos when an operand is an
+# ndarray (rows), else math's: one value keeps float operands, which cost
+# far less than numpy's per-call overhead on 0-d arrays.  The choice is
+# made inline or by this lookup on one operand's type, not by a helper
+# call, because oracle-check calls the truth functions once per instance.
+_LIB = {np.ndarray: np}.get
+
+
+def _embed(plane: Plane, *pairs) -> np.ndarray:
+    """The 3-vectors with in-plane coordinates (first, second) of each
+    pair, stacked in pair order: one vector per pair of numbers, one per row
+    per pair of columns."""
+    if isinstance(pairs[0][0], np.ndarray):
+        u = np.empty((len(pairs), *pairs[0][0].shape, 2))
+        for k, (first, second) in enumerate(pairs):
+            u[k, ..., 0], u[k, ..., 1] = first, second
+        return plane.embed(u)
+    return plane.embed(np.array(pairs))
+
+
+def _at_first(mask, value):
+    """value in the first row where mask holds; a single value as it is."""
+    if isinstance(mask, np.ndarray):
+        return np.broadcast_to(value, mask.shape)[np.argmax(mask)]
+    return value
 
 
 def _check_priors(eta0, eta1) -> None:
@@ -68,50 +97,71 @@ def _check_priors(eta0, eta1) -> None:
         raise InvalidPriors(f"priors must be interior and sum to 1, got ({eta0}, {eta1})")
 
 
-def _check_theta(theta: float) -> None:
-    if not (-1e-12 <= theta <= math.pi + 1e-12):
+def _check_theta(theta) -> None:
+    if isinstance(theta, np.ndarray):
+        ok = bool(((-1e-12 <= theta) & (theta <= math.pi + 1e-12)).all())
+    else:
+        ok = -1e-12 <= theta <= math.pi + 1e-12
+    if not ok:
         raise ContractViolation(f"separation angle must lie in [0, pi], got {theta}")
 
 
-def _check_case(case: str) -> float:
-    if case == "A":
-        return 1.0
-    if case == "B":
-        return -1.0
+def _check_case(case):
+    """The sign of a branch, +1 for A and -1 for B; one per row for rows of
+    branch names."""
+    if isinstance(case, str):
+        if case == "A":
+            return 1.0
+        if case == "B":
+            return -1.0
+    else:
+        case = np.asarray(case)
+        b = case == "B"
+        if (b | (case == "A")).all():
+            return np.where(b, -1.0, 1.0)
     raise ContractViolation(f"decomposition branch must be 'A' or 'B', got {case!r}")
 
 
-def _slice_coords(n, plane: Plane) -> tuple[np.ndarray, float]:
-    """Plane coordinates u of an ensemble vector n and |u|^2.
+def _slice_coords(n, plane: Plane):
+    """Plane coordinates (u1, u2) of an ensemble vector n and |u|^2
+    (self_dot): floats for one vector, one column per coordinate for rows.
 
     n must lie in the plane, with an in-plane norm no larger than the slice
-    radius (up to the shot-noise slack) and large enough to define a
-    direction.
+    radius (up to the shot-noise slack).  A single n must also be long
+    enough to define a direction, else DegenerateEnsemble; a batch row too
+    short for that (or holding NaN) gets |u|^2 = NaN, and so NaN in every
+    value derived from it.
     """
     n = np.asarray(n, dtype=float)
     if not plane.contains(n):
         raise ContractViolation(f"ensemble vector {n} does not lie in the {plane.kind} plane")
     u = plane.coords(n)
-    uu = float(u @ u)
-    r, radius = math.sqrt(uu), math.sqrt(plane.radius_sq)
-    if r > radius * (1.0 + EPS_CLAMP):
+    uu = self_dot(u)
+    m = np if np.ndarray in (type(uu), type(plane.nz)) else math
+    r, radius = m.sqrt(uu), m.sqrt(plane.radius_sq)
+    over = r > radius * (1.0 + EPS_CLAMP)
+    if any_row(over):
+        r, radius = _at_first(over, r), _at_first(over, radius)
         raise ContractViolation(f"in-plane norm {r:.6g} exceeds the slice radius {radius:.6g}")
+    if m is np:
+        return u[..., 0], u[..., 1], np.where(r > EPS_DEGENERATE, uu, np.nan)
     if r <= EPS_DEGENERATE:
         raise DegenerateEnsemble(f"in-plane norm {r:.3g} is too small to decompose")
-    return u, uu
+    return *u.tolist(), uu
 
 
-def ensemble_vector(
-    eta0: float, theta: float, direction: float, plane: Plane = _PLANE_XZ
-) -> tuple[np.ndarray, float]:
+def ensemble_vector(eta0, theta, direction, plane: Plane = _PLANE_XZ) -> tuple[np.ndarray, float | np.ndarray]:
     """Ensemble Bloch vector n of priors (eta0, 1 - eta0) and separation
     theta, pointing along `direction` in plane coordinates, and its in-plane
     norm |u| = rho sqrt(eta0^2 + eta1^2 + 2 eta0 eta1 cos(theta)), the
-    relation cos_theta inverts."""
+    relation cos_theta inverts.  Any argument (and the plane's nz) may hold
+    one value per row, giving one vector and norm per row."""
+    m = np if np.ndarray in (type(eta0), type(theta), type(direction), type(plane.nz)) else math
     eta1 = 1.0 - eta0
-    q = math.sqrt(eta0 * eta0 + eta1 * eta1 + 2.0 * eta0 * eta1 * math.cos(theta))
-    r = math.sqrt(plane.radius_sq) * q
-    return plane.embed(np.array([r * math.cos(direction), r * math.sin(direction)])), r
+    q = m.sqrt(eta0 * eta0 + eta1 * eta1 + 2.0 * eta0 * eta1 * m.cos(theta))
+    r = m.sqrt(plane.radius_sq) * q
+    u = (r * m.cos(direction), r * m.sin(direction))
+    return plane.embed(np.stack(u, axis=-1) if m is np else np.array(u)), r
 
 
 def cos_theta(n_norm, eta0, eta1, tol: float = EPS_PHYS, plane: Plane = _PLANE_XZ):
@@ -137,68 +187,82 @@ def cos_theta(n_norm, eta0, eta1, tol: float = EPS_PHYS, plane: Plane = _PLANE_X
     return np.where(out, np.nan, np.clip(c, -1.0, 1.0))[()]
 
 
-def decompose(
-    n, theta: float, eta0: float, eta1: float, case: str, plane: Plane = _PLANE_XZ
-) -> DecompositionPair:
+def decompose(n, theta, eta0, eta1, case, plane: Plane = _PLANE_XZ) -> DecompositionPair:
     """Recover the pure-state pair of one branch from (n, theta, priors).
 
     Solving n = eta0*n0 + eta1*n1 with n1 rotated by -theta (branch A) or
     +theta (branch B) from n0 inverts to a rotation-scaling of u for each
     state.  For inputs with |u| consistent with (theta, eta0, eta1) the
     outputs are unit vectors in the plane recombining to n under the priors.
+    Every argument may hold one value per row (n one vector per row, case
+    one branch name per row); a row whose n has no in-plane direction gets
+    NaN states, where a single n raises DegenerateEnsemble.
     """
     _check_priors(eta0, eta1)
     _check_theta(theta)
     sgn = _check_case(case)
-    u, uu = _slice_coords(n, plane)
+    u0, u1, uu = _slice_coords(n, plane)
     prefactor = plane.radius_sq / uu
-    ct, st = math.cos(theta), math.sin(theta)
-    a0, b1 = eta0 + eta1 * ct, eta1 * st
-    a1, b0 = eta1 + eta0 * ct, eta0 * st
-    rows = [
-        [a0 * u[0] - sgn * b1 * u[1], sgn * b1 * u[0] + a0 * u[1]],
-        [a1 * u[0] + sgn * b0 * u[1], -sgn * b0 * u[0] + a1 * u[1]],
-    ]
-    n0, n1 = plane.embed(prefactor * np.array(rows))
+    m = _LIB(type(theta), math)
+    ct, st = m.cos(theta), m.sin(theta)
+    a0, sb1 = eta0 + eta1 * ct, sgn * (eta1 * st)
+    a1, sb0 = eta1 + eta0 * ct, sgn * (eta0 * st)
+    n0, n1 = _embed(
+        plane,
+        (prefactor * (a0 * u0 - sb1 * u1), prefactor * (sb1 * u0 + a0 * u1)),
+        (prefactor * (a1 * u0 + sb0 * u1), prefactor * (-sb0 * u0 + a1 * u1)),
+    )
     return DecompositionPair(n0=n0, n1=n1, case=case)
 
 
-def mixture_targets(
-    n, theta: float, eta0: float, eta1: float, plane: Plane = _PLANE_XZ
-) -> MixtureTargets:
+def mixture_targets(n, theta, eta0, eta1, plane: Plane = _PLANE_XZ) -> MixtureTargets:
     """Branch-averaged mixtures m0, m1 = n +- (2 eta0 eta1 sin(theta) rho^2/|u|) n_perp.
 
     n_perp = (-u2, u1)/|u| is the in-plane perpendicular, so the offset is
-    written componentwise over |u|^2.
+    written componentwise over |u|^2.  Every argument may hold one value per
+    row; a row whose n has no in-plane direction gets NaN targets, where a
+    single n raises DegenerateEnsemble.
     """
     _check_priors(eta0, eta1)
     _check_theta(theta)
-    u, uu = _slice_coords(n, plane)
-    shift = 2.0 * eta0 * eta1 * math.sin(theta) * plane.radius_sq
-    rows = [
-        [(u[0] * uu - shift * u[1]) / uu, (shift * u[0] + u[1] * uu) / uu],
-        [(u[0] * uu + shift * u[1]) / uu, (-shift * u[0] + u[1] * uu) / uu],
-    ]
-    m0, m1 = plane.embed(np.array(rows))
+    u0, u1, uu = _slice_coords(n, plane)
+    shift = 2.0 * eta0 * eta1 * _LIB(type(theta), math).sin(theta) * plane.radius_sq
+    m0, m1 = _embed(
+        plane,
+        ((u0 * uu - shift * u1) / uu, (shift * u0 + u1 * uu) / uu),
+        ((u0 * uu + shift * u1) / uu, (-shift * u0 + u1 * uu) / uu),
+    )
     return MixtureTargets(m0=m0, m1=m1, theta=theta)
 
 
-def success_prob(
-    eta0: float, eta1: float, theta: float, n_norm: float, plane: Plane = _PLANE_XZ
-) -> float:
+def success_prob(eta0, eta1, theta, n_norm, plane: Plane = _PLANE_XZ):
     """Optimal success probability 1/2 + eta0 eta1 sin(theta) rho^2/|u| of the
-    axis rule, from the in-plane norm |u| of the ensemble vector."""
+    axis rule, from the in-plane norm |u| of the ensemble vector.  Every
+    argument may hold one value per row; a row with |u| too small for a
+    target gets NaN, where a single |u| raises DegenerateEnsemble."""
     _check_priors(eta0, eta1)
     _check_theta(theta)
-    n_norm = float(n_norm)
-    if n_norm <= EPS_DEGENERATE:
-        raise DegenerateEnsemble(f"|u| = {n_norm:.3g} is too small for a success target")
-    ps = 0.5 + eta0 * eta1 * math.sin(theta) * plane.radius_sq / n_norm
-    if ps > 1.0 + EPS_PHYS:
-        raise ContractViolation(
-            f"inconsistent inputs: success probability {ps:.6g} exceeds 1"
-        )
-    return min(ps, 1.0)
+    if isinstance(n_norm, np.ndarray):
+        n_norm = np.where(n_norm > EPS_DEGENERATE, n_norm, np.nan)
+    else:
+        n_norm = float(n_norm)
+        if n_norm <= EPS_DEGENERATE:
+            raise DegenerateEnsemble(f"|u| = {n_norm:.3g} is too small for a success target")
+    ps = 0.5 + eta0 * eta1 * _LIB(type(theta), math).sin(theta) * plane.radius_sq / n_norm
+    # The bound check and clip are spelled out per kind: oracle-check calls
+    # this once per instance with numbers.
+    if not isinstance(ps, np.ndarray):
+        if ps > 1.0 + EPS_PHYS:
+            raise _impossible_success(ps)
+        return min(ps, 1.0)
+    over = ps > 1.0 + EPS_PHYS
+    if over.any():
+        raise _impossible_success(ps[over][0])
+    return np.minimum(ps, 1.0)
+
+
+def _impossible_success(ps) -> ContractViolation:
+    return ContractViolation(f"inconsistent inputs: success probability {ps:.6g} exceeds 1")
 
 
 def learn_axis(spec: EnsembleSpec, shots_per_axis: int, rng) -> tuple[np.ndarray, np.ndarray]:

@@ -33,6 +33,7 @@ from povmlearn.bloch import (
     UNIT_Y,
     UNIT_Z,
     Plane,
+    ValueEquality,
     check_unit,
     every_row,
     prob_plus_unchecked,
@@ -163,15 +164,15 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(_seed_words_type()(state)))
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
+@dataclass(frozen=True, eq=False)
+class EnsembleSpec(ValueEquality):
     """Ground truth: priors, two pure in-plane states, declared plane, branch tag.
 
     A spec is one ensemble, or a batch of rows with one ensemble each: then
     eta0 and eta1 are 1-D arrays and psi0 and psi1 hold one state per row.
     Validated once at construction, every row; the fields are read-only
     copies, so the checks hold for the spec's lifetime and sampling need
-    not redo them.
+    not redo them.  Specs compare and hash by value (ValueEquality).
     """
 
     eta0: float | np.ndarray

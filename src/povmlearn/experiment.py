@@ -15,10 +15,14 @@ those of any shorter run with the same seed, and reruns are
 byte-identical.
 
 Ground truth (the hidden spec, the closed-form success and the oracle
-value) is fixed by a cell's parameters and is never random.  The engine
-builds the case-independent part (the ensemble vector, the closed-form
-success and the oracle value) once per cell and the hidden spec once per
-(cell, case) that occurs, and rows only sample.
+value) is fixed by a cell's parameters and the row's case, and is never
+random.  The engine builds it once per run or sweep, as arrays: the
+case-independent part (the ensemble vector, the closed-form success and
+the oracle value) in one pass over the cells, and the hidden spec, which
+is the batch spec the rows sample from, in one pass over the rows.  A
+degenerate cell's truth is NaN, and its rows draw with a placeholder
+pair.  A sweep takes its cells as columns: one value per cell of each
+swept parameter, each checked once.
 
 The two-fold scenarios share one pipeline on a Plane: unequal-prior-xz
 runs it on the x-z plane, const-z on the slice z = nz, and the scenario
@@ -53,7 +57,7 @@ from povmlearn.decomposition import (
 )
 from povmlearn.ensemble import EnsembleSpec, RngStream, stream_states
 from povmlearn.equal_prior import learn_equal_prior, povm_axis_from_phi
-from povmlearn.errors import ContractViolation, DegenerateEnsemble
+from povmlearn.errors import ContractViolation
 from povmlearn.evaluate import classify_holdout, score
 from povmlearn.helstrom import success_equal_priors
 
@@ -102,6 +106,29 @@ _OK, _OUT_OF_RANGE, _DEGENERATE, _WEAK = "ok", "cos_theta_out_of_range", "degene
 _XZ = Plane.xz()
 
 
+# Domain of each real parameter: (test, what the message says it must do).
+_DOMAINS = {
+    "alpha": (math.isfinite, "be finite"),
+    "phi0": (math.isfinite, "be finite"),
+    "eta0": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    "beta": (lambda v: 0.0 <= v <= math.pi / 2 + 1e-12, "lie in [0, pi/2]"),
+    "theta": (lambda v: 0.0 <= v <= math.pi + 1e-12, "lie in [0, pi]"),
+    "nz": (lambda v: -1.0 < v < 1.0, "lie in (-1, 1)"),
+}
+
+
+def _check_field(scenario: str, name: str, value) -> None:
+    """Raise ContractViolation when a real parameter value lies outside its
+    domain.  A domain holds regardless of which scenario consumes the field,
+    so an out-of-range value never passes silently as an unused flag; the
+    equal-prior scenario also pins eta0 to 0.5."""
+    ok, domain = _DOMAINS[name]
+    if not ok(value):
+        raise ContractViolation(f"{name} must {domain}, got {value}")
+    if name == "eta0" and scenario == "equal-prior-xz" and abs(value - 0.5) > 1e-12:
+        raise ContractViolation("the equal-prior scenario requires eta0 = 0.5")
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment cell: a scenario, its ground-truth parameters, budgets.
@@ -138,21 +165,8 @@ class ExperimentConfig:
                 raise ContractViolation(f"{name} must be >= 1, got {value}")
         if int(self.seed) < 0:
             raise ContractViolation(f"seed must be a nonnegative integer, got {self.seed}")
-        # Field domains hold regardless of which scenario consumes the field,
-        # so an out-of-range value never passes silently as an unused flag.
-        for name in ("alpha", "phi0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ContractViolation(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0.0 < self.eta0 < 1.0:
-            raise ContractViolation(f"eta0 must lie in (0, 1), got {self.eta0}")
-        if not 0.0 <= self.beta <= math.pi / 2 + 1e-12:
-            raise ContractViolation(f"beta must lie in [0, pi/2], got {self.beta}")
-        if not 0.0 <= self.theta <= math.pi + 1e-12:
-            raise ContractViolation(f"theta must lie in [0, pi], got {self.theta}")
-        if not -1.0 < self.nz < 1.0:
-            raise ContractViolation(f"nz must lie in (-1, 1), got {self.nz}")
-        if self.scenario == "equal-prior-xz" and abs(self.eta0 - 0.5) > 1e-12:
-            raise ContractViolation("the equal-prior scenario requires eta0 = 0.5")
+        for name in _DOMAINS:
+            _check_field(self.scenario, name, getattr(self, name))
 
     @property
     def eta1(self) -> float:
@@ -192,36 +206,54 @@ class TrialResult:
         return self.shots_learn + self.shots_holdout
 
 
-def equal_prior_ensemble(alpha: float, beta: float) -> EnsembleSpec:
-    """50/50 ensemble of the pure states at state angles alpha +- beta from +z."""
-    return EnsembleSpec(
-        eta0=0.5,
-        eta1=0.5,
-        psi0=bloch_from_state_angle(alpha + beta),
-        psi1=bloch_from_state_angle(alpha - beta),
-        plane=Plane.xz(),
-    )
+def equal_prior_ensemble(alpha, beta) -> EnsembleSpec:
+    """50/50 ensemble of the pure states at state angles alpha +- beta from
+    +z; arrays of angles give a batch with one ensemble per row."""
+    psi0 = bloch_from_state_angle(alpha + beta)
+    half = np.full(psi0.shape[:-1], 0.5)
+    return EnsembleSpec(eta0=half, eta1=half, psi0=psi0, psi1=bloch_from_state_angle(alpha - beta), plane=_XZ)
 
 
-def two_fold_cell(
-    eta0: float, theta: float, direction: float, plane: Plane = Plane.xz()
-) -> tuple[np.ndarray, float, float]:
+def two_fold_cell(eta0, theta, direction, plane: Plane = _XZ):
     """Case-independent truth of a two-fold cell: the ensemble vector of the
     ensemble in `plane` pointing along `direction` in plane coordinates,
     with the norm implied by (eta0, theta), its closed-form success and its
-    oracle value.  Both branches share all three."""
+    oracle value.  Both branches share all three.
+
+    Arrays of parameters (and a plane with one nz per cell) give the truth
+    of every cell in one pass.  A single degenerate cell raises
+    DegenerateEnsemble; in a batch, a degenerate cell has NaN in all three
+    (the in-plane coordinates of its vector).
+    """
     eta1 = 1.0 - eta0
     n, r = ensemble_vector(eta0, theta, direction, plane)
     targets = mixture_targets(n, theta, eta0, eta1, plane)
     analytic = success_prob(eta0, eta1, theta, r, plane)
-    return n, analytic, success_equal_priors(targets.m0, targets.m1)
+    oracle = success_equal_priors(targets.m0, targets.m1)
+    if isinstance(analytic, np.ndarray):
+        lost = np.isnan(analytic) | np.isnan(oracle)
+        analytic[lost] = oracle[lost] = np.nan
+        plane.coords(n)[lost] = np.nan
+    return n, analytic, oracle
 
 
-def two_fold_spec(n, eta0: float, theta: float, case: str, plane: Plane = Plane.xz()) -> EnsembleSpec:
-    """Hidden spec of one branch of the ensemble with Bloch vector n."""
+def two_fold_spec(n, eta0, theta, case, plane: Plane = _XZ) -> EnsembleSpec:
+    """Hidden spec of the ensemble with Bloch vector n in branch `case`: one
+    ensemble, or a batch with one vector, prior, separation and branch name
+    per row.  A single degenerate n raises DegenerateEnsemble.  A batch row
+    whose n has no in-plane direction (NaN from two_fold_cell) gets the
+    placeholder pair, both states at the first plane axis, so that the row
+    can still draw."""
     eta1 = 1.0 - eta0
     pair = decompose(n, theta, eta0, eta1, case, plane)
-    return EnsembleSpec(eta0=eta0, eta1=eta1, psi0=pair.n0, psi1=pair.n1, plane=plane, case_tag=case)
+    psi0, psi1 = pair.n0, pair.n1
+    if psi0.ndim > 1:
+        lost = np.isnan(psi0[:, :1])
+        if lost.any():
+            rho = np.sqrt(plane.radius_sq)
+            spot = plane.embed(np.stack((rho, np.zeros_like(rho)), axis=-1))
+            psi0, psi1 = np.where(lost, spot, psi0), np.where(lost, spot, psi1)
+    return EnsembleSpec(eta0, eta1, psi0, psi1, plane, case_tag=case if isinstance(case, str) else None)
 
 
 def _role_streams(seed: int, roles: Sequence[str]) -> dict[str, tuple]:
@@ -256,34 +288,54 @@ def _classify(spec: EnsembleSpec, axis: np.ndarray, cfg: ExperimentConfig, gens,
     }
 
 
-def _equal_prior_rows(cells: list[ExperimentConfig], cell_of: np.ndarray) -> dict:
-    base = cells[0]
+@dataclass(frozen=True)
+class _Grid:
+    """The cells of a run or sweep: base's settings, one value per cell of
+    each swept parameter, and the cell of each row."""
+
+    base: ExperimentConfig
+    swept: dict[str, list[float]]
+    count: int
+    cell_of: np.ndarray
+
+    def cells(self, key: str) -> np.ndarray:
+        """A parameter's value in each cell, as floats."""
+        if key in self.swept:
+            return np.array(self.swept[key])
+        return np.full(self.count, float(getattr(self.base, key)))
+
+    def column(self, key: str, convert=lambda v: v):
+        """A parameter's output column: its converted value in each row's
+        cell when it is swept, else one converted base value (of any number
+        type) for every row."""
+        if key in self.swept:
+            return [convert(v) for v in np.array(self.swept[key])[self.cell_of].tolist()]
+        return convert(getattr(self.base, key))
+
+
+def _equal_prior_rows(grid: _Grid) -> dict:
+    base = grid.base
     streams = _role_streams(base.seed, ("axis0", "axis1", "holdout"))
-    truth = []
-    for cfg in cells:
-        spec = equal_prior_ensemble(cfg.alpha, cfg.beta)
-        analytic = 0.5 * (1.0 + math.sin(cfg.beta))
-        truth.append((spec.psi0, spec.psi1, analytic, success_equal_priors(spec.psi0, spec.psi1)))
-    psi0, psi1, analytic, oracle = (np.array(column)[cell_of] for column in zip(*truth))
-    half = np.full(len(cell_of), 0.5)
-    spec = EnsembleSpec(half, half, psi0, psi1, _XZ)
+    # Truth: the hidden spec and both targets in one array pass over the rows.
+    alpha, beta = (grid.cells(key)[grid.cell_of] for key in ("alpha", "beta"))
+    spec = equal_prior_ensemble(alpha, beta)
+    analytic = 0.5 * (1.0 + np.sin(beta))
     est = learn_equal_prior(spec, base.phi0, base.shots_learn, (streams["axis0"], streams["axis1"]))
     # A weak row's setting is meaningless but still a unit axis, so every
     # row classifies its holdout qubits.
     scored = ~est.weak
     keep = scored.tolist()
-    cell_list = cell_of.tolist()
     return {
         "scenario": base.scenario,
         "case": None,
         "eta0": 0.5,
-        "theta_true": [2.0 * cells[c].beta for c in cell_list],
-        "alpha_true": [cells[c].alpha for c in cell_list],
-        "beta_true": [cells[c].beta for c in cell_list],
+        "theta_true": grid.column("beta", lambda b: 2.0 * b),
+        "alpha_true": grid.column("alpha"),
+        "beta_true": grid.column("beta"),
         "n_z": 0.0,
         "alpha_hat": _masked(keep, est.alpha_hat.tolist()),
         "success_analytic": analytic.tolist(),
-        "success_oracle": oracle.tolist(),
+        "success_oracle": success_equal_priors(spec.psi0, spec.psi1).tolist(),
         "shots_learn": est.shots_used,
         "status": [_OK if k else _WEAK for k in keep],
         "theta_hat": None,
@@ -292,39 +344,23 @@ def _equal_prior_rows(cells: list[ExperimentConfig], cell_of: np.ndarray) -> dic
     }
 
 
-def _two_fold_rows(cells: list[ExperimentConfig], cell_of: np.ndarray) -> dict:
-    base = cells[0]
-    trials = int(base.trials)
+def _two_fold_rows(grid: _Grid) -> dict:
+    base, cell_of = grid.base, grid.cell_of
     constz = base.scenario == "const-z"
     axis_roles = ("axis0", "axis1", "axis2") if constz else ("axis0", "axis1")
     streams = _role_streams(base.seed, ("case", *axis_roles, "holdout"))
-    case_b = streams["case"][0].random(len(cell_of)) >= 0.5
-    case_list = case_b.tolist()
-    # Truth: the case-independent part once per cell, the hidden spec once
-    # per (cell, case) that occurs.  A degenerate cell has neither, and its
-    # rows draw with a placeholder state.
-    states = np.empty((len(cells), 2, 2, 3))
-    targets = np.full((len(cells), 2), 0.5)
-    reached = np.ones(len(cells), dtype=bool)
-    for c, cfg in enumerate(cells):
-        plane = Plane.const_z(cfg.nz) if constz else _XZ
-        try:
-            vec, analytic, oracle = two_fold_cell(cfg.eta0, cfg.theta, cfg.alpha, plane)
-        except DegenerateEnsemble:
-            reached[c] = False
-            states[c] = plane.embed([math.sqrt(plane.radius_sq), 0.0])
-            continue
-        targets[c] = analytic, oracle
-        for b in set(case_list[c * trials : (c + 1) * trials]):
-            spec = two_fold_spec(vec, cfg.eta0, cfg.theta, "B" if b else "A", plane)
-            states[c, int(b)] = spec.psi0, spec.psi1
-    eta0 = np.array([cfg.eta0 for cfg in cells])[cell_of]
-    plane = Plane.const_z(np.array([cfg.nz for cfg in cells])[cell_of]) if constz else _XZ
-    psi = states[cell_of, case_b.astype(np.intp)]
-    spec = EnsembleSpec(eta0, 1.0 - eta0, psi[:, 0], psi[:, 1], plane)
+    case = np.where(streams["case"][0].random(len(cell_of)) >= 0.5, "B", "A")
+    # Truth: the case-independent part in one array pass over the cells,
+    # the hidden spec in one over the rows.  A degenerate cell has NaN truth,
+    # and its rows draw with a placeholder pair.
+    eta0, theta, alpha, nz = map(grid.cells, ("eta0", "theta", "alpha", "nz"))
+    vec, analytic, oracle = two_fold_cell(eta0, theta, alpha, Plane.const_z(nz) if constz else _XZ)
+    plane = Plane.const_z(nz[cell_of]) if constz else _XZ
+    spec = two_fold_spec(vec[cell_of], eta0[cell_of], theta[cell_of], case, plane)
+    reached_rows = ~np.isnan(analytic)[cell_of]
+    analytic, oracle = analytic[cell_of], oracle[cell_of]
 
     axis, n_hat = learn_axis(spec, base.shots_learn, [streams[role] for role in axis_roles])
-    reached_rows = reached[cell_of]
     scored = reached_rows & axis.any(axis=-1)
     # The separation cosine reads the in-plane part of the estimate; the
     # measured z of a slice is not used.  It is a diagnostic only: a row
@@ -332,16 +368,15 @@ def _two_fold_rows(cells: list[ExperimentConfig], cell_of: np.ndarray) -> dict:
     u = plane.coords(n_hat)
     cos = cos_theta(np.sqrt((u * u).sum(axis=-1)), spec.eta0, spec.eta1, tol=EPS_CLAMP, plane=plane)
     in_range = ~np.isnan(cos)
-    reach, keep, cell_list = reached_rows.tolist(), scored.tolist(), cell_of.tolist()
-    analytic, oracle = targets[cell_of].T
+    reach, keep = reached_rows.tolist(), scored.tolist()
     return {
         "scenario": base.scenario,
-        "case": ["B" if b else "A" for b in case_list],
-        "eta0": [cells[c].eta0 for c in cell_list],
-        "theta_true": [cells[c].theta for c in cell_list],
-        "alpha_true": [cells[c].alpha for c in cell_list],
+        "case": case.tolist(),
+        "eta0": grid.column("eta0"),
+        "theta_true": grid.column("theta"),
+        "alpha_true": grid.column("alpha"),
         "beta_true": None,
-        "n_z": [float(cells[c].nz) if constz else 0.0 for c in cell_list],
+        "n_z": grid.column("nz", float) if constz else 0.0,
         "alpha_hat": _masked(keep, plane_angle(n_hat, plane).tolist()),
         "success_analytic": _masked(reach, analytic.tolist()),
         "success_oracle": _masked(reach, oracle.tolist()),
@@ -351,22 +386,28 @@ def _two_fold_rows(cells: list[ExperimentConfig], cell_of: np.ndarray) -> dict:
         ],
         "theta_hat": _masked((scored & in_range).tolist(), np.arccos(np.nan_to_num(cos)).tolist()),
         "n_hat": _masked(keep, n_hat),
-        # A row with no learned axis classifies along the first plane axis.
-        **_classify(spec, np.where(scored[:, None], axis, UNIT_X), base, streams["holdout"], analytic, scored),
+        # A row with no learned axis classifies along the first plane axis,
+        # and a row with no truth is scored against chance; neither row
+        # reports its score.
+        **_classify(
+            spec, np.where(scored[:, None], axis, UNIT_X), base, streams["holdout"],
+            np.where(reached_rows, analytic, 0.5), scored,
+        ),
     }
 
 
 _FIELDS = tuple(f.name for f in fields(TrialResult))
 
 
-def _simulate(cells: list[ExperimentConfig]) -> list[TrialResult]:
-    """The engine: the rows of all cells, `trials` per cell in cell order,
-    each role's streams drawing one array over them.  Nothing is kept after
-    it returns."""
-    count = len(cells) * int(cells[0].trials)
-    cell_of = np.repeat(np.arange(len(cells)), int(cells[0].trials))
-    fill = _equal_prior_rows if cells[0].scenario == "equal-prior-xz" else _two_fold_rows
-    columns = {"trial": list(range(count)), **fill(cells, cell_of)}
+def _simulate(base: ExperimentConfig, swept: dict[str, list[float]], cells: int) -> list[TrialResult]:
+    """The engine: the rows of all cells, base.trials per cell in cell order,
+    each role's streams drawing one array over them.  `swept` holds one
+    value per cell of each swept parameter; the others take base's value.
+    Nothing is kept after it returns."""
+    count = cells * int(base.trials)
+    grid = _Grid(base, swept, cells, np.repeat(np.arange(cells), int(base.trials)))
+    fill = _equal_prior_rows if base.scenario == "equal-prior-xz" else _two_fold_rows
+    columns = {"trial": list(range(count)), **fill(grid)}
     return list(
         map(TrialResult, *(
             columns[name] if isinstance(columns[name], list) else itertools.repeat(columns[name], count)
@@ -389,13 +430,16 @@ def sweep(base: ExperimentConfig, grid: dict[str, Sequence[float]]) -> list[Tria
     unknown = set(grid) - set(keys)
     if unknown:
         raise ContractViolation(f"cannot sweep over {sorted(unknown)}")
-    cells = [
-        replace(base, **{k: float(v) for k, v in zip(keys, combo)})
-        for combo in itertools.product(*(grid[k] for k in keys))
-    ]
-    for cfg in cells:
-        cfg.validate()
-    return _simulate(cells) if cells else []
+    values = {k: [float(v) for v in grid[k]] for k in keys}
+    if not all(values.values()):
+        return []
+    # The first cell is validated whole, then every other swept value once.
+    replace(base, **{k: v[0] for k, v in values.items()}).validate()
+    for k, v in values.items():
+        for value in v[1:]:
+            _check_field(base.scenario, k, value)
+    combos = list(itertools.product(*values.values()))
+    return _simulate(base, dict(zip(keys, map(list, zip(*combos)))), len(combos))
 
 
 def summarize(rows: Sequence[TrialResult]) -> dict:
@@ -461,8 +505,19 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_float(x) -> str:
-    text = float.__repr__(float("%.12g" % x))
-    return _JSON_NONFINITE.get(text, text)
+    """The shortest repr of float('%.12g' % x), as json.dumps writes it.
+
+    A finite '%.12g' text without an exponent is that repr already, save a
+    missing '.0': a decimal of at most 15 significant digits reads back as
+    a double whose shortest repr has the same digits, and both '%g' and
+    repr write a decimal exponent in [-4, 12) positionally.  Other texts
+    (an exponent, nan, inf) go through float and repr.
+    """
+    text = "%.12g" % x
+    if "e" in text or "n" in text:
+        text = float.__repr__(float(text))
+        return _JSON_NONFINITE.get(text, text)
+    return text if "." in text else text + ".0"
 
 
 _JSON_CELL = {

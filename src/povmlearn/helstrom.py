@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from povmlearn.bloch import EPS_DEGENERATE, UNIT_X, check_unit, norm
+from povmlearn.bloch import EPS_DEGENERATE, UNIT_X, check_unit, norm, row_norm
 from povmlearn.errors import DegenerateEnsemble
 
 
@@ -49,9 +49,13 @@ def helstrom(m0, m1, allow_degenerate: bool = False) -> HelstromResult:
     return HelstromResult(p0_axis=diff / dist, lam=lam, success=0.5 + 0.5 * lam)
 
 
-def success_equal_priors(m0, m1) -> float:
-    """Best achievable success probability for a 50/50 mixture of m0 and m1."""
-    return helstrom(m0, m1, allow_degenerate=True).success
+def success_equal_priors(m0, m1):
+    """Best achievable success probability 1/2 + |m0 - m1|/4 for a 50/50
+    mixture of m0 and m1, the success of helstrom(m0, m1) (degenerate pairs
+    included); one per row for rows of vectors, each bit for bit the value
+    of its pair alone (row_norm)."""
+    diff = np.asarray(m0, dtype=float) - np.asarray(m1, dtype=float)
+    return 0.5 + 0.5 * (0.5 * row_norm(diff))
 
 
 def detector_probabilities(axis, m0, m1) -> tuple[float, float]:

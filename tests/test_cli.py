@@ -176,6 +176,34 @@ class TestSweep:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("place", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "scenario, key, good, bad, message",
+        [
+            ("const-z", "eta0", "0.3,0.5,0.7", "1.0", "eta0 must lie in (0, 1), got 1.0"),
+            ("const-z", "theta", "0.5,1.0,1.5", "3.2", "theta must lie in [0, pi], got 3.2"),
+            ("const-z", "nz", "-0.5,0.0,0.5", "-1.0", "nz must lie in (-1, 1), got -1.0"),
+            ("const-z", "alpha", "0.0,1.0,2.0", "inf", "alpha must be finite, got inf"),
+            ("equal-prior-xz", "beta", "0.1,0.2,0.3", "1.6", "beta must lie in [0, pi/2], got 1.6"),
+            ("equal-prior-xz", "eta0", "0.5,0.5,0.5", "0.6", "the equal-prior scenario requires eta0 = 0.5"),
+        ],
+    )
+    def test_out_of_domain_value_anywhere_in_a_list_writes_nothing(
+        self, capsys, tmp_path, scenario, key, good, bad, message, place
+    ):
+        values = good.split(",")
+        values[place] = bad
+        path = tmp_path / "rows.json"
+        code, out, err = run_cli(
+            capsys, "sweep", "--scenario", scenario, f"--{key}={','.join(values)}", "--trials", "1",
+            "--shots-learn", "100", "--shots-holdout", "100", "--seed", "2", "--format", "json",
+            "--out", str(path),
+        )
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
+        assert not path.exists()
+
     def test_sweep_rerun_is_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):

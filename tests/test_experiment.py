@@ -216,9 +216,10 @@ def count_calls(monkeypatch, name):
 
 
 class TestTruthOncePerCell:
-    """Ground truth is a function of (cell, case) only, so a cell builds its
-    case-independent part once and its hidden spec at most once per case,
-    and never hands either to another cell."""
+    """Ground truth is a function of (cell, case) only.  The engine computes
+    it for every cell of a run or sweep in one array pass: one call of
+    two_fold_cell over the cells and one of two_fold_spec over the rows,
+    each row with its own case."""
 
     @pytest.mark.parametrize("scenario", ["unequal-prior-xz", "const-z"])
     def test_two_fold_run_builds_truth_per_case(self, monkeypatch, scenario):
@@ -228,8 +229,9 @@ class TestTruthOncePerCell:
         rows = run_experiment(cfg)
         assert len(rows) == 40
         assert {r.case for r in rows} == {"A", "B"}
-        assert len(cells) == 1
-        assert sorted(args[3] for args in specs) == ["A", "B"]
+        assert len(cells) == 1 and cells[0][0].tolist() == [0.6]
+        assert len(specs) == 1
+        assert list(specs[0][3]) == [r.case for r in rows]
 
     def test_equal_prior_run_builds_ensemble_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "equal_prior_ensemble")
@@ -242,11 +244,28 @@ class TestTruthOncePerCell:
         base = ExperimentConfig(scenario="unequal-prior-xz", **{**BASE, "trials": 5})
         thetas = [0.5, 1.0, 1.5]
         rows = sweep(base, {"theta": thetas})
-        assert sorted(args[1] for args in calls) == thetas
+        assert len(calls) == 1
+        assert calls[0][1].tolist() == thetas
         for r in rows:
             eta1 = 1.0 - r.eta0
             q = math.sqrt(r.eta0**2 + eta1**2 + 2 * r.eta0 * eta1 * math.cos(r.theta_true))
             assert r.success_analytic == pytest.approx(success_prob(r.eta0, eta1, r.theta_true, q), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "scenario, key, truth",
+        [
+            ("equal-prior-xz", "beta", {"success_equal_priors", "equal_prior_ensemble"}),
+            ("const-z", "eta0", {"mixture_targets", "success_prob", "success_equal_priors"}),
+        ],
+        ids=["equal-prior-xz", "const-z"],
+    )
+    def test_sweep_calls_each_truth_function_once(self, monkeypatch, scenario, key, truth):
+        names = ("mixture_targets", "success_prob", "success_equal_priors", "equal_prior_ensemble")
+        calls = {name: count_calls(monkeypatch, name) for name in names}
+        base = ExperimentConfig(scenario=scenario, **{**BASE, "trials": 2})
+        rows = sweep(base, {"alpha": [0.0, 1.0, 2.0], key: [0.2, 0.3, 0.4, 0.5]})
+        assert len(rows) == 24
+        assert {name: len(c) for name, c in calls.items()} == {name: int(name in truth) for name in names}
 
     def test_degenerate_truth_is_not_stored(self, monkeypatch):
         calls = count_calls(monkeypatch, "two_fold_cell")

@@ -25,6 +25,7 @@ from povmlearn.experiment import (
     SCENARIOS,
     ExperimentConfig,
     TrialResult,
+    _json_float,
     render_results,
     run_experiment,
 )
@@ -225,3 +226,64 @@ def test_csv_rejects_a_string_cell_that_needs_quoting(text):
 def test_percent_format_equals_format_spec(x):
     # CSV floats are written with '%.12g'; the reference used format(x, '.12g').
     assert "%.12g" % x == format(x, ".12g") == "%.12g" % np.float64(x)
+
+
+# --- JSON floats ------------------------------------------------------------
+# _json_float writes a finite, exponent-free '%.12g' text as it is (plus
+# '.0' when it has no point) and sends every other text through repr.  The
+# expected text is json.dumps of the 12-digit value.
+
+JSON_FLOAT_CASES = (
+    # '%g' writes an exponent from 1e12 on, repr from 1e16 on.
+    (1e11, "100000000000.0"),
+    (99999999999.5, "99999999999.5"),
+    (999999999999.4, "999999999999.0"),
+    (999999999999.5, "1000000000000.0"),
+    (1e12, "1000000000000.0"),
+    (1e13, "10000000000000.0"),
+    (1e14, "100000000000000.0"),
+    (1e15, "1000000000000000.0"),
+    (1e16, "1e+16"),
+    (-1e15, "-1000000000000000.0"),
+    (123456789012345.0, "123456789012000.0"),
+    # Both switch to an exponent below 1e-4.
+    (1e-4, "0.0001"),
+    (1.5e-4, "0.00015"),
+    (1e-5, "1e-05"),
+    (-1e-5, "-1e-05"),
+    (0.0, "0.0"),
+    (-0.0, "-0.0"),
+    (1.0, "1.0"),
+    (-7.0, "-7.0"),
+    (0.1 + 0.2, "0.3"),
+    (math.pi, "3.14159265359"),
+    (2.0**52, "4503599627370000.0"),
+    (5e-324, "5e-324"),
+    (-5e-324, "-5e-324"),
+    (1e-310, "1e-310"),
+    (2.2250738585072014e-308, "2.22507385851e-308"),
+    (math.nan, "NaN"),
+    (math.inf, "Infinity"),
+    (-math.inf, "-Infinity"),
+)
+
+
+
+
+@pytest.mark.parametrize("value, text", JSON_FLOAT_CASES, ids=[repr(v) for v, _ in JSON_FLOAT_CASES])
+@pytest.mark.parametrize("kind", [float, np.float64])
+def test_json_float_cases(value, text, kind):
+    assert _json_float(kind(value)) == text == json.dumps(float("%.12g" % value))
+
+
+@pytest.mark.parametrize("value", [0, 7, -3, 2**53 + 1, np.int64(12)])
+def test_json_float_of_an_integer_value(value):
+    # A float field holding an integer is written as one (render_results),
+    # but the float writer itself must still agree with json.dumps.
+    assert _json_float(value) == json.dumps(float("%.12g" % value))
+
+
+@settings(max_examples=2000)
+@given(st.floats() | st.floats(1e-6, 1e17) | st.floats(-1e17, -1e-6))
+def test_json_float_equals_the_shortest_repr(x):
+    assert _json_float(x) == json.dumps(float("%.12g" % x))
