@@ -92,6 +92,15 @@ def any_row(mask) -> bool:
     return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
+def first_row(mask, value):
+    """value in the first row where a boolean mask holds, for the message of
+    a failed check: value holds one entry per row of the mask, or one entry
+    shared by all rows, and a single flag gives value as it is."""
+    if isinstance(mask, np.ndarray) and isinstance(value, np.ndarray) and value.ndim:
+        return value[np.argmax(mask)]
+    return value
+
+
 def _same(a, b) -> bool:
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return np.array_equal(a, b)
@@ -128,7 +137,7 @@ def check_unit(v, what: str = "vector", tol: float = EPS_PHYS) -> np.ndarray:
     r = row_norm(v)
     ok = abs(r - 1.0) <= tol
     if not every_row(ok):
-        raise ContractViolation(f"{what} must be unit length, got |v| = {np.ravel(r)[np.argmin(ok)]:.9g}")
+        raise ContractViolation(f"{what} must be unit length, got |v| = {first_row(np.logical_not(ok), r):.9g}")
     return v
 
 
@@ -159,8 +168,9 @@ class Plane(ValueEquality):
     @classmethod
     def const_z(cls, nz) -> "Plane":
         nz = np.array(nz, dtype=float)
-        if not every_row(abs(nz) < 1.0):
-            raise ContractViolation(f"constant-z plane needs |nz| < 1, got {nz}")
+        ok = abs(nz) < 1.0
+        if not every_row(ok):
+            raise ContractViolation(f"constant-z plane needs |nz| < 1, got {first_row(np.logical_not(ok), nz)}")
         nz.flags.writeable = False
         # A single nz is kept as a float: float arithmetic downstream is
         # cheaper than numpy-scalar arithmetic.
@@ -191,12 +201,16 @@ class Plane(ValueEquality):
             out[..., offset] = self.nz
         return out
 
-    def contains(self, v, tol: float = EPS_PHYS) -> bool:
-        """Whether v (every row of v) lies in the plane."""
+    def on_plane(self, v, tol: float = EPS_PHYS):
+        """Whether v lies in the plane: a flag for one vector, one per row."""
         off = np.asarray(v, dtype=float)[..., _PLANE_SLOTS[self.kind][1]]
         if self.kind == "constz":
             off = off - self.nz
-        return every_row(abs(off) <= tol)
+        return abs(off) <= tol
+
+    def contains(self, v, tol: float = EPS_PHYS) -> bool:
+        """Whether v (every row of v) lies in the plane."""
+        return every_row(self.on_plane(v, tol))
 
 
 def bloch_from_state_angle(gamma) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from povmlearn.bloch import EPS_DEGENERATE, EPS_PHYS, Plane, any_row, every_row, perp_in_plane, self_dot
+from povmlearn.bloch import EPS_DEGENERATE, EPS_PHYS, Plane, any_row, every_row, first_row, perp_in_plane, self_dot
 from povmlearn.ensemble import EnsembleSpec, estimate_pauli
 from povmlearn.errors import (
     ContractViolation,
@@ -63,12 +63,11 @@ class MixtureTargets:
     theta: float | np.ndarray
 
 
-# Each truth function takes numpy's sqrt, sin and cos when an operand is an
-# ndarray (rows), else math's: one value keeps float operands, which cost
-# far less than numpy's per-call overhead on 0-d arrays.  The choice is
-# made inline or by this lookup on one operand's type, not by a helper
-# call, because oracle-check calls the truth functions once per instance.
-_LIB = {np.ndarray: np}.get
+# Each truth function takes numpy's sqrt, sin and cos when an operand that
+# goes into them is an ndarray (rows), else math's: one value keeps float
+# operands, which cost far less than numpy's per-call overhead on 0-d
+# arrays.  The choice is an inline isinstance test, not a helper call,
+# because oracle-check calls the truth functions once per instance.
 
 
 def _embed(plane: Plane, *pairs) -> np.ndarray:
@@ -83,27 +82,21 @@ def _embed(plane: Plane, *pairs) -> np.ndarray:
     return plane.embed(np.array(pairs))
 
 
-def _at_first(mask, value):
-    """value in the first row where mask holds; a single value as it is."""
-    if isinstance(mask, np.ndarray):
-        return np.broadcast_to(value, mask.shape)[np.argmax(mask)]
-    return value
-
-
 def _check_priors(eta0, eta1) -> None:
     """Priors interior and summing to 1, in every row for arrays of priors."""
     ok = (abs(eta0 + eta1 - 1.0) <= 1e-12) & (0.0 < eta0) & (eta0 < 1.0)
     if not every_row(ok):
-        raise InvalidPriors(f"priors must be interior and sum to 1, got ({eta0}, {eta1})")
+        bad = np.logical_not(ok)
+        raise InvalidPriors(
+            f"priors must be interior and sum to 1, got ({first_row(bad, eta0)}, {first_row(bad, eta1)})"
+        )
 
 
 def _check_theta(theta) -> None:
-    if isinstance(theta, np.ndarray):
-        ok = bool(((-1e-12 <= theta) & (theta <= math.pi + 1e-12)).all())
-    else:
-        ok = -1e-12 <= theta <= math.pi + 1e-12
-    if not ok:
-        raise ContractViolation(f"separation angle must lie in [0, pi], got {theta}")
+    """Separation angles in [0, pi], in every row for arrays of angles."""
+    ok = (-1e-12 <= theta) & (theta <= math.pi + 1e-12)
+    if not every_row(ok):
+        raise ContractViolation(f"separation angle must lie in [0, pi], got {first_row(np.logical_not(ok), theta)}")
 
 
 def _check_case(case):
@@ -133,15 +126,17 @@ def _slice_coords(n, plane: Plane):
     value derived from it.
     """
     n = np.asarray(n, dtype=float)
-    if not plane.contains(n):
-        raise ContractViolation(f"ensemble vector {n} does not lie in the {plane.kind} plane")
+    ok = plane.on_plane(n)
+    if not every_row(ok):
+        bad = first_row(np.logical_not(ok), n)
+        raise ContractViolation(f"ensemble vector {bad} does not lie in the {plane.kind} plane")
     u = plane.coords(n)
     uu = self_dot(u)
-    m = np if np.ndarray in (type(uu), type(plane.nz)) else math
+    m = np if isinstance(uu, np.ndarray) or isinstance(plane.nz, np.ndarray) else math
     r, radius = m.sqrt(uu), m.sqrt(plane.radius_sq)
     over = r > radius * (1.0 + EPS_CLAMP)
     if any_row(over):
-        r, radius = _at_first(over, r), _at_first(over, radius)
+        r, radius = first_row(over, r), first_row(over, radius)
         raise ContractViolation(f"in-plane norm {r:.6g} exceeds the slice radius {radius:.6g}")
     if m is np:
         return u[..., 0], u[..., 1], np.where(r > EPS_DEGENERATE, uu, np.nan)
@@ -156,7 +151,8 @@ def ensemble_vector(eta0, theta, direction, plane: Plane = _PLANE_XZ) -> tuple[n
     norm |u| = rho sqrt(eta0^2 + eta1^2 + 2 eta0 eta1 cos(theta)), the
     relation cos_theta inverts.  Any argument (and the plane's nz) may hold
     one value per row, giving one vector and norm per row."""
-    m = np if np.ndarray in (type(eta0), type(theta), type(direction), type(plane.nz)) else math
+    rows = isinstance(eta0, np.ndarray) or isinstance(theta, np.ndarray) or isinstance(direction, np.ndarray)
+    m = np if rows or isinstance(plane.nz, np.ndarray) else math
     eta1 = 1.0 - eta0
     q = m.sqrt(eta0 * eta0 + eta1 * eta1 + 2.0 * eta0 * eta1 * m.cos(theta))
     r = m.sqrt(plane.radius_sq) * q
@@ -203,7 +199,7 @@ def decompose(n, theta, eta0, eta1, case, plane: Plane = _PLANE_XZ) -> Decomposi
     sgn = _check_case(case)
     u0, u1, uu = _slice_coords(n, plane)
     prefactor = plane.radius_sq / uu
-    m = _LIB(type(theta), math)
+    m = np if isinstance(theta, np.ndarray) else math
     ct, st = m.cos(theta), m.sin(theta)
     a0, sb1 = eta0 + eta1 * ct, sgn * (eta1 * st)
     a1, sb0 = eta1 + eta0 * ct, sgn * (eta0 * st)
@@ -226,7 +222,8 @@ def mixture_targets(n, theta, eta0, eta1, plane: Plane = _PLANE_XZ) -> MixtureTa
     _check_priors(eta0, eta1)
     _check_theta(theta)
     u0, u1, uu = _slice_coords(n, plane)
-    shift = 2.0 * eta0 * eta1 * _LIB(type(theta), math).sin(theta) * plane.radius_sq
+    m = np if isinstance(theta, np.ndarray) else math
+    shift = 2.0 * eta0 * eta1 * m.sin(theta) * plane.radius_sq
     m0, m1 = _embed(
         plane,
         ((u0 * uu - shift * u1) / uu, (shift * u0 + u1 * uu) / uu),
@@ -248,21 +245,12 @@ def success_prob(eta0, eta1, theta, n_norm, plane: Plane = _PLANE_XZ):
         n_norm = float(n_norm)
         if n_norm <= EPS_DEGENERATE:
             raise DegenerateEnsemble(f"|u| = {n_norm:.3g} is too small for a success target")
-    ps = 0.5 + eta0 * eta1 * _LIB(type(theta), math).sin(theta) * plane.radius_sq / n_norm
-    # The bound check and clip are spelled out per kind: oracle-check calls
-    # this once per instance with numbers.
-    if not isinstance(ps, np.ndarray):
-        if ps > 1.0 + EPS_PHYS:
-            raise _impossible_success(ps)
-        return min(ps, 1.0)
+    m = np if isinstance(theta, np.ndarray) else math
+    ps = 0.5 + eta0 * eta1 * m.sin(theta) * plane.radius_sq / n_norm
     over = ps > 1.0 + EPS_PHYS
-    if over.any():
-        raise _impossible_success(ps[over][0])
-    return np.minimum(ps, 1.0)
-
-
-def _impossible_success(ps) -> ContractViolation:
-    return ContractViolation(f"inconsistent inputs: success probability {ps:.6g} exceeds 1")
+    if any_row(over):
+        raise ContractViolation(f"inconsistent inputs: success probability {first_row(over, ps):.6g} exceeds 1")
+    return np.minimum(ps, 1.0) if isinstance(ps, np.ndarray) else min(ps, 1.0)
 
 
 def learn_axis(spec: EnsembleSpec, shots_per_axis: int, rng) -> tuple[np.ndarray, np.ndarray]:

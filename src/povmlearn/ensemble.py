@@ -36,6 +36,7 @@ from povmlearn.bloch import (
     ValueEquality,
     check_unit,
     every_row,
+    first_row,
     prob_plus_unchecked,
     row_norm,
 )
@@ -189,8 +190,12 @@ class EnsembleSpec(ValueEquality):
                 "priors must be two numbers or two nonempty 1-D arrays of one shape, "
                 f"got shapes {eta0.shape}, {eta1.shape}"
             )
-        if not every_row((abs(eta0 + eta1 - 1.0) <= 1e-12) & (0.0 <= eta0) & (eta0 <= 1.0)):
-            raise ContractViolation(f"priors must be in [0, 1] and sum to 1, got ({eta0}, {eta1})")
+        ok = (abs(eta0 + eta1 - 1.0) <= 1e-12) & (0.0 <= eta0) & (eta0 <= 1.0)
+        if not every_row(ok):
+            bad = np.logical_not(ok)
+            raise ContractViolation(
+                f"priors must be in [0, 1] and sum to 1, got ({first_row(bad, eta0)}, {first_row(bad, eta1)})"
+            )
         for name, eta in (("eta0", eta0), ("eta1", eta1)):
             if eta.ndim:
                 eta.flags.writeable = False
@@ -199,11 +204,15 @@ class EnsembleSpec(ValueEquality):
             psi = np.array(getattr(self, name), dtype=float)
             if psi.shape != eta0.shape + (3,):
                 raise ContractViolation(f"{name} must be a Bloch 3-vector per row, got shape {psi.shape}")
+            # A failed check names the first row that fails it.
             r = row_norm(psi)
-            if not every_row(abs(r - 1.0) <= EPS_PHYS):
-                raise ContractViolation(f"{name} must be pure (unit norm), |n| = {r}")
-            if not self.plane.contains(psi):
-                raise ContractViolation(f"{name} = {psi} violates the {self.plane.kind} plane constraint")
+            ok = abs(r - 1.0) <= EPS_PHYS
+            if not every_row(ok):
+                raise ContractViolation(f"{name} must be pure (unit norm), |n| = {first_row(np.logical_not(ok), r)}")
+            ok = self.plane.on_plane(psi)
+            if not every_row(ok):
+                bad = first_row(np.logical_not(ok), psi)
+                raise ContractViolation(f"{name} = {bad} violates the {self.plane.kind} plane constraint")
             psi.flags.writeable = False
             object.__setattr__(self, name, psi)
         if self.case_tag not in _CASE_TAGS:

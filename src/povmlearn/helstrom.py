@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from povmlearn.bloch import EPS_DEGENERATE, UNIT_X, check_unit, norm, row_norm
+from povmlearn.bloch import EPS_DEGENERATE, check_unit, norm, row_norm
 from povmlearn.errors import DegenerateEnsemble
 
 
@@ -24,36 +24,29 @@ class HelstromResult:
     p0_axis: np.ndarray
     lam: float
     success: float
-    degenerate: bool = False
 
 
-def helstrom(m0, m1, allow_degenerate: bool = False) -> HelstromResult:
+def helstrom(m0, m1) -> HelstromResult:
     """Optimal equal-prior discrimination of Bloch vectors m0 and m1.
 
-    Indistinguishable inputs (|m0 - m1| below the degeneracy tolerance) are
-    an error for direct callers; evaluation pipelines pass allow_degenerate
-    to get a flagged chance-level result with a fixed placeholder axis.
+    Indistinguishable inputs (|m0 - m1| below the degeneracy tolerance)
+    have no optimal axis and raise DegenerateEnsemble.
     """
     m0 = np.asarray(m0, dtype=float)
     m1 = np.asarray(m1, dtype=float)
     diff = m0 - m1
     dist = norm(diff)
     if dist <= EPS_DEGENERATE:
-        if not allow_degenerate:
-            raise DegenerateEnsemble(
-                f"states are indistinguishable: |m0 - m1| = {dist:.3g}"
-            )
-        lam = 0.5 * dist
-        return HelstromResult(p0_axis=UNIT_X.copy(), lam=lam, success=0.5 + 0.5 * lam, degenerate=True)
+        raise DegenerateEnsemble(f"states are indistinguishable: |m0 - m1| = {dist:.3g}")
     lam = 0.5 * dist
     return HelstromResult(p0_axis=diff / dist, lam=lam, success=0.5 + 0.5 * lam)
 
 
 def success_equal_priors(m0, m1):
     """Best achievable success probability 1/2 + |m0 - m1|/4 for a 50/50
-    mixture of m0 and m1, the success of helstrom(m0, m1) (degenerate pairs
-    included); one per row for rows of vectors, each bit for bit the value
-    of its pair alone (row_norm)."""
+    mixture of m0 and m1: the success of helstrom(m0, m1), and the same
+    formula for pairs helstrom refuses as degenerate.  One per row for rows
+    of vectors, each bit for bit the value of its pair alone (row_norm)."""
     diff = np.asarray(m0, dtype=float) - np.asarray(m1, dtype=float)
     return 0.5 + 0.5 * (0.5 * row_norm(diff))
 

@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import math
+import re
 
 import pytest
 
@@ -69,6 +71,19 @@ class TestRun:
         )
         assert code == 2
         assert "error:" in err
+
+    def test_invalid_cell_reports_one_state_norm(self, capsys):
+        # At eta0 just above 1/2 and theta = pi the closed-form |u| loses
+        # digits to cancellation, so the derived states miss unit norm and
+        # the run is refused.  The batch spec names the failing norm once,
+        # as a spec of the cell alone does, not one norm per trial.
+        code, out, err = run_cli(
+            capsys, "run", "--scenario", "unequal-prior-xz", "--eta0", "0.500000505",
+            "--theta", repr(math.pi), "--trials", "400",
+        )
+        assert code == 2
+        assert out == ""
+        assert re.fullmatch(r"error: psi0 must be pure \(unit norm\), \|n\| = 1\.0000\d+\n", err)
 
     def test_unwritable_out_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -110,6 +110,29 @@ class TestEnsembleSpec:
         with pytest.raises(ContractViolation, match="nonempty"):
             EnsembleSpec(rows.eta0[:0], rows.eta1[:0], rows.psi0[:0], rows.psi1[:0], Plane.xz())
 
+    @pytest.mark.parametrize(
+        "field, first, second",
+        [
+            ("eta0", 1.25, 1.5),
+            ("psi1", [0.0, 0.0, 1.0 + 2e-5], [0.0, 0.0, 0.5]),
+            ("psi1", [0.6, 0.8, 0.0], [0.0, 1.0, 0.0]),
+        ],
+        ids=["priors", "purity", "plane"],
+    )
+    def test_failed_batch_check_names_the_first_failing_row(self, field, first, second):
+        # The message is the one the first failing row raises alone, however
+        # many rows the batch holds.
+        rows = batch(xz_spec(eta0=0.7), 1200)
+        fields = {name: getattr(rows, name).copy() for name in ("eta0", "psi0", "psi1")}
+        fields[field][[600, 900]] = [first, second]
+        eta0, psi0, psi1 = fields["eta0"], fields["psi0"], fields["psi1"]
+        with pytest.raises(ContractViolation) as single:
+            EnsembleSpec(eta0[600], 1.0 - eta0[600], psi0[600], psi1[600], Plane.xz())
+        with pytest.raises(ContractViolation) as batched:
+            EnsembleSpec(eta0, 1.0 - eta0, psi0, psi1, Plane.xz())
+        assert str(batched.value) == str(single.value)
+        assert "..." not in str(batched.value)
+
 
 class TestSample:
     def test_batch_of_one_matches_single_draw_for_draw(self):

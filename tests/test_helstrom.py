@@ -36,12 +36,6 @@ class TestHelstrom:
         with pytest.raises(DegenerateEnsemble):
             helstrom([0.3, 0, 0.2], [0.3, 0, 0.2])
 
-    def test_degenerate_flagged_when_allowed(self):
-        res = helstrom([0.3, 0, 0.2], [0.3, 0, 0.2], allow_degenerate=True)
-        assert res.degenerate
-        assert res.success == 0.5
-        assert abs(np.linalg.norm(res.p0_axis) - 1.0) <= 1e-12
-
     def test_success_equal_priors_shortcut(self):
         assert success_equal_priors([0, 0, 1], [0, 0, -1]) == pytest.approx(1.0, abs=1e-12)
         assert success_equal_priors([0.1, 0, 0], [0.1, 0, 0]) == 0.5
