@@ -55,7 +55,7 @@ from povmlearn.decomposition import (
     mixture_targets,
     success_prob,
 )
-from povmlearn.ensemble import EnsembleSpec, RngStream, stream_states
+from povmlearn.ensemble import EnsembleSpec, RngStream, check_seed
 from povmlearn.equal_prior import learn_equal_prior, povm_axis_from_phi
 from povmlearn.errors import ContractViolation
 from povmlearn.evaluate import classify_holdout, score
@@ -163,8 +163,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if int(value) < 1:
                 raise ContractViolation(f"{name} must be >= 1, got {value}")
-        if int(self.seed) < 0:
-            raise ContractViolation(f"seed must be a nonnegative integer, got {self.seed}")
+        check_seed(self.seed)
         for name in _DOMAINS:
             _check_field(self.scenario, name, getattr(self, name))
 
@@ -253,16 +252,15 @@ def two_fold_spec(n, eta0, theta, case, plane: Plane = _XZ) -> EnsembleSpec:
             rho = np.sqrt(plane.radius_sq)
             spot = plane.embed(np.stack((rho, np.zeros_like(rho)), axis=-1))
             psi0, psi1 = np.where(lost, spot, psi0), np.where(lost, spot, psi1)
-    return EnsembleSpec(eta0, eta1, psi0, psi1, plane, case_tag=case if isinstance(case, str) else None)
+    return EnsembleSpec(eta0, eta1, psi0, psi1, plane)
 
 
 def _role_streams(seed: int, roles: Sequence[str]) -> dict[str, tuple]:
     """The generators of each role, by draw: one for the case role, three
-    for a measuring role.  Their seed words come from one stream_states call."""
+    for a measuring role, each the RngStream of its layout-v2 id."""
     draws = [1 if role == "case" else len(_DRAWS) for role in roles]
     ids = [len(_DRAWS) * _ROLES.index(role) + d for role, k in zip(roles, draws) for d in range(k)]
-    states = stream_states(seed, np.array(ids, dtype=np.uint64))
-    gens = iter([RngStream(seed, i, words).generator() for i, words in zip(ids, states)])
+    gens = iter([RngStream(seed, i).generator() for i in ids])
     return {role: tuple(itertools.islice(gens, k)) for role, k in zip(roles, draws)}
 
 

@@ -19,6 +19,7 @@ from povmlearn.bloch import (
     wrap_angle,
 )
 from povmlearn.decomposition import cos_theta, decompose, ensemble_vector, mixture_targets, success_prob
+from povmlearn.ensemble import check_seed
 from povmlearn.equal_prior import delta_analytic, povm_axis_from_phi, solve_alpha
 from povmlearn.errors import ContractViolation
 from povmlearn.helstrom import detector_probabilities, helstrom, success_equal_priors
@@ -55,6 +56,7 @@ def oracle_battery(n_instances: int = 10_000, seed: int = 12345) -> list[CheckOu
     """Property battery for the minimum-error oracle on random instances."""
     if n_instances < 1:
         raise ContractViolation(f"the oracle battery needs at least 1 instance, got {n_instances}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     worst_purity = worst_axis = worst_lam = worst_converse = worst_balance = 0.0
     pairs = []
@@ -86,6 +88,7 @@ def oracle_battery(n_instances: int = 10_000, seed: int = 12345) -> list[CheckOu
 
 def invariant_battery(seed: int = 12345) -> list[CheckOutcome]:
     """Library-wide invariant battery; pure computation, no file I/O."""
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     outcomes = []
 

@@ -4,12 +4,18 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from povmlearn import cli
 from povmlearn.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *args):
@@ -249,6 +255,24 @@ class TestBatteries:
         code, out, _ = run_cli(capsys, "selftest", "--seed", "1")
         assert code == 0
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("command", ["oracle-check", "selftest"])
+    def test_negative_seed_is_config_error(self, capsys, command):
+        # The same check and exit code as run --seed -1, not numpy's
+        # ValueError.
+        code, out, err = run_cli(capsys, command, "--seed", "-1")
+        assert code == 2
+        assert err.startswith("error: seed must be a nonnegative integer, got -1")
+        assert out == ""
+
+
+def test_import_does_not_load_numpy_random():
+    # numpy.random costs a noticeable part of start-up; it loads only when a
+    # generator is built.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = "import sys, povmlearn.cli; print('numpy.random' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestUsage:

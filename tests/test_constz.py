@@ -213,7 +213,7 @@ class TestLearnAxisConstZ:
     def test_axis_properties(self):
         plane, n, _ = make_n(0.6, 1.0, 0.7, 0.4)
         pair = decompose(n, 1.0, 0.6, 0.4, "A", plane)
-        spec = EnsembleSpec(0.6, 0.4, pair.n0, pair.n1, plane, case_tag="A")
+        spec = EnsembleSpec(0.6, 0.4, pair.n0, pair.n1, plane)
         axis, n_hat = learn_axis(spec, 100_000, RngStream(5).generator())
         assert axis[2] == 0.0
         assert abs(norm(axis) - 1.0) <= 1e-12

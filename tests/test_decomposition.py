@@ -256,7 +256,7 @@ class TestLearnAxisEqualCounts:
     def test_orthogonal_to_estimate_by_construction(self):
         n, _ = make_n(0.6, 1.0, 0.7)
         pair = decompose(n, 1.0, 0.6, 0.4, "A")
-        spec = EnsembleSpec(0.6, 0.4, pair.n0, pair.n1, Plane.xz(), case_tag="A")
+        spec = EnsembleSpec(0.6, 0.4, pair.n0, pair.n1, Plane.xz())
         axis, n_hat = learn_axis(spec, 100_000, RngStream(1).generator())
         assert abs(norm(axis) - 1.0) <= 1e-12
         assert abs(axis[1]) == 0.0
@@ -265,7 +265,7 @@ class TestLearnAxisEqualCounts:
     def test_angular_accuracy_at_large_budget(self):
         n, _ = make_n(0.6, 1.2, 0.54)
         pair = decompose(n, 1.2, 0.6, 0.4, "A")
-        spec = EnsembleSpec(0.6, 0.4, pair.n0, pair.n1, Plane.xz(), case_tag="A")
+        spec = EnsembleSpec(0.6, 0.4, pair.n0, pair.n1, Plane.xz())
         target = perp_in_plane(n, Plane.xz())
         hits = 0
         for seed in range(50):

@@ -17,6 +17,7 @@ import povmlearn.experiment as experiment
 from povmlearn import bloch
 from povmlearn.bloch import Plane
 from povmlearn.decomposition import success_prob
+from povmlearn.ensemble import RngStream
 from povmlearn.errors import ContractViolation
 from povmlearn.experiment import (
     CSV_COLUMNS,
@@ -321,6 +322,27 @@ def streams_built_alone(seed, roles):
     }
 
 
+class _WeakGenerator(np.random.Generator):
+    """A Generator that can be weakly referenced; numpy's cannot."""
+
+
+def track_streams(monkeypatch):
+    """Make the engine build its streams through a recording RngStream.
+    Returns the (seed, stream id) of each generator built, in order, and a
+    weak reference to each generator; the generators draw the same bits."""
+    built, held = [], []
+
+    class Tracked(RngStream):
+        def generator(self):
+            gen = _WeakGenerator(super().generator().bit_generator)
+            built.append((self.seed, self.stream_id))
+            held.append(weakref.ref(gen))
+            return gen
+
+    monkeypatch.setattr(experiment, "RngStream", Tracked)
+    return built, held
+
+
 SMALL = dict(shots_learn=300, shots_holdout=100, seed=11)
 SCENARIO_CELLS = {
     "equal-prior-xz": dict(scenario="equal-prior-xz"),
@@ -363,31 +385,23 @@ class TestStreamLayout:
         key = "alpha" if scenario == "equal-prior-xz" else "theta"
         assert rows_equal(run_experiment(cfg), sweep(cfg, {key: [getattr(cfg, key)]}))
 
-    def test_sweep_builds_states_once(self, monkeypatch):
-        calls = count_calls(monkeypatch, "stream_states")
+    def test_sweep_builds_each_stream_once(self, monkeypatch):
+        built, _ = track_streams(monkeypatch)
         base = ExperimentConfig(scenario="const-z", eta0=0.6, trials=1, **SMALL)
         rows = sweep(base, {"nz": [-0.3, 0.0, 0.3], "alpha": [0.0, 1.0]})
         assert len(rows) == 6
-        assert [ids.tolist() for _, ids in calls] == [[0, *range(3, 15)]]
-        calls.clear()
+        assert built == [(11, k) for k in (0, *range(3, 15))]
+        built.clear()
         run_experiment(ExperimentConfig(scenario="equal-prior-xz", trials=200, **SMALL))
-        assert [ids.tolist() for _, ids in calls] == [list(range(3, 9)) + [12, 13, 14]]
+        assert built == [(11, k) for k in (*range(3, 9), 12, 13, 14)]
 
     def test_engine_keeps_nothing_after_return(self, monkeypatch):
-        real = experiment.stream_states
-        held = []
-
-        def tracked(seed, ids):
-            states = real(seed, ids)
-            held.append(weakref.ref(states))
-            return states
-
-        monkeypatch.setattr(experiment, "stream_states", tracked)
+        built, held = track_streams(monkeypatch)
         for scenario in sorted(SCENARIO_CELLS):
             rows = run_experiment(ExperimentConfig(**SCENARIO_CELLS[scenario], trials=5, **SMALL))
             assert len(rows) == 5
         gc.collect()
-        assert len(held) == 3 and all(ref() is None for ref in held)
+        assert len(built) == 9 + 10 + 13 and all(ref() is None for ref in held)
 
 
 class TestSweep:
