@@ -59,6 +59,11 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        k = self.stream_id
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= int(k) < 2**64:
+            raise ContractViolation(f"stream ids must be integers in [0, 2^64), got {k!r}")
+
     def generator(self) -> np.random.Generator:
         # Spelled out rather than default_rng(ss): the same bits, a little
         # cheaper per generator.

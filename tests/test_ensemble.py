@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from povmlearn.bloch import Plane, bloch_from_state_angle
 from povmlearn.decomposition import ensemble_vector
@@ -213,6 +215,64 @@ class TestRngStream:
         g = RngStream(7, 3).generator()
         assert g.bit_generator.state == ref.bit_generator.state
         assert np.array_equal(g.random(5), ref.random(5))
+
+
+def reference_generator(seed, stream_id):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_id,)))
+
+
+# Seeds of one, two to four, and more than four 32-bit words: a seed of more
+# than four words shifts the hash constants the spawn key is mixed with.
+seeds = st.one_of(
+    st.just(0),
+    st.integers(1, 2**32 - 1),
+    st.integers(2**32, 2**128 - 1),
+    st.integers(2**128, 2**200),
+)
+# Ids of one and two 32-bit words, the word boundary and the top of uint64.
+stream_ids = st.one_of(
+    st.sampled_from([0, 1, 1023, 1024, 1025, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1]),
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+)
+
+
+class TestStreamStates:
+    """The state of a stream's generator is that of numpy's spawned stream
+    SeedSequence(seed, spawn_key=(id,)), bit for bit, for any seed and any
+    uint64 id."""
+
+    @given(seeds, st.lists(stream_ids, min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_build_the_numpy_spawned_streams(self, seed, ids):
+        for stream_id in ids:
+            ref = reference_generator(seed, stream_id)
+            g = RngStream(seed, stream_id).generator()
+            assert g.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(g.integers(0, 2**63, size=4), ref.integers(0, 2**63, size=4))
+            assert g.random() == ref.random()
+
+    @pytest.mark.parametrize(
+        "seed, stream_id, words",
+        [
+            (0, 0, (0x784DFB2CDFF7B411, 0xCA65717F56CF8F57, 0x66BA395B9BB52223, 0x6F9B32110FE1E0A9)),
+            (29, 1027, (0xB007272F87A4653C, 0x896209FB88562B47, 0xBD43505BA4FC1194, 0x42EC1EB5603258E3)),
+            (2**64 + 7, 2**32, (0xFE4C7F900FDC49B7, 0xE37CF5CF3C25DCE9, 0xF5AB4F673E20FCEB, 0x86F256E183C49C98)),
+            (12345, 2**40 + 3, (0xAFEB2724ACD57A10, 0x483CB12500612DD4, 0x958D0D62AA922F97, 0x1813D0CAABE8A85D)),
+        ],
+    )
+    def test_known_answers(self, seed, stream_id, words):
+        # The four words PCG64 is seeded with, fixed: every golden file rests
+        # on them, so a change in numpy's SeedSequence hash shows here by name.
+        seed_seq = RngStream(seed, stream_id).generator().bit_generator.seed_seq
+        assert tuple(int(w) for w in seed_seq.generate_state(4, np.uint64)) == words
+
+    def test_rejects_ids_that_are_not_uint64(self):
+        # A float id is refused, never rounded; numpy.uint64 ids are taken.
+        for stream_id in (-1, 2**64, 1.0, np.float64(3), True, "3"):
+            with pytest.raises(ContractViolation, match="stream ids"):
+                RngStream(1, stream_id)
+        assert RngStream(1, np.uint64(2**64 - 1)).stream_id == 2**64 - 1
 
 
 class TestMeasureShots:
