@@ -46,10 +46,10 @@ def wrap_angle(a):
     return np.where(r >= _TAU, r - _TAU, r)[()]
 
 
-def angle_dist(a: float, b: float, period: float = _TAU) -> float:
-    """Minimal circular distance between two angles of the given period."""
-    d = math.fmod(abs(float(a) - float(b)), period)
-    return min(d, period - d)
+def angle_dist(a: float, b: float) -> float:
+    """Minimal circular distance between two angles."""
+    d = math.fmod(abs(float(a) - float(b)), _TAU)
+    return min(d, _TAU - d)
 
 
 def norm(v) -> float:
@@ -130,12 +130,12 @@ class ValueEquality:
         return hash(tuple(_hash_key(getattr(self, f.name)) for f in fields(self) if f.compare))
 
 
-def check_unit(v, what: str = "vector", tol: float = EPS_PHYS) -> np.ndarray:
-    """Return v as an array after verifying |v| = 1 within tol; a 2-D v
+def check_unit(v, what: str = "vector") -> np.ndarray:
+    """Return v as an array after verifying |v| = 1 within EPS_PHYS; a 2-D v
     holds one vector per row, and every row is checked."""
     v = np.asarray(v, dtype=float)
     r = row_norm(v)
-    ok = abs(r - 1.0) <= tol
+    ok = abs(r - 1.0) <= EPS_PHYS
     if not every_row(ok):
         raise ContractViolation(f"{what} must be unit length, got |v| = {first_row(np.logical_not(ok), r):.9g}")
     return v
@@ -201,16 +201,17 @@ class Plane(ValueEquality):
             out[..., offset] = self.nz
         return out
 
-    def on_plane(self, v, tol: float = EPS_PHYS):
-        """Whether v lies in the plane: a flag for one vector, one per row."""
+    def on_plane(self, v):
+        """Whether v lies in the plane, within EPS_PHYS: a flag for one
+        vector, one per row."""
         off = np.asarray(v, dtype=float)[..., _PLANE_SLOTS[self.kind][1]]
         if self.kind == "constz":
             off = off - self.nz
-        return abs(off) <= tol
+        return abs(off) <= EPS_PHYS
 
-    def contains(self, v, tol: float = EPS_PHYS) -> bool:
+    def contains(self, v) -> bool:
         """Whether v (every row of v) lies in the plane."""
-        return every_row(self.on_plane(v, tol))
+        return every_row(self.on_plane(v))
 
 
 def bloch_from_state_angle(gamma) -> np.ndarray:

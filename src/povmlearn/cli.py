@@ -7,9 +7,14 @@ Subcommands:
 * ``oracle-check`` property battery for the minimum-error oracle
 * ``selftest``     full library invariant battery
 
+The run and sweep flags are the fields of ExperimentConfig, one flag per
+field, and argparse converts every value.  A ``--config`` file's
+``key = value`` lines are parsed as the flags of the same names, ahead of
+the explicit flags, which therefore win.
+
 Exit codes: 0 success (including recoverable per-trial statuses), 2 for
-configuration errors (any DiscriminationError), 1 for I/O failures.  Any
-other exception is a bug and propagates with its traceback.
+usage and configuration errors (any DiscriminationError), 1 for I/O
+failures.  Any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -33,26 +38,44 @@ from povmlearn.experiment import (
     sweep,
 )
 
-_FLOAT_KEYS = ("alpha", "beta", "eta0", "theta", "nz", "phi0")
-_INT_KEYS = ("shots_learn", "shots_holdout", "trials", "seed")
+# Options of the fields whose values are not numbers.
+_FIELD_OPTIONS = {
+    "scenario": {"choices": SCENARIOS},
+    "fmt": {"choices": FORMATS},
+    "out": {"type": Path, "metavar": "FILE", "help": "output path (default: stdout)"},
+}
+_METAVARS = {float: "V", int: "N"}
+
+
+def _flag(name: str) -> str:
+    """The run/sweep flag of an ExperimentConfig field."""
+    return "--format" if name == "fmt" else "--" + name.replace("_", "-")
+
+
+def _float_list(text: str) -> list[float]:
+    """A comma-separated list of floats.  A bad or empty list raises
+    ValueError, which argparse reports as a usage error."""
+    values = [float(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"empty value list {text!r}")
+    return values
 
 
 def _add_common_options(parser: argparse.ArgumentParser, sweep_mode: bool) -> None:
-    parser.add_argument("--config", type=Path, default=None, metavar="FILE",
+    """--config, then one flag per ExperimentConfig field, converted by the
+    type of the field's default; under sweep a SWEEP_KEYS field takes a
+    comma-separated list."""
+    parser.add_argument("--config", type=Path, metavar="FILE",
                         help="key=value file with defaults; explicit flags win")
-    parser.add_argument("--scenario", choices=SCENARIOS, default=None)
-    for key in _FLOAT_KEYS:
-        flag = "--" + key.replace("_", "-")
-        if sweep_mode and key in SWEEP_KEYS:
-            parser.add_argument(flag, type=str, default=None, metavar="V[,V...]",
-                                help=f"{key} value or comma-separated list to sweep")
+    for f in fields(ExperimentConfig):
+        if f.name in _FIELD_OPTIONS:
+            options = _FIELD_OPTIONS[f.name]
+        elif sweep_mode and f.name in SWEEP_KEYS:
+            options = {"type": _float_list, "metavar": "V[,V...]",
+                       "help": f"{f.name} value or comma-separated list to sweep"}
         else:
-            parser.add_argument(flag, type=float, default=None, metavar="V")
-    for key in _INT_KEYS:
-        parser.add_argument("--" + key.replace("_", "-"), type=int, default=None, metavar="N")
-    parser.add_argument("--format", dest="fmt", choices=FORMATS, default=None)
-    parser.add_argument("--out", type=Path, default=None, metavar="FILE",
-                        help="output path (default: stdout)")
+            options = {"type": type(f.default), "metavar": _METAVARS[type(f.default)]}
+        parser.add_argument(_flag(f.name), dest=f.name, **options)
 
 
 @functools.cache
@@ -83,13 +106,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_config_file(path: Path) -> dict[str, str]:
-    """Flat ``key = value`` file; blank lines and ``#`` comments ignored."""
+def _parse_config_file(path: Path) -> list[str]:
+    """A flat ``key = value`` file as ``--key=value`` tokens, one per line;
+    blank lines and ``#`` comments are ignored.  A key is the name of a
+    run/sweep flag, with ``-`` and ``_`` interchangeable."""
     try:
         text = path.read_text()
     except OSError as exc:
         raise OSError(f"cannot read config file {path}: {exc}") from exc
-    raw: dict[str, str] = {}
+    flags = {_flag(f.name) for f in fields(ExperimentConfig)}
+    tokens: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -97,69 +123,27 @@ def _parse_config_file(path: Path) -> dict[str, str]:
         if "=" not in stripped:
             raise ContractViolation(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        raw[key.replace("-", "_")] = value
-    return raw
+        flag = "--" + key.replace("_", "-")
+        if flag not in flags:
+            raise ContractViolation(f"{path}:{lineno}: unknown config key {key!r}")
+        tokens.append(f"{flag}={value}")
+    return tokens
 
 
-def _coerce(key: str, value: str, sweep_mode: bool):
-    if key in ("scenario", "fmt", "format"):
-        return value
-    if key == "out":
-        return Path(value)
-    if key in _INT_KEYS:
-        convert = int
-    elif key in _FLOAT_KEYS:
-        if sweep_mode and key in SWEEP_KEYS:
-            return value  # may be a comma-separated list; resolved later
-        convert = float
-    else:
-        raise ContractViolation(f"unknown config key {key!r}")
-    try:
-        return convert(value)
-    except ValueError as exc:
-        raise ContractViolation(f"invalid value for {key}: {value!r}") from exc
-
-
-def _float_list(key: str, text: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ContractViolation(f"invalid value for {key}: {text!r}") from exc
-    if not values:
-        raise ContractViolation(f"empty value list for {key}")
-    return values
-
-
-def _gather_kwargs(args: argparse.Namespace, sweep_mode: bool) -> tuple[dict, dict]:
-    """Merge config-file values with explicit flags (flags win).
-
-    Returns ``(scalar_kwargs, grid)``; ``grid`` is empty outside sweep mode
-    and holds only keys given more than one value.
-    """
-    file_kwargs: dict = {}
-    if args.config is not None:
-        for key, raw_value in _parse_config_file(args.config).items():
-            if key == "format":
-                key = "fmt"
-            file_kwargs[key] = _coerce(key, raw_value, sweep_mode)
-
-    cli_kwargs: dict = {}
-    for f in fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            cli_kwargs[f.name] = value
-
-    merged = {**file_kwargs, **cli_kwargs}
+def _config_and_grid(args: argparse.Namespace) -> tuple[ExperimentConfig, dict[str, list[float]]]:
+    """The config of the fields set in the namespace, and the grid of those
+    given more than one value.  A list's first value goes into the config."""
+    kwargs: dict = {}
     grid: dict[str, list[float]] = {}
-    if sweep_mode:
-        for key in SWEEP_KEYS:
-            value = merged.get(key)
-            if isinstance(value, str):
-                values = _float_list(key, value)
-                merged[key] = values[0]
-                if len(values) > 1:
-                    grid[key] = values
-    return merged, grid
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name)
+        if isinstance(value, list):
+            if len(value) > 1:
+                grid[f.name] = value
+            value = value[0]
+        if value is not None:
+            kwargs[f.name] = value
+    return ExperimentConfig(**kwargs), grid
 
 
 def _fmt_opt(value, spec: str) -> str:
@@ -186,16 +170,14 @@ def _emit_and_summarize(rows, config: ExperimentConfig) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    kwargs, _ = _gather_kwargs(args, sweep_mode=False)
-    config = ExperimentConfig(**kwargs)
+    config, _ = _config_and_grid(args)
     rows = run_experiment(config)
     _emit_and_summarize(rows, config)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    kwargs, grid = _gather_kwargs(args, sweep_mode=True)
-    config = ExperimentConfig(**kwargs)
+    config, grid = _config_and_grid(args)
     rows = sweep(config, grid)
     _emit_and_summarize(rows, config)
     return 0
@@ -216,10 +198,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else argv
     handlers = {
         "run": _cmd_run,
         "sweep": _cmd_sweep,
@@ -227,6 +206,14 @@ def main(argv: list[str] | None = None) -> int:
         "selftest": _cmd_selftest,
     }
     try:
+        try:
+            args = parser.parse_args(argv)
+            if getattr(args, "config", None) is not None:
+                # argv[0] is the subcommand.  The file's flags go ahead of
+                # the explicit ones, which win: argparse keeps the last value.
+                args = parser.parse_args([args.command, *_parse_config_file(args.config), *argv[1:]])
+        except SystemExit as exc:
+            return int(exc.code or 0)
         return handlers[args.command](args)
     except DiscriminationError as exc:
         print(f"error: {exc}", file=sys.stderr)

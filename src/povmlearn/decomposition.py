@@ -50,7 +50,6 @@ class DecompositionPair:
 
     n0: np.ndarray
     n1: np.ndarray
-    case: str | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,6 @@ class MixtureTargets:
 
     m0: np.ndarray
     m1: np.ndarray
-    theta: float | np.ndarray
 
 
 # Each truth function takes numpy's sqrt, sin and cos when an operand that
@@ -208,7 +206,7 @@ def decompose(n, theta, eta0, eta1, case, plane: Plane = _PLANE_XZ) -> Decomposi
         (prefactor * (a0 * u0 - sb1 * u1), prefactor * (sb1 * u0 + a0 * u1)),
         (prefactor * (a1 * u0 + sb0 * u1), prefactor * (-sb0 * u0 + a1 * u1)),
     )
-    return DecompositionPair(n0=n0, n1=n1, case=case)
+    return DecompositionPair(n0=n0, n1=n1)
 
 
 def mixture_targets(n, theta, eta0, eta1, plane: Plane = _PLANE_XZ) -> MixtureTargets:
@@ -229,7 +227,7 @@ def mixture_targets(n, theta, eta0, eta1, plane: Plane = _PLANE_XZ) -> MixtureTa
         ((u0 * uu - shift * u1) / uu, (shift * u0 + u1 * uu) / uu),
         ((u0 * uu + shift * u1) / uu, (-shift * u0 + u1 * uu) / uu),
     )
-    return MixtureTargets(m0=m0, m1=m1, theta=theta)
+    return MixtureTargets(m0=m0, m1=m1)
 
 
 def success_prob(eta0, eta1, theta, n_norm, plane: Plane = _PLANE_XZ):

@@ -28,7 +28,7 @@ from povmlearn.errors import ContractViolation, InvalidPriors, WeakSignal
 
 
 def weak_signal_threshold(shots: int) -> float:
-    """Default three-sigma noise floor for a detector difference at this budget."""
+    """Three-sigma noise floor for a detector difference at this budget."""
     return 3.0 / math.sqrt(shots)
 
 
@@ -87,7 +87,6 @@ def learn_equal_prior(
     phi0,
     shots_per_setting: int,
     rng,
-    tau_weak: float | None = None,
 ) -> EqualPriorEstimate:
     """Measure at phi0 and phi0 + pi/4, then invert to the optimal setting.
 
@@ -96,14 +95,15 @@ def learn_equal_prior(
     setting (each a generator or a per-draw triple).  The returned
     phi_star = alpha_hat/2 + pi/4 is reported modulo pi; the projector pair
     is invariant under phi -> phi + pi.  A single ensemble raises WeakSignal
-    where solve_alpha does; a batch marks those rows in `weak`.
+    where solve_alpha does, with the noise floor
+    weak_signal_threshold(shots_per_setting); a batch marks those rows in
+    `weak`.
     """
     if spec.plane.kind != "xz":
         raise ContractViolation("the angle learner requires an x-z plane ensemble")
     if not np.all(np.abs(spec.eta0 - 0.5) <= 1e-12):
         raise InvalidPriors(f"the angle learner requires equal priors, got eta0 = {spec.eta0}")
-    if tau_weak is None:
-        tau_weak = weak_signal_threshold(shots_per_setting)
+    tau_weak = weak_signal_threshold(shots_per_setting)
     g0, g1 = role_generators(rng, 2)
     delta0 = spec.expectation(povm_axis_from_phi(phi0), shots_per_setting, g0)
     delta1 = spec.expectation(povm_axis_from_phi(phi0 + 0.25 * math.pi), shots_per_setting, g1)

@@ -51,9 +51,7 @@ class EvalReport:
     """Holdout score: empirical success is orientation-maximized, the raw
     convention value and the swap flag record how it was reached."""
 
-    confusion: ConfusionMatrix
     empirical_success: float | np.ndarray
-    analytic_success: float | np.ndarray
     z_score: float | np.ndarray
     success_raw: float | np.ndarray
     swapped: bool | np.ndarray
@@ -117,9 +115,7 @@ def score(confusion: ConfusionMatrix, analytic_ps) -> EvalReport:
     # [()] unwraps the 0-d results of a single classification.
     z = np.divide(empirical - mean, sd, out=np.zeros_like(empirical), where=sd > 0.0)[()]
     return EvalReport(
-        confusion=confusion,
         empirical_success=empirical,
-        analytic_success=analytic[()],
         z_score=z,
         success_raw=raw,
         swapped=swapped,

@@ -159,17 +159,15 @@ class ExperimentConfig:
             raise ContractViolation(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.fmt not in FORMATS:
             raise ContractViolation(f"format must be one of {FORMATS}, got {self.fmt!r}")
-        for name in ("shots_learn", "shots_holdout", "trials"):
+        for name in ("shots_learn", "shots_holdout", "trials", "seed"):
             value = getattr(self, name)
-            if int(value) < 1:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ContractViolation(f"{name} must be an integer, got {value!r}")
+            if name != "seed" and value < 1:
                 raise ContractViolation(f"{name} must be >= 1, got {value}")
         check_seed(self.seed)
         for name in _DOMAINS:
             _check_field(self.scenario, name, getattr(self, name))
-
-    @property
-    def eta1(self) -> float:
-        return 1.0 - self.eta0
 
 
 @dataclass

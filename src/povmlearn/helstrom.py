@@ -19,10 +19,9 @@ from povmlearn.errors import DegenerateEnsemble
 
 @dataclass(frozen=True)
 class HelstromResult:
-    """Optimal projector axis, gap eigenvalue, and success probability."""
+    """Optimal projector axis and success probability."""
 
     p0_axis: np.ndarray
-    lam: float
     success: float
 
 
@@ -38,8 +37,7 @@ def helstrom(m0, m1) -> HelstromResult:
     dist = norm(diff)
     if dist <= EPS_DEGENERATE:
         raise DegenerateEnsemble(f"states are indistinguishable: |m0 - m1| = {dist:.3g}")
-    lam = 0.5 * dist
-    return HelstromResult(p0_axis=diff / dist, lam=lam, success=0.5 + 0.5 * lam)
+    return HelstromResult(p0_axis=diff / dist, success=0.5 + 0.5 * (0.5 * dist))
 
 
 def success_equal_priors(m0, m1):

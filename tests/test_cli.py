@@ -1,5 +1,6 @@
 """Command-line interface: flags, config files, exit codes, reproducibility."""
 
+import argparse
 import csv
 import io
 import json
@@ -152,19 +153,39 @@ class TestConfigFile:
         assert code == 2
         assert "key=value" in err
 
-    def test_unknown_config_key(self, capsys, tmp_path):
+    # Keys are whole flag names: no abbreviation, no --config, and the
+    # field name fmt is not the flag --format.
+    @pytest.mark.parametrize("line", ["banana = 3", "eta = 0.6", "config = x.cfg", "fmt = json"])
+    def test_unknown_config_key(self, capsys, tmp_path, line):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("banana = 3\n")
-        code, _, _ = run_cli(capsys, "run", "--config", str(cfg))
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 2
+        assert "unknown config key" in err
+        assert out == ""
 
     def test_non_integer_value_is_config_error(self, capsys, tmp_path):
+        # A file value is parsed as its flag, and a bad one is reported
+        # the way the same bad flag is.
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("scenario = unequal-prior-xz\ntrials = 2.5\n")
         code, out, err = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 2
-        assert "trials" in err
+        assert "povmlearn run: error: argument --trials: invalid int value: '2.5'" in err
         assert out == ""
+
+    def test_sweep_list_in_file_fans_out_and_a_flag_overrides_it(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "scenario = unequal-prior-xz\neta0 = 0.5,0.6\ntrials = 2\n"
+            "shots-learn = 500\nshots-holdout = 200\nformat = json\n"
+        )
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 0
+        assert [r["eta0"] for r in json.loads(out)] == [0.5, 0.5, 0.6, 0.6]
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--eta0", "0.7")
+        assert code == 0
+        assert [r["eta0"] for r in json.loads(out)] == [0.7, 0.7]
 
 
 class TestSweep:
@@ -300,6 +321,21 @@ class TestUsage:
         monkeypatch.setattr(cli, "run_experiment", broken)
         with pytest.raises(TypeError, match="library bug"):
             main(["run", "--scenario", "equal-prior-xz", *COMMON])
+
+
+def _subparser(command: str) -> argparse.ArgumentParser:
+    action = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[command]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_run_and_sweep_flags_are_the_config_fields(command):
+    # One flag per ExperimentConfig field, in field order, after --config.
+    flags = [s for a in _subparser(command)._actions for s in a.option_strings]
+    assert flags == [
+        "-h", "--help", "--config", "--scenario", "--alpha", "--beta", "--eta0", "--theta", "--nz",
+        "--phi0", "--shots-learn", "--shots-holdout", "--trials", "--seed", "--format", "--out",
+    ]
 
 
 class TestParserReuse:

@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import math
+import re
 import sys
 import weakref
 
@@ -52,6 +53,20 @@ class TestConfigValidation:
             ExperimentConfig(trials=0).validate()
         with pytest.raises(ContractViolation):
             ExperimentConfig(shots_learn=0).validate()
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("trials", 2.7), ("shots_learn", 1000.9), ("shots_holdout", 500.5), ("seed", 1.5),
+         ("trials", True), ("seed", True), ("shots_learn", "100")],
+    )
+    def test_budgets_and_seed_must_be_integers(self, name, value):
+        # A float budget would sample its floor but report the float, and a
+        # float seed would reach numpy's TypeError.
+        with pytest.raises(ContractViolation, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            run_experiment(ExperimentConfig(**{name: value}))
+
+    def test_numpy_integers_are_integers(self):
+        ExperimentConfig(shots_learn=np.int64(100), trials=np.int32(2), seed=np.uint8(3)).validate()
 
     def test_equal_prior_requires_half(self):
         with pytest.raises(ContractViolation):

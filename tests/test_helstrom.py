@@ -19,13 +19,11 @@ class TestHelstrom:
     def test_orthogonal_pure_states(self):
         res = helstrom([0, 0, 1], [0, 0, -1])
         assert np.allclose(res.p0_axis, [0, 0, 1], atol=1e-15)
-        assert res.lam == pytest.approx(1.0, abs=1e-12)
         assert res.success == pytest.approx(1.0, abs=1e-12)
 
     def test_reference_instance(self):
         res = helstrom([INV_SQRT2, 0, INV_SQRT2], [INV_SQRT2, 0, -INV_SQRT2])
         assert np.allclose(res.p0_axis, [0, 0, 1], atol=1e-12)
-        assert res.lam == pytest.approx(INV_SQRT2, abs=1e-12)
         assert res.success == pytest.approx(0.8535533905932737, abs=1e-12)
 
     def test_indistinguishable_limit(self):
