@@ -34,16 +34,18 @@ def main():
         shots_holdout=args.shots_holdout,
         seed=args.seed,
     )
-    rows = sweep(base, {"eta0": args.eta0, "theta": args.theta})
+    columns = sweep(base, {"eta0": args.eta0, "theta": args.theta})
+    rows = list(zip(*(columns[name] for name in
+                      ("eta0", "theta_true", "success_emp", "holdout_correct", "shots_holdout"))))
 
     print(f"{'eta0':>6} {'theta':>8} {'closed form':>12} {'pooled emp':>11} "
           f"{'pull':>7} {'ok':>5}")
     for eta0 in args.eta0:
         for theta in args.theta:
-            cell = [r for r in rows if r.eta0 == eta0 and r.theta_true == theta]
-            scored = [r for r in cell if r.success_emp is not None]
-            correct = sum(r.holdout_correct for r in scored)
-            total = sum(r.shots_holdout for r in scored)
+            cell = [r[2:] for r in rows if r[:2] == (eta0, theta)]
+            scored = [(correct, holdout) for emp, correct, holdout in cell if emp is not None]
+            correct = sum(c for c, _ in scored)
+            total = sum(h for _, h in scored)
             _, q = ensemble_vector(eta0, theta, 0.0)
             target = success_prob(eta0, 1 - eta0, theta, q)
             pooled = correct / total if total else float("nan")

@@ -57,7 +57,6 @@ from povmlearn.evaluate import ConfusionMatrix, EvalReport, classify_holdout, fo
 from povmlearn.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
-    TrialResult,
     emit_results,
     run_experiment,
     summarize,

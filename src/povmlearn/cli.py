@@ -61,6 +61,10 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
+# argparse names the type by its __name__ in a usage error.
+_float_list.__name__ = "float list"
+
+
 def _add_common_options(parser: argparse.ArgumentParser, sweep_mode: bool) -> None:
     """--config, then one flag per ExperimentConfig field, converted by the
     type of the field's default; under sweep a SWEEP_KEYS field takes a
@@ -150,9 +154,9 @@ def _fmt_opt(value, spec: str) -> str:
     return "n/a" if value is None else format(value, spec)
 
 
-def _emit_and_summarize(rows, config: ExperimentConfig) -> None:
-    emit_results(rows, config.fmt, config.out)
-    summary = summarize(rows)
+def _emit_and_summarize(columns: dict[str, list], config: ExperimentConfig) -> None:
+    emit_results(columns, config.fmt, config.out)
+    summary = summarize(columns)
     statuses = ", ".join(f"{k}={v}" for k, v in sorted(summary["statuses"].items()))
     lines = [
         f"trials: {summary['trials']} ({statuses})",
@@ -171,15 +175,13 @@ def _emit_and_summarize(rows, config: ExperimentConfig) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config, _ = _config_and_grid(args)
-    rows = run_experiment(config)
-    _emit_and_summarize(rows, config)
+    _emit_and_summarize(run_experiment(config), config)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config, grid = _config_and_grid(args)
-    rows = sweep(config, grid)
-    _emit_and_summarize(rows, config)
+    _emit_and_summarize(sweep(config, grid), config)
     return 0
 
 

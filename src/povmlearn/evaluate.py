@@ -3,9 +3,9 @@
 The physical task is clustering: a learner fixes a measurement axis, each
 held-out qubit is measured once, and the +1 outcome predicts label 0 by the
 sign convention of the axis.  Which cluster deserves which name is not
-observable, so the report carries both the raw convention success and the
-orientation-maximized success with an explicit swap flag; silently
-relabeling would hide sign bugs in a learner.
+observable, so the report scores the orientation-maximized success (the
+larger of the convention's success and its complement) and its z-score
+against the folded target.
 
 Every function takes one classification or a batch of rows, one per row;
 a single classification gives numpy scalars, by the same code.
@@ -48,13 +48,11 @@ class ConfusionMatrix:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Holdout score: empirical success is orientation-maximized, the raw
-    convention value and the swap flag record how it was reached."""
+    """Holdout score: the orientation-maximized empirical success and its
+    z-score."""
 
     empirical_success: float | np.ndarray
     z_score: float | np.ndarray
-    success_raw: float | np.ndarray
-    swapped: bool | np.ndarray
 
 
 def classify_holdout(spec: EnsembleSpec, axis, n_holdout: int, rng) -> ConfusionMatrix:
@@ -105,7 +103,6 @@ def score(confusion: ConfusionMatrix, analytic_ps) -> EvalReport:
     if np.isnan(analytic).any():
         raise ContractViolation("analytic success target must be a number")
     raw = confusion.correct / total
-    swapped = (1.0 - raw) > raw
     empirical = np.maximum(raw, 1.0 - raw)
     # Group the rows by (target, holdout size), held exactly as the real and
     # imaginary parts of one complex key.
@@ -114,9 +111,4 @@ def score(confusion: ConfusionMatrix, analytic_ps) -> EvalReport:
     mean, sd = moments.T[:, row_key.reshape(raw.shape)]
     # [()] unwraps the 0-d results of a single classification.
     z = np.divide(empirical - mean, sd, out=np.zeros_like(empirical), where=sd > 0.0)[()]
-    return EvalReport(
-        empirical_success=empirical,
-        z_score=z,
-        success_raw=raw,
-        swapped=swapped,
-    )
+    return EvalReport(empirical_success=empirical, z_score=z)

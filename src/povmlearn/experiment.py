@@ -1,4 +1,4 @@
-"""Seeded experiment harness: scenario setup, the trial engine, result rows.
+"""Seeded experiment harness: scenario setup, the trial engine, result records.
 
 A trial runs generate -> learn -> classify -> score.  The engine runs all
 rows of a run or sweep together: the library functions take arrays of
@@ -34,13 +34,13 @@ measurements.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -170,39 +170,6 @@ class ExperimentConfig:
             _check_field(self.scenario, name, getattr(self, name))
 
 
-@dataclass
-class TrialResult:
-    """One trial's emitted row plus diagnostics kept for tests and summaries;
-    fields a row's status leaves empty are None (counts 0)."""
-
-    trial: int
-    scenario: str
-    case: str | None
-    eta0: float
-    theta_true: float | None
-    alpha_true: float | None
-    beta_true: float | None
-    n_z: float | None
-    axis: np.ndarray | None = None
-    alpha_hat: float | None = None
-    success_emp: float | None = None
-    success_analytic: float | None = None
-    success_oracle: float | None = None
-    z_score: float | None = None
-    shots_learn: int = 0
-    shots_holdout: int = 0
-    status: str = "ok"
-    # Diagnostics, not serialized.
-    theta_hat: float | None = None
-    n_hat: np.ndarray | None = None
-    swapped: bool | None = None
-    holdout_correct: int | None = None
-
-    @property
-    def qubits_used(self) -> int:
-        return self.shots_learn + self.shots_holdout
-
-
 def equal_prior_ensemble(alpha, beta) -> EnsembleSpec:
     """50/50 ensemble of the pure states at state angles alpha +- beta from
     +z; arrays of angles give a batch with one ensemble per row."""
@@ -268,18 +235,17 @@ def _masked(keep: list, values) -> list:
 
 
 def _classify(spec: EnsembleSpec, axis: np.ndarray, cfg: ExperimentConfig, gens, analytic, scored) -> dict:
-    """Holdout columns: every row draws its holdout qubits, the scored rows
-    report them."""
+    """Holdout columns: every row draws its holdout qubits along its axis,
+    the scored rows report them and the axis."""
     confusion = classify_holdout(spec, axis, cfg.shots_holdout, gens)
     report = score(confusion, analytic)
     correct = confusion.correct
     keep = scored.tolist()
     return {
-        "axis": _masked(keep, axis),
+        **{name: _masked(keep, part) for name, part in zip(("axis_x", "axis_y", "axis_z"), axis.T.tolist())},
         "success_emp": _masked(keep, report.empirical_success.tolist()),
         "z_score": _masked(keep, report.z_score.tolist()),
         "shots_holdout": [cfg.shots_holdout if k else 0 for k in keep],
-        "swapped": _masked(keep, report.swapped.tolist()),
         "holdout_correct": _masked(keep, np.maximum(correct, confusion.total - correct).tolist()),
     }
 
@@ -334,8 +300,6 @@ def _equal_prior_rows(grid: _Grid) -> dict:
         "success_oracle": success_equal_priors(spec.psi0, spec.psi1).tolist(),
         "shots_learn": est.shots_used,
         "status": [_OK if k else _WEAK for k in keep],
-        "theta_hat": None,
-        "n_hat": None,
         **_classify(spec, povm_axis_from_phi(est.phi_star), base, streams["holdout"], analytic, scored),
     }
 
@@ -359,7 +323,7 @@ def _two_fold_rows(grid: _Grid) -> dict:
     axis, n_hat = learn_axis(spec, base.shots_learn, [streams[role] for role in axis_roles])
     scored = reached_rows & axis.any(axis=-1)
     # The separation cosine reads the in-plane part of the estimate; the
-    # measured z of a slice is not used.  It is a diagnostic only: a row
+    # measured z of a slice is not used.  It sets the status only: a row
     # out of range still classifies along its axis.
     u = plane.coords(n_hat)
     cos = cos_theta(np.sqrt((u * u).sum(axis=-1)), spec.eta0, spec.eta1, tol=EPS_CLAMP, plane=plane)
@@ -380,8 +344,6 @@ def _two_fold_rows(grid: _Grid) -> dict:
         "status": [
             (_OK if ok else _OUT_OF_RANGE) if k else _DEGENERATE for k, ok in zip(keep, in_range.tolist())
         ],
-        "theta_hat": _masked((scored & in_range).tolist(), np.arccos(np.nan_to_num(cos)).tolist()),
-        "n_hat": _masked(keep, n_hat),
         # A row with no learned axis classifies along the first plane axis,
         # and a row with no truth is scored against chance; neither row
         # reports its score.
@@ -392,43 +354,45 @@ def _two_fold_rows(grid: _Grid) -> dict:
     }
 
 
-_FIELDS = tuple(f.name for f in fields(TrialResult))
+# The columns of a result record: the CSV columns, then the holdout
+# qubits each row classified correctly (None where it reports no score).
+_RECORD_COLUMNS = (*CSV_COLUMNS, "holdout_correct")
 
 
-def _simulate(base: ExperimentConfig, swept: dict[str, list[float]], cells: int) -> list[TrialResult]:
-    """The engine: the rows of all cells, base.trials per cell in cell order,
-    each role's streams drawing one array over them.  `swept` holds one
-    value per cell of each swept parameter; the others take base's value.
-    Nothing is kept after it returns."""
+def _simulate(base: ExperimentConfig, swept: dict[str, list[float]], cells: int) -> dict[str, list]:
+    """The engine: the result record of all cells, base.trials rows per cell
+    in cell order, each role's streams drawing one array over them.  `swept`
+    holds one value per cell of each swept parameter; the others take
+    base's value.  Nothing is kept after it returns."""
     count = cells * int(base.trials)
     grid = _Grid(base, swept, cells, np.repeat(np.arange(cells), int(base.trials)))
     fill = _equal_prior_rows if base.scenario == "equal-prior-xz" else _two_fold_rows
     columns = {"trial": list(range(count)), **fill(grid)}
-    return list(
-        map(TrialResult, *(
-            columns[name] if isinstance(columns[name], list) else itertools.repeat(columns[name], count)
-            for name in _FIELDS
-        ))
-    )
+    # A value that every row shares is expanded to one entry per row.
+    return {name: v if isinstance(v := columns[name], list) else [v] * count for name in _RECORD_COLUMNS}
 
 
-def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
+def run_experiment(config: ExperimentConfig) -> dict[str, list]:
     """Run config.trials trials: the one-cell sweep of config.  Recoverable
     per-row outcomes are recorded in the row status, never raised."""
     return sweep(config, {})
 
 
-def sweep(base: ExperimentConfig, grid: dict[str, Sequence[float]]) -> list[TrialResult]:
+def sweep(base: ExperimentConfig, grid: dict[str, Sequence[float]]) -> dict[str, list]:
     """Cartesian sweep over parameter value lists, base.trials rows per cell
     in cell order, with globally unique trial indices.  All cells draw from
-    the same role streams, one array per stream over every row."""
+    the same role streams, one array per stream over every row.
+
+    The result record maps each CSV_COLUMNS name, then holdout_correct, to
+    a list with one entry per row; None marks a value that the row's status
+    leaves empty."""
     keys = [k for k in SWEEP_KEYS if k in grid]
     unknown = set(grid) - set(keys)
     if unknown:
         raise ContractViolation(f"cannot sweep over {sorted(unknown)}")
     values = {k: [float(v) for v in grid[k]] for k in keys}
     if not all(values.values()):
-        return []
+        return {name: [] for name in _RECORD_COLUMNS}
     # The first cell is validated whole, then every other swept value once.
     replace(base, **{k: v[0] for k, v in values.items()}).validate()
     for k, v in values.items():
@@ -438,36 +402,23 @@ def sweep(base: ExperimentConfig, grid: dict[str, Sequence[float]]) -> list[Tria
     return _simulate(base, dict(zip(keys, map(list, zip(*combos)))), len(combos))
 
 
-def summarize(rows: Sequence[TrialResult]) -> dict:
-    """Aggregate counts and pooled success over the ok rows."""
-    statuses: dict[str, int] = {}
-    for r in rows:
-        statuses[r.status] = statuses.get(r.status, 0) + 1
-    scored = [r for r in rows if r.success_emp is not None]
-    pooled_correct = sum(r.holdout_correct for r in scored)
-    pooled_total = sum(r.shots_holdout for r in scored)
+def summarize(columns: dict[str, list]) -> dict:
+    """Aggregate counts of a result record, and pooled success over the
+    rows that report a score."""
+    scored = [v is not None for v in columns["success_emp"]]
+    correct, holdout, analytic, z = (
+        list(itertools.compress(columns[name], scored))
+        for name in ("holdout_correct", "shots_holdout", "success_analytic", "z_score")
+    )
+    pooled_total = sum(holdout)
     return {
-        "trials": len(rows),
-        "statuses": statuses,
-        "pooled_success": (pooled_correct / pooled_total) if pooled_total else None,
-        "mean_analytic": (
-            sum(r.success_analytic for r in scored) / len(scored) if scored else None
-        ),
-        "max_abs_z": max((abs(r.z_score) for r in scored), default=None),
-        "qubits_used": sum(r.qubits_used for r in rows),
+        "trials": len(columns["trial"]),
+        "statuses": dict(collections.Counter(columns["status"])),
+        "pooled_success": sum(correct) / pooled_total if pooled_total else None,
+        "mean_analytic": sum(analytic) / len(analytic) if analytic else None,
+        "max_abs_z": max(map(abs, z), default=None),
+        "qubits_used": sum(columns["shots_learn"]) + sum(columns["shots_holdout"]),
     }
-
-
-# A row's cells in CSV_COLUMNS order are its TrialResult fields of those
-# names, except that the three axis_* columns hold the components of r.axis.
-_AXIS_FIRST = CSV_COLUMNS.index("axis_x")
-_HEAD = attrgetter(*CSV_COLUMNS[:_AXIS_FIRST])
-_TAIL = attrgetter(*CSV_COLUMNS[_AXIS_FIRST + 3 :])
-
-
-def _cells(r: TrialResult) -> tuple:
-    axis = (None, None, None) if r.axis is None else r.axis.tolist()
-    return (*_HEAD(r), *axis, *_TAIL(r))
 
 
 def _kind(t: type) -> str:
@@ -486,7 +437,6 @@ def _kind(t: type) -> str:
 # significant digits.  No cell needs quoting: floats and integers hold no
 # comma, quote or newline, and render_results checks that no string does.
 _CSV_SPEC = {"null": "%.0s", "str": "%s", "int": "%d", "float": "%.12g"}
-_CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 @functools.cache
@@ -531,20 +481,24 @@ def _json_writers(types: tuple) -> tuple:
     return tuple(_JSON_CELL[_kind(t)] for t in types)
 
 
-def render_results(rows: Sequence[TrialResult], fmt: str = "csv") -> str:
-    """Render result rows to CSV or JSON text; both carry the same fields,
-    floats at 12 significant digits, empty/null for inapplicable values.
+def render_results(columns: dict[str, list], fmt: str = "csv") -> str:
+    """Render the CSV_COLUMNS of a result record to CSV or JSON text; both
+    carry the same fields, floats at 12 significant digits, empty/null for
+    inapplicable values.
 
     The bytes are those of csv.writer (lineterminator "\\n") and of
     json.dumps(indent=2) over the rows' cells.  Each row is written in one
     pass, through a template chosen by the types of its cells."""
-    if not rows:
+    table = [columns[name] for name in CSV_COLUMNS]
+    if len(set(map(len, table))) > 1:
+        raise ContractViolation("the columns of a result record differ in length")
+    if not table[0]:
         raise ContractViolation("no result rows to emit")
     if fmt not in FORMATS:
         raise ContractViolation(f"format must be one of {FORMATS}, got {fmt!r}")
-    cells = map(_cells, rows)
+    cells = zip(*table)
     if fmt == "csv":
-        lines = [_CSV_HEADER]
+        lines = [",".join(CSV_COLUMNS)]
         lines += [_csv_template(tuple(map(type, c))) % c for c in cells]
         text = "\n".join(lines) + "\n"
         # A comma, quote or newline inside a string cell would need CSV quoting.
@@ -558,12 +512,12 @@ def render_results(rows: Sequence[TrialResult], fmt: str = "csv") -> str:
     return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
-def emit_results(rows: Sequence[TrialResult], fmt: str = "csv", path: str | None = None) -> None:
-    """Write rendered results to a file, or stdout when path is None.
+def emit_results(columns: dict[str, list], fmt: str = "csv", path: str | None = None) -> None:
+    """Write a rendered result record to a file, or stdout when path is None.
 
-    Identical rows and format produce byte-identical files.
+    Identical records and format produce byte-identical files.
     """
-    text = render_results(rows, fmt)
+    text = render_results(columns, fmt)
     if path is None:
         sys.stdout.write(text)
         return

@@ -23,7 +23,7 @@ from povmlearn.evaluate import classify_holdout, score
 from povmlearn.experiment import ExperimentConfig, equal_prior_ensemble, run_experiment, sweep
 from povmlearn.helstrom import helstrom
 
-from helpers import circ_diff, criterion
+from helpers import as_rows, circ_diff, criterion
 
 PHI_STAR_REF = 1.3089969389957472  # pi/6 + pi/4
 EQUAL_PRIOR_SUCCESS = 0.75         # (1 + sin(pi/6)) / 2, the two-state optimum
@@ -123,13 +123,13 @@ def test_criterion_4_success_probability_sweep(capfd):
             shots_holdout=10_000,
             seed=404,
         )
-        rows = sweep(
+        rows = as_rows(sweep(
             base,
             {
                 "eta0": [0.5, 0.6, 0.7],
                 "theta": [math.pi / 6, math.pi / 2, 2 * math.pi / 3],
             },
-        )
+        ))
         assert len(rows) == 9 * 200
         assert all(r.status == "ok" for r in rows)
         for (eta0, theta), target in SWEEP_CELLS.items():
@@ -206,8 +206,8 @@ def test_criterion_7_constant_z_reduction(capfd):
             eta0=0.6, theta=1.0, alpha=0.8, trials=20,
             shots_learn=5_000, shots_holdout=5_000, seed=123,
         )
-        flat_rows = run_experiment(ExperimentConfig(scenario="unequal-prior-xz", **common))
-        slice_rows = run_experiment(ExperimentConfig(scenario="const-z", nz=0.0, **common))
+        flat_rows = as_rows(run_experiment(ExperimentConfig(scenario="unequal-prior-xz", **common)))
+        slice_rows = as_rows(run_experiment(ExperimentConfig(scenario="const-z", nz=0.0, **common)))
         for f, s in zip(flat_rows, slice_rows):
             assert f.case == s.case
             assert f.status == s.status == "ok"
@@ -216,9 +216,9 @@ def test_criterion_7_constant_z_reduction(capfd):
             assert abs(f.success_oracle - s.success_oracle) <= 1e-12
             assert abs(f.alpha_hat - s.alpha_hat) <= 1e-12
             # Axis components match under the plane relabeling (x,z)->(x,y).
-            assert abs(f.axis[0] - s.axis[0]) <= 1e-12
-            assert abs(f.axis[2] - s.axis[1]) <= 1e-12
-            assert s.axis[2] == 0.0
+            assert abs(f.axis_x - s.axis_x) <= 1e-12
+            assert abs(f.axis_z - s.axis_y) <= 1e-12
+            assert s.axis_z == 0.0
             # Sampled counts are identical, not merely close.
             assert f.holdout_correct == s.holdout_correct
             assert f.success_emp == s.success_emp

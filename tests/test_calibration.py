@@ -6,6 +6,8 @@ import pytest
 
 from povmlearn.experiment import ExperimentConfig, run_experiment
 
+from helpers import as_rows
+
 TRIALS = 400
 # The standard errors of the mean and the sd of z over 400 trials are
 # about 0.05 and 0.035; the bounds are about 4 of them.
@@ -24,7 +26,7 @@ CELLS = {
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_z_score_is_standard_normal(cell):
-    rows = run_experiment(ExperimentConfig(**CELLS[cell], trials=TRIALS, seed=3))
+    rows = as_rows(run_experiment(ExperimentConfig(**CELLS[cell], trials=TRIALS, seed=3)))
     z = np.array([r.z_score for r in rows if r.z_score is not None])
     assert len(z) == TRIALS
     assert abs(z.mean()) <= MEAN_BOUND, f"mean z {z.mean():.3f}"

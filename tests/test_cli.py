@@ -211,12 +211,14 @@ class TestSweep:
         assert len(list(csv.DictReader(io.StringIO(out)))) == 2
 
     def test_bad_list_is_config_error(self, capsys):
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             capsys, "sweep", "--scenario", "unequal-prior-xz", "--eta0", "0.5,x",
             "--trials", "1", "--shots-learn", "100", "--shots-holdout", "100",
             "--seed", "2",
         )
         assert code == 2
+        # The type is named for what it reads, not for its function.
+        assert err.splitlines()[-1] == "povmlearn sweep: error: argument --eta0: invalid float list value: '0.5,x'"
 
     @pytest.mark.parametrize("place", [0, 1, 2])
     @pytest.mark.parametrize(

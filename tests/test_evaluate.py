@@ -105,11 +105,9 @@ class TestScore:
         report = score(cm, 0.75)
         assert abs(report.z_score) <= 1.0
 
-    def test_swap_flag_on_anti_diagonal(self):
+    def test_anti_diagonal_is_full_success(self):
         report = score(ConfusionMatrix(np.array([[0, 50], [50, 0]])), 1.0)
-        assert report.swapped
         assert report.empirical_success == 1.0
-        assert report.success_raw == 0.0
 
     def test_orientation_invariance(self):
         # Flipping the axis sign swaps predicted labels; the report of the
@@ -119,7 +117,6 @@ class TestScore:
         b = score(ConfusionMatrix(cm.counts[:, ::-1]), 0.8)
         assert a.empirical_success == b.empirical_success
         assert a.z_score == b.z_score
-        assert a.swapped != b.swapped
 
     def test_nan_target_rejected(self):
         with pytest.raises(ContractViolation):
@@ -174,7 +171,6 @@ class TestScoreRows:
             one = score(ConfusionMatrix(c), p)
             assert rows.empirical_success[k] == one.empirical_success
             assert rows.z_score[k] == one.z_score
-            assert rows.swapped[k] == one.swapped
 
     def test_classify_rows(self):
         spec = equal_spec(beta=0.4)

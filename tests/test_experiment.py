@@ -33,6 +33,8 @@ from povmlearn.experiment import (
     two_fold_spec,
 )
 
+from helpers import as_rows
+
 BASE = dict(shots_learn=5_000, shots_holdout=2_000, trials=4, seed=42)
 
 
@@ -127,7 +129,7 @@ class TestScenarioBuilders:
 class TestRunExperiment:
     def test_row_count_and_indices(self):
         cfg = ExperimentConfig(scenario="equal-prior-xz", **BASE)
-        rows = run_experiment(cfg)
+        rows = as_rows(run_experiment(cfg))
         assert [r.trial for r in rows] == [0, 1, 2, 3]
 
     def test_determinism(self):
@@ -144,13 +146,12 @@ class TestRunExperiment:
 
     def test_budget_conservation_per_row(self):
         cfg = ExperimentConfig(scenario="unequal-prior-xz", eta0=0.7, **BASE)
-        for r in run_experiment(cfg):
-            assert r.qubits_used == r.shots_learn + r.shots_holdout
+        for r in as_rows(run_experiment(cfg)):
             assert r.shots_learn == 2 * cfg.shots_learn  # two measurement axes
 
     def test_constz_budget_counts_three_axes(self):
         cfg = ExperimentConfig(scenario="const-z", eta0=0.6, nz=0.3, **BASE)
-        for r in run_experiment(cfg):
+        for r in as_rows(run_experiment(cfg)):
             assert r.shots_learn == 3 * cfg.shots_learn
 
     def test_equal_prior_rows_track_target(self):
@@ -163,7 +164,7 @@ class TestRunExperiment:
             trials=5,
             seed=7,
         )
-        for r in run_experiment(cfg):
+        for r in as_rows(run_experiment(cfg)):
             assert r.status == "ok"
             assert r.success_analytic == pytest.approx(0.75, abs=1e-12)
             assert r.success_oracle == pytest.approx(0.75, abs=1e-12)
@@ -171,7 +172,7 @@ class TestRunExperiment:
 
     def test_two_fold_rows_match_oracle_target(self):
         cfg = ExperimentConfig(scenario="unequal-prior-xz", eta0=0.6, theta=1.2, **BASE)
-        for r in run_experiment(cfg):
+        for r in as_rows(run_experiment(cfg)):
             assert r.case in ("A", "B")
             assert r.success_analytic == pytest.approx(r.success_oracle, abs=1e-12)
 
@@ -184,7 +185,7 @@ class TestRunExperiment:
             trials=6,
             seed=3,
         )
-        rows = run_experiment(cfg)
+        rows = as_rows(run_experiment(cfg))
         statuses = {r.status for r in rows}
         assert "weak_signal" in statuses
         for r in rows:
@@ -199,7 +200,7 @@ class TestRunExperiment:
             scenario="unequal-prior-xz", eta0=0.5, theta=math.pi, trials=3,
             shots_learn=500, shots_holdout=100, seed=1,
         )
-        rows = run_experiment(cfg)
+        rows = as_rows(run_experiment(cfg))
         assert all(r.status == "degenerate_ensemble" for r in rows)
         assert all(r.success_emp is None for r in rows)
 
@@ -211,7 +212,7 @@ class TestRunExperiment:
             scenario="unequal-prior-xz", eta0=0.6, theta=0.0, trials=3,
             shots_learn=2_000, shots_holdout=5_000, seed=5,
         )
-        for r in run_experiment(cfg):
+        for r in as_rows(run_experiment(cfg)):
             assert r.status in ("ok", "cos_theta_out_of_range")
             assert r.success_analytic == 0.5
             assert r.success_oracle == 0.5
@@ -242,7 +243,7 @@ class TestTruthOncePerCell:
         cells = count_calls(monkeypatch, "two_fold_cell")
         specs = count_calls(monkeypatch, "two_fold_spec")
         cfg = ExperimentConfig(scenario=scenario, eta0=0.6, nz=0.3, **{**BASE, "trials": 40})
-        rows = run_experiment(cfg)
+        rows = as_rows(run_experiment(cfg))
         assert len(rows) == 40
         assert {r.case for r in rows} == {"A", "B"}
         assert len(cells) == 1 and cells[0][0].tolist() == [0.6]
@@ -251,7 +252,7 @@ class TestTruthOncePerCell:
 
     def test_equal_prior_run_builds_ensemble_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "equal_prior_ensemble")
-        rows = run_experiment(ExperimentConfig(scenario="equal-prior-xz", **{**BASE, "trials": 10}))
+        rows = as_rows(run_experiment(ExperimentConfig(scenario="equal-prior-xz", **{**BASE, "trials": 10})))
         assert len(rows) == 10
         assert len(calls) == 1
 
@@ -259,7 +260,7 @@ class TestTruthOncePerCell:
         calls = count_calls(monkeypatch, "two_fold_cell")
         base = ExperimentConfig(scenario="unequal-prior-xz", **{**BASE, "trials": 5})
         thetas = [0.5, 1.0, 1.5]
-        rows = sweep(base, {"theta": thetas})
+        rows = as_rows(sweep(base, {"theta": thetas}))
         assert len(calls) == 1
         assert calls[0][1].tolist() == thetas
         for r in rows:
@@ -279,7 +280,7 @@ class TestTruthOncePerCell:
         names = ("mixture_targets", "success_prob", "success_equal_priors", "equal_prior_ensemble")
         calls = {name: count_calls(monkeypatch, name) for name in names}
         base = ExperimentConfig(scenario=scenario, **{**BASE, "trials": 2})
-        rows = sweep(base, {"alpha": [0.0, 1.0, 2.0], key: [0.2, 0.3, 0.4, 0.5]})
+        rows = as_rows(sweep(base, {"alpha": [0.0, 1.0, 2.0], key: [0.2, 0.3, 0.4, 0.5]}))
         assert len(rows) == 24
         assert {name: len(c) for name, c in calls.items()} == {name: int(name in truth) for name in names}
 
@@ -289,7 +290,7 @@ class TestTruthOncePerCell:
             scenario="unequal-prior-xz", eta0=0.5, theta=math.pi, trials=3,
             shots_learn=500, shots_holdout=100, seed=1,
         )
-        rows = run_experiment(cfg)
+        rows = as_rows(run_experiment(cfg))
         assert all(r.status == "degenerate_ensemble" for r in rows)
         # Once per cell: the engine asks for a cell's truth once, and the
         # failure marks every row of the cell.
@@ -318,9 +319,14 @@ class TestValidateOnce:
                 monkeypatch.setattr(module, "check_unit", counted)
         cfg = ExperimentConfig(scenario=scenario, eta0=0.5 if scenario == "equal-prior-xz" else 0.6,
                                nz=0.3, **{**BASE, "trials": 6})
-        rows = run_experiment(cfg)
+        rows = as_rows(run_experiment(cfg))
         assert all(r.success_emp is not None for r in rows)
         assert len(calls) == per_trial * len(rows)
+
+
+def head(columns: dict, count: int) -> dict:
+    """The result record of the first count rows."""
+    return {name: column[:count] for name, column in columns.items()}
 
 
 def streams_built_alone(seed, roles):
@@ -366,6 +372,23 @@ SCENARIO_CELLS = {
 }
 
 
+class TestResultRecord:
+    """run_experiment and sweep return a columns record: each CSV column,
+    then holdout_correct, as a list with one entry per row."""
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIO_CELLS))
+    def test_run_and_sweep_return_one_entry_per_row_in_each_column(self, scenario):
+        cfg = ExperimentConfig(**SCENARIO_CELLS[scenario], trials=3, **SMALL)
+        records = {
+            3: run_experiment(cfg),
+            6: sweep(cfg, {"alpha": [0.0, 1.0]}),
+            0: sweep(cfg, {"alpha": []}),
+        }
+        for count, columns in records.items():
+            assert list(columns) == [*CSV_COLUMNS, "holdout_correct"]
+            assert all(type(column) is list and len(column) == count for column in columns.values())
+
+
 class TestStreamLayout:
     """Layout v2: one stream per (role, draw), each drawing one array over
     all rows of a run or sweep in row order."""
@@ -382,7 +405,7 @@ class TestStreamLayout:
         cfg = ExperimentConfig(**SCENARIO_CELLS[scenario], trials=20, **SMALL)
         long = run_experiment(cfg)
         short = run_experiment(replace(cfg, trials=10))
-        assert render_results(long[:10]) == render_results(short)
+        assert render_results(head(long, 10)) == render_results(short)
 
     def test_sweep_is_prefix_stable(self):
         # The leading cells of a sweep are the shorter sweep; the grid holds
@@ -390,8 +413,8 @@ class TestStreamLayout:
         base = ExperimentConfig(scenario="const-z", eta0=0.5, trials=3, **SMALL)
         long = sweep(base, {"theta": [0.5, math.pi, 1.5, 2.0]})
         short = sweep(base, {"theta": [0.5, math.pi, 1.5]})
-        assert {r.status for r in short[3:6]} == {"degenerate_ensemble"}
-        assert render_results(long[:9]) == render_results(short)
+        assert set(short["status"][3:6]) == {"degenerate_ensemble"}
+        assert render_results(head(long, 9)) == render_results(short)
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIO_CELLS))
     def test_run_equals_one_cell_sweep(self, scenario):
@@ -403,7 +426,7 @@ class TestStreamLayout:
     def test_sweep_builds_each_stream_once(self, monkeypatch):
         built, _ = track_streams(monkeypatch)
         base = ExperimentConfig(scenario="const-z", eta0=0.6, trials=1, **SMALL)
-        rows = sweep(base, {"nz": [-0.3, 0.0, 0.3], "alpha": [0.0, 1.0]})
+        rows = as_rows(sweep(base, {"nz": [-0.3, 0.0, 0.3], "alpha": [0.0, 1.0]}))
         assert len(rows) == 6
         assert built == [(11, k) for k in (0, *range(3, 15))]
         built.clear()
@@ -413,7 +436,7 @@ class TestStreamLayout:
     def test_engine_keeps_nothing_after_return(self, monkeypatch):
         built, held = track_streams(monkeypatch)
         for scenario in sorted(SCENARIO_CELLS):
-            rows = run_experiment(ExperimentConfig(**SCENARIO_CELLS[scenario], trials=5, **SMALL))
+            rows = as_rows(run_experiment(ExperimentConfig(**SCENARIO_CELLS[scenario], trials=5, **SMALL)))
             assert len(rows) == 5
         gc.collect()
         assert len(built) == 9 + 10 + 13 and all(ref() is None for ref in held)
@@ -422,7 +445,7 @@ class TestStreamLayout:
 class TestSweep:
     def test_grid_cardinality(self):
         base = ExperimentConfig(scenario="unequal-prior-xz", **BASE)
-        rows = sweep(base, {"eta0": [0.5, 0.6, 0.7], "theta": [0.5, 1.0, 1.5]})
+        rows = as_rows(sweep(base, {"eta0": [0.5, 0.6, 0.7], "theta": [0.5, 1.0, 1.5]}))
         assert len(rows) == 9 * BASE["trials"]
         assert len({r.trial for r in rows}) == len(rows)  # globally unique
 
@@ -469,7 +492,7 @@ class TestSerialization:
     def test_json_mirrors_csv_fields(self):
         rows = self.rows()
         payload = json.loads(render_results(rows, "json"))
-        assert len(payload) == len(rows)
+        assert len(payload) == len(rows["trial"])
         assert set(payload[0].keys()) == set(CSV_COLUMNS)
         assert payload[0]["trial"] == 0
         assert payload[0]["status"] == "ok"
@@ -487,8 +510,8 @@ class TestSerialization:
         assert len(value.replace("-", "").replace(".", "").replace("e", "").lstrip("0")) <= 13
 
     def test_empty_rows_rejected(self):
-        with pytest.raises(ContractViolation):
-            render_results([], "csv")
+        with pytest.raises(ContractViolation, match="no result rows"):
+            render_results(sweep(ExperimentConfig(**BASE), {"alpha": []}), "csv")
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ContractViolation):
@@ -525,7 +548,7 @@ class TestSummarize:
         assert summary["trials"] == BASE["trials"]
         assert summary["statuses"] == {"ok": BASE["trials"]}
         assert 0.5 <= summary["pooled_success"] <= 1.0
-        assert summary["qubits_used"] == sum(r.qubits_used for r in rows)
+        assert summary["qubits_used"] == sum(r.shots_learn + r.shots_holdout for r in as_rows(rows))
 
     def test_all_failed_rows(self):
         cfg = ExperimentConfig(

@@ -16,6 +16,8 @@ import pytest
 from povmlearn.bloch import Plane
 from povmlearn.experiment import ExperimentConfig, equal_prior_ensemble, run_experiment, two_fold_cell, two_fold_spec
 
+from helpers import as_rows
+
 SHOTS = 400
 TRIALS = 300
 P_MIN = 1e-3
@@ -85,8 +87,8 @@ def naive_run(cfg, seed):
 
 
 def engine_run(cfg, seed):
-    rows = run_experiment(ExperimentConfig(**{**cfg.__dict__, "shots_learn": SHOTS, "shots_holdout": SHOTS,
-                                              "trials": TRIALS, "seed": seed}))
+    rows = as_rows(run_experiment(ExperimentConfig(**{**cfg.__dict__, "shots_learn": SHOTS, "shots_holdout": SHOTS,
+                                                      "trials": TRIALS, "seed": seed})))
     assert all(r.success_emp is not None and r.alpha_hat is not None for r in rows)
     return np.array([(r.success_emp, r.alpha_hat) for r in rows]).T
 

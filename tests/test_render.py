@@ -1,10 +1,11 @@
 """Row rendering: render_results against a reference renderer.
 
-The reference is the straightforward one: a dict of cells per row, then
-csv.writer or json.dumps(indent=2).  render_results writes each row in one
-pass through a template chosen by the types of its cells, and must give
-the same bytes for every row, including every pattern of empty cells the
-four statuses produce and floats at the edges of the double range.
+The reference is the straightforward one: the record's rows, each a
+namespace of cells, then csv.writer or json.dumps(indent=2).  render_results
+writes each row of a columns record in one pass through a template chosen
+by the types of its cells, and must give the same bytes for every row,
+including every pattern of empty cells the four statuses produce and floats
+at the edges of the double range.
 """
 
 import csv
@@ -12,6 +13,7 @@ import functools
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,20 +26,27 @@ from povmlearn.experiment import (
     FORMATS,
     SCENARIOS,
     ExperimentConfig,
-    TrialResult,
     _json_float,
     render_results,
     run_experiment,
 )
 
+from helpers import as_rows
+
+
+def columns_of(rows) -> dict:
+    """The result record of rows (namespaces of the CSV columns)."""
+    return {k: [getattr(r, k) for r in rows] for k in CSV_COLUMNS}
+
+
+def record(**cells) -> dict:
+    """A one-row result record of these cells; the other cells are empty,
+    the shots 0 and the status ok."""
+    row = {**dict.fromkeys(CSV_COLUMNS), "shots_learn": 0, "shots_holdout": 0, "status": "ok", **cells}
+    return {k: [v] for k, v in row.items()}
+
+
 # --- reference renderer -----------------------------------------------------
-
-_AXIS_INDEX = {k: i for i, k in enumerate(k for k in CSV_COLUMNS if k.startswith("axis_"))}
-
-
-def _row_record(r: TrialResult) -> dict:
-    axis = r.axis if r.axis is not None else (None, None, None)
-    return {k: axis[_AXIS_INDEX[k]] if k in _AXIS_INDEX else getattr(r, k) for k in CSV_COLUMNS}
 
 
 def _fmt_float(x) -> str:
@@ -60,16 +69,16 @@ def _json_value(value):
     return float(_fmt_float(value))
 
 
-def reference_render(rows, fmt: str) -> str:
-    records = [_row_record(r) for r in rows]
+def reference_render(columns: dict, fmt: str) -> str:
+    records = as_rows(columns)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for rec in records:
-            writer.writerow([_csv_cell(rec[k]) for k in CSV_COLUMNS])
+            writer.writerow([_csv_cell(getattr(rec, k)) for k in CSV_COLUMNS])
         return buf.getvalue()
-    payload = [{k: _json_value(rec[k]) for k in CSV_COLUMNS} for rec in records]
+    payload = [{k: _json_value(getattr(rec, k)) for k in CSV_COLUMNS} for rec in records]
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -95,8 +104,8 @@ STATUS_CONFIGS = (
 )
 
 
-def _empty_cells(r: TrialResult) -> tuple:
-    return tuple(k for k, v in _row_record(r).items() if v is None)
+def _empty_cells(r: SimpleNamespace) -> tuple:
+    return tuple(k for k in CSV_COLUMNS if getattr(r, k) is None)
 
 
 @functools.cache
@@ -104,7 +113,7 @@ def status_rows() -> tuple:
     """The first row of each (scenario, status, empty-cell pattern)."""
     seen = {}
     for cfg in STATUS_CONFIGS:
-        for r in run_experiment(cfg):
+        for r in as_rows(run_experiment(cfg)):
             seen.setdefault((r.scenario, r.status, _empty_cells(r)), r)
     return tuple(seen.values())
 
@@ -126,9 +135,19 @@ def test_status_rows_cover_every_status_and_empty_pattern():
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_program_rows_match_reference(fmt):
     rows = status_rows()
-    assert render_results(rows, fmt) == reference_render(rows, fmt)
+    assert render_results(columns_of(rows), fmt) == reference_render(columns_of(rows), fmt)
     for r in rows:
-        assert render_results([r], fmt) == reference_render([r], fmt)
+        assert render_results(columns_of([r]), fmt) == reference_render(columns_of([r]), fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("column", ["trial", "axis_y", "status"])
+def test_columns_of_different_lengths_are_rejected(fmt, column):
+    # zip would drop the rows past the shortest column without a word.
+    columns = columns_of(status_rows())
+    columns[column] = columns[column][:-1]
+    with pytest.raises(ContractViolation, match="differ in length"):
+        render_results(columns, fmt)
 
 
 # --- generated rows ------------------------------------------------------------
@@ -158,58 +177,59 @@ FLOAT_FIELDS = (
 )
 
 
+AXIS_FIELDS = ("axis_x", "axis_y", "axis_z")
+
+
 @st.composite
-def trial_rows(draw) -> TrialResult:
+def trial_rows(draw) -> SimpleNamespace:
     """A row with the empty cells of a program row and any values elsewhere."""
     template = draw(st.sampled_from(status_rows()))
     cells = {name: None if getattr(template, name) is None else draw(number_cells) for name in FLOAT_FIELDS}
-    axis = None if template.axis is None else np.array([draw(float_cells) for _ in range(3)], dtype=np.float64)
-    return TrialResult(
+    axis = {name: None if getattr(template, name) is None else draw(floats) for name in AXIS_FIELDS}
+    return SimpleNamespace(
         trial=draw(int_cells),
         scenario=draw(st.sampled_from(SCENARIOS)),
         case=template.case if template.case is None else draw(st.sampled_from(("A", "B"))),
-        axis=axis,
         shots_learn=draw(int_cells),
         shots_holdout=draw(int_cells),
         status=template.status,
         **cells,
+        **axis,
     )
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(trial_rows(), min_size=1, max_size=4))
-def test_generated_rows_match_reference(rows):
+@given(st.lists(trial_rows(), min_size=1, max_size=4).map(columns_of))
+def test_generated_rows_match_reference(columns):
     for fmt in FORMATS:
-        assert render_results(rows, fmt) == reference_render(rows, fmt)
+        assert render_results(columns, fmt) == reference_render(columns, fmt)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64("nan"), -0.0, 1.0, 5e-324])
 def test_edge_float_cells(value):
-    r = TrialResult(trial=0, scenario="const-z", case="A", eta0=value, theta_true=value, alpha_true=value,
-                    beta_true=None, n_z=value, axis=np.array([value, 0.0, -value]), z_score=value)
+    r = record(trial=0, scenario="const-z", case="A", eta0=value, theta_true=value, alpha_true=value,
+               n_z=value, axis_x=float(value), axis_y=0.0, axis_z=-float(value), z_score=value)
     for fmt in FORMATS:
-        assert render_results([r], fmt) == reference_render([r], fmt)
+        assert render_results(r, fmt) == reference_render(r, fmt)
     # How each format spells the value.
     cell = {"inf": ("inf", "Infinity"), "-inf": ("-inf", "-Infinity"), "nan": ("nan", "NaN"),
             "-0.0": ("-0", "-0.0"), "1.0": ("1", "1.0"), "5e-324": ("4.94065645841e-324", "5e-324")}[repr(float(value))]
-    assert render_results([r], "csv").splitlines()[1].split(",")[CSV_COLUMNS.index("eta0")] == cell[0]
-    assert f'"eta0": {cell[1]},' in render_results([r], "json")
+    assert render_results(r, "csv").splitlines()[1].split(",")[CSV_COLUMNS.index("eta0")] == cell[0]
+    assert f'"eta0": {cell[1]},' in render_results(r, "json")
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.text())
 def test_json_escapes_any_string(text):
-    r = TrialResult(trial=1, scenario=text, case=text, eta0=0.5, theta_true=None, alpha_true=None,
-                    beta_true=None, n_z=0.0, status=text)
-    assert render_results([r], "json") == reference_render([r], "json")
+    r = record(trial=1, scenario=text, case=text, eta0=0.5, n_z=0.0, status=text)
+    assert render_results(r, "json") == reference_render(r, "json")
 
 
 @pytest.mark.parametrize("text", ["a,b", 'say "x"', "two\nlines"])
 def test_csv_rejects_a_string_cell_that_needs_quoting(text):
-    r = TrialResult(trial=1, scenario="const-z", case="A", eta0=0.5, theta_true=None, alpha_true=None,
-                    beta_true=None, n_z=0.0, status=text)
+    r = record(trial=1, scenario="const-z", case="A", eta0=0.5, n_z=0.0, status=text)
     with pytest.raises(ContractViolation):
-        render_results([r], "csv")
+        render_results(r, "csv")
 
 
 @settings(max_examples=1000)
