@@ -8,16 +8,21 @@ the scaling is exact and the x-z arithmetic is that of the unscaled
 formulas bit for bit; a slice at nz = 0 is the x-z plane with its second
 axis relabeled.
 
-With unequal priors (eta0, eta1) the ensemble Bloch vector n no longer
-determines the two pure states.  The separation angle theta follows from
-|u|/rho alone, but there are exactly two unit-vector pairs reproducing n:
-branch A puts state 1 at in-plane angle -theta from state 0, branch B at
-+theta, mirror images of each other about n.  No measurement
-distinguishes the branches, so the operational targets are the
-branch-averaged mixtures m0 (state 0 of branch A averaged with state 1 of
-branch B) and m1 (the complement).  These straddle n symmetrically with
-equal purity, and the in-plane axis perpendicular to n, which fires both
-detectors equally often, is the minimum-error measurement for that pair.
+The priors are (eta0, eta1 = 1 - eta0), and every function takes eta0 alone
+and works out eta1 itself: cos_theta(n_norm, eta0), decompose(n, theta,
+eta0, case), mixture_targets(n, theta, eta0) and success_prob(eta0, theta,
+n_norm), each with an optional plane.
+
+With unequal priors the ensemble Bloch vector n no longer determines the
+two pure states.  The separation angle theta follows from |u|/rho alone,
+but there are exactly two unit-vector pairs reproducing n: branch A puts
+state 1 at in-plane angle -theta from state 0, branch B at +theta, mirror
+images of each other about n.  No measurement distinguishes the branches,
+so the operational targets are the branch-averaged mixtures m0 (state 0 of
+branch A averaged with state 1 of branch B) and m1 (the complement).  These
+straddle n symmetrically with equal purity, and the in-plane axis
+perpendicular to n, which fires both detectors equally often, is the
+minimum-error measurement for that pair.
 """
 
 from __future__ import annotations
@@ -80,14 +85,11 @@ def _embed(plane: Plane, *pairs) -> np.ndarray:
     return plane.embed(np.array(pairs))
 
 
-def _check_priors(eta0, eta1) -> None:
-    """Priors interior and summing to 1, in every row for arrays of priors."""
-    ok = (abs(eta0 + eta1 - 1.0) <= 1e-12) & (0.0 < eta0) & (eta0 < 1.0)
+def _check_priors(eta0) -> None:
+    """Priors (eta0, 1 - eta0) interior, in every row for arrays of eta0."""
+    ok = (0.0 < eta0) & (eta0 < 1.0)
     if not every_row(ok):
-        bad = np.logical_not(ok)
-        raise InvalidPriors(
-            f"priors must be interior and sum to 1, got ({first_row(bad, eta0)}, {first_row(bad, eta1)})"
-        )
+        raise InvalidPriors(f"priors must be interior, got eta0 = {first_row(np.logical_not(ok), eta0)}")
 
 
 def _check_theta(theta) -> None:
@@ -158,9 +160,9 @@ def ensemble_vector(eta0, theta, direction, plane: Plane = _PLANE_XZ) -> tuple[n
     return plane.embed(np.stack(u, axis=-1) if m is np else np.array(u)), r
 
 
-def cos_theta(n_norm, eta0, eta1, tol: float = EPS_PHYS, plane: Plane = _PLANE_XZ):
+def cos_theta(n_norm, eta0, tol: float = EPS_PHYS, plane: Plane = _PLANE_XZ):
     """Separation cosine between the two pure states, from the in-plane norm
-    |u| of the ensemble vector and the priors.
+    |u| of the ensemble vector and the prior eta0 (eta1 = 1 - eta0).
 
     |u|^2 = rho^2 (eta0^2 + eta1^2 + 2 eta0 eta1 cos(theta)), inverted for
     cos(theta).  Pass tol=EPS_CLAMP for shot-noise estimates of |u|.  A
@@ -168,23 +170,23 @@ def cos_theta(n_norm, eta0, eta1, tol: float = EPS_PHYS, plane: Plane = _PLANE_X
     priors and plane per row or shared) give one cosine per row, NaN where
     it is out of range.
     """
-    _check_priors(eta0, eta1)
+    _check_priors(eta0)
     # Rescale by the slice radius before squaring and write the inversion
     # as 1 + (r^2 - 1)/(2 eta0 eta1), which equals the direct one because
     # the priors sum to 1: a coincident ensemble (|u| equal to the radius)
     # then yields exactly 1.0 with no rounding residue.
     r = n_norm / np.sqrt(plane.radius_sq)
-    c = 1.0 + (r * r - 1.0) / (2.0 * eta0 * eta1)
+    c = 1.0 + (r * r - 1.0) / (2.0 * eta0 * (1.0 - eta0))
     out = np.abs(c) > 1.0 + tol
     if np.ndim(c) == 0 and out:
         raise CosThetaOutOfRange(f"separation cosine {c:.6g} outside [-1, 1] beyond tolerance {tol:g}")
     return np.where(out, np.nan, np.clip(c, -1.0, 1.0))[()]
 
 
-def decompose(n, theta, eta0, eta1, case, plane: Plane = _PLANE_XZ) -> DecompositionPair:
-    """Recover the pure-state pair of one branch from (n, theta, priors).
+def decompose(n, theta, eta0, case, plane: Plane = _PLANE_XZ) -> DecompositionPair:
+    """Recover the pure-state pair of one branch from (n, theta, eta0).
 
-    Solving n = eta0*n0 + eta1*n1 with n1 rotated by -theta (branch A) or
+    Solving n = eta0*n0 + eta1*n1 (eta1 = 1 - eta0) with n1 rotated by -theta (branch A) or
     +theta (branch B) from n0 inverts to a rotation-scaling of u for each
     state.  For inputs with |u| consistent with (theta, eta0, eta1) the
     outputs are unit vectors in the plane recombining to n under the priors.
@@ -192,8 +194,9 @@ def decompose(n, theta, eta0, eta1, case, plane: Plane = _PLANE_XZ) -> Decomposi
     one branch name per row); a row whose n has no in-plane direction gets
     NaN states, where a single n raises DegenerateEnsemble.
     """
-    _check_priors(eta0, eta1)
+    _check_priors(eta0)
     _check_theta(theta)
+    eta1 = 1.0 - eta0
     sgn = _check_case(case)
     u0, u1, uu = _slice_coords(n, plane)
     prefactor = plane.radius_sq / uu
@@ -209,19 +212,19 @@ def decompose(n, theta, eta0, eta1, case, plane: Plane = _PLANE_XZ) -> Decomposi
     return DecompositionPair(n0=n0, n1=n1)
 
 
-def mixture_targets(n, theta, eta0, eta1, plane: Plane = _PLANE_XZ) -> MixtureTargets:
+def mixture_targets(n, theta, eta0, plane: Plane = _PLANE_XZ) -> MixtureTargets:
     """Branch-averaged mixtures m0, m1 = n +- (2 eta0 eta1 sin(theta) rho^2/|u|) n_perp.
 
     n_perp = (-u2, u1)/|u| is the in-plane perpendicular, so the offset is
-    written componentwise over |u|^2.  Every argument may hold one value per
-    row; a row whose n has no in-plane direction gets NaN targets, where a
-    single n raises DegenerateEnsemble.
+    written componentwise over |u|^2; eta1 = 1 - eta0.  Every argument may
+    hold one value per row; a row whose n has no in-plane direction gets NaN
+    targets, where a single n raises DegenerateEnsemble.
     """
-    _check_priors(eta0, eta1)
+    _check_priors(eta0)
     _check_theta(theta)
     u0, u1, uu = _slice_coords(n, plane)
     m = np if isinstance(theta, np.ndarray) else math
-    shift = 2.0 * eta0 * eta1 * m.sin(theta) * plane.radius_sq
+    shift = 2.0 * eta0 * (1.0 - eta0) * m.sin(theta) * plane.radius_sq
     m0, m1 = _embed(
         plane,
         ((u0 * uu - shift * u1) / uu, (shift * u0 + u1 * uu) / uu),
@@ -230,12 +233,13 @@ def mixture_targets(n, theta, eta0, eta1, plane: Plane = _PLANE_XZ) -> MixtureTa
     return MixtureTargets(m0=m0, m1=m1)
 
 
-def success_prob(eta0, eta1, theta, n_norm, plane: Plane = _PLANE_XZ):
+def success_prob(eta0, theta, n_norm, plane: Plane = _PLANE_XZ):
     """Optimal success probability 1/2 + eta0 eta1 sin(theta) rho^2/|u| of the
-    axis rule, from the in-plane norm |u| of the ensemble vector.  Every
-    argument may hold one value per row; a row with |u| too small for a
-    target gets NaN, where a single |u| raises DegenerateEnsemble."""
-    _check_priors(eta0, eta1)
+    axis rule, from the prior eta0 (eta1 = 1 - eta0) and the in-plane norm |u|
+    of the ensemble vector.  Every argument may hold one value per row; a row
+    with |u| too small for a target gets NaN, where a single |u| raises
+    DegenerateEnsemble."""
+    _check_priors(eta0)
     _check_theta(theta)
     if isinstance(n_norm, np.ndarray):
         n_norm = np.where(n_norm > EPS_DEGENERATE, n_norm, np.nan)
@@ -244,7 +248,7 @@ def success_prob(eta0, eta1, theta, n_norm, plane: Plane = _PLANE_XZ):
         if n_norm <= EPS_DEGENERATE:
             raise DegenerateEnsemble(f"|u| = {n_norm:.3g} is too small for a success target")
     m = np if isinstance(theta, np.ndarray) else math
-    ps = 0.5 + eta0 * eta1 * m.sin(theta) * plane.radius_sq / n_norm
+    ps = 0.5 + eta0 * (1.0 - eta0) * m.sin(theta) * plane.radius_sq / n_norm
     over = ps > 1.0 + EPS_PHYS
     if any_row(over):
         raise ContractViolation(f"inconsistent inputs: success probability {first_row(over, ps):.6g} exceeds 1")

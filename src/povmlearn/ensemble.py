@@ -72,38 +72,31 @@ class RngStream:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleSpec(ValueEquality):
-    """Ground truth: priors, two pure in-plane states and the declared plane.
+    """Ground truth: the prior eta0 of state 0 (state 1 has eta1 = 1 - eta0),
+    two pure in-plane states and the declared plane.
 
     A spec is one ensemble, or a batch of rows with one ensemble each: then
-    eta0 and eta1 are 1-D arrays and psi0 and psi1 hold one state per row.
+    eta0 is a 1-D array and psi0 and psi1 hold one state per row.
     Validated once at construction, every row; the fields are read-only
     copies, so the checks hold for the spec's lifetime and sampling need
     not redo them.  Specs compare and hash by value (ValueEquality).
     """
 
     eta0: float | np.ndarray
-    eta1: float | np.ndarray
     psi0: np.ndarray
     psi1: np.ndarray
     plane: Plane
 
     def __post_init__(self):
-        eta0, eta1 = (np.array(getattr(self, name), dtype=float) for name in ("eta0", "eta1"))
-        if eta0.ndim > 1 or eta1.shape != eta0.shape or eta0.size == 0:
-            raise ContractViolation(
-                "priors must be two numbers or two nonempty 1-D arrays of one shape, "
-                f"got shapes {eta0.shape}, {eta1.shape}"
-            )
-        ok = (abs(eta0 + eta1 - 1.0) <= 1e-12) & (0.0 <= eta0) & (eta0 <= 1.0)
+        eta0 = np.array(self.eta0, dtype=float)
+        if eta0.ndim > 1 or eta0.size == 0:
+            raise ContractViolation(f"priors must be one number or a nonempty 1-D array, got shape {eta0.shape}")
+        ok = (0.0 <= eta0) & (eta0 <= 1.0)
         if not every_row(ok):
-            bad = np.logical_not(ok)
-            raise ContractViolation(
-                f"priors must be in [0, 1] and sum to 1, got ({first_row(bad, eta0)}, {first_row(bad, eta1)})"
-            )
-        for name, eta in (("eta0", eta0), ("eta1", eta1)):
-            if eta.ndim:
-                eta.flags.writeable = False
-            object.__setattr__(self, name, eta if eta.ndim else float(eta))
+            raise ContractViolation(f"priors must be in [0, 1], got eta0 = {first_row(np.logical_not(ok), eta0)}")
+        if eta0.ndim:
+            eta0.flags.writeable = False
+        object.__setattr__(self, "eta0", eta0 if eta0.ndim else float(eta0))
         for name in ("psi0", "psi1"):
             psi = np.array(getattr(self, name), dtype=float)
             if psi.shape != eta0.shape + (3,):

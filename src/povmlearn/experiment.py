@@ -175,7 +175,7 @@ def equal_prior_ensemble(alpha, beta) -> EnsembleSpec:
     +z; arrays of angles give a batch with one ensemble per row."""
     psi0 = bloch_from_state_angle(alpha + beta)
     half = np.full(psi0.shape[:-1], 0.5)
-    return EnsembleSpec(eta0=half, eta1=half, psi0=psi0, psi1=bloch_from_state_angle(alpha - beta), plane=_XZ)
+    return EnsembleSpec(eta0=half, psi0=psi0, psi1=bloch_from_state_angle(alpha - beta), plane=_XZ)
 
 
 def two_fold_cell(eta0, theta, direction, plane: Plane = _XZ):
@@ -189,10 +189,9 @@ def two_fold_cell(eta0, theta, direction, plane: Plane = _XZ):
     DegenerateEnsemble; in a batch, a degenerate cell has NaN in all three
     (the in-plane coordinates of its vector).
     """
-    eta1 = 1.0 - eta0
     n, r = ensemble_vector(eta0, theta, direction, plane)
-    targets = mixture_targets(n, theta, eta0, eta1, plane)
-    analytic = success_prob(eta0, eta1, theta, r, plane)
+    targets = mixture_targets(n, theta, eta0, plane)
+    analytic = success_prob(eta0, theta, r, plane)
     oracle = success_equal_priors(targets.m0, targets.m1)
     if isinstance(analytic, np.ndarray):
         lost = np.isnan(analytic) | np.isnan(oracle)
@@ -208,8 +207,7 @@ def two_fold_spec(n, eta0, theta, case, plane: Plane = _XZ) -> EnsembleSpec:
     whose n has no in-plane direction (NaN from two_fold_cell) gets the
     placeholder pair, both states at the first plane axis, so that the row
     can still draw."""
-    eta1 = 1.0 - eta0
-    pair = decompose(n, theta, eta0, eta1, case, plane)
+    pair = decompose(n, theta, eta0, case, plane)
     psi0, psi1 = pair.n0, pair.n1
     if psi0.ndim > 1:
         lost = np.isnan(psi0[:, :1])
@@ -217,7 +215,7 @@ def two_fold_spec(n, eta0, theta, case, plane: Plane = _XZ) -> EnsembleSpec:
             rho = np.sqrt(plane.radius_sq)
             spot = plane.embed(np.stack((rho, np.zeros_like(rho)), axis=-1))
             psi0, psi1 = np.where(lost, spot, psi0), np.where(lost, spot, psi1)
-    return EnsembleSpec(eta0, eta1, psi0, psi1, plane)
+    return EnsembleSpec(eta0, psi0, psi1, plane)
 
 
 def _role_streams(seed: int, roles: Sequence[str]) -> dict[str, tuple]:
@@ -326,7 +324,7 @@ def _two_fold_rows(grid: _Grid) -> dict:
     # measured z of a slice is not used.  It sets the status only: a row
     # out of range still classifies along its axis.
     u = plane.coords(n_hat)
-    cos = cos_theta(np.sqrt((u * u).sum(axis=-1)), spec.eta0, spec.eta1, tol=EPS_CLAMP, plane=plane)
+    cos = cos_theta(np.sqrt((u * u).sum(axis=-1)), spec.eta0, tol=EPS_CLAMP, plane=plane)
     in_range = ~np.isnan(cos)
     reach, keep = reached_rows.tolist(), scored.tolist()
     return {

@@ -42,14 +42,14 @@ def _axis_match(axis, reference) -> float:
 
 
 def _random_instances(rng: np.random.Generator, count: int, plane: Plane = _XZ):
-    """Consistent (eta0, eta1, theta, direction, |u|, n) tuples in a plane,
-    away from degeneracy; |u| is the in-plane norm of n."""
+    """Consistent (eta0, theta, |u|, n) tuples in a plane, away from
+    degeneracy; |u| is the in-plane norm of n."""
     for _ in range(count):
         eta0 = rng.uniform(0.05, 0.95)
         theta = rng.uniform(0.05, math.pi - 0.05)
         direction = rng.uniform(0.0, 2.0 * math.pi)
         n, r = ensemble_vector(eta0, theta, direction, plane)
-        yield eta0, 1.0 - eta0, theta, direction, r, n
+        yield eta0, theta, r, n
 
 
 def oracle_battery(n_instances: int = 10_000, seed: int = 12345) -> list[CheckOutcome]:
@@ -60,14 +60,12 @@ def oracle_battery(n_instances: int = 10_000, seed: int = 12345) -> list[CheckOu
     rng = np.random.default_rng(seed)
     worst_purity = worst_axis = worst_lam = worst_converse = worst_balance = 0.0
     pairs = []
-    for eta0, eta1, theta, _, q, n in _random_instances(rng, n_instances):
-        t = mixture_targets(n, theta, eta0, eta1)
+    for eta0, theta, q, n in _random_instances(rng, n_instances):
+        t = mixture_targets(n, theta, eta0)
         res = helstrom(t.m0, t.m1)
         worst_purity = max(worst_purity, abs(norm(t.m0) - norm(t.m1)))
         worst_axis = max(worst_axis, _axis_match(res.p0_axis, perp_in_plane(n, _XZ)))
-        worst_lam = max(
-            worst_lam, abs(res.success - success_prob(eta0, eta1, theta, q))
-        )
+        worst_lam = max(worst_lam, abs(res.success - success_prob(eta0, theta, q)))
         converse_axis = perp_in_plane(t.m0 + t.m1, _XZ)
         worst_converse = max(worst_converse, _axis_match(converse_axis, res.p0_axis))
         p0, p1 = detector_probabilities(res.p0_axis, t.m0, t.m1)
@@ -128,12 +126,12 @@ def invariant_battery(seed: int = 12345) -> list[CheckOutcome]:
     outcomes.append(CheckOutcome("in-plane rotations compose and preserve norm", worst <= 1e-12, f"worst {worst:.3g}"))
 
     worst = 0.0
-    for eta0, eta1, theta, _, q, n in _random_instances(rng, 2000):
+    for eta0, theta, _, n in _random_instances(rng, 2000):
         for case in ("A", "B"):
-            pair = decompose(n, theta, eta0, eta1, case)
+            pair = decompose(n, theta, eta0, case)
             worst = max(
                 worst,
-                norm(eta0 * pair.n0 + eta1 * pair.n1 - n),
+                norm(eta0 * pair.n0 + (1.0 - eta0) * pair.n1 - n),
                 abs(norm(pair.n0) - 1.0),
                 abs(norm(pair.n1) - 1.0),
                 abs(angle_dist(plane_angle(pair.n0, _XZ), plane_angle(pair.n1, _XZ)) - theta),
@@ -144,8 +142,8 @@ def invariant_battery(seed: int = 12345) -> list[CheckOutcome]:
     growth = []
     for delta in (0.0, 0.01, 0.05, 0.1):
         n = np.array([0.7 * math.cos(0.4), 0.0, 0.7 * math.sin(0.4)])
-        pa = decompose(n, 1.2, 0.5 + delta, 0.5 - delta, "A")
-        pb = decompose(n, 1.2, 0.5 + delta, 0.5 - delta, "B")
+        pa = decompose(n, 1.2, 0.5 + delta, "A")
+        pb = decompose(n, 1.2, 0.5 + delta, "B")
         gap = norm(pa.n0 - pb.n1)
         growth.append(gap)
         if delta == 0.0:
@@ -160,18 +158,18 @@ def invariant_battery(seed: int = 12345) -> list[CheckOutcome]:
     )
 
     worst = 0.0
-    for eta0, eta1, theta, direction, q, n in _random_instances(rng, 2000):
-        t = mixture_targets(n, theta, eta0, eta1)
-        worst = max(worst, abs(success_prob(eta0, eta1, theta, q) - success_equal_priors(t.m0, t.m1)))
+    for eta0, theta, q, n in _random_instances(rng, 2000):
+        t = mixture_targets(n, theta, eta0)
+        worst = max(worst, abs(success_prob(eta0, theta, q) - success_equal_priors(t.m0, t.m1)))
     outcomes.append(CheckOutcome("axis-rule success equals the oracle bound", worst <= 1e-12, f"worst {worst:.3g}"))
 
     worst = 0.0
     slice0 = Plane.const_z(0.0)
-    for eta0, eta1, theta, direction, q, n in _random_instances(rng, 1000):
+    for eta0, theta, q, n in _random_instances(rng, 1000):
         m = slice0.embed(_XZ.coords(n))
         for case in ("A", "B"):
-            pair_xz = decompose(n, theta, eta0, eta1, case)
-            pair_cz = decompose(m, theta, eta0, eta1, case, slice0)
+            pair_xz = decompose(n, theta, eta0, case)
+            pair_cz = decompose(m, theta, eta0, case, slice0)
             worst = max(
                 worst,
                 abs(pair_xz.n0[0] - pair_cz.n0[0]),
@@ -181,17 +179,18 @@ def invariant_battery(seed: int = 12345) -> list[CheckOutcome]:
             )
         worst = max(
             worst,
-            abs(cos_theta(q, eta0, eta1) - cos_theta(q, eta0, eta1, plane=slice0)),
-            abs(success_prob(eta0, eta1, theta, q) - success_prob(eta0, eta1, theta, q, slice0)),
+            abs(cos_theta(q, eta0) - cos_theta(q, eta0, plane=slice0)),
+            abs(success_prob(eta0, theta, q) - success_prob(eta0, theta, q, slice0)),
         )
     outcomes.append(CheckOutcome("constant-z slice reduces to the x-z plane at nz = 0", worst <= 1e-12, f"worst {worst:.3g}"))
 
     worst = 0.0
     for plane in (_XZ, Plane.const_z(-0.7), Plane.const_z(0.35)):
-        for eta0, eta1, theta, direction, r, n in _random_instances(rng, 500, plane):
-            t = mixture_targets(n, theta, eta0, eta1, plane)
-            a = decompose(n, theta, eta0, eta1, "A", plane)
-            b = decompose(n, theta, eta0, eta1, "B", plane)
+        for eta0, theta, _, n in _random_instances(rng, 500, plane):
+            t = mixture_targets(n, theta, eta0, plane)
+            a = decompose(n, theta, eta0, "A", plane)
+            b = decompose(n, theta, eta0, "B", plane)
+            eta1 = 1.0 - eta0
             worst = max(
                 worst,
                 norm(t.m0 - (eta0 * a.n0 + eta1 * b.n1)),

@@ -59,7 +59,7 @@ def _instances(seed, count):
         direction = rng.uniform(0.0, 2.0 * math.pi)
         q = math.sqrt(eta0 * eta0 + eta1 * eta1 + 2 * eta0 * eta1 * math.cos(theta))
         n = np.array([q * math.cos(direction), 0.0, q * math.sin(direction)])
-        yield eta0, eta1, theta, q, n
+        yield eta0, theta, q, n
 
 
 def test_criterion_1_noise_free_angle_inversion(capfd):
@@ -152,8 +152,8 @@ def test_criterion_5_oracle_equivalence(capfd):
         start = time.perf_counter()
         plane = Plane.xz()
         worst_purity = worst_axis = worst_success = 0.0
-        for eta0, eta1, theta, q, n in _instances(505, 10_000):
-            t = mixture_targets(n, theta, eta0, eta1)
+        for eta0, theta, q, n in _instances(505, 10_000):
+            t = mixture_targets(n, theta, eta0)
             worst_purity = max(worst_purity, abs(norm(t.m0) - norm(t.m1)))
             res = helstrom(t.m0, t.m1)
             n_perp = perp_in_plane(n, plane)
@@ -162,7 +162,7 @@ def test_criterion_5_oracle_equivalence(capfd):
                 min(norm(res.p0_axis - n_perp), norm(res.p0_axis + n_perp)),
             )
             worst_success = max(
-                worst_success, abs(res.success - success_prob(eta0, eta1, theta, q))
+                worst_success, abs(res.success - success_prob(eta0, theta, q))
             )
         elapsed = time.perf_counter() - start
         assert worst_purity <= 1e-12, f"purity mismatch {worst_purity:.3g}"
@@ -174,11 +174,11 @@ def test_criterion_5_oracle_equivalence(capfd):
 def test_criterion_6_round_trip_and_ambiguity_collapse(capfd):
     with capfd.disabled(), criterion(6, "branch round trip and equal-prior ambiguity collapse"):
         worst_recombine = worst_unit = 0.0
-        for eta0, eta1, theta, q, n in _instances(606, 10_000):
+        for eta0, theta, _, n in _instances(606, 10_000):
             for case in ("A", "B"):
-                pair = decompose(n, theta, eta0, eta1, case)
+                pair = decompose(n, theta, eta0, case)
                 worst_recombine = max(
-                    worst_recombine, norm(eta0 * pair.n0 + eta1 * pair.n1 - n)
+                    worst_recombine, norm(eta0 * pair.n0 + (1.0 - eta0) * pair.n1 - n)
                 )
                 worst_unit = max(
                     worst_unit, abs(norm(pair.n0) - 1.0), abs(norm(pair.n1) - 1.0)
@@ -191,8 +191,8 @@ def test_criterion_6_round_trip_and_ambiguity_collapse(capfd):
                 n = np.array([q * math.cos(direction), 0.0, q * math.sin(direction)])
                 gaps = []
                 for delta in (0.0, 0.01, 0.05, 0.1):
-                    a = decompose(n, theta, 0.5 + delta, 0.5 - delta, "A")
-                    b = decompose(n, theta, 0.5 + delta, 0.5 - delta, "B")
+                    a = decompose(n, theta, 0.5 + delta, "A")
+                    b = decompose(n, theta, 0.5 + delta, "B")
                     gaps.append(norm(a.n0 - b.n1))
                 assert gaps[0] <= 1e-12, f"gap {gaps[0]:.3g} at equal priors"
                 assert all(g1 < g2 for g1, g2 in zip(gaps, gaps[1:])), (
@@ -227,7 +227,7 @@ def test_criterion_7_constant_z_reduction(capfd):
         for nz in (0.0, 0.3, -0.6):
             for eta0 in (0.5, 0.65, 0.8):
                 value = cos_theta(
-                    math.sqrt(1.0 - nz * nz), eta0, 1.0 - eta0, plane=Plane.const_z(nz)
+                    math.sqrt(1.0 - nz * nz), eta0, plane=Plane.const_z(nz)
                 )
                 assert value == 1.0
                 assert value != 2.0

@@ -65,13 +65,13 @@ class TestProbPlus:
         assert prob_plus([0, 1, 0], [0, 0.6, 0.6]) == pytest.approx(0.8, abs=1e-12)
 
     def test_nonunit_axis_rejected(self):
-        spec = EnsembleSpec(0.5, 0.5, [0, 0, 1], [0, 0, 1], Plane.xz())
+        spec = EnsembleSpec(0.5, [0, 0, 1], [0, 0, 1], Plane.xz())
         with pytest.raises(ContractViolation, match="unit length"):
             spec.sample([0, 0, 0.5], 10, np.random.default_rng(0))
 
     def test_unphysical_state_rejected(self):
         with pytest.raises(ContractViolation, match="pure"):
-            EnsembleSpec(0.5, 0.5, [0, 0, 1.5], [0, 0, 1], Plane.xz())
+            EnsembleSpec(0.5, [0, 0, 1.5], [0, 0, 1], Plane.xz())
 
     def test_exact_complement_on_geometric_inputs(self):
         # The +1 and -1 outcome probabilities must sum to 1 exactly for

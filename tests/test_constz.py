@@ -52,15 +52,15 @@ class TestConstZFrame:
 
     def test_rejects_out_of_plane_r(self):
         with pytest.raises(ContractViolation):
-            decompose([0.1, 0.2, 0.3], 1.0, 0.5, 0.5, "A", Plane.const_z(0.5))
+            decompose([0.1, 0.2, 0.3], 1.0, 0.5, "A", Plane.const_z(0.5))
         with pytest.raises(ContractViolation):
-            mixture_targets([0.1, 0.2, 0.3], 1.0, 0.5, 0.5, Plane.const_z(0.5))
+            mixture_targets([0.1, 0.2, 0.3], 1.0, 0.5, Plane.const_z(0.5))
 
     def test_rejects_r_beyond_slice_radius(self):
         with pytest.raises(ContractViolation):
-            decompose([0.9, 0.0, 0.8], 1.0, 0.5, 0.5, "A", Plane.const_z(0.8))
+            decompose([0.9, 0.0, 0.8], 1.0, 0.5, "A", Plane.const_z(0.8))
         with pytest.raises(ContractViolation):
-            mixture_targets([0.9, 0.0, 0.8], 1.0, 0.5, 0.5, Plane.const_z(0.8))
+            mixture_targets([0.9, 0.0, 0.8], 1.0, 0.5, Plane.const_z(0.8))
 
     def test_rejects_bad_offset(self):
         with pytest.raises(ContractViolation):
@@ -69,7 +69,7 @@ class TestConstZFrame:
 
 class TestCosThetaZ:
     def test_reference_right_angle(self):
-        value = cos_theta(0.8 / math.sqrt(2), 0.5, 0.5, plane=Plane.const_z(0.6))
+        value = cos_theta(0.8 / math.sqrt(2), 0.5, plane=Plane.const_z(0.6))
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_coincident_states_give_exactly_one(self):
@@ -79,7 +79,7 @@ class TestCosThetaZ:
         for nz in (0.0, 0.3, -0.7):
             for eta0 in (0.5, 0.6, 0.8):
                 r_norm = math.sqrt(1.0 - nz * nz)
-                value = cos_theta(r_norm, eta0, 1.0 - eta0, plane=Plane.const_z(nz))
+                value = cos_theta(r_norm, eta0, plane=Plane.const_z(nz))
                 assert value == 1.0
                 assert value != 2.0
 
@@ -87,20 +87,20 @@ class TestCosThetaZ:
         # Norms above |eta0 - eta1| = 0.4 are reachable for both priors.
         for r_norm in (0.45, 0.62, 0.95):
             for eta0 in (0.5, 0.7):
-                assert cos_theta(r_norm, eta0, 1.0 - eta0, plane=Plane.const_z(0.0)) == cos_theta(
-                    r_norm, eta0, 1.0 - eta0, plane=Plane.xz()
+                assert cos_theta(r_norm, eta0, plane=Plane.const_z(0.0)) == cos_theta(
+                    r_norm, eta0, plane=Plane.xz()
                 )
 
     def test_out_of_range_rejected(self):
         with pytest.raises(CosThetaOutOfRange):
-            cos_theta(0.99, 0.5, 0.5, plane=Plane.const_z(0.6))
+            cos_theta(0.99, 0.5, plane=Plane.const_z(0.6))
 
     @given(slice_instances)
     @settings(max_examples=300)
     def test_inverts_the_norm_relation(self, inst):
         eta0, theta, direction, nz = inst
         plane, n, r_norm = make_n(eta0, theta, direction, nz)
-        assert abs(cos_theta(r_norm, eta0, 1.0 - eta0, plane=plane) - math.cos(theta)) <= 1e-8
+        assert abs(cos_theta(r_norm, eta0, plane=plane) - math.cos(theta)) <= 1e-8
         n_lib, r_lib = ensemble_vector(eta0, theta, direction, plane)
         assert np.array_equal(n_lib, n) and r_lib == r_norm
 
@@ -112,7 +112,7 @@ class TestDecomposeConstZ:
         eta0, theta, direction, nz = inst
         eta1 = 1.0 - eta0
         plane, n, _ = make_n(eta0, theta, direction, nz)
-        pair = decompose(n, theta, eta0, eta1, case, plane)
+        pair = decompose(n, theta, eta0, case, plane)
         assert norm(eta0 * pair.n0 + eta1 * pair.n1 - n) <= 1e-11
         assert abs(norm(pair.n0) - 1.0) <= 1e-11
         assert abs(norm(pair.n1) - 1.0) <= 1e-11
@@ -120,25 +120,24 @@ class TestDecomposeConstZ:
         assert pair.n1[2] == pytest.approx(nz, abs=1e-12)
 
     def test_coincident_states(self):
-        pair = decompose([0.8, 0.0, 0.6], 0.0, 0.7, 0.3, "A", Plane.const_z(0.6))
+        pair = decompose([0.8, 0.0, 0.6], 0.0, 0.7, "A", Plane.const_z(0.6))
         assert np.allclose(pair.n0, [0.8, 0.0, 0.6], atol=1e-12)
         assert np.allclose(pair.n1, [0.8, 0.0, 0.6], atol=1e-12)
 
     def test_zero_offset_matches_plane_decomposition_bitwise(self):
         for eta0, theta, direction in [(0.6, 1.0, 0.3), (0.8, 2.2, 4.1), (0.5, 0.4, 5.9)]:
-            eta1 = 1.0 - eta0
             plane, m, _ = make_n(eta0, theta, direction, 0.0)
             n = np.array([m[0], 0.0, m[1]])
             for case in ("A", "B"):
-                flat = decompose(n, theta, eta0, eta1, case, Plane.xz())
-                sliced = decompose(m, theta, eta0, eta1, case, plane)
+                flat = decompose(n, theta, eta0, case, Plane.xz())
+                sliced = decompose(m, theta, eta0, case, plane)
                 assert sliced.n0[0] == flat.n0[0] and sliced.n0[1] == flat.n0[2]
                 assert sliced.n1[0] == flat.n1[0] and sliced.n1[1] == flat.n1[2]
                 assert sliced.n0[2] == 0.0 and sliced.n1[2] == 0.0
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateEnsemble):
-            decompose([0.0, 0.0, 0.5], 1.0, 0.5, 0.5, "A", Plane.const_z(0.5))
+            decompose([0.0, 0.0, 0.5], 1.0, 0.5, "A", Plane.const_z(0.5))
 
 
 class TestMixtureTargetsConstZ:
@@ -147,23 +146,23 @@ class TestMixtureTargetsConstZ:
         radius = math.sqrt(1.0 - 0.3 * 0.3)
         direction = np.array([0.5, 0.2, 0.0]) / norm(np.array([0.5, 0.2, 0.0]))
         full = radius * direction + np.array([0.0, 0.0, 0.3])
-        t = mixture_targets(full, 0.0, 0.6, 0.4, Plane.const_z(0.3))
+        t = mixture_targets(full, 0.0, 0.6, Plane.const_z(0.3))
         assert norm(t.m0 - full) <= 1e-12
         assert norm(t.m1 - full) <= 1e-12
 
     def test_zero_offset_matches_plane_targets(self):
         plane, m, _ = make_n(0.65, 1.1, 0.9, 0.0)
         n = np.array([m[0], 0.0, m[1]])
-        flat = mixture_targets(n, 1.1, 0.65, 0.35, Plane.xz())
-        sliced = mixture_targets(m, 1.1, 0.65, 0.35, plane)
+        flat = mixture_targets(n, 1.1, 0.65, Plane.xz())
+        sliced = mixture_targets(m, 1.1, 0.65, plane)
         assert sliced.m0[0] == flat.m0[0] and sliced.m0[1] == flat.m0[2]
         assert sliced.m1[0] == flat.m1[0] and sliced.m1[1] == flat.m1[2]
         assert sliced.m0[2] == 0.0 and sliced.m1[2] == 0.0
 
     def test_equal_priors_yield_branch_state(self):
         plane, n, _ = make_n(0.5, 0.8, 0.2, 0.4)
-        t = mixture_targets(n, 0.8, 0.5, 0.5, plane)
-        pair = decompose(n, 0.8, 0.5, 0.5, "A", plane)
+        t = mixture_targets(n, 0.8, 0.5, plane)
+        pair = decompose(n, 0.8, 0.5, "A", plane)
         assert norm(t.m0 - pair.n0) <= 1e-12
 
     @given(slice_instances)
@@ -171,7 +170,7 @@ class TestMixtureTargetsConstZ:
     def test_equal_purity_and_common_offset(self, inst):
         eta0, theta, direction, nz = inst
         plane, n, _ = make_n(eta0, theta, direction, nz)
-        t = mixture_targets(n, theta, eta0, 1.0 - eta0, plane)
+        t = mixture_targets(n, theta, eta0, plane)
         assert abs(norm(t.m0) - norm(t.m1)) <= 1e-12
         assert t.m0[2] == pytest.approx(nz, abs=1e-12)
         assert t.m1[2] == pytest.approx(nz, abs=1e-12)
@@ -182,20 +181,19 @@ class TestSuccessProbConstZ:
     @settings(max_examples=200)
     def test_matches_oracle_on_slice_targets(self, inst):
         eta0, theta, direction, nz = inst
-        eta1 = 1.0 - eta0
         plane, n, r_norm = make_n(eta0, theta, direction, nz)
-        t = mixture_targets(n, theta, eta0, eta1, plane)
-        ours = success_prob(eta0, eta1, theta, r_norm, plane)
+        t = mixture_targets(n, theta, eta0, plane)
+        ours = success_prob(eta0, theta, r_norm, plane)
         assert abs(ours - success_equal_priors(t.m0, t.m1)) <= 1e-12
 
     def test_zero_offset_reduction(self):
-        assert success_prob(0.6, 0.4, 1.0, 0.55, Plane.const_z(0.0)) == success_prob(
-            0.6, 0.4, 1.0, 0.55, Plane.xz()
+        assert success_prob(0.6, 1.0, 0.55, Plane.const_z(0.0)) == success_prob(
+            0.6, 1.0, 0.55, Plane.xz()
         )
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateEnsemble):
-            success_prob(0.5, 0.5, 1.0, 0.0, Plane.const_z(0.3))
+            success_prob(0.5, 1.0, 0.0, Plane.const_z(0.3))
 
 
 class TestLearnAxisConstZ:
@@ -203,17 +201,17 @@ class TestLearnAxisConstZ:
         # r along +x maps to the +y axis, r along +y to the -x axis, by the
         # +90 degree rotation convention; tight at a large shot budget.
         r = math.sqrt(1 - 0.36)
-        spec = EnsembleSpec(1.0, 0.0, [r, 0, 0.6], [r, 0, 0.6], Plane.const_z(0.6))
+        spec = EnsembleSpec(1.0, [r, 0, 0.6], [r, 0, 0.6], Plane.const_z(0.6))
         axis, _ = learn_axis(spec, 100_000, RngStream(0).generator())
         assert np.allclose(axis, [0, 1, 0], atol=0.02)
-        spec = EnsembleSpec(1.0, 0.0, [0, r, 0.6], [0, r, 0.6], Plane.const_z(0.6))
+        spec = EnsembleSpec(1.0, [0, r, 0.6], [0, r, 0.6], Plane.const_z(0.6))
         axis, _ = learn_axis(spec, 100_000, RngStream(0).generator())
         assert np.allclose(axis, [-1, 0, 0], atol=0.02)
 
     def test_axis_properties(self):
         plane, n, _ = make_n(0.6, 1.0, 0.7, 0.4)
-        pair = decompose(n, 1.0, 0.6, 0.4, "A", plane)
-        spec = EnsembleSpec(0.6, 0.4, pair.n0, pair.n1, plane)
+        pair = decompose(n, 1.0, 0.6, "A", plane)
+        spec = EnsembleSpec(0.6, pair.n0, pair.n1, plane)
         axis, n_hat = learn_axis(spec, 100_000, RngStream(5).generator())
         assert axis[2] == 0.0
         assert abs(norm(axis) - 1.0) <= 1e-12

@@ -44,44 +44,44 @@ def make_n(eta0, theta, direction):
 
 class TestCosTheta:
     def test_identical_states(self):
-        assert cos_theta(1.0, 0.5, 0.5) == pytest.approx(1.0, abs=1e-12)
+        assert cos_theta(1.0, 0.5) == pytest.approx(1.0, abs=1e-12)
 
     def test_right_angle(self):
-        assert cos_theta(1.0 / math.sqrt(2), 0.5, 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert cos_theta(1.0 / math.sqrt(2), 0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_antipodal_states(self):
-        assert cos_theta(0.0, 0.5, 0.5) == pytest.approx(-1.0, abs=1e-12)
+        assert cos_theta(0.0, 0.5) == pytest.approx(-1.0, abs=1e-12)
 
     def test_clamps_small_overshoot(self):
         # |n| = 1.004 puts the raw cosine at 1.016, inside the 0.02 window.
-        assert cos_theta(1.004, 0.5, 0.5, tol=0.02) == 1.0
+        assert cos_theta(1.004, 0.5, tol=0.02) == 1.0
 
     def test_rejects_large_overshoot(self):
         with pytest.raises(CosThetaOutOfRange):
-            cos_theta(1.2, 0.5, 0.5, tol=0.02)
+            cos_theta(1.2, 0.5, tol=0.02)
 
     def test_rejects_bad_priors(self):
         with pytest.raises(InvalidPriors):
-            cos_theta(0.5, 0.0, 1.0)
+            cos_theta(0.5, 0.0)
 
     @given(consistent_instances)
     @settings(max_examples=300)
     def test_inverts_the_norm_relation(self, inst):
         eta0, theta, direction = inst
         n, q = make_n(eta0, theta, direction)
-        assert abs(cos_theta(q, eta0, 1.0 - eta0) - math.cos(theta)) <= 1e-9
+        assert abs(cos_theta(q, eta0) - math.cos(theta)) <= 1e-9
         n_lib, q_lib = ensemble_vector(eta0, theta, direction)
         assert np.array_equal(n_lib, n) and q_lib == q
 
 
 class TestDecompose:
     def test_reference_case_a(self):
-        pair = decompose([INV_SQRT2, 0, 0], math.pi / 2, 0.5, 0.5, "A")
+        pair = decompose([INV_SQRT2, 0, 0], math.pi / 2, 0.5, "A")
         assert np.allclose(pair.n0, [INV_SQRT2, 0, INV_SQRT2], atol=1e-12)
         assert np.allclose(pair.n1, [INV_SQRT2, 0, -INV_SQRT2], atol=1e-12)
 
     def test_reference_case_b_swaps_at_equal_priors(self):
-        pair = decompose([INV_SQRT2, 0, 0], math.pi / 2, 0.5, 0.5, "B")
+        pair = decompose([INV_SQRT2, 0, 0], math.pi / 2, 0.5, "B")
         assert np.allclose(pair.n0, [INV_SQRT2, 0, -INV_SQRT2], atol=1e-12)
         assert np.allclose(pair.n1, [INV_SQRT2, 0, INV_SQRT2], atol=1e-12)
 
@@ -89,21 +89,21 @@ class TestDecompose:
         # theta = 0 forces |n| = 1: the mixture of two equal unit vectors.
         n = np.array([0.6, 0.0, 0.8])
         for case in ("A", "B"):
-            pair = decompose(n, 0.0, 0.6, 0.4, case)
+            pair = decompose(n, 0.0, 0.6, case)
             assert np.allclose(pair.n0, n, atol=1e-12)
             assert np.allclose(pair.n1, n, atol=1e-12)
 
     def test_degenerate_vector_rejected(self):
         with pytest.raises(DegenerateEnsemble):
-            decompose([0.0, 0.0, 0.0], 1.0, 0.5, 0.5, "A")
+            decompose([0.0, 0.0, 0.0], 1.0, 0.5, "A")
 
     def test_bad_case_rejected(self):
         with pytest.raises(ContractViolation):
-            decompose([0.5, 0, 0], 1.0, 0.5, 0.5, "C")
+            decompose([0.5, 0, 0], 1.0, 0.5, "C")
 
     def test_theta_domain_enforced(self):
         with pytest.raises(ContractViolation):
-            decompose([0.5, 0, 0], -0.2, 0.5, 0.5, "A")
+            decompose([0.5, 0, 0], -0.2, 0.5, "A")
 
     @given(consistent_instances, st.sampled_from(["A", "B"]))
     @settings(max_examples=300)
@@ -111,7 +111,7 @@ class TestDecompose:
         eta0, theta, direction = inst
         eta1 = 1.0 - eta0
         n, _ = make_n(eta0, theta, direction)
-        pair = decompose(n, theta, eta0, eta1, case)
+        pair = decompose(n, theta, eta0, case)
         assert norm(eta0 * pair.n0 + eta1 * pair.n1 - n) <= 1e-11
         assert abs(norm(pair.n0) - 1.0) <= 1e-11
         assert abs(norm(pair.n1) - 1.0) <= 1e-11
@@ -121,8 +121,8 @@ class TestDecompose:
 
     def test_branches_mirror_about_n(self):
         n, _ = make_n(0.7, 1.1, 0.4)
-        a = decompose(n, 1.1, 0.7, 0.3, "A")
-        b = decompose(n, 1.1, 0.7, 0.3, "B")
+        a = decompose(n, 1.1, 0.7, "A")
+        b = decompose(n, 1.1, 0.7, "B")
         plane = Plane.xz()
         mid = plane_angle(n, plane)
         assert circ_diff(plane_angle(a.n0, plane) - mid, mid - plane_angle(b.n0, plane)) <= 1e-9
@@ -131,8 +131,8 @@ class TestDecompose:
         n, _ = make_n(0.5, 1.2, 0.4)
         gaps = []
         for delta in (0.0, 0.01, 0.05, 0.1):
-            a = decompose(n, 1.2, 0.5 + delta, 0.5 - delta, "A")
-            b = decompose(n, 1.2, 0.5 + delta, 0.5 - delta, "B")
+            a = decompose(n, 1.2, 0.5 + delta, "A")
+            b = decompose(n, 1.2, 0.5 + delta, "B")
             gaps.append(norm(a.n0 - b.n1))
         assert gaps[0] <= 1e-12
         assert gaps == sorted(gaps)
@@ -141,20 +141,20 @@ class TestDecompose:
 
 class TestMixtureTargets:
     def test_reference_instance(self):
-        t = mixture_targets([INV_SQRT2, 0, 0], math.pi / 2, 0.5, 0.5)
+        t = mixture_targets([INV_SQRT2, 0, 0], math.pi / 2, 0.5)
         assert np.allclose(t.m0, [INV_SQRT2, 0, INV_SQRT2], atol=1e-12)
         assert np.allclose(t.m1, [INV_SQRT2, 0, -INV_SQRT2], atol=1e-12)
 
     def test_coincident_states(self):
         n = np.array([0.4, 0.0, 0.2])
-        t = mixture_targets(n, 0.0, 0.6, 0.4)
+        t = mixture_targets(n, 0.0, 0.6)
         assert np.allclose(t.m0, n, atol=1e-15)
         assert np.allclose(t.m1, n, atol=1e-15)
 
     def test_equal_priors_yield_pure_targets(self):
         n, _ = make_n(0.5, 0.9, 1.3)
-        t = mixture_targets(n, 0.9, 0.5, 0.5)
-        pair = decompose(n, 0.9, 0.5, 0.5, "A")
+        t = mixture_targets(n, 0.9, 0.5)
+        pair = decompose(n, 0.9, 0.5, "A")
         assert norm(t.m0 - pair.n0) <= 1e-12
         assert norm(t.m1 - pair.n1) <= 1e-12
 
@@ -163,16 +163,17 @@ class TestMixtureTargets:
     def test_equal_purity_and_midpoint(self, inst):
         eta0, theta, direction = inst
         n, _ = make_n(eta0, theta, direction)
-        t = mixture_targets(n, theta, eta0, 1.0 - eta0)
+        t = mixture_targets(n, theta, eta0)
         assert abs(norm(t.m0) - norm(t.m1)) <= 1e-12
         assert norm(0.5 * (t.m0 + t.m1) - n) <= 1e-12
 
     def test_targets_average_the_branches(self):
-        eta0, eta1, theta = 0.65, 0.35, 1.3
+        eta0, theta = 0.65, 1.3
+        eta1 = 1.0 - eta0
         n, _ = make_n(eta0, theta, 0.8)
-        a = decompose(n, theta, eta0, eta1, "A")
-        b = decompose(n, theta, eta0, eta1, "B")
-        t = mixture_targets(n, theta, eta0, eta1)
+        a = decompose(n, theta, eta0, "A")
+        b = decompose(n, theta, eta0, "B")
+        t = mixture_targets(n, theta, eta0)
         assert norm(t.m0 - (eta0 * a.n0 + eta1 * b.n1)) <= 1e-12
         assert norm(t.m1 - (eta1 * a.n1 + eta0 * b.n0)) <= 1e-12
 
@@ -187,16 +188,16 @@ class TestMixtureTargets:
         _, q = make_n(eta0, theta, direction)
         r = math.sqrt(plane.radius_sq) * q
         n = plane.embed(np.array([r * math.cos(direction), r * math.sin(direction)]))
-        a = decompose(n, theta, eta0, eta1, "A", plane)
-        b = decompose(n, theta, eta0, eta1, "B", plane)
-        t = mixture_targets(n, theta, eta0, eta1, plane)
+        a = decompose(n, theta, eta0, "A", plane)
+        b = decompose(n, theta, eta0, "B", plane)
+        t = mixture_targets(n, theta, eta0, plane)
         assert norm(t.m0 - (eta0 * a.n0 + eta1 * b.n1)) <= 1e-12
         assert norm(t.m1 - (eta1 * a.n1 + eta0 * b.n0)) <= 1e-12
 
 
 class TestSuccessProb:
     def test_reference_equal_priors(self):
-        assert success_prob(0.5, 0.5, math.pi / 2, 1 / math.sqrt(2)) == pytest.approx(
+        assert success_prob(0.5, math.pi / 2, 1 / math.sqrt(2)) == pytest.approx(
             0.8535533905932737, abs=1e-12
         )
 
@@ -206,31 +207,31 @@ class TestSuccessProb:
         for theta in (0.3, 1.0, 2.0):
             q = math.sqrt(0.5 + 0.5 * math.cos(theta))
             bound = 0.5 * (1.0 + math.sqrt(1.0 - math.cos(theta / 2) ** 2))
-            assert success_prob(0.5, 0.5, theta, q) == pytest.approx(bound, abs=1e-12)
+            assert success_prob(0.5, theta, q) == pytest.approx(bound, abs=1e-12)
 
     def test_indistinguishable_mixtures(self):
-        assert success_prob(0.5, 0.5, 0.0, 1.0) == 0.5
+        assert success_prob(0.5, 0.0, 1.0) == 0.5
 
     def test_reference_unequal_priors(self):
-        assert success_prob(0.7, 0.3, math.pi / 2, math.sqrt(0.58)) == pytest.approx(
+        assert success_prob(0.7, math.pi / 2, math.sqrt(0.58)) == pytest.approx(
             0.7757435090054174, abs=1e-12
         )
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateEnsemble):
-            success_prob(0.5, 0.5, math.pi, 0.0)
+            success_prob(0.5, math.pi, 0.0)
 
     def test_inconsistent_inputs_rejected(self):
         with pytest.raises(ContractViolation):
-            success_prob(0.5, 0.5, math.pi / 2, 0.01)
+            success_prob(0.5, math.pi / 2, 0.01)
 
     @given(consistent_instances)
     @settings(max_examples=300)
     def test_matches_oracle_on_targets(self, inst):
         eta0, theta, direction = inst
         n, q = make_n(eta0, theta, direction)
-        t = mixture_targets(n, theta, eta0, 1.0 - eta0)
-        assert abs(success_prob(eta0, 1.0 - eta0, theta, q) - success_equal_priors(t.m0, t.m1)) <= 1e-12
+        t = mixture_targets(n, theta, eta0)
+        assert abs(success_prob(eta0, theta, q) - success_equal_priors(t.m0, t.m1)) <= 1e-12
 
     def test_equal_priors_maximize_success_at_fixed_theta(self):
         for theta in (0.5, 1.2, 2.4):
@@ -238,7 +239,7 @@ class TestSuccessProb:
             for eta0 in np.linspace(0.05, 0.95, 19):
                 eta1 = 1.0 - eta0
                 q = math.sqrt(eta0**2 + eta1**2 + 2 * eta0 * eta1 * math.cos(theta))
-                values.append(success_prob(eta0, eta1, theta, q))
+                values.append(success_prob(eta0, theta, q))
             assert np.argmax(values) == 9  # the midpoint eta0 = 0.5
 
 
@@ -246,17 +247,17 @@ class TestLearnAxisEqualCounts:
     def test_single_state_directions(self):
         # A single-state ensemble pins one Pauli component exactly; the
         # other still carries coin-flip noise, so allow a few sigma of it.
-        spec = EnsembleSpec(1.0, 0.0, [1, 0, 0], [1, 0, 0], Plane.xz())
+        spec = EnsembleSpec(1.0, [1, 0, 0], [1, 0, 0], Plane.xz())
         axis, _ = learn_axis(spec, 100_000, RngStream(0).generator())
         assert np.allclose(axis, [0, 0, 1], atol=0.02)
-        spec = EnsembleSpec(1.0, 0.0, [0, 0, 1], [0, 0, 1], Plane.xz())
+        spec = EnsembleSpec(1.0, [0, 0, 1], [0, 0, 1], Plane.xz())
         axis, _ = learn_axis(spec, 100_000, RngStream(0).generator())
         assert np.allclose(axis, [-1, 0, 0], atol=0.02)
 
     def test_orthogonal_to_estimate_by_construction(self):
         n, _ = make_n(0.6, 1.0, 0.7)
-        pair = decompose(n, 1.0, 0.6, 0.4, "A")
-        spec = EnsembleSpec(0.6, 0.4, pair.n0, pair.n1, Plane.xz())
+        pair = decompose(n, 1.0, 0.6, "A")
+        spec = EnsembleSpec(0.6, pair.n0, pair.n1, Plane.xz())
         axis, n_hat = learn_axis(spec, 100_000, RngStream(1).generator())
         assert abs(norm(axis) - 1.0) <= 1e-12
         assert abs(axis[1]) == 0.0
@@ -264,8 +265,8 @@ class TestLearnAxisEqualCounts:
 
     def test_angular_accuracy_at_large_budget(self):
         n, _ = make_n(0.6, 1.2, 0.54)
-        pair = decompose(n, 1.2, 0.6, 0.4, "A")
-        spec = EnsembleSpec(0.6, 0.4, pair.n0, pair.n1, Plane.xz())
+        pair = decompose(n, 1.2, 0.6, "A")
+        spec = EnsembleSpec(0.6, pair.n0, pair.n1, Plane.xz())
         target = perp_in_plane(n, Plane.xz())
         hits = 0
         for seed in range(50):

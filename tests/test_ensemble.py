@@ -17,7 +17,6 @@ from povmlearn.errors import ContractViolation
 def xz_spec(eta0=0.5, g0=0.3, g1=1.1):
     return EnsembleSpec(
         eta0=eta0,
-        eta1=1.0 - eta0,
         psi0=bloch_from_state_angle(g0),
         psi1=bloch_from_state_angle(g1),
         plane=Plane.xz(),
@@ -27,7 +26,7 @@ def xz_spec(eta0=0.5, g0=0.3, g1=1.1):
 def batch(spec, count):
     """The spec repeated on `count` rows."""
     rows = np.full(count, spec.eta0)
-    return EnsembleSpec(rows, 1.0 - rows, np.tile(spec.psi0, (count, 1)), np.tile(spec.psi1, (count, 1)), spec.plane)
+    return EnsembleSpec(rows, np.tile(spec.psi0, (count, 1)), np.tile(spec.psi1, (count, 1)), spec.plane)
 
 
 class SplitRecorder:
@@ -51,25 +50,26 @@ def recorded(seed, axes):
 
 
 class TestEnsembleSpec:
-    def test_priors_must_sum_to_one(self):
-        with pytest.raises(ContractViolation):
-            EnsembleSpec(0.6, 0.6, [0, 0, 1], [1, 0, 0], Plane.xz())
+    @pytest.mark.parametrize("eta0", [-0.1, 1.2, math.nan])
+    def test_prior_must_lie_in_unit_interval(self, eta0):
+        with pytest.raises(ContractViolation, match="priors"):
+            EnsembleSpec(eta0, [0, 0, 1], [1, 0, 0], Plane.xz())
 
     def test_states_must_be_pure(self):
         with pytest.raises(ContractViolation):
-            EnsembleSpec(0.5, 0.5, [0, 0, 0.9], [1, 0, 0], Plane.xz())
+            EnsembleSpec(0.5, [0, 0, 0.9], [1, 0, 0], Plane.xz())
 
     def test_states_must_lie_in_plane(self):
         with pytest.raises(ContractViolation):
-            EnsembleSpec(0.5, 0.5, [0, 1, 0], [1, 0, 0], Plane.xz())
+            EnsembleSpec(0.5, [0, 1, 0], [1, 0, 0], Plane.xz())
 
     def test_states_must_be_three_vectors(self):
         # [1, 0] has unit norm and a zero second component, so only the
         # shape check stops it before a sample fails on aligned shapes.
         with pytest.raises(ContractViolation, match=r"psi0 .*shape \(2,\)"):
-            EnsembleSpec(0.5, 0.5, [1.0, 0.0], [1.0, 0.0], Plane.xz())
+            EnsembleSpec(0.5, [1.0, 0.0], [1.0, 0.0], Plane.xz())
         with pytest.raises(ContractViolation, match=r"psi1 .*shape \(1, 3\)"):
-            EnsembleSpec(0.5, 0.5, [1.0, 0.0, 0.0], [[1.0, 0.0, 0.0]], Plane.xz())
+            EnsembleSpec(0.5, [1.0, 0.0, 0.0], [[1.0, 0.0, 0.0]], Plane.xz())
 
     def test_states_are_read_only(self):
         spec = xz_spec()
@@ -83,7 +83,7 @@ class TestEnsembleSpec:
 
     def test_caller_array_is_copied_and_stays_writeable(self):
         psi0 = np.array([0.0, 0.0, 1.0])
-        spec = EnsembleSpec(0.5, 0.5, psi0, [1, 0, 0], Plane.xz())
+        spec = EnsembleSpec(0.5, psi0, [1, 0, 0], Plane.xz())
         assert psi0.flags.writeable
         psi0[2] = -1.0
         assert spec.psi0[2] == 1.0
@@ -95,16 +95,18 @@ class TestEnsembleSpec:
         bad_state = rows.psi1.copy()
         bad_state[2] = [0.0, 0.0, 0.9]
         with pytest.raises(ContractViolation, match="pure"):
-            EnsembleSpec(rows.eta0, rows.eta1, rows.psi0, bad_state, Plane.xz())
+            EnsembleSpec(rows.eta0, rows.psi0, bad_state, Plane.xz())
         bad_state[2] = [0.0, 1.0, 0.0]
         with pytest.raises(ContractViolation, match="plane"):
-            EnsembleSpec(rows.eta0, rows.eta1, rows.psi0, bad_state, Plane.xz())
+            EnsembleSpec(rows.eta0, rows.psi0, bad_state, Plane.xz())
+        bad_prior = rows.eta0.copy()
+        bad_prior[2] = 1.5
         with pytest.raises(ContractViolation, match="priors"):
-            EnsembleSpec(rows.eta0, rows.eta0, rows.psi0, rows.psi1, Plane.xz())
+            EnsembleSpec(bad_prior, rows.psi0, rows.psi1, Plane.xz())
         with pytest.raises(ContractViolation, match="shape"):
-            EnsembleSpec(rows.eta0, rows.eta1, rows.psi0[:3], rows.psi1, Plane.xz())
+            EnsembleSpec(rows.eta0, rows.psi0[:3], rows.psi1, Plane.xz())
         with pytest.raises(ContractViolation, match="nonempty"):
-            EnsembleSpec(rows.eta0[:0], rows.eta1[:0], rows.psi0[:0], rows.psi1[:0], Plane.xz())
+            EnsembleSpec(rows.eta0[:0], rows.psi0[:0], rows.psi1[:0], Plane.xz())
 
     @pytest.mark.parametrize(
         "field, first, second",
@@ -123,9 +125,9 @@ class TestEnsembleSpec:
         fields[field][[600, 900]] = [first, second]
         eta0, psi0, psi1 = fields["eta0"], fields["psi0"], fields["psi1"]
         with pytest.raises(ContractViolation) as single:
-            EnsembleSpec(eta0[600], 1.0 - eta0[600], psi0[600], psi1[600], Plane.xz())
+            EnsembleSpec(eta0[600], psi0[600], psi1[600], Plane.xz())
         with pytest.raises(ContractViolation) as batched:
-            EnsembleSpec(eta0, 1.0 - eta0, psi0, psi1, Plane.xz())
+            EnsembleSpec(eta0, psi0, psi1, Plane.xz())
         assert str(batched.value) == str(single.value)
         assert "..." not in str(batched.value)
 
@@ -178,22 +180,22 @@ class TestEnsembleBloch:
 
     @staticmethod
     def average(spec):
-        return spec.eta0 * spec.psi0 + spec.eta1 * spec.psi1
+        return spec.eta0 * spec.psi0 + (1 - spec.eta0) * spec.psi1
 
     def test_antipodal_average(self):
-        spec = EnsembleSpec(0.5, 0.5, [0, 0, 1], [0, 0, -1], Plane.xz())
+        spec = EnsembleSpec(0.5, [0, 0, 1], [0, 0, -1], Plane.xz())
         n, r = ensemble_vector(0.5, math.pi, 0.3)
         assert r == 0.0
         assert np.allclose(n, self.average(spec), atol=1e-15)
 
     def test_even_average(self):
-        spec = EnsembleSpec(0.5, 0.5, [1, 0, 0], [0, 0, 1], Plane.xz())
+        spec = EnsembleSpec(0.5, [1, 0, 0], [0, 0, 1], Plane.xz())
         n, _ = ensemble_vector(0.5, math.pi / 2, math.pi / 4)
         assert np.allclose(n, self.average(spec), atol=1e-15)
         assert np.allclose(n, [0.5, 0, 0.5], atol=1e-15)
 
     def test_weighted_average(self):
-        spec = EnsembleSpec(0.7, 0.3, [1, 0, 0], [0, 0, 1], Plane.xz())
+        spec = EnsembleSpec(0.7, [1, 0, 0], [0, 0, 1], Plane.xz())
         n, _ = ensemble_vector(0.7, math.pi / 2, math.atan2(0.3, 0.7))
         assert np.allclose(n, self.average(spec), atol=1e-15)
         assert np.allclose(n, [0.7, 0, 0.3], atol=1e-15)
@@ -279,7 +281,7 @@ class TestMeasureShots:
     """EnsembleSpec.sample and expectation: one measurement batch per row."""
 
     def test_eigenstate_all_plus(self):
-        spec = EnsembleSpec(1.0, 0.0, [0, 0, 1], [1, 0, 0], Plane.xz())
+        spec = EnsembleSpec(1.0, [0, 0, 1], [1, 0, 0], Plane.xz())
         k0, c0_plus, c1_plus = spec.sample([0, 0, 1], 100, RngStream(1).generator())
         assert (k0, c0_plus, c1_plus) == (100, 100, 0)
         assert spec.expectation([0, 0, 1], 100, RngStream(1).generator()) == 1.0
@@ -324,7 +326,7 @@ class TestMeasureShots:
 
 class TestEstimatePauli:
     def test_pure_z_ensemble_is_exact(self):
-        spec = EnsembleSpec(0.5, 0.5, [0, 0, 1], [0, 0, 1], Plane.xz())
+        spec = EnsembleSpec(0.5, [0, 0, 1], [0, 0, 1], Plane.xz())
         n_hat = estimate_pauli(spec, 500, RngStream(0).generator())
         assert n_hat[2] == 1.0
         assert estimate_pauli(batch(spec, 3), 500, RngStream(0).generator())[:, 2].tolist() == [1.0] * 3
@@ -339,7 +341,7 @@ class TestEstimatePauli:
     def test_constz_measures_three_axes(self):
         plane = Plane.const_z(0.4)
         r = math.sqrt(1 - 0.16)
-        spec = EnsembleSpec(0.5, 0.5, [r, 0, 0.4], [0, r, 0.4], plane)
+        spec = EnsembleSpec(0.5, [r, 0, 0.4], [0, r, 0.4], plane)
         gens = recorded(2, 3)
         n_hat = estimate_pauli(spec, 1000, gens)
         assert n_hat.shape == (3,)
@@ -347,14 +349,14 @@ class TestEstimatePauli:
 
     def test_component_error_bound(self):
         spec = xz_spec(eta0=0.5, g0=0.3, g1=1.1)
-        n = spec.eta0 * spec.psi0 + spec.eta1 * spec.psi1
+        n = spec.eta0 * spec.psi0 + (1 - spec.eta0) * spec.psi1
         n_hat = estimate_pauli(batch(spec, 100), 10_000, RngStream(0, 1).generator())
         assert np.sum(np.max(np.abs(n_hat - n), axis=1) <= 5.0 / math.sqrt(10_000)) >= 99
 
     def test_large_shot_limit(self):
         spec = xz_spec(eta0=0.65, g0=0.2, g1=1.4)
         n_hat = estimate_pauli(spec, 10_000_000, RngStream(9).generator())
-        assert float(np.max(np.abs(n_hat - (spec.eta0 * spec.psi0 + spec.eta1 * spec.psi1)))) <= 2e-3
+        assert float(np.max(np.abs(n_hat - (spec.eta0 * spec.psi0 + (1 - spec.eta0) * spec.psi1)))) <= 2e-3
 
     def test_per_axis_generators(self):
         spec = xz_spec()

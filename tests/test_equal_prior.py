@@ -153,14 +153,14 @@ class TestLearnEqualPrior:
 
     def test_requires_equal_priors(self):
         spec = EnsembleSpec(
-            0.6, 0.4, bloch_from_state_angle(0.3), bloch_from_state_angle(1.0), Plane.xz()
+            0.6, bloch_from_state_angle(0.3), bloch_from_state_angle(1.0), Plane.xz()
         )
         with pytest.raises(InvalidPriors):
             learn_equal_prior(spec, 0.0, 100, self.gens(10))
 
     def test_requires_xz_plane(self):
         plane = Plane.const_z(0.0)
-        spec = EnsembleSpec(0.5, 0.5, [1, 0, 0], [0, 1, 0], plane)
+        spec = EnsembleSpec(0.5, [1, 0, 0], [0, 1, 0], plane)
         with pytest.raises(ContractViolation):
             learn_equal_prior(spec, 0.0, 100, self.gens(11))
 
@@ -172,7 +172,7 @@ class TestLearnRows:
     def rows(self, alphas, beta):
         specs = [equal_prior_ensemble(a, beta) for a in alphas]
         half = np.full(len(specs), 0.5)
-        return EnsembleSpec(half, half, [s.psi0 for s in specs], [s.psi1 for s in specs], Plane.xz())
+        return EnsembleSpec(half, [s.psi0 for s in specs], [s.psi1 for s in specs], Plane.xz())
 
     def test_batch_of_one_matches_single(self):
         one = learn_equal_prior(equal_prior_ensemble(2.2, 0.6), 0.1, 20_000, TestLearnEqualPrior().gens(4))

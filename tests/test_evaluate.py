@@ -15,7 +15,6 @@ from povmlearn.helstrom import helstrom
 def equal_spec(beta=math.pi / 2, alpha=0.9):
     return EnsembleSpec(
         0.5,
-        0.5,
         bloch_from_state_angle(alpha + beta),
         bloch_from_state_angle(alpha - beta),
         Plane.xz(),
@@ -174,7 +173,7 @@ class TestScoreRows:
 
     def test_classify_rows(self):
         spec = equal_spec(beta=0.4)
-        rows = EnsembleSpec(np.full(3, 0.5), np.full(3, 0.5), np.tile(spec.psi0, (3, 1)), np.tile(spec.psi1, (3, 1)),
+        rows = EnsembleSpec(np.full(3, 0.5), np.tile(spec.psi0, (3, 1)), np.tile(spec.psi1, (3, 1)),
                             Plane.xz())
         axes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
         cm = classify_holdout(rows, axes, 500, RngStream(4, 9).generator())

@@ -110,7 +110,7 @@ class TestScenarioBuilders:
 
     def test_two_fold_consistency(self):
         spec = two_fold_spec(two_fold_cell(0.65, 1.1, 0.4)[0], 0.65, 1.1, "B")
-        n = spec.eta0 * spec.psi0 + spec.eta1 * spec.psi1
+        n = spec.eta0 * spec.psi0 + (1 - spec.eta0) * spec.psi1
         q = np.linalg.norm(n)
         expect = math.sqrt(
             0.65**2 + 0.35**2 + 2 * 0.65 * 0.35 * math.cos(1.1)
@@ -266,7 +266,7 @@ class TestTruthOncePerCell:
         for r in rows:
             eta1 = 1.0 - r.eta0
             q = math.sqrt(r.eta0**2 + eta1**2 + 2 * r.eta0 * eta1 * math.cos(r.theta_true))
-            assert r.success_analytic == pytest.approx(success_prob(r.eta0, eta1, r.theta_true, q), abs=1e-12)
+            assert r.success_analytic == pytest.approx(success_prob(r.eta0, r.theta_true, q), abs=1e-12)
 
     @pytest.mark.parametrize(
         "scenario, key, truth",

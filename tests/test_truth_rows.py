@@ -74,12 +74,12 @@ def test_ensemble_vector(grid):
 def test_mixture_targets_success_prob_and_oracle(grid):
     eta0, theta, alpha, plane, planes = grid
     n, r = ensemble_vector(eta0, theta, alpha, plane)
-    t = mixture_targets(n, theta, eta0, 1.0 - eta0, plane)
-    ps = success_prob(eta0, 1.0 - eta0, theta, r, plane)
+    t = mixture_targets(n, theta, eta0, plane)
+    ps = success_prob(eta0, theta, r, plane)
     oracle = success_equal_priors(t.m0, t.m1)
     for k, p in enumerate(planes):
-        t1 = single(mixture_targets, n[k], theta[k], eta0[k], 1.0 - eta0[k], p)
-        ps1 = single(success_prob, eta0[k], 1.0 - eta0[k], theta[k], r[k], p)
+        t1 = single(mixture_targets, n[k], theta[k], eta0[k], p)
+        ps1 = single(success_prob, eta0[k], theta[k], r[k], p)
         if t1 is None:
             assert np.isnan(p.coords(t.m0[k])).all() and np.isnan(p.coords(t.m1[k])).all()
             assert np.isnan(oracle[k])
@@ -97,9 +97,9 @@ def test_decompose(grid, case):
     eta0, theta, alpha, plane, planes = grid
     n, _ = ensemble_vector(eta0, theta, alpha, plane)
     cases = [CASES[k % 2] for k in range(len(eta0))] if case == "rows" else [case] * len(eta0)
-    pair = decompose(n, theta, eta0, 1.0 - eta0, cases if case == "rows" else case, plane)
+    pair = decompose(n, theta, eta0, cases if case == "rows" else case, plane)
     for k, p in enumerate(planes):
-        one = single(decompose, n[k], theta[k], eta0[k], 1.0 - eta0[k], cases[k], p)
+        one = single(decompose, n[k], theta[k], eta0[k], cases[k], p)
         if one is None:
             assert np.isnan(p.coords(pair.n0[k])).all() and np.isnan(p.coords(pair.n1[k])).all()
         else:
@@ -143,7 +143,7 @@ def test_two_fold_spec_rows_and_placeholder(grid):
         else:
             one = two_fold_spec(two_fold_cell(eta0[k], theta[k], alpha[k], p)[0], eta0[k], theta[k], cases[k], p)
             assert bits(spec.psi0[k]) == bits(one.psi0) and bits(spec.psi1[k]) == bits(one.psi1)
-            assert spec.eta0[k] == one.eta0 and spec.eta1[k] == one.eta1
+            assert spec.eta0[k] == one.eta0
 
 
 def test_success_equal_priors_on_any_rows():
@@ -168,13 +168,13 @@ def test_batch_contract_errors_still_raise():
     theta = np.array([1.0, 1.2])
     n, _, _ = two_fold_cell(eta0, theta, np.array([0.0, 1.0]))
     with pytest.raises(ContractViolation, match="branch"):
-        decompose(n, theta, eta0, 1.0 - eta0, ["A", "C"])
+        decompose(n, theta, eta0, ["A", "C"])
     with pytest.raises(ContractViolation, match="separation angle"):
-        mixture_targets(n, np.array([1.0, 3.5]), eta0, 1.0 - eta0)
+        mixture_targets(n, np.array([1.0, 3.5]), eta0)
     with pytest.raises(ContractViolation, match="slice radius"):
-        mixture_targets(n * np.array([[1.0], [3.0]]), theta, eta0, 1.0 - eta0)
+        mixture_targets(n * np.array([[1.0], [3.0]]), theta, eta0)
     with pytest.raises(ContractViolation, match="exceeds 1"):
-        success_prob(eta0, 1.0 - eta0, np.array([1.5, 1.5]), np.array([0.5, 0.01]))
+        success_prob(eta0, np.array([1.5, 1.5]), np.array([0.5, 0.01]))
 
 
 class TestValueEquality:
@@ -195,7 +195,7 @@ class TestValueEquality:
         s, t = two_fold_spec(*args), two_fold_spec(*args)
         assert s is not t and s == t and hash(s) == hash(t)
         assert s != two_fold_spec(n, eta0, np.array([1.0, 2.0]), ["B", "B"], args[4])
-        assert s != EnsembleSpec(0.6, 0.4, s.psi0[0], s.psi1[0], Plane.const_z(0.2))
+        assert s != EnsembleSpec(0.6, s.psi0[0], s.psi1[0], Plane.const_z(0.2))
         one = two_fold_spec(n[0], 0.6, 1.0, "A", Plane.const_z(0.2))
         assert one == two_fold_spec(n[0], 0.6, 1.0, "A", Plane.const_z(0.2))
         assert one != two_fold_spec(n[0], 0.6, 1.0, "B", Plane.const_z(0.2))
