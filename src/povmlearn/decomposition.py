@@ -8,11 +8,7 @@ the scaling is exact and the x-z arithmetic is that of the unscaled
 formulas bit for bit; a slice at nz = 0 is the x-z plane with its second
 axis relabeled.
 
-The priors are (eta0, eta1 = 1 - eta0), and every function takes eta0 alone
-and works out eta1 itself: cos_theta(n_norm, eta0), decompose(n, theta,
-eta0, case), mixture_targets(n, theta, eta0) and success_prob(eta0, theta,
-n_norm), each with an optional plane.
-
+Every function takes the prior eta0 alone and works out eta1 = 1 - eta0.
 With unequal priors the ensemble Bloch vector n no longer determines the
 two pure states.  The separation angle theta follows from |u|/rho alone,
 but there are exactly two unit-vector pairs reproducing n: branch A puts
@@ -149,12 +145,15 @@ def ensemble_vector(eta0, theta, direction, plane: Plane = _PLANE_XZ) -> tuple[n
     """Ensemble Bloch vector n of priors (eta0, 1 - eta0) and separation
     theta, pointing along `direction` in plane coordinates, and its in-plane
     norm |u| = rho sqrt(eta0^2 + eta1^2 + 2 eta0 eta1 cos(theta)), the
-    relation cos_theta inverts.  Any argument (and the plane's nz) may hold
-    one value per row, giving one vector and norm per row."""
+    relation cos_theta inverts, written as rho sqrt((eta0 - eta1)^2 +
+    4 eta0 eta1 cos^2(theta/2)), which does not cancel near theta = pi with
+    eta0 near 1/2.  Any argument (and the plane's nz) may hold one value per
+    row, giving one vector and norm per row."""
     rows = isinstance(eta0, np.ndarray) or isinstance(theta, np.ndarray) or isinstance(direction, np.ndarray)
     m = np if rows or isinstance(plane.nz, np.ndarray) else math
     eta1 = 1.0 - eta0
-    q = m.sqrt(eta0 * eta0 + eta1 * eta1 + 2.0 * eta0 * eta1 * m.cos(theta))
+    half = m.cos(0.5 * theta)
+    q = m.sqrt((eta0 - eta1) * (eta0 - eta1) + 4.0 * eta0 * eta1 * half * half)
     r = m.sqrt(plane.radius_sq) * q
     u = (r * m.cos(direction), r * m.sin(direction))
     return plane.embed(np.stack(u, axis=-1) if m is np else np.array(u)), r
@@ -186,13 +185,14 @@ def cos_theta(n_norm, eta0, tol: float = EPS_PHYS, plane: Plane = _PLANE_XZ):
 def decompose(n, theta, eta0, case, plane: Plane = _PLANE_XZ) -> DecompositionPair:
     """Recover the pure-state pair of one branch from (n, theta, eta0).
 
-    Solving n = eta0*n0 + eta1*n1 (eta1 = 1 - eta0) with n1 rotated by -theta (branch A) or
-    +theta (branch B) from n0 inverts to a rotation-scaling of u for each
-    state.  For inputs with |u| consistent with (theta, eta0, eta1) the
-    outputs are unit vectors in the plane recombining to n under the priors.
-    Every argument may hold one value per row (n one vector per row, case
-    one branch name per row); a row whose n has no in-plane direction gets
-    NaN states, where a single n raises DegenerateEnsemble.
+    Solving n = eta0*n0 + eta1*n1 (eta1 = 1 - eta0) with n1 rotated by
+    -theta (branch A) or +theta (branch B) from n0 inverts to a
+    rotation-scaling of u for each state.  For inputs with |u| consistent
+    with (theta, eta0) the outputs are unit vectors in the plane recombining
+    to n under the priors.  Every argument may hold one value per row (n one
+    vector per row, case one branch name per row); a row whose n has no
+    in-plane direction gets NaN states, where a single n raises
+    DegenerateEnsemble.
     """
     _check_priors(eta0)
     _check_theta(theta)

@@ -4,17 +4,19 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from povmlearn import cli
 from povmlearn.cli import main
+from povmlearn.errors import ContractViolation
+from povmlearn.experiment import two_fold_cell, two_fold_spec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -79,18 +81,34 @@ class TestRun:
         assert code == 2
         assert "error:" in err
 
-    def test_invalid_cell_reports_one_state_norm(self, capsys):
-        # At eta0 just above 1/2 and theta = pi the closed-form |u| loses
-        # digits to cancellation, so the derived states miss unit norm and
-        # the run is refused.  The batch spec names the failing norm once,
-        # as a spec of the cell alone does, not one norm per trial.
+    @pytest.mark.parametrize("scenario", [("unequal-prior-xz",), ("const-z", "--nz", "0.4")], ids=["xz", "constz"])
+    @pytest.mark.parametrize("theta", ["3.1415", "3.14159", "3.1415904"])
+    def test_equal_priors_near_antipodal_run(self, capsys, scenario, theta):
+        # |u| = rho cos(theta/2) is small here; computed without cancellation
+        # it yields unit states and a success target of at most 1.
         code, out, err = run_cli(
-            capsys, "run", "--scenario", "unequal-prior-xz", "--eta0", "0.500000505",
-            "--theta", repr(math.pi), "--trials", "400",
+            capsys, "run", "--scenario", *scenario, "--eta0", "0.5", "--theta", theta, *COMMON,
         )
-        assert code == 2
-        assert out == ""
-        assert re.fullmatch(r"error: psi0 must be pure \(unit norm\), \|n\| = 1\.0000\d+\n", err)
+        assert code == 0, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 3 and all(r["status"] == "ok" for r in rows)
+        assert all(0.5 < float(r["success_analytic"]) <= 1.0 for r in rows)
+
+    def test_invalid_cell_reports_one_state_norm(self):
+        # A run's hidden spec is one two_fold_spec batch over its trials, and
+        # the CLI prints a refused spec's message as its one error line.  An
+        # ensemble vector inconsistent with (eta0, theta) in one row of 400
+        # gives that row impure states; the message names that row's norm
+        # alone, as a spec of the row alone does, not one norm per row.
+        eta0, theta = np.full(400, 0.6), np.full(400, 1.2)
+        n, _, _ = two_fold_cell(eta0, theta, np.full(400, 0.7))
+        n[250] *= 1.001
+        with pytest.raises(ContractViolation) as batched:
+            two_fold_spec(n, eta0, theta, "A")
+        with pytest.raises(ContractViolation) as single:
+            two_fold_spec(n[250], 0.6, 1.2, "A")
+        assert str(batched.value) == str(single.value)
+        assert re.fullmatch(r"psi0 must be pure \(unit norm\), \|n\| = 0\.99\d+", str(batched.value))
 
     def test_unwritable_out_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -35,7 +35,8 @@ slice_instances = st.tuples(
 def make_n(eta0, theta, direction, nz):
     """Slice plane, ensemble vector (in-plane part plus nz along z), and |r|."""
     eta1 = 1.0 - eta0
-    q = math.sqrt(eta0 * eta0 + eta1 * eta1 + 2 * eta0 * eta1 * math.cos(theta))
+    half = math.cos(0.5 * theta)
+    q = math.sqrt((eta0 - eta1) * (eta0 - eta1) + 4.0 * eta0 * eta1 * half * half)
     r_norm = math.sqrt(1.0 - nz * nz) * q
     n = np.array([r_norm * math.cos(direction), r_norm * math.sin(direction), nz])
     return Plane.const_z(nz), n, r_norm

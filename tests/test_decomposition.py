@@ -37,8 +37,11 @@ consistent_instances = st.tuples(
 
 
 def make_n(eta0, theta, direction):
+    # |n|^2 = (eta0 - eta1)^2 + 4 eta0 eta1 cos^2(theta/2), which keeps its
+    # precision near theta = pi and eta0 = 1/2.
     eta1 = 1.0 - eta0
-    q = math.sqrt(eta0 * eta0 + eta1 * eta1 + 2 * eta0 * eta1 * math.cos(theta))
+    half = math.cos(0.5 * theta)
+    q = math.sqrt((eta0 - eta1) * (eta0 - eta1) + 4.0 * eta0 * eta1 * half * half)
     return np.array([q * math.cos(direction), 0.0, q * math.sin(direction)]), q
 
 

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from povmlearn.bloch import EPS_DEGENERATE, Plane
 from povmlearn.decomposition import decompose, ensemble_vector, mixture_targets, success_prob
@@ -22,7 +24,7 @@ from povmlearn.helstrom import success_equal_priors
 
 # At theta = pi, |u| = rho |eta0 - eta1|: eta0 = 1/2 + 5e-7 (1 +- 1%) puts it
 # about 1% below and above EPS_DEGENERATE on the x-z plane and the nz = 0
-# slice, and eta0 = 1/2 makes it exactly 0.
+# slice, and eta0 = 1/2 puts it at rho cos(pi/2), about 6e-17 in floats.
 NEAR_HALF = (0.5 + 4.95e-7, 0.5 + 5.05e-7)
 ETA0 = (0.05, 0.3, 0.5, *NEAR_HALF, 0.75, 0.95)
 THETA = (0.0, math.pi / 2, math.pi, 1.2)
@@ -57,7 +59,7 @@ def grid(request):
 def test_grid_holds_degenerate_and_threshold_rows(grid):
     eta0, theta, alpha, plane, _ = grid
     _, r = ensemble_vector(eta0, theta, alpha, plane)
-    assert (r == 0.0).any()
+    assert (r < 1e-9 * EPS_DEGENERATE).any()
     near = np.abs(r / EPS_DEGENERATE - 1.0) < 0.05
     assert ((r <= EPS_DEGENERATE) & near).any() and ((r > EPS_DEGENERATE) & near).any()
 
@@ -123,13 +125,9 @@ def test_two_fold_cell_marks_exactly_the_degenerate_cells(grid):
 
 
 def test_two_fold_spec_rows_and_placeholder(grid):
-    # Near theta = pi and eta0 = 1/2 the decomposed states miss unit norm by
-    # more than the spec admits, one value or a row alike, so those cells
-    # are left out.
+    # Every cell of the grid, the near-half ones at theta = pi included,
+    # builds a spec whose states are pure to the spec's tolerance.
     eta0, theta, alpha, plane, planes = grid
-    rows = ~np.isin(eta0, NEAR_HALF)
-    eta0, theta, alpha, planes = eta0[rows], theta[rows], alpha[rows], [p for p, k in zip(planes, rows) if k]
-    plane = Plane.const_z(plane.nz[rows]) if plane.kind == "constz" else plane
     n, analytic, _ = two_fold_cell(eta0, theta, alpha, plane)
     cases = [CASES[(k // 3) % 2] for k in range(len(eta0))]
     spec = two_fold_spec(n, eta0, theta, cases, plane)
@@ -144,6 +142,29 @@ def test_two_fold_spec_rows_and_placeholder(grid):
             one = two_fold_spec(two_fold_cell(eta0[k], theta[k], alpha[k], p)[0], eta0[k], theta[k], cases[k], p)
             assert bits(spec.psi0[k]) == bits(one.psi0) and bits(spec.psi1[k]) == bits(one.psi1)
             assert spec.eta0[k] == one.eta0
+
+
+@given(
+    st.floats(-1e-3, 1e-3).map(lambda d: 0.5 + d),
+    st.floats(0.0, 1e-3).map(lambda d: math.pi - d),
+    st.floats(0.0, 2.0 * math.pi),
+    st.one_of(st.just(None), st.floats(-0.9, 0.9)),
+)
+@settings(max_examples=300)
+def test_near_antipodal_cells_build_both_branches(eta0, theta, alpha, nz):
+    # Near eta0 = 1/2 and theta = pi, |u| is small and must carry full
+    # relative precision: every cell past EPS_DEGENERATE then decomposes
+    # into unit states (the spec checks them) with a target of at most 1.
+    plane = Plane.xz() if nz is None else Plane.const_z(nz)
+    _, r = ensemble_vector(eta0, theta, alpha, plane)
+    if r <= EPS_DEGENERATE:
+        with pytest.raises(DegenerateEnsemble):
+            two_fold_cell(eta0, theta, alpha, plane)
+        return
+    n, analytic, _ = two_fold_cell(eta0, theta, alpha, plane)
+    assert analytic == success_prob(eta0, theta, r, plane) <= 1.0
+    for case in CASES:
+        two_fold_spec(n, eta0, theta, case, plane)
 
 
 def test_success_equal_priors_on_any_rows():
