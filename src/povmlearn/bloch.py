@@ -46,10 +46,11 @@ def wrap_angle(a):
     return np.where(r >= _TAU, r - _TAU, r)[()]
 
 
-def angle_dist(a: float, b: float) -> float:
-    """Minimal circular distance between two angles."""
-    d = math.fmod(abs(float(a) - float(b)), _TAU)
-    return min(d, _TAU - d)
+def angle_dist(a, b):
+    """Minimal circular distance between two angles, or between the angles
+    of each row for arrays of angles."""
+    d = np.fmod(np.abs(np.subtract(a, b)), _TAU)
+    return np.minimum(d, _TAU - d)[()]
 
 
 def norm(v) -> float:

@@ -62,23 +62,14 @@ class MixtureTargets:
     m1: np.ndarray
 
 
-# Each truth function takes numpy's sqrt, sin and cos when an operand that
-# goes into them is an ndarray (rows), else math's: one value keeps float
-# operands, which cost far less than numpy's per-call overhead on 0-d
-# arrays.  The choice is an inline isinstance test, not a helper call,
-# because oracle-check calls the truth functions once per instance.
-
-
 def _embed(plane: Plane, *pairs) -> np.ndarray:
     """The 3-vectors with in-plane coordinates (first, second) of each
     pair, stacked in pair order: one vector per pair of numbers, one per row
     per pair of columns."""
-    if isinstance(pairs[0][0], np.ndarray):
-        u = np.empty((len(pairs), *pairs[0][0].shape, 2))
-        for k, (first, second) in enumerate(pairs):
-            u[k, ..., 0], u[k, ..., 1] = first, second
-        return plane.embed(u)
-    return plane.embed(np.array(pairs))
+    u = np.empty((len(pairs), *np.shape(pairs[0][0]), 2))
+    for k, (first, second) in enumerate(pairs):
+        u[k, ..., 0], u[k, ..., 1] = first, second
+    return plane.embed(u)
 
 
 def _check_priors(eta0) -> None:
@@ -113,7 +104,7 @@ def _check_case(case):
 
 def _slice_coords(n, plane: Plane):
     """Plane coordinates (u1, u2) of an ensemble vector n and |u|^2
-    (self_dot): floats for one vector, one column per coordinate for rows.
+    (self_dot): numbers for one vector, one column per coordinate for rows.
 
     n must lie in the plane, with an in-plane norm no larger than the slice
     radius (up to the shot-noise slack).  A single n must also be long
@@ -128,17 +119,14 @@ def _slice_coords(n, plane: Plane):
         raise ContractViolation(f"ensemble vector {bad} does not lie in the {plane.kind} plane")
     u = plane.coords(n)
     uu = self_dot(u)
-    m = np if isinstance(uu, np.ndarray) or isinstance(plane.nz, np.ndarray) else math
-    r, radius = m.sqrt(uu), m.sqrt(plane.radius_sq)
+    r, radius = np.sqrt(uu), np.sqrt(plane.radius_sq)
     over = r > radius * (1.0 + EPS_CLAMP)
     if any_row(over):
         r, radius = first_row(over, r), first_row(over, radius)
         raise ContractViolation(f"in-plane norm {r:.6g} exceeds the slice radius {radius:.6g}")
-    if m is np:
-        return u[..., 0], u[..., 1], np.where(r > EPS_DEGENERATE, uu, np.nan)
-    if r <= EPS_DEGENERATE:
+    if np.ndim(over) == 0 and r <= EPS_DEGENERATE:
         raise DegenerateEnsemble(f"in-plane norm {r:.3g} is too small to decompose")
-    return *u.tolist(), uu
+    return u[..., 0], u[..., 1], np.where(r > EPS_DEGENERATE, uu, np.nan)
 
 
 def ensemble_vector(eta0, theta, direction, plane: Plane = _PLANE_XZ) -> tuple[np.ndarray, float | np.ndarray]:
@@ -149,14 +137,11 @@ def ensemble_vector(eta0, theta, direction, plane: Plane = _PLANE_XZ) -> tuple[n
     4 eta0 eta1 cos^2(theta/2)), which does not cancel near theta = pi with
     eta0 near 1/2.  Any argument (and the plane's nz) may hold one value per
     row, giving one vector and norm per row."""
-    rows = isinstance(eta0, np.ndarray) or isinstance(theta, np.ndarray) or isinstance(direction, np.ndarray)
-    m = np if rows or isinstance(plane.nz, np.ndarray) else math
     eta1 = 1.0 - eta0
-    half = m.cos(0.5 * theta)
-    q = m.sqrt((eta0 - eta1) * (eta0 - eta1) + 4.0 * eta0 * eta1 * half * half)
-    r = m.sqrt(plane.radius_sq) * q
-    u = (r * m.cos(direction), r * m.sin(direction))
-    return plane.embed(np.stack(u, axis=-1) if m is np else np.array(u)), r
+    half = np.cos(0.5 * theta)
+    q = np.sqrt((eta0 - eta1) * (eta0 - eta1) + 4.0 * eta0 * eta1 * half * half)
+    r = np.sqrt(plane.radius_sq) * q
+    return plane.embed(np.stack((r * np.cos(direction), r * np.sin(direction)), axis=-1)), r
 
 
 def cos_theta(n_norm, eta0, tol: float = EPS_PHYS, plane: Plane = _PLANE_XZ):
@@ -200,8 +185,7 @@ def decompose(n, theta, eta0, case, plane: Plane = _PLANE_XZ) -> DecompositionPa
     sgn = _check_case(case)
     u0, u1, uu = _slice_coords(n, plane)
     prefactor = plane.radius_sq / uu
-    m = np if isinstance(theta, np.ndarray) else math
-    ct, st = m.cos(theta), m.sin(theta)
+    ct, st = np.cos(theta), np.sin(theta)
     a0, sb1 = eta0 + eta1 * ct, sgn * (eta1 * st)
     a1, sb0 = eta1 + eta0 * ct, sgn * (eta0 * st)
     n0, n1 = _embed(
@@ -223,8 +207,7 @@ def mixture_targets(n, theta, eta0, plane: Plane = _PLANE_XZ) -> MixtureTargets:
     _check_priors(eta0)
     _check_theta(theta)
     u0, u1, uu = _slice_coords(n, plane)
-    m = np if isinstance(theta, np.ndarray) else math
-    shift = 2.0 * eta0 * (1.0 - eta0) * m.sin(theta) * plane.radius_sq
+    shift = 2.0 * eta0 * (1.0 - eta0) * np.sin(theta) * plane.radius_sq
     m0, m1 = _embed(
         plane,
         ((u0 * uu - shift * u1) / uu, (shift * u0 + u1 * uu) / uu),
@@ -241,18 +224,15 @@ def success_prob(eta0, theta, n_norm, plane: Plane = _PLANE_XZ):
     DegenerateEnsemble."""
     _check_priors(eta0)
     _check_theta(theta)
-    if isinstance(n_norm, np.ndarray):
-        n_norm = np.where(n_norm > EPS_DEGENERATE, n_norm, np.nan)
-    else:
-        n_norm = float(n_norm)
-        if n_norm <= EPS_DEGENERATE:
-            raise DegenerateEnsemble(f"|u| = {n_norm:.3g} is too small for a success target")
-    m = np if isinstance(theta, np.ndarray) else math
-    ps = 0.5 + eta0 * (1.0 - eta0) * m.sin(theta) * plane.radius_sq / n_norm
+    if np.ndim(n_norm) == 0 and n_norm <= EPS_DEGENERATE:
+        raise DegenerateEnsemble(f"|u| = {n_norm:.3g} is too small for a success target")
+    n_norm = np.where(n_norm > EPS_DEGENERATE, n_norm, np.nan)
+    ps = 0.5 + eta0 * (1.0 - eta0) * np.sin(theta) * plane.radius_sq / n_norm
     over = ps > 1.0 + EPS_PHYS
     if any_row(over):
-        raise ContractViolation(f"inconsistent inputs: success probability {first_row(over, ps):.6g} exceeds 1")
-    return np.minimum(ps, 1.0) if isinstance(ps, np.ndarray) else min(ps, 1.0)
+        p = float(first_row(over, ps))
+        raise ContractViolation(f"inconsistent inputs: success probability {p!r} exceeds 1 by {p - 1.0:.3g}")
+    return np.minimum(ps, 1.0)[()]
 
 
 def learn_axis(spec: EnsembleSpec, shots_per_axis: int, rng) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,12 @@
 """Self-contained validation batteries behind the oracle-check and selftest
 subcommands.  Each check returns its name, a pass flag, and the worst
-deviation observed, so failures point at the broken identity directly."""
+deviation observed, so failures point at the broken identity directly.
+
+The random instances of a check are drawn as arrays, and their ground
+truth comes from one array call of each truth function per check, so the
+truth functions are called a fixed number of times whatever the instance
+count.  Only the single-pair oracle API under test runs once per instance.
+"""
 
 from __future__ import annotations
 
@@ -16,6 +22,7 @@ from povmlearn.bloch import (
     perp_in_plane,
     plane_angle,
     rotate_in_plane,
+    row_norm,
     wrap_angle,
 )
 from povmlearn.decomposition import cos_theta, decompose, ensemble_vector, mixture_targets, success_prob
@@ -42,35 +49,43 @@ def _axis_match(axis, reference) -> float:
 
 
 def _random_instances(rng: np.random.Generator, count: int, plane: Plane = _XZ):
-    """Consistent (eta0, theta, |u|, n) tuples in a plane, away from
-    degeneracy; |u| is the in-plane norm of n."""
-    for _ in range(count):
-        eta0 = rng.uniform(0.05, 0.95)
-        theta = rng.uniform(0.05, math.pi - 0.05)
-        direction = rng.uniform(0.0, 2.0 * math.pi)
-        n, r = ensemble_vector(eta0, theta, direction, plane)
-        yield eta0, theta, r, n
+    """Arrays (eta0, theta, |u|, n) of `count` consistent instances in a
+    plane, away from degeneracy, one row per instance; |u| is the in-plane
+    norm of n.  The parameters are drawn as one (count, 3) array, whose bits
+    and generator state are those of `count` interleaved scalar draws of
+    (eta0, theta, direction)."""
+    low, high = [0.05, 0.05, 0.0], [0.95, math.pi - 0.05, 2.0 * math.pi]
+    eta0, theta, direction = rng.uniform(low, high, size=(count, 3)).T
+    n, r = ensemble_vector(eta0, theta, direction, plane)
+    return eta0, theta, r, n
 
 
 def oracle_battery(n_instances: int = 10_000, seed: int = 12345) -> list[CheckOutcome]:
-    """Property battery for the minimum-error oracle on random instances."""
+    """Property battery for the minimum-error oracle on random instances.
+
+    The ground truth of every instance (ensemble vector, mixture targets and
+    closed-form success) comes from one array call of each truth function;
+    the oracle API under test (helstrom, perp_in_plane,
+    detector_probabilities, norm) is called once per instance on its row."""
     if n_instances < 1:
         raise ContractViolation(f"the oracle battery needs at least 1 instance, got {n_instances}")
     check_seed(seed)
     rng = np.random.default_rng(seed)
+    eta0, theta, q, n = _random_instances(rng, n_instances)
+    t = mixture_targets(n, theta, eta0)
+    analytic = success_prob(eta0, theta, q).tolist()
     worst_purity = worst_axis = worst_lam = worst_converse = worst_balance = 0.0
     pairs = []
-    for eta0, theta, q, n in _random_instances(rng, n_instances):
-        t = mixture_targets(n, theta, eta0)
-        res = helstrom(t.m0, t.m1)
-        worst_purity = max(worst_purity, abs(norm(t.m0) - norm(t.m1)))
-        worst_axis = max(worst_axis, _axis_match(res.p0_axis, perp_in_plane(n, _XZ)))
-        worst_lam = max(worst_lam, abs(res.success - success_prob(eta0, theta, q)))
-        converse_axis = perp_in_plane(t.m0 + t.m1, _XZ)
+    for n_k, m0, m1, success in zip(n, t.m0, t.m1, analytic):
+        res = helstrom(m0, m1)
+        worst_purity = max(worst_purity, abs(norm(m0) - norm(m1)))
+        worst_axis = max(worst_axis, _axis_match(res.p0_axis, perp_in_plane(n_k, _XZ)))
+        worst_lam = max(worst_lam, abs(res.success - success))
+        converse_axis = perp_in_plane(m0 + m1, _XZ)
         worst_converse = max(worst_converse, _axis_match(converse_axis, res.p0_axis))
-        p0, p1 = detector_probabilities(res.p0_axis, t.m0, t.m1)
+        p0, p1 = detector_probabilities(res.p0_axis, m0, m1)
         worst_balance = max(worst_balance, abs(p0 - p1))
-        pairs.append((norm(t.m0 - t.m1), res.success))
+        pairs.append((norm(m0 - m1), res.success))
     pairs.sort()
     monotone = all(s1 <= s2 + 1e-15 for (_, s1), (_, s2) in zip(pairs, pairs[1:]))
     tol = 1e-12
@@ -85,7 +100,9 @@ def oracle_battery(n_instances: int = 10_000, seed: int = 12345) -> list[CheckOu
 
 
 def invariant_battery(seed: int = 12345) -> list[CheckOutcome]:
-    """Library-wide invariant battery; pure computation, no file I/O."""
+    """Library-wide invariant battery; pure computation, no file I/O.  The
+    truth checks (round trip, axis-rule success, nz = 0 slice, branch
+    averages) compare whole arrays of instances and report the worst row."""
     check_seed(seed)
     rng = np.random.default_rng(seed)
     outcomes = []
@@ -126,16 +143,16 @@ def invariant_battery(seed: int = 12345) -> list[CheckOutcome]:
     outcomes.append(CheckOutcome("in-plane rotations compose and preserve norm", worst <= 1e-12, f"worst {worst:.3g}"))
 
     worst = 0.0
-    for eta0, theta, _, n in _random_instances(rng, 2000):
-        for case in ("A", "B"):
-            pair = decompose(n, theta, eta0, case)
-            worst = max(
-                worst,
-                norm(eta0 * pair.n0 + (1.0 - eta0) * pair.n1 - n),
-                abs(norm(pair.n0) - 1.0),
-                abs(norm(pair.n1) - 1.0),
-                abs(angle_dist(plane_angle(pair.n0, _XZ), plane_angle(pair.n1, _XZ)) - theta),
-            )
+    eta0, theta, _, n = _random_instances(rng, 2000)
+    for case in ("A", "B"):
+        pair = decompose(n, theta, eta0, case)
+        worst = max(
+            worst,
+            row_norm(eta0[:, None] * pair.n0 + (1.0 - eta0)[:, None] * pair.n1 - n).max(),
+            np.abs(row_norm(pair.n0) - 1.0).max(),
+            np.abs(row_norm(pair.n1) - 1.0).max(),
+            np.abs(angle_dist(plane_angle(pair.n0, _XZ), plane_angle(pair.n1, _XZ)) - theta).max(),
+        )
     outcomes.append(CheckOutcome("branch decomposition round trip", worst <= 1e-11, f"worst {worst:.3g}"))
 
     collapse = 0.0
@@ -157,45 +174,42 @@ def invariant_battery(seed: int = 12345) -> list[CheckOutcome]:
         )
     )
 
-    worst = 0.0
-    for eta0, theta, q, n in _random_instances(rng, 2000):
-        t = mixture_targets(n, theta, eta0)
-        worst = max(worst, abs(success_prob(eta0, theta, q) - success_equal_priors(t.m0, t.m1)))
+    eta0, theta, q, n = _random_instances(rng, 2000)
+    t = mixture_targets(n, theta, eta0)
+    worst = np.abs(success_prob(eta0, theta, q) - success_equal_priors(t.m0, t.m1)).max()
     outcomes.append(CheckOutcome("axis-rule success equals the oracle bound", worst <= 1e-12, f"worst {worst:.3g}"))
 
     worst = 0.0
     slice0 = Plane.const_z(0.0)
-    for eta0, theta, q, n in _random_instances(rng, 1000):
-        m = slice0.embed(_XZ.coords(n))
-        for case in ("A", "B"):
-            pair_xz = decompose(n, theta, eta0, case)
-            pair_cz = decompose(m, theta, eta0, case, slice0)
-            worst = max(
-                worst,
-                abs(pair_xz.n0[0] - pair_cz.n0[0]),
-                abs(pair_xz.n0[2] - pair_cz.n0[1]),
-                abs(pair_xz.n1[0] - pair_cz.n1[0]),
-                abs(pair_xz.n1[2] - pair_cz.n1[1]),
-            )
+    eta0, theta, q, n = _random_instances(rng, 1000)
+    m = slice0.embed(_XZ.coords(n))
+    for case in ("A", "B"):
+        pair_xz = decompose(n, theta, eta0, case)
+        pair_cz = decompose(m, theta, eta0, case, slice0)
         worst = max(
             worst,
-            abs(cos_theta(q, eta0) - cos_theta(q, eta0, plane=slice0)),
-            abs(success_prob(eta0, theta, q) - success_prob(eta0, theta, q, slice0)),
+            np.abs(pair_xz.n0[:, ::2] - pair_cz.n0[:, :2]).max(),
+            np.abs(pair_xz.n1[:, ::2] - pair_cz.n1[:, :2]).max(),
         )
+    worst = max(
+        worst,
+        np.abs(cos_theta(q, eta0) - cos_theta(q, eta0, plane=slice0)).max(),
+        np.abs(success_prob(eta0, theta, q) - success_prob(eta0, theta, q, slice0)).max(),
+    )
     outcomes.append(CheckOutcome("constant-z slice reduces to the x-z plane at nz = 0", worst <= 1e-12, f"worst {worst:.3g}"))
 
     worst = 0.0
     for plane in (_XZ, Plane.const_z(-0.7), Plane.const_z(0.35)):
-        for eta0, theta, _, n in _random_instances(rng, 500, plane):
-            t = mixture_targets(n, theta, eta0, plane)
-            a = decompose(n, theta, eta0, "A", plane)
-            b = decompose(n, theta, eta0, "B", plane)
-            eta1 = 1.0 - eta0
-            worst = max(
-                worst,
-                norm(t.m0 - (eta0 * a.n0 + eta1 * b.n1)),
-                norm(t.m1 - (eta1 * a.n1 + eta0 * b.n0)),
-            )
+        eta0, theta, _, n = _random_instances(rng, 500, plane)
+        t = mixture_targets(n, theta, eta0, plane)
+        a = decompose(n, theta, eta0, "A", plane)
+        b = decompose(n, theta, eta0, "B", plane)
+        eta0, eta1 = eta0[:, None], 1.0 - eta0[:, None]
+        worst = max(
+            worst,
+            row_norm(t.m0 - (eta0 * a.n0 + eta1 * b.n1)).max(),
+            row_norm(t.m1 - (eta1 * a.n1 + eta0 * b.n0)).max(),
+        )
     outcomes.append(CheckOutcome("closed-form mixture targets equal the branch averages", worst <= 1e-12, f"worst {worst:.3g}"))
 
     worst = 0.0

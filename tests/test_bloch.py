@@ -105,6 +105,14 @@ class TestWrapAngle:
     def test_angle_dist_symmetry(self):
         assert angle_dist(0.1, 2 * math.pi - 0.1) == pytest.approx(0.2, abs=1e-12)
 
+    def test_angle_dist_rows(self):
+        a = np.array([0.1, 3.0, -7.0, 12.5])
+        b = np.array([2 * math.pi - 0.1, 0.0, 7.0, -0.5])
+        rows = angle_dist(a, b)
+        assert rows.shape == (4,)
+        assert rows.tolist() == [angle_dist(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert all(0.0 <= d <= math.pi for d in rows)
+
 
 class TestPlane:
     def test_xz_membership(self):

@@ -228,6 +228,16 @@ class TestSuccessProb:
         with pytest.raises(ContractViolation):
             success_prob(0.5, math.pi / 2, 0.01)
 
+    def test_small_overshoot_shows_value_and_excess(self):
+        # 0.5 + 0.25/|u| = 1 + 1e-8: six significant digits would print 1.
+        with pytest.raises(ContractViolation) as err:
+            success_prob(0.5, math.pi / 2, 0.25 / (0.5 + 1e-8))
+        value = 0.5 + 0.25 / (0.25 / (0.5 + 1e-8))
+        assert str(err.value) == (
+            f"inconsistent inputs: success probability {value!r} exceeds 1 by {value - 1.0:.3g}"
+        )
+        assert repr(value).startswith("1.00000001") and f"{value - 1.0:.3g}" == "1e-08"
+
     @given(consistent_instances)
     @settings(max_examples=300)
     def test_matches_oracle_on_targets(self, inst):

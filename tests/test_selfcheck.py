@@ -1,0 +1,89 @@
+"""Verification batteries: truth in one array pass, instances drawn as one array.
+
+Each battery computes the ground truth of its random instances with one
+array call of ensemble_vector, mixture_targets and success_prob per check,
+so the number of truth calls does not grow with the instance count; only
+the single-pair oracle API under test runs once per instance.  The one
+(count, 3) draw of instance parameters must equal the interleaved scalar
+draws it replaced bit for bit, which keeps the battery goldens unchanged.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from povmlearn import selfcheck
+from povmlearn.bloch import Plane
+from povmlearn.decomposition import ensemble_vector
+
+TRUTH = ("ensemble_vector", "mixture_targets", "success_prob")
+
+
+def count_truth_calls(monkeypatch) -> dict[str, int]:
+    """Wrap the truth functions under their selfcheck names and return the
+    live count of calls per name."""
+    counts = dict.fromkeys(TRUTH, 0)
+    for name in TRUTH:
+        fn = getattr(selfcheck, name)
+
+        def counted(*args, _name=name, _fn=fn):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(selfcheck, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("n_instances", [1, 37, 500])
+def test_oracle_battery_calls_each_truth_function_once(monkeypatch, n_instances):
+    counts = count_truth_calls(monkeypatch)
+    outcomes = selfcheck.oracle_battery(n_instances, seed=5)
+    assert all(o.passed for o in outcomes)
+    assert counts == dict.fromkeys(TRUTH, 1)
+
+
+def test_invariant_battery_calls_truth_once_per_check(monkeypatch):
+    counts = count_truth_calls(monkeypatch)
+    outcomes = selfcheck.invariant_battery(seed=5)
+    assert all(o.passed for o in outcomes)
+    # One instance draw each for the round trip, the axis-rule success and
+    # the nz = 0 slice, and one per plane (three) for the branch averages.
+    # mixture_targets: the axis-rule check and one per plane of the branch
+    # averages; success_prob: the axis-rule check and the two planes the
+    # slice check compares.
+    assert counts == {"ensemble_vector": 6, "mixture_targets": 4, "success_prob": 3}
+
+
+def scalar_instances(rng, count, plane):
+    """The interleaved scalar draws of (eta0, theta, direction) and the
+    single-value ensemble vector of each instance."""
+    rows = []
+    for _ in range(count):
+        eta0 = rng.uniform(0.05, 0.95)
+        theta = rng.uniform(0.05, math.pi - 0.05)
+        direction = rng.uniform(0.0, 2.0 * math.pi)
+        n, r = ensemble_vector(eta0, theta, direction, plane)
+        rows.append((eta0, theta, r, n))
+    return rows
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 300),
+    st.one_of(st.just(None), st.floats(-0.9, 0.9)),
+)
+@settings(max_examples=60, deadline=None)
+def test_one_array_draw_equals_interleaved_scalar_draws(seed, count, nz):
+    plane = Plane.xz() if nz is None else Plane.const_z(nz)
+    rng_rows, rng_one = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows = scalar_instances(rng_rows, count, plane)
+    eta0, theta, r, n = selfcheck._random_instances(rng_one, count, plane)
+    assert eta0.shape == theta.shape == r.shape == (count,) and n.shape == (count, 3)
+    for k, (eta0_k, theta_k, r_k, n_k) in enumerate(rows):
+        assert eta0[k] == eta0_k and theta[k] == theta_k
+        assert r[k].tobytes() == np.float64(r_k).tobytes() and n[k].tobytes() == n_k.tobytes()
+    # The generator is left where the scalar draws leave it.
+    assert rng_one.random(4).tobytes() == rng_rows.random(4).tobytes()
