@@ -64,7 +64,6 @@ from povmlearn.experiment import (
 )
 from povmlearn.helstrom import (
     HelstromResult,
-    detector_probabilities,
     helstrom,
     success_equal_priors,
 )

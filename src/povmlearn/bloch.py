@@ -66,40 +66,35 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def self_dot(v):
-    """v . v as `v @ v` sums it, for one vector (a float) or for each row of
-    an array of vectors.  Each row takes the same dot product as a single
-    vector, so a row and its single-vector call agree bit for bit; a plain
-    row sum (row_dot) may round differently."""
+    """v . v as `v @ v` sums it, for one vector or for each row of an array
+    of vectors.  Each row takes the same dot product as a single vector, so
+    a row and its single-vector call agree bit for bit; a plain row sum
+    (row_dot) may round differently."""
     v = np.asarray(v, dtype=float)
-    return float(v @ v) if v.ndim == 1 else (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def row_norm(v: np.ndarray):
+def row_norm(v):
     """Euclidean norm of a vector, or of each row of an array of vectors,
-    bit for bit the norm of that row alone (self_dot).  One vector takes
-    the float norm, about half the time of the row code; oracle-check
-    checks single vectors."""
-    return norm(v) if v.ndim == 1 else np.sqrt(self_dot(v))
+    bit for bit the norm of that row alone (self_dot)."""
+    return np.sqrt(self_dot(v))
 
 
 def every_row(mask) -> bool:
-    """Whether a boolean mask holds on every row.  A single flag is read
-    directly: reducing a numpy scalar costs more than the check it ends."""
-    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
+    """Whether a boolean mask (a flag, or one per row) holds on every row."""
+    return bool(np.all(mask))
 
 
 def any_row(mask) -> bool:
-    """Whether a boolean mask holds on some row; a single flag is read directly."""
-    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+    """Whether a boolean mask (a flag, or one per row) holds on some row."""
+    return bool(np.any(mask))
 
 
 def first_row(mask, value):
     """value in the first row where a boolean mask holds, for the message of
     a failed check: value holds one entry per row of the mask, or one entry
     shared by all rows, and a single flag gives value as it is."""
-    if isinstance(mask, np.ndarray) and isinstance(value, np.ndarray) and value.ndim:
-        return value[np.argmax(mask)]
-    return value
+    return value[np.argmax(mask)] if np.ndim(mask) and np.ndim(value) else value
 
 
 def _same(a, b) -> bool:
@@ -152,11 +147,12 @@ class Plane(ValueEquality):
     """Constraint plane for Bloch vectors.
 
     kind "xz" is the x-z plane through the origin (plane axes x then z);
-    kind "constz" is the slice z = nz (plane axes x then y).  A const-z
-    plane may carry one nz per row (a read-only 1-D array), for batches
-    whose rows lie in different slices; its methods then take one vector
-    per row.  Any vector argument may hold one vector per row on its last
-    axis.  Planes compare and hash by value (ValueEquality).
+    kind "constz" is the slice z = nz (plane axes x then y).  Plane.const_z
+    stores nz as a read-only array: 0-d for one slice, or 1-D with one nz
+    per row for batches whose rows lie in different slices, whose methods
+    then take one vector per row.  Any vector argument may hold one vector
+    per row on its last axis.  Planes compare and hash by value
+    (ValueEquality).
     """
 
     kind: str
@@ -173,9 +169,7 @@ class Plane(ValueEquality):
         if not every_row(ok):
             raise ContractViolation(f"constant-z plane needs |nz| < 1, got {first_row(np.logical_not(ok), nz)}")
         nz.flags.writeable = False
-        # A single nz is kept as a float: float arithmetic downstream is
-        # cheaper than numpy-scalar arithmetic.
-        return cls("constz", nz if nz.ndim else float(nz))
+        return cls("constz", nz)
 
     @property
     def radius_sq(self):
@@ -251,14 +245,9 @@ def perp_in_plane(n, plane: Plane) -> np.ndarray:
     raises; with one vector per row, such a row gets the zero vector.
     """
     u = plane.coords(n)
-    if u.ndim == 1:
-        # Float arithmetic: the row code below takes about 1.8 times as
-        # long on one vector, and oracle-check makes two calls per instance.
-        r = float(np.hypot(u[0], u[1]))
-        if r <= EPS_DEGENERATE:
-            raise DegenerateEnsemble(f"in-plane norm {r:.3g} too small to define a perpendicular direction")
-        return plane.embed(np.array([-u[1] / r, u[0] / r]), with_offset=False)
     r = np.hypot(u[..., :1], u[..., 1:])
+    if u.ndim == 1 and r[0] <= EPS_DEGENERATE:
+        raise DegenerateEnsemble(f"in-plane norm {r[0]:.3g} too small to define a perpendicular direction")
     out = np.zeros(u.shape[:-1] + (3,))
     w = plane.coords(out)
     np.divide(u[..., ::-1], r, out=w, where=r > EPS_DEGENERATE)

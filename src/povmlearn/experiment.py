@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from povmlearn.bloch import UNIT_X, Plane, bloch_from_state_angle, plane_angle
+from povmlearn.bloch import UNIT_X, Plane, bloch_from_state_angle, plane_angle, row_norm
 from povmlearn.decomposition import (
     EPS_CLAMP,
     cos_theta,
@@ -56,7 +56,7 @@ from povmlearn.decomposition import (
     success_prob,
 )
 from povmlearn.ensemble import EnsembleSpec, RngStream, check_seed
-from povmlearn.equal_prior import learn_equal_prior, povm_axis_from_phi
+from povmlearn.equal_prior import learn_equal_prior, povm_axis_from_phi, weak_readings, weak_signal_threshold
 from povmlearn.errors import ContractViolation
 from povmlearn.evaluate import classify_holdout, score
 from povmlearn.helstrom import success_equal_priors
@@ -319,13 +319,16 @@ def _two_fold_rows(grid: _Grid) -> dict:
     analytic, oracle = analytic[cell_of], oracle[cell_of]
 
     axis, n_hat = learn_axis(spec, base.shots_learn, [streams[role] for role in axis_roles])
-    scored = reached_rows & axis.any(axis=-1)
-    # The separation cosine reads the in-plane part of the estimate; the
-    # measured z of a slice is not used.  It sets the status only: a row
-    # out of range still classifies along its axis.
+    learned = reached_rows & axis.any(axis=-1)
+    # The status reads the in-plane part of the estimate; the measured z of
+    # a slice is not used.  An estimate within the noise floor of the zero
+    # vector on both plane axes has a meaningless direction (weak), as the
+    # equal-prior learner's readings do.  A weak row or one whose separation
+    # cosine is out of range still classifies along its axis.
     u = plane.coords(n_hat)
-    cos = cos_theta(np.sqrt((u * u).sum(axis=-1)), spec.eta0, tol=EPS_CLAMP, plane=plane)
-    in_range = ~np.isnan(cos)
+    weak = weak_readings(u[..., 0], u[..., 1], weak_signal_threshold(base.shots_learn))
+    in_range = ~np.isnan(cos_theta(row_norm(u), spec.eta0, tol=EPS_CLAMP, plane=plane))
+    scored = learned & ~weak
     reach, keep = reached_rows.tolist(), scored.tolist()
     return {
         "scenario": base.scenario,
@@ -340,13 +343,14 @@ def _two_fold_rows(grid: _Grid) -> dict:
         "success_oracle": _masked(reach, oracle.tolist()),
         "shots_learn": [len(axis_roles) * base.shots_learn if r else 0 for r in reach],
         "status": [
-            (_OK if ok else _OUT_OF_RANGE) if k else _DEGENERATE for k, ok in zip(keep, in_range.tolist())
+            _DEGENERATE if not d else _WEAK if w else _OK if ok else _OUT_OF_RANGE
+            for d, w, ok in zip(learned.tolist(), weak.tolist(), in_range.tolist())
         ],
         # A row with no learned axis classifies along the first plane axis,
-        # and a row with no truth is scored against chance; neither row
-        # reports its score.
+        # and a row with no truth is scored against chance; neither row, nor
+        # a weak one, reports its score.
         **_classify(
-            spec, np.where(scored[:, None], axis, UNIT_X), base, streams["holdout"],
+            spec, np.where(learned[:, None], axis, UNIT_X), base, streams["holdout"],
             np.where(reached_rows, analytic, 0.5), scored,
         ),
     }

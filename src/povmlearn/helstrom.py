@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from povmlearn.bloch import EPS_DEGENERATE, check_unit, norm, row_norm
+from povmlearn.bloch import EPS_DEGENERATE, norm, row_norm
 from povmlearn.errors import DegenerateEnsemble
 
 
@@ -48,11 +48,3 @@ def success_equal_priors(m0, m1):
     diff = np.asarray(m0, dtype=float) - np.asarray(m1, dtype=float)
     return 0.5 + 0.5 * (0.5 * row_norm(diff))
 
-
-def detector_probabilities(axis, m0, m1) -> tuple[float, float]:
-    """Detector firing rates (p0, p1) of a unit axis on the 50/50 mixture."""
-    axis = check_unit(axis, "measurement axis")
-    m0 = np.asarray(m0, dtype=float)
-    m1 = np.asarray(m1, dtype=float)
-    p0 = 0.5 * (1.0 + float(np.dot(axis, 0.5 * (m0 + m1))))
-    return p0, 1.0 - p0

@@ -14,8 +14,11 @@ from povmlearn.bloch import (
     UNIT_Z,
     Plane,
     angle_dist,
+    any_row,
     bloch_from_state_angle,
     check_unit,
+    every_row,
+    first_row,
     norm,
     perp_in_plane,
     plane_angle,
@@ -183,6 +186,14 @@ class TestPerpInPlane:
         with pytest.raises(DegenerateEnsemble):
             perp_in_plane([EPS_DEGENERATE / 2, 0.0, 0.0], Plane.xz())
 
+    def test_degenerate_edge_for_one_vector(self):
+        # One vector raises at in-plane norm <= EPS_DEGENERATE and gets a
+        # unit direction just above it.
+        with pytest.raises(DegenerateEnsemble, match="in-plane norm 1e-06"):
+            perp_in_plane([0.0, 0.0, EPS_DEGENERATE], Plane.xz())
+        above = math.nextafter(EPS_DEGENERATE, 1.0)
+        assert perp_in_plane([0.0, 0.0, above], Plane.xz()).tolist() == [-1.0, 0.0, 0.0]
+
     @given(angles, st.floats(0.01, 1.0))
     @settings(max_examples=200)
     def test_orthogonal_and_unit(self, a, r):
@@ -224,9 +235,53 @@ class TestNorm:
     @given(st.lists(components, min_size=2, max_size=3))
     @settings(max_examples=200)
     def test_bit_identical_to_numpy(self, v):
-        # norm feeds cos_theta and so the cos_theta_out_of_range status:
-        # it must equal numpy's value exactly, not merely to rounding.
+        # norm gives helstrom its |m0 - m1|, which oracle-check compares
+        # with the closed form: it must equal numpy's value exactly, not
+        # merely to rounding.
         assert norm(v) == float(np.linalg.norm(np.array(v)))
+
+
+class TestRowReductions:
+    """every_row, any_row and first_row read a single flag, a numpy flag or
+    a mask with one flag per row alike."""
+
+    @pytest.mark.parametrize(
+        "mask,every,some",
+        [
+            (True, True, True),
+            (False, False, False),
+            (np.True_, True, True),
+            (np.False_, False, False),
+            (np.array(True), True, True),
+            (np.array(False), False, False),
+            (np.array([True, True]), True, True),
+            (np.array([False, True]), False, True),
+            (np.array([False, False]), False, False),
+        ],
+    )
+    def test_every_and_any_row(self, mask, every, some):
+        assert every_row(mask) is every
+        assert any_row(mask) is some
+
+    @pytest.mark.parametrize("mask", [True, np.True_, np.array(True)])
+    def test_first_row_of_a_single_flag_is_the_value(self, mask):
+        value = np.array([0.5, 0.25, 0.125])
+        assert first_row(mask, 0.75) == 0.75
+        assert first_row(mask, value) is value
+
+    def test_first_row_of_a_mask_per_row(self):
+        mask = np.array([False, True, True])
+        assert first_row(mask, np.array([1.0, 2.0, 3.0])) == 2.0
+        assert first_row(mask, np.eye(3)).tolist() == [0.0, 1.0, 0.0]
+        # A value shared by all rows is given as it is.
+        assert first_row(mask, 0.75) == 0.75
+        assert first_row(mask, np.array(0.75)) == 0.75
+
+    def test_constz_offset_is_a_read_only_array(self):
+        nz = Plane.const_z(0.3).nz
+        assert isinstance(nz, np.ndarray) and nz.ndim == 0 and not nz.flags.writeable
+        assert Plane.const_z(0.3) == Plane("constz", 0.3)
+        assert hash(Plane.const_z(0.3)) == hash(Plane("constz", 0.3))
 
 
 class TestUnitVectors:

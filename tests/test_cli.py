@@ -85,13 +85,14 @@ class TestRun:
     @pytest.mark.parametrize("theta", ["3.1415", "3.14159", "3.1415904"])
     def test_equal_priors_near_antipodal_run(self, capsys, scenario, theta):
         # |u| = rho cos(theta/2) is small here; computed without cancellation
-        # it yields unit states and a success target of at most 1.
+        # it yields unit states and a success target of at most 1.  The
+        # estimate of u is noise at this budget, so every row is weak.
         code, out, err = run_cli(
             capsys, "run", "--scenario", *scenario, "--eta0", "0.5", "--theta", theta, *COMMON,
         )
         assert code == 0, err
         rows = list(csv.DictReader(io.StringIO(out)))
-        assert len(rows) == 3 and all(r["status"] == "ok" for r in rows)
+        assert len(rows) == 3 and all(r["status"] == "weak_signal" for r in rows)
         assert all(0.5 < float(r["success_analytic"]) <= 1.0 for r in rows)
 
     def test_invalid_cell_reports_one_state_norm(self):

@@ -193,6 +193,22 @@ class TestRunExperiment:
                 assert r.success_emp is None
                 assert r.shots_learn == 2 * cfg.shots_learn  # consumed budget
 
+    @pytest.mark.parametrize("scenario,axes", [("unequal-prior-xz", 2), ("const-z", 3)])
+    def test_two_fold_weak_signal_rows(self, scenario, axes):
+        # |u| = rho cos(theta/2) ~ 5e-5 lies far below the noise floor
+        # 3/sqrt(2000) of its estimate on each plane axis: the learned
+        # direction is noise, so no row reports an axis or a score.
+        cfg = ExperimentConfig(
+            scenario=scenario, eta0=0.5, theta=3.1415, nz=0.4 if scenario == "const-z" else 0.0,
+            trials=4, shots_learn=2_000, shots_holdout=1_000, seed=5,
+        )
+        for r in as_rows(run_experiment(cfg)):
+            assert r.status == "weak_signal"
+            assert r.shots_learn == axes * cfg.shots_learn
+            assert r.shots_holdout == 0
+            assert r.success_analytic is not None
+            assert (r.axis_x, r.alpha_hat, r.success_emp, r.z_score) == (None,) * 4
+
     def test_degenerate_ensemble_status_recorded(self):
         # Antipodal equal-prior two-state ensemble: the mixed Bloch vector
         # vanishes, so the axis construction must fail gracefully per trial.

@@ -70,6 +70,9 @@ GOLDEN_RUNS = {
 # Fixture file name -> CLI argv of a battery whose stdout is pinned.
 GOLDEN_STDOUT = {
     "oracle-check.txt": ("oracle-check", "--instances", "2000", "--seed", "7"),
+    # One instance: the edge of the row checks, with one row and no pair
+    # of neighbours for the monotone check.
+    "oracle-check-one.txt": ("oracle-check", "--instances", "1", "--seed", "9"),
     "selftest.txt": ("selftest",),
 }
 

@@ -5,12 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from povmlearn.errors import ContractViolation, DegenerateEnsemble
-from povmlearn.helstrom import (
-    detector_probabilities,
-    helstrom,
-    success_equal_priors,
-)
+from povmlearn.errors import DegenerateEnsemble
+from povmlearn.helstrom import helstrom, success_equal_priors
 
 INV_SQRT2 = 0.7071067811865476
 
@@ -45,25 +41,3 @@ class TestHelstrom:
             s = helstrom(base + [0, 0, gap], base - [0, 0, gap]).success
             assert s >= last - 1e-15
             last = s
-
-
-class TestDetectorProbabilities:
-    def test_balanced_at_equal_purity(self):
-        m0 = np.array([INV_SQRT2, 0, INV_SQRT2])
-        m1 = np.array([INV_SQRT2, 0, -INV_SQRT2])
-        axis = helstrom(m0, m1).p0_axis
-        p0, p1 = detector_probabilities(axis, m0, m1)
-        assert p0 == pytest.approx(p1, abs=1e-12)
-
-    def test_reference_value(self):
-        p0, p1 = detector_probabilities([0, 0, 1], [0, 0, 0.4], [0, 0, 0.4])
-        assert p0 == pytest.approx(0.7, abs=1e-12)
-        assert p0 + p1 == pytest.approx(1.0, abs=1e-15)
-
-    def test_vanishing_ensemble_vector(self):
-        p0, _ = detector_probabilities([1, 0, 0], [0, 0.5, 0.5], [0, -0.5, -0.5])
-        assert p0 == pytest.approx(0.5, abs=1e-12)
-
-    def test_nonunit_axis_rejected(self):
-        with pytest.raises(ContractViolation):
-            detector_probabilities([0, 0, 0.9], [0, 0, 0.4], [0, 0, 0.4])

@@ -2,10 +2,11 @@
 
 Each battery computes the ground truth of its random instances with one
 array call of ensemble_vector, mixture_targets and success_prob per check,
-so the number of truth calls does not grow with the instance count; only
-the single-pair oracle API under test runs once per instance.  The one
-(count, 3) draw of instance parameters must equal the interleaved scalar
-draws it replaced bit for bit, which keeps the battery goldens unchanged.
+so the number of truth calls does not grow with the instance count; in
+oracle_battery only helstrom, the single-pair oracle under test, runs once
+per instance.  The one (count, 3) draw of instance parameters must equal
+the interleaved scalar draws it replaced bit for bit, which keeps the
+battery goldens unchanged.
 """
 
 import math
@@ -43,6 +44,24 @@ def test_oracle_battery_calls_each_truth_function_once(monkeypatch, n_instances)
     outcomes = selfcheck.oracle_battery(n_instances, seed=5)
     assert all(o.passed for o in outcomes)
     assert counts == dict.fromkeys(TRUTH, 1)
+
+
+@pytest.mark.parametrize("n_instances", [1, 37, 500])
+def test_oracle_battery_loops_over_helstrom_alone(monkeypatch, n_instances):
+    # The geometry the oracle is checked against is one perp_in_plane call
+    # per check over all instances; only helstrom runs once per instance.
+    counts = dict.fromkeys(("perp_in_plane", "helstrom"), 0)
+    for name in counts:
+        fn = getattr(selfcheck, name)
+
+        def counted(*args, _name=name, _fn=fn):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(selfcheck, name, counted)
+    outcomes = selfcheck.oracle_battery(n_instances, seed=5)
+    assert all(o.passed for o in outcomes)
+    assert counts == {"perp_in_plane": 2, "helstrom": n_instances}
 
 
 def test_invariant_battery_calls_truth_once_per_check(monkeypatch):
