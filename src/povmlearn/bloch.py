@@ -53,13 +53,6 @@ def angle_dist(a, b):
     return np.minimum(d, _TAU - d)[()]
 
 
-def norm(v) -> float:
-    """Euclidean norm, computed as np.linalg.norm does for a real vector
-    (sqrt of the self dot product), so the value is bit-identical."""
-    v = np.asarray(v, dtype=float).ravel()
-    return math.sqrt(v.dot(v))
-
-
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot product of arrays of 3-vectors, summed in component order."""
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
@@ -181,18 +174,14 @@ class Plane(ValueEquality):
         """Plane coordinates (first axis, second axis) of v, as a view of v."""
         return np.asarray(v, dtype=float)[_PLANE_SLOTS[self.kind][0]]
 
-    def embed(self, u, with_offset: bool = True) -> np.ndarray:
-        """Map plane coordinates back to a 3-vector.
-
-        For a constant-z plane the offset component is the plane's nz when
-        with_offset is set, else zero (directions such as measurement axes
-        live in the parallel plane through the origin).
-        """
+    def embed(self, u) -> np.ndarray:
+        """Map plane coordinates back to a 3-vector in the plane; for a
+        constant-z plane the offset component is the plane's nz."""
         u = np.asarray(u, dtype=float)
         coords, offset = _PLANE_SLOTS[self.kind]
         out = np.zeros(u.shape[:-1] + (3,))
         out[coords] = u
-        if with_offset and self.kind == "constz":
+        if self.kind == "constz":
             out[..., offset] = self.nz
         return out
 
@@ -203,10 +192,6 @@ class Plane(ValueEquality):
         if self.kind == "constz":
             off = off - self.nz
         return abs(off) <= EPS_PHYS
-
-    def contains(self, v) -> bool:
-        """Whether v (every row of v) lies in the plane."""
-        return every_row(self.on_plane(v))
 
 
 def bloch_from_state_angle(gamma) -> np.ndarray:
@@ -224,15 +209,17 @@ def prob_plus_unchecked(s: np.ndarray, n: np.ndarray):
     return np.minimum(np.maximum(0.5 + 0.5 * row_dot(s, n), 0.0), 1.0)
 
 
-def rotate_in_plane(v, plane: Plane, angle: float) -> np.ndarray:
-    """Rotate an in-plane vector counterclockwise by `angle` within its plane."""
+def rotate_in_plane(v, plane: Plane, angle) -> np.ndarray:
+    """Rotate an in-plane vector counterclockwise by `angle` within its
+    plane; rows of vectors turn by one angle per row or by a shared one,
+    each row as that vector alone."""
     v = np.asarray(v, dtype=float)
-    if not plane.contains(v):
-        raise ContractViolation(f"vector {v} does not lie in the {plane.kind} plane")
+    ok = plane.on_plane(v)
+    if not every_row(ok):
+        raise ContractViolation(f"vector {first_row(np.logical_not(ok), v)} does not lie in the {plane.kind} plane")
     u = plane.coords(v)
-    c, s = math.cos(angle), math.sin(angle)
-    ru = np.array([c * u[0] - s * u[1], s * u[0] + c * u[1]])
-    return plane.embed(ru, with_offset=True)
+    c, s = np.cos(angle), np.sin(angle)
+    return plane.embed(np.stack((c * u[..., 0] - s * u[..., 1], s * u[..., 0] + c * u[..., 1]), axis=-1))
 
 
 def perp_in_plane(n, plane: Plane) -> np.ndarray:

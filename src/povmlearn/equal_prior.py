@@ -43,12 +43,13 @@ class EqualPriorEstimate:
     delta0: float | np.ndarray
     delta1: float | np.ndarray
     shots_used: int
-    weak: bool | np.ndarray = False
+    weak: bool | np.ndarray
 
 
-def delta_analytic(alpha: float, beta: float, phi: float) -> float:
-    """Noise-free detector difference cos(alpha - 2 phi) * cos(beta)."""
-    return math.cos(alpha - 2.0 * phi) * math.cos(beta)
+def delta_analytic(alpha, beta, phi):
+    """Noise-free detector difference cos(alpha - 2 phi) * cos(beta); one
+    per row for arrays of angles."""
+    return np.cos(alpha - 2.0 * phi) * np.cos(beta)
 
 
 def povm_axis_from_phi(phi) -> np.ndarray:

@@ -9,11 +9,12 @@ is 1/2 + |m0 - m1|/4.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from povmlearn.bloch import EPS_DEGENERATE, norm, row_norm
+from povmlearn.bloch import EPS_DEGENERATE, row_norm
 from povmlearn.errors import DegenerateEnsemble
 
 
@@ -34,7 +35,7 @@ def helstrom(m0, m1) -> HelstromResult:
     m0 = np.asarray(m0, dtype=float)
     m1 = np.asarray(m1, dtype=float)
     diff = m0 - m1
-    dist = norm(diff)
+    dist = math.sqrt(diff.dot(diff))
     if dist <= EPS_DEGENERATE:
         raise DegenerateEnsemble(f"states are indistinguishable: |m0 - m1| = {dist:.3g}")
     return HelstromResult(p0_axis=diff / dist, success=0.5 + 0.5 * (0.5 * dist))

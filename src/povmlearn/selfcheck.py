@@ -2,11 +2,11 @@
 subcommands.  Each check returns its name, a pass flag, and the worst
 deviation observed, so failures point at the broken identity directly.
 
-The random instances of a check are drawn as arrays, and their ground
-truth comes from one array call of each truth function per check, so the
-truth functions are called a fixed number of times whatever the instance
-count.  Only helstrom, the single-pair oracle under test, runs once per
-instance in oracle_battery; its results are checked as rows.
+The random instances of a check are drawn as one array, and every check
+runs over all of its instances with one array call of each truth function
+and geometry helper, so these are called a fixed number of times whatever
+the instance count.  Only helstrom, the single-pair oracle under test,
+runs once per instance in oracle_battery; its results are checked as rows.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from povmlearn.bloch import (
     angle_dist,
     check_unit,
     every_row,
-    norm,
     perp_in_plane,
     plane_angle,
     rotate_in_plane,
@@ -106,46 +105,33 @@ def oracle_battery(n_instances: int = 10_000, seed: int = 12345) -> list[CheckOu
 
 
 def invariant_battery(seed: int = 12345) -> list[CheckOutcome]:
-    """Library-wide invariant battery; pure computation, no file I/O.  The
-    truth checks (round trip, axis-rule success, nz = 0 slice, branch
-    averages) compare whole arrays of instances and report the worst row."""
+    """Library-wide invariant battery; pure computation, no file I/O.  Each
+    check compares a whole array of instances (a grid, or one draw of
+    random rows) and reports the worst row."""
     check_seed(seed)
     rng = np.random.default_rng(seed)
     outcomes = []
 
-    worst = 0.0
-    for k in range(100):
-        alpha = k * 2.0 * math.pi / 100.0
-        for beta in (0.2, 0.6, 1.0):
-            for phi0 in (0.0, 0.3, 1.1):
-                d0 = delta_analytic(alpha, beta, phi0)
-                d1 = delta_analytic(alpha, beta, phi0 + math.pi / 4)
-                worst = max(worst, angle_dist(solve_alpha(d0, d1, phi0), alpha))
+    alpha, beta, phi0 = np.meshgrid(np.arange(100) * 2.0 * math.pi / 100.0, (0.2, 0.6, 1.0), (0.0, 0.3, 1.1))
+    d0 = delta_analytic(alpha, beta, phi0)
+    d1 = delta_analytic(alpha, beta, phi0 + math.pi / 4)
+    worst = angle_dist(solve_alpha(d0, d1, phi0), alpha).max()
     outcomes.append(CheckOutcome("angle inversion over the branch grid", worst <= 1e-10, f"worst {worst:.3g}"))
 
-    worst = 0.0
-    for _ in range(500):
-        alpha = rng.uniform(0.0, 2.0 * math.pi)
-        beta = rng.uniform(0.0, math.pi / 2)
-        worst = max(worst, abs(delta_analytic(alpha, beta, 0.5 * alpha + math.pi / 4)))
+    alpha, beta = rng.uniform([0.0, 0.0], [2.0 * math.pi, math.pi / 2], size=(500, 2)).T
+    worst = np.abs(delta_analytic(alpha, beta, 0.5 * alpha + math.pi / 4)).max()
     outcomes.append(CheckOutcome("zero detector difference at the optimum", worst <= 1e-12, f"worst {worst:.3g}"))
 
-    worst = 0.0
-    for _ in range(500):
-        alpha = rng.uniform(0.0, 2.0 * math.pi)
-        beta = rng.uniform(0.0, math.pi / 2 - 0.05)
-        n = 0.5 * (povm_axis_from_phi(0.5 * (alpha + beta)) + povm_axis_from_phi(0.5 * (alpha - beta)))
-        axis = povm_axis_from_phi(0.5 * alpha + math.pi / 4)
-        worst = max(worst, _axis_match(axis, perp_in_plane(n, _XZ)))
+    alpha, beta = rng.uniform([0.0, 0.0], [2.0 * math.pi, math.pi / 2 - 0.05], size=(500, 2)).T
+    n = 0.5 * (povm_axis_from_phi(0.5 * (alpha + beta)) + povm_axis_from_phi(0.5 * (alpha - beta)))
+    axis = povm_axis_from_phi(0.5 * alpha + math.pi / 4)
+    worst = _axis_match(axis, perp_in_plane(n, _XZ)).max()
     outcomes.append(CheckOutcome("optimal setting is the ensemble perpendicular", worst <= 1e-12, f"worst {worst:.3g}"))
 
-    worst = 0.0
-    for _ in range(500):
-        a = rng.uniform(0.0, 2.0 * math.pi)
-        b = rng.uniform(-10.0, 10.0)
-        v = np.array([math.cos(a), 0.0, math.sin(a)])
-        r1 = rotate_in_plane(rotate_in_plane(v, _XZ, b), _XZ, -b)
-        worst = max(worst, norm(r1 - v), abs(norm(rotate_in_plane(v, _XZ, b)) - 1.0))
+    a, b = rng.uniform([0.0, -10.0], [2.0 * math.pi, 10.0], size=(500, 2)).T
+    v = _XZ.embed(np.stack((np.cos(a), np.sin(a)), axis=-1))
+    turned = rotate_in_plane(v, _XZ, b)
+    worst = max(row_norm(rotate_in_plane(turned, _XZ, -b) - v).max(), np.abs(row_norm(turned) - 1.0).max())
     outcomes.append(CheckOutcome("in-plane rotations compose and preserve norm", worst <= 1e-12, f"worst {worst:.3g}"))
 
     worst = 0.0
@@ -161,22 +147,14 @@ def invariant_battery(seed: int = 12345) -> list[CheckOutcome]:
         )
     outcomes.append(CheckOutcome("branch decomposition round trip", worst <= 1e-11, f"worst {worst:.3g}"))
 
-    collapse = 0.0
-    growth = []
-    for delta in (0.0, 0.01, 0.05, 0.1):
-        n = np.array([0.7 * math.cos(0.4), 0.0, 0.7 * math.sin(0.4)])
-        pa = decompose(n, 1.2, 0.5 + delta, "A")
-        pb = decompose(n, 1.2, 0.5 + delta, "B")
-        gap = norm(pa.n0 - pb.n1)
-        growth.append(gap)
-        if delta == 0.0:
-            collapse = gap
-    monotone = all(g1 < g2 for g1, g2 in zip(growth, growth[1:]))
+    n = np.array([0.7 * math.cos(0.4), 0.0, 0.7 * math.sin(0.4)])
+    eta0 = 0.5 + np.array([0.0, 0.01, 0.05, 0.1])
+    gap = row_norm(decompose(n, 1.2, eta0, "A").n0 - decompose(n, 1.2, eta0, "B").n1)
     outcomes.append(
         CheckOutcome(
             "branch ambiguity collapses only at equal priors",
-            collapse <= 1e-12 and monotone,
-            f"gap at equal priors {collapse:.3g}",
+            gap[0] <= 1e-12 and every_row(gap[:-1] < gap[1:]),
+            f"gap at equal priors {gap[0]:.3g}",
         )
     )
 
@@ -218,13 +196,10 @@ def invariant_battery(seed: int = 12345) -> list[CheckOutcome]:
         )
     outcomes.append(CheckOutcome("closed-form mixture targets equal the branch averages", worst <= 1e-12, f"worst {worst:.3g}"))
 
-    worst = 0.0
-    for _ in range(500):
-        a = rng.uniform(-20.0, 20.0)
-        w = wrap_angle(a)
-        ok = 0.0 <= w < 2.0 * math.pi and angle_dist(w, a) <= 1e-9
-        worst = max(worst, 0.0 if ok else 1.0)
-    outcomes.append(CheckOutcome("angle wrapping lands in [0, 2 pi)", worst == 0.0, "500 samples"))
+    a = rng.uniform([-20.0], [20.0], size=(500, 1))
+    w = wrap_angle(a)
+    ok = every_row((0.0 <= w) & (w < 2.0 * math.pi) & (angle_dist(w, a) <= 1e-9))
+    outcomes.append(CheckOutcome("angle wrapping lands in [0, 2 pi)", ok, "500 samples"))
 
     return outcomes
 

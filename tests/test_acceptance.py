@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from povmlearn.bloch import Plane, norm, perp_in_plane
+from povmlearn.bloch import Plane, perp_in_plane, row_norm
 from povmlearn.cli import main as cli_main
 from povmlearn.decomposition import cos_theta, decompose, mixture_targets, success_prob
 from povmlearn.ensemble import RngStream
@@ -154,12 +154,12 @@ def test_criterion_5_oracle_equivalence(capfd):
         worst_purity = worst_axis = worst_success = 0.0
         for eta0, theta, q, n in _instances(505, 10_000):
             t = mixture_targets(n, theta, eta0)
-            worst_purity = max(worst_purity, abs(norm(t.m0) - norm(t.m1)))
+            worst_purity = max(worst_purity, abs(row_norm(t.m0) - row_norm(t.m1)))
             res = helstrom(t.m0, t.m1)
             n_perp = perp_in_plane(n, plane)
             worst_axis = max(
                 worst_axis,
-                min(norm(res.p0_axis - n_perp), norm(res.p0_axis + n_perp)),
+                min(row_norm(res.p0_axis - n_perp), row_norm(res.p0_axis + n_perp)),
             )
             worst_success = max(
                 worst_success, abs(res.success - success_prob(eta0, theta, q))
@@ -178,10 +178,10 @@ def test_criterion_6_round_trip_and_ambiguity_collapse(capfd):
             for case in ("A", "B"):
                 pair = decompose(n, theta, eta0, case)
                 worst_recombine = max(
-                    worst_recombine, norm(eta0 * pair.n0 + (1.0 - eta0) * pair.n1 - n)
+                    worst_recombine, row_norm(eta0 * pair.n0 + (1.0 - eta0) * pair.n1 - n)
                 )
                 worst_unit = max(
-                    worst_unit, abs(norm(pair.n0) - 1.0), abs(norm(pair.n1) - 1.0)
+                    worst_unit, abs(row_norm(pair.n0) - 1.0), abs(row_norm(pair.n1) - 1.0)
                 )
         assert worst_recombine <= 1e-12, f"recombination error {worst_recombine:.3g}"
         assert worst_unit <= 1e-12, f"unit-norm error {worst_unit:.3g}"
@@ -193,7 +193,7 @@ def test_criterion_6_round_trip_and_ambiguity_collapse(capfd):
                 for delta in (0.0, 0.01, 0.05, 0.1):
                     a = decompose(n, theta, 0.5 + delta, "A")
                     b = decompose(n, theta, 0.5 + delta, "B")
-                    gaps.append(norm(a.n0 - b.n1))
+                    gaps.append(row_norm(a.n0 - b.n1))
                 assert gaps[0] <= 1e-12, f"gap {gaps[0]:.3g} at equal priors"
                 assert all(g1 < g2 for g1, g2 in zip(gaps, gaps[1:])), (
                     f"gaps not increasing at theta={theta}: {gaps}"

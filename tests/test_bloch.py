@@ -19,11 +19,11 @@ from povmlearn.bloch import (
     check_unit,
     every_row,
     first_row,
-    norm,
     perp_in_plane,
     plane_angle,
     prob_plus_unchecked,
     rotate_in_plane,
+    row_norm,
     wrap_angle,
 )
 from povmlearn.ensemble import EnsembleSpec, pauli_axes
@@ -47,7 +47,7 @@ class TestStateAngle:
 
     @given(angles)
     def test_unit_norm(self, g):
-        assert abs(norm(bloch_from_state_angle(g)) - 1.0) <= 1e-12
+        assert abs(row_norm(bloch_from_state_angle(g)) - 1.0) <= 1e-12
 
 
 def prob_plus(s, n):
@@ -120,13 +120,13 @@ class TestWrapAngle:
 class TestPlane:
     def test_xz_membership(self):
         plane = Plane.xz()
-        assert plane.contains([0.3, 0.0, -0.7])
-        assert not plane.contains([0.3, 0.1, -0.7])
+        assert plane.on_plane([0.3, 0.0, -0.7])
+        assert not plane.on_plane([0.3, 0.1, -0.7])
 
     def test_constz_membership(self):
         plane = Plane.const_z(0.25)
-        assert plane.contains([0.3, 0.4, 0.25])
-        assert not plane.contains([0.3, 0.4, 0.0])
+        assert plane.on_plane([0.3, 0.4, 0.25])
+        assert not plane.on_plane([0.3, 0.4, 0.0])
 
     def test_constz_offset_bounds(self):
         with pytest.raises(ContractViolation):
@@ -136,10 +136,6 @@ class TestPlane:
         plane = Plane.const_z(-0.4)
         v = np.array([0.1, -0.2, -0.4])
         assert np.allclose(plane.embed(plane.coords(v)), v, atol=1e-15)
-
-    def test_embed_direction_has_no_offset(self):
-        plane = Plane.const_z(0.5)
-        assert plane.embed([1.0, 0.0], with_offset=False)[2] == 0.0
 
 
 class TestRotateInPlane:
@@ -166,8 +162,8 @@ class TestRotateInPlane:
         v = np.array([r, 0.0, 0.0])
         once = rotate_in_plane(rotate_in_plane(v, plane, a), plane, b)
         both = rotate_in_plane(v, plane, a + b)
-        assert norm(once - both) <= 1e-12 * max(1.0, abs(a) + abs(b))
-        assert abs(norm(once) - r) <= 1e-12
+        assert row_norm(once - both) <= 1e-12 * max(1.0, abs(a) + abs(b))
+        assert abs(row_norm(once) - r) <= 1e-12
 
 
 class TestPerpInPlane:
@@ -201,7 +197,7 @@ class TestPerpInPlane:
         v = np.array([r * math.cos(a), 0.0, r * math.sin(a)])
         p = perp_in_plane(v, plane)
         assert abs(float(np.dot(p, v))) <= 1e-12
-        assert abs(norm(p) - 1.0) <= 1e-12
+        assert abs(row_norm(p) - 1.0) <= 1e-12
 
     def test_plus_ninety_orientation(self):
         # The perpendicular is always the +90 degree rotation of the
@@ -210,7 +206,7 @@ class TestPerpInPlane:
         for a in np.linspace(0.0, 2 * math.pi, 37):
             v = np.array([math.cos(a), 0.0, math.sin(a)])
             expected = rotate_in_plane(v, plane, math.pi / 2)
-            assert norm(perp_in_plane(v, plane) - expected) <= 1e-12
+            assert row_norm(perp_in_plane(v, plane) - expected) <= 1e-12
 
 
 class TestPlaneAngle:
@@ -235,10 +231,10 @@ class TestNorm:
     @given(st.lists(components, min_size=2, max_size=3))
     @settings(max_examples=200)
     def test_bit_identical_to_numpy(self, v):
-        # norm gives helstrom its |m0 - m1|, which oracle-check compares
-        # with the closed form: it must equal numpy's value exactly, not
-        # merely to rounding.
-        assert norm(v) == float(np.linalg.norm(np.array(v)))
+        # row_norm gives the batteries their purities and state gaps, which
+        # they compare with the closed form: it must equal numpy's value
+        # exactly, not merely to rounding.
+        assert row_norm(v) == float(np.linalg.norm(np.array(v)))
 
 
 class TestRowReductions:
@@ -329,12 +325,36 @@ class TestRows:
         v = plane.embed(u)
         assert v[:, 2].tolist() == nz.tolist()
         assert plane.coords(v).tolist() == u.tolist()
-        assert plane.contains(v)
-        assert not plane.contains(v[::-1])
-        assert plane.embed(u, with_offset=False)[:, 2].tolist() == [0.0, 0.0, 0.0]
+        assert plane.on_plane(v).all()
+        assert plane.on_plane(v[::-1]).tolist() == [False, True, False]
         assert plane.radius_sq.tolist() == (1.0 - nz * nz).tolist()
         with pytest.raises(ContractViolation):
             Plane.const_z(np.array([0.2, 1.0]))
+
+    @pytest.mark.parametrize("kind", ["xz", "constz"])
+    def test_rotate_matches_one_at_a_time(self, kind):
+        # One angle per row or one shared angle; on a slice, one nz per row.
+        rng = np.random.default_rng(12)
+        nz = rng.uniform(-0.9, 0.9, size=40)
+        u = rng.uniform(-0.4, 0.4, size=(40, 2))
+        angles = rng.uniform(-10.0, 10.0, size=40)
+        plane = Plane.xz() if kind == "xz" else Plane.const_z(nz)
+        row_planes = [Plane.xz() if kind == "xz" else Plane.const_z(z) for z in nz]
+        v = plane.embed(u)
+        for angle in (angles, 0.7):
+            out = rotate_in_plane(v, plane, angle)
+            assert out.shape == v.shape
+            for k, row in enumerate(v):
+                one = rotate_in_plane(row, row_planes[k], angles[k] if np.ndim(angle) else angle)
+                assert out[k].tobytes() == one.tobytes()
+
+    def test_rotate_names_the_first_off_plane_row(self):
+        v = np.array([[0.6, 0.0, 0.8], [0.1, 0.5, 0.2], [0.3, -0.25, 0.0]])
+        with pytest.raises(ContractViolation) as one:
+            rotate_in_plane(v[1], Plane.xz(), 0.2)
+        with pytest.raises(ContractViolation) as rows:
+            rotate_in_plane(v, Plane.xz(), np.array([0.1, 0.2, 0.3]))
+        assert str(rows.value) == str(one.value) == "vector [0.1 0.5 0.2] does not lie in the xz plane"
 
     def test_check_unit_checks_every_row(self):
         rows = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from povmlearn.bloch import Plane, norm
+from povmlearn.bloch import Plane, row_norm
 from povmlearn.decomposition import (
     cos_theta,
     decompose,
@@ -48,7 +48,7 @@ class TestConstZFrame:
 
     def test_from_bloch(self):
         plane = Plane.const_z(0.5)
-        assert plane.contains([0.1, 0.2, 0.5])
+        assert plane.on_plane([0.1, 0.2, 0.5])
         assert np.allclose(plane.coords([0.1, 0.2, 0.5]), [0.1, 0.2], atol=1e-15)
 
     def test_rejects_out_of_plane_r(self):
@@ -114,9 +114,9 @@ class TestDecomposeConstZ:
         eta1 = 1.0 - eta0
         plane, n, _ = make_n(eta0, theta, direction, nz)
         pair = decompose(n, theta, eta0, case, plane)
-        assert norm(eta0 * pair.n0 + eta1 * pair.n1 - n) <= 1e-11
-        assert abs(norm(pair.n0) - 1.0) <= 1e-11
-        assert abs(norm(pair.n1) - 1.0) <= 1e-11
+        assert row_norm(eta0 * pair.n0 + eta1 * pair.n1 - n) <= 1e-11
+        assert abs(row_norm(pair.n0) - 1.0) <= 1e-11
+        assert abs(row_norm(pair.n1) - 1.0) <= 1e-11
         assert pair.n0[2] == pytest.approx(nz, abs=1e-12)
         assert pair.n1[2] == pytest.approx(nz, abs=1e-12)
 
@@ -145,11 +145,11 @@ class TestMixtureTargetsConstZ:
     def test_coincident_states(self):
         # theta = 0 forces |r| to sit at the slice radius.
         radius = math.sqrt(1.0 - 0.3 * 0.3)
-        direction = np.array([0.5, 0.2, 0.0]) / norm(np.array([0.5, 0.2, 0.0]))
+        direction = np.array([0.5, 0.2, 0.0]) / row_norm(np.array([0.5, 0.2, 0.0]))
         full = radius * direction + np.array([0.0, 0.0, 0.3])
         t = mixture_targets(full, 0.0, 0.6, Plane.const_z(0.3))
-        assert norm(t.m0 - full) <= 1e-12
-        assert norm(t.m1 - full) <= 1e-12
+        assert row_norm(t.m0 - full) <= 1e-12
+        assert row_norm(t.m1 - full) <= 1e-12
 
     def test_zero_offset_matches_plane_targets(self):
         plane, m, _ = make_n(0.65, 1.1, 0.9, 0.0)
@@ -164,7 +164,7 @@ class TestMixtureTargetsConstZ:
         plane, n, _ = make_n(0.5, 0.8, 0.2, 0.4)
         t = mixture_targets(n, 0.8, 0.5, plane)
         pair = decompose(n, 0.8, 0.5, "A", plane)
-        assert norm(t.m0 - pair.n0) <= 1e-12
+        assert row_norm(t.m0 - pair.n0) <= 1e-12
 
     @given(slice_instances)
     @settings(max_examples=200)
@@ -172,7 +172,7 @@ class TestMixtureTargetsConstZ:
         eta0, theta, direction, nz = inst
         plane, n, _ = make_n(eta0, theta, direction, nz)
         t = mixture_targets(n, theta, eta0, plane)
-        assert abs(norm(t.m0) - norm(t.m1)) <= 1e-12
+        assert abs(row_norm(t.m0) - row_norm(t.m1)) <= 1e-12
         assert t.m0[2] == pytest.approx(nz, abs=1e-12)
         assert t.m1[2] == pytest.approx(nz, abs=1e-12)
 
@@ -215,6 +215,6 @@ class TestLearnAxisConstZ:
         spec = EnsembleSpec(0.6, pair.n0, pair.n1, plane)
         axis, n_hat = learn_axis(spec, 100_000, RngStream(5).generator())
         assert axis[2] == 0.0
-        assert abs(norm(axis) - 1.0) <= 1e-12
+        assert abs(row_norm(axis) - 1.0) <= 1e-12
         # The slice learner measures z as a third axis and keeps the reading.
         assert abs(n_hat[2] - 0.4) <= 5.0 / math.sqrt(100_000)

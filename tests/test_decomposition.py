@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from povmlearn.bloch import Plane, norm, perp_in_plane, plane_angle
+from povmlearn.bloch import Plane, perp_in_plane, plane_angle, row_norm
 from povmlearn.decomposition import (
     cos_theta,
     decompose,
@@ -115,9 +115,9 @@ class TestDecompose:
         eta1 = 1.0 - eta0
         n, _ = make_n(eta0, theta, direction)
         pair = decompose(n, theta, eta0, case)
-        assert norm(eta0 * pair.n0 + eta1 * pair.n1 - n) <= 1e-11
-        assert abs(norm(pair.n0) - 1.0) <= 1e-11
-        assert abs(norm(pair.n1) - 1.0) <= 1e-11
+        assert row_norm(eta0 * pair.n0 + eta1 * pair.n1 - n) <= 1e-11
+        assert abs(row_norm(pair.n0) - 1.0) <= 1e-11
+        assert abs(row_norm(pair.n1) - 1.0) <= 1e-11
         plane = Plane.xz()
         gap = circ_diff(plane_angle(pair.n0, plane), plane_angle(pair.n1, plane))
         assert abs(gap - theta) <= 1e-9
@@ -136,7 +136,7 @@ class TestDecompose:
         for delta in (0.0, 0.01, 0.05, 0.1):
             a = decompose(n, 1.2, 0.5 + delta, "A")
             b = decompose(n, 1.2, 0.5 + delta, "B")
-            gaps.append(norm(a.n0 - b.n1))
+            gaps.append(row_norm(a.n0 - b.n1))
         assert gaps[0] <= 1e-12
         assert gaps == sorted(gaps)
         assert gaps[1] > 1e-4
@@ -158,8 +158,8 @@ class TestMixtureTargets:
         n, _ = make_n(0.5, 0.9, 1.3)
         t = mixture_targets(n, 0.9, 0.5)
         pair = decompose(n, 0.9, 0.5, "A")
-        assert norm(t.m0 - pair.n0) <= 1e-12
-        assert norm(t.m1 - pair.n1) <= 1e-12
+        assert row_norm(t.m0 - pair.n0) <= 1e-12
+        assert row_norm(t.m1 - pair.n1) <= 1e-12
 
     @given(consistent_instances)
     @settings(max_examples=300)
@@ -167,8 +167,8 @@ class TestMixtureTargets:
         eta0, theta, direction = inst
         n, _ = make_n(eta0, theta, direction)
         t = mixture_targets(n, theta, eta0)
-        assert abs(norm(t.m0) - norm(t.m1)) <= 1e-12
-        assert norm(0.5 * (t.m0 + t.m1) - n) <= 1e-12
+        assert abs(row_norm(t.m0) - row_norm(t.m1)) <= 1e-12
+        assert row_norm(0.5 * (t.m0 + t.m1) - n) <= 1e-12
 
     def test_targets_average_the_branches(self):
         eta0, theta = 0.65, 1.3
@@ -177,8 +177,8 @@ class TestMixtureTargets:
         a = decompose(n, theta, eta0, "A")
         b = decompose(n, theta, eta0, "B")
         t = mixture_targets(n, theta, eta0)
-        assert norm(t.m0 - (eta0 * a.n0 + eta1 * b.n1)) <= 1e-12
-        assert norm(t.m1 - (eta1 * a.n1 + eta0 * b.n0)) <= 1e-12
+        assert row_norm(t.m0 - (eta0 * a.n0 + eta1 * b.n1)) <= 1e-12
+        assert row_norm(t.m1 - (eta1 * a.n1 + eta0 * b.n0)) <= 1e-12
 
     @given(consistent_instances, st.one_of(st.just(None), st.floats(-0.9, 0.9)))
     @settings(max_examples=300)
@@ -194,8 +194,8 @@ class TestMixtureTargets:
         a = decompose(n, theta, eta0, "A", plane)
         b = decompose(n, theta, eta0, "B", plane)
         t = mixture_targets(n, theta, eta0, plane)
-        assert norm(t.m0 - (eta0 * a.n0 + eta1 * b.n1)) <= 1e-12
-        assert norm(t.m1 - (eta1 * a.n1 + eta0 * b.n0)) <= 1e-12
+        assert row_norm(t.m0 - (eta0 * a.n0 + eta1 * b.n1)) <= 1e-12
+        assert row_norm(t.m1 - (eta1 * a.n1 + eta0 * b.n0)) <= 1e-12
 
 
 class TestSuccessProb:
@@ -272,7 +272,7 @@ class TestLearnAxisEqualCounts:
         pair = decompose(n, 1.0, 0.6, "A")
         spec = EnsembleSpec(0.6, pair.n0, pair.n1, Plane.xz())
         axis, n_hat = learn_axis(spec, 100_000, RngStream(1).generator())
-        assert abs(norm(axis) - 1.0) <= 1e-12
+        assert abs(row_norm(axis) - 1.0) <= 1e-12
         assert abs(axis[1]) == 0.0
         assert abs(float(np.dot(axis, n_hat))) <= 1e-12
 
@@ -284,7 +284,7 @@ class TestLearnAxisEqualCounts:
         hits = 0
         for seed in range(50):
             axis, _ = learn_axis(spec, 1_000_000, RngStream(seed, 3).generator())
-            err = min(norm(axis - target), norm(axis + target))
+            err = min(row_norm(axis - target), row_norm(axis + target))
             if err <= 0.01:
                 hits += 1
         assert hits >= 49

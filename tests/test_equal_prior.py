@@ -42,6 +42,19 @@ class TestDeltaAnalytic:
             SQRT3_OVER_4, abs=1e-12
         )
 
+    def test_rows_match_one_at_a_time(self):
+        rng = np.random.default_rng(21)
+        alpha, beta, phi = rng.uniform([0.0, 0.0, -5.0], [2 * math.pi, math.pi / 2, 5.0], size=(200, 3)).T
+        rows = delta_analytic(alpha, beta, phi)
+        assert rows.shape == (200,)
+        for k in range(200):
+            one = delta_analytic(float(alpha[k]), float(beta[k]), float(phi[k]))
+            assert rows[k].tobytes() == np.float64(one).tobytes()
+        # A shared setting broadcasts against rows of angles.
+        assert delta_analytic(alpha, beta, 0.3).tolist() == [
+            delta_analytic(float(x), float(y), 0.3) for x, y in zip(alpha, beta)
+        ]
+
 
 class TestPovmAxis:
     def test_zero(self):

@@ -74,6 +74,8 @@ GOLDEN_STDOUT = {
     # of neighbours for the monotone check.
     "oracle-check-one.txt": ("oracle-check", "--instances", "1", "--seed", "9"),
     "selftest.txt": ("selftest",),
+    # The README's example seed.
+    "selftest-seed-1.txt": ("selftest", "--seed", "1"),
 }
 
 

@@ -4,9 +4,10 @@ Each battery computes the ground truth of its random instances with one
 array call of ensemble_vector, mixture_targets and success_prob per check,
 so the number of truth calls does not grow with the instance count; in
 oracle_battery only helstrom, the single-pair oracle under test, runs once
-per instance.  The one (count, 3) draw of instance parameters must equal
-the interleaved scalar draws it replaced bit for bit, which keeps the
-battery goldens unchanged.
+per instance, and invariant_battery calls every geometry helper a fixed
+number of times.  Each one (count, k) draw of instance parameters must
+equal the interleaved scalar draws it replaced bit for bit, which keeps
+the battery goldens unchanged.
 """
 
 import math
@@ -23,11 +24,11 @@ from povmlearn.decomposition import ensemble_vector
 TRUTH = ("ensemble_vector", "mixture_targets", "success_prob")
 
 
-def count_truth_calls(monkeypatch) -> dict[str, int]:
-    """Wrap the truth functions under their selfcheck names and return the
+def count_calls(monkeypatch, names=TRUTH) -> dict[str, int]:
+    """Wrap the named functions under their selfcheck names and return the
     live count of calls per name."""
-    counts = dict.fromkeys(TRUTH, 0)
-    for name in TRUTH:
+    counts = dict.fromkeys(names, 0)
+    for name in names:
         fn = getattr(selfcheck, name)
 
         def counted(*args, _name=name, _fn=fn):
@@ -40,7 +41,7 @@ def count_truth_calls(monkeypatch) -> dict[str, int]:
 
 @pytest.mark.parametrize("n_instances", [1, 37, 500])
 def test_oracle_battery_calls_each_truth_function_once(monkeypatch, n_instances):
-    counts = count_truth_calls(monkeypatch)
+    counts = count_calls(monkeypatch)
     outcomes = selfcheck.oracle_battery(n_instances, seed=5)
     assert all(o.passed for o in outcomes)
     assert counts == dict.fromkeys(TRUTH, 1)
@@ -50,22 +51,14 @@ def test_oracle_battery_calls_each_truth_function_once(monkeypatch, n_instances)
 def test_oracle_battery_loops_over_helstrom_alone(monkeypatch, n_instances):
     # The geometry the oracle is checked against is one perp_in_plane call
     # per check over all instances; only helstrom runs once per instance.
-    counts = dict.fromkeys(("perp_in_plane", "helstrom"), 0)
-    for name in counts:
-        fn = getattr(selfcheck, name)
-
-        def counted(*args, _name=name, _fn=fn):
-            counts[_name] += 1
-            return _fn(*args)
-
-        monkeypatch.setattr(selfcheck, name, counted)
+    counts = count_calls(monkeypatch, ("perp_in_plane", "helstrom"))
     outcomes = selfcheck.oracle_battery(n_instances, seed=5)
     assert all(o.passed for o in outcomes)
     assert counts == {"perp_in_plane": 2, "helstrom": n_instances}
 
 
 def test_invariant_battery_calls_truth_once_per_check(monkeypatch):
-    counts = count_truth_calls(monkeypatch)
+    counts = count_calls(monkeypatch)
     outcomes = selfcheck.invariant_battery(seed=5)
     assert all(o.passed for o in outcomes)
     # One instance draw each for the round trip, the axis-rule success and
@@ -74,6 +67,16 @@ def test_invariant_battery_calls_truth_once_per_check(monkeypatch):
     # averages; success_prob: the axis-rule check and the two planes the
     # slice check compares.
     assert counts == {"ensemble_vector": 6, "mixture_targets": 4, "success_prob": 3}
+
+
+def test_invariant_battery_calls_each_helper_a_fixed_number_of_times(monkeypatch):
+    # Every check runs over all of its instances in one array call: the
+    # grid and the optimum take three delta_analytic calls, the rotations
+    # two rotate_in_plane calls (forward and back).
+    counts = count_calls(monkeypatch, ("rotate_in_plane", "delta_analytic", "solve_alpha", "perp_in_plane", "wrap_angle"))
+    outcomes = selfcheck.invariant_battery(seed=5)
+    assert all(o.passed for o in outcomes)
+    assert counts == {"rotate_in_plane": 2, "delta_analytic": 3, "solve_alpha": 1, "perp_in_plane": 1, "wrap_angle": 1}
 
 
 def scalar_instances(rng, count, plane):
@@ -89,13 +92,24 @@ def scalar_instances(rng, count, plane):
     return rows
 
 
+# (low, high) of each further draw of invariant_battery: zero detector
+# difference, optimal setting, rotations and angle wrapping.
+BATTERY_DRAWS = (
+    ((0.0, 0.0), (2.0 * math.pi, math.pi / 2)),
+    ((0.0, 0.0), (2.0 * math.pi, math.pi / 2 - 0.05)),
+    ((0.0, -10.0), (2.0 * math.pi, 10.0)),
+    ((-20.0,), (20.0,)),
+)
+
+
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(1, 300),
     st.one_of(st.just(None), st.floats(-0.9, 0.9)),
+    st.sampled_from(BATTERY_DRAWS),
 )
 @settings(max_examples=60, deadline=None)
-def test_one_array_draw_equals_interleaved_scalar_draws(seed, count, nz):
+def test_one_array_draw_equals_interleaved_scalar_draws(seed, count, nz, bounds):
     plane = Plane.xz() if nz is None else Plane.const_z(nz)
     rng_rows, rng_one = np.random.default_rng(seed), np.random.default_rng(seed)
     rows = scalar_instances(rng_rows, count, plane)
@@ -105,4 +119,9 @@ def test_one_array_draw_equals_interleaved_scalar_draws(seed, count, nz):
         assert eta0[k] == eta0_k and theta[k] == theta_k
         assert r[k].tobytes() == np.float64(r_k).tobytes() and n[k].tobytes() == n_k.tobytes()
     # The generator is left where the scalar draws leave it.
+    assert rng_one.random(4).tobytes() == rng_rows.random(4).tobytes()
+    low, high = bounds
+    rng_rows, rng_one = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows = [[rng_rows.uniform(lo, hi) for lo, hi in zip(low, high)] for _ in range(count)]
+    assert rng_one.uniform(low, high, size=(count, len(low))).tobytes() == np.array(rows).tobytes()
     assert rng_one.random(4).tobytes() == rng_rows.random(4).tobytes()
