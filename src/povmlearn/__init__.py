@@ -2,9 +2,10 @@
 
 The library simulates an ensemble of qubits drawn from two unknown pure
 states and learns, from destructive single-qubit measurements alone, the
-two-outcome POVM that discriminates the states with minimum error.  All
-state manipulation happens in Bloch-vector form, so every learner reduces
-to closed-form plane geometry plus shot-noise statistics.
+two-outcome POVM that discriminates the states with minimum error.  The
+learners work in Bloch-vector form, so each reduces to closed-form plane
+geometry plus shot-noise statistics; only the Helstrom oracle they are
+checked against diagonalizes complex density matrices.
 """
 
 __version__ = "0.1.0"
@@ -62,8 +63,4 @@ from povmlearn.experiment import (
     summarize,
     sweep,
 )
-from povmlearn.helstrom import (
-    HelstromResult,
-    helstrom,
-    success_equal_priors,
-)
+from povmlearn.helstrom import helstrom, success_equal_priors

@@ -1,51 +1,67 @@
-"""Minimum-error measurement for two equiprobable qubit states, in Bloch form.
+"""Minimum-error measurement for two qubit states, from density matrices.
 
-For qubits the optimal two-outcome POVM is projective and diagonalizes the
-difference of the two density matrices.  With Bloch vectors m0, m1 that
-difference is (m0 - m1).sigma / 2, so the detector-0 projector points along
-the unit vector (m0 - m1)/|m0 - m1| and the achievable success probability
-is 1/2 + |m0 - m1|/4.
+Helstrom's oracle (Quantum Detection and Estimation Theory, 1976): states
+rho0, rho1 with priors eta0, eta1 = 1 - eta0 are told apart best by the
+projector onto the positive part of Gamma = eta0 rho0 - eta1 rho1, which
+succeeds with probability (1 + ||Gamma||_1)/2, the trace norm being the sum
+of |lambda| over Gamma's eigenvalues.  helstrom builds Gamma as a complex
+2x2 matrix and diagonalizes it, independently of the Bloch-vector formulas
+the learners and the closed form use; success_equal_priors keeps the Bloch
+form for the engine.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from povmlearn.bloch import EPS_DEGENERATE, row_norm
+from povmlearn.bloch import EPS_DEGENERATE, any_row, first_row, row_norm
 from povmlearn.errors import DegenerateEnsemble
 
-
-@dataclass(frozen=True)
-class HelstromResult:
-    """Optimal projector axis and success probability."""
-
-    p0_axis: np.ndarray
-    success: float
+_I = np.eye(2, dtype=complex)
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def helstrom(m0, m1) -> HelstromResult:
-    """Optimal equal-prior discrimination of Bloch vectors m0 and m1.
+def _density_matrix(n) -> np.ndarray:
+    """rho = (I + n.sigma)/2 of a Bloch vector n, as a complex 2x2 matrix;
+    rows of vectors give one matrix per row, each built elementwise as that
+    vector alone."""
+    n = np.asarray(n, dtype=float)
+    x, y, z = (n[..., k, None, None] for k in range(3))
+    return 0.5 * (_I + x * _SIGMA_X + y * _SIGMA_Y + z * _SIGMA_Z)
 
-    Indistinguishable inputs (|m0 - m1| below the degeneracy tolerance)
-    have no optimal axis and raise DegenerateEnsemble.
+
+def helstrom(m0, m1, eta0=0.5):
+    """Minimum-error discrimination of the states with Bloch vectors m0 and
+    m1, at priors eta0 and 1 - eta0: (success, axis), where axis is the
+    Bloch vector of Gamma's eigenvector of larger eigenvalue, the one the
+    detector-0 projector points along.  With rows of vectors (and eta0 one
+    number or one per row) both come back one per row, through one batched
+    eigendecomposition; each row has the bits of its pair alone.
+
+    A pair whose two eigenvalues of Gamma lie within the degeneracy
+    tolerance has no optimal axis and raises DegenerateEnsemble; a batch
+    names its first such row, with the message that row raises alone.
     """
-    m0 = np.asarray(m0, dtype=float)
-    m1 = np.asarray(m1, dtype=float)
-    diff = m0 - m1
-    dist = math.sqrt(diff.dot(diff))
-    if dist <= EPS_DEGENERATE:
-        raise DegenerateEnsemble(f"states are indistinguishable: |m0 - m1| = {dist:.3g}")
-    return HelstromResult(p0_axis=diff / dist, success=0.5 + 0.5 * (0.5 * dist))
+    eta0 = np.asarray(eta0, dtype=float)[..., None, None]
+    gamma = eta0 * _density_matrix(m0) - (1.0 - eta0) * _density_matrix(m1)
+    lam, vec = np.linalg.eigh(gamma)
+    gap = lam[..., 1] - lam[..., 0]
+    bad = gap <= EPS_DEGENERATE
+    if any_row(bad):
+        raise DegenerateEnsemble(f"states are indistinguishable: eigenvalue gap of Gamma = {first_row(bad, gap):.3g}")
+    a, b = vec[..., 0, 1], vec[..., 1, 1]
+    ab = a.conj() * b
+    axis = np.stack((2.0 * ab.real, 2.0 * ab.imag, (a.conj() * a).real - (b.conj() * b).real), axis=-1)
+    return 0.5 * (1.0 + np.abs(lam[..., 0]) + np.abs(lam[..., 1])), axis
 
 
 def success_equal_priors(m0, m1):
     """Best achievable success probability 1/2 + |m0 - m1|/4 for a 50/50
-    mixture of m0 and m1: the success of helstrom(m0, m1), and the same
-    formula for pairs helstrom refuses as degenerate.  One per row for rows
-    of vectors, each bit for bit the value of its pair alone (row_norm)."""
+    mixture of m0 and m1, in Bloch form: the success of helstrom(m0, m1),
+    and the same formula for pairs helstrom refuses as degenerate.  One per
+    row for rows of vectors, each bit for bit the value of its pair alone
+    (row_norm)."""
     diff = np.asarray(m0, dtype=float) - np.asarray(m1, dtype=float)
     return 0.5 + 0.5 * (0.5 * row_norm(diff))
-

@@ -3,10 +3,9 @@ subcommands.  Each check returns its name, a pass flag, and the worst
 deviation observed, so failures point at the broken identity directly.
 
 The random instances of a check are drawn as one array, and every check
-runs over all of its instances with one array call of each truth function
-and geometry helper, so these are called a fixed number of times whatever
-the instance count.  Only helstrom, the single-pair oracle under test,
-runs once per instance in oracle_battery; its results are checked as rows.
+runs over all of its instances with one array call of each truth function,
+geometry helper and of helstrom, the density-matrix oracle under test, so
+these are called a fixed number of times whatever the instance count.
 """
 
 from __future__ import annotations
@@ -68,9 +67,9 @@ def oracle_battery(n_instances: int = 10_000, seed: int = 12345) -> list[CheckOu
 
     The ground truth of every instance (ensemble vector, mixture targets and
     closed-form success) comes from one array call of each truth function,
-    and the geometry the oracle is checked against from one array call of
-    perp_in_plane per check; helstrom, the single-pair oracle under test,
-    is called once per instance on its row."""
+    the geometry the oracle is checked against from one array call of
+    perp_in_plane per check, and the oracle's success and axis from one
+    call of helstrom over all instances."""
     if n_instances < 1:
         raise ContractViolation(f"the oracle battery needs at least 1 instance, got {n_instances}")
     check_seed(seed)
@@ -78,9 +77,8 @@ def oracle_battery(n_instances: int = 10_000, seed: int = 12345) -> list[CheckOu
     eta0, theta, q, n = _random_instances(rng, n_instances)
     t = mixture_targets(n, theta, eta0)
     analytic = success_prob(eta0, theta, q)
-    results = [helstrom(m0, m1) for m0, m1 in zip(t.m0, t.m1)]
-    axes = check_unit(np.array([res.p0_axis for res in results]), "measurement axis")
-    success = np.array([res.success for res in results])
+    success, axes = helstrom(t.m0, t.m1)
+    axes = check_unit(axes, "measurement axis")
     worst_purity = np.abs(row_norm(t.m0) - row_norm(t.m1)).max()
     worst_axis = _axis_match(axes, perp_in_plane(n, _XZ)).max()
     worst_lam = np.abs(success - analytic).max()
@@ -135,7 +133,9 @@ def invariant_battery(seed: int = 12345) -> list[CheckOutcome]:
     outcomes.append(CheckOutcome("in-plane rotations compose and preserve norm", worst <= 1e-12, f"worst {worst:.3g}"))
 
     worst = 0.0
-    eta0, theta, _, n = _random_instances(rng, 2000)
+    least_gap = math.inf
+    eta0, theta, q, n = _random_instances(rng, 2000)
+    axis_rule = success_prob(eta0, theta, q)
     for case in ("A", "B"):
         pair = decompose(n, theta, eta0, case)
         worst = max(
@@ -145,7 +145,25 @@ def invariant_battery(seed: int = 12345) -> list[CheckOutcome]:
             np.abs(row_norm(pair.n1) - 1.0).max(),
             np.abs(angle_dist(plane_angle(pair.n0, _XZ), plane_angle(pair.n1, _XZ)) - theta).max(),
         )
+        least_gap = min(least_gap, (helstrom(pair.n0, pair.n1, eta0)[0] - axis_rule).min())
     outcomes.append(CheckOutcome("branch decomposition round trip", worst <= 1e-11, f"worst {worst:.3g}"))
+
+    # Knowing the branch, Helstrom's measurement of its two states at their
+    # priors is a ceiling on the axis rule, which does not know it; at equal
+    # priors both branches are the same pair and the ceiling is reached.
+    n, q = ensemble_vector(0.5, theta, plane_angle(n, _XZ))
+    axis_rule = success_prob(0.5, theta, q)
+    equal = 0.0
+    for case in ("A", "B"):
+        pair = decompose(n, theta, 0.5, case)
+        equal = max(equal, np.abs(helstrom(pair.n0, pair.n1)[0] - axis_rule).max())
+    outcomes.append(
+        CheckOutcome(
+            "each branch's Helstrom success bounds the axis rule",
+            least_gap >= -1e-12 and equal <= 1e-12,
+            f"least gap {least_gap:.3g}, {equal:.3g} at equal priors",
+        )
+    )
 
     n = np.array([0.7 * math.cos(0.4), 0.0, 0.7 * math.sin(0.4)])
     eta0 = 0.5 + np.array([0.0, 0.01, 0.05, 0.1])

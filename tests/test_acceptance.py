@@ -150,20 +150,13 @@ def test_criterion_4_success_probability_sweep(capfd):
 def test_criterion_5_oracle_equivalence(capfd):
     with capfd.disabled(), criterion(5, "closed-form axis rule equals the oracle"):
         start = time.perf_counter()
-        plane = Plane.xz()
-        worst_purity = worst_axis = worst_success = 0.0
-        for eta0, theta, q, n in _instances(505, 10_000):
-            t = mixture_targets(n, theta, eta0)
-            worst_purity = max(worst_purity, abs(row_norm(t.m0) - row_norm(t.m1)))
-            res = helstrom(t.m0, t.m1)
-            n_perp = perp_in_plane(n, plane)
-            worst_axis = max(
-                worst_axis,
-                min(row_norm(res.p0_axis - n_perp), row_norm(res.p0_axis + n_perp)),
-            )
-            worst_success = max(
-                worst_success, abs(res.success - success_prob(eta0, theta, q))
-            )
+        eta0, theta, q, n = (np.array(column) for column in zip(*_instances(505, 10_000)))
+        t = mixture_targets(n, theta, eta0)
+        worst_purity = np.abs(row_norm(t.m0) - row_norm(t.m1)).max()
+        success, axis = helstrom(t.m0, t.m1)
+        n_perp = perp_in_plane(n, Plane.xz())
+        worst_axis = np.minimum(row_norm(axis - n_perp), row_norm(axis + n_perp)).max()
+        worst_success = np.abs(success - success_prob(eta0, theta, q)).max()
         elapsed = time.perf_counter() - start
         assert worst_purity <= 1e-12, f"purity mismatch {worst_purity:.3g}"
         assert worst_axis <= 1e-12, f"axis mismatch {worst_axis:.3g}"

@@ -64,7 +64,7 @@ class TestClassifyHoldout:
         # under the plus-outcome-means-state-0 convention (not 1 - 0.8536,
         # which would indicate a flipped orientation).
         spec = equal_spec(beta=math.pi / 4)
-        axis = helstrom(0.5 * spec.psi0, 0.5 * spec.psi1).p0_axis
+        _, axis = helstrom(spec.psi0, spec.psi1, spec.eta0)
         cm = classify_holdout(spec, axis, 100_000, RngStream(2).generator())
         p = 0.8535533905932737
         assert abs(cm.correct / cm.total - p) <= 5 * math.sqrt(p * (1 - p) / cm.total)

@@ -1,9 +1,12 @@
-"""Minimum-error oracle: closed-form axis, gap, and success probability."""
+"""Minimum-error oracle: Helstrom's measurement from one eigendecomposition of
+eta0 rho0 - eta1 rho1, for one pair or for rows of pairs."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from povmlearn.errors import DegenerateEnsemble
 from povmlearn.helstrom import helstrom, success_equal_priors
@@ -11,20 +14,32 @@ from povmlearn.helstrom import helstrom, success_equal_priors
 INV_SQRT2 = 0.7071067811865476
 
 
+def from_spherical(point):
+    """The Bloch vector of (radius, cos polar angle, azimuth)."""
+    radius, c, azimuth = point
+    s = math.sqrt(1.0 - c * c)
+    return radius * np.array([s * math.cos(azimuth), s * math.sin(azimuth), c])
+
+
+# Bloch vectors |m| <= 1, mixed states included.
+BLOCH_BALL = st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.0, 2.0 * math.pi)).map(from_spherical)
+
+
 class TestHelstrom:
     def test_orthogonal_pure_states(self):
-        res = helstrom([0, 0, 1], [0, 0, -1])
-        assert np.allclose(res.p0_axis, [0, 0, 1], atol=1e-15)
-        assert res.success == pytest.approx(1.0, abs=1e-12)
+        success, axis = helstrom([0, 0, 1], [0, 0, -1])
+        assert np.allclose(axis, [0, 0, 1], atol=1e-15)
+        assert success == pytest.approx(1.0, abs=1e-12)
 
     def test_reference_instance(self):
-        res = helstrom([INV_SQRT2, 0, INV_SQRT2], [INV_SQRT2, 0, -INV_SQRT2])
-        assert np.allclose(res.p0_axis, [0, 0, 1], atol=1e-12)
-        assert res.success == pytest.approx(0.8535533905932737, abs=1e-12)
+        # Mixture targets of the equal-prior pair at separation pi/2.
+        success, axis = helstrom([INV_SQRT2, 0, INV_SQRT2], [INV_SQRT2, 0, -INV_SQRT2])
+        assert np.allclose(axis, [0, 0, 1], atol=1e-12)
+        assert success == pytest.approx(0.8535533905932737, abs=1e-12)
 
     def test_indistinguishable_limit(self):
-        res = helstrom([0.3, 0, 0.2], [0.3, 0, 0.2 + 5e-5])
-        assert res.success == pytest.approx(0.5, abs=1e-4)
+        success, _ = helstrom([0.3, 0, 0.2], [0.3, 0, 0.2 + 5e-5])
+        assert success == pytest.approx(0.5, abs=1e-4)
 
     def test_degenerate_is_error_for_direct_calls(self):
         with pytest.raises(DegenerateEnsemble):
@@ -36,8 +51,57 @@ class TestHelstrom:
 
     def test_monotone_in_separation(self):
         base = np.array([0.2, 0.0, 0.1])
-        last = 0.5
-        for gap in np.linspace(0.01, 0.6, 20):
-            s = helstrom(base + [0, 0, gap], base - [0, 0, gap]).success
-            assert s >= last - 1e-15
-            last = s
+        gap = np.linspace(0.01, 0.6, 20)[:, None] * [0, 0, 1]
+        success, _ = helstrom(base + gap, base - gap)
+        assert np.all(success[1:] >= success[:-1] - 1e-15)
+
+    def test_unequal_priors_match_the_trace_norm(self):
+        # Gamma = ((eta0 - eta1) I + v.sigma)/2 with v = eta0 m0 - eta1 m1
+        # has eigenvalues ((eta0 - eta1) +- |v|)/2, so the success is
+        # (1 + max(|eta0 - eta1|, |v|))/2 and the axis is v/|v|.
+        rng = np.random.default_rng(11)
+        m0, m1 = rng.uniform(-0.57, 0.57, size=(2, 500, 3))
+        eta0 = rng.uniform(0.05, 0.95, size=500)
+        v = eta0[:, None] * m0 - (1.0 - eta0)[:, None] * m1
+        v_norm = np.linalg.norm(v, axis=1)
+        success, axis = helstrom(m0, m1, eta0)
+        assert np.abs(success - 0.5 * (1.0 + np.maximum(np.abs(2.0 * eta0 - 1.0), v_norm))).max() <= 1e-15
+        assert np.abs(axis - v / v_norm[:, None]).max() <= 1e-12
+
+    def test_degenerate_rows_name_the_first(self):
+        rows0 = np.tile([0.3, 0.1, 0.2], (6, 1))
+        rows1 = rows0 + [0.0, 0.4, 0.0]
+        rows1[2] = rows0[2] + [0.0, 0.0, 1e-6]  # eigenvalue gap 5e-7
+        rows1[4] = rows0[4]  # eigenvalue gap 0
+        with pytest.raises(DegenerateEnsemble) as alone:
+            helstrom(rows0[2], rows1[2])
+        with pytest.raises(DegenerateEnsemble) as batch:
+            helstrom(rows0, rows1)
+        assert str(batch.value) == str(alone.value)
+        assert "5e-07" in str(batch.value)
+
+
+@given(BLOCH_BALL, BLOCH_BALL)
+@settings(max_examples=200, deadline=None)
+def test_complex_gamma_matches_the_bloch_form(m0, m1):
+    # y components that differ make Gamma's off-diagonal entries complex.
+    assume(m0[1] != m1[1])
+    diff = m0 - m1
+    dist = math.sqrt(diff.dot(diff))
+    assume(dist >= 1e-3)
+    success, axis = helstrom(m0, m1)
+    assert abs(success - success_equal_priors(m0, m1)) <= 1e-15
+    assert np.abs(axis - diff / dist).max() <= 1e-12
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_each_row_has_the_bits_of_its_pair(seed, count, row_priors):
+    rng = np.random.default_rng(seed)
+    m0, m1 = rng.uniform(-0.57, 0.57, size=(2, count, 3))
+    eta0 = rng.uniform(0.05, 0.95, size=count) if row_priors else 0.3
+    success, axis = helstrom(m0, m1, eta0)
+    assert success.shape == (count,) and axis.shape == (count, 3)
+    for k in range(count):
+        one_success, one_axis = helstrom(m0[k], m1[k], eta0[k] if row_priors else eta0)
+        assert one_success.tobytes() == success[k].tobytes() and one_axis.tobytes() == axis[k].tobytes()

@@ -2,9 +2,9 @@
 
 Each battery computes the ground truth of its random instances with one
 array call of ensemble_vector, mixture_targets and success_prob per check,
-so the number of truth calls does not grow with the instance count; in
-oracle_battery only helstrom, the single-pair oracle under test, runs once
-per instance, and invariant_battery calls every geometry helper a fixed
+so the number of truth calls does not grow with the instance count;
+oracle_battery calls helstrom, the oracle under test, once over all of its
+instances, and invariant_battery calls every geometry helper a fixed
 number of times.  Each one (count, k) draw of instance parameters must
 equal the interleaved scalar draws it replaced bit for bit, which keeps
 the battery goldens unchanged.
@@ -48,13 +48,13 @@ def test_oracle_battery_calls_each_truth_function_once(monkeypatch, n_instances)
 
 
 @pytest.mark.parametrize("n_instances", [1, 37, 500])
-def test_oracle_battery_loops_over_helstrom_alone(monkeypatch, n_instances):
+def test_oracle_battery_calls_helstrom_once(monkeypatch, n_instances):
     # The geometry the oracle is checked against is one perp_in_plane call
-    # per check over all instances; only helstrom runs once per instance.
+    # per check over all instances, and the oracle one helstrom call.
     counts = count_calls(monkeypatch, ("perp_in_plane", "helstrom"))
     outcomes = selfcheck.oracle_battery(n_instances, seed=5)
     assert all(o.passed for o in outcomes)
-    assert counts == {"perp_in_plane": 2, "helstrom": n_instances}
+    assert counts == {"perp_in_plane": 2, "helstrom": 1}
 
 
 def test_invariant_battery_calls_truth_once_per_check(monkeypatch):
@@ -62,21 +62,24 @@ def test_invariant_battery_calls_truth_once_per_check(monkeypatch):
     outcomes = selfcheck.invariant_battery(seed=5)
     assert all(o.passed for o in outcomes)
     # One instance draw each for the round trip, the axis-rule success and
-    # the nz = 0 slice, and one per plane (three) for the branch averages.
-    # mixture_targets: the axis-rule check and one per plane of the branch
-    # averages; success_prob: the axis-rule check and the two planes the
-    # slice check compares.
-    assert counts == {"ensemble_vector": 6, "mixture_targets": 4, "success_prob": 3}
+    # the nz = 0 slice, one per plane (three) for the branch averages, and
+    # the equal-prior instances of the branch ceiling.  mixture_targets: the
+    # axis-rule check and one per plane of the branch averages;
+    # success_prob: the branch ceiling at drawn and at equal priors, the
+    # axis-rule check and the two planes the slice check compares.
+    assert counts == {"ensemble_vector": 7, "mixture_targets": 4, "success_prob": 5}
 
 
 def test_invariant_battery_calls_each_helper_a_fixed_number_of_times(monkeypatch):
     # Every check runs over all of its instances in one array call: the
     # grid and the optimum take three delta_analytic calls, the rotations
-    # two rotate_in_plane calls (forward and back).
-    counts = count_calls(monkeypatch, ("rotate_in_plane", "delta_analytic", "solve_alpha", "perp_in_plane", "wrap_angle"))
+    # two rotate_in_plane calls (forward and back), and the branch ceiling
+    # one helstrom call per branch at drawn and at equal priors.
+    names = ("rotate_in_plane", "delta_analytic", "solve_alpha", "perp_in_plane", "wrap_angle", "helstrom")
+    counts = count_calls(monkeypatch, names)
     outcomes = selfcheck.invariant_battery(seed=5)
     assert all(o.passed for o in outcomes)
-    assert counts == {"rotate_in_plane": 2, "delta_analytic": 3, "solve_alpha": 1, "perp_in_plane": 1, "wrap_angle": 1}
+    assert counts == {"rotate_in_plane": 2, "delta_analytic": 3, "solve_alpha": 1, "perp_in_plane": 1, "wrap_angle": 1, "helstrom": 4}
 
 
 def scalar_instances(rng, count, plane):
