@@ -11,7 +11,7 @@ import argparse
 import math
 
 from povmlearn.ensemble import RngStream
-from povmlearn.equal_prior import learn_equal_prior, povm_axis_from_phi
+from povmlearn.equal_prior import learn_equal_prior, povm_axis_from_phi, weak_signal_threshold
 from povmlearn.evaluate import classify_holdout, score
 from povmlearn.experiment import equal_prior_ensemble
 
@@ -38,6 +38,9 @@ def main():
     target_phi = (args.alpha / 2.0 + math.pi / 4.0) % math.pi
     print(f"measured differences: delta({args.phi0:.4f}) = {est.delta0:+.6f}, "
           f"delta({args.phi0 + math.pi / 4:.4f}) = {est.delta1:+.6f}")
+    if est.weak:
+        print(f"weak signal: both readings lie within the 3/sqrt(N) noise floor "
+              f"{weak_signal_threshold(args.shots):.4f}, so alpha_hat below is noise")
     print(f"alpha_hat = {est.alpha_hat:.6f}  (true {args.alpha:.6f})")
     print(f"phi_star  = {est.phi_star:.6f}  (target {target_phi:.6f})")
     print(f"qubits consumed while learning: {est.shots_used}")

@@ -46,14 +46,7 @@ from povmlearn.equal_prior import (
     weak_readings,
     weak_signal_threshold,
 )
-from povmlearn.errors import (
-    ContractViolation,
-    CosThetaOutOfRange,
-    DegenerateEnsemble,
-    DiscriminationError,
-    InvalidPriors,
-    WeakSignal,
-)
+from povmlearn.errors import ContractViolation, DegenerateEnsemble, DiscriminationError, InvalidPriors
 from povmlearn.evaluate import ConfusionMatrix, EvalReport, classify_holdout, folded_success, score
 from povmlearn.experiment import (
     CSV_COLUMNS,

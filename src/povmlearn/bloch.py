@@ -16,11 +16,11 @@ convert at the boundary via a_from_x = pi/2 - gamma_from_z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from povmlearn.errors import ContractViolation, DegenerateEnsemble
+from povmlearn.errors import ContractViolation
 
 # Tolerance for analytic unit-norm and plane-membership checks.
 EPS_PHYS = 1e-9
@@ -90,35 +90,6 @@ def first_row(mask, value):
     return value[np.argmax(mask)] if np.ndim(mask) and np.ndim(value) else value
 
 
-def _same(a, b) -> bool:
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.array_equal(a, b)
-    return a == b
-
-
-def _hash_key(v):
-    if isinstance(v, np.ndarray):
-        return v.item() if v.ndim == 0 else (v.shape, tuple(v.ravel().tolist()))
-    return v
-
-
-class ValueEquality:
-    """== and hash by value for a frozen dataclass whose fields may hold
-    numpy arrays: array fields compare as np.array_equal does (shape and
-    values), others with ==, and equal objects hash alike.  Declare the
-    dataclass with eq=False so that it keeps these."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
-
-    def __hash__(self):
-        return hash(tuple(_hash_key(getattr(self, f.name)) for f in fields(self) if f.compare))
-
-
 def check_unit(v, what: str = "vector") -> np.ndarray:
     """Return v as an array after verifying |v| = 1 within EPS_PHYS; a 2-D v
     holds one vector per row, and every row is checked."""
@@ -136,7 +107,7 @@ _PLANE_SLOTS = {"xz": (np.s_[..., ::2], 1), "constz": (np.s_[..., :2], 2)}
 
 
 @dataclass(frozen=True, eq=False)
-class Plane(ValueEquality):
+class Plane:
     """Constraint plane for Bloch vectors.
 
     kind "xz" is the x-z plane through the origin (plane axes x then z);
@@ -144,8 +115,7 @@ class Plane(ValueEquality):
     stores nz as a read-only array: 0-d for one slice, or 1-D with one nz
     per row for batches whose rows lie in different slices, whose methods
     then take one vector per row.  Any vector argument may hold one vector
-    per row on its last axis.  Planes compare and hash by value
-    (ValueEquality).
+    per row on its last axis.  Planes compare and hash by identity.
     """
 
     kind: str
@@ -227,14 +197,12 @@ def perp_in_plane(n, plane: Plane) -> np.ndarray:
 
     The +90 degree rotation convention is fixed: plane coordinates
     (u1, u2) map to (-u2, u1), normalized.  For a constant-z plane the
-    result has zero z component (it is a direction, not a state).  A
-    single n whose in-plane part is too short to define a direction
-    raises; with one vector per row, such a row gets the zero vector.
+    result has zero z component (it is a direction, not a state).  An n
+    whose in-plane part is too short to define a direction (in-plane norm
+    at most EPS_DEGENERATE) gets the zero vector, alone or as a row.
     """
     u = plane.coords(n)
     r = np.hypot(u[..., :1], u[..., 1:])
-    if u.ndim == 1 and r[0] <= EPS_DEGENERATE:
-        raise DegenerateEnsemble(f"in-plane norm {r[0]:.3g} too small to define a perpendicular direction")
     out = np.zeros(u.shape[:-1] + (3,))
     w = plane.coords(out)
     np.divide(u[..., ::-1], r, out=w, where=r > EPS_DEGENERATE)

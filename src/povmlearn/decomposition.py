@@ -30,12 +30,7 @@ import numpy as np
 
 from povmlearn.bloch import EPS_DEGENERATE, EPS_PHYS, Plane, any_row, every_row, first_row, perp_in_plane, self_dot
 from povmlearn.ensemble import EnsembleSpec, estimate_pauli
-from povmlearn.errors import (
-    ContractViolation,
-    CosThetaOutOfRange,
-    DegenerateEnsemble,
-    InvalidPriors,
-)
+from povmlearn.errors import ContractViolation, InvalidPriors
 
 # Estimated separation cosines may be driven off [-1, 1] by shot noise;
 # values within this slack are clamped, anything beyond is an error.
@@ -89,17 +84,14 @@ def _check_theta(theta) -> None:
 def _check_case(case):
     """The sign of a branch, +1 for A and -1 for B; one per row for rows of
     branch names."""
-    if isinstance(case, str):
-        if case == "A":
-            return 1.0
-        if case == "B":
-            return -1.0
-    else:
-        case = np.asarray(case)
-        b = case == "B"
-        if (b | (case == "A")).all():
-            return np.where(b, -1.0, 1.0)
-    raise ContractViolation(f"decomposition branch must be 'A' or 'B', got {case!r}")
+    case = np.asarray(case)
+    b = case == "B"
+    ok = b | (case == "A")
+    if not every_row(ok):
+        raise ContractViolation(
+            f"decomposition branch must be 'A' or 'B', got {first_row(np.logical_not(ok), case).tolist()!r}"
+        )
+    return np.where(b, -1.0, 1.0)[()]
 
 
 def _slice_coords(n, plane: Plane):
@@ -107,10 +99,9 @@ def _slice_coords(n, plane: Plane):
     (self_dot): numbers for one vector, one column per coordinate for rows.
 
     n must lie in the plane, with an in-plane norm no larger than the slice
-    radius (up to the shot-noise slack).  A single n must also be long
-    enough to define a direction, else DegenerateEnsemble; a batch row too
-    short for that (or holding NaN) gets |u|^2 = NaN, and so NaN in every
-    value derived from it.
+    radius (up to the shot-noise slack).  An n too short to define a
+    direction (or holding NaN), alone or as a row, gets |u|^2 = NaN, and so
+    NaN in every value derived from it.
     """
     n = np.asarray(n, dtype=float)
     ok = plane.on_plane(n)
@@ -124,8 +115,6 @@ def _slice_coords(n, plane: Plane):
     if any_row(over):
         r, radius = first_row(over, r), first_row(over, radius)
         raise ContractViolation(f"in-plane norm {r:.6g} exceeds the slice radius {radius:.6g}")
-    if np.ndim(over) == 0 and r <= EPS_DEGENERATE:
-        raise DegenerateEnsemble(f"in-plane norm {r:.3g} is too small to decompose")
     return u[..., 0], u[..., 1], np.where(r > EPS_DEGENERATE, uu, np.nan)
 
 
@@ -149,10 +138,9 @@ def cos_theta(n_norm, eta0, tol: float = EPS_PHYS, plane: Plane = _PLANE_XZ):
     |u| of the ensemble vector and the prior eta0 (eta1 = 1 - eta0).
 
     |u|^2 = rho^2 (eta0^2 + eta1^2 + 2 eta0 eta1 cos(theta)), inverted for
-    cos(theta).  Pass tol=EPS_CLAMP for shot-noise estimates of |u|.  A
-    single norm out of range raises CosThetaOutOfRange; rows of norms (with
-    priors and plane per row or shared) give one cosine per row, NaN where
-    it is out of range.
+    cos(theta).  Pass tol=EPS_CLAMP for shot-noise estimates of |u|.  Rows
+    of norms (with priors and plane per row or shared) give one cosine per
+    row; a cosine off [-1, 1] by more than tol is NaN.
     """
     _check_priors(eta0)
     # Rescale by the slice radius before squaring and write the inversion
@@ -161,10 +149,7 @@ def cos_theta(n_norm, eta0, tol: float = EPS_PHYS, plane: Plane = _PLANE_XZ):
     # then yields exactly 1.0 with no rounding residue.
     r = n_norm / np.sqrt(plane.radius_sq)
     c = 1.0 + (r * r - 1.0) / (2.0 * eta0 * (1.0 - eta0))
-    out = np.abs(c) > 1.0 + tol
-    if np.ndim(c) == 0 and out:
-        raise CosThetaOutOfRange(f"separation cosine {c:.6g} outside [-1, 1] beyond tolerance {tol:g}")
-    return np.where(out, np.nan, np.clip(c, -1.0, 1.0))[()]
+    return np.where(np.abs(c) > 1.0 + tol, np.nan, np.clip(c, -1.0, 1.0))[()]
 
 
 def decompose(n, theta, eta0, case, plane: Plane = _PLANE_XZ) -> DecompositionPair:
@@ -175,9 +160,8 @@ def decompose(n, theta, eta0, case, plane: Plane = _PLANE_XZ) -> DecompositionPa
     rotation-scaling of u for each state.  For inputs with |u| consistent
     with (theta, eta0) the outputs are unit vectors in the plane recombining
     to n under the priors.  Every argument may hold one value per row (n one
-    vector per row, case one branch name per row); a row whose n has no
-    in-plane direction gets NaN states, where a single n raises
-    DegenerateEnsemble.
+    vector per row, case one branch name per row); an n with no in-plane
+    direction gets NaN states.
     """
     _check_priors(eta0)
     _check_theta(theta)
@@ -201,8 +185,8 @@ def mixture_targets(n, theta, eta0, plane: Plane = _PLANE_XZ) -> MixtureTargets:
 
     n_perp = (-u2, u1)/|u| is the in-plane perpendicular, so the offset is
     written componentwise over |u|^2; eta1 = 1 - eta0.  Every argument may
-    hold one value per row; a row whose n has no in-plane direction gets NaN
-    targets, where a single n raises DegenerateEnsemble.
+    hold one value per row; an n with no in-plane direction gets NaN
+    targets.
     """
     _check_priors(eta0)
     _check_theta(theta)
@@ -219,13 +203,10 @@ def mixture_targets(n, theta, eta0, plane: Plane = _PLANE_XZ) -> MixtureTargets:
 def success_prob(eta0, theta, n_norm, plane: Plane = _PLANE_XZ):
     """Optimal success probability 1/2 + eta0 eta1 sin(theta) rho^2/|u| of the
     axis rule, from the prior eta0 (eta1 = 1 - eta0) and the in-plane norm |u|
-    of the ensemble vector.  Every argument may hold one value per row; a row
-    with |u| too small for a target gets NaN, where a single |u| raises
-    DegenerateEnsemble."""
+    of the ensemble vector.  Every argument may hold one value per row; a
+    |u| too small for a target gets NaN."""
     _check_priors(eta0)
     _check_theta(theta)
-    if np.ndim(n_norm) == 0 and n_norm <= EPS_DEGENERATE:
-        raise DegenerateEnsemble(f"|u| = {n_norm:.3g} is too small for a success target")
     n_norm = np.where(n_norm > EPS_DEGENERATE, n_norm, np.nan)
     ps = 0.5 + eta0 * (1.0 - eta0) * np.sin(theta) * plane.radius_sq / n_norm
     over = ps > 1.0 + EPS_PHYS
@@ -239,8 +220,7 @@ def learn_axis(spec: EnsembleSpec, shots_per_axis: int, rng) -> tuple[np.ndarray
     """Estimate the ensemble Bloch vector (estimate_pauli) and return the
     in-plane unit axis perpendicular to it (the setting on which both
     detectors fire equally, with zero z component on a slice), together with
-    the estimate.  A batch gets one axis per row, the zero vector on a row
-    whose estimate has no in-plane direction; a single ensemble raises
-    DegenerateEnsemble there."""
+    the estimate.  A batch gets one axis per row; an estimate with no
+    in-plane direction gets the zero vector."""
     n_hat = estimate_pauli(spec, shots_per_axis, rng)
     return perp_in_plane(n_hat, spec.plane), n_hat

@@ -29,7 +29,6 @@ from povmlearn.bloch import (
     UNIT_Y,
     UNIT_Z,
     Plane,
-    ValueEquality,
     check_unit,
     every_row,
     first_row,
@@ -71,7 +70,7 @@ class RngStream:
 
 
 @dataclass(frozen=True, eq=False)
-class EnsembleSpec(ValueEquality):
+class EnsembleSpec:
     """Ground truth: the prior eta0 of state 0 (state 1 has eta1 = 1 - eta0),
     two pure in-plane states and the declared plane.
 
@@ -79,7 +78,7 @@ class EnsembleSpec(ValueEquality):
     eta0 is a 1-D array and psi0 and psi1 hold one state per row.
     Validated once at construction, every row; the fields are read-only
     copies, so the checks hold for the spec's lifetime and sampling need
-    not redo them.  Specs compare and hash by value (ValueEquality).
+    not redo them.  Specs compare and hash by identity.
     """
 
     eta0: float | np.ndarray

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from povmlearn.bloch import bloch_from_state_angle, wrap_angle
+from povmlearn.bloch import bloch_from_state_angle, every_row, first_row, wrap_angle
 from povmlearn.ensemble import EnsembleSpec, role_generators
-from povmlearn.errors import ContractViolation, InvalidPriors, WeakSignal
+from povmlearn.errors import ContractViolation, InvalidPriors
 
 
 def weak_signal_threshold(shots: int) -> float:
@@ -65,21 +65,16 @@ def weak_readings(delta0, delta1, tau_weak: float):
     return np.maximum(np.abs(delta0), np.abs(delta1)) <= tau_weak
 
 
-def solve_alpha(delta0, delta1, phi0, tau_weak: float = 0.0):
+def solve_alpha(delta0, delta1, phi0):
     """Invert two quarter-turn-separated detector differences to alpha.
 
     delta0 is the reading at phi0 and delta1 at phi0 + pi/4; these are
     proportional to cos and sin of (alpha - 2 phi0) with a common positive
     factor, so alpha = 2 phi0 + atan2(delta1, delta0), wrapped to [0, 2 pi).
-    A single pair of readings raises WeakSignal when it is weak
-    (weak_readings); with one pair per row every row gets an angle, and
-    the caller masks the weak ones.
+    Every pair of readings gets an angle, one per row for rows of readings;
+    the angle of a weak pair (weak_readings) is noise, and the caller masks
+    it.
     """
-    if np.ndim(delta0) == 0 and weak_readings(delta0, delta1, tau_weak):
-        raise WeakSignal(
-            f"detector differences ({delta0:.4g}, {delta1:.4g}) are below the "
-            f"noise floor {tau_weak:.4g}"
-        )
     return wrap_angle(2.0 * phi0 + np.arctan2(delta1, delta0))
 
 
@@ -95,25 +90,25 @@ def learn_equal_prior(
     qubits per row.  `rng` may be one generator or a pair, one entry per
     setting (each a generator or a per-draw triple).  The returned
     phi_star = alpha_hat/2 + pi/4 is reported modulo pi; the projector pair
-    is invariant under phi -> phi + pi.  A single ensemble raises WeakSignal
-    where solve_alpha does, with the noise floor
-    weak_signal_threshold(shots_per_setting); a batch marks those rows in
-    `weak`.
+    is invariant under phi -> phi + pi.  `weak` marks the readings at or
+    below the noise floor weak_signal_threshold(shots_per_setting), one
+    flag per row for a batch.
     """
     if spec.plane.kind != "xz":
         raise ContractViolation("the angle learner requires an x-z plane ensemble")
-    if not np.all(np.abs(spec.eta0 - 0.5) <= 1e-12):
-        raise InvalidPriors(f"the angle learner requires equal priors, got eta0 = {spec.eta0}")
-    tau_weak = weak_signal_threshold(shots_per_setting)
+    ok = np.abs(spec.eta0 - 0.5) <= 1e-12
+    if not every_row(ok):
+        bad = first_row(np.logical_not(ok), spec.eta0)
+        raise InvalidPriors(f"the angle learner requires equal priors, got eta0 = {bad}")
     g0, g1 = role_generators(rng, 2)
     delta0 = spec.expectation(povm_axis_from_phi(phi0), shots_per_setting, g0)
     delta1 = spec.expectation(povm_axis_from_phi(phi0 + 0.25 * math.pi), shots_per_setting, g1)
-    alpha_hat = solve_alpha(delta0, delta1, phi0, tau_weak=tau_weak)
+    alpha_hat = solve_alpha(delta0, delta1, phi0)
     return EqualPriorEstimate(
         alpha_hat=alpha_hat,
         phi_star=np.fmod(0.5 * alpha_hat + 0.25 * math.pi, math.pi),
         delta0=delta0,
         delta1=delta1,
         shots_used=2 * shots_per_setting,
-        weak=weak_readings(delta0, delta1, tau_weak),
+        weak=weak_readings(delta0, delta1, weak_signal_threshold(shots_per_setting)),
     )

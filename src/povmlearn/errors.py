@@ -15,11 +15,3 @@ class InvalidPriors(DiscriminationError):
 
 class DegenerateEnsemble(DiscriminationError):
     """The ensemble Bloch vector is too short to define a direction."""
-
-
-class WeakSignal(DiscriminationError):
-    """Both detector-difference readings are consistent with pure noise."""
-
-
-class CosThetaOutOfRange(DiscriminationError):
-    """A separation-angle cosine landed outside [-1, 1] beyond tolerance."""

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from povmlearn.bloch import first_row
 from povmlearn.ensemble import EnsembleSpec
 from povmlearn.errors import ContractViolation
 
@@ -33,8 +34,11 @@ class ConfusionMatrix:
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim not in (2, 3) or counts.shape[-2:] != (2, 2) or counts.size == 0 or counts.min() < 0:
-            raise ContractViolation(f"confusion matrix must be 2x2 nonnegative, got {counts}")
+        if counts.ndim not in (2, 3) or counts.shape[-2:] != (2, 2) or counts.size == 0:
+            raise ContractViolation(f"confusion matrix must be 2x2, or one 2x2 per row, got shape {counts.shape}")
+        if counts.min() < 0:
+            bad = (counts < 0).any(axis=(-2, -1))
+            raise ContractViolation(f"confusion matrix must be nonnegative, got {first_row(bad, counts)}")
         object.__setattr__(self, "counts", counts)
 
     @property

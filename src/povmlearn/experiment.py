@@ -185,36 +185,31 @@ def two_fold_cell(eta0, theta, direction, plane: Plane = _XZ):
     oracle value.  Both branches share all three.
 
     Arrays of parameters (and a plane with one nz per cell) give the truth
-    of every cell in one pass.  A single degenerate cell raises
-    DegenerateEnsemble; in a batch, a degenerate cell has NaN in all three
-    (the in-plane coordinates of its vector).
+    of every cell in one pass.  A degenerate cell, alone or in a batch, has
+    NaN in all three (the in-plane coordinates of its vector).
     """
     n, r = ensemble_vector(eta0, theta, direction, plane)
     targets = mixture_targets(n, theta, eta0, plane)
     analytic = success_prob(eta0, theta, r, plane)
     oracle = success_equal_priors(targets.m0, targets.m1)
-    if isinstance(analytic, np.ndarray):
-        lost = np.isnan(analytic) | np.isnan(oracle)
-        analytic[lost] = oracle[lost] = np.nan
-        plane.coords(n)[lost] = np.nan
-    return n, analytic, oracle
+    lost = np.isnan(analytic) | np.isnan(oracle)
+    plane.coords(n)[lost] = np.nan
+    return n, np.where(lost, np.nan, analytic)[()], np.where(lost, np.nan, oracle)[()]
 
 
 def two_fold_spec(n, eta0, theta, case, plane: Plane = _XZ) -> EnsembleSpec:
     """Hidden spec of the ensemble with Bloch vector n in branch `case`: one
     ensemble, or a batch with one vector, prior, separation and branch name
-    per row.  A single degenerate n raises DegenerateEnsemble.  A batch row
-    whose n has no in-plane direction (NaN from two_fold_cell) gets the
-    placeholder pair, both states at the first plane axis, so that the row
-    can still draw."""
+    per row.  An n with no in-plane direction (NaN from two_fold_cell),
+    alone or as a row, gets the placeholder pair, both states at the first
+    plane axis, so that it can still draw."""
     pair = decompose(n, theta, eta0, case, plane)
     psi0, psi1 = pair.n0, pair.n1
-    if psi0.ndim > 1:
-        lost = np.isnan(psi0[:, :1])
-        if lost.any():
-            rho = np.sqrt(plane.radius_sq)
-            spot = plane.embed(np.stack((rho, np.zeros_like(rho)), axis=-1))
-            psi0, psi1 = np.where(lost, spot, psi0), np.where(lost, spot, psi1)
+    lost = np.isnan(psi0[..., :1])
+    if lost.any():
+        rho = np.sqrt(plane.radius_sq)
+        spot = plane.embed(np.stack((rho, np.zeros_like(rho)), axis=-1))
+        psi0, psi1 = np.where(lost, spot, psi0), np.where(lost, spot, psi1)
     return EnsembleSpec(eta0, psi0, psi1, plane)
 
 

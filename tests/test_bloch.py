@@ -27,7 +27,7 @@ from povmlearn.bloch import (
     wrap_angle,
 )
 from povmlearn.ensemble import EnsembleSpec, pauli_axes
-from povmlearn.errors import ContractViolation, DegenerateEnsemble
+from povmlearn.errors import ContractViolation
 
 from helpers import circ_diff
 
@@ -176,17 +176,14 @@ class TestPerpInPlane:
     def test_constz_convention(self):
         assert np.allclose(perp_in_plane([0.3, 0, 0.6], Plane.const_z(0.6)), [0, 1, 0], atol=1e-15)
 
-    def test_degenerate(self):
-        with pytest.raises(DegenerateEnsemble):
-            perp_in_plane([0.0, 0.0, 0.9], Plane.const_z(0.9))
-        with pytest.raises(DegenerateEnsemble):
-            perp_in_plane([EPS_DEGENERATE / 2, 0.0, 0.0], Plane.xz())
+    def test_degenerate_gives_the_zero_vector(self):
+        assert not perp_in_plane([0.0, 0.0, 0.9], Plane.const_z(0.9)).any()
+        assert not perp_in_plane([EPS_DEGENERATE / 2, 0.0, 0.0], Plane.xz()).any()
 
     def test_degenerate_edge_for_one_vector(self):
-        # One vector raises at in-plane norm <= EPS_DEGENERATE and gets a
-        # unit direction just above it.
-        with pytest.raises(DegenerateEnsemble, match="in-plane norm 1e-06"):
-            perp_in_plane([0.0, 0.0, EPS_DEGENERATE], Plane.xz())
+        # One vector gets the zero vector at in-plane norm <= EPS_DEGENERATE
+        # and a unit direction just above it.
+        assert not perp_in_plane([0.0, 0.0, EPS_DEGENERATE], Plane.xz()).any()
         above = math.nextafter(EPS_DEGENERATE, 1.0)
         assert perp_in_plane([0.0, 0.0, above], Plane.xz()).tolist() == [-1.0, 0.0, 0.0]
 
@@ -276,8 +273,6 @@ class TestRowReductions:
     def test_constz_offset_is_a_read_only_array(self):
         nz = Plane.const_z(0.3).nz
         assert isinstance(nz, np.ndarray) and nz.ndim == 0 and not nz.flags.writeable
-        assert Plane.const_z(0.3) == Plane("constz", 0.3)
-        assert hash(Plane.const_z(0.3)) == hash(Plane("constz", 0.3))
 
 
 class TestUnitVectors:
@@ -309,13 +304,9 @@ class TestRows:
     def test_perp_and_angle_match_one_at_a_time(self, plane):
         v = self.vectors(plane)
         perp, angle = perp_in_plane(v, plane), plane_angle(v, plane)
+        assert not perp[3].any()
         for k, row in enumerate(v):
-            if k == 3:
-                with pytest.raises(DegenerateEnsemble):
-                    perp_in_plane(row, plane)
-                assert not perp[k].any()
-                continue
-            assert perp[k].tolist() == perp_in_plane(row, plane).tolist()
+            assert perp[k].tobytes() == perp_in_plane(row, plane).tobytes()
             assert angle[k] == pytest.approx(plane_angle(row, plane), abs=1e-15)
 
     def test_plane_with_one_offset_per_row(self):

@@ -21,7 +21,7 @@ from povmlearn.decomposition import (
     success_prob,
 )
 from povmlearn.ensemble import EnsembleSpec, RngStream
-from povmlearn.errors import ContractViolation, CosThetaOutOfRange, DegenerateEnsemble
+from povmlearn.errors import ContractViolation
 from povmlearn.helstrom import success_equal_priors
 
 slice_instances = st.tuples(
@@ -92,9 +92,8 @@ class TestCosThetaZ:
                     r_norm, eta0, plane=Plane.xz()
                 )
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(CosThetaOutOfRange):
-            cos_theta(0.99, 0.5, plane=Plane.const_z(0.6))
+    def test_out_of_range_is_nan(self):
+        assert math.isnan(cos_theta(0.99, 0.5, plane=Plane.const_z(0.6)))
 
     @given(slice_instances)
     @settings(max_examples=300)
@@ -136,9 +135,10 @@ class TestDecomposeConstZ:
                 assert sliced.n1[0] == flat.n1[0] and sliced.n1[1] == flat.n1[2]
                 assert sliced.n0[2] == 0.0 and sliced.n1[2] == 0.0
 
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateEnsemble):
-            decompose([0.0, 0.0, 0.5], 1.0, 0.5, "A", Plane.const_z(0.5))
+    def test_degenerate_gives_nan_states_on_the_slice(self):
+        pair = decompose([0.0, 0.0, 0.5], 1.0, 0.5, "A", Plane.const_z(0.5))
+        for state in (pair.n0, pair.n1):
+            assert np.isnan(state[:2]).all() and state[2] == 0.5
 
 
 class TestMixtureTargetsConstZ:
@@ -192,9 +192,8 @@ class TestSuccessProbConstZ:
             0.6, 1.0, 0.55, Plane.xz()
         )
 
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateEnsemble):
-            success_prob(0.5, 1.0, 0.0, Plane.const_z(0.3))
+    def test_degenerate_is_nan(self):
+        assert math.isnan(success_prob(0.5, 1.0, 0.0, Plane.const_z(0.3)))
 
 
 class TestLearnAxisConstZ:

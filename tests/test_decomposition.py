@@ -17,12 +17,7 @@ from povmlearn.decomposition import (
     success_prob,
 )
 from povmlearn.ensemble import EnsembleSpec, RngStream
-from povmlearn.errors import (
-    ContractViolation,
-    CosThetaOutOfRange,
-    DegenerateEnsemble,
-    InvalidPriors,
-)
+from povmlearn.errors import ContractViolation, InvalidPriors
 from povmlearn.helstrom import success_equal_priors
 
 from helpers import circ_diff
@@ -59,9 +54,8 @@ class TestCosTheta:
         # |n| = 1.004 puts the raw cosine at 1.016, inside the 0.02 window.
         assert cos_theta(1.004, 0.5, tol=0.02) == 1.0
 
-    def test_rejects_large_overshoot(self):
-        with pytest.raises(CosThetaOutOfRange):
-            cos_theta(1.2, 0.5, tol=0.02)
+    def test_large_overshoot_is_nan(self):
+        assert math.isnan(cos_theta(1.2, 0.5, tol=0.02))
 
     def test_rejects_bad_priors(self):
         with pytest.raises(InvalidPriors):
@@ -96,13 +90,22 @@ class TestDecompose:
             assert np.allclose(pair.n0, n, atol=1e-12)
             assert np.allclose(pair.n1, n, atol=1e-12)
 
-    def test_degenerate_vector_rejected(self):
-        with pytest.raises(DegenerateEnsemble):
-            decompose([0.0, 0.0, 0.0], 1.0, 0.5, "A")
+    def test_degenerate_vector_gives_nan_states(self):
+        pair = decompose([0.0, 0.0, 0.0], 1.0, 0.5, "A")
+        assert np.isnan(pair.n0[::2]).all() and np.isnan(pair.n1[::2]).all()
 
     def test_bad_case_rejected(self):
         with pytest.raises(ContractViolation):
             decompose([0.5, 0, 0], 1.0, 0.5, "C")
+
+    def test_bad_case_rows_name_the_first(self):
+        # The message is the one the first failing row raises alone.
+        n = np.tile([0.5, 0.0, 0.0], (4, 1))
+        with pytest.raises(ContractViolation) as alone:
+            decompose(n[2], 1.0, 0.5, "C")
+        with pytest.raises(ContractViolation) as rows:
+            decompose(n, 1.0, 0.5, ["A", "B", "C", "D"])
+        assert str(rows.value) == str(alone.value) == "decomposition branch must be 'A' or 'B', got 'C'"
 
     def test_theta_domain_enforced(self):
         with pytest.raises(ContractViolation):
@@ -220,9 +223,8 @@ class TestSuccessProb:
             0.7757435090054174, abs=1e-12
         )
 
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateEnsemble):
-            success_prob(0.5, math.pi, 0.0)
+    def test_degenerate_is_nan(self):
+        assert math.isnan(success_prob(0.5, math.pi, 0.0))
 
     def test_inconsistent_inputs_rejected(self):
         with pytest.raises(ContractViolation):

@@ -45,6 +45,16 @@ class TestConfusionMatrix:
         with pytest.raises(ContractViolation):
             ConfusionMatrix(np.zeros((0, 2, 2)))
 
+    def test_negative_rows_name_the_first(self):
+        # The message is the one the first failing row raises alone.
+        counts = np.tile([[40, 10], [5, 45]], (5, 1, 1))
+        counts[2, 0, 1], counts[4, 1, 0] = -2, -7
+        with pytest.raises(ContractViolation) as alone:
+            ConfusionMatrix(counts[2])
+        with pytest.raises(ContractViolation) as rows:
+            ConfusionMatrix(counts)
+        assert str(rows.value) == str(alone.value) == f"confusion matrix must be nonnegative, got {counts[2]}"
+
 
 class TestClassifyHoldout:
     def test_perfect_discrimination(self):

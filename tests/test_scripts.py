@@ -20,3 +20,12 @@ def test_learn_equal_prior(monkeypatch, capsys):
     assert any(line.startswith("holdout success: ") and line.endswith(" over 1000 qubits") for line in lines)
     assert lines[-1].startswith("closed-form optimum: 0.750000  (z = ")
 
+
+def test_learn_equal_prior_on_weak_data(monkeypatch, capsys):
+    # Near-orthogonal states at a small budget: the readings sit inside the
+    # noise floor, and the script says so instead of failing.
+    args = ("--beta", "1.5", "--shots", "400", "--holdout", "1000", "--seed", "1")
+    lines = run_script(monkeypatch, capsys, "learn_equal_prior.py", *args)
+    assert lines[1] == "weak signal: both readings lie within the 3/sqrt(N) noise floor 0.1500, so alpha_hat below is noise"
+    assert lines[2].startswith("alpha_hat = ")
+    assert lines[-1].startswith("closed-form optimum: ")

@@ -2,9 +2,9 @@
 
 The ground truth of a run or sweep is computed in one array pass over its
 cells.  Each truth function takes one value per row and must give, in every
-row, exactly the bits of the single-value call on that row's values; a row
-where the single-value call raises DegenerateEnsemble is marked instead
-(NaN), and only there.
+row, exactly the bits of the single-value call on that row's values.  That
+holds on degenerate rows too: a cell with no in-plane direction is NaN
+(or gets the placeholder pair) alone just as in a batch.
 """
 
 import itertools
@@ -16,9 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmlearn.bloch import EPS_DEGENERATE, Plane
-from povmlearn.decomposition import decompose, ensemble_vector, mixture_targets, success_prob
-from povmlearn.ensemble import EnsembleSpec
-from povmlearn.errors import ContractViolation, DegenerateEnsemble
+from povmlearn.decomposition import EPS_CLAMP, cos_theta, decompose, ensemble_vector, mixture_targets, success_prob
+from povmlearn.errors import ContractViolation
 from povmlearn.experiment import equal_prior_ensemble, two_fold_cell, two_fold_spec
 from povmlearn.helstrom import success_equal_priors
 
@@ -36,14 +35,6 @@ CASES = ("A", "B")
 
 def bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
-
-
-def single(fn, *args):
-    """fn(*args), or None where it raises DegenerateEnsemble."""
-    try:
-        return fn(*args)
-    except DegenerateEnsemble:
-        return None
 
 
 @pytest.fixture(scope="module", params=["xz", "constz"])
@@ -79,19 +70,25 @@ def test_mixture_targets_success_prob_and_oracle(grid):
     t = mixture_targets(n, theta, eta0, plane)
     ps = success_prob(eta0, theta, r, plane)
     oracle = success_equal_priors(t.m0, t.m1)
+    lost = np.isnan(oracle)
+    assert lost.any() and np.isnan(plane.coords(t.m0)[lost]).all() and np.isnan(ps[lost]).all()
     for k, p in enumerate(planes):
-        t1 = single(mixture_targets, n[k], theta[k], eta0[k], p)
-        ps1 = single(success_prob, eta0[k], theta[k], r[k], p)
-        if t1 is None:
-            assert np.isnan(p.coords(t.m0[k])).all() and np.isnan(p.coords(t.m1[k])).all()
-            assert np.isnan(oracle[k])
-        else:
-            assert bits(t.m0[k]) == bits(t1.m0) and bits(t.m1[k]) == bits(t1.m1)
-            assert bits(oracle[k]) == bits(success_equal_priors(t1.m0, t1.m1))
-        if ps1 is None:
-            assert np.isnan(ps[k])
-        else:
-            assert isinstance(ps1, float) and bits(ps[k]) == bits(ps1)
+        t1 = mixture_targets(n[k], theta[k], eta0[k], p)
+        ps1 = success_prob(eta0[k], theta[k], r[k], p)
+        assert bits(t.m0[k]) == bits(t1.m0) and bits(t.m1[k]) == bits(t1.m1)
+        assert bits(oracle[k]) == bits(success_equal_priors(t1.m0, t1.m1))
+        assert isinstance(ps1, float) and bits(ps[k]) == bits(ps1)
+
+
+def test_cos_theta(grid):
+    # Norms scaled past the slice radius put some rows out of range (NaN).
+    eta0, theta, alpha, plane, planes = grid
+    _, r = ensemble_vector(eta0, theta, alpha, plane)
+    norm = r * np.resize([1.0, 1.05, 1.3], len(r))
+    c = cos_theta(norm, eta0, EPS_CLAMP, plane)
+    assert 0 < np.isnan(c).sum() < len(c)
+    for k, p in enumerate(planes):
+        assert bits(c[k]) == bits(cos_theta(norm[k], eta0[k], EPS_CLAMP, p))
 
 
 @pytest.mark.parametrize("case", ["A", "B", "rows"])
@@ -100,12 +97,10 @@ def test_decompose(grid, case):
     n, _ = ensemble_vector(eta0, theta, alpha, plane)
     cases = [CASES[k % 2] for k in range(len(eta0))] if case == "rows" else [case] * len(eta0)
     pair = decompose(n, theta, eta0, cases if case == "rows" else case, plane)
+    assert np.isnan(plane.coords(pair.n0)).any()
     for k, p in enumerate(planes):
-        one = single(decompose, n[k], theta[k], eta0[k], cases[k], p)
-        if one is None:
-            assert np.isnan(p.coords(pair.n0[k])).all() and np.isnan(p.coords(pair.n1[k])).all()
-        else:
-            assert bits(pair.n0[k]) == bits(one.n0) and bits(pair.n1[k]) == bits(one.n1)
+        one = decompose(n[k], theta[k], eta0[k], cases[k], p)
+        assert bits(pair.n0[k]) == bits(one.n0) and bits(pair.n1[k]) == bits(one.n1)
 
 
 def test_two_fold_cell_marks_exactly_the_degenerate_cells(grid):
@@ -114,14 +109,11 @@ def test_two_fold_cell_marks_exactly_the_degenerate_cells(grid):
     marked = np.isnan(analytic)
     assert 0 < marked.sum() < len(eta0)
     assert (np.isnan(oracle) == marked).all()
+    assert np.isnan(plane.coords(n)[marked]).all()
     for k, p in enumerate(planes):
-        one = single(two_fold_cell, eta0[k], theta[k], alpha[k], p)
-        assert marked[k] == (one is None)
-        if one is None:
-            assert np.isnan(p.coords(n[k])).all()
-        else:
-            assert bits(n[k]) == bits(one[0])
-            assert bits(analytic[k]) == bits(one[1]) and bits(oracle[k]) == bits(one[2])
+        one = two_fold_cell(eta0[k], theta[k], alpha[k], p)
+        assert bits(n[k]) == bits(one[0])
+        assert bits(analytic[k]) == bits(one[1]) and bits(oracle[k]) == bits(one[2])
 
 
 def test_two_fold_spec_rows_and_placeholder(grid):
@@ -134,14 +126,11 @@ def test_two_fold_spec_rows_and_placeholder(grid):
     assert np.isnan(analytic).any()
     for k, p in enumerate(planes):
         if np.isnan(analytic[k]):
-            with pytest.raises(DegenerateEnsemble):
-                two_fold_spec(two_fold_cell(0.5, math.pi, alpha[k], p)[0], 0.5, math.pi, cases[k], p)
             spot = p.embed([math.sqrt(p.radius_sq), 0.0])
             assert bits(spec.psi0[k]) == bits(spot) and bits(spec.psi1[k]) == bits(spot)
-        else:
-            one = two_fold_spec(two_fold_cell(eta0[k], theta[k], alpha[k], p)[0], eta0[k], theta[k], cases[k], p)
-            assert bits(spec.psi0[k]) == bits(one.psi0) and bits(spec.psi1[k]) == bits(one.psi1)
-            assert spec.eta0[k] == one.eta0
+        one = two_fold_spec(two_fold_cell(eta0[k], theta[k], alpha[k], p)[0], eta0[k], theta[k], cases[k], p)
+        assert bits(spec.psi0[k]) == bits(one.psi0) and bits(spec.psi1[k]) == bits(one.psi1)
+        assert spec.eta0[k] == one.eta0
 
 
 @given(
@@ -155,16 +144,21 @@ def test_near_antipodal_cells_build_both_branches(eta0, theta, alpha, nz):
     # Near eta0 = 1/2 and theta = pi, |u| is small and must carry full
     # relative precision: every cell past EPS_DEGENERATE then decomposes
     # into unit states (the spec checks them) with a target of at most 1.
+    # Every cell, degenerate or not, has the bits of its row in a batch.
     plane = Plane.xz() if nz is None else Plane.const_z(nz)
+    rows = Plane.xz() if nz is None else Plane.const_z([nz, nz])
     _, r = ensemble_vector(eta0, theta, alpha, plane)
+    cell = (np.array([eta0, 0.7]), np.array([theta, 1.0]))
+    one, batch = two_fold_cell(eta0, theta, alpha, plane), two_fold_cell(*cell, np.array([alpha, 0.3]), rows)
+    assert all(bits(b[0]) == bits(o) for b, o in zip(batch, one))
+    n, analytic, _ = one
     if r <= EPS_DEGENERATE:
-        with pytest.raises(DegenerateEnsemble):
-            two_fold_cell(eta0, theta, alpha, plane)
-        return
-    n, analytic, _ = two_fold_cell(eta0, theta, alpha, plane)
-    assert analytic == success_prob(eta0, theta, r, plane) <= 1.0
+        assert np.isnan(analytic)
+    else:
+        assert analytic == success_prob(eta0, theta, r, plane) <= 1.0
     for case in CASES:
-        two_fold_spec(n, eta0, theta, case, plane)
+        spec, spec_rows = two_fold_spec(n, eta0, theta, case, plane), two_fold_spec(batch[0], *cell, [case] * 2, rows)
+        assert bits(spec_rows.psi0[0]) == bits(spec.psi0) and bits(spec_rows.psi1[0]) == bits(spec.psi1)
 
 
 def test_success_equal_priors_on_any_rows():
@@ -196,28 +190,3 @@ def test_batch_contract_errors_still_raise():
         mixture_targets(n * np.array([[1.0], [3.0]]), theta, eta0)
     with pytest.raises(ContractViolation, match="exceeds 1"):
         success_prob(eta0, np.array([1.5, 1.5]), np.array([0.5, 0.01]))
-
-
-class TestValueEquality:
-    """Planes and specs holding arrays compare by value and hash alike."""
-
-    def test_planes_with_offset_rows(self):
-        a, b = Plane.const_z(np.array([0.1, -0.2])), Plane.const_z(np.array([0.1, -0.2]))
-        assert a == b and hash(a) == hash(b)
-        assert a != Plane.const_z(np.array([0.1, 0.2]))
-        assert a != Plane.const_z(0.1) and Plane.const_z(0.1) == Plane.const_z(0.1)
-        assert Plane.xz() != Plane.const_z(0.0)
-        assert len({a, b, Plane.xz(), Plane.xz()}) == 2
-
-    def test_specs(self):
-        eta0 = np.array([0.6, 0.3])
-        n, _, _ = two_fold_cell(eta0, np.array([1.0, 2.0]), np.array([0.5, 4.0]), Plane.const_z(np.array([0.2, 0.4])))
-        args = (n, eta0, np.array([1.0, 2.0]), ["A", "B"], Plane.const_z(np.array([0.2, 0.4])))
-        s, t = two_fold_spec(*args), two_fold_spec(*args)
-        assert s is not t and s == t and hash(s) == hash(t)
-        assert s != two_fold_spec(n, eta0, np.array([1.0, 2.0]), ["B", "B"], args[4])
-        assert s != EnsembleSpec(0.6, s.psi0[0], s.psi1[0], Plane.const_z(0.2))
-        one = two_fold_spec(n[0], 0.6, 1.0, "A", Plane.const_z(0.2))
-        assert one == two_fold_spec(n[0], 0.6, 1.0, "A", Plane.const_z(0.2))
-        assert one != two_fold_spec(n[0], 0.6, 1.0, "B", Plane.const_z(0.2))
-        assert (s == "spec") is False
