@@ -35,7 +35,6 @@ measurements.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import math
 import sys
@@ -165,6 +164,9 @@ class ExperimentConfig:
                 raise ContractViolation(f"{name} must be an integer, got {value!r}")
             if name != "seed" and value < 1:
                 raise ContractViolation(f"{name} must be >= 1, got {value}")
+            # numpy's binomial draws take a budget as a signed 64-bit integer.
+            if name.startswith("shots") and value >= 2**63:
+                raise ContractViolation(f"{name} must be < 2**63, got {value}")
         check_seed(self.seed)
         for name in _DOMAINS:
             _check_field(self.scenario, name, getattr(self, name))
@@ -429,6 +431,15 @@ def _kind(t: type) -> str:
     return "float"
 
 
+def _is_shared(column: list) -> bool:
+    """Whether every cell of a column is written as its first is: all equal,
+    of one type, and of one sign at zero (0.0 == -0.0, 1 == 1.0)."""
+    first = column[0]
+    if column.count(first) != len(column) or len(set(map(type, column))) > 1:
+        return False
+    return bool(first) or _kind(type(first)) != "float" or len({math.copysign(1.0, x) for x in column}) == 1
+
+
 # CSV: empty for None (%.0s consumes the cell and writes nothing), strings
 # as they are, integers in full, anything else as a float at 12
 # significant digits.  No cell needs quoting: floats and integers hold no
@@ -436,10 +447,11 @@ def _kind(t: type) -> str:
 _CSV_SPEC = {"null": "%.0s", "str": "%s", "int": "%d", "float": "%.12g"}
 
 
-@functools.cache
-def _csv_template(types: tuple) -> str:
-    """The %-template of a CSV line whose cells have these types."""
-    return ",".join(_CSV_SPEC[_kind(t)] for t in types)
+def _csv_template(shared: list, types: tuple) -> str:
+    """The %-template of a CSV line: the text of each shared cell (None
+    where a column varies), then the spec of each varying cell's type."""
+    varying = iter(types)
+    return ",".join(_CSV_SPEC[_kind(next(varying))] if text is None else text for text in shared)
 
 
 # JSON: the text json.dumps(indent=2) writes for each cell; a float is the
@@ -469,13 +481,25 @@ _JSON_CELL = {
     "int": "%d".__mod__,
     "float": _json_float,
 }
+# A column of one kind (and None) is written in one comprehension; a float
+# '%.12g' text with a point and no exponent is already its JSON text.
+_JSON_COLUMN = {
+    "str": lambda c: ["null" if v is None else encode_basestring_ascii(v) for v in c],
+    "int": lambda c: ["null" if v is None else "%d" % v for v in c],
+    "float": lambda c: [
+        "null" if v is None else t if "." in (t := "%.12g" % v) and "e" not in t else _json_float(v) for v in c
+    ],
+}
 _JSON_OBJECT = "  {\n" + ",\n".join(f"    {encode_basestring_ascii(k)}: %s" for k in CSV_COLUMNS) + "\n  }"
 
 
-@functools.cache
-def _json_writers(types: tuple) -> tuple:
-    """The function writing each cell of a JSON object whose cells have these types."""
-    return tuple(_JSON_CELL[_kind(t)] for t in types)
+def _json_column(column: list) -> list:
+    """The JSON text of each cell of a column."""
+    kinds = {_kind(t) for t in set(map(type, column))} - {"null"}
+    if len(kinds) == 1:
+        return _JSON_COLUMN[kinds.pop()](column)
+    # Cells of several kinds (an integer in a float field): each by its own.
+    return [_JSON_CELL[_kind(type(v))](v) for v in column]
 
 
 def render_results(columns: dict[str, list], fmt: str = "csv") -> str:
@@ -484,8 +508,10 @@ def render_results(columns: dict[str, list], fmt: str = "csv") -> str:
     inapplicable values.
 
     The bytes are those of csv.writer (lineterminator "\\n") and of
-    json.dumps(indent=2) over the rows' cells.  Each row is written in one
-    pass, through a template chosen by the types of its cells."""
+    json.dumps(indent=2) over the rows' cells.  A column whose cells are
+    all written alike is written once, into the row template; each row is
+    then one %-format over its varying cells.  CSV picks its template by
+    the types of those cells, JSON formats them a column at a time."""
     table = [columns[name] for name in CSV_COLUMNS]
     if len(set(map(len, table))) > 1:
         raise ContractViolation("the columns of a result record differ in length")
@@ -493,20 +519,25 @@ def render_results(columns: dict[str, list], fmt: str = "csv") -> str:
         raise ContractViolation("no result rows to emit")
     if fmt not in FORMATS:
         raise ContractViolation(f"format must be one of {FORMATS}, got {fmt!r}")
-    cells = zip(*table)
+    write = (lambda v: _CSV_SPEC[_kind(type(v))] % v) if fmt == "csv" else (lambda v: _JSON_CELL[_kind(type(v))](v))
+    # The text of each shared column, % escaped for the row template.
+    shared = [write(c[0]).replace("%", "%%") if _is_shared(c) else None for c in table]
+    varying = [c for c, text in zip(table, shared) if text is None]
+    # With no varying column, every row is the template itself.
     if fmt == "csv":
+        rows = list(zip(*varying)) if varying else [()] * len(table[0])
+        types = [tuple(map(type, c)) for c in rows]
+        templates = {t: _csv_template(shared, t) for t in set(types)}
         lines = [",".join(CSV_COLUMNS)]
-        lines += [_csv_template(tuple(map(type, c))) % c for c in cells]
+        lines += [templates[t] % c for t, c in zip(types, rows)]
         text = "\n".join(lines) + "\n"
         # A comma, quote or newline inside a string cell would need CSV quoting.
         if text.count(",") != len(lines) * (len(CSV_COLUMNS) - 1) or '"' in text or text.count("\n") != len(lines):
             raise ContractViolation("a string cell holds a comma, quote or newline")
         return text
-    objects = [
-        _JSON_OBJECT % tuple([write(v) for write, v in zip(_json_writers(tuple(map(type, c))), c)])
-        for c in cells
-    ]
-    return "[\n" + ",\n".join(objects) + "\n]\n"
+    template = _JSON_OBJECT % tuple("%s" if text is None else text for text in shared)
+    rows = zip(*map(_json_column, varying)) if varying else [()] * len(table[0])
+    return "[\n" + ",\n".join([template % c for c in rows]) + "\n]\n"
 
 
 def emit_results(columns: dict[str, list], fmt: str = "csv", path: str | None = None) -> None:

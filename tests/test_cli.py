@@ -333,6 +333,20 @@ class TestUsage:
         assert code == 2
         assert "alpha" in err
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("flag", ["--shots-learn", "--shots-holdout"])
+    def test_shot_budget_past_int64_is_config_error(self, capsys, tmp_path, command, flag):
+        # numpy's binomial draws cannot take it; 2**63 - 1 still runs.
+        path = tmp_path / "rows.csv"
+        code, out, err = run_cli(capsys, command, flag, str(2**63), "--trials", "1", "--out", str(path))
+        assert code == 2
+        assert err == f"error: {flag[2:].replace('-', '_')} must be < 2**63, got {2**63}\n"
+        assert out == ""
+        assert not path.exists()
+        code, _, _ = run_cli(capsys, command, flag, str(2**63 - 1), "--trials", "1", "--out", str(path))
+        assert code == 0
+        assert path.exists()
+
     def test_library_bug_is_not_a_config_error(self, monkeypatch):
         # Only DiscriminationError maps to exit 2; anything else is a bug and
         # must surface with its traceback.

@@ -2,10 +2,12 @@
 
 The reference is the straightforward one: the record's rows, each a
 namespace of cells, then csv.writer or json.dumps(indent=2).  render_results
-writes each row of a columns record in one pass through a template chosen
-by the types of its cells, and must give the same bytes for every row,
-including every pattern of empty cells the four statuses produce and floats
-at the edges of the double range.
+works a column at a time: it writes a column whose cells are all written
+alike once, into the row template, and fills that template row by row with
+the cells of the other columns.  It must give the same bytes for every record,
+including every pattern of empty cells the four statuses produce, floats at
+the edges of the double range, and columns whose cells are equal but not
+written alike (0.0 and -0.0, 1 and 1.0).
 """
 
 import csv
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from povmlearn.cli import _config_and_grid, build_parser
 from povmlearn.errors import ContractViolation
 from povmlearn.experiment import (
     CSV_COLUMNS,
@@ -29,9 +32,11 @@ from povmlearn.experiment import (
     _json_float,
     render_results,
     run_experiment,
+    sweep,
 )
 
 from helpers import as_rows
+from test_golden import GOLDEN_RUNS
 
 
 def columns_of(rows) -> dict:
@@ -141,6 +146,32 @@ def test_program_rows_match_reference(fmt):
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_run_records_match_reference_in_both_formats(fmt, name):
+    # The goldens pin one format per record; this checks the other too.
+    config, grid = _config_and_grid(build_parser().parse_args(GOLDEN_RUNS[name]))
+    columns = sweep(config, grid)
+    assert render_results(columns, fmt) == reference_render(columns, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize(
+    "config, statuses",
+    [
+        (ExperimentConfig(scenario="const-z", eta0=0.6, theta=1.2, nz=0.4, trials=10_000, seed=3), 1),
+        # Near-antipodal at 20 shots per axis: rows of all four statuses.
+        (ExperimentConfig(scenario="const-z", eta0=0.5, theta=math.pi - 0.3, nz=0.3, shots_learn=20,
+                          shots_holdout=10, trials=10_000, seed=1), 4),
+    ],
+    ids=["ok", "every-status"],
+)
+def test_long_run_matches_reference(fmt, config, statuses):
+    columns = run_experiment(config)
+    assert len(set(columns["status"])) == statuses
+    assert render_results(columns, fmt) == reference_render(columns, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("column", ["trial", "axis_y", "status"])
 def test_columns_of_different_lengths_are_rejected(fmt, column):
     # zip would drop the rows past the shortest column without a word.
@@ -203,6 +234,60 @@ def trial_rows(draw) -> SimpleNamespace:
 def test_generated_rows_match_reference(columns):
     for fmt in FORMATS:
         assert render_results(columns, fmt) == reference_render(columns, fmt)
+
+
+# --- repeated values ---------------------------------------------------------
+# A column whose cells are all written alike is written once.  Equal cells
+# are not always written alike: 0.0 and -0.0, 1 and 1.0 (and np.int64(1)
+# and np.float64(1.0)) compare equal, and NaN is not equal to itself, even
+# when one NaN object fills a column.  The strings hold a '%' for the row
+# template to escape.
+
+_NAN = math.nan
+POOL = (0.0, -0.0, 1, 1.0, np.int64(1), np.float64(1.0), _NAN, np.float64("nan"), None, 0.5, "A", "5%", "%s")
+pool_cells = st.sampled_from(POOL) | st.builds(float, st.just("nan"))
+
+
+@st.composite
+def repeated_records(draw) -> dict:
+    """A record of 1-40 rows whose every column holds two cells of POOL (or
+    a NaN of its own), each object in the rows a bit mask picks, so that
+    many columns repeat one value or one object."""
+    n = draw(st.integers(1, 40))
+    columns = {}
+    for name in CSV_COLUMNS:
+        first, other, mask = draw(pool_cells), draw(pool_cells), draw(st.integers(0, 2**n - 1))
+        columns[name] = [other if mask >> i & 1 else first for i in range(n)]
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_records())
+def test_records_with_repeated_values_match_reference(columns):
+    for fmt in FORMATS:
+        assert render_results(columns, fmt) == reference_render(columns, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("rows", [1, 50])
+def test_all_shared_record(fmt, rows):
+    # No column varies, trial included: every row is the template itself.
+    for r in status_rows():
+        columns = {k: [getattr(r, k)] * rows for k in CSV_COLUMNS}
+        assert render_results(columns, fmt) == reference_render(columns, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize(
+    "first, last",
+    [(0.0, -0.0), (-0.0, 0.0), (1.0, 1), (1, 1.0), (np.float64(1.0), np.int64(1)), (0.5, None), (None, 0.5),
+     ("A", "B"), (_NAN, float("nan"))],
+)
+def test_column_shared_but_for_its_last_row(fmt, first, last):
+    base = {k: [getattr(status_rows()[0], k)] * 50 for k in CSV_COLUMNS}
+    for name in CSV_COLUMNS:
+        columns = {**base, name: [first] * 49 + [last]}
+        assert render_results(columns, fmt) == reference_render(columns, fmt), name
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64("nan"), -0.0, 1.0, 5e-324])
