@@ -7,9 +7,12 @@ is built, and is immutable afterwards: its fields are read-only copies of
 the caller's values.  Learners never see the ground truth directly; they
 only get measurement counts.  Every simulated shot consumes one fresh
 ensemble member, so the qubit budget of a procedure is the sum of its
-measurement sizes.  One sampler, EnsembleSpec.sample, draws those members
-for learning (expectation, estimate_pauli) and for holdout classification
-alike, as one array per draw over the rows of a batch.
+measurement sizes.  A learner sees unlabeled members, each in the mixture
+state rho = eta0 rho0 + eta1 rho1, so EnsembleSpec.expectation (and
+estimate_pauli) draws a +1 count as one binomial from the ensemble Bloch
+vector.  Holdout classification needs the hidden labels for scoring, so
+EnsembleSpec.sample draws the label split and a +1 count per label.  Each
+draw is one array over the rows of a batch.
 
 Randomness is addressed by (seed, stream id): RngStream builds a stream's
 generator as PCG64 seeded by numpy's SeedSequence(seed, spawn_key=(id,)),
@@ -112,8 +115,22 @@ class EnsembleSpec:
             psi.flags.writeable = False
             object.__setattr__(self, name, psi)
 
+    def _checked(self, axis, shots: int, what: str):
+        """A unit measurement axis, broadcast to one per row for a batch,
+        and a shot budget of at least 1."""
+        axis = np.asarray(axis, dtype=float)
+        if axis.shape != self.psi0.shape:
+            if axis.shape != (3,):
+                raise ContractViolation(f"{what} must be one 3-vector or one per row, got shape {axis.shape}")
+            axis = np.broadcast_to(axis, self.psi0.shape)
+        axis = check_unit(axis, what)
+        shots = int(shots)
+        if shots < 1:
+            raise ContractViolation(f"shots must be >= 1, got {shots}")
+        return axis, shots
+
     def sample(self, axis, shots: int, rng, what: str = "measurement axis"):
-        """Measure `shots` fresh members along a unit axis; return
+        """Measure `shots` fresh labelled members along a unit axis; return
         (k0, c0_plus, c1_plus): how many carry label 0, and the +1 outcomes
         among the label-0 and the label-1 members.
 
@@ -126,30 +143,31 @@ class EnsembleSpec:
         along one axis or along one axis per row (every row's axis is
         checked); a single ensemble draws three numbers.
         """
-        axis = np.asarray(axis, dtype=float)
-        if axis.shape != self.psi0.shape:
-            if axis.ndim != 1:
-                raise ContractViolation(f"{what} must be one 3-vector or one per row, got shape {axis.shape}")
-            axis = np.broadcast_to(axis, self.psi0.shape)
-        axis = check_unit(axis, what)
-        shots = int(shots)
-        if shots < 1:
-            raise ContractViolation(f"shots must be >= 1, got {shots}")
+        axis, shots = self._checked(axis, shots, what)
         split, label0, label1 = _draw_generators(rng)
         k0 = split.binomial(shots, self.eta0)
         c0_plus = label0.binomial(k0, prob_plus_unchecked(axis, self.psi0))
         return k0, c0_plus, label1.binomial(shots - k0, prob_plus_unchecked(axis, self.psi1))
 
-    def expectation(self, axis, shots: int, rng):
+    def expectation(self, axis, shots: int, rng: np.random.Generator):
         """Empirical expectation (n_plus - n_minus)/shots of `shots` fresh
-        members measured along a unit axis (sample), per row for a batch."""
-        _, c0_plus, c1_plus = self.sample(axis, shots, rng)
-        return (2 * (c0_plus + c1_plus) - shots) / shots
+        unlabeled members measured along a unit axis, per row for a batch.
+
+        Each member is in the mixture state, so the +1 count is one draw of
+        Binomial(shots, (1 + axis.n)/2) with n = eta0 psi0 + eta1 psi1: the
+        distribution of sample's c0_plus + c1_plus, from one binomial call
+        on the single generator `rng`.
+        """
+        axis, shots = self._checked(axis, shots, "measurement axis")
+        eta0 = np.asarray(self.eta0)[..., None]
+        n = eta0 * self.psi0 + (1.0 - eta0) * self.psi1
+        return (2 * rng.binomial(shots, prob_plus_unchecked(axis, n)) - shots) / shots
 
 
 def _draw_generators(rng) -> tuple:
     """The (label split, label-0 count, label-1 count) generators of one
-    measurement: a single generator serves all three draws."""
+    labelled measurement (sample): a single generator serves all three
+    draws."""
     if isinstance(rng, np.random.Generator):
         return rng, rng, rng
     gens = tuple(rng)
@@ -159,14 +177,13 @@ def _draw_generators(rng) -> tuple:
 
 
 def role_generators(rng, count: int) -> list:
-    """One entry per measuring role (axis or setting), in order: a single
-    generator serves every role, otherwise `rng` holds `count` entries, each
-    a generator or a per-draw triple (_draw_generators)."""
+    """One generator per learning role (axis or setting), in order: a single
+    generator serves every role, otherwise `rng` holds `count` generators."""
     if isinstance(rng, np.random.Generator):
         return [rng] * count
     entries = list(rng)
     if len(entries) != count:
-        raise ContractViolation(f"expected {count} generators or triples, one per axis, got {len(entries)}")
+        raise ContractViolation(f"expected {count} generators, one per axis, got {len(entries)}")
     return entries
 
 
@@ -185,9 +202,10 @@ def estimate_pauli(spec: EnsembleSpec, shots_per_axis: int, rng) -> np.ndarray:
 
     The x-z plane needs two axes (x, z); the y estimate is pinned to zero by
     the plane constraint.  A constant-z plane measures all of x, y, z and
-    retains the measured z alongside the in-plane part.  `rng` is one
-    generator or one entry per axis in axis order (role_generators), which
-    lets callers give each axis, or each draw, an independent stream.
+    retains the measured z alongside the in-plane part.  Each axis draws one
+    binomial (EnsembleSpec.expectation).  `rng` is one generator or one per
+    axis in axis order (role_generators), which lets callers give each axis
+    an independent stream.
     """
     axes = pauli_axes(spec.plane)
     means = [spec.expectation(axis, shots_per_axis, g) for axis, g in zip(axes, role_generators(rng, len(axes)))]

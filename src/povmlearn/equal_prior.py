@@ -87,8 +87,8 @@ def learn_equal_prior(
     """Measure at phi0 and phi0 + pi/4, then invert to the optimal setting.
 
     Requires a 50/50 x-z plane ensemble and consumes 2 * shots_per_setting
-    qubits per row.  `rng` may be one generator or a pair, one entry per
-    setting (each a generator or a per-draw triple).  The returned
+    qubits per row, one binomial per setting (EnsembleSpec.expectation).
+    `rng` may be one generator or a pair, one per setting.  The returned
     phi_star = alpha_hat/2 + pi/4 is reported modulo pi; the projector pair
     is invariant under phi -> phi + pi.  `weak` marks the readings at or
     below the noise floor weak_signal_threshold(shots_per_setting), one

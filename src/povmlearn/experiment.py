@@ -6,13 +6,16 @@ rows, and statuses are masks (degenerate_ensemble per cell, or per row
 when an estimate has no in-plane direction; weak_signal and
 cos_theta_out_of_range per row).  A run is the one-cell sweep.
 
-Randomness follows stream layout v2: one stream per (role, draw), each
+Randomness follows stream layout v3: one stream per (role, draw), each
 drawing one array over all rows in row order, and every row draws from
 every stream of its scenario whatever its status (rows that report
-nothing draw with placeholder states or axes).  Row k therefore depends on
-the rows before it, never on those after it, so a run's leading rows are
-those of any shorter run with the same seed, and reruns are
-byte-identical.
+nothing draw with placeholder states or axes).  Row k therefore depends
+on the rows before it, never on those after it, so a run's leading rows
+are those of any shorter run with the same seed, and reruns are
+byte-identical.  The learner sees only unlabeled qubits in the mixture
+state, so each learning axis or setting draws one binomial per row; the
+holdout draws the label split and the two per-label counts, because
+scoring needs the hidden labels.
 
 Ground truth (the hidden spec, the closed-form success and the oracle
 value) is fixed by a cell's parameters and the row's case, and is never
@@ -27,7 +30,7 @@ swept parameter, each checked once.
 The two-fold scenarios share one pipeline on a Plane: unequal-prior-xz
 runs it on the x-z plane, const-z on the slice z = nz, and the scenario
 only chooses the plane.  The slice pipeline measures one extra axis (z),
-whose streams come after the two in-plane ones, so at nz = 0 it draws
+whose stream comes after the two in-plane ones, so at nz = 0 it draws
 exactly the counts of the x-z pipeline for the corresponding
 measurements.
 """
@@ -90,14 +93,16 @@ CSV_COLUMNS = (
     "status",
 )
 
-# Stream layout v2: one stream per (role, draw), with stream id
+# Stream layout v3: one stream per (role, draw), with stream id
 # len(_DRAWS) * (index of the role in _ROLES) + draw.  The case role draws
-# one uniform per row; a measuring role draws the label split, the label-0
-# +1 count and the label-1 +1 count (EnsembleSpec.sample).  Measured axes
-# take axis0, axis1, axis2 in pauli_axes order (or the two angle settings),
-# so the slice pipeline's extra z measurement has its own streams and the
-# nz = 0 reduction stays exact count for count.  Each stream draws one
-# array over all rows of a run or sweep, in row order.
+# one uniform per row and a learning role the +1 count of its unlabeled
+# qubits (EnsembleSpec.expectation), both as draw 0; the holdout draws the
+# label split, the label-0 +1 count and the label-1 +1 count
+# (EnsembleSpec.sample).  Learning axes take axis0, axis1, axis2 in
+# pauli_axes order (or the two angle settings), so the slice pipeline's
+# extra z measurement has its own stream and the nz = 0 reduction stays
+# exact count for count.  Each stream draws one array over all rows of a
+# run or sweep, in row order.
 _ROLES = ("case", "axis0", "axis1", "axis2", "holdout")
 _DRAWS = ("split", "label0", "label1")
 
@@ -215,13 +220,18 @@ def two_fold_spec(n, eta0, theta, case, plane: Plane = _XZ) -> EnsembleSpec:
     return EnsembleSpec(eta0, psi0, psi1, plane)
 
 
-def _role_streams(seed: int, roles: Sequence[str]) -> dict[str, tuple]:
-    """The generators of each role, by draw: one for the case role, three
-    for a measuring role, each the RngStream of its layout-v2 id."""
-    draws = [1 if role == "case" else len(_DRAWS) for role in roles]
-    ids = [len(_DRAWS) * _ROLES.index(role) + d for role, k in zip(roles, draws) for d in range(k)]
-    gens = iter([RngStream(seed, i).generator() for i in ids])
-    return {role: tuple(itertools.islice(gens, k)) for role, k in zip(roles, draws)}
+def _role_streams(seed: int, roles: Sequence[str]) -> dict:
+    """The generator of each role, the RngStream of its layout-v3 id: one
+    (draw 0) for the case role and each learning role, the (split, label-0,
+    label-1) triple for the holdout."""
+
+    def stream(role: str, draw: int) -> np.random.Generator:
+        return RngStream(seed, len(_DRAWS) * _ROLES.index(role) + draw).generator()
+
+    return {
+        role: tuple(stream(role, d) for d in range(len(_DRAWS))) if role == "holdout" else stream(role, 0)
+        for role in roles
+    }
 
 
 def _masked(keep: list, values) -> list:
@@ -304,7 +314,7 @@ def _two_fold_rows(grid: _Grid) -> dict:
     constz = base.scenario == "const-z"
     axis_roles = ("axis0", "axis1", "axis2") if constz else ("axis0", "axis1")
     streams = _role_streams(base.seed, ("case", *axis_roles, "holdout"))
-    case = np.where(streams["case"][0].random(len(cell_of)) >= 0.5, "B", "A")
+    case = np.where(streams["case"].random(len(cell_of)) >= 0.5, "B", "A")
     # Truth: the case-independent part in one array pass over the cells,
     # the hidden spec in one over the rows.  A degenerate cell has NaN truth,
     # and its rows draw with a placeholder pair.
@@ -481,13 +491,19 @@ _JSON_CELL = {
     "int": "%d".__mod__,
     "float": _json_float,
 }
-# A column of one kind (and None) is written in one comprehension; a float
-# '%.12g' text with a point and no exponent is already its JSON text.
+# A column of one kind (and None) is written in one comprehension.  A float
+# '%.12g' text with a point and no exponent is already its JSON text, and
+# one with neither (nor the n of nan or inf) is a whole number that only
+# lacks its '.0' (_json_float).
 _JSON_COLUMN = {
     "str": lambda c: ["null" if v is None else encode_basestring_ascii(v) for v in c],
     "int": lambda c: ["null" if v is None else "%d" % v for v in c],
     "float": lambda c: [
-        "null" if v is None else t if "." in (t := "%.12g" % v) and "e" not in t else _json_float(v) for v in c
+        "null" if v is None
+        else t if "." in (t := "%.12g" % v) and "e" not in t
+        else t + ".0" if "e" not in t and "n" not in t
+        else _json_float(v)
+        for v in c
     ],
 }
 _JSON_OBJECT = "  {\n" + ",\n".join(f"    {encode_basestring_ascii(k)}: %s" for k in CSV_COLUMNS) + "\n  }"

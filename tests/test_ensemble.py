@@ -29,8 +29,8 @@ def batch(spec, count):
     return EnsembleSpec(rows, np.tile(spec.psi0, (count, 1)), np.tile(spec.psi1, (count, 1)), spec.plane)
 
 
-class SplitRecorder:
-    """Stands in for the label-split generator and records each draw's shots."""
+class BinomialRecorder:
+    """Stands in for a learning generator and records each binomial's n."""
 
     def __init__(self, gen):
         self.gen, self.shots = gen, []
@@ -41,12 +41,8 @@ class SplitRecorder:
 
 
 def recorded(seed, axes):
-    """Per-axis (split, label-0, label-1) triples whose split draws are recorded."""
-    entries = []
-    for k in range(axes):
-        g = RngStream(seed, k).generator()
-        entries.append((SplitRecorder(g), g, g))
-    return entries
+    """One recording generator per axis."""
+    return [BinomialRecorder(RngStream(seed, k).generator()) for k in range(axes)]
 
 
 class TestEnsembleSpec:
@@ -164,9 +160,14 @@ class TestSample:
     def test_axis_per_row_only_for_a_batch_of_as_many_rows(self):
         axes = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         for spec in (xz_spec(), batch(xz_spec(), 3)):
-            with pytest.raises(ContractViolation, match="one per row"):
-                spec.sample(axes, 10, RngStream(0).generator())
+            # A unit 2-vector is no axis either, alone or for a batch.
+            for bad in (axes, axes[0, :2]):
+                with pytest.raises(ContractViolation, match="one per row"):
+                    spec.sample(bad, 10, RngStream(0).generator())
+                with pytest.raises(ContractViolation, match="one per row"):
+                    spec.expectation(bad, 10, RngStream(0).generator())
         assert batch(xz_spec(), 2).sample(axes, 10, RngStream(0).generator())[0].shape == (2,)
+        assert batch(xz_spec(), 2).expectation(axes, 10, RngStream(0).generator()).shape == (2,)
 
 
 class TestEnsembleBloch:
@@ -302,6 +303,35 @@ class TestMeasureShots:
         freq = (c0_plus + c1_plus) / 10_000
         assert np.sum(np.abs(freq - p) <= 5 * math.sqrt(p * (1 - p) / 10_000)) >= 99
 
+    @pytest.mark.parametrize(
+        "spec, axis",
+        [
+            (xz_spec(eta0=0.7, g0=0.2, g1=1.3), bloch_from_state_angle(2.2)),
+            (
+                EnsembleSpec(0.3, [math.sqrt(0.84), 0, 0.4], [0, math.sqrt(0.84), 0.4], Plane.const_z(0.4)),
+                np.array([0.6, -0.8, 0.0]),
+            ),
+        ],
+        ids=["xz", "const-z"],
+    )
+    def test_mixture_draw_has_the_labelled_distribution(self, spec, axis):
+        # The +1 count of N unlabeled members (expectation, one binomial from
+        # the ensemble Bloch vector) and the labelled c0_plus + c1_plus
+        # (sample) are both Binomial(N, eta0 p0 + eta1 p1).  Over 10^5 rows at
+        # N = 8, each histogram's chi-squared against that pmf (9 bins, 8
+        # degrees of freedom) stays below 26.12, its 0.1% tail.
+        shots, rows = 8, 100_000
+        p0, p1 = (0.5 + 0.5 * float(np.dot(axis, psi)) for psi in (spec.psi0, spec.psi1))
+        p = spec.eta0 * p0 + (1 - spec.eta0) * p1
+        expected = rows * np.array([math.comb(shots, k) * p**k * (1 - p) ** (shots - k) for k in range(shots + 1)])
+        assert expected.min() >= 5
+        many = batch(spec, rows)
+        mixture = np.rint((many.expectation(axis, shots, RngStream(21, 0).generator()) + 1) * shots / 2)
+        _, c0_plus, c1_plus = many.sample(axis, shots, RngStream(21, 1).generator())
+        for counts in (mixture.astype(int), c0_plus + c1_plus):
+            observed = np.bincount(counts, minlength=shots + 1)
+            assert float(np.sum((observed - expected) ** 2 / expected)) < 26.12
+
     def test_determinism(self):
         spec = batch(xz_spec(), 6)
         a = spec.sample([1, 0, 0], 1000, RngStream(5, 2).generator())
@@ -331,7 +361,7 @@ class TestEstimatePauli:
         gens = recorded(1, 2)
         n_hat = estimate_pauli(xz_spec(), 1000, gens)
         assert n_hat[1] == 0.0
-        assert [g[0].shots for g in gens] == [[1000], [1000]]
+        assert [g.shots for g in gens] == [[1000], [1000]]
         assert np.all(estimate_pauli(batch(xz_spec(), 4), 1000, RngStream(1).generator())[:, 1] == 0.0)
 
     def test_constz_measures_three_axes(self):
@@ -341,7 +371,7 @@ class TestEstimatePauli:
         gens = recorded(2, 3)
         n_hat = estimate_pauli(spec, 1000, gens)
         assert n_hat.shape == (3,)
-        assert [g[0].shots for g in gens] == [[1000]] * 3
+        assert [g.shots for g in gens] == [[1000]] * 3
 
     def test_component_error_bound(self):
         spec = xz_spec(eta0=0.5, g0=0.3, g1=1.1)
@@ -367,6 +397,7 @@ class TestEstimatePauli:
             estimate_pauli(xz_spec(), 100, [RngStream(0).generator()])
 
     def test_budget_accounting_is_exact(self):
+        # One binomial of the whole per-axis budget on each axis.
         gens = recorded(4, 2)
         estimate_pauli(batch(xz_spec(), 3), 1234, gens)
-        assert sum(sum(g[0].shots) for g in gens) == 2 * 1234
+        assert [g.shots for g in gens] == [[1234], [1234]]

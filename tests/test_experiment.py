@@ -347,16 +347,16 @@ def head(columns: dict, count: int) -> dict:
 
 def streams_built_alone(seed, roles):
     """Stand-in for experiment._role_streams that builds each stream on its
-    own, straight from numpy's SeedSequence, at its layout-v2 id:
-    3 * role index + draw, for the roles case, axis0, axis1, axis2, holdout."""
+    own, straight from numpy's SeedSequence, at its layout-v3 id:
+    3 * role index + draw, for the roles case, axis0, axis1, axis2, holdout.
+    The holdout takes draws 0, 1 and 2 as a triple, every other role draw 0
+    as one generator."""
     order = ("case", "axis0", "axis1", "axis2", "holdout")
-    return {
-        role: tuple(
-            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3 * order.index(role) + draw,)))
-            for draw in range(1 if role == "case" else 3)
-        )
-        for role in roles
-    }
+
+    def stream(role, draw):
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3 * order.index(role) + draw,)))
+
+    return {role: tuple(stream(role, d) for d in range(3)) if role == "holdout" else stream(role, 0) for role in roles}
 
 
 class _WeakGenerator(np.random.Generator):
@@ -406,8 +406,9 @@ class TestResultRecord:
 
 
 class TestStreamLayout:
-    """Layout v2: one stream per (role, draw), each drawing one array over
-    all rows of a run or sweep in row order."""
+    """Layout v3: one stream per (role, draw), each drawing one array over
+    all rows of a run or sweep in row order; one draw per learning role,
+    three for the holdout."""
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIO_CELLS))
     def test_rows_match_streams_built_alone(self, monkeypatch, scenario):
@@ -444,10 +445,10 @@ class TestStreamLayout:
         base = ExperimentConfig(scenario="const-z", eta0=0.6, trials=1, **SMALL)
         rows = as_rows(sweep(base, {"nz": [-0.3, 0.0, 0.3], "alpha": [0.0, 1.0]}))
         assert len(rows) == 6
-        assert built == [(11, k) for k in (0, *range(3, 15))]
+        assert built == [(11, k) for k in (0, 3, 6, 9, 12, 13, 14)]
         built.clear()
         run_experiment(ExperimentConfig(scenario="equal-prior-xz", trials=200, **SMALL))
-        assert built == [(11, k) for k in (*range(3, 9), 12, 13, 14)]
+        assert built == [(11, k) for k in (3, 6, 12, 13, 14)]
 
     def test_engine_keeps_nothing_after_return(self, monkeypatch):
         built, held = track_streams(monkeypatch)
@@ -455,7 +456,7 @@ class TestStreamLayout:
             rows = as_rows(run_experiment(ExperimentConfig(**SCENARIO_CELLS[scenario], trials=5, **SMALL)))
             assert len(rows) == 5
         gc.collect()
-        assert len(built) == 9 + 10 + 13 and all(ref() is None for ref in held)
+        assert len(built) == 5 + 6 + 7 and all(ref() is None for ref in held)
 
 
 class TestSweep:

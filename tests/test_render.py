@@ -160,8 +160,10 @@ def test_golden_run_records_match_reference_in_both_formats(fmt, name):
     [
         (ExperimentConfig(scenario="const-z", eta0=0.6, theta=1.2, nz=0.4, trials=10_000, seed=3), 1),
         # Near-antipodal at 20 shots per axis: rows of all four statuses.
+        # cos_theta_out_of_range is rare here (3 of the 10^4 rows at seed 6;
+        # some seeds, such as 1, have none).
         (ExperimentConfig(scenario="const-z", eta0=0.5, theta=math.pi - 0.3, nz=0.3, shots_learn=20,
-                          shots_holdout=10, trials=10_000, seed=1), 4),
+                          shots_holdout=10, trials=10_000, seed=6), 4),
     ],
     ids=["ok", "every-status"],
 )
