@@ -49,8 +49,8 @@ def main():
     print(f"measurement axis: ({axis[0]:+.6f}, {axis[1]:+.6f}, {axis[2]:+.6f})")
 
     analytic = 0.5 * (1.0 + math.sin(args.beta))
-    confusion = classify_holdout(spec, axis, args.holdout, RngStream(args.seed, 2).generator())
-    report = score(confusion, analytic)
+    correct = classify_holdout(spec, axis, args.holdout, RngStream(args.seed, 2).generator())
+    report = score(correct, args.holdout, analytic)
     print(f"holdout success: {report.empirical_success:.6f} over {args.holdout} qubits")
     print(f"closed-form optimum: {analytic:.6f}  (z = {report.z_score:+.2f})")
 

@@ -47,7 +47,7 @@ from povmlearn.equal_prior import (
     weak_signal_threshold,
 )
 from povmlearn.errors import ContractViolation, DegenerateEnsemble, DiscriminationError, InvalidPriors
-from povmlearn.evaluate import ConfusionMatrix, EvalReport, classify_holdout, folded_success, score
+from povmlearn.evaluate import EvalReport, classify_holdout, folded_success, score
 from povmlearn.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,

@@ -73,14 +73,18 @@ def row_norm(v):
     return np.sqrt(self_dot(v))
 
 
+# The ufunc reductions below are np.all and np.any without their Python
+# dispatch layer, which costs more than the reduction on a run's masks.
+
+
 def every_row(mask) -> bool:
     """Whether a boolean mask (a flag, or one per row) holds on every row."""
-    return bool(np.all(mask))
+    return bool(np.logical_and.reduce(mask, axis=None))
 
 
 def any_row(mask) -> bool:
     """Whether a boolean mask (a flag, or one per row) holds on some row."""
-    return bool(np.any(mask))
+    return bool(np.logical_or.reduce(mask, axis=None))
 
 
 def first_row(mask, value):

@@ -10,9 +10,9 @@ ensemble member, so the qubit budget of a procedure is the sum of its
 measurement sizes.  A learner sees unlabeled members, each in the mixture
 state rho = eta0 rho0 + eta1 rho1, so EnsembleSpec.expectation (and
 estimate_pauli) draws a +1 count as one binomial from the ensemble Bloch
-vector.  Holdout classification needs the hidden labels for scoring, so
-EnsembleSpec.sample draws the label split and a +1 count per label.  Each
-draw is one array over the rows of a batch.
+vector, which a spec computes once.  Holdout classification
+(evaluate.classify_holdout) likewise draws its correct count as one
+binomial per row.  Each draw is one array over the rows of a batch.
 
 Randomness is addressed by (seed, stream id): RngStream builds a stream's
 generator as PCG64 seeded by numpy's SeedSequence(seed, spawn_key=(id,)),
@@ -23,6 +23,7 @@ own, and numpy.random is loaded only when a generator is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,8 +81,8 @@ class EnsembleSpec:
     A spec is one ensemble, or a batch of rows with one ensemble each: then
     eta0 is a 1-D array and psi0 and psi1 hold one state per row.
     Validated once at construction, every row; the fields are read-only
-    copies, so the checks hold for the spec's lifetime and sampling need
-    not redo them.  Specs compare and hash by identity.
+    copies, so the checks hold for the spec's lifetime and measurements
+    need not redo them.  Specs compare and hash by identity.
     """
 
     eta0: float | np.ndarray
@@ -115,65 +116,39 @@ class EnsembleSpec:
             psi.flags.writeable = False
             object.__setattr__(self, name, psi)
 
-    def _checked(self, axis, shots: int, what: str):
-        """A unit measurement axis, broadcast to one per row for a batch,
-        and a shot budget of at least 1."""
+    @cached_property
+    def mixture(self) -> np.ndarray:
+        """The ensemble Bloch vector eta0 psi0 + eta1 psi1, one per row for a
+        batch: the state of every unlabeled member."""
+        eta0 = np.asarray(self.eta0)[..., None]
+        n = eta0 * self.psi0 + (1.0 - eta0) * self.psi1
+        n.flags.writeable = False
+        return n
+
+    def check_measurement(self, axis, shots: int, what: str = "measurement axis"):
+        """A unit measurement axis, one 3-vector shared by every row or one
+        per row of a batch, and a shot budget of at least 1.  A shared axis
+        is checked once; the probabilities broadcast it over the rows."""
         axis = np.asarray(axis, dtype=float)
-        if axis.shape != self.psi0.shape:
-            if axis.shape != (3,):
-                raise ContractViolation(f"{what} must be one 3-vector or one per row, got shape {axis.shape}")
-            axis = np.broadcast_to(axis, self.psi0.shape)
+        if axis.shape != self.psi0.shape and axis.shape != (3,):
+            raise ContractViolation(f"{what} must be one 3-vector or one per row, got shape {axis.shape}")
         axis = check_unit(axis, what)
         shots = int(shots)
         if shots < 1:
             raise ContractViolation(f"shots must be >= 1, got {shots}")
         return axis, shots
 
-    def sample(self, axis, shots: int, rng, what: str = "measurement axis"):
-        """Measure `shots` fresh labelled members along a unit axis; return
-        (k0, c0_plus, c1_plus): how many carry label 0, and the +1 outcomes
-        among the label-0 and the label-1 members.
-
-        Sampling is exact: the label split is binomial in the priors and each
-        label contributes a binomial in its outcome probability, which is
-        distribution-identical to drawing qubits one at a time.  `rng` is one
-        generator, which takes the three draws in that order, or a triple
-        (label split, label-0 count, label-1 count) with one generator per
-        draw.  A batch draws each as one array over its rows, in row order,
-        along one axis or along one axis per row (every row's axis is
-        checked); a single ensemble draws three numbers.
-        """
-        axis, shots = self._checked(axis, shots, what)
-        split, label0, label1 = _draw_generators(rng)
-        k0 = split.binomial(shots, self.eta0)
-        c0_plus = label0.binomial(k0, prob_plus_unchecked(axis, self.psi0))
-        return k0, c0_plus, label1.binomial(shots - k0, prob_plus_unchecked(axis, self.psi1))
-
     def expectation(self, axis, shots: int, rng: np.random.Generator):
         """Empirical expectation (n_plus - n_minus)/shots of `shots` fresh
         unlabeled members measured along a unit axis, per row for a batch.
 
         Each member is in the mixture state, so the +1 count is one draw of
-        Binomial(shots, (1 + axis.n)/2) with n = eta0 psi0 + eta1 psi1: the
-        distribution of sample's c0_plus + c1_plus, from one binomial call
-        on the single generator `rng`.
+        Binomial(shots, (1 + axis.n)/2) with n the ensemble Bloch vector
+        (mixture): one binomial call on the single generator `rng`, which
+        for a batch draws one array over its rows, in row order.
         """
-        axis, shots = self._checked(axis, shots, "measurement axis")
-        eta0 = np.asarray(self.eta0)[..., None]
-        n = eta0 * self.psi0 + (1.0 - eta0) * self.psi1
-        return (2 * rng.binomial(shots, prob_plus_unchecked(axis, n)) - shots) / shots
-
-
-def _draw_generators(rng) -> tuple:
-    """The (label split, label-0 count, label-1 count) generators of one
-    labelled measurement (sample): a single generator serves all three
-    draws."""
-    if isinstance(rng, np.random.Generator):
-        return rng, rng, rng
-    gens = tuple(rng)
-    if len(gens) != 3:
-        raise ContractViolation(f"expected a generator or 3 per-draw generators, got {len(gens)}")
-    return gens
+        axis, shots = self.check_measurement(axis, shots)
+        return (2 * rng.binomial(shots, prob_plus_unchecked(axis, self.mixture)) - shots) / shots
 
 
 def role_generators(rng, count: int) -> list:

@@ -7,6 +7,12 @@ observable, so the report scores the orientation-maximized success (the
 larger of the convention's success and its complement) and its z-score
 against the folded target.
 
+The score needs only how many held-out qubits were classified correctly.
+Each is correct independently with one probability (correct_prob), so
+classify_holdout draws that count as one binomial per row, from one
+generator: the holdout stream of stream layout v4.  No label split or
+per-label count is drawn.
+
 Every function takes one classification or a batch of rows, one per row;
 a single classification gives numpy scalars, by the same code.
 """
@@ -18,36 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from povmlearn.bloch import first_row
+from povmlearn.bloch import any_row, every_row, first_row, prob_plus_unchecked
 from povmlearn.ensemble import EnsembleSpec
 from povmlearn.errors import ContractViolation
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Counts indexed as counts[..., true_label, predicted_label], one 2x2
-    matrix per row for a batch."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim not in (2, 3) or counts.shape[-2:] != (2, 2) or counts.size == 0:
-            raise ContractViolation(f"confusion matrix must be 2x2, or one 2x2 per row, got shape {counts.shape}")
-        if counts.min() < 0:
-            bad = (counts < 0).any(axis=(-2, -1))
-            raise ContractViolation(f"confusion matrix must be nonnegative, got {first_row(bad, counts)}")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self):
-        return self.counts.sum(axis=(-2, -1))
-
-    @property
-    def correct(self):
-        return self.counts[..., 0, 0] + self.counts[..., 1, 1]
 
 
 @dataclass(frozen=True)
@@ -59,14 +40,30 @@ class EvalReport:
     z_score: float | np.ndarray
 
 
-def classify_holdout(spec: EnsembleSpec, axis, n_holdout: int, rng) -> ConfusionMatrix:
-    """Measure n_holdout fresh qubits along a unit axis (EnsembleSpec.sample,
-    one axis per row for a batch) and tabulate (hidden label, predicted
-    label) counts; +1 outcomes predict label 0."""
-    k0, c0_plus, c1_plus = spec.sample(axis, n_holdout, rng, what="classification axis")
-    k1 = int(n_holdout) - k0
-    counts = np.stack((c0_plus, k0 - c0_plus, c1_plus, k1 - c1_plus), axis=-1)
-    return ConfusionMatrix(counts.reshape(counts.shape[:-1] + (2, 2)))
+def correct_prob(spec: EnsembleSpec, axis: np.ndarray):
+    """Probability that one fresh labelled member, measured along a unit
+    axis, is classified correctly (+1 predicts label 0), one per row for a
+    batch:
+
+        eta0 (1 + a.psi0)/2 + eta1 (1 - a.psi1)/2 = (1 + a.(eta0 psi0 - eta1 psi1))/2.
+
+    The axis is not checked (classify_holdout checks it)."""
+    eta0 = np.asarray(spec.eta0)[..., None]
+    return prob_plus_unchecked(axis, eta0 * spec.psi0 - (1.0 - eta0) * spec.psi1)
+
+
+def classify_holdout(spec: EnsembleSpec, axis, n_holdout: int, rng: np.random.Generator):
+    """Measure n_holdout fresh labelled qubits along a unit axis (one axis
+    per row for a batch, or one shared by every row) and return how many
+    were classified correctly, one count per row.
+
+    Every qubit is correct independently with probability correct_prob, so
+    the count is one draw of Binomial(n_holdout, correct_prob): exactly the
+    distribution of drawing the hidden label and then the outcome qubit by
+    qubit, from one binomial call on the single generator `rng`.
+    """
+    axis, shots = spec.check_measurement(axis, n_holdout, "classification axis")
+    return rng.binomial(shots, correct_prob(spec, axis))
 
 
 def folded_success(p: float, n: int) -> tuple[float, float]:
@@ -90,29 +87,31 @@ def folded_success(p: float, n: int) -> tuple[float, float]:
     return 0.5 + mean_abs, math.sqrt(max(delta * delta + var - mean_abs * mean_abs, 0.0))
 
 
-def score(confusion: ConfusionMatrix, analytic_ps) -> EvalReport:
-    """Score a confusion matrix against an analytic success target (one per
-    row for a batch).
+def score(correct, n, analytic_ps) -> EvalReport:
+    """Score `correct` of n classified qubits (a count, or one per row of a
+    batch) against an analytic success target (one per row for a batch).
 
     The orientation-maximized empirical success is folded at 1/2, so the
     z-score compares it with the mean and sd of the folded normal around the
-    target (folded_success), which are computed once per distinct (target,
-    holdout size).  A zero-variance target (analytic 0 or 1) yields z = 0 by
-    convention.
+    target (folded_success), which are computed once per distinct target.
+    A zero-variance target (analytic 0 or 1) yields z = 0 by convention.
     """
-    total = confusion.total
-    if (total < 1).any():
-        raise ContractViolation("cannot score an empty confusion matrix")
+    n = int(n)
+    if n < 1:
+        raise ContractViolation(f"cannot score an empty holdout, got n = {n}")
+    correct = np.asarray(correct)
+    ok = (0 <= correct) & (correct <= n)
+    if not every_row(ok):
+        raise ContractViolation(f"correct counts must lie in [0, {n}], got {first_row(np.logical_not(ok), correct)}")
     analytic = np.asarray(analytic_ps, dtype=float)
-    if np.isnan(analytic).any():
+    if any_row(np.isnan(analytic)):
         raise ContractViolation("analytic success target must be a number")
-    raw = confusion.correct / total
+    raw = correct / n
     empirical = np.maximum(raw, 1.0 - raw)
-    # Group the rows by (target, holdout size), held exactly as the real and
-    # imaginary parts of one complex key.
-    keys, row_key = np.unique(np.broadcast_to(analytic, raw.shape) + 1j * total, return_inverse=True)
-    moments = np.array([folded_success(k.real, int(k.imag)) for k in keys.tolist()])
-    mean, sd = moments.T[:, row_key.reshape(raw.shape)]
+    # Each target's moments, looked up by its place among the distinct ones.
+    keys = np.unique(analytic)
+    moments = np.array([folded_success(p, n) for p in keys.tolist()])
+    mean, sd = moments.T[:, np.searchsorted(keys, analytic)]
     # [()] unwraps the 0-d results of a single classification.
     z = np.divide(empirical - mean, sd, out=np.zeros_like(empirical), where=sd > 0.0)[()]
     return EvalReport(empirical_success=empirical, z_score=z)

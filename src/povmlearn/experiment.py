@@ -6,16 +6,17 @@ rows, and statuses are masks (degenerate_ensemble per cell, or per row
 when an estimate has no in-plane direction; weak_signal and
 cos_theta_out_of_range per row).  A run is the one-cell sweep.
 
-Randomness follows stream layout v3: one stream per (role, draw), each
-drawing one array over all rows in row order, and every row draws from
-every stream of its scenario whatever its status (rows that report
-nothing draw with placeholder states or axes).  Row k therefore depends
-on the rows before it, never on those after it, so a run's leading rows
-are those of any shorter run with the same seed, and reruns are
+Randomness follows stream layout v4: one stream per role, each drawing
+one array over all rows in row order, and every row draws from every
+stream of its scenario whatever its status (rows that report nothing
+draw with placeholder states or axes).  Row k therefore depends on the
+rows before it, never on those after it, so a run's leading rows are
+those of any shorter run with the same seed, and reruns are
 byte-identical.  The learner sees only unlabeled qubits in the mixture
 state, so each learning axis or setting draws one binomial per row; the
-holdout draws the label split and the two per-label counts, because
-scoring needs the hidden labels.
+score needs only the holdout's correct count, so the holdout draws one
+binomial per row too.  A run or sweep builds 3, 4 or 5 generators
+(equal-prior-xz, unequal-prior-xz, const-z).
 
 Ground truth (the hidden spec, the closed-form success and the oracle
 value) is fixed by a cell's parameters and the row's case, and is never
@@ -93,18 +94,18 @@ CSV_COLUMNS = (
     "status",
 )
 
-# Stream layout v3: one stream per (role, draw), with stream id
-# len(_DRAWS) * (index of the role in _ROLES) + draw.  The case role draws
-# one uniform per row and a learning role the +1 count of its unlabeled
-# qubits (EnsembleSpec.expectation), both as draw 0; the holdout draws the
-# label split, the label-0 +1 count and the label-1 +1 count
-# (EnsembleSpec.sample).  Learning axes take axis0, axis1, axis2 in
-# pauli_axes order (or the two angle settings), so the slice pipeline's
-# extra z measurement has its own stream and the nz = 0 reduction stays
-# exact count for count.  Each stream draws one array over all rows of a
-# run or sweep, in row order.
+# Stream layout v4: one stream per role, with stream id
+# _ID_STRIDE * (index of the role in _ROLES): ids 0, 3, 6, 9 and 12, the
+# ids of each role's first draw under the three-draw layouts before it.
+# The case role draws one uniform per row, a learning role the +1 count of
+# its unlabeled qubits (EnsembleSpec.expectation) and the holdout the
+# correct count of its labelled qubits (classify_holdout).  Learning axes
+# take axis0, axis1, axis2 in pauli_axes order (or the two angle
+# settings), so the slice pipeline's extra z measurement has its own
+# stream and the nz = 0 reduction stays exact count for count.  Each
+# stream draws one array over all rows of a run or sweep, in row order.
 _ROLES = ("case", "axis0", "axis1", "axis2", "holdout")
-_DRAWS = ("split", "label0", "label1")
+_ID_STRIDE = 3
 
 _OK, _OUT_OF_RANGE, _DEGENERATE, _WEAK = "ok", "cos_theta_out_of_range", "degenerate_ensemble", "weak_signal"
 _XZ = Plane.xz()
@@ -221,37 +222,31 @@ def two_fold_spec(n, eta0, theta, case, plane: Plane = _XZ) -> EnsembleSpec:
 
 
 def _role_streams(seed: int, roles: Sequence[str]) -> dict:
-    """The generator of each role, the RngStream of its layout-v3 id: one
-    (draw 0) for the case role and each learning role, the (split, label-0,
-    label-1) triple for the holdout."""
-
-    def stream(role: str, draw: int) -> np.random.Generator:
-        return RngStream(seed, len(_DRAWS) * _ROLES.index(role) + draw).generator()
-
-    return {
-        role: tuple(stream(role, d) for d in range(len(_DRAWS))) if role == "holdout" else stream(role, 0)
-        for role in roles
-    }
+    """The generator of each role, the RngStream of its layout-v4 id."""
+    return {role: RngStream(seed, _ID_STRIDE * _ROLES.index(role)).generator() for role in roles}
 
 
-def _masked(keep: list, values) -> list:
-    """values where keep is true, None elsewhere."""
+def _masked(keep: list, values: list) -> list:
+    """values where keep is true, None elsewhere; values itself when every
+    row is kept."""
+    if all(keep):
+        return values
     return [v if k else None for v, k in zip(values, keep)]
 
 
-def _classify(spec: EnsembleSpec, axis: np.ndarray, cfg: ExperimentConfig, gens, analytic, scored) -> dict:
+def _classify(spec: EnsembleSpec, axis: np.ndarray, cfg: ExperimentConfig, gen, analytic, scored) -> dict:
     """Holdout columns: every row draws its holdout qubits along its axis,
     the scored rows report them and the axis."""
-    confusion = classify_holdout(spec, axis, cfg.shots_holdout, gens)
-    report = score(confusion, analytic)
-    correct = confusion.correct
+    n = cfg.shots_holdout
+    correct = classify_holdout(spec, axis, n, gen)
+    report = score(correct, n, analytic)
     keep = scored.tolist()
     return {
         **{name: _masked(keep, part) for name, part in zip(("axis_x", "axis_y", "axis_z"), axis.T.tolist())},
         "success_emp": _masked(keep, report.empirical_success.tolist()),
         "z_score": _masked(keep, report.z_score.tolist()),
-        "shots_holdout": [cfg.shots_holdout if k else 0 for k in keep],
-        "holdout_correct": _masked(keep, np.maximum(correct, confusion.total - correct).tolist()),
+        "shots_holdout": [n if k else 0 for k in keep],
+        "holdout_correct": _masked(keep, np.maximum(correct, n - correct).tolist()),
     }
 
 

@@ -103,8 +103,8 @@ def test_criterion_3_equal_prior_classification(capfd):
         gens = (RngStream(7, 0).generator(), RngStream(7, 1).generator())
         est = learn_equal_prior(spec, 0.0, 1_000_000, gens)
         axis = povm_axis_from_phi(est.phi_star)
-        confusion = classify_holdout(spec, axis, 100_000, RngStream(7, 2).generator())
-        report = score(confusion, EQUAL_PRIOR_SUCCESS)
+        correct = classify_holdout(spec, axis, 100_000, RngStream(7, 2).generator())
+        report = score(correct, 100_000, EQUAL_PRIOR_SUCCESS)
         sigma = math.sqrt(EQUAL_PRIOR_SUCCESS * (1 - EQUAL_PRIOR_SUCCESS) / 100_000)
         elapsed = time.perf_counter() - start
         assert abs(report.empirical_success - EQUAL_PRIOR_SUCCESS) <= 5 * sigma, (

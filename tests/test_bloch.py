@@ -56,7 +56,8 @@ def prob_plus(s, n):
 
 class TestProbPlus:
     """The +1 probability; the checks on its inputs live where the axis and
-    the state enter: EnsembleSpec.sample and the EnsembleSpec constructor."""
+    the state enter: EnsembleSpec.check_measurement and the EnsembleSpec
+    constructor."""
 
     def test_eigenstate(self):
         assert prob_plus([0, 0, 1], [0, 0, 1]) == 1.0
@@ -70,7 +71,7 @@ class TestProbPlus:
     def test_nonunit_axis_rejected(self):
         spec = EnsembleSpec(0.5, [0, 0, 1], [0, 0, 1], Plane.xz())
         with pytest.raises(ContractViolation, match="unit length"):
-            spec.sample([0, 0, 0.5], 10, np.random.default_rng(0))
+            spec.expectation([0, 0, 0.5], 10, np.random.default_rng(0))
 
     def test_unphysical_state_rejected(self):
         with pytest.raises(ContractViolation, match="pure"):

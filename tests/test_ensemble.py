@@ -56,7 +56,7 @@ class TestEnsembleSpec:
 
     def test_states_must_be_three_vectors(self):
         # [1, 0] has unit norm and a zero second component, so only the
-        # shape check stops it before a sample fails on aligned shapes.
+        # shape check stops it before a measurement fails on aligned shapes.
         with pytest.raises(ContractViolation, match=r"psi0 .*shape \(2,\)"):
             EnsembleSpec(0.5, [1.0, 0.0], [1.0, 0.0], Plane.xz())
         with pytest.raises(ContractViolation, match=r"psi1 .*shape \(1, 3\)"):
@@ -123,39 +123,29 @@ class TestEnsembleSpec:
         assert "..." not in str(batched.value)
 
 
-class TestSample:
-    def test_batch_of_one_matches_single_draw_for_draw(self):
-        # One generator takes the three draws in order, whether they are
-        # numbers or arrays of one row.
+class TestExpectationRows:
+    def test_batch_of_one_matches_single_draw(self):
+        # One generator draws a number or an array of one row alike.
         spec = xz_spec(eta0=0.7)
-        single = spec.sample([1, 0, 0], 1000, RngStream(5, 3).generator())
-        rows = batch(spec, 1).sample([1, 0, 0], 1000, RngStream(5, 3).generator())
-        assert [int(x[0]) for x in rows] == list(single)
-        k0, c0_plus, c1_plus = single
-        assert 0 <= c0_plus <= k0 and 0 <= c1_plus <= 1000 - k0
+        single = spec.expectation([1, 0, 0], 1000, RngStream(5, 3).generator())
+        rows = batch(spec, 1).expectation([1, 0, 0], 1000, RngStream(5, 3).generator())
+        assert rows.tolist() == [single]
 
-    def test_rows_draw_in_row_order_from_per_draw_streams(self):
-        # With one stream per draw, each draws one array in row order, so the
-        # leading rows of a batch are a shorter batch, along one axis or one
-        # axis per row.
+    def test_rows_draw_in_row_order(self):
+        # Each call draws one array in row order, so the leading rows of a
+        # batch are a shorter batch, along one axis or one axis per row.
         spec = xz_spec(eta0=0.6)
         axes = bloch_from_state_angle(np.linspace(0.0, 3.0, 8))
-
-        def streams():
-            return tuple(RngStream(9, k).generator() for k in range(3))
-
         for axis in (axes, axes[0]):
-            long = batch(spec, 8).sample(axis, 500, streams())
-            short = batch(spec, 5).sample(axis if axis.ndim == 1 else axis[:5], 500, streams())
-            assert [x[:5].tolist() for x in long] == [x.tolist() for x in short]
+            long = batch(spec, 8).expectation(axis, 500, RngStream(9, 0).generator())
+            short = batch(spec, 5).expectation(axis if axis.ndim == 1 else axis[:5], 500, RngStream(9, 0).generator())
+            assert long[:5].tolist() == short.tolist()
 
     def test_rejects_nonunit_axis_and_empty_batch(self):
         with pytest.raises(ContractViolation, match="probe axis"):
-            xz_spec().sample([0.5, 0, 0], 10, RngStream(0).generator(), what="probe axis")
-        with pytest.raises(ContractViolation):
-            xz_spec().sample([1, 0, 0], 0, RngStream(0).generator())
-        with pytest.raises(ContractViolation, match="3 per-draw"):
-            xz_spec().sample([1, 0, 0], 10, [RngStream(0).generator()] * 2)
+            xz_spec().check_measurement([0.5, 0, 0], 10, what="probe axis")
+        with pytest.raises(ContractViolation, match="shots"):
+            xz_spec().expectation([1, 0, 0], 0, RngStream(0).generator())
 
     def test_axis_per_row_only_for_a_batch_of_as_many_rows(self):
         axes = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -163,11 +153,25 @@ class TestSample:
             # A unit 2-vector is no axis either, alone or for a batch.
             for bad in (axes, axes[0, :2]):
                 with pytest.raises(ContractViolation, match="one per row"):
-                    spec.sample(bad, 10, RngStream(0).generator())
-                with pytest.raises(ContractViolation, match="one per row"):
                     spec.expectation(bad, 10, RngStream(0).generator())
-        assert batch(xz_spec(), 2).sample(axes, 10, RngStream(0).generator())[0].shape == (2,)
         assert batch(xz_spec(), 2).expectation(axes, 10, RngStream(0).generator()).shape == (2,)
+
+    def test_shared_axis_is_checked_once(self):
+        # One 3-vector for every row is checked as itself, not as one copy
+        # per row; the measured rows still get one probability each.
+        axis, _ = batch(xz_spec(), 4).check_measurement(np.array([0.0, 0.0, 1.0]), 10)
+        assert axis.shape == (3,)
+        assert batch(xz_spec(), 4).expectation(axis, 10, RngStream(0).generator()).shape == (4,)
+
+    def test_mixture_is_computed_once_per_spec(self):
+        # The ensemble Bloch vector eta0 psi0 + eta1 psi1, one per row, by
+        # the expression the learner always used; read-only and kept.
+        spec = batch(xz_spec(eta0=0.7), 3)
+        eta0 = spec.eta0[:, None]
+        assert np.array_equal(spec.mixture, eta0 * spec.psi0 + (1.0 - eta0) * spec.psi1)
+        assert spec.mixture is spec.mixture
+        with pytest.raises(ValueError):
+            spec.mixture[0, 0] = 0.0
 
 
 class TestEnsembleBloch:
@@ -275,23 +279,21 @@ class TestStreamStates:
 
 
 class TestMeasureShots:
-    """EnsembleSpec.sample and expectation: one measurement batch per row."""
+    """EnsembleSpec.expectation: one measurement batch per row."""
 
     def test_eigenstate_all_plus(self):
         spec = EnsembleSpec(1.0, [0, 0, 1], [1, 0, 0], Plane.xz())
-        k0, c0_plus, c1_plus = spec.sample([0, 0, 1], 100, RngStream(1).generator())
-        assert (k0, c0_plus, c1_plus) == (100, 100, 0)
         assert spec.expectation([0, 0, 1], 100, RngStream(1).generator()) == 1.0
 
     def test_symmetric_axis_is_chance_level(self):
         mean = xz_spec().expectation([0, 1, 0], 100_000, RngStream(2).generator())
         assert abs(mean) <= 5 * math.sqrt(1.0 / 100_000)
 
-    def test_counts_sum_to_total(self):
-        k0, c0_plus, c1_plus = batch(xz_spec(), 50).sample([1, 0, 0], 997, RngStream(3).generator())
-        assert np.all((0 <= k0) & (k0 <= 997))
-        assert np.all((0 <= c0_plus) & (c0_plus <= k0))
-        assert np.all((0 <= c1_plus) & (c1_plus <= 997 - k0))
+    def test_counts_lie_within_budget(self):
+        plus = (batch(xz_spec(), 50).expectation([1, 0, 0], 997, RngStream(3).generator()) + 1) * 997 / 2
+        # A whole count, up to the rounding of (2 k - N) / N and back.
+        assert np.all(np.abs(plus - np.rint(plus)) <= 1e-9)
+        assert np.all((0 <= np.rint(plus)) & (np.rint(plus) <= 997))
 
     def test_frequency_matches_two_term_mixture(self):
         # Brute-force oracle: the +1 frequency converges to the prior-weighted
@@ -299,8 +301,7 @@ class TestMeasureShots:
         spec = xz_spec(eta0=0.7, g0=0.2, g1=1.3)
         axis = bloch_from_state_angle(0.9)
         p = 0.7 * (0.5 + 0.5 * math.cos(0.9 - 0.2)) + 0.3 * (0.5 + 0.5 * math.cos(0.9 - 1.3))
-        _, c0_plus, c1_plus = batch(spec, 100).sample(axis, 10_000, RngStream(0, 0).generator())
-        freq = (c0_plus + c1_plus) / 10_000
+        freq = (1 + batch(spec, 100).expectation(axis, 10_000, RngStream(0, 0).generator())) / 2
         assert np.sum(np.abs(freq - p) <= 5 * math.sqrt(p * (1 - p) / 10_000)) >= 99
 
     @pytest.mark.parametrize(
@@ -316,10 +317,10 @@ class TestMeasureShots:
     )
     def test_mixture_draw_has_the_labelled_distribution(self, spec, axis):
         # The +1 count of N unlabeled members (expectation, one binomial from
-        # the ensemble Bloch vector) and the labelled c0_plus + c1_plus
-        # (sample) are both Binomial(N, eta0 p0 + eta1 p1).  Over 10^5 rows at
-        # N = 8, each histogram's chi-squared against that pmf (9 bins, 8
-        # degrees of freedom) stays below 26.12, its 0.1% tail.
+        # the ensemble Bloch vector) is that of N labelled members,
+        # Binomial(N, eta0 p0 + eta1 p1).  Over 10^5 rows at N = 8, its
+        # histogram's chi-squared against that pmf (9 bins, 8 degrees of
+        # freedom) stays below 26.12, its 0.1% tail.
         shots, rows = 8, 100_000
         p0, p1 = (0.5 + 0.5 * float(np.dot(axis, psi)) for psi in (spec.psi0, spec.psi1))
         p = spec.eta0 * p0 + (1 - spec.eta0) * p1
@@ -327,16 +328,14 @@ class TestMeasureShots:
         assert expected.min() >= 5
         many = batch(spec, rows)
         mixture = np.rint((many.expectation(axis, shots, RngStream(21, 0).generator()) + 1) * shots / 2)
-        _, c0_plus, c1_plus = many.sample(axis, shots, RngStream(21, 1).generator())
-        for counts in (mixture.astype(int), c0_plus + c1_plus):
-            observed = np.bincount(counts, minlength=shots + 1)
-            assert float(np.sum((observed - expected) ** 2 / expected)) < 26.12
+        observed = np.bincount(mixture.astype(int), minlength=shots + 1)
+        assert float(np.sum((observed - expected) ** 2 / expected)) < 26.12
 
     def test_determinism(self):
         spec = batch(xz_spec(), 6)
-        a = spec.sample([1, 0, 0], 1000, RngStream(5, 2).generator())
-        b = spec.sample([1, 0, 0], 1000, RngStream(5, 2).generator())
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        a = spec.expectation([1, 0, 0], 1000, RngStream(5, 2).generator())
+        b = spec.expectation([1, 0, 0], 1000, RngStream(5, 2).generator())
+        assert np.array_equal(a, b)
 
     def test_shots_must_be_positive(self):
         with pytest.raises(ContractViolation):

@@ -8,7 +8,8 @@ import pytest
 from povmlearn.bloch import Plane, bloch_from_state_angle, perp_in_plane
 from povmlearn.ensemble import EnsembleSpec, RngStream
 from povmlearn.errors import ContractViolation
-from povmlearn.evaluate import ConfusionMatrix, classify_holdout, folded_success, score
+from povmlearn.evaluate import classify_holdout, correct_prob, folded_success, score
+from povmlearn.experiment import two_fold_cell, two_fold_spec
 from povmlearn.helstrom import helstrom
 
 
@@ -21,53 +22,37 @@ def equal_spec(beta=math.pi / 2, alpha=0.9):
     )
 
 
-class TestConfusionMatrix:
-    def test_shape_and_sign_enforced(self):
-        with pytest.raises(ContractViolation):
-            ConfusionMatrix(np.array([[1, 2, 3], [4, 5, 6]]))
-        with pytest.raises(ContractViolation):
-            ConfusionMatrix(np.array([[1, -2], [3, 4]]))
+class BinomialRecorder:
+    """Stands in for the holdout generator and records each binomial's
+    (n, p)."""
 
-    def test_totals(self):
-        cm = ConfusionMatrix(np.array([[40, 10], [5, 45]]))
-        assert cm.total == 100
-        assert cm.correct == 85
+    def __init__(self, gen):
+        self.gen, self.draws = gen, []
 
-    def test_swap(self):
-        # Swapping the predicted labels (the columns) swaps correct and wrong.
-        cm = ConfusionMatrix(np.array([[40, 10], [5, 45]])[:, ::-1])
-        assert cm.correct == 15
+    def binomial(self, n, p):
+        self.draws.append((n, p))
+        return self.gen.binomial(n, p)
 
-    def test_rows(self):
-        cm = ConfusionMatrix(np.array([[[40, 10], [5, 45]], [[1, 2], [3, 4]]]))
-        assert cm.total.tolist() == [100, 10]
-        assert cm.correct.tolist() == [85, 5]
-        with pytest.raises(ContractViolation):
-            ConfusionMatrix(np.zeros((0, 2, 2)))
 
-    def test_negative_rows_name_the_first(self):
-        # The message is the one the first failing row raises alone.
-        counts = np.tile([[40, 10], [5, 45]], (5, 1, 1))
-        counts[2, 0, 1], counts[4, 1, 0] = -2, -7
-        with pytest.raises(ContractViolation) as alone:
-            ConfusionMatrix(counts[2])
-        with pytest.raises(ContractViolation) as rows:
-            ConfusionMatrix(counts)
-        assert str(rows.value) == str(alone.value) == f"confusion matrix must be nonnegative, got {counts[2]}"
+def reference_prob(spec, axis):
+    """eta0 (1 + a.psi0)/2 + eta1 (1 - a.psi1)/2 in Python floats: the
+    label-0 members answer +1 and the label-1 members -1."""
+    a = [float(x) for x in axis]
+    d0, d1 = (sum(x * y for x, y in zip(a, psi.tolist())) for psi in (spec.psi0, spec.psi1))
+    return spec.eta0 * (1 + d0) / 2 + (1 - spec.eta0) * (1 - d1) / 2
 
 
 class TestClassifyHoldout:
     def test_perfect_discrimination(self):
         # Orthogonal states measured along one of them classify perfectly.
         spec = equal_spec(beta=math.pi / 2)
-        cm = classify_holdout(spec, spec.psi0, 2000, RngStream(0).generator())
-        assert cm.correct == cm.total == 2000
+        assert classify_holdout(spec, spec.psi0, 2000, RngStream(0).generator()) == 2000
 
     def test_identical_states_are_chance_level(self):
         spec = equal_spec(beta=0.0)
         axis = perp_in_plane(spec.psi0, Plane.xz())
-        cm = classify_holdout(spec, axis, 100_000, RngStream(1).generator())
-        assert abs(cm.correct / cm.total - 0.5) <= 5 * math.sqrt(0.25 / cm.total)
+        correct = classify_holdout(spec, axis, 100_000, RngStream(1).generator())
+        assert abs(correct / 100_000 - 0.5) <= 5 * math.sqrt(0.25 / 100_000)
 
     def test_reference_instance(self):
         # Equal priors, separation pi/2: the oracle axis yields about 0.8536
@@ -75,68 +60,127 @@ class TestClassifyHoldout:
         # which would indicate a flipped orientation).
         spec = equal_spec(beta=math.pi / 4)
         _, axis = helstrom(spec.psi0, spec.psi1, spec.eta0)
-        cm = classify_holdout(spec, axis, 100_000, RngStream(2).generator())
+        correct = classify_holdout(spec, axis, 100_000, RngStream(2).generator())
         p = 0.8535533905932737
-        assert abs(cm.correct / cm.total - p) <= 5 * math.sqrt(p * (1 - p) / cm.total)
+        assert abs(correct / 100_000 - p) <= 5 * math.sqrt(p * (1 - p) / 100_000)
 
-    def test_total_equals_budget(self):
-        cm = classify_holdout(equal_spec(), [0, 0, 1], 777, RngStream(3).generator())
-        assert cm.total == 777
+    def test_count_lies_within_budget(self):
+        correct = classify_holdout(equal_spec(), [0, 0, 1], 777, RngStream(3).generator())
+        assert 0 <= correct <= 777
 
     def test_determinism(self):
         a = classify_holdout(equal_spec(), [0, 0, 1], 500, RngStream(4, 9).generator())
         b = classify_holdout(equal_spec(), [0, 0, 1], 500, RngStream(4, 9).generator())
-        assert np.array_equal(a.counts, b.counts)
+        assert a == b
 
     def test_nonunit_axis_rejected(self):
         with pytest.raises(ContractViolation, match="classification axis"):
             classify_holdout(equal_spec(), [0.5, 0, 0], 10, RngStream(0).generator())
 
-    def test_counts_are_the_ensemble_sample(self):
+    def test_count_is_one_binomial_of_the_correct_prob(self):
+        # One binomial call of the whole budget, at the labelled two-term
+        # probability, on the one generator.
         spec = equal_spec(beta=0.4)
-        k0, c0_plus, c1_plus = spec.sample([0, 0, 1], 500, RngStream(4, 9).generator())
-        cm = classify_holdout(spec, [0, 0, 1], 500, RngStream(4, 9).generator())
-        assert cm.counts.tolist() == [[c0_plus, k0 - c0_plus], [c1_plus, 500 - k0 - c1_plus]]
+        axis = bloch_from_state_angle(0.3)
+        gen = BinomialRecorder(RngStream(4, 9).generator())
+        correct = classify_holdout(spec, axis, 500, gen)
+        [(n, p)] = gen.draws
+        assert n == 500
+        assert p == pytest.approx(reference_prob(spec, axis), abs=1e-15)
+        assert correct == RngStream(4, 9).generator().binomial(500, p)
 
     def test_empty_holdout_rejected(self):
         with pytest.raises(ContractViolation):
             classify_holdout(equal_spec(), [0, 0, 1], 0, RngStream(0).generator())
 
 
+class TestCorrectProb:
+    """correct_prob, the probability behind every holdout count."""
+
+    @pytest.mark.parametrize("plane_kind", ["xz", "constz"])
+    @pytest.mark.parametrize("case", ["A", "B"])
+    def test_folded_prob_at_the_exact_axis_is_the_closed_form(self, plane_kind, case):
+        # Along the exact perpendicular of the ensemble vector, the folded
+        # probability max(p, 1 - p) is the closed-form optimum success_prob,
+        # in either branch of the decomposition.
+        rng = np.random.default_rng(5)
+        rows = 1000
+        eta0 = rng.uniform(0.05, 0.95, rows)
+        theta = rng.uniform(0.05, math.pi - 0.05, rows)
+        alpha = rng.uniform(0.0, 2 * math.pi, rows)
+        plane = Plane.const_z(rng.uniform(-0.9, 0.9, rows)) if plane_kind == "constz" else Plane.xz()
+        n, analytic, _ = two_fold_cell(eta0, theta, alpha, plane)
+        reached = ~np.isnan(analytic)
+        assert reached.sum() >= 990
+        spec = two_fold_spec(n, eta0, theta, np.full(rows, case), plane)
+        p = correct_prob(spec, perp_in_plane(n, plane))
+        assert np.max(np.abs(np.maximum(p, 1.0 - p) - analytic)[reached]) <= 1e-12
+
+    def test_matches_the_two_term_reference(self):
+        spec = EnsembleSpec(0.3, [math.sqrt(0.84), 0, 0.4], [0, math.sqrt(0.84), 0.4], Plane.const_z(0.4))
+        for axis in ([0.6, -0.8, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]):
+            assert correct_prob(spec, np.array(axis)) == pytest.approx(reference_prob(spec, axis), abs=1e-15)
+
+    def test_count_has_the_binomial_mean_and_variance(self):
+        # Over 10^5 rows at one spec and one shared axis, the correct count's
+        # sample mean and variance lie within 5 Monte Carlo standard errors
+        # of n p and n p (1 - p), with p the labelled two-term probability.
+        pair = equal_spec(beta=0.4)
+        spec = EnsembleSpec(0.7, pair.psi0, pair.psi1, Plane.xz())
+        axis = bloch_from_state_angle(2.2)
+        shots, rows = 50, 100_000
+        many = EnsembleSpec(np.full(rows, 0.7), np.tile(spec.psi0, (rows, 1)), np.tile(spec.psi1, (rows, 1)),
+                            Plane.xz())
+        counts = classify_holdout(many, axis, shots, RngStream(31).generator())
+        assert counts.shape == (rows,)
+        p = reference_prob(spec, axis)
+        mean, var = shots * p, shots * p * (1 - p)
+        kurtosis_excess = (1 - 6 * p * (1 - p)) / var
+        assert abs(counts.mean() - mean) <= 5 * math.sqrt(var / rows)
+        assert abs(counts.var(ddof=1) - var) <= 5 * var * math.sqrt((2 + kurtosis_excess) / rows)
+
+
 class TestScore:
     def test_zero_variance_convention(self):
-        report = score(ConfusionMatrix(np.array([[50, 0], [0, 50]])), 1.0)
+        report = score(100, 100, 1.0)
         assert report.empirical_success == 1.0
         assert report.z_score == 0.0
 
     def test_within_one_sigma(self):
-        cm = ConfusionMatrix(np.array([[37460, 12540], [12460, 37540]]))
-        report = score(cm, 0.75)
+        report = score(75_000, 100_000, 0.75)
         assert abs(report.z_score) <= 1.0
 
-    def test_anti_diagonal_is_full_success(self):
-        report = score(ConfusionMatrix(np.array([[0, 50], [50, 0]])), 1.0)
+    def test_none_correct_is_full_success(self):
+        report = score(0, 100, 1.0)
         assert report.empirical_success == 1.0
 
     def test_orientation_invariance(self):
-        # Flipping the axis sign swaps predicted labels; the report of the
-        # swapped matrix must agree in empirical success and z-score.
-        cm = ConfusionMatrix(np.array([[40, 10], [5, 45]]))
-        a = score(cm, 0.8)
-        b = score(ConfusionMatrix(cm.counts[:, ::-1]), 0.8)
+        # Flipping the axis sign turns every correct qubit into a wrong one;
+        # the report of the complement must agree in empirical success and
+        # z-score.
+        a = score(85, 100, 0.8)
+        b = score(15, 100, 0.8)
         assert a.empirical_success == b.empirical_success
         assert a.z_score == b.z_score
 
     def test_nan_target_rejected(self):
         with pytest.raises(ContractViolation):
-            score(ConfusionMatrix(np.array([[1, 0], [0, 1]])), float("nan"))
+            score(2, 2, float("nan"))
+
+    def test_counts_outside_the_holdout_rejected(self):
+        with pytest.raises(ContractViolation, match="empty holdout"):
+            score(0, 0, 0.8)
+        with pytest.raises(ContractViolation, match=r"\[0, 100\], got 101"):
+            score(101, 100, 0.8)
+        # A batch names its first bad row.
+        with pytest.raises(ContractViolation, match=r"got -3"):
+            score(np.array([50, -3, 200]), 100, 0.8)
 
     def test_z_score_magnitude(self):
         # 60% empirical against a 50% target over 100 draws: the folded
         # success max(X, 1 - X) at p = 1/2 is 1/2 + a half-normal of scale
         # sigma = 0.05, with mean sigma sqrt(2/pi) and sd sigma sqrt(1 - 2/pi).
-        cm = ConfusionMatrix(np.array([[30, 20], [20, 30]]))
-        report = score(cm, 0.5)
+        report = score(60, 100, 0.5)
         expected = (0.1 - 0.05 * math.sqrt(2 / math.pi)) / (0.05 * math.sqrt(1 - 2 / math.pi))
         assert report.z_score == pytest.approx(expected, abs=1e-12)
 
@@ -173,19 +217,31 @@ class TestFoldedSuccess:
 
 class TestScoreRows:
     def test_rows_match_one_at_a_time(self):
-        counts = np.array([[[30, 20], [20, 30]], [[40, 10], [5, 45]], [[0, 50], [50, 0]], [[37, 13], [12, 38]]])
-        targets = [0.5, 0.8, 1.0, 0.8]
-        rows = score(ConfusionMatrix(counts), targets)
-        for k, (c, p) in enumerate(zip(counts, targets)):
-            one = score(ConfusionMatrix(c), p)
+        correct = np.array([60, 85, 100, 75, 85])
+        targets = [0.5, 0.8, 1.0, 0.8, 0.8]
+        rows = score(correct, 100, targets)
+        for k, (c, p) in enumerate(zip(correct, targets)):
+            one = score(c, 100, p)
             assert rows.empirical_success[k] == one.empirical_success
             assert rows.z_score[k] == one.z_score
+        # A target shared by every row scores as the same target per row.
+        shared, per_row = score(correct, 100, 0.8), score(correct, 100, [0.8] * 5)
+        assert shared.empirical_success.tolist() == per_row.empirical_success.tolist()
+        assert shared.z_score.tolist() == per_row.z_score.tolist()
 
     def test_classify_rows(self):
+        # A batch draws one count per row along its row's axis, in row
+        # order, so its leading rows are a shorter batch.
         spec = equal_spec(beta=0.4)
-        rows = EnsembleSpec(np.full(3, 0.5), np.tile(spec.psi0, (3, 1)), np.tile(spec.psi1, (3, 1)),
-                            Plane.xz())
+
+        def rows(count):
+            return EnsembleSpec(np.full(count, 0.5), np.tile(spec.psi0, (count, 1)),
+                                np.tile(spec.psi1, (count, 1)), Plane.xz())
+
         axes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
-        cm = classify_holdout(rows, axes, 500, RngStream(4, 9).generator())
-        assert cm.counts.shape == (3, 2, 2)
-        assert cm.total.tolist() == [500] * 3
+        long = classify_holdout(rows(3), axes, 500, RngStream(4, 9).generator())
+        assert long.shape == (3,)
+        assert np.all((0 <= long) & (long <= 500))
+        assert classify_holdout(rows(2), axes[:2], 500, RngStream(4, 9).generator()).tolist() == long[:2].tolist()
+        shared = classify_holdout(rows(3), axes[0], 500, RngStream(4, 9).generator())
+        assert shared.shape == (3,) and shared[0] == long[0]

@@ -314,15 +314,16 @@ class TestTruthOncePerCell:
 
 
 class TestValidateOnce:
-    """Specs are validated when built, so a row checks only the axes it
-    measures along: one unit check per learning axis or setting, one for
-    the holdout axis.  A check covers all rows at once, so the count is of
-    the rows checked."""
+    """Specs are validated when built, so a run checks only the axes it
+    measures along, each exactly once: a learning axis or setting is one
+    3-vector shared by every row and is checked once per draw, and the
+    holdout axis is one per row, each checked once.  A check covers all of
+    its vectors at once, so the count is of the vectors checked."""
 
     @pytest.mark.parametrize(
-        "scenario, per_trial", [("equal-prior-xz", 3), ("unequal-prior-xz", 3), ("const-z", 4)]
+        "scenario, shared", [("equal-prior-xz", 2), ("unequal-prior-xz", 2), ("const-z", 3)]
     )
-    def test_unit_checks_per_trial(self, monkeypatch, scenario, per_trial):
+    def test_unit_checks_per_trial(self, monkeypatch, scenario, shared):
         calls = []
         real = bloch.check_unit
 
@@ -337,7 +338,7 @@ class TestValidateOnce:
                                nz=0.3, **{**BASE, "trials": 6})
         rows = as_rows(run_experiment(cfg))
         assert all(r.success_emp is not None for r in rows)
-        assert len(calls) == per_trial * len(rows)
+        assert len(calls) == shared + len(rows)
 
 
 def head(columns: dict, count: int) -> dict:
@@ -347,16 +348,11 @@ def head(columns: dict, count: int) -> dict:
 
 def streams_built_alone(seed, roles):
     """Stand-in for experiment._role_streams that builds each stream on its
-    own, straight from numpy's SeedSequence, at its layout-v3 id:
-    3 * role index + draw, for the roles case, axis0, axis1, axis2, holdout.
-    The holdout takes draws 0, 1 and 2 as a triple, every other role draw 0
-    as one generator."""
+    own, straight from numpy's SeedSequence, at its layout-v4 id:
+    3 * role index, for the roles case, axis0, axis1, axis2, holdout."""
     order = ("case", "axis0", "axis1", "axis2", "holdout")
-
-    def stream(role, draw):
-        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3 * order.index(role) + draw,)))
-
-    return {role: tuple(stream(role, d) for d in range(3)) if role == "holdout" else stream(role, 0) for role in roles}
+    return {role: np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3 * order.index(role),)))
+            for role in roles}
 
 
 class _WeakGenerator(np.random.Generator):
@@ -406,9 +402,8 @@ class TestResultRecord:
 
 
 class TestStreamLayout:
-    """Layout v3: one stream per (role, draw), each drawing one array over
-    all rows of a run or sweep in row order; one draw per learning role,
-    three for the holdout."""
+    """Layout v4: one stream per role, each drawing one array over all rows
+    of a run or sweep in row order."""
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIO_CELLS))
     def test_rows_match_streams_built_alone(self, monkeypatch, scenario):
@@ -445,10 +440,10 @@ class TestStreamLayout:
         base = ExperimentConfig(scenario="const-z", eta0=0.6, trials=1, **SMALL)
         rows = as_rows(sweep(base, {"nz": [-0.3, 0.0, 0.3], "alpha": [0.0, 1.0]}))
         assert len(rows) == 6
-        assert built == [(11, k) for k in (0, 3, 6, 9, 12, 13, 14)]
+        assert built == [(11, k) for k in (0, 3, 6, 9, 12)]
         built.clear()
         run_experiment(ExperimentConfig(scenario="equal-prior-xz", trials=200, **SMALL))
-        assert built == [(11, k) for k in (3, 6, 12, 13, 14)]
+        assert built == [(11, k) for k in (3, 6, 12)]
 
     def test_engine_keeps_nothing_after_return(self, monkeypatch):
         built, held = track_streams(monkeypatch)
@@ -456,7 +451,7 @@ class TestStreamLayout:
             rows = as_rows(run_experiment(ExperimentConfig(**SCENARIO_CELLS[scenario], trials=5, **SMALL)))
             assert len(rows) == 5
         gc.collect()
-        assert len(built) == 5 + 6 + 7 and all(ref() is None for ref in held)
+        assert len(built) == 3 + 4 + 5 and all(ref() is None for ref in held)
 
 
 class TestSweep:
