@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Walk the equal-prior pipeline end to end on one ensemble.
 
-Measures the detector-count difference at two interferometer settings,
-inverts it for the orientation angle, builds the optimal measurement
-axis, and scores it on held-out qubits against the closed-form optimum
-(1 + sin(beta)) / 2.
+Measures the detector-count difference at two interferometer settings a
+quarter turn apart (learn_axis on the x-z frame of the two settings),
+inverts it for the orientation angle, takes the optimal measurement axis
+perpendicular to the estimate, and scores it on held-out qubits against
+the closed-form optimum (1 + sin(beta)) / 2.
 """
 
 import argparse
 import math
 
+from povmlearn.decomposition import learn_axis
 from povmlearn.ensemble import RngStream
-from povmlearn.equal_prior import learn_equal_prior, povm_axis_from_phi, weak_signal_threshold
+from povmlearn.equal_prior import povm_axis_from_phi, solve_alpha, weak_readings, weak_signal_threshold
 from povmlearn.evaluate import classify_holdout, score
 from povmlearn.experiment import equal_prior_ensemble
 
@@ -33,19 +35,24 @@ def main():
 
     spec = equal_prior_ensemble(args.alpha, args.beta)
     gens = (RngStream(args.seed, 0).generator(), RngStream(args.seed, 1).generator())
-    est = learn_equal_prior(spec, args.phi0, args.shots, gens)
+    frame = (povm_axis_from_phi(args.phi0), povm_axis_from_phi(args.phi0 + math.pi / 4))
+    perp, _, (delta0, delta1) = learn_axis(spec, frame, args.shots, gens)
+    alpha_hat = solve_alpha(delta0, delta1, args.phi0)
+    phi_star = math.fmod(alpha_hat / 2.0 + math.pi / 4.0, math.pi)
 
     target_phi = (args.alpha / 2.0 + math.pi / 4.0) % math.pi
-    print(f"measured differences: delta({args.phi0:.4f}) = {est.delta0:+.6f}, "
-          f"delta({args.phi0 + math.pi / 4:.4f}) = {est.delta1:+.6f}")
-    if est.weak:
+    print(f"measured differences: delta({args.phi0:.4f}) = {delta0:+.6f}, "
+          f"delta({args.phi0 + math.pi / 4:.4f}) = {delta1:+.6f}")
+    threshold = weak_signal_threshold(args.shots)
+    if weak_readings(delta0, delta1, threshold):
         print(f"weak signal: both readings lie within the 3/sqrt(N) noise floor "
-              f"{weak_signal_threshold(args.shots):.4f}, so alpha_hat below is noise")
-    print(f"alpha_hat = {est.alpha_hat:.6f}  (true {args.alpha:.6f})")
-    print(f"phi_star  = {est.phi_star:.6f}  (target {target_phi:.6f})")
-    print(f"qubits consumed while learning: {est.shots_used}")
+              f"{threshold:.4f}, so alpha_hat below is noise")
+    print(f"alpha_hat = {alpha_hat:.6f}  (true {args.alpha:.6f})")
+    print(f"phi_star  = {phi_star:.6f}  (target {target_phi:.6f})")
+    print(f"qubits consumed while learning: {2 * args.shots}")
 
-    axis = povm_axis_from_phi(est.phi_star)
+    # The perpendicular of the estimate, turned to the orientation of phi_star.
+    axis = 0.0 - perp
     print(f"measurement axis: ({axis[0]:+.6f}, {axis[1]:+.6f}, {axis[2]:+.6f})")
 
     analytic = 0.5 * (1.0 + math.sin(args.beta))

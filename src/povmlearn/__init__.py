@@ -38,9 +38,7 @@ from povmlearn.ensemble import (
     pauli_axes,
 )
 from povmlearn.equal_prior import (
-    EqualPriorEstimate,
     delta_analytic,
-    learn_equal_prior,
     povm_axis_from_phi,
     solve_alpha,
     weak_readings,

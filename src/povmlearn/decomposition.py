@@ -216,11 +216,16 @@ def success_prob(eta0, theta, n_norm, plane: Plane = _PLANE_XZ):
     return np.minimum(ps, 1.0)[()]
 
 
-def learn_axis(spec: EnsembleSpec, shots_per_axis: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate the ensemble Bloch vector (estimate_pauli) and return the
-    in-plane unit axis perpendicular to it (the setting on which both
-    detectors fire equally, with zero z component on a slice), together with
-    the estimate.  A batch gets one axis per row; an estimate with no
-    in-plane direction gets the zero vector."""
-    n_hat = estimate_pauli(spec, shots_per_axis, rng)
-    return perp_in_plane(n_hat, spec.plane), n_hat
+def learn_axis(spec: EnsembleSpec, axes, shots_per_axis: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read the ensemble along the ordered axes of a measurement frame
+    (estimate_pauli) and return the in-plane unit axis perpendicular to the
+    estimate (the setting on which both detectors fire equally, with zero z
+    component on a slice), the estimate and the readings.
+
+    The two-fold scenarios read the frame of pauli_axes; the equal-prior
+    scenario reads the x-z frame of its two settings, turned by phi0
+    (equal_prior.povm_axis_from_phi).  A batch gets one axis per row; an
+    estimate with no in-plane direction gets the zero vector.
+    """
+    n_hat, readings = estimate_pauli(spec, axes, shots_per_axis, rng)
+    return perp_in_plane(n_hat, spec.plane), n_hat, readings

@@ -9,10 +9,11 @@ only get measurement counts.  Every simulated shot consumes one fresh
 ensemble member, so the qubit budget of a procedure is the sum of its
 measurement sizes.  A learner sees unlabeled members, each in the mixture
 state rho = eta0 rho0 + eta1 rho1, so EnsembleSpec.expectation (and
-estimate_pauli) draws a +1 count as one binomial from the ensemble Bloch
-vector, which a spec computes once.  Holdout classification
-(evaluate.classify_holdout) likewise draws its correct count as one
-binomial per row.  Each draw is one array over the rows of a batch.
+estimate_pauli, along each axis of a frame) draws a +1 count as one
+binomial from the ensemble Bloch vector, which a spec computes once.
+Holdout classification (evaluate.classify_holdout) likewise draws its
+correct count as one binomial per row.  Each draw is one array over the
+rows of a batch.
 
 Randomness is addressed by (seed, stream id): RngStream builds a stream's
 generator as PCG64 seeded by numpy's SeedSequence(seed, spawn_key=(id,)),
@@ -163,27 +164,29 @@ def role_generators(rng, count: int) -> list:
 
 
 def pauli_axes(plane: Plane) -> list[np.ndarray]:
-    """Axes estimate_pauli measures on a plane, in stream order: first plane
-    axis, second plane axis, then (constant-z only) the offset axis."""
+    """The frame estimate_pauli reads on a plane, in stream order: first
+    plane axis, second plane axis, then (constant-z only) the offset axis.
+    On the x-z plane the y estimate is pinned to zero by the plane
+    constraint; a constant-z plane also measures z and keeps it alongside
+    the in-plane part."""
     if plane.kind == "xz":
         return [UNIT_X, UNIT_Z]
     return [UNIT_X, UNIT_Y, UNIT_Z]
 
 
-def estimate_pauli(spec: EnsembleSpec, shots_per_axis: int, rng) -> np.ndarray:
-    """Estimate the ensemble Bloch vector from per-axis expectation values,
-    consuming shots_per_axis members per axis; one estimate per row for a
-    batch.
+def estimate_pauli(spec: EnsembleSpec, axes, shots_per_axis: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate the ensemble Bloch vector from its readings along the
+    ordered axes of a measurement frame, consuming shots_per_axis members
+    per axis; one estimate per row for a batch.
 
-    The x-z plane needs two axes (x, z); the y estimate is pinned to zero by
-    the plane constraint.  A constant-z plane measures all of x, y, z and
-    retains the measured z alongside the in-plane part.  Each axis draws one
-    binomial (EnsembleSpec.expectation).  `rng` is one generator or one per
-    axis in axis order (role_generators), which lets callers give each axis
-    an independent stream.
+    Each reading Delta_k is the expectation along axis e_k, one binomial
+    (EnsembleSpec.expectation), and the estimate is sum_k Delta_k e_k.
+    On the frame of pauli_axes that sum adds only exact zeros, so the
+    estimate's coordinates are the readings themselves.  Returns the
+    estimate and the readings, one per axis on the last axis.  `rng` is
+    one generator or one per axis in axis order (role_generators), which
+    lets callers give each axis an independent stream.
     """
-    axes = pauli_axes(spec.plane)
-    means = [spec.expectation(axis, shots_per_axis, g) for axis, g in zip(axes, role_generators(rng, len(axes)))]
-    if spec.plane.kind == "xz":
-        means.insert(1, np.zeros_like(means[0]))
-    return np.stack(means, axis=-1)
+    readings = [spec.expectation(axis, shots_per_axis, g) for axis, g in zip(axes, role_generators(rng, len(axes)))]
+    n_hat = sum(np.multiply.outer(d, axis) for d, axis in zip(readings, axes))
+    return n_hat, np.stack(readings, axis=-1)

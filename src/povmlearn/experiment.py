@@ -24,16 +24,20 @@ random.  The engine builds it once per run or sweep, as arrays: the
 case-independent part (the ensemble vector, the closed-form success and
 the oracle value) in one pass over the cells, and the hidden spec, which
 is the batch spec the rows sample from, in one pass over the rows.  A
-degenerate cell's truth is NaN, and its rows draw with a placeholder
-pair.  A sweep takes its cells as columns: one value per cell of each
-swept parameter, each checked once.
+degenerate two-fold cell's truth is NaN, and its rows draw with a
+placeholder pair; an equal-prior cell at beta = pi/2 keeps its antipodal
+pair, whose ensemble vector vanishes.  A sweep takes its cells as
+columns: one value per cell of each swept parameter, each checked once.
 
-The two-fold scenarios share one pipeline on a Plane: unequal-prior-xz
-runs it on the x-z plane, const-z on the slice z = nz, and the scenario
-only chooses the plane.  The slice pipeline measures one extra axis (z),
-whose stream comes after the two in-plane ones, so at nz = 0 it draws
-exactly the counts of the x-z pipeline for the corresponding
-measurements.
+All three scenarios learn through one function, learn_axis, on a
+measurement frame: the Pauli axes of the plane, or for equal-prior-xz
+the axes of the settings phi0 and phi0 + pi/4, an x-z frame turned by
+phi0.  The rows of every scenario report alike (_report).  The two-fold
+scenarios share one pipeline on a Plane: unequal-prior-xz runs it on the
+x-z plane, const-z on the slice z = nz, and the scenario only chooses
+the plane.  The slice pipeline measures one extra axis (z), whose stream
+comes after the two in-plane ones, so at nz = 0 it draws exactly the
+counts of the x-z pipeline for the corresponding measurements.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from povmlearn.bloch import UNIT_X, Plane, bloch_from_state_angle, plane_angle, row_norm
+from povmlearn.bloch import EPS_DEGENERATE, UNIT_X, Plane, bloch_from_state_angle, plane_angle, row_norm
 from povmlearn.decomposition import (
     EPS_CLAMP,
     cos_theta,
@@ -58,8 +62,8 @@ from povmlearn.decomposition import (
     mixture_targets,
     success_prob,
 )
-from povmlearn.ensemble import EnsembleSpec, RngStream, check_seed
-from povmlearn.equal_prior import learn_equal_prior, povm_axis_from_phi, weak_readings, weak_signal_threshold
+from povmlearn.ensemble import EnsembleSpec, RngStream, check_seed, pauli_axes
+from povmlearn.equal_prior import povm_axis_from_phi, solve_alpha, weak_readings, weak_signal_threshold
 from povmlearn.errors import ContractViolation
 from povmlearn.evaluate import classify_holdout, score
 from povmlearn.helstrom import success_equal_priors
@@ -234,19 +238,40 @@ def _masked(keep: list, values: list) -> list:
     return [v if k else None for v, k in zip(values, keep)]
 
 
-def _classify(spec: EnsembleSpec, axis: np.ndarray, cfg: ExperimentConfig, gen, analytic, scored) -> dict:
-    """Holdout columns: every row draws its holdout qubits along its axis,
-    the scored rows report them and the axis."""
-    n = cfg.shots_holdout
-    correct = classify_holdout(spec, axis, n, gen)
-    report = score(correct, n, analytic)
-    keep = scored.tolist()
+def _report(base: ExperimentConfig, spec: EnsembleSpec, axis, readings, alpha_hat, reached, analytic, oracle,
+            in_range, gen) -> dict:
+    """The columns every scenario fills alike from its truth (reached marks
+    the rows whose ensemble vector has a direction) and what it learned
+    (learn_axis).  A row is degenerate when its truth or its estimate has no
+    in-plane direction, weak when its first two readings sit within the
+    noise floor, where their direction is meaningless, and out of range
+    where in_range (a mask, or True) fails.  Every row draws its holdout
+    qubits: along the first plane axis where its axis is zero, and against
+    chance where it has no truth.  Only the rows neither degenerate nor
+    weak report their score, axis and alpha_hat."""
+    has_axis = axis.any(axis=-1)
+    learned = reached & has_axis
+    weak = weak_readings(readings[..., 0], readings[..., 1], weak_signal_threshold(base.shots_learn))
+    scored = learned & ~weak
+    ok = scored & in_range
+    n, budget = base.shots_holdout, readings.shape[-1] * base.shots_learn
+    correct = classify_holdout(spec, np.where(has_axis[:, None], axis, UNIT_X), n, gen)
+    report = score(correct, n, np.where(reached, analytic, 0.5))
+    reach, keep = reached.tolist(), scored.tolist()
     return {
         **{name: _masked(keep, part) for name, part in zip(("axis_x", "axis_y", "axis_z"), axis.T.tolist())},
+        "alpha_hat": _masked(keep, alpha_hat.tolist()),
         "success_emp": _masked(keep, report.empirical_success.tolist()),
+        "success_analytic": _masked(reach, analytic.tolist()),
+        "success_oracle": _masked(reach, oracle.tolist()),
         "z_score": _masked(keep, report.z_score.tolist()),
+        "shots_learn": [budget if r else 0 for r in reach],
         "shots_holdout": [n if k else 0 for k in keep],
         "holdout_correct": _masked(keep, np.maximum(correct, n - correct).tolist()),
+        "status": [
+            _OK if o else _DEGENERATE if not d else _WEAK if w else _OUT_OF_RANGE
+            for o, d, w in zip(ok.tolist(), learned.tolist(), weak.tolist())
+        ],
     }
 
 
@@ -266,27 +291,31 @@ class _Grid:
             return np.array(self.swept[key])
         return np.full(self.count, float(getattr(self.base, key)))
 
-    def column(self, key: str, convert=lambda v: v):
-        """A parameter's output column: its converted value in each row's
-        cell when it is swept, else one converted base value (of any number
-        type) for every row."""
+    def column(self, key: str, convert=None):
+        """A parameter's output column: its value in each row's cell when it
+        is swept, else one base value (of any number type) for every row;
+        converted when a conversion is given."""
         if key in self.swept:
-            return [convert(v) for v in np.array(self.swept[key])[self.cell_of].tolist()]
-        return convert(getattr(self.base, key))
+            values = np.array(self.swept[key])[self.cell_of].tolist()
+            return values if convert is None else [convert(v) for v in values]
+        value = getattr(self.base, key)
+        return value if convert is None else convert(value)
 
 
 def _equal_prior_rows(grid: _Grid) -> dict:
     base = grid.base
     streams = _role_streams(base.seed, ("axis0", "axis1", "holdout"))
-    # Truth: the hidden spec and both targets in one array pass over the rows.
+    # Truth: the hidden spec and both targets in one array pass over the
+    # rows.  The ensemble vector has length cos(beta): antipodal states
+    # (beta = pi/2) leave none, and their rows are degenerate, as in the
+    # two-fold scenarios.
     alpha, beta = (grid.cells(key)[grid.cell_of] for key in ("alpha", "beta"))
     spec = equal_prior_ensemble(alpha, beta)
-    analytic = 0.5 * (1.0 + np.sin(beta))
-    est = learn_equal_prior(spec, base.phi0, base.shots_learn, (streams["axis0"], streams["axis1"]))
-    # A weak row's setting is meaningless but still a unit axis, so every
-    # row classifies its holdout qubits.
-    scored = ~est.weak
-    keep = scored.tolist()
+    # The settings phi0 and phi0 + pi/4 read the ensemble along an x-z frame
+    # turned by phi0.  The learned perpendicular, negated, is the axis of
+    # phi* = alpha_hat/2 + pi/4; 0.0 - axis writes no -0.0.
+    frame = (povm_axis_from_phi(base.phi0), povm_axis_from_phi(base.phi0 + 0.25 * math.pi))
+    axis, _, readings = learn_axis(spec, frame, base.shots_learn, (streams["axis0"], streams["axis1"]))
     return {
         "scenario": base.scenario,
         "case": None,
@@ -295,12 +324,11 @@ def _equal_prior_rows(grid: _Grid) -> dict:
         "alpha_true": grid.column("alpha"),
         "beta_true": grid.column("beta"),
         "n_z": 0.0,
-        "alpha_hat": _masked(keep, est.alpha_hat.tolist()),
-        "success_analytic": analytic.tolist(),
-        "success_oracle": success_equal_priors(spec.psi0, spec.psi1).tolist(),
-        "shots_learn": est.shots_used,
-        "status": [_OK if k else _WEAK for k in keep],
-        **_classify(spec, povm_axis_from_phi(est.phi_star), base, streams["holdout"], analytic, scored),
+        **_report(
+            base, spec, 0.0 - axis, readings, solve_alpha(readings[..., 0], readings[..., 1], base.phi0),
+            np.cos(beta) > EPS_DEGENERATE, 0.5 * (1.0 + np.sin(beta)),
+            success_equal_priors(spec.psi0, spec.psi1), True, streams["holdout"],
+        ),
     }
 
 
@@ -320,18 +348,11 @@ def _two_fold_rows(grid: _Grid) -> dict:
     reached_rows = ~np.isnan(analytic)[cell_of]
     analytic, oracle = analytic[cell_of], oracle[cell_of]
 
-    axis, n_hat = learn_axis(spec, base.shots_learn, [streams[role] for role in axis_roles])
-    learned = reached_rows & axis.any(axis=-1)
+    axis, n_hat, readings = learn_axis(spec, pauli_axes(plane), base.shots_learn, [streams[r] for r in axis_roles])
     # The status reads the in-plane part of the estimate; the measured z of
-    # a slice is not used.  An estimate within the noise floor of the zero
-    # vector on both plane axes has a meaningless direction (weak), as the
-    # equal-prior learner's readings do.  A weak row or one whose separation
-    # cosine is out of range still classifies along its axis.
+    # a slice is not used.
     u = plane.coords(n_hat)
-    weak = weak_readings(u[..., 0], u[..., 1], weak_signal_threshold(base.shots_learn))
     in_range = ~np.isnan(cos_theta(row_norm(u), spec.eta0, tol=EPS_CLAMP, plane=plane))
-    scored = learned & ~weak
-    reach, keep = reached_rows.tolist(), scored.tolist()
     return {
         "scenario": base.scenario,
         "case": case.tolist(),
@@ -340,20 +361,9 @@ def _two_fold_rows(grid: _Grid) -> dict:
         "alpha_true": grid.column("alpha"),
         "beta_true": None,
         "n_z": grid.column("nz", float) if constz else 0.0,
-        "alpha_hat": _masked(keep, plane_angle(n_hat, plane).tolist()),
-        "success_analytic": _masked(reach, analytic.tolist()),
-        "success_oracle": _masked(reach, oracle.tolist()),
-        "shots_learn": [len(axis_roles) * base.shots_learn if r else 0 for r in reach],
-        "status": [
-            _DEGENERATE if not d else _WEAK if w else _OK if ok else _OUT_OF_RANGE
-            for d, w, ok in zip(learned.tolist(), weak.tolist(), in_range.tolist())
-        ],
-        # A row with no learned axis classifies along the first plane axis,
-        # and a row with no truth is scored against chance; neither row, nor
-        # a weak one, reports its score.
-        **_classify(
-            spec, np.where(learned[:, None], axis, UNIT_X), base, streams["holdout"],
-            np.where(reached_rows, analytic, 0.5), scored,
+        **_report(
+            base, spec, axis, readings, plane_angle(n_hat, plane), reached_rows, analytic, oracle, in_range,
+            streams["holdout"],
         ),
     }
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from povmlearn.bloch import EPS_DEGENERATE, Plane, bloch_from_state_angle
 from povmlearn.decomposition import ensemble_vector
-from povmlearn.ensemble import EnsembleSpec, RngStream, estimate_pauli
+from povmlearn.ensemble import EnsembleSpec, RngStream, estimate_pauli, pauli_axes
 from povmlearn.errors import ContractViolation
 
 
@@ -349,54 +349,70 @@ class TestMeasureShots:
             batch(xz_spec(), 2).expectation(axes, 10, RngStream(0).generator())
 
 
+def pauli_estimate(spec, shots, rng):
+    """The estimate of estimate_pauli on the spec's Pauli frame."""
+    return estimate_pauli(spec, pauli_axes(spec.plane), shots, rng)[0]
+
+
 class TestEstimatePauli:
     def test_pure_z_ensemble_is_exact(self):
         spec = EnsembleSpec(0.5, [0, 0, 1], [0, 0, 1], Plane.xz())
-        n_hat = estimate_pauli(spec, 500, RngStream(0).generator())
+        n_hat = pauli_estimate(spec, 500, RngStream(0).generator())
         assert n_hat[2] == 1.0
-        assert estimate_pauli(batch(spec, 3), 500, RngStream(0).generator())[:, 2].tolist() == [1.0] * 3
+        assert pauli_estimate(batch(spec, 3), 500, RngStream(0).generator())[:, 2].tolist() == [1.0] * 3
 
     def test_xz_estimate_zeroes_y(self):
         gens = recorded(1, 2)
-        n_hat = estimate_pauli(xz_spec(), 1000, gens)
+        n_hat = pauli_estimate(xz_spec(), 1000, gens)
         assert n_hat[1] == 0.0
         assert [g.shots for g in gens] == [[1000], [1000]]
-        assert np.all(estimate_pauli(batch(xz_spec(), 4), 1000, RngStream(1).generator())[:, 1] == 0.0)
+        assert np.all(pauli_estimate(batch(xz_spec(), 4), 1000, RngStream(1).generator())[:, 1] == 0.0)
 
     def test_constz_measures_three_axes(self):
         plane = Plane.const_z(0.4)
         r = math.sqrt(1 - 0.16)
         spec = EnsembleSpec(0.5, [r, 0, 0.4], [0, r, 0.4], plane)
         gens = recorded(2, 3)
-        n_hat = estimate_pauli(spec, 1000, gens)
+        n_hat = pauli_estimate(spec, 1000, gens)
         assert n_hat.shape == (3,)
         assert [g.shots for g in gens] == [[1000]] * 3
 
     def test_component_error_bound(self):
         spec = xz_spec(eta0=0.5, g0=0.3, g1=1.1)
         n = spec.eta0 * spec.psi0 + (1 - spec.eta0) * spec.psi1
-        n_hat = estimate_pauli(batch(spec, 100), 10_000, RngStream(0, 1).generator())
+        n_hat = pauli_estimate(batch(spec, 100), 10_000, RngStream(0, 1).generator())
         assert np.sum(np.max(np.abs(n_hat - n), axis=1) <= 5.0 / math.sqrt(10_000)) >= 99
 
     def test_large_shot_limit(self):
         spec = xz_spec(eta0=0.65, g0=0.2, g1=1.4)
-        n_hat = estimate_pauli(spec, 10_000_000, RngStream(9).generator())
+        n_hat = pauli_estimate(spec, 10_000_000, RngStream(9).generator())
         assert float(np.max(np.abs(n_hat - (spec.eta0 * spec.psi0 + (1 - spec.eta0) * spec.psi1)))) <= 2e-3
 
     def test_per_axis_generators(self):
         spec = xz_spec()
         gens = [RngStream(3, 10).generator(), RngStream(3, 11).generator()]
-        est1 = estimate_pauli(spec, 1000, gens)
+        est1 = pauli_estimate(spec, 1000, gens)
         gens = [RngStream(3, 10).generator(), RngStream(3, 11).generator()]
-        est2 = estimate_pauli(spec, 1000, gens)
+        est2 = pauli_estimate(spec, 1000, gens)
         assert np.array_equal(est1, est2)
 
     def test_wrong_generator_count_rejected(self):
         with pytest.raises(ContractViolation):
-            estimate_pauli(xz_spec(), 100, [RngStream(0).generator()])
+            pauli_estimate(xz_spec(), 100, [RngStream(0).generator()])
 
     def test_budget_accounting_is_exact(self):
         # One binomial of the whole per-axis budget on each axis.
         gens = recorded(4, 2)
-        estimate_pauli(batch(xz_spec(), 3), 1234, gens)
+        pauli_estimate(batch(xz_spec(), 3), 1234, gens)
         assert [g.shots for g in gens] == [[1234], [1234]]
+
+    def test_readings_and_a_turned_frame(self):
+        # On the Pauli frame the estimate's plane coordinates are the
+        # readings bit for bit; on any frame it is sum_k Delta_k e_k.
+        spec = batch(xz_spec(), 5)
+        n_hat, readings = estimate_pauli(spec, pauli_axes(spec.plane), 1000, RngStream(2).generator())
+        assert readings.shape == (5, 2) and np.array_equal(spec.plane.coords(n_hat), readings)
+        c, s = math.cos(0.4), math.sin(0.4)
+        frame = [np.array([c, 0.0, s]), np.array([-s, 0.0, c])]
+        n_hat, readings = estimate_pauli(spec, frame, 1000, RngStream(2).generator())
+        assert np.array_equal(n_hat, readings[:, :1] * frame[0] + readings[:, 1:] * frame[1])

@@ -220,6 +220,32 @@ class TestRunExperiment:
         assert all(r.status == "degenerate_ensemble" for r in rows)
         assert all(r.success_emp is None for r in rows)
 
+    def test_antipodal_equal_prior_rows_are_degenerate(self, monkeypatch):
+        # beta = pi/2: the equal-prior states are antipodal and the ensemble
+        # vector vanishes, as above.  The rows report no truth and no budget,
+        # as two-fold degenerate rows do, and still draw from every stream.
+        draws = []
+
+        class Recorded(np.random.Generator):
+            def binomial(self, n, p, size=None):
+                draws.append(np.shape(p))
+                return super().binomial(n, p, size)
+
+        role_streams = experiment._role_streams
+        monkeypatch.setattr(experiment, "_role_streams", lambda seed, roles: {
+            role: Recorded(gen.bit_generator) for role, gen in role_streams(seed, roles).items()
+        })
+        cfg = ExperimentConfig(
+            scenario="equal-prior-xz", beta=math.pi / 2, trials=50,
+            shots_learn=2_000, shots_holdout=1_000, seed=3,
+        )
+        rows = as_rows(run_experiment(cfg))
+        assert draws == [(50,)] * 3  # axis0, axis1, holdout
+        assert all(r.status == "degenerate_ensemble" for r in rows)
+        for r in rows:
+            assert (r.success_analytic, r.success_oracle, r.shots_learn, r.shots_holdout) == (None, None, 0, 0)
+            assert (r.axis_x, r.alpha_hat, r.success_emp, r.z_score) == (None,) * 4
+
     def test_chance_level_at_coincident_states(self):
         # theta = 0 sits on the boundary of the separation-cosine domain, so
         # the theta diagnostic may report out-of-range on noisy trials; the

@@ -24,6 +24,8 @@ P_MIN = 1e-3
 
 CONFIGS = {
     "equal-prior-xz": ExperimentConfig(scenario="equal-prior-xz", alpha=1.0, beta=0.5),
+    # The learning frame turned by phi0: settings 0.3 and 0.3 + pi/4.
+    "equal-prior-xz-phi0": ExperimentConfig(scenario="equal-prior-xz", alpha=1.0, beta=0.5, phi0=0.3),
     "unequal-prior-xz": ExperimentConfig(scenario="unequal-prior-xz", eta0=0.6, theta=1.2, alpha=1.0),
     "const-z": ExperimentConfig(scenario="const-z", eta0=0.6, theta=1.2, alpha=1.0, nz=0.4),
 }
@@ -93,9 +95,9 @@ def engine_run(cfg, seed):
     return np.array([(r.success_emp, r.alpha_hat) for r in rows]).T
 
 
-@pytest.mark.parametrize("scenario", sorted(CONFIGS))
-def test_engine_matches_naive_simulator(scenario):
-    cfg = CONFIGS[scenario]
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_engine_matches_naive_simulator(name):
+    cfg = CONFIGS[name]
     engine, naive = engine_run(cfg, 17), naive_run(cfg, 17)
     for name, a, b in zip(("success_emp", "learned angle"), engine, naive):
         assert ks_pvalue(a, b) > P_MIN, f"{name}: engine and naive distributions differ"

@@ -13,7 +13,7 @@ def run_script(monkeypatch, capsys, name, *args):
     return capsys.readouterr().out.splitlines()
 
 
-def test_learn_equal_prior(monkeypatch, capsys):
+def test_learn_equal_prior_script(monkeypatch, capsys):
     lines = run_script(monkeypatch, capsys, "learn_equal_prior.py", "--shots", "2000", "--holdout", "1000")
     assert lines[0].startswith("measured differences: delta(0.0000) = ")
     assert "qubits consumed while learning: 4000" in lines
