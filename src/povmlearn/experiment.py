@@ -9,10 +9,10 @@ cos_theta_out_of_range per row).  A run is the one-cell sweep.
 Randomness follows stream layout v4: one stream per role, each drawing
 one array over all rows in row order, and every row draws from every
 stream of its scenario whatever its status (rows that report nothing
-draw with placeholder states or axes).  Row k therefore depends on the
-rows before it, never on those after it, so a run's leading rows are
-those of any shorter run with the same seed, and reruns are
-byte-identical.  The learner sees only unlabeled qubits in the mixture
+draw with their true pair, along a placeholder axis where they learned
+none).  Row k therefore depends on the rows before it, never on those
+after it, so a run's leading rows are those of any shorter run with the
+same seed, and reruns are byte-identical.  The learner sees only unlabeled qubits in the mixture
 state, so each learning axis or setting draws one binomial per row; the
 score needs only the holdout's correct count, so the holdout draws one
 binomial per row too.  A run or sweep builds 3, 4 or 5 generators
@@ -20,14 +20,12 @@ binomial per row too.  A run or sweep builds 3, 4 or 5 generators
 
 Ground truth (the hidden spec, the closed-form success and the oracle
 value) is fixed by a cell's parameters and the row's case, and is never
-random.  The engine builds it once per run or sweep, as arrays: the
-case-independent part (the ensemble vector, the closed-form success and
-the oracle value) in one pass over the cells, and the hidden spec, which
-is the batch spec the rows sample from, in one pass over the rows.  A
-degenerate two-fold cell's truth is NaN, and its rows draw with a
-placeholder pair; an equal-prior cell at beta = pi/2 keeps its antipodal
-pair, whose ensemble vector vanishes.  A sweep takes its cells as
-columns: one value per cell of each swept parameter, each checked once.
+random.  Every scenario builds it once per run or sweep, as arrays, from
+two-fold cells (equal_prior_cell maps an equal-prior one): two_fold_cell
+over the cells, and two_fold_spec, the batch spec the rows sample from,
+over the rows.  A degenerate cell's truth is NaN, and its rows draw with
+its true pair.  A sweep takes its cells as columns: one value per cell of
+each swept parameter, each checked once.
 
 All three scenarios learn through one function, learn_axis, on a
 measurement frame: the Pauli axes of the plane, or for equal-prior-xz
@@ -52,11 +50,13 @@ from typing import Sequence
 
 import numpy as np
 
-from povmlearn.bloch import EPS_DEGENERATE, UNIT_X, Plane, bloch_from_state_angle, plane_angle, row_norm
+from povmlearn.bloch import UNIT_X, Plane, plane_angle, row_norm
 from povmlearn.decomposition import (
     EPS_CLAMP,
+    _check_case,
+    _check_priors,
+    _check_theta,
     cos_theta,
-    decompose,
     ensemble_vector,
     learn_axis,
     mixture_targets,
@@ -75,6 +75,13 @@ FORMATS = ("csv", "json")
 # Parameters a sweep may fan out over, in the order that fixes the cell
 # order and so the trial indices.
 SWEEP_KEYS = ("eta0", "theta", "alpha", "beta", "nz")
+
+# The parameters each scenario reads; sweeping another would repeat cells.
+_READS = {
+    "equal-prior-xz": ("alpha", "beta"),
+    "unequal-prior-xz": ("eta0", "theta", "alpha"),
+    "const-z": ("eta0", "theta", "alpha", "nz"),
+}
 
 CSV_COLUMNS = (
     "trial",
@@ -182,24 +189,13 @@ class ExperimentConfig:
             _check_field(self.scenario, name, getattr(self, name))
 
 
-def equal_prior_ensemble(alpha, beta) -> EnsembleSpec:
-    """50/50 ensemble of the pure states at state angles alpha +- beta from
-    +z; arrays of angles give a batch with one ensemble per row."""
-    psi0 = bloch_from_state_angle(alpha + beta)
-    half = np.full(psi0.shape[:-1], 0.5)
-    return EnsembleSpec(eta0=half, psi0=psi0, psi1=bloch_from_state_angle(alpha - beta), plane=_XZ)
-
-
 def two_fold_cell(eta0, theta, direction, plane: Plane = _XZ):
-    """Case-independent truth of a two-fold cell: the ensemble vector of the
-    ensemble in `plane` pointing along `direction` in plane coordinates,
+    """Case-independent truth of a two-fold cell, shared by both branches:
+    the ensemble vector in `plane` along `direction` (plane coordinates)
     with the norm implied by (eta0, theta), its closed-form success and its
-    oracle value.  Both branches share all three.
-
-    Arrays of parameters (and a plane with one nz per cell) give the truth
-    of every cell in one pass.  A degenerate cell, alone or in a batch, has
-    NaN in all three (the in-plane coordinates of its vector).
-    """
+    oracle value.  Arrays of parameters (and a plane with one nz per cell)
+    give every cell's truth in one pass; a degenerate cell, alone or in a
+    batch, has NaN in all three (the in-plane coordinates of its vector)."""
     n, r = ensemble_vector(eta0, theta, direction, plane)
     targets = mixture_targets(n, theta, eta0, plane)
     analytic = success_prob(eta0, theta, r, plane)
@@ -209,20 +205,48 @@ def two_fold_cell(eta0, theta, direction, plane: Plane = _XZ):
     return n, np.where(lost, np.nan, analytic)[()], np.where(lost, np.nan, oracle)[()]
 
 
-def two_fold_spec(n, eta0, theta, case, plane: Plane = _XZ) -> EnsembleSpec:
-    """Hidden spec of the ensemble with Bloch vector n in branch `case`: one
-    ensemble, or a batch with one vector, prior, separation and branch name
-    per row.  An n with no in-plane direction (NaN from two_fold_cell),
-    alone or as a row, gets the placeholder pair, both states at the first
-    plane axis, so that it can still draw."""
-    pair = decompose(n, theta, eta0, case, plane)
-    psi0, psi1 = pair.n0, pair.n1
-    lost = np.isnan(psi0[..., :1])
-    if lost.any():
-        rho = np.sqrt(plane.radius_sq)
-        spot = plane.embed(np.stack((rho, np.zeros_like(rho)), axis=-1))
-        psi0, psi1 = np.where(lost, spot, psi0), np.where(lost, spot, psi1)
+def two_fold_spec(eta0, theta, direction, case, plane: Plane = _XZ) -> EnsembleSpec:
+    """Hidden spec of the two-fold cell (eta0, theta, direction) in branch
+    `case`, built forward from its angles (decompose inverts it): state 0
+    at in-plane angle direction + s phi and state 1 at direction + s (phi -
+    theta), s = +1 for branch A and -1 for B, phi = atan2(eta1 sin theta,
+    eta0 + eta1 cos theta) with the sum written (eta0 - eta1) + 2 eta1
+    cos^2(theta/2), which does not cancel near theta = pi.  One value of
+    each argument (and of the plane's nz) per row gives a batch; a
+    degenerate cell keeps its true pair."""
+    _check_priors(eta0)
+    _check_theta(theta)
+    eta1, sgn, rho = 1.0 - eta0, _check_case(case), np.sqrt(plane.radius_sq)
+    half = np.cos(0.5 * theta)
+    phi = np.arctan2(eta1 * np.sin(theta), (eta0 - eta1) + 2.0 * eta1 * half * half)
+    a0, a1 = direction + sgn * phi, direction + sgn * (phi - theta)
+    psi0, psi1 = (plane.embed(np.stack((rho * np.cos(a), rho * np.sin(a)), axis=-1)) for a in (a0, a1))
     return EnsembleSpec(eta0, psi0, psi1, plane)
+
+
+def equal_prior_cell(alpha, beta):
+    """The two-fold cell (eta0, theta, direction, case) of the 50/50 pair at
+    state angles alpha +- beta from +z, one per row for arrays of angles:
+    theta = 2 beta, direction pi/2 - alpha, and branch B, whose state 0 is
+    at alpha + beta."""
+    return np.full(np.broadcast(alpha, beta).shape, 0.5)[()], 2.0 * beta, 0.5 * math.pi - alpha, "B"
+
+
+def equal_prior_ensemble(alpha, beta) -> EnsembleSpec:
+    """50/50 ensemble of the pure states at state angles alpha +- beta from
+    +z, the two-fold spec of its cell (equal_prior_cell); arrays of angles
+    give a batch with one ensemble per row."""
+    return two_fold_spec(*equal_prior_cell(alpha, beta))
+
+
+def _truth(cell_of, eta0, theta, direction, case, plane: Plane = _XZ):
+    """Each row's truth from one eta0, theta, direction (and nz) per cell:
+    its hidden spec (two_fold_spec over the rows), whether its cell has a
+    direction, and its success and oracle value (two_fold_cell)."""
+    _, analytic, oracle = two_fold_cell(eta0, theta, direction, plane)
+    rows = plane if plane.kind == "xz" else Plane.const_z(plane.nz[cell_of])
+    spec = two_fold_spec(eta0[cell_of], theta[cell_of], direction[cell_of], case, rows)
+    return spec, ~np.isnan(analytic)[cell_of], analytic[cell_of], oracle[cell_of]
 
 
 def _role_streams(seed: int, roles: Sequence[str]) -> dict:
@@ -305,17 +329,15 @@ class _Grid:
 def _equal_prior_rows(grid: _Grid) -> dict:
     base = grid.base
     streams = _role_streams(base.seed, ("axis0", "axis1", "holdout"))
-    # Truth: the hidden spec and both targets in one array pass over the
-    # rows.  The ensemble vector has length cos(beta): antipodal states
-    # (beta = pi/2) leave none, and their rows are degenerate, as in the
-    # two-fold scenarios.
-    alpha, beta = (grid.cells(key)[grid.cell_of] for key in ("alpha", "beta"))
-    spec = equal_prior_ensemble(alpha, beta)
+    # The truth of each cell's two-fold cell.  Its ensemble vector has length
+    # cos(beta), so antipodal states (beta = pi/2) leave degenerate rows.
+    spec, *truth = _truth(grid.cell_of, *equal_prior_cell(grid.cells("alpha"), grid.cells("beta")))
     # The settings phi0 and phi0 + pi/4 read the ensemble along an x-z frame
     # turned by phi0.  The learned perpendicular, negated, is the axis of
     # phi* = alpha_hat/2 + pi/4; 0.0 - axis writes no -0.0.
     frame = (povm_axis_from_phi(base.phi0), povm_axis_from_phi(base.phi0 + 0.25 * math.pi))
     axis, _, readings = learn_axis(spec, frame, base.shots_learn, (streams["axis0"], streams["axis1"]))
+    alpha_hat = solve_alpha(readings[..., 0], readings[..., 1], base.phi0)
     return {
         "scenario": base.scenario,
         "case": None,
@@ -324,30 +346,19 @@ def _equal_prior_rows(grid: _Grid) -> dict:
         "alpha_true": grid.column("alpha"),
         "beta_true": grid.column("beta"),
         "n_z": 0.0,
-        **_report(
-            base, spec, 0.0 - axis, readings, solve_alpha(readings[..., 0], readings[..., 1], base.phi0),
-            np.cos(beta) > EPS_DEGENERATE, 0.5 * (1.0 + np.sin(beta)),
-            success_equal_priors(spec.psi0, spec.psi1), True, streams["holdout"],
-        ),
+        **_report(base, spec, 0.0 - axis, readings, alpha_hat, *truth, True, streams["holdout"]),
     }
 
 
 def _two_fold_rows(grid: _Grid) -> dict:
-    base, cell_of = grid.base, grid.cell_of
+    base = grid.base
     constz = base.scenario == "const-z"
     axis_roles = ("axis0", "axis1", "axis2") if constz else ("axis0", "axis1")
     streams = _role_streams(base.seed, ("case", *axis_roles, "holdout"))
-    case = np.where(streams["case"].random(len(cell_of)) >= 0.5, "B", "A")
-    # Truth: the case-independent part in one array pass over the cells,
-    # the hidden spec in one over the rows.  A degenerate cell has NaN truth,
-    # and its rows draw with a placeholder pair.
+    case = np.where(streams["case"].random(len(grid.cell_of)) >= 0.5, "B", "A")
     eta0, theta, alpha, nz = map(grid.cells, ("eta0", "theta", "alpha", "nz"))
-    vec, analytic, oracle = two_fold_cell(eta0, theta, alpha, Plane.const_z(nz) if constz else _XZ)
-    plane = Plane.const_z(nz[cell_of]) if constz else _XZ
-    spec = two_fold_spec(vec[cell_of], eta0[cell_of], theta[cell_of], case, plane)
-    reached_rows = ~np.isnan(analytic)[cell_of]
-    analytic, oracle = analytic[cell_of], oracle[cell_of]
-
+    spec, *truth = _truth(grid.cell_of, eta0, theta, alpha, case, Plane.const_z(nz) if constz else _XZ)
+    plane = spec.plane
     axis, n_hat, readings = learn_axis(spec, pauli_axes(plane), base.shots_learn, [streams[r] for r in axis_roles])
     # The status reads the in-plane part of the estimate; the measured z of
     # a slice is not used.
@@ -361,10 +372,7 @@ def _two_fold_rows(grid: _Grid) -> dict:
         "alpha_true": grid.column("alpha"),
         "beta_true": None,
         "n_z": grid.column("nz", float) if constz else 0.0,
-        **_report(
-            base, spec, axis, readings, plane_angle(n_hat, plane), reached_rows, analytic, oracle, in_range,
-            streams["holdout"],
-        ),
+        **_report(base, spec, axis, readings, plane_angle(n_hat, plane), *truth, in_range, streams["holdout"]),
     }
 
 
@@ -395,7 +403,8 @@ def run_experiment(config: ExperimentConfig) -> dict[str, list]:
 def sweep(base: ExperimentConfig, grid: dict[str, Sequence[float]]) -> dict[str, list]:
     """Cartesian sweep over parameter value lists, base.trials rows per cell
     in cell order, with globally unique trial indices.  All cells draw from
-    the same role streams, one array per stream over every row.
+    the same role streams, one array per stream over every row.  A grid
+    key the scenario does not read is refused, since its cells would repeat.
 
     The result record maps each CSV_COLUMNS name, then holdout_correct, to
     a list with one entry per row; None marks a value that the row's status
@@ -412,6 +421,9 @@ def sweep(base: ExperimentConfig, grid: dict[str, Sequence[float]]) -> dict[str,
     for k, v in values.items():
         for value in v[1:]:
             _check_field(base.scenario, k, value)
+    unread = [k for k in keys if k not in _READS[base.scenario]]
+    if unread:
+        raise ContractViolation(f"cannot sweep over {unread}, which the {base.scenario} scenario does not read")
     combos = list(itertools.product(*values.values()))
     return _simulate(base, dict(zip(keys, map(list, zip(*combos)))), len(combos))
 

@@ -15,8 +15,9 @@ import pytest
 
 from povmlearn import cli
 from povmlearn.cli import main
+from povmlearn.ensemble import EnsembleSpec
 from povmlearn.errors import ContractViolation
-from povmlearn.experiment import two_fold_cell, two_fold_spec
+from povmlearn.experiment import two_fold_spec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -96,20 +97,20 @@ class TestRun:
         assert all(0.5 < float(r["success_analytic"]) <= 1.0 for r in rows)
 
     def test_invalid_cell_reports_one_state_norm(self):
-        # A run's hidden spec is one two_fold_spec batch over its trials, and
-        # the CLI prints a refused spec's message as its one error line.  An
-        # ensemble vector inconsistent with (eta0, theta) in one row of 400
-        # gives that row impure states; the message names that row's norm
-        # alone, as a spec of the row alone does, not one norm per row.
-        eta0, theta = np.full(400, 0.6), np.full(400, 1.2)
-        n, _, _ = two_fold_cell(eta0, theta, np.full(400, 0.7))
-        n[250] *= 1.001
+        # A run's hidden spec is one batch spec over its trials, and the CLI
+        # prints a refused spec's message as its one error line.  One impure
+        # state in a row of 400 names that row's norm alone, as a spec of the
+        # row alone does, not one norm per row.
+        eta0 = np.full(400, 0.6)
+        spec = two_fold_spec(eta0, np.full(400, 1.2), np.full(400, 0.7), "A")
+        psi0 = spec.psi0.copy()
+        psi0[250] *= 1.001
         with pytest.raises(ContractViolation) as batched:
-            two_fold_spec(n, eta0, theta, "A")
+            EnsembleSpec(eta0, psi0, spec.psi1, spec.plane)
         with pytest.raises(ContractViolation) as single:
-            two_fold_spec(n[250], 0.6, 1.2, "A")
+            EnsembleSpec(0.6, psi0[250], spec.psi1[250], spec.plane)
         assert str(batched.value) == str(single.value)
-        assert re.fullmatch(r"psi0 must be pure \(unit norm\), \|n\| = 0\.99\d+", str(batched.value))
+        assert re.fullmatch(r"psi0 must be pure \(unit norm\), \|n\| = 1\.00\d+", str(batched.value))
 
     def test_unwritable_out_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -266,6 +267,23 @@ class TestSweep:
         assert err == f"error: {message}\n"
         assert out == ""
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "scenario, flag", [("equal-prior-xz", "--theta=0.5,1.0"), ("unequal-prior-xz", "--nz=0.1,0.5")]
+    )
+    def test_sweep_over_a_parameter_the_scenario_does_not_read_writes_nothing(
+        self, capsys, tmp_path, scenario, flag
+    ):
+        # Each cell would repeat the others and report a value it ignores.
+        path = tmp_path / "rows.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--scenario", scenario, flag, "--trials", "1", "--shots-learn", "100",
+            "--shots-holdout", "100", "--seed", "2", "--out", str(path),
+        )
+        key = flag[2:].split("=")[0]
+        assert code == 2
+        assert err == f"error: cannot sweep over ['{key}'], which the {scenario} scenario does not read\n"
+        assert out == "" and not path.exists()
 
     def test_sweep_rerun_is_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

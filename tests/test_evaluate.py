@@ -112,7 +112,7 @@ class TestCorrectProb:
         n, analytic, _ = two_fold_cell(eta0, theta, alpha, plane)
         reached = ~np.isnan(analytic)
         assert reached.sum() >= 990
-        spec = two_fold_spec(n, eta0, theta, np.full(rows, case), plane)
+        spec = two_fold_spec(eta0, theta, alpha, np.full(rows, case), plane)
         p = correct_prob(spec, perp_in_plane(n, plane))
         assert np.max(np.abs(np.maximum(p, 1.0 - p) - analytic)[reached]) <= 1e-12
 

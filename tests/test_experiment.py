@@ -29,7 +29,6 @@ from povmlearn.experiment import (
     run_experiment,
     summarize,
     sweep,
-    two_fold_cell,
     two_fold_spec,
 )
 
@@ -109,7 +108,7 @@ class TestScenarioBuilders:
         )
 
     def test_two_fold_consistency(self):
-        spec = two_fold_spec(two_fold_cell(0.65, 1.1, 0.4)[0], 0.65, 1.1, "B")
+        spec = two_fold_spec(0.65, 1.1, 0.4, "B")
         n = spec.eta0 * spec.psi0 + (1 - spec.eta0) * spec.psi1
         q = np.linalg.norm(n)
         expect = math.sqrt(
@@ -120,7 +119,7 @@ class TestScenarioBuilders:
 
     def test_constz_consistency(self):
         plane = Plane.const_z(0.35)
-        spec = two_fold_spec(two_fold_cell(0.6, 0.9, 1.2, plane)[0], 0.6, 0.9, "A", plane)
+        spec = two_fold_spec(0.6, 0.9, 1.2, "A", plane)
         assert spec.psi0[2] == pytest.approx(0.35, abs=1e-12)
         assert spec.psi1[2] == pytest.approx(0.35, abs=1e-12)
         assert abs(np.linalg.norm(spec.psi0) - 1.0) <= 1e-12
@@ -276,27 +275,27 @@ def count_calls(monkeypatch, name):
 
 class TestTruthOncePerCell:
     """Ground truth is a function of (cell, case) only.  The engine computes
-    it for every cell of a run or sweep in one array pass: one call of
-    two_fold_cell over the cells and one of two_fold_spec over the rows,
-    each row with its own case."""
+    it for every cell of a run or sweep in one array pass, for every
+    scenario: one call of two_fold_cell over the cells and one of
+    two_fold_spec over the rows, each two-fold row with its own case and
+    every equal-prior row in branch B."""
 
-    @pytest.mark.parametrize("scenario", ["unequal-prior-xz", "const-z"])
-    def test_two_fold_run_builds_truth_per_case(self, monkeypatch, scenario):
+    @pytest.mark.parametrize("scenario", ["equal-prior-xz", "unequal-prior-xz", "const-z"])
+    def test_run_builds_truth_once_per_cell_and_once_over_the_rows(self, monkeypatch, scenario):
         cells = count_calls(monkeypatch, "two_fold_cell")
         specs = count_calls(monkeypatch, "two_fold_spec")
-        cfg = ExperimentConfig(scenario=scenario, eta0=0.6, nz=0.3, **{**BASE, "trials": 40})
+        cfg = ExperimentConfig(scenario=scenario, eta0=0.5 if scenario == "equal-prior-xz" else 0.6, nz=0.3,
+                               **{**BASE, "trials": 40})
         rows = as_rows(run_experiment(cfg))
         assert len(rows) == 40
-        assert {r.case for r in rows} == {"A", "B"}
-        assert len(cells) == 1 and cells[0][0].tolist() == [0.6]
-        assert len(specs) == 1
-        assert list(specs[0][3]) == [r.case for r in rows]
-
-    def test_equal_prior_run_builds_ensemble_once(self, monkeypatch):
-        calls = count_calls(monkeypatch, "equal_prior_ensemble")
-        rows = as_rows(run_experiment(ExperimentConfig(scenario="equal-prior-xz", **{**BASE, "trials": 10})))
-        assert len(rows) == 10
-        assert len(calls) == 1
+        assert len(cells) == 1 and cells[0][0].tolist() == [cfg.eta0]
+        assert len(specs) == 1 and specs[0][0].tolist() == [cfg.eta0] * 40
+        if scenario == "equal-prior-xz":
+            assert {r.case for r in rows} == {None} and specs[0][3] == "B"
+            assert cells[0][1].tolist() == [2.0 * cfg.beta] and cells[0][2].tolist() == [math.pi / 2 - cfg.alpha]
+        else:
+            assert {r.case for r in rows} == {"A", "B"}
+            assert list(specs[0][3]) == [r.case for r in rows]
 
     def test_sweep_builds_truth_per_cell(self, monkeypatch):
         calls = count_calls(monkeypatch, "two_fold_cell")
@@ -313,7 +312,7 @@ class TestTruthOncePerCell:
     @pytest.mark.parametrize(
         "scenario, key, truth",
         [
-            ("equal-prior-xz", "beta", {"success_equal_priors", "equal_prior_ensemble"}),
+            ("equal-prior-xz", "beta", {"mixture_targets", "success_prob", "success_equal_priors"}),
             ("const-z", "eta0", {"mixture_targets", "success_prob", "success_equal_priors"}),
         ],
         ids=["equal-prior-xz", "const-z"],
@@ -491,6 +490,24 @@ class TestSweep:
         base = ExperimentConfig(scenario="unequal-prior-xz", **BASE)
         with pytest.raises(ContractViolation):
             sweep(base, {"shots_learn": [10, 20]})
+
+    @pytest.mark.parametrize(
+        "scenario, key",
+        [
+            ("equal-prior-xz", "eta0"),
+            ("equal-prior-xz", "theta"),
+            ("equal-prior-xz", "nz"),
+            ("unequal-prior-xz", "beta"),
+            ("unequal-prior-xz", "nz"),
+            ("const-z", "beta"),
+        ],
+    )
+    def test_key_the_scenario_does_not_read_is_refused(self, scenario, key):
+        # Its cells would be duplicates that report the value they ignore.
+        base = ExperimentConfig(scenario=scenario, **BASE)
+        values = {"eta0": [0.5, 0.5], "theta": [0.5, 1.0], "nz": [0.1, 0.5], "beta": [0.2, 0.4]}[key]
+        with pytest.raises(ContractViolation, match=rf"cannot sweep over \['{key}'\], which the {scenario} scenario"):
+            sweep(base, {"alpha": [0.0, 1.0], key: values})
 
     def test_empty_grid_is_single_run(self):
         base = ExperimentConfig(scenario="unequal-prior-xz", eta0=0.6, **BASE)

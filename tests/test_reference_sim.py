@@ -1,8 +1,10 @@
 """The engine against a deliberately naive simulator.
 
 The reference draws every qubit on its own: one uniform for its hidden
-label, then one for its measurement outcome.  It shares nothing with the
-engine but the ground truth (the two hidden states of a cell).  At small
+label, then one for its measurement outcome.  It builds each cell's two
+hidden states its own way, not with the engine's two_fold_spec: the
+equal-prior pair from its state angles alpha +- beta, and a two-fold pair
+by decompose, the inverse map, from the cell's ensemble vector.  At small
 budgets the two must produce the same distributions of the holdout success
 and of the learned in-plane angle, by a two-sample Kolmogorov-Smirnov test;
 bytes are never compared, since the two draw different random numbers.
@@ -13,8 +15,9 @@ import math
 import numpy as np
 import pytest
 
-from povmlearn.bloch import Plane
-from povmlearn.experiment import ExperimentConfig, equal_prior_ensemble, run_experiment, two_fold_cell, two_fold_spec
+from povmlearn.bloch import Plane, bloch_from_state_angle
+from povmlearn.decomposition import decompose, ensemble_vector
+from povmlearn.experiment import ExperimentConfig, run_experiment
 
 from helpers import as_rows
 
@@ -55,8 +58,7 @@ def measure(rng, eta0, psi0, psi1, axis, shots):
 def naive_trial(rng, cfg):
     """One trial: (holdout success, learned in-plane angle)."""
     if cfg.scenario == "equal-prior-xz":
-        spec = equal_prior_ensemble(cfg.alpha, cfg.beta)
-        eta0, psi0, psi1 = 0.5, spec.psi0, spec.psi1
+        eta0, psi0, psi1 = 0.5, *bloch_from_state_angle([cfg.alpha + cfg.beta, cfg.alpha - cfg.beta])
         deltas = []
         for phi in (cfg.phi0, cfg.phi0 + math.pi / 4):
             axis = np.array([math.sin(2 * phi), 0.0, math.cos(2 * phi)])
@@ -68,8 +70,8 @@ def naive_trial(rng, cfg):
     else:
         plane = Plane.const_z(cfg.nz) if cfg.scenario == "const-z" else Plane.xz()
         case = "A" if rng.random() < 0.5 else "B"
-        spec = two_fold_spec(two_fold_cell(cfg.eta0, cfg.theta, cfg.alpha, plane)[0], cfg.eta0, cfg.theta, case, plane)
-        eta0, psi0, psi1 = cfg.eta0, spec.psi0, spec.psi1
+        pair = decompose(ensemble_vector(cfg.eta0, cfg.theta, cfg.alpha, plane)[0], cfg.theta, cfg.eta0, case, plane)
+        eta0, psi0, psi1 = cfg.eta0, pair.n0, pair.n1
         means = []
         for axis in np.eye(3)[[0, 2] if plane.kind == "xz" else [0, 1, 2]]:
             _, plus = measure(rng, eta0, psi0, psi1, axis, SHOTS)

@@ -4,7 +4,9 @@ The ground truth of a run or sweep is computed in one array pass over its
 cells.  Each truth function takes one value per row and must give, in every
 row, exactly the bits of the single-value call on that row's values.  That
 holds on degenerate rows too: a cell with no in-plane direction is NaN
-(or gets the placeholder pair) alone just as in a batch.
+(or keeps its true pair) alone just as in a batch.  The hidden pair is
+built forward from a cell's angles, and decompose, the inverse map, is
+its reference.
 """
 
 import itertools
@@ -15,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from povmlearn.bloch import EPS_DEGENERATE, Plane
+from povmlearn.bloch import EPS_DEGENERATE, Plane, bloch_from_state_angle, row_norm
 from povmlearn.decomposition import EPS_CLAMP, cos_theta, decompose, ensemble_vector, mixture_targets, success_prob
-from povmlearn.errors import ContractViolation
-from povmlearn.experiment import equal_prior_ensemble, two_fold_cell, two_fold_spec
+from povmlearn.errors import ContractViolation, InvalidPriors
+from povmlearn.experiment import equal_prior_cell, equal_prior_ensemble, two_fold_cell, two_fold_spec
 from povmlearn.helstrom import success_equal_priors
 
 # At theta = pi, |u| = rho |eta0 - eta1|: eta0 = 1/2 + 5e-7 (1 +- 1%) puts it
@@ -116,21 +118,61 @@ def test_two_fold_cell_marks_exactly_the_degenerate_cells(grid):
         assert bits(analytic[k]) == bits(one[1]) and bits(oracle[k]) == bits(one[2])
 
 
-def test_two_fold_spec_rows_and_placeholder(grid):
-    # Every cell of the grid, the near-half ones at theta = pi included,
-    # builds a spec whose states are pure to the spec's tolerance.
+@pytest.mark.parametrize("case", [*CASES, "rows"])
+def test_two_fold_spec_rows(grid, case):
+    # Every row of a batch spec, degenerate cells included, has the bits of
+    # its cell's spec alone.
     eta0, theta, alpha, plane, planes = grid
-    n, analytic, _ = two_fold_cell(eta0, theta, alpha, plane)
-    cases = [CASES[(k // 3) % 2] for k in range(len(eta0))]
-    spec = two_fold_spec(n, eta0, theta, cases, plane)
-    assert np.isnan(analytic).any()
+    cases = [CASES[(k // 3) % 2] if case == "rows" else case for k in range(len(eta0))]
+    spec = two_fold_spec(eta0, theta, alpha, cases if case == "rows" else case, plane)
     for k, p in enumerate(planes):
-        if np.isnan(analytic[k]):
-            spot = p.embed([math.sqrt(p.radius_sq), 0.0])
-            assert bits(spec.psi0[k]) == bits(spot) and bits(spec.psi1[k]) == bits(spot)
-        one = two_fold_spec(two_fold_cell(eta0[k], theta[k], alpha[k], p)[0], eta0[k], theta[k], cases[k], p)
+        one = two_fold_spec(eta0[k], theta[k], alpha[k], cases[k], p)
         assert bits(spec.psi0[k]) == bits(one.psi0) and bits(spec.psi1[k]) == bits(one.psi1)
         assert spec.eta0[k] == one.eta0
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_two_fold_spec_is_the_pair_decompose_recovers(grid, case):
+    # On every cell with an ensemble direction, the pair built forward from
+    # the cell's angles is the pair decompose recovers from its vector.
+    eta0, theta, alpha, plane, _ = grid
+    n, analytic, _ = two_fold_cell(eta0, theta, alpha, plane)
+    kept = ~np.isnan(analytic)
+    assert kept.sum() >= 0.9 * len(eta0)
+    spec, pair = two_fold_spec(eta0, theta, alpha, case, plane), decompose(n, theta, eta0, case, plane)
+    assert np.abs(spec.psi0 - pair.n0)[kept].max() <= 1e-14
+    assert np.abs(spec.psi1 - pair.n1)[kept].max() <= 1e-14
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_degenerate_cells_keep_a_pure_pair(grid, case):
+    # The cells with no ensemble direction (theta = pi at eta0 = 1/2 and at
+    # the near-half priors) keep their true pair: pure, in the plane, with
+    # a mixture whose in-plane norm is at most EPS_DEGENERATE, and
+    # antipodal in the plane at eta0 = 1/2.
+    eta0, theta, alpha, plane, _ = grid
+    _, analytic, _ = two_fold_cell(eta0, theta, alpha, plane)
+    lost = np.isnan(analytic)
+    assert set(theta[lost]) == {math.pi} and {0.5, NEAR_HALF[0]} <= set(eta0[lost]) <= {0.5, *NEAR_HALF}
+    spec = two_fold_spec(eta0, theta, alpha, case, plane)
+    for psi in (spec.psi0, spec.psi1):
+        assert np.abs(row_norm(psi[lost]) - 1.0).max() <= 1e-15
+    assert row_norm(plane.coords(spec.mixture)[lost]).max() <= EPS_DEGENERATE
+    half = lost & (eta0 == 0.5)
+    assert np.abs(plane.coords(spec.psi0 + spec.psi1)[half]).max() <= 1e-15
+
+
+def test_equal_prior_cell_is_the_pair_at_alpha_plus_minus_beta():
+    # The two-fold cell of (alpha, beta) holds state 0 at alpha + beta and
+    # state 1 at alpha - beta, over the beta domain's edges and at random.
+    rng = np.random.default_rng(11)
+    edges = np.array(list(itertools.product(ALPHA, (0.0, 0.3, math.pi / 2)))).T
+    alpha, beta = np.concatenate((edges, [rng.uniform(-10.0, 10.0, 5000), rng.uniform(0.0, math.pi / 2, 5000)]), 1)
+    eta0, theta, direction, case = equal_prior_cell(alpha, beta)
+    assert (eta0 == 0.5).all() and bits(theta) == bits(2.0 * beta) and case == "B"
+    spec = equal_prior_ensemble(alpha, beta)
+    assert np.abs(spec.psi0 - bloch_from_state_angle(alpha + beta)).max() <= 1e-13
+    assert np.abs(spec.psi1 - bloch_from_state_angle(alpha - beta)).max() <= 1e-13
 
 
 @given(
@@ -142,14 +184,16 @@ def test_two_fold_spec_rows_and_placeholder(grid):
 @settings(max_examples=300)
 def test_near_antipodal_cells_build_both_branches(eta0, theta, alpha, nz):
     # Near eta0 = 1/2 and theta = pi, |u| is small and must carry full
-    # relative precision: every cell past EPS_DEGENERATE then decomposes
-    # into unit states (the spec checks them) with a target of at most 1.
-    # Every cell, degenerate or not, has the bits of its row in a batch.
+    # relative precision: every cell past EPS_DEGENERATE then has a target
+    # of at most 1 and decomposes into the pair built forward from its
+    # angles, to the unit-norm tolerance (decompose's own error here is
+    # about 2e-11).  Every cell, degenerate or not, builds pure states (the
+    # spec checks them), and has the bits of its row in a batch.
     plane = Plane.xz() if nz is None else Plane.const_z(nz)
     rows = Plane.xz() if nz is None else Plane.const_z([nz, nz])
     _, r = ensemble_vector(eta0, theta, alpha, plane)
-    cell = (np.array([eta0, 0.7]), np.array([theta, 1.0]))
-    one, batch = two_fold_cell(eta0, theta, alpha, plane), two_fold_cell(*cell, np.array([alpha, 0.3]), rows)
+    cell = (np.array([eta0, 0.7]), np.array([theta, 1.0]), np.array([alpha, 0.3]))
+    one, batch = two_fold_cell(eta0, theta, alpha, plane), two_fold_cell(*cell, rows)
     assert all(bits(b[0]) == bits(o) for b, o in zip(batch, one))
     n, analytic, _ = one
     if r <= EPS_DEGENERATE:
@@ -157,8 +201,11 @@ def test_near_antipodal_cells_build_both_branches(eta0, theta, alpha, nz):
     else:
         assert analytic == success_prob(eta0, theta, r, plane) <= 1.0
     for case in CASES:
-        spec, spec_rows = two_fold_spec(n, eta0, theta, case, plane), two_fold_spec(batch[0], *cell, [case] * 2, rows)
+        spec, spec_rows = two_fold_spec(eta0, theta, alpha, case, plane), two_fold_spec(*cell, [case] * 2, rows)
         assert bits(spec_rows.psi0[0]) == bits(spec.psi0) and bits(spec_rows.psi1[0]) == bits(spec.psi1)
+        if r > EPS_DEGENERATE:
+            pair = decompose(n, theta, eta0, case, plane)
+            assert max(np.abs(pair.n0 - spec.psi0).max(), np.abs(pair.n1 - spec.psi1).max()) <= 1e-9
 
 
 def test_success_equal_priors_on_any_rows():
@@ -182,6 +229,16 @@ def test_batch_contract_errors_still_raise():
     eta0 = np.array([0.6, 0.7])
     theta = np.array([1.0, 1.2])
     n, _, _ = two_fold_cell(eta0, theta, np.array([0.0, 1.0]))
+    # Each refusal names the first bad row; two directions for one prior
+    # are two rows, never one state from each.
+    with pytest.raises(InvalidPriors, match="got eta0 = 1.0"):
+        two_fold_spec(np.array([0.6, 1.0, 0.0]), 1.0, 0.0, "A")
+    with pytest.raises(ContractViolation, match="separation angle must lie in \\[0, pi\\], got 3.5"):
+        two_fold_spec(eta0, np.array([1.0, 3.5]), 0.0, "A")
+    with pytest.raises(ContractViolation, match="branch must be 'A' or 'B', got 'C'"):
+        two_fold_spec(eta0, theta, 0.0, ["A", "C"])
+    with pytest.raises(ContractViolation, match="psi0 must be a Bloch 3-vector per row"):
+        two_fold_spec(0.6, 1.0, np.array([0.1, 0.2]), "A")
     with pytest.raises(ContractViolation, match="branch"):
         decompose(n, theta, eta0, ["A", "C"])
     with pytest.raises(ContractViolation, match="separation angle"):
