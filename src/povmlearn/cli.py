@@ -10,7 +10,8 @@ Subcommands:
 The run and sweep flags are the fields of ExperimentConfig, one flag per
 field, and argparse converts every value.  A ``--config`` file's
 ``key = value`` lines are parsed as the flags of the same names, ahead of
-the explicit flags, which therefore win.
+the explicit flags, which therefore win.  A negative value works after
+its flag in both spellings, ``--alpha -1e-3`` and ``--alpha=-1e-3``.
 
 Exit codes: 0 success (including recoverable per-trial statuses), 2 for
 usage and configuration errors (any DiscriminationError), 1 for I/O
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -64,6 +66,27 @@ def _float_list(text: str) -> list[float]:
 # argparse names the type by its __name__ in a usage error.
 _float_list.__name__ = "float list"
 
+# The flags of the ExperimentConfig fields, which are also the keys a
+# config file may set.
+_FIELD_FLAGS = frozenset(_flag(f.name) for f in fields(ExperimentConfig))
+
+# The int flags of the two batteries, with their defaults.
+_BATTERY_FLAGS = {
+    "oracle-check": {"--instances": 10_000, "--seed": 12345},
+    "selftest": {"--seed": 12345},
+}
+
+# Each subcommand's flags that take a value: all but -h/--help.
+_VALUE_FLAGS = {
+    "run": _FIELD_FLAGS | {"--config"},
+    "sweep": _FIELD_FLAGS | {"--config"},
+    **{command: frozenset(flags) for command, flags in _BATTERY_FLAGS.items()},
+}
+
+# A token argparse may take for a flag although it is a negative value:
+# its negative-number pattern misses -1e-3 and -0.9,0.9.
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
 
 def _add_common_options(parser: argparse.ArgumentParser, sweep_mode: bool) -> None:
     """--config, then one flag per ExperimentConfig field, converted by the
@@ -83,9 +106,10 @@ def _add_common_options(parser: argparse.ArgumentParser, sweep_mode: bool) -> No
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser, built on the first call and shared by every
-    later one: parsing leaves no state in it, so main calls reuse it."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI's argument parser and the parser of each subcommand, by
+    name, built on the first call and shared by every later one: parsing
+    leaves no state in them, so main calls reuse them."""
     parser = argparse.ArgumentParser(
         prog="povmlearn",
         description="Learn a two-outcome qubit discrimination measurement "
@@ -100,14 +124,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="simulate a parameter grid")
     _add_common_options(p_sweep, sweep_mode=True)
 
-    p_oracle = sub.add_parser("oracle-check", help="verify the minimum-error oracle")
-    p_oracle.add_argument("--instances", type=int, default=10_000, metavar="N")
-    p_oracle.add_argument("--seed", type=int, default=12345, metavar="N")
+    sub.add_parser("oracle-check", help="verify the minimum-error oracle")
+    sub.add_parser("selftest", help="run the library invariant battery")
+    for command, flags in _BATTERY_FLAGS.items():
+        for flag, default in flags.items():
+            sub.choices[command].add_argument(flag, type=int, default=default, metavar="N")
 
-    p_self = sub.add_parser("selftest", help="run the library invariant battery")
-    p_self.add_argument("--seed", type=int, default=12345, metavar="N")
+    return parser, sub.choices
 
-    return parser
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process."""
+    return _parsers()[0]
 
 
 def _parse_config_file(path: Path) -> list[str]:
@@ -118,7 +146,6 @@ def _parse_config_file(path: Path) -> list[str]:
         text = path.read_text()
     except OSError as exc:
         raise OSError(f"cannot read config file {path}: {exc}") from exc
-    flags = {_flag(f.name) for f in fields(ExperimentConfig)}
     tokens: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -128,10 +155,46 @@ def _parse_config_file(path: Path) -> list[str]:
             raise ContractViolation(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
         flag = "--" + key.replace("_", "-")
-        if flag not in flags:
+        if flag not in _FIELD_FLAGS:
             raise ContractViolation(f"{path}:{lineno}: unknown config key {key!r}")
         tokens.append(f"{flag}={value}")
     return tokens
+
+
+def _join_negative_values(tokens: list[str], value_flags: frozenset[str]) -> list[str]:
+    """The tokens with each one that starts with '-' and a digit or '.'
+    joined to the value flag right before it, as --flag=value."""
+    joined: list[str] = []
+    for token in tokens:
+        if joined and joined[-1] in value_flags and _NEGATIVE_VALUE.match(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """What build_parser().parse_args(argv) gives, with a subcommand's
+    flags read by that subcommand's parser alone.
+
+    When argv starts with a subcommand, the top-level pass only sets
+    command, hands every later token to the subcommand's parser and
+    reports what that left over.  Here the subcommand's parser reads them
+    into a namespace that already holds command, and the top-level parser
+    reports the leftovers, so the namespace, messages and exit codes are
+    the same.  Negative values are first joined to their flags, which
+    argparse would otherwise report as missing.  Any other argv (no
+    command, an unknown one, a top-level -h) goes through the full
+    parser."""
+    parser, commands = _parsers()
+    command = argv[0] if argv else None
+    if command not in commands:
+        return parser.parse_args(argv)
+    tokens = _join_negative_values(argv[1:], _VALUE_FLAGS[command])
+    args, extras = commands[command].parse_known_args(tokens, argparse.Namespace(command=command))
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def _config_and_grid(args: argparse.Namespace) -> tuple[ExperimentConfig, dict[str, list[float]]]:
@@ -199,7 +262,6 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     handlers = {
         "run": _cmd_run,
@@ -209,11 +271,11 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         try:
-            args = parser.parse_args(argv)
+            args = _parse(argv)
             if getattr(args, "config", None) is not None:
                 # argv[0] is the subcommand.  The file's flags go ahead of
                 # the explicit ones, which win: argparse keeps the last value.
-                args = parser.parse_args([args.command, *_parse_config_file(args.config), *argv[1:]])
+                args = _parse([args.command, *_parse_config_file(args.config), *argv[1:]])
         except SystemExit as exc:
             return int(exc.code or 0)
         return handlers[args.command](args)

@@ -474,11 +474,15 @@ def _is_shared(column: list) -> bool:
 _CSV_SPEC = {"null": "%.0s", "str": "%s", "int": "%d", "float": "%.12g"}
 
 
-def _csv_template(shared: list, types: tuple) -> str:
-    """The %-template of a CSV line: the text of each shared cell (None
-    where a column varies), then the spec of each varying cell's type."""
-    varying = iter(types)
-    return ",".join(_CSV_SPEC[_kind(next(varying))] if text is None else text for text in shared)
+def _csv_column(column: list) -> tuple[str, list]:
+    """The spec of a varying CSV column in the row template, and the cells
+    that fill it: the column itself under its kind's spec when it holds
+    one kind, else the text of each cell under %s (a column with None, or
+    with an integer in a float field)."""
+    kinds = {_kind(t) for t in set(map(type, column))}
+    if len(kinds) == 1 and "null" not in kinds:
+        return _CSV_SPEC[kinds.pop()], column
+    return "%s", [_CSV_SPEC[_kind(type(v))] % v for v in column]
 
 
 # JSON: the text json.dumps(indent=2) writes for each cell; a float is the
@@ -543,8 +547,9 @@ def render_results(columns: dict[str, list], fmt: str = "csv") -> str:
     The bytes are those of csv.writer (lineterminator "\\n") and of
     json.dumps(indent=2) over the rows' cells.  A column whose cells are
     all written alike is written once, into the row template; each row is
-    then one %-format over its varying cells.  CSV picks its template by
-    the types of those cells, JSON formats them a column at a time."""
+    then one %-format over its varying cells.  CSV builds that template
+    once, from the kind of each varying column, and JSON formats those
+    cells a column at a time."""
     table = [columns[name] for name in CSV_COLUMNS]
     if len(set(map(len, table))) > 1:
         raise ContractViolation("the columns of a result record differ in length")
@@ -558,11 +563,12 @@ def render_results(columns: dict[str, list], fmt: str = "csv") -> str:
     varying = [c for c, text in zip(table, shared) if text is None]
     # With no varying column, every row is the template itself.
     if fmt == "csv":
-        rows = list(zip(*varying)) if varying else [()] * len(table[0])
-        types = [tuple(map(type, c)) for c in rows]
-        templates = {t: _csv_template(shared, t) for t in set(types)}
+        specs, cells = zip(*map(_csv_column, varying)) if varying else ((), ())
+        spec = iter(specs)
+        template = ",".join(next(spec) if text is None else text for text in shared)
+        rows = zip(*cells) if cells else [()] * len(table[0])
         lines = [",".join(CSV_COLUMNS)]
-        lines += [templates[t] % c for t, c in zip(types, rows)]
+        lines += [template % c for c in rows]
         text = "\n".join(lines) + "\n"
         # A comma, quote or newline inside a string cell would need CSV quoting.
         if text.count(",") != len(lines) * (len(CSV_COLUMNS) - 1) or '"' in text or text.count("\n") != len(lines):

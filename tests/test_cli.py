@@ -316,10 +316,10 @@ class TestBatteries:
         assert code == 0
         assert "FAIL" not in out
 
-    @pytest.mark.parametrize("command", ["oracle-check", "selftest"])
+    @pytest.mark.parametrize("command", ["run", "oracle-check", "selftest"])
     def test_negative_seed_is_config_error(self, capsys, command):
-        # The same check and exit code as run --seed -1, not numpy's
-        # ValueError.
+        # The library's check and exit code, not numpy's ValueError, and
+        # not a flag: -1 stays the value of --seed.
         code, out, err = run_cli(capsys, command, "--seed", "-1")
         assert code == 2
         assert err.startswith("error: seed must be a nonnegative integer, got -1")
@@ -377,8 +377,7 @@ class TestUsage:
 
 
 def _subparser(command: str) -> argparse.ArgumentParser:
-    action = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return action.choices[command]
+    return cli._parsers()[1][command]
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -399,15 +398,15 @@ class TestParserReuse:
            "--trials", "2", "--shots-learn", "500", "--shots-holdout", "200")
 
     def test_built_once_across_calls(self, capsys):
-        cli.build_parser.cache_clear()
+        cli._parsers.cache_clear()
         for _ in range(3):
             assert run_cli(capsys, *self.RUN)[0] == 0
         assert run_cli(capsys, "oracle-check", "--instances", "5")[0] == 0
-        assert cli.build_parser.cache_info().misses == 1
+        assert cli._parsers.cache_info().misses == 1
         assert cli.build_parser() is cli.build_parser()
 
     def test_seed_does_not_carry_over(self, capsys):
-        cli.build_parser.cache_clear()
+        cli._parsers.cache_clear()
         fresh = run_cli(capsys, *self.RUN, "--seed", "0")
         seeded = run_cli(capsys, *self.RUN, "--seed", "5")
         unseeded = run_cli(capsys, *self.RUN)
@@ -420,3 +419,69 @@ class TestParserReuse:
         code = run_cli(capsys, *argv)[0]
         assert code == (0 if "--help" in argv else 2)
         assert run_cli(capsys, *self.RUN) == before
+
+
+class TestSubcommandParse:
+    """An argv that starts with a subcommand is parsed by that subcommand's
+    parser alone, and gives what the full parser gives."""
+
+    ARGVS = {
+        "run": ("run", "--scenario", "const-z", "--eta0", "0.6", "--nz", "0.25", *COMMON),
+        "run-json": ("run", "--scenario", "equal-prior-xz", "--format", "json", *COMMON),
+        "sweep": ("sweep", "--scenario", "unequal-prior-xz", "--eta0", "0.5,0.6", *COMMON),
+        "oracle-check": ("oracle-check", "--instances", "20", "--seed", "4"),
+        "selftest": ("selftest", "--seed", "2"),
+        "help": ("--help",),
+        "run-help": ("run", "--help"),
+        "no-command": (),
+        "unknown-command": ("bogus", "--seed", "1"),
+        "unknown-flag": ("run", "--bogus"),
+        "unknown-flag-and-value": ("run", "--scenario", "const-z", "--bogus", "-1", *COMMON),
+        "non-integer-trials": ("run", "--trials", "2.5"),
+        "config-overridden": ("run", "--config", "{cfg}", "--eta0", "0.55"),
+        "config-unknown-key": ("run", "--config", "{bad_cfg}"),
+    }
+
+    @pytest.fixture
+    def argv_of(self, tmp_path):
+        cfg, bad_cfg = tmp_path / "exp.cfg", tmp_path / "bad.cfg"
+        cfg.write_text("scenario = unequal-prior-xz\neta0 = 0.7\ntrials = 2\nshots-learn = 500\n"
+                       "shots-holdout = 200\nseed = 9\n")
+        bad_cfg.write_text("eta = 0.6\n")
+        return lambda name: [a.format(cfg=cfg, bad_cfg=bad_cfg) for a in self.ARGVS[name]]
+
+    @pytest.mark.parametrize("name", ARGVS)
+    def test_same_outcome_as_the_full_parser(self, capsys, monkeypatch, argv_of, name):
+        argv = argv_of(name)
+        outcome = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+        assert outcome == run_cli(capsys, *argv)
+
+    @pytest.mark.parametrize("name", ["run", "sweep", "oracle-check", "unknown-flag", "config-overridden"])
+    def test_known_subcommand_skips_the_top_level_pass(self, capsys, monkeypatch, argv_of, name):
+        def top_level_pass(*args, **kwargs):
+            raise AssertionError("the top-level parser parsed a subcommand's argv")
+
+        monkeypatch.setattr(cli.build_parser(), "parse_known_args", top_level_pass)
+        assert run_cli(capsys, *argv_of(name))[0] == (2 if name == "unknown-flag" else 0)
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "oracle-check", "selftest"])
+    def test_value_flags_are_the_subcommand_flags(self, command):
+        flags = {s for a in _subparser(command)._actions for s in a.option_strings} - {"-h", "--help"}
+        assert cli._VALUE_FLAGS[command] == flags
+
+
+class TestNegativeValues:
+    """A negative value after its flag, in either spelling."""
+
+    @pytest.mark.parametrize("command, flag, value", [("run", "--alpha", "-1e-3"), ("sweep", "--nz", "-0.9,0.9")])
+    def test_separate_value_equals_joined_value(self, capsys, command, flag, value):
+        head = (command, "--scenario", "const-z", *COMMON)
+        joined = run_cli(capsys, *head, f"{flag}={value}")
+        assert joined[0] == 0
+        assert run_cli(capsys, *head, flag, value) == joined
+
+    def test_flag_after_a_flag_stays_a_flag(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--alpha", "--trials", "2")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "povmlearn run: error: argument --alpha: expected one argument"
