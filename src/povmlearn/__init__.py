@@ -5,7 +5,8 @@ states and learns, from destructive single-qubit measurements alone, the
 two-outcome POVM that discriminates the states with minimum error.  The
 learners work in Bloch-vector form, so each reduces to closed-form plane
 geometry plus shot-noise statistics; only the Helstrom oracle they are
-checked against diagonalizes complex density matrices.
+checked against builds complex density matrices, and it diagonalizes their
+2x2 difference in closed form from its entries.
 """
 
 __version__ = "0.1.0"

@@ -84,8 +84,9 @@ _VALUE_FLAGS = {
 }
 
 # A token argparse may take for a flag although it is a negative value:
-# its negative-number pattern misses -1e-3 and -0.9,0.9.
-_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+# its negative-number pattern misses -1e-3, -0.9,0.9 and the infinities and
+# NaNs float() reads (-inf, -Infinity, -nan), alone or first in a list.
+_NEGATIVE_VALUE = re.compile(r"-(?:[0-9.]|(?:inf|infinity|nan)(?:,|$))", re.IGNORECASE)
 
 
 def _add_common_options(parser: argparse.ArgumentParser, sweep_mode: bool) -> None:
@@ -162,8 +163,9 @@ def _parse_config_file(path: Path) -> list[str]:
 
 
 def _join_negative_values(tokens: list[str], value_flags: frozenset[str]) -> list[str]:
-    """The tokens with each one that starts with '-' and a digit or '.'
-    joined to the value flag right before it, as --flag=value."""
+    """The tokens with each negative value (one that starts with '-' and a
+    digit or '.', or a negative inf, infinity or nan in any case) joined to
+    the value flag right before it, as --flag=value."""
     joined: list[str] = []
     for token in tokens:
         if joined and joined[-1] in value_flags and _NEGATIVE_VALUE.match(token):

@@ -5,8 +5,12 @@ rho0, rho1 with priors eta0, eta1 = 1 - eta0 are told apart best by the
 projector onto the positive part of Gamma = eta0 rho0 - eta1 rho1, which
 succeeds with probability (1 + ||Gamma||_1)/2, the trace norm being the sum
 of |lambda| over Gamma's eigenvalues.  helstrom builds Gamma as a complex
-2x2 matrix and diagonalizes it, independently of the Bloch-vector formulas
-the learners and the closed form use; success_equal_priors keeps the Bloch
+2x2 matrix, independently of the Bloch-vector formulas the learners and the
+closed form use, and diagonalizes it in closed form from its entries: a
+Hermitian [[a, b], [conj(b), d]] has eigenvalues m +- r, with m = (a + d)/2,
+h = (a - d)/2 and r = hypot(h, |b|), and the projector onto the larger one
+is (Gamma - (m - r) I)/(2r) = (I + (Re b, -Im b, h).sigma/r)/2.  No step
+iterates, and each is elementwise.  success_equal_priors keeps the Bloch
 form for the engine.
 """
 
@@ -35,10 +39,11 @@ def _density_matrix(n) -> np.ndarray:
 def helstrom(m0, m1, eta0=0.5):
     """Minimum-error discrimination of the states with Bloch vectors m0 and
     m1, at priors eta0 and 1 - eta0: (success, axis), where axis is the
-    Bloch vector of Gamma's eigenvector of larger eigenvalue, the one the
-    detector-0 projector points along.  With rows of vectors (and eta0 one
-    number or one per row) both come back one per row, through one batched
-    eigendecomposition; each row has the bits of its pair alone.
+    Bloch vector of the projector onto Gamma's eigenvector of larger
+    eigenvalue, the one detector 0 points along.  With rows of vectors (and
+    eta0 one number or one per row) both come back one per row, from the
+    closed-form spectrum of each row's Gamma, elementwise; each row has the
+    bits of its pair alone.
 
     A pair whose two eigenvalues of Gamma lie within the degeneracy
     tolerance has no optimal axis and raises DegenerateEnsemble; a batch
@@ -46,15 +51,15 @@ def helstrom(m0, m1, eta0=0.5):
     """
     eta0 = np.asarray(eta0, dtype=float)[..., None, None]
     gamma = eta0 * _density_matrix(m0) - (1.0 - eta0) * _density_matrix(m1)
-    lam, vec = np.linalg.eigh(gamma)
-    gap = lam[..., 1] - lam[..., 0]
+    a, d, b = gamma[..., 0, 0].real, gamma[..., 1, 1].real, gamma[..., 0, 1]
+    mid, half = 0.5 * (a + d), 0.5 * (a - d)
+    r = np.hypot(half, np.abs(b))
+    gap = 2.0 * r
     bad = gap <= EPS_DEGENERATE
     if any_row(bad):
         raise DegenerateEnsemble(f"states are indistinguishable: eigenvalue gap of Gamma = {first_row(bad, gap):.3g}")
-    a, b = vec[..., 0, 1], vec[..., 1, 1]
-    ab = a.conj() * b
-    axis = np.stack((2.0 * ab.real, 2.0 * ab.imag, (a.conj() * a).real - (b.conj() * b).real), axis=-1)
-    return 0.5 * (1.0 + np.abs(lam[..., 0]) + np.abs(lam[..., 1])), axis
+    axis = np.stack((b.real, -b.imag, half), axis=-1) / r[..., None]
+    return 0.5 * (1.0 + np.abs(mid - r) + np.abs(mid + r)), axis
 
 
 def success_equal_priors(m0, m1):

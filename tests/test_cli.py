@@ -481,6 +481,26 @@ class TestNegativeValues:
         assert joined[0] == 0
         assert run_cli(capsys, *head, flag, value) == joined
 
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("run", "--alpha", "-inf", "error: alpha must be finite, got -inf"),
+        ("run", "--alpha", "-Infinity", "error: alpha must be finite, got -inf"),
+        ("run", "--alpha", "-NaN", "error: alpha must be finite, got nan"),
+        ("sweep", "--nz", "-inf,0.5", "error: nz must lie in (-1, 1), got -inf"),
+        ("sweep", "--nz", "-INF", "error: nz must lie in (-1, 1), got -inf"),
+    ])
+    def test_non_finite_value_reaches_the_library_check(self, capsys, command, flag, value, message):
+        head = (command, "--scenario", "const-z", "--trials", "1")
+        joined = run_cli(capsys, *head, f"{flag}={value}")
+        assert joined[:2] == (2, "")
+        assert joined[2].splitlines()[-1] == message
+        assert run_cli(capsys, *head, flag, value) == joined
+
+    @pytest.mark.parametrize("token", ["-info", "-nano", "-infinite"])
+    def test_word_that_only_starts_like_inf_stays_a_flag(self, capsys, token):
+        code, out, err = run_cli(capsys, "run", "--alpha", token, "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "povmlearn run: error: argument --alpha: expected one argument"
+
     def test_flag_after_a_flag_stays_a_flag(self, capsys):
         code, out, err = run_cli(capsys, "run", "--alpha", "--trials", "2")
         assert (code, out) == (2, "")

@@ -1,5 +1,6 @@
-"""Minimum-error oracle: Helstrom's measurement from one eigendecomposition of
-eta0 rho0 - eta1 rho1, for one pair or for rows of pairs."""
+"""Minimum-error oracle: Helstrom's measurement from the closed-form spectrum
+of eta0 rho0 - eta1 rho1, for one pair or for rows of pairs, checked against
+LAPACK's eigh of the same matrices."""
 
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from povmlearn.bloch import EPS_DEGENERATE, check_unit
 from povmlearn.errors import DegenerateEnsemble
 from povmlearn.helstrom import helstrom, success_equal_priors
 
@@ -23,6 +25,21 @@ def from_spherical(point):
 
 # Bloch vectors |m| <= 1, mixed states included.
 BLOCH_BALL = st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.0, 2.0 * math.pi)).map(from_spherical)
+
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def lapack_helstrom(m0, m1, eta0):
+    """(success, axis, gap) per row from np.linalg.eigh of Gamma = eta0 rho0
+    - (1 - eta0) rho1: the axis is the Bloch vector of the eigenvector of
+    larger eigenvalue."""
+    rho0, rho1 = (0.5 * (np.eye(2) + np.einsum("rk,kij->rij", m, PAULI)) for m in (m0, m1))
+    eta0 = eta0[:, None, None]
+    lam, vec = np.linalg.eigh(eta0 * rho0 - (1.0 - eta0) * rho1)
+    a, b = vec[:, 0, 1], vec[:, 1, 1]
+    ab = a.conj() * b
+    axis = np.stack((2.0 * ab.real, 2.0 * ab.imag, np.abs(a) ** 2 - np.abs(b) ** 2), axis=-1)
+    return 0.5 * (1.0 + np.abs(lam).sum(axis=1)), axis, lam[:, 1] - lam[:, 0]
 
 
 class TestHelstrom:
@@ -105,3 +122,53 @@ def test_each_row_has_the_bits_of_its_pair(seed, count, row_priors):
     for k in range(count):
         one_success, one_axis = helstrom(m0[k], m1[k], eta0[k] if row_priors else eta0)
         assert one_success.tobytes() == success[k].tobytes() and one_axis.tobytes() == axis[k].tobytes()
+
+
+# Rows of (m0, m1, eta0) whose y components differ, so every Gamma has a
+# complex off-diagonal entry.
+COMPLEX_ROWS = st.lists(
+    st.tuples(BLOCH_BALL, BLOCH_BALL, st.floats(0.01, 0.99)).filter(lambda row: row[0][1] != row[1][1]),
+    min_size=1, max_size=8)
+
+
+@given(COMPLEX_ROWS)
+@settings(max_examples=300, deadline=None)
+def test_closed_form_matches_lapack_eigh(rows):
+    m0, m1 = (np.array([row[k] for row in rows]) for k in (0, 1))
+    eta0 = np.array([row[2] for row in rows])
+    ref_success, ref_axis, ref_gap = lapack_helstrom(m0, m1, eta0)
+    # Rows near the degeneracy tolerance would raise for the whole batch.
+    assume(ref_gap.min() > 10 * EPS_DEGENERATE)
+    success, axis = helstrom(m0, m1, eta0)
+    assert np.abs(success - ref_success).max() <= 1e-15
+    wide = ref_gap >= 1e-3
+    assert np.abs(axis[wide] - ref_axis[wide]).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("eta0", [0.5, 0.3, 0.8])
+def test_axis_is_unit_and_along_v_down_to_the_degeneracy_tolerance(eta0):
+    # Gamma = ((eta0 - eta1) I + v.sigma)/2 has eigenvalue gap |v|, and its
+    # axis is v/|v|; both orders of the pair give opposite v.
+    gap = np.geomspace(1.001 * EPS_DEGENERATE, 1e-3, 60)
+    direction = np.array([0.48, -0.6, 0.64])
+    m0 = np.tile([0.2, 0.3, -0.1], (gap.size, 1))
+    m1 = (eta0 * m0 - gap[:, None] * direction) / (1.0 - eta0)
+    for first, second, prior in ((m0, m1, eta0), (m1, m0, 1.0 - eta0)):
+        v = prior * first - (1.0 - prior) * second
+        v_norm = np.linalg.norm(v, axis=1)
+        _, axis = helstrom(first, second, prior)
+        check_unit(axis, "helstrom axis")
+        assert np.all(np.abs(axis - v / v_norm[:, None]).max(axis=1) <= 1e-15 / gap)
+
+
+def test_no_linear_algebra_call(monkeypatch):
+    class NoLinalg:
+        def __getattr__(self, name):
+            raise AssertionError(f"helstrom called np.linalg.{name}")
+
+    rng = np.random.default_rng(5)
+    m0, m1 = rng.uniform(-0.57, 0.57, size=(2, 20, 3))
+    expected = helstrom(m0, m1, 0.3)
+    monkeypatch.setattr(np, "linalg", NoLinalg())
+    success, axis = helstrom(m0, m1, 0.3)
+    assert np.array_equal(success, expected[0]) and np.array_equal(axis, expected[1])
