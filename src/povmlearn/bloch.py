@@ -38,6 +38,15 @@ del _unit
 _TAU = 2.0 * math.pi
 
 
+def reduce_angle(a):
+    """An angle, or an array of angles, less its whole turns of 2*pi where it
+    is more than a turn from 0: the exact remainder np.fmod, with the sign of
+    the angle.  An angle within a turn, +-2*pi included, comes back as given.
+    Reduce before adding an offset to an angle: a huge angle would lose the
+    offset to rounding."""
+    return np.where(np.abs(a) > _TAU, np.fmod(a, _TAU), a)[()]
+
+
 def wrap_angle(a):
     """Reduce an angle, or an array of angles, to [0, 2*pi)."""
     r = np.fmod(a, _TAU)
@@ -206,11 +215,16 @@ def perp_in_plane(n, plane: Plane) -> np.ndarray:
     at most EPS_DEGENERATE) gets the zero vector, alone or as a row.
     """
     u = plane.coords(n)
-    r = np.hypot(u[..., :1], u[..., 1:])
+    u1, u2 = u[..., 0], u[..., 1]
+    r = np.hypot(u1, u2)
+    keep = r > EPS_DEGENERATE
+    # A short row divides by 1.0, not by its norm, which may be 0.0; its
+    # quotient is then dropped.
+    r = np.where(keep, r, 1.0)
     out = np.zeros(u.shape[:-1] + (3,))
     w = plane.coords(out)
-    np.divide(u[..., ::-1], r, out=w, where=r > EPS_DEGENERATE)
-    w[..., 0] *= -1.0
+    w[..., 0] = np.where(keep, -u2 / r, -0.0)
+    w[..., 1] = np.where(keep, u1 / r, 0.0)
     return out
 
 

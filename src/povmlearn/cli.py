@@ -27,7 +27,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from povmlearn import selfcheck
 from povmlearn.errors import ContractViolation, DiscriminationError
 from povmlearn.experiment import (
     FORMATS,
@@ -251,12 +250,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
+    # Imported here, so that a run or sweep process never loads the batteries.
+    from povmlearn import selfcheck
+
     text, passed = selfcheck.render(selfcheck.oracle_battery(args.instances, args.seed))
     sys.stdout.write(text)
     return 0 if passed else 2
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from povmlearn import selfcheck  # as in _cmd_oracle_check
+
     outcomes = selfcheck.oracle_battery(2000, args.seed) + selfcheck.invariant_battery(args.seed)
     text, passed = selfcheck.render(outcomes)
     sys.stdout.write(text)

@@ -28,7 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from povmlearn.bloch import EPS_DEGENERATE, EPS_PHYS, Plane, any_row, every_row, first_row, perp_in_plane, self_dot
+from povmlearn.bloch import (
+    EPS_DEGENERATE,
+    EPS_PHYS,
+    Plane,
+    any_row,
+    every_row,
+    first_row,
+    perp_in_plane,
+    reduce_angle,
+    self_dot,
+)
 from povmlearn.ensemble import EnsembleSpec, estimate_pauli
 from povmlearn.errors import ContractViolation, InvalidPriors
 
@@ -60,11 +70,16 @@ class MixtureTargets:
 def _embed(plane: Plane, *pairs) -> np.ndarray:
     """The 3-vectors with in-plane coordinates (first, second) of each
     pair, stacked in pair order: one vector per pair of numbers, one per row
-    per pair of columns."""
-    u = np.empty((len(pairs), *np.shape(pairs[0][0]), 2))
+    per pair of columns.  The coordinates are written straight into the
+    zeroed vectors, as Plane.embed places them, and a slice's offset after
+    them."""
+    out = np.zeros((len(pairs), *np.shape(pairs[0][0]), 3))
+    u = plane.coords(out)
     for k, (first, second) in enumerate(pairs):
         u[k, ..., 0], u[k, ..., 1] = first, second
-    return plane.embed(u)
+    if plane.kind == "constz":
+        out[..., 2] = plane.nz
+    return out
 
 
 def _check_priors(eta0) -> None:
@@ -124,12 +139,15 @@ def ensemble_vector(eta0, theta, direction, plane: Plane = _PLANE_XZ) -> tuple[n
     norm |u| = rho sqrt(eta0^2 + eta1^2 + 2 eta0 eta1 cos(theta)), the
     relation cos_theta inverts, written as rho sqrt((eta0 - eta1)^2 +
     4 eta0 eta1 cos^2(theta/2)), which does not cancel near theta = pi with
-    eta0 near 1/2.  Any argument (and the plane's nz) may hold one value per
-    row, giving one vector and norm per row."""
+    eta0 near 1/2.  The direction is taken less its whole turns
+    (reduce_angle), as two_fold_spec takes it.  Any argument (and the
+    plane's nz) may hold one value per row, giving one vector and norm per
+    row."""
     eta1 = 1.0 - eta0
     half = np.cos(0.5 * theta)
     q = np.sqrt((eta0 - eta1) * (eta0 - eta1) + 4.0 * eta0 * eta1 * half * half)
     r = np.sqrt(plane.radius_sq) * q
+    direction = reduce_angle(direction)
     return plane.embed(np.stack((r * np.cos(direction), r * np.sin(direction)), axis=-1)), r
 
 

@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from povmlearn.bloch import UNIT_X, Plane, plane_angle, row_norm
+from povmlearn.bloch import UNIT_X, Plane, plane_angle, reduce_angle, row_norm
 from povmlearn.decomposition import (
     EPS_CLAMP,
     _check_case,
@@ -211,14 +211,16 @@ def two_fold_spec(eta0, theta, direction, case, plane: Plane = _XZ) -> EnsembleS
     at in-plane angle direction + s phi and state 1 at direction + s (phi -
     theta), s = +1 for branch A and -1 for B, phi = atan2(eta1 sin theta,
     eta0 + eta1 cos theta) with the sum written (eta0 - eta1) + 2 eta1
-    cos^2(theta/2), which does not cancel near theta = pi.  One value of
-    each argument (and of the plane's nz) per row gives a batch; a
-    degenerate cell keeps its true pair."""
+    cos^2(theta/2), which does not cancel near theta = pi.  The direction
+    is reduced (reduce_angle) before the offsets are added, which a huge
+    angle would lose.  One value of each argument (and of the plane's nz)
+    per row gives a batch; a degenerate cell keeps its true pair."""
     _check_priors(eta0)
     _check_theta(theta)
     eta1, sgn, rho = 1.0 - eta0, _check_case(case), np.sqrt(plane.radius_sq)
     half = np.cos(0.5 * theta)
     phi = np.arctan2(eta1 * np.sin(theta), (eta0 - eta1) + 2.0 * eta1 * half * half)
+    direction = reduce_angle(direction)
     a0, a1 = direction + sgn * phi, direction + sgn * (phi - theta)
     psi0, psi1 = (plane.embed(np.stack((rho * np.cos(a), rho * np.sin(a)), axis=-1)) for a in (a0, a1))
     return EnsembleSpec(eta0, psi0, psi1, plane)
@@ -227,9 +229,9 @@ def two_fold_spec(eta0, theta, direction, case, plane: Plane = _XZ) -> EnsembleS
 def equal_prior_cell(alpha, beta):
     """The two-fold cell (eta0, theta, direction, case) of the 50/50 pair at
     state angles alpha +- beta from +z, one per row for arrays of angles:
-    theta = 2 beta, direction pi/2 - alpha, and branch B, whose state 0 is
-    at alpha + beta."""
-    return np.full(np.broadcast(alpha, beta).shape, 0.5)[()], 2.0 * beta, 0.5 * math.pi - alpha, "B"
+    theta = 2 beta, direction pi/2 - alpha, with alpha reduced first
+    (reduce_angle), and branch B, whose state 0 is at alpha + beta."""
+    return np.full(np.broadcast(alpha, beta).shape, 0.5)[()], 2.0 * beta, 0.5 * math.pi - reduce_angle(alpha), "B"
 
 
 def equal_prior_ensemble(alpha, beta) -> EnsembleSpec:
@@ -333,11 +335,13 @@ def _equal_prior_rows(grid: _Grid) -> dict:
     # cos(beta), so antipodal states (beta = pi/2) leave degenerate rows.
     spec, *truth = _truth(grid.cell_of, *equal_prior_cell(grid.cells("alpha"), grid.cells("beta")))
     # The settings phi0 and phi0 + pi/4 read the ensemble along an x-z frame
-    # turned by phi0.  The learned perpendicular, negated, is the axis of
+    # turned by phi0, reduced first so that a huge phi0 keeps its quarter
+    # turn.  The learned perpendicular, negated, is the axis of
     # phi* = alpha_hat/2 + pi/4; 0.0 - axis writes no -0.0.
-    frame = (povm_axis_from_phi(base.phi0), povm_axis_from_phi(base.phi0 + 0.25 * math.pi))
+    phi0 = reduce_angle(base.phi0)
+    frame = (povm_axis_from_phi(phi0), povm_axis_from_phi(phi0 + 0.25 * math.pi))
     axis, _, readings = learn_axis(spec, frame, base.shots_learn, (streams["axis0"], streams["axis1"]))
-    alpha_hat = solve_alpha(readings[..., 0], readings[..., 1], base.phi0)
+    alpha_hat = solve_alpha(readings[..., 0], readings[..., 1], phi0)
     return {
         "scenario": base.scenario,
         "case": None,

@@ -5,13 +5,14 @@ rho0, rho1 with priors eta0, eta1 = 1 - eta0 are told apart best by the
 projector onto the positive part of Gamma = eta0 rho0 - eta1 rho1, which
 succeeds with probability (1 + ||Gamma||_1)/2, the trace norm being the sum
 of |lambda| over Gamma's eigenvalues.  helstrom builds Gamma as a complex
-2x2 matrix, independently of the Bloch-vector formulas the learners and the
-closed form use, and diagonalizes it in closed form from its entries: a
-Hermitian [[a, b], [conj(b), d]] has eigenvalues m +- r, with m = (a + d)/2,
-h = (a - d)/2 and r = hypot(h, |b|), and the projector onto the larger one
-is (Gamma - (m - r) I)/(2r) = (I + (Re b, -Im b, h).sigma/r)/2.  No step
-iterates, and each is elementwise.  success_equal_priors keeps the Bloch
-form for the engine.
+2x2 matrix, from density matrices rho = [[1 + z, x - iy], [x + iy, 1 - z]]/2
+written entry by entry, independently of the Bloch-vector formulas the
+learners and the closed form use, and diagonalizes it in closed form from
+its entries: a Hermitian [[a, b], [conj(b), d]] has eigenvalues m +- r,
+with m = (a + d)/2, h = (a - d)/2 and r = hypot(h, |b|), and the projector
+onto the larger one is (Gamma - (m - r) I)/(2r) = (I + (Re b, -Im b,
+h).sigma/r)/2.  No step iterates, and each is elementwise.
+success_equal_priors keeps the Bloch form for the engine.
 """
 
 from __future__ import annotations
@@ -21,19 +22,24 @@ import numpy as np
 from povmlearn.bloch import EPS_DEGENERATE, any_row, first_row, row_norm
 from povmlearn.errors import DegenerateEnsemble
 
-_I = np.eye(2, dtype=complex)
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 
 def _density_matrix(n) -> np.ndarray:
-    """rho = (I + n.sigma)/2 of a Bloch vector n, as a complex 2x2 matrix;
+    """rho = (I + n.sigma)/2 = [[1 + z, x - iy], [x + iy, 1 - z]]/2 of a Bloch
+    vector n = (x, y, z), as a complex 2x2 matrix written entry by entry;
     rows of vectors give one matrix per row, each built elementwise as that
     vector alone."""
     n = np.asarray(n, dtype=float)
-    x, y, z = (n[..., k, None, None] for k in range(3))
-    return 0.5 * (_I + x * _SIGMA_X + y * _SIGMA_Y + z * _SIGMA_Z)
+    x, y, z = n[..., 0], n[..., 1], n[..., 2]
+    rho = np.empty(n.shape[:-1] + (2, 2), dtype=complex)
+    # A real value fills an entry's real part and zeroes its imaginary part.
+    # 0.0 - writes no -0.0 at y = 0, so an x-z vector gives the bits of the
+    # sum of Pauli products.
+    rho[..., 0, 0] = 0.5 * (1.0 + z)
+    rho[..., 1, 1] = 0.5 * (1.0 - z)
+    rho[..., 0, 1] = rho[..., 1, 0] = 0.5 * x
+    rho.imag[..., 1, 0] = 0.5 * y
+    rho.imag[..., 0, 1] = 0.0 - rho.imag[..., 1, 0]
+    return rho
 
 
 def helstrom(m0, m1, eta0=0.5):

@@ -44,10 +44,10 @@ class CheckOutcome:
 
 def _axis_match(axis, reference):
     """Distance of axis to the closer of +-reference; one per row for rows
-    of vectors."""
+    of vectors, both distances from one row_norm over the stacked pair."""
     axis = np.asarray(axis, dtype=float)
     reference = np.asarray(reference, dtype=float)
-    return np.minimum(row_norm(axis - reference), row_norm(axis + reference))
+    return np.minimum(*row_norm(np.array((axis - reference, axis + reference))))
 
 
 def _random_instances(rng: np.random.Generator, count: int, plane: Plane = _XZ):

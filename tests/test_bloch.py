@@ -22,6 +22,7 @@ from povmlearn.bloch import (
     perp_in_plane,
     plane_angle,
     prob_plus_unchecked,
+    reduce_angle,
     rotate_in_plane,
     row_norm,
     wrap_angle,
@@ -97,6 +98,18 @@ class TestProbPlus:
 
 
 class TestWrapAngle:
+    def test_reduce_keeps_an_angle_within_a_turn(self):
+        a = np.array([0.0, -0.0, 1e-300, -3.0, 6.28, -2 * math.pi, 2 * math.pi])
+        assert reduce_angle(a).tobytes() == a.tobytes()
+        assert reduce_angle(-3.0) == -3.0 and reduce_angle(2 * math.pi) == 2 * math.pi
+
+    def test_reduce_takes_whole_turns_off_a_larger_angle(self):
+        a = np.array([1e17, -1e16, 1e300, -1e308, math.nextafter(2 * math.pi, 7.0), 7.0])
+        r = reduce_angle(a)
+        assert r.tobytes() == np.fmod(a, 2 * math.pi).tobytes()
+        assert np.all(np.abs(r) < 2 * math.pi) and np.array_equal(np.signbit(r), np.signbit(a))
+        assert reduce_angle(1e17) == math.fmod(1e17, 2 * math.pi)
+
     @given(angles)
     def test_range_and_identity(self, a):
         w = wrap_angle(a)
@@ -167,7 +180,47 @@ class TestRotateInPlane:
         assert abs(row_norm(once) - r) <= 1e-12
 
 
+def where_divide_perp(n, plane):
+    """perp_in_plane as a where=-divide of the reversed coordinates into a
+    view of the zeroed output, then a sign flip: the reference of the
+    column-by-column kernel."""
+    u = plane.coords(n)
+    r = np.hypot(u[..., :1], u[..., 1:])
+    out = np.zeros(u.shape[:-1] + (3,))
+    w = plane.coords(out)
+    np.divide(u[..., ::-1], r, out=w, where=r > EPS_DEGENERATE)
+    w[..., 0] *= -1.0
+    return out
+
+
+def perp_inputs(plane, seed=4):
+    """Rows in the plane: random ones, then short rows (zero, each sign of
+    zero, at and below the degeneracy tolerance, NaN) and one just above."""
+    rng = np.random.default_rng(seed)
+    radius = np.sqrt(plane.radius_sq)
+    u = rng.uniform(-1.0, 1.0, size=(60, 2)) * (radius / math.sqrt(2.0))[..., None]
+    above = math.nextafter(EPS_DEGENERATE, 1.0)
+    u[:10] = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [EPS_DEGENERATE, 0.0], [-0.0, -EPS_DEGENERATE],
+              [EPS_DEGENERATE / 2, -0.0], [np.nan, 0.5], [above, -0.0], [-0.0, -above]]
+    return plane.embed(u)
+
+
 class TestPerpInPlane:
+    @pytest.mark.parametrize(
+        "plane",
+        [Plane.xz(), Plane.const_z(0.6), Plane.const_z(np.linspace(-0.9, 0.9, 60))],
+        ids=["xz", "constz", "nz-per-row"],
+    )
+    def test_equals_the_where_divide_bit_for_bit(self, plane):
+        v = perp_inputs(plane)
+        perp = perp_in_plane(v, plane)
+        assert perp.tobytes() == where_divide_perp(v, plane).tobytes()
+        # The short rows keep the zero vector, with -0.0 first.
+        assert not perp[:8].any() and np.signbit(perp[:8, 0]).all()
+        for k, row in enumerate(v):
+            one = plane if np.ndim(plane.nz) == 0 else Plane.const_z(plane.nz[k])
+            assert perp_in_plane(row, one).tobytes() == where_divide_perp(row, one).tobytes() == perp[k].tobytes()
+
     def test_x_axis(self):
         assert np.allclose(perp_in_plane([1, 0, 0], Plane.xz()), [0, 0, 1], atol=1e-15)
 

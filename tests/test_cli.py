@@ -335,6 +335,15 @@ def test_import_does_not_load_numpy_random():
     assert result.stdout.strip() == "False"
 
 
+def test_parser_does_not_load_selfcheck():
+    # Only oracle-check and selftest run the batteries, so a run or sweep
+    # process never compiles selfcheck.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = "import sys, povmlearn.cli; povmlearn.cli.build_parser(); print('povmlearn.selfcheck' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
+
+
 class TestUsage:
     def test_no_subcommand_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys)

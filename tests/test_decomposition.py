@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from povmlearn.bloch import Plane, perp_in_plane, plane_angle, row_norm
 from povmlearn.decomposition import (
+    _embed,
     cos_theta,
     decompose,
     ensemble_vector,
@@ -290,3 +291,33 @@ class TestLearnAxisEqualCounts:
             if err <= 0.01:
                 hits += 1
         assert hits >= 49
+
+
+def stacked_embed(plane, *pairs):
+    """_embed as the stacked plane coordinates of every pair, then
+    Plane.embed: the reference of the direct write."""
+    u = np.empty((len(pairs), *np.shape(pairs[0][0]), 2))
+    for k, (first, second) in enumerate(pairs):
+        u[k, ..., 0], u[k, ..., 1] = first, second
+    return plane.embed(u)
+
+
+class TestEmbed:
+    @pytest.mark.parametrize(
+        "plane",
+        [Plane.xz(), Plane.const_z(-0.45), Plane.const_z(np.linspace(-0.9, 0.9, 40))],
+        ids=["xz", "constz", "nz-per-row"],
+    )
+    def test_equals_the_stacked_plane_embed_bit_for_bit(self, plane):
+        rng = np.random.default_rng(9)
+        c = rng.uniform(-0.5, 0.5, size=(4, 40))
+        # +-0 and NaN coordinates, as a degenerate row carries.
+        c[:, :3] = [[0.0, -0.0, np.nan], [-0.0, 0.0, np.nan], [-0.0, -0.0, 0.0], [0.0, np.nan, -0.0]]
+        pairs = ((c[0], c[1]), (c[2], c[3]))
+        out = _embed(plane, *pairs)
+        assert out.shape == (2, 40, 3)
+        assert out.tobytes() == stacked_embed(plane, *pairs).tobytes()
+        if np.ndim(plane.nz) == 0:
+            one = ((c[0, 1], c[1, 1]), (c[2, 5], -0.0))
+            assert _embed(plane, *one).tobytes() == stacked_embed(plane, *one).tobytes()
+            assert _embed(plane, one[0]).shape == (1, 3)

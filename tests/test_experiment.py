@@ -17,13 +17,14 @@ import pytest
 import povmlearn.experiment as experiment
 from povmlearn import bloch
 from povmlearn.bloch import Plane
-from povmlearn.decomposition import success_prob
+from povmlearn.decomposition import ensemble_vector, success_prob
 from povmlearn.ensemble import RngStream
 from povmlearn.errors import ContractViolation
 from povmlearn.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
     emit_results,
+    equal_prior_cell,
     equal_prior_ensemble,
     render_results,
     run_experiment,
@@ -477,6 +478,48 @@ class TestStreamLayout:
             assert len(rows) == 5
         gc.collect()
         assert len(built) == 3 + 4 + 5 and all(ref() is None for ref in held)
+
+
+class TestHugeAngles:
+    """An angle more than a turn from 0 is reduced by whole turns (np.fmod)
+    before an offset is added to it, so a huge alpha or phi0 keeps the
+    offsets it would lose to rounding and acts as its reduced angle."""
+
+    def test_hidden_pair_keeps_its_separation(self):
+        spec = two_fold_spec(0.6, 1.2, 1e17, "A")
+        reduced = two_fold_spec(0.6, 1.2, math.fmod(1e17, 2 * math.pi), "A")
+        assert spec.psi0.tobytes() == reduced.psi0.tobytes() and spec.psi1.tobytes() == reduced.psi1.tobytes()
+        assert spec.psi0 @ spec.psi1 == pytest.approx(math.cos(1.2), abs=1e-12)
+
+    def test_truth_takes_the_reduced_direction(self):
+        direction = np.array([1e17, -1e16, 1e300, 2.0])
+        n, r = ensemble_vector(0.6, 1.2, direction, Plane.const_z(0.3))
+        reduced = ensemble_vector(0.6, 1.2, np.fmod(direction, 2 * math.pi), Plane.const_z(0.3))
+        assert n.tobytes() == reduced[0].tobytes() and r.tobytes() == reduced[1].tobytes()
+        assert equal_prior_cell(1e308, 0.3)[2] == 0.5 * math.pi - math.fmod(1e308, 2 * math.pi)
+        # A full turn is an angle within a turn, and is taken as given.
+        n, r = ensemble_vector(0.6, 1.2, 2 * math.pi)
+        assert n.tolist() == [r * math.cos(2 * math.pi), 0.0, r * math.sin(2 * math.pi)]
+
+    @pytest.mark.parametrize(
+        "scenario, key, value",
+        [
+            ("const-z", "alpha", 1e17),
+            ("unequal-prior-xz", "alpha", 1e16),
+            ("equal-prior-xz", "alpha", 1e308),
+            ("equal-prior-xz", "phi0", 1e300),
+        ],
+    )
+    def test_rows_equal_the_rows_at_the_reduced_angle(self, scenario, key, value):
+        cfg = ExperimentConfig(scenario=scenario, trials=200, seed=3, eta0=0.5 if scenario == "equal-prior-xz" else 0.6,
+                               theta=1.2, nz=0.3 if scenario == "const-z" else 0.0, **{key: value})
+        rows = run_experiment(cfg)
+        reduced = run_experiment(replace(cfg, **{key: math.fmod(value, 2 * math.pi)}))
+        for name in CSV_COLUMNS:
+            if name != "alpha_true":
+                assert rows[name] == reduced[name], name
+        z = [v for v, status in zip(rows["z_score"], rows["status"]) if status == "ok"]
+        assert len(z) >= 190 and abs(sum(z) / len(z)) < 0.5
 
 
 class TestSweep:

@@ -2,6 +2,7 @@
 of eta0 rho0 - eta1 rho1, for one pair or for rows of pairs, checked against
 LAPACK's eigh of the same matrices."""
 
+import importlib
 import math
 
 import numpy as np
@@ -11,7 +12,10 @@ from hypothesis import strategies as st
 
 from povmlearn.bloch import EPS_DEGENERATE, check_unit
 from povmlearn.errors import DegenerateEnsemble
-from povmlearn.helstrom import helstrom, success_equal_priors
+from povmlearn.helstrom import _density_matrix, helstrom, success_equal_priors
+
+# The module itself: the package exports the function under its name.
+HELSTROM_MODULE = importlib.import_module("povmlearn.helstrom")
 
 INV_SQRT2 = 0.7071067811865476
 
@@ -27,6 +31,14 @@ def from_spherical(point):
 BLOCH_BALL = st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.0, 2.0 * math.pi)).map(from_spherical)
 
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def pauli_sum(n):
+    """rho = (I + x sigma_x + y sigma_y + z sigma_z)/2 as a sum of Pauli
+    products, one matrix per row: the reference of the entry-by-entry rho."""
+    n = np.asarray(n, dtype=float)
+    x, y, z = (n[..., k, None, None] for k in range(3))
+    return 0.5 * (np.eye(2, dtype=complex) + x * PAULI[0] + y * PAULI[1] + z * PAULI[2])
 
 
 def lapack_helstrom(m0, m1, eta0):
@@ -172,3 +184,37 @@ def test_no_linear_algebra_call(monkeypatch):
     monkeypatch.setattr(np, "linalg", NoLinalg())
     success, axis = helstrom(m0, m1, 0.3)
     assert np.array_equal(success, expected[0]) and np.array_equal(axis, expected[1])
+
+
+def density_matrix_inputs():
+    """Bloch vectors for the rho kernel: rows from the ball, x-z rows, rows
+    with +-0 and zero components, and one vector alone."""
+    rng = np.random.default_rng(21)
+    ball = rng.uniform(-0.57, 0.57, size=(200, 3))
+    xz = ball.copy()
+    xz[:, 1] = 0.0
+    signed_zeros = np.array([[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 0.3, 0.0], [0.4, -0.0, -0.2], [0.0, 0.0, 1.0]])
+    return {"ball": ball, "xz": xz, "signed-zeros": signed_zeros, "one": ball[0], "one-zero": np.array([-0.0, 0.0, -0.0])}
+
+
+@pytest.mark.parametrize("name", list(density_matrix_inputs()))
+def test_density_matrix_equals_the_pauli_sum(name):
+    # Bit for bit, save that a -0.0 component may give a zero entry of the
+    # other sign.
+    n = density_matrix_inputs()[name]
+    rho, reference = _density_matrix(n), pauli_sum(n)
+    assert rho.dtype == complex and rho.shape == n.shape[:-1] + (2, 2)
+    assert np.array_equal(rho, reference)
+    if not np.signbit(n[n == 0.0]).any():
+        assert rho.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("name", ["ball", "xz", "one"])
+@pytest.mark.parametrize("eta0", [0.5, 0.3])
+def test_helstrom_keeps_its_bits_over_the_pauli_sum(monkeypatch, name, eta0):
+    n = density_matrix_inputs()[name]
+    m0, m1 = n, 0.9 * n[..., ::-1]
+    success, axis = helstrom(m0, m1, eta0)
+    monkeypatch.setattr(HELSTROM_MODULE, "_density_matrix", pauli_sum)
+    ref_success, ref_axis = helstrom(m0, m1, eta0)
+    assert success.tobytes() == ref_success.tobytes() and axis.tobytes() == ref_axis.tobytes()

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmlearn import selfcheck
-from povmlearn.bloch import Plane
+from povmlearn.bloch import Plane, row_norm
 from povmlearn.decomposition import ensemble_vector
 
 TRUTH = ("ensemble_vector", "mixture_targets", "success_prob")
@@ -128,3 +128,24 @@ def test_one_array_draw_equals_interleaved_scalar_draws(seed, count, nz, bounds)
     rows = [[rng_rows.uniform(lo, hi) for lo, hi in zip(low, high)] for _ in range(count)]
     assert rng_one.uniform(low, high, size=(count, len(low))).tobytes() == np.array(rows).tobytes()
     assert rng_one.random(4).tobytes() == rng_rows.random(4).tobytes()
+
+
+def two_norm_axis_match(axis, reference):
+    """_axis_match as two separate row_norm calls: the reference of the
+    stacked pair."""
+    axis, reference = np.asarray(axis, dtype=float), np.asarray(reference, dtype=float)
+    return np.minimum(row_norm(axis - reference), row_norm(axis + reference))
+
+
+def test_axis_match_equals_two_row_norms_bit_for_bit():
+    rng = np.random.default_rng(17)
+    axis, reference = rng.normal(size=(2, 200, 3))
+    # Rows of +-0 components, a zero axis, an exact match and an exact flip.
+    axis[:4] = [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], reference[2], -reference[3]]
+    reference[:2] = [[-0.0, 0.0, -0.0], [0.0, 0.0, 1.0]]
+    xz = axis * [1.0, 0.0, 1.0], reference * [1.0, 0.0, 1.0]
+    for a, b in ((axis, reference), xz, (axis, reference[0]), (axis[5], reference[5]), (axis[0], reference[0])):
+        got = selfcheck._axis_match(a, b)
+        assert got.shape == np.broadcast_shapes(np.shape(a), np.shape(b))[:-1]
+        assert got.tobytes() == two_norm_axis_match(a, b).tobytes()
+    assert selfcheck._axis_match(axis, reference)[2:4].tolist() == [0.0, 0.0]
