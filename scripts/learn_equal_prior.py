@@ -11,11 +11,11 @@ the closed-form optimum (1 + sin(beta)) / 2.
 import argparse
 import math
 
-from povmlearn.decomposition import learn_axis
+from povmlearn.bloch import reduce_angle
+from povmlearn.decomposition import equal_prior_cell, learn_axis, two_fold_spec
 from povmlearn.ensemble import RngStream
 from povmlearn.equal_prior import povm_axis_from_phi, solve_alpha, weak_readings, weak_signal_threshold
 from povmlearn.evaluate import classify_holdout, score
-from povmlearn.experiment import equal_prior_ensemble
 
 
 def main():
@@ -33,16 +33,19 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    spec = equal_prior_ensemble(args.alpha, args.beta)
+    spec = two_fold_spec(*equal_prior_cell(args.alpha, args.beta))
     gens = (RngStream(args.seed, 0).generator(), RngStream(args.seed, 1).generator())
-    frame = (povm_axis_from_phi(args.phi0), povm_axis_from_phi(args.phi0 + math.pi / 4))
+    # Whole turns come off phi0 before the quarter turn is added, which a
+    # huge phi0 would lose to rounding.
+    phi0 = reduce_angle(args.phi0)
+    frame = (povm_axis_from_phi(phi0), povm_axis_from_phi(phi0 + math.pi / 4))
     perp, _, (delta0, delta1) = learn_axis(spec, frame, args.shots, gens)
-    alpha_hat = solve_alpha(delta0, delta1, args.phi0)
+    alpha_hat = solve_alpha(delta0, delta1, phi0)
     phi_star = math.fmod(alpha_hat / 2.0 + math.pi / 4.0, math.pi)
 
     target_phi = (args.alpha / 2.0 + math.pi / 4.0) % math.pi
-    print(f"measured differences: delta({args.phi0:.4f}) = {delta0:+.6f}, "
-          f"delta({args.phi0 + math.pi / 4:.4f}) = {delta1:+.6f}")
+    print(f"measured differences: delta({phi0:.4f}) = {delta0:+.6f}, "
+          f"delta({phi0 + math.pi / 4:.4f}) = {delta1:+.6f}")
     threshold = weak_signal_threshold(args.shots)
     if weak_readings(delta0, delta1, threshold):
         print(f"weak signal: both readings lie within the 3/sqrt(N) noise floor "

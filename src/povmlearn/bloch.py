@@ -157,15 +157,16 @@ class Plane:
         """Plane coordinates (first axis, second axis) of v, as a view of v."""
         return np.asarray(v, dtype=float)[_PLANE_SLOTS[self.kind][0]]
 
-    def embed(self, u) -> np.ndarray:
-        """Map plane coordinates back to a 3-vector in the plane; for a
-        constant-z plane the offset component is the plane's nz."""
-        u = np.asarray(u, dtype=float)
-        coords, offset = _PLANE_SLOTS[self.kind]
-        out = np.zeros(u.shape[:-1] + (3,))
-        out[coords] = u
+    def embed(self, first, second) -> np.ndarray:
+        """The 3-vectors in the plane with plane coordinates (first, second):
+        one vector for two numbers, one per row for two columns.  The
+        coordinates are written straight into zeroed vectors, then a
+        constant-z plane's nz as the offset component."""
+        out = np.zeros((*np.broadcast(first, second).shape, 3))
+        u = self.coords(out)
+        u[..., 0], u[..., 1] = first, second
         if self.kind == "constz":
-            out[..., offset] = self.nz
+            out[..., 2] = self.nz
         return out
 
     def on_plane(self, v):
@@ -202,7 +203,7 @@ def rotate_in_plane(v, plane: Plane, angle) -> np.ndarray:
         raise ContractViolation(f"vector {first_row(np.logical_not(ok), v)} does not lie in the {plane.kind} plane")
     u = plane.coords(v)
     c, s = np.cos(angle), np.sin(angle)
-    return plane.embed(np.stack((c * u[..., 0] - s * u[..., 1], s * u[..., 0] + c * u[..., 1]), axis=-1))
+    return plane.embed(c * u[..., 0] - s * u[..., 1], s * u[..., 0] + c * u[..., 1])
 
 
 def perp_in_plane(n, plane: Plane) -> np.ndarray:

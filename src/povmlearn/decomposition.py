@@ -19,6 +19,11 @@ branch A averaged with state 1 of branch B) and m1 (the complement).  These
 straddle n symmetrically with equal purity, and the in-plane axis
 perpendicular to n, which fires both detectors equally often, is the
 minimum-error measurement for that pair.
+
+The forward map sits beside its inverse: two_fold_spec builds the hidden
+pair of a two-fold cell (eta0, theta, direction, case) from its angles,
+equal_prior_cell maps the 50/50 pair at state angles alpha +- beta to its
+cell, and decompose recovers the pair from the cell's ensemble vector.
 """
 
 from __future__ import annotations
@@ -67,31 +72,13 @@ class MixtureTargets:
     m1: np.ndarray
 
 
-def _embed(plane: Plane, *pairs) -> np.ndarray:
-    """The 3-vectors with in-plane coordinates (first, second) of each
-    pair, stacked in pair order: one vector per pair of numbers, one per row
-    per pair of columns.  The coordinates are written straight into the
-    zeroed vectors, as Plane.embed places them, and a slice's offset after
-    them."""
-    out = np.zeros((len(pairs), *np.shape(pairs[0][0]), 3))
-    u = plane.coords(out)
-    for k, (first, second) in enumerate(pairs):
-        u[k, ..., 0], u[k, ..., 1] = first, second
-    if plane.kind == "constz":
-        out[..., 2] = plane.nz
-    return out
-
-
-def _check_priors(eta0) -> None:
-    """Priors (eta0, 1 - eta0) interior, in every row for arrays of eta0."""
+def _check_cell(eta0, theta=None) -> None:
+    """Priors (eta0, 1 - eta0) interior, then separation angles in [0, pi]
+    unless theta is None; in every row for arrays."""
     ok = (0.0 < eta0) & (eta0 < 1.0)
     if not every_row(ok):
         raise InvalidPriors(f"priors must be interior, got eta0 = {first_row(np.logical_not(ok), eta0)}")
-
-
-def _check_theta(theta) -> None:
-    """Separation angles in [0, pi], in every row for arrays of angles."""
-    ok = (-1e-12 <= theta) & (theta <= math.pi + 1e-12)
+    ok = True if theta is None else (-1e-12 <= theta) & (theta <= math.pi + 1e-12)
     if not every_row(ok):
         raise ContractViolation(f"separation angle must lie in [0, pi], got {first_row(np.logical_not(ok), theta)}")
 
@@ -148,7 +135,36 @@ def ensemble_vector(eta0, theta, direction, plane: Plane = _PLANE_XZ) -> tuple[n
     q = np.sqrt((eta0 - eta1) * (eta0 - eta1) + 4.0 * eta0 * eta1 * half * half)
     r = np.sqrt(plane.radius_sq) * q
     direction = reduce_angle(direction)
-    return plane.embed(np.stack((r * np.cos(direction), r * np.sin(direction)), axis=-1)), r
+    return plane.embed(r * np.cos(direction), r * np.sin(direction)), r
+
+
+def two_fold_spec(eta0, theta, direction, case, plane: Plane = _PLANE_XZ) -> EnsembleSpec:
+    """Hidden spec of the two-fold cell (eta0, theta, direction) in branch
+    `case`, built forward from its angles (decompose inverts it): state 0
+    at in-plane angle direction + s phi and state 1 at direction + s (phi -
+    theta), s = +1 for branch A and -1 for B, phi = atan2(eta1 sin theta,
+    eta0 + eta1 cos theta) with the sum written (eta0 - eta1) + 2 eta1
+    cos^2(theta/2), which does not cancel near theta = pi.  The direction
+    is reduced (reduce_angle) before the offsets are added, which a huge
+    angle would lose.  One value of each argument (and of the plane's nz)
+    per row gives a batch; a degenerate cell keeps its true pair."""
+    _check_cell(eta0, theta)
+    eta1, sgn, rho = 1.0 - eta0, _check_case(case), np.sqrt(plane.radius_sq)
+    half = np.cos(0.5 * theta)
+    phi = np.arctan2(eta1 * np.sin(theta), (eta0 - eta1) + 2.0 * eta1 * half * half)
+    direction = reduce_angle(direction)
+    a0, a1 = direction + sgn * phi, direction + sgn * (phi - theta)
+    psi0, psi1 = (plane.embed(rho * np.cos(a), rho * np.sin(a)) for a in (a0, a1))
+    return EnsembleSpec(eta0, psi0, psi1, plane)
+
+
+def equal_prior_cell(alpha, beta):
+    """The two-fold cell (eta0, theta, direction, case) of the 50/50 pair at
+    state angles alpha +- beta from +z, one per row for arrays of angles:
+    theta = 2 beta, direction pi/2 - alpha, with alpha reduced first
+    (reduce_angle), and branch B, whose state 0 is at alpha + beta.  Its
+    spec is two_fold_spec(*equal_prior_cell(alpha, beta))."""
+    return np.full(np.broadcast(alpha, beta).shape, 0.5)[()], 2.0 * beta, 0.5 * math.pi - reduce_angle(alpha), "B"
 
 
 def cos_theta(n_norm, eta0, tol: float = EPS_PHYS, plane: Plane = _PLANE_XZ):
@@ -160,7 +176,7 @@ def cos_theta(n_norm, eta0, tol: float = EPS_PHYS, plane: Plane = _PLANE_XZ):
     of norms (with priors and plane per row or shared) give one cosine per
     row; a cosine off [-1, 1] by more than tol is NaN.
     """
-    _check_priors(eta0)
+    _check_cell(eta0)
     # Rescale by the slice radius before squaring and write the inversion
     # as 1 + (r^2 - 1)/(2 eta0 eta1), which equals the direct one because
     # the priors sum to 1: a coincident ensemble (|u| equal to the radius)
@@ -181,8 +197,7 @@ def decompose(n, theta, eta0, case, plane: Plane = _PLANE_XZ) -> DecompositionPa
     vector per row, case one branch name per row); an n with no in-plane
     direction gets NaN states.
     """
-    _check_priors(eta0)
-    _check_theta(theta)
+    _check_cell(eta0, theta)
     eta1 = 1.0 - eta0
     sgn = _check_case(case)
     u0, u1, uu = _slice_coords(n, plane)
@@ -190,12 +205,10 @@ def decompose(n, theta, eta0, case, plane: Plane = _PLANE_XZ) -> DecompositionPa
     ct, st = np.cos(theta), np.sin(theta)
     a0, sb1 = eta0 + eta1 * ct, sgn * (eta1 * st)
     a1, sb0 = eta1 + eta0 * ct, sgn * (eta0 * st)
-    n0, n1 = _embed(
-        plane,
-        (prefactor * (a0 * u0 - sb1 * u1), prefactor * (sb1 * u0 + a0 * u1)),
-        (prefactor * (a1 * u0 + sb0 * u1), prefactor * (-sb0 * u0 + a1 * u1)),
+    return DecompositionPair(
+        n0=plane.embed(prefactor * (a0 * u0 - sb1 * u1), prefactor * (sb1 * u0 + a0 * u1)),
+        n1=plane.embed(prefactor * (a1 * u0 + sb0 * u1), prefactor * (-sb0 * u0 + a1 * u1)),
     )
-    return DecompositionPair(n0=n0, n1=n1)
 
 
 def mixture_targets(n, theta, eta0, plane: Plane = _PLANE_XZ) -> MixtureTargets:
@@ -206,16 +219,13 @@ def mixture_targets(n, theta, eta0, plane: Plane = _PLANE_XZ) -> MixtureTargets:
     hold one value per row; an n with no in-plane direction gets NaN
     targets.
     """
-    _check_priors(eta0)
-    _check_theta(theta)
+    _check_cell(eta0, theta)
     u0, u1, uu = _slice_coords(n, plane)
     shift = 2.0 * eta0 * (1.0 - eta0) * np.sin(theta) * plane.radius_sq
-    m0, m1 = _embed(
-        plane,
-        ((u0 * uu - shift * u1) / uu, (shift * u0 + u1 * uu) / uu),
-        ((u0 * uu + shift * u1) / uu, (-shift * u0 + u1 * uu) / uu),
+    return MixtureTargets(
+        m0=plane.embed((u0 * uu - shift * u1) / uu, (shift * u0 + u1 * uu) / uu),
+        m1=plane.embed((u0 * uu + shift * u1) / uu, (-shift * u0 + u1 * uu) / uu),
     )
-    return MixtureTargets(m0=m0, m1=m1)
 
 
 def success_prob(eta0, theta, n_norm, plane: Plane = _PLANE_XZ):
@@ -223,8 +233,7 @@ def success_prob(eta0, theta, n_norm, plane: Plane = _PLANE_XZ):
     axis rule, from the prior eta0 (eta1 = 1 - eta0) and the in-plane norm |u|
     of the ensemble vector.  Every argument may hold one value per row; a
     |u| too small for a target gets NaN."""
-    _check_priors(eta0)
-    _check_theta(theta)
+    _check_cell(eta0, theta)
     n_norm = np.where(n_norm > EPS_DEGENERATE, n_norm, np.nan)
     ps = 0.5 + eta0 * (1.0 - eta0) * np.sin(theta) * plane.radius_sq / n_norm
     over = ps > 1.0 + EPS_PHYS

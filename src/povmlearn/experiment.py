@@ -21,21 +21,22 @@ binomial per row too.  A run or sweep builds 3, 4 or 5 generators
 Ground truth (the hidden spec, the closed-form success and the oracle
 value) is fixed by a cell's parameters and the row's case, and is never
 random.  Every scenario builds it once per run or sweep, as arrays, from
-two-fold cells (equal_prior_cell maps an equal-prior one): two_fold_cell
-over the cells, and two_fold_spec, the batch spec the rows sample from,
-over the rows.  A degenerate cell's truth is NaN, and its rows draw with
-its true pair.  A sweep takes its cells as columns: one value per cell of
-each swept parameter, each checked once.
+two-fold cells (decomposition.equal_prior_cell maps an equal-prior one):
+two_fold_cell over the cells, and decomposition.two_fold_spec, the batch
+spec the rows sample from, over the rows.  A degenerate cell's truth is
+NaN, and its rows draw with its true pair.  A sweep takes its cells as
+columns: one value per cell of each swept parameter, each checked once.
 
 All three scenarios learn through one function, learn_axis, on a
 measurement frame: the Pauli axes of the plane, or for equal-prior-xz
 the axes of the settings phi0 and phi0 + pi/4, an x-z frame turned by
-phi0.  The rows of every scenario report alike (_report).  The two-fold
-scenarios share one pipeline on a Plane: unequal-prior-xz runs it on the
-x-z plane, const-z on the slice z = nz, and the scenario only chooses
-the plane.  The slice pipeline measures one extra axis (z), whose stream
-comes after the two in-plane ones, so at nz = 0 it draws exactly the
-counts of the x-z pipeline for the corresponding measurements.
+phi0.  One row builder (_rows) serves every scenario, which gives it its
+data, and the rows report alike (_report).  The two-fold scenarios share
+one pipeline on a Plane: unequal-prior-xz runs it on the x-z plane,
+const-z on the slice z = nz, and the scenario only chooses the plane.
+The slice pipeline measures one extra axis (z), whose stream comes after
+the two in-plane ones, so at nz = 0 it draws exactly the counts of the
+x-z pipeline for the corresponding measurements.
 """
 
 from __future__ import annotations
@@ -53,14 +54,13 @@ import numpy as np
 from povmlearn.bloch import UNIT_X, Plane, plane_angle, reduce_angle, row_norm
 from povmlearn.decomposition import (
     EPS_CLAMP,
-    _check_case,
-    _check_priors,
-    _check_theta,
     cos_theta,
     ensemble_vector,
+    equal_prior_cell,
     learn_axis,
     mixture_targets,
     success_prob,
+    two_fold_spec,
 )
 from povmlearn.ensemble import EnsembleSpec, RngStream, check_seed, pauli_axes
 from povmlearn.equal_prior import povm_axis_from_phi, solve_alpha, weak_readings, weak_signal_threshold
@@ -205,42 +205,6 @@ def two_fold_cell(eta0, theta, direction, plane: Plane = _XZ):
     return n, np.where(lost, np.nan, analytic)[()], np.where(lost, np.nan, oracle)[()]
 
 
-def two_fold_spec(eta0, theta, direction, case, plane: Plane = _XZ) -> EnsembleSpec:
-    """Hidden spec of the two-fold cell (eta0, theta, direction) in branch
-    `case`, built forward from its angles (decompose inverts it): state 0
-    at in-plane angle direction + s phi and state 1 at direction + s (phi -
-    theta), s = +1 for branch A and -1 for B, phi = atan2(eta1 sin theta,
-    eta0 + eta1 cos theta) with the sum written (eta0 - eta1) + 2 eta1
-    cos^2(theta/2), which does not cancel near theta = pi.  The direction
-    is reduced (reduce_angle) before the offsets are added, which a huge
-    angle would lose.  One value of each argument (and of the plane's nz)
-    per row gives a batch; a degenerate cell keeps its true pair."""
-    _check_priors(eta0)
-    _check_theta(theta)
-    eta1, sgn, rho = 1.0 - eta0, _check_case(case), np.sqrt(plane.radius_sq)
-    half = np.cos(0.5 * theta)
-    phi = np.arctan2(eta1 * np.sin(theta), (eta0 - eta1) + 2.0 * eta1 * half * half)
-    direction = reduce_angle(direction)
-    a0, a1 = direction + sgn * phi, direction + sgn * (phi - theta)
-    psi0, psi1 = (plane.embed(np.stack((rho * np.cos(a), rho * np.sin(a)), axis=-1)) for a in (a0, a1))
-    return EnsembleSpec(eta0, psi0, psi1, plane)
-
-
-def equal_prior_cell(alpha, beta):
-    """The two-fold cell (eta0, theta, direction, case) of the 50/50 pair at
-    state angles alpha +- beta from +z, one per row for arrays of angles:
-    theta = 2 beta, direction pi/2 - alpha, with alpha reduced first
-    (reduce_angle), and branch B, whose state 0 is at alpha + beta."""
-    return np.full(np.broadcast(alpha, beta).shape, 0.5)[()], 2.0 * beta, 0.5 * math.pi - reduce_angle(alpha), "B"
-
-
-def equal_prior_ensemble(alpha, beta) -> EnsembleSpec:
-    """50/50 ensemble of the pure states at state angles alpha +- beta from
-    +z, the two-fold spec of its cell (equal_prior_cell); arrays of angles
-    give a batch with one ensemble per row."""
-    return two_fold_spec(*equal_prior_cell(alpha, beta))
-
-
 def _truth(cell_of, eta0, theta, direction, case, plane: Plane = _XZ):
     """Each row's truth from one eta0, theta, direction (and nz) per cell:
     its hidden spec (two_fold_spec over the rows), whether its cell has a
@@ -328,55 +292,50 @@ class _Grid:
         return value if convert is None else convert(value)
 
 
-def _equal_prior_rows(grid: _Grid) -> dict:
+def _rows(grid: _Grid) -> dict:
+    """The record columns of every row of a grid but the trial index.  The
+    scenarios differ only in data: the roles drawn (equal priors draw no
+    case), the cell (equal_prior_cell maps an equal-prior one), the plane,
+    the learning frame, the sign of the learned axis, how alpha_hat is read
+    and whether cos_theta bounds the status, and the descriptive columns."""
     base = grid.base
-    streams = _role_streams(base.seed, ("axis0", "axis1", "holdout"))
-    # The truth of each cell's two-fold cell.  Its ensemble vector has length
-    # cos(beta), so antipodal states (beta = pi/2) leave degenerate rows.
-    spec, *truth = _truth(grid.cell_of, *equal_prior_cell(grid.cells("alpha"), grid.cells("beta")))
-    # The settings phi0 and phi0 + pi/4 read the ensemble along an x-z frame
-    # turned by phi0, reduced first so that a huge phi0 keeps its quarter
-    # turn.  The learned perpendicular, negated, is the axis of
-    # phi* = alpha_hat/2 + pi/4; 0.0 - axis writes no -0.0.
-    phi0 = reduce_angle(base.phi0)
-    frame = (povm_axis_from_phi(phi0), povm_axis_from_phi(phi0 + 0.25 * math.pi))
-    axis, _, readings = learn_axis(spec, frame, base.shots_learn, (streams["axis0"], streams["axis1"]))
-    alpha_hat = solve_alpha(readings[..., 0], readings[..., 1], phi0)
-    return {
-        "scenario": base.scenario,
-        "case": None,
-        "eta0": 0.5,
-        "theta_true": grid.column("beta", lambda b: 2.0 * b),
-        "alpha_true": grid.column("alpha"),
-        "beta_true": grid.column("beta"),
-        "n_z": 0.0,
-        **_report(base, spec, 0.0 - axis, readings, alpha_hat, *truth, True, streams["holdout"]),
-    }
-
-
-def _two_fold_rows(grid: _Grid) -> dict:
-    base = grid.base
-    constz = base.scenario == "const-z"
+    equal, constz = base.scenario == "equal-prior-xz", base.scenario == "const-z"
     axis_roles = ("axis0", "axis1", "axis2") if constz else ("axis0", "axis1")
-    streams = _role_streams(base.seed, ("case", *axis_roles, "holdout"))
-    case = np.where(streams["case"].random(len(grid.cell_of)) >= 0.5, "B", "A")
-    eta0, theta, alpha, nz = map(grid.cells, ("eta0", "theta", "alpha", "nz"))
-    spec, *truth = _truth(grid.cell_of, eta0, theta, alpha, case, Plane.const_z(nz) if constz else _XZ)
-    plane = spec.plane
-    axis, n_hat, readings = learn_axis(spec, pauli_axes(plane), base.shots_learn, [streams[r] for r in axis_roles])
-    # The status reads the in-plane part of the estimate; the measured z of
-    # a slice is not used.
-    u = plane.coords(n_hat)
-    in_range = ~np.isnan(cos_theta(row_norm(u), spec.eta0, tol=EPS_CLAMP, plane=plane))
+    streams = _role_streams(base.seed, (*axis_roles, "holdout") if equal else ("case", *axis_roles, "holdout"))
+    if equal:
+        # An equal-prior cell's ensemble vector has length cos(beta), so
+        # antipodal states (beta = pi/2) leave degenerate rows.
+        cell, plane = equal_prior_cell(grid.cells("alpha"), grid.cells("beta")), _XZ
+        # The settings phi0 and phi0 + pi/4 read the ensemble along an x-z
+        # frame turned by phi0, reduced first so that a huge phi0 keeps its
+        # quarter turn.
+        phi0 = reduce_angle(base.phi0)
+        frame = (povm_axis_from_phi(phi0), povm_axis_from_phi(phi0 + 0.25 * math.pi))
+        columns = {"case": None, "eta0": 0.5, "theta_true": grid.column("beta", lambda b: 2.0 * b),
+                   "beta_true": grid.column("beta"), "n_z": 0.0}
+    else:
+        case = np.where(streams["case"].random(len(grid.cell_of)) >= 0.5, "B", "A")
+        cell = (*map(grid.cells, ("eta0", "theta", "alpha")), case)
+        plane = Plane.const_z(grid.cells("nz")) if constz else _XZ
+        frame = pauli_axes(plane)
+        columns = {"case": case.tolist(), "eta0": grid.column("eta0"), "theta_true": grid.column("theta"),
+                   "beta_true": None, "n_z": grid.column("nz", float) if constz else 0.0}
+    spec, *truth = _truth(grid.cell_of, *cell, plane)
+    axis, n_hat, readings = learn_axis(spec, frame, base.shots_learn, [streams[r] for r in axis_roles])
+    if equal:
+        # The learned perpendicular, negated, is the axis of
+        # phi* = alpha_hat/2 + pi/4; 0.0 - axis writes no -0.0.
+        axis, alpha_hat, in_range = 0.0 - axis, solve_alpha(readings[..., 0], readings[..., 1], phi0), True
+    else:
+        # The status reads the in-plane part of the estimate; the measured
+        # z of a slice is not used.
+        alpha_hat, u = plane_angle(n_hat, spec.plane), spec.plane.coords(n_hat)
+        in_range = ~np.isnan(cos_theta(row_norm(u), spec.eta0, tol=EPS_CLAMP, plane=spec.plane))
     return {
         "scenario": base.scenario,
-        "case": case.tolist(),
-        "eta0": grid.column("eta0"),
-        "theta_true": grid.column("theta"),
         "alpha_true": grid.column("alpha"),
-        "beta_true": None,
-        "n_z": grid.column("nz", float) if constz else 0.0,
-        **_report(base, spec, axis, readings, plane_angle(n_hat, plane), *truth, in_range, streams["holdout"]),
+        **columns,
+        **_report(base, spec, axis, readings, alpha_hat, *truth, in_range, streams["holdout"]),
     }
 
 
@@ -392,8 +351,7 @@ def _simulate(base: ExperimentConfig, swept: dict[str, list[float]], cells: int)
     base's value.  Nothing is kept after it returns."""
     count = cells * int(base.trials)
     grid = _Grid(base, swept, cells, np.repeat(np.arange(cells), int(base.trials)))
-    fill = _equal_prior_rows if base.scenario == "equal-prior-xz" else _two_fold_rows
-    columns = {"trial": list(range(count)), **fill(grid)}
+    columns = {"trial": list(range(count)), **_rows(grid)}
     # A value that every row shares is expanded to one entry per row.
     return {name: v if isinstance(v := columns[name], list) else [v] * count for name in _RECORD_COLUMNS}
 

@@ -127,7 +127,7 @@ def invariant_battery(seed: int = 12345) -> list[CheckOutcome]:
     outcomes.append(CheckOutcome("optimal setting is the ensemble perpendicular", worst <= 1e-12, f"worst {worst:.3g}"))
 
     a, b = rng.uniform([0.0, -10.0], [2.0 * math.pi, 10.0], size=(500, 2)).T
-    v = _XZ.embed(np.stack((np.cos(a), np.sin(a)), axis=-1))
+    v = _XZ.embed(np.cos(a), np.sin(a))
     turned = rotate_in_plane(v, _XZ, b)
     worst = max(row_norm(rotate_in_plane(turned, _XZ, -b) - v).max(), np.abs(row_norm(turned) - 1.0).max())
     outcomes.append(CheckOutcome("in-plane rotations compose and preserve norm", worst <= 1e-12, f"worst {worst:.3g}"))
@@ -184,7 +184,7 @@ def invariant_battery(seed: int = 12345) -> list[CheckOutcome]:
     worst = 0.0
     slice0 = Plane.const_z(0.0)
     eta0, theta, q, n = _random_instances(rng, 1000)
-    m = slice0.embed(_XZ.coords(n))
+    m = slice0.embed(*_XZ.coords(n).T)
     for case in ("A", "B"):
         pair_xz = decompose(n, theta, eta0, case)
         pair_cz = decompose(m, theta, eta0, case, slice0)

@@ -16,11 +16,19 @@ import numpy as np
 
 from povmlearn.bloch import Plane, perp_in_plane, row_norm
 from povmlearn.cli import main as cli_main
-from povmlearn.decomposition import cos_theta, decompose, learn_axis, mixture_targets, success_prob
+from povmlearn.decomposition import (
+    cos_theta,
+    decompose,
+    equal_prior_cell,
+    learn_axis,
+    mixture_targets,
+    success_prob,
+    two_fold_spec,
+)
 from povmlearn.ensemble import RngStream
 from povmlearn.equal_prior import delta_analytic, povm_axis_from_phi, solve_alpha
 from povmlearn.evaluate import classify_holdout, score
-from povmlearn.experiment import ExperimentConfig, equal_prior_ensemble, run_experiment, sweep
+from povmlearn.experiment import ExperimentConfig, run_experiment, sweep
 from povmlearn.helstrom import helstrom
 
 from helpers import as_rows, circ_diff, criterion
@@ -91,7 +99,7 @@ def test_criterion_1_noise_free_angle_inversion(capfd):
 def test_criterion_2_monte_carlo_angle_learning(capfd):
     with capfd.disabled(), criterion(2, "learned optimal setting concentrates at the target"):
         start = time.perf_counter()
-        spec = equal_prior_ensemble(math.pi / 3, math.pi / 6)
+        spec = two_fold_spec(*equal_prior_cell(math.pi / 3, math.pi / 6))
         hits = 0
         for trial in range(100):
             gens = (
@@ -109,7 +117,7 @@ def test_criterion_2_monte_carlo_angle_learning(capfd):
 def test_criterion_3_equal_prior_classification(capfd):
     with capfd.disabled(), criterion(3, "holdout success matches the two-state optimum"):
         start = time.perf_counter()
-        spec = equal_prior_ensemble(math.pi / 3, math.pi / 6)
+        spec = two_fold_spec(*equal_prior_cell(math.pi / 3, math.pi / 6))
         gens = (RngStream(7, 0).generator(), RngStream(7, 1).generator())
         axis, _ = _learn_at_phi0_zero(spec, gens)
         correct = classify_holdout(spec, axis, 100_000, RngStream(7, 2).generator())

@@ -149,7 +149,7 @@ class TestPlane:
     def test_coords_embed_round_trip(self):
         plane = Plane.const_z(-0.4)
         v = np.array([0.1, -0.2, -0.4])
-        assert np.allclose(plane.embed(plane.coords(v)), v, atol=1e-15)
+        assert np.allclose(plane.embed(*plane.coords(v)), v, atol=1e-15)
 
 
 class TestRotateInPlane:
@@ -202,7 +202,7 @@ def perp_inputs(plane, seed=4):
     above = math.nextafter(EPS_DEGENERATE, 1.0)
     u[:10] = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [EPS_DEGENERATE, 0.0], [-0.0, -EPS_DEGENERATE],
               [EPS_DEGENERATE / 2, -0.0], [np.nan, 0.5], [above, -0.0], [-0.0, -above]]
-    return plane.embed(u)
+    return plane.embed(*u.T)
 
 
 class TestPerpInPlane:
@@ -352,7 +352,7 @@ class TestRows:
         radius = math.sqrt(plane.radius_sq)
         u = rng.uniform(-radius, radius, size=(count, 2)) / math.sqrt(2.0)
         u[3] = 0.0  # a row with no in-plane direction
-        return plane.embed(u)
+        return plane.embed(*u.T)
 
     @pytest.mark.parametrize("plane", [Plane.xz(), Plane.const_z(0.35)], ids=["xz", "constz"])
     def test_perp_and_angle_match_one_at_a_time(self, plane):
@@ -367,7 +367,7 @@ class TestRows:
         nz = np.array([-0.5, 0.0, 0.7])
         plane = Plane.const_z(nz)
         u = np.array([[0.1, 0.2], [0.3, -0.4], [0.0, 0.5]])
-        v = plane.embed(u)
+        v = plane.embed(*u.T)
         assert v[:, 2].tolist() == nz.tolist()
         assert plane.coords(v).tolist() == u.tolist()
         assert plane.on_plane(v).all()
@@ -385,7 +385,7 @@ class TestRows:
         angles = rng.uniform(-10.0, 10.0, size=40)
         plane = Plane.xz() if kind == "xz" else Plane.const_z(nz)
         row_planes = [Plane.xz() if kind == "xz" else Plane.const_z(z) for z in nz]
-        v = plane.embed(u)
+        v = plane.embed(*u.T)
         for angle in (angles, 0.7):
             out = rotate_in_plane(v, plane, angle)
             assert out.shape == v.shape

@@ -15,9 +15,9 @@ import pytest
 
 from povmlearn import cli
 from povmlearn.cli import main
+from povmlearn.decomposition import two_fold_spec
 from povmlearn.ensemble import EnsembleSpec
 from povmlearn.errors import ContractViolation
-from povmlearn.experiment import two_fold_spec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from povmlearn.bloch import Plane, perp_in_plane, plane_angle, row_norm
 from povmlearn.decomposition import (
-    _embed,
     cos_theta,
     decompose,
     ensemble_vector,
@@ -194,7 +193,7 @@ class TestMixtureTargets:
         plane = Plane.xz() if nz is None else Plane.const_z(nz)
         _, q = make_n(eta0, theta, direction)
         r = math.sqrt(plane.radius_sq) * q
-        n = plane.embed(np.array([r * math.cos(direction), r * math.sin(direction)]))
+        n = plane.embed(r * math.cos(direction), r * math.sin(direction))
         a = decompose(n, theta, eta0, "A", plane)
         b = decompose(n, theta, eta0, "B", plane)
         t = mixture_targets(n, theta, eta0, plane)
@@ -293,13 +292,16 @@ class TestLearnAxisEqualCounts:
         assert hits >= 49
 
 
-def stacked_embed(plane, *pairs):
-    """_embed as the stacked plane coordinates of every pair, then
-    Plane.embed: the reference of the direct write."""
-    u = np.empty((len(pairs), *np.shape(pairs[0][0]), 2))
-    for k, (first, second) in enumerate(pairs):
-        u[k, ..., 0], u[k, ..., 1] = first, second
-    return plane.embed(u)
+def stack_then_embed(plane, first, second):
+    """Plane.embed's reference: the two coordinates stacked on a last axis,
+    copied through the plane's coordinate view into zeroed vectors, then a
+    slice's nz."""
+    u = np.stack((first, second), axis=-1)
+    out = np.zeros(u.shape[:-1] + (3,))
+    plane.coords(out)[...] = u
+    if plane.kind == "constz":
+        out[..., 2] = plane.nz
+    return out
 
 
 class TestEmbed:
@@ -308,16 +310,17 @@ class TestEmbed:
         [Plane.xz(), Plane.const_z(-0.45), Plane.const_z(np.linspace(-0.9, 0.9, 40))],
         ids=["xz", "constz", "nz-per-row"],
     )
-    def test_equals_the_stacked_plane_embed_bit_for_bit(self, plane):
+    def test_equals_stack_then_embed_bit_for_bit(self, plane):
         rng = np.random.default_rng(9)
-        c = rng.uniform(-0.5, 0.5, size=(4, 40))
+        first, second = rng.uniform(-0.5, 0.5, size=(2, 40))
         # +-0 and NaN coordinates, as a degenerate row carries.
-        c[:, :3] = [[0.0, -0.0, np.nan], [-0.0, 0.0, np.nan], [-0.0, -0.0, 0.0], [0.0, np.nan, -0.0]]
-        pairs = ((c[0], c[1]), (c[2], c[3]))
-        out = _embed(plane, *pairs)
-        assert out.shape == (2, 40, 3)
-        assert out.tobytes() == stacked_embed(plane, *pairs).tobytes()
+        first[:4], second[:4] = [0.0, -0.0, np.nan, -0.0], [-0.0, 0.0, np.nan, np.nan]
+        out = plane.embed(first, second)
+        assert out.shape == (40, 3)
+        assert out.tobytes() == stack_then_embed(plane, first, second).tobytes()
         if np.ndim(plane.nz) == 0:
-            one = ((c[0, 1], c[1, 1]), (c[2, 5], -0.0))
-            assert _embed(plane, *one).tobytes() == stacked_embed(plane, *one).tobytes()
-            assert _embed(plane, one[0]).shape == (1, 3)
+            # Two numbers give one vector, the bits of its row in the columns.
+            for k in (0, 1, 3, 7):
+                one = plane.embed(first[k], second[k])
+                assert one.shape == (3,)
+                assert one.tobytes() == stack_then_embed(plane, first[k], second[k]).tobytes() == out[k].tobytes()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from povmlearn.bloch import Plane, perp_in_plane
 from povmlearn.ensemble import EnsembleSpec, RngStream
-from povmlearn.decomposition import learn_axis
+from povmlearn.decomposition import equal_prior_cell, learn_axis, two_fold_spec
 from povmlearn.equal_prior import (
     delta_analytic,
     povm_axis_from_phi,
@@ -18,7 +18,6 @@ from povmlearn.equal_prior import (
     weak_readings,
     weak_signal_threshold,
 )
-from povmlearn.experiment import equal_prior_ensemble
 
 from helpers import circ_diff
 
@@ -115,19 +114,19 @@ def estimate_delta(spec, phi, shots, rng):
 
 class TestEstimateDelta:
     def test_orthogonal_states_give_zero_expectation(self):
-        spec = equal_prior_ensemble(0.9, math.pi / 2)
+        spec = two_fold_spec(*equal_prior_cell(0.9, math.pi / 2))
         d = estimate_delta(spec, 0.7, 100_000, RngStream(3).generator())
         assert abs(d) <= 5 / math.sqrt(100_000)
 
     def test_reference_value(self):
-        spec = equal_prior_ensemble(math.pi / 3, math.pi / 6)
+        spec = two_fold_spec(*equal_prior_cell(math.pi / 3, math.pi / 6))
         d = estimate_delta(spec, 0.0, 1_000_000, RngStream(4).generator())
         assert d == pytest.approx(SQRT3_OVER_4, abs=5e-3)
 
     def test_matches_closed_form_on_grid(self):
         rng = RngStream(5).generator()
         for alpha, beta, phi in [(0.4, 0.3, 0.1), (2.8, 0.9, 1.2), (5.1, 0.2, 0.6)]:
-            spec = equal_prior_ensemble(alpha, beta)
+            spec = two_fold_spec(*equal_prior_cell(alpha, beta))
             d = estimate_delta(spec, phi, 200_000, rng)
             assert d == pytest.approx(delta_analytic(alpha, beta, phi), abs=0.012)
 
@@ -151,7 +150,7 @@ class TestLearnEqualPrior:
     """The engine's equal-prior learning, learn_axis on the turned frame."""
 
     def test_reference_instance(self):
-        spec = equal_prior_ensemble(math.pi / 3, math.pi / 6)
+        spec = two_fold_spec(*equal_prior_cell(math.pi / 3, math.pi / 6))
         _, d0, d1, used = learn(spec, 0.0, 1_000_000, 0)
         assert abs(phi_star(d0, d1, 0.0) - 1.3089969389957472) <= 0.01
         assert circ_diff(solve_alpha(d0, d1, 0.0), math.pi / 3) <= 0.02
@@ -159,7 +158,7 @@ class TestLearnEqualPrior:
 
     def test_consistency_at_large_budget(self):
         for seed, alpha in [(1, 0.5), (2, 2.4), (3, 4.0)]:
-            _, d0, d1, _ = learn(equal_prior_ensemble(alpha, 0.5), 0.3, 10_000_000, seed)
+            _, d0, d1, _ = learn(two_fold_spec(*equal_prior_cell(alpha, 0.5)), 0.3, 10_000_000, seed)
             assert circ_diff(solve_alpha(d0, d1, 0.3), alpha) <= 3e-3
 
     def test_invariant_phi_star_construction(self):
@@ -167,17 +166,17 @@ class TestLearnEqualPrior:
         # the setting phi* = alpha_hat/2 + pi/4, to the rounding of the
         # angle arithmetic (1.2e-15 at worst over 300 random instances).
         for seed, alpha, beta, phi0 in [(7, 1.0, 0.4, 0.2), (8, 5.5, 1.2, -0.9), (9, 3.0, 0.1, 2.5)]:
-            axis, d0, d1, _ = learn(equal_prior_ensemble(alpha, beta), phi0, 50_000, seed)
+            axis, d0, d1, _ = learn(two_fold_spec(*equal_prior_cell(alpha, beta)), phi0, 50_000, seed)
             assert np.abs(axis - povm_axis_from_phi(phi_star(d0, d1, phi0))).max() <= 1e-14
 
     def test_learned_axis_is_ensemble_perpendicular(self):
-        spec = equal_prior_ensemble(2.2, 0.6)
+        spec = two_fold_spec(*equal_prior_cell(2.2, 0.6))
         axis, _, _, _ = learn(spec, 0.1, 5_000_000, 8)
         perp = perp_in_plane(0.5 * (spec.psi0 + spec.psi1), Plane.xz())
         assert min(np.linalg.norm(axis - perp), np.linalg.norm(axis + perp)) <= 5e-3
 
     def test_weak_signal_near_orthogonal_states(self):
-        _, d0, d1, _ = learn(equal_prior_ensemble(1.0, 1.45), 0.0, 400, 9)
+        _, d0, d1, _ = learn(two_fold_spec(*equal_prior_cell(1.0, 1.45)), 0.0, 400, 9)
         assert weak_readings(d0, d1, weak_signal_threshold(400))
         assert 0.0 <= solve_alpha(d0, d1, 0.0) < 2.0 * math.pi
 
@@ -187,14 +186,14 @@ class TestLearnRows:
     would."""
 
     def rows(self, alphas, beta):
-        specs = [equal_prior_ensemble(a, beta) for a in alphas]
+        specs = [two_fold_spec(*equal_prior_cell(a, beta)) for a in alphas]
         half = np.full(len(specs), 0.5)
         return EnsembleSpec(half, [s.psi0 for s in specs], [s.psi1 for s in specs], Plane.xz())
 
     def test_batch_of_one_matches_single(self):
         # A weak ensemble gives its row's noise axis too.
         for alpha, beta, shots, seed in [(2.2, 0.6, 20_000, 4), (1.0, 1.45, 400, 9)]:
-            *one, used_one = learn(equal_prior_ensemble(alpha, beta), 0.1, shots, seed)
+            *one, used_one = learn(two_fold_spec(*equal_prior_cell(alpha, beta)), 0.1, shots, seed)
             *rows, used = learn(self.rows([alpha], beta), 0.1, shots, seed)
             for row, single in zip(rows, one):
                 assert row[0].tobytes() == np.asarray(single).tobytes()

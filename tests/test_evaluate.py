@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from povmlearn.bloch import Plane, bloch_from_state_angle, perp_in_plane
+from povmlearn.decomposition import two_fold_spec
 from povmlearn.ensemble import EnsembleSpec, RngStream
 from povmlearn.errors import ContractViolation
 from povmlearn.evaluate import classify_holdout, correct_prob, folded_success, score
-from povmlearn.experiment import two_fold_cell, two_fold_spec
+from povmlearn.experiment import two_fold_cell
 from povmlearn.helstrom import helstrom
 
 

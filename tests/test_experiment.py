@@ -17,20 +17,17 @@ import pytest
 import povmlearn.experiment as experiment
 from povmlearn import bloch
 from povmlearn.bloch import Plane
-from povmlearn.decomposition import ensemble_vector, success_prob
+from povmlearn.decomposition import ensemble_vector, equal_prior_cell, success_prob, two_fold_spec
 from povmlearn.ensemble import RngStream
 from povmlearn.errors import ContractViolation
 from povmlearn.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
     emit_results,
-    equal_prior_cell,
-    equal_prior_ensemble,
     render_results,
     run_experiment,
     summarize,
     sweep,
-    two_fold_spec,
 )
 
 from helpers import as_rows
@@ -99,7 +96,7 @@ class TestConfigValidation:
 
 class TestScenarioBuilders:
     def test_equal_prior_states(self):
-        spec = equal_prior_ensemble(0.9, 0.3)
+        spec = two_fold_spec(*equal_prior_cell(0.9, 0.3))
         assert spec.eta0 == 0.5
         assert np.allclose(
             spec.psi0, [math.sin(1.2), 0.0, math.cos(1.2)], atol=1e-12
@@ -319,7 +316,7 @@ class TestTruthOncePerCell:
         ids=["equal-prior-xz", "const-z"],
     )
     def test_sweep_calls_each_truth_function_once(self, monkeypatch, scenario, key, truth):
-        names = ("mixture_targets", "success_prob", "success_equal_priors", "equal_prior_ensemble")
+        names = ("mixture_targets", "success_prob", "success_equal_priors")
         calls = {name: count_calls(monkeypatch, name) for name in names}
         base = ExperimentConfig(scenario=scenario, **{**BASE, "trials": 2})
         rows = as_rows(sweep(base, {"alpha": [0.0, 1.0, 2.0], key: [0.2, 0.3, 0.4, 0.5]}))

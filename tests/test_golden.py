@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
+import importlib
 import io
 import json
 import math
@@ -65,6 +67,20 @@ GOLDEN_RUNS = {
         "--alpha", "0.0,2.0", "--trials", "1", *_BUDGETS, "--seed", "13",
         "--format", "json",
     ),
+    # Near-antipodal cells at small budgets, whose rows mix weak_signal
+    # (both learning readings within the noise floor) with ok.
+    "run-equal-prior-xz-weak.csv": (
+        "run", "--scenario", "equal-prior-xz", "--beta", "1.5", "--trials", "4",
+        "--shots-learn", "2000", "--shots-holdout", "200", "--seed", "3",
+    ),
+    "run-unequal-prior-xz-weak.csv": (
+        "run", "--scenario", "unequal-prior-xz", "--eta0", "0.5", "--theta", "3.1",
+        "--trials", "4", "--shots-learn", "20000", "--shots-holdout", "200", "--seed", "3",
+    ),
+    "run-const-z-weak.csv": (
+        "run", "--scenario", "const-z", "--eta0", "0.5", "--theta", "3.0", "--nz", "0.9",
+        "--trials", "4", "--shots-learn", "4000", "--shots-holdout", "200", "--seed", "3",
+    ),
 }
 
 # Fixture file name -> CLI argv of a battery whose stdout is pinned.
@@ -77,6 +93,31 @@ GOLDEN_STDOUT = {
     # The README's example seed.
     "selftest-seed-1.txt": ("selftest", "--seed", "1"),
 }
+
+
+def platform() -> str:
+    """numpy's version and the CPU features it dispatches to on this
+    machine: a pin can move with either (numpy's float64 arctan2 and arccos
+    give other last bits without AVX-512).  numpy 2 keeps the feature
+    tables in numpy._core, numpy 1 in numpy.core; without them the
+    features read unknown."""
+    import numpy
+
+    features = "unknown"
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            umath = importlib.import_module(name)
+            found = umath.__cpu_features__
+            features = " ".join(f for f in umath.__cpu_dispatch__ if found.get(f)) or "none"
+            break
+        except (ImportError, AttributeError):
+            continue
+    return f"numpy {numpy.__version__}, dispatched CPU features: {features}"
+
+
+def mismatch(name: str) -> str:
+    """The failure message of a byte comparison with fixture `name`."""
+    return f"{name} differs from its golden bytes under {platform()}"
 
 
 def render(argv, out: Path | None = None) -> bytes:
@@ -95,18 +136,33 @@ def render(argv, out: Path | None = None) -> bytes:
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_output_matches_golden_bytes(name, tmp_path):
     expected = (GOLDEN_DIR / name).read_bytes()
-    assert render(GOLDEN_RUNS[name], tmp_path / name) == expected
+    assert render(GOLDEN_RUNS[name], tmp_path / name) == expected, mismatch(name)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
 def test_battery_stdout_matches_golden_bytes(name):
-    assert render(GOLDEN_STDOUT[name]) == (GOLDEN_DIR / name).read_bytes()
+    assert render(GOLDEN_STDOUT[name]) == (GOLDEN_DIR / name).read_bytes(), mismatch(name)
 
 
 def test_constz_sweep_pins_every_row_status():
     rows = json.loads((GOLDEN_DIR / "sweep-const-z.json").read_text())
     statuses = {r["status"] for r in rows}
     assert {"ok", "degenerate_ensemble", "cos_theta_out_of_range"} <= statuses
+
+
+@pytest.mark.parametrize("name", sorted(n for n in GOLDEN_RUNS if n.endswith("-weak.csv")))
+def test_weak_runs_pin_weak_signal_beside_ok(name):
+    with open(GOLDEN_DIR / name, newline="") as fh:
+        statuses = {r["status"] for r in csv.DictReader(fh)}
+    assert statuses == {"ok", "weak_signal"}
+
+
+def test_platform_names_numpy_and_its_cpu_features():
+    import numpy
+
+    text = mismatch("selftest.txt")
+    assert text.startswith(f"selftest.txt differs from its golden bytes under numpy {numpy.__version__}, ")
+    assert "dispatched CPU features: " in text and not text.endswith(": ")
 
 
 def regenerate() -> None:

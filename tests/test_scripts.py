@@ -1,5 +1,6 @@
 """Smoke tests of the demo scripts, run in process at small budgets."""
 
+import math
 import runpy
 import sys
 from pathlib import Path
@@ -29,3 +30,17 @@ def test_learn_equal_prior_on_weak_data(monkeypatch, capsys):
     assert lines[1] == "weak signal: both readings lie within the 3/sqrt(N) noise floor 0.1500, so alpha_hat below is noise"
     assert lines[2].startswith("alpha_hat = ")
     assert lines[-1].startswith("closed-form optimum: ")
+
+
+def test_learn_equal_prior_reduces_a_huge_phi0(monkeypatch, capsys):
+    # Whole turns come off phi0 before the quarter turn is added, so a huge
+    # phi0 learns as its reduced angle does.
+    def learned(phi0):
+        args = ("--phi0", repr(phi0), "--shots", "20000", "--holdout", "1000", "--seed", "2")
+        lines = run_script(monkeypatch, capsys, "learn_equal_prior.py", *args)
+        return [line for line in lines if line.startswith(("alpha_hat = ", "phi_star  = "))]
+
+    huge = learned(1e300)
+    assert len(huge) == 2
+    assert huge == learned(math.fmod(1e300, 2 * math.pi))
+    assert huge[0].endswith("(true 1.047198)") and abs(float(huge[0].split()[2]) - math.pi / 3) < 0.05

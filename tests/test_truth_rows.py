@@ -18,9 +18,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmlearn.bloch import EPS_DEGENERATE, Plane, bloch_from_state_angle, row_norm
-from povmlearn.decomposition import EPS_CLAMP, cos_theta, decompose, ensemble_vector, mixture_targets, success_prob
+from povmlearn.decomposition import (
+    EPS_CLAMP,
+    cos_theta,
+    decompose,
+    ensemble_vector,
+    equal_prior_cell,
+    mixture_targets,
+    success_prob,
+    two_fold_spec,
+)
 from povmlearn.errors import ContractViolation, InvalidPriors
-from povmlearn.experiment import equal_prior_cell, equal_prior_ensemble, two_fold_cell, two_fold_spec
+from povmlearn.experiment import two_fold_cell
 from povmlearn.helstrom import success_equal_priors
 
 # At theta = pi, |u| = rho |eta0 - eta1|: eta0 = 1/2 + 5e-7 (1 +- 1%) puts it
@@ -170,7 +179,7 @@ def test_equal_prior_cell_is_the_pair_at_alpha_plus_minus_beta():
     alpha, beta = np.concatenate((edges, [rng.uniform(-10.0, 10.0, 5000), rng.uniform(0.0, math.pi / 2, 5000)]), 1)
     eta0, theta, direction, case = equal_prior_cell(alpha, beta)
     assert (eta0 == 0.5).all() and bits(theta) == bits(2.0 * beta) and case == "B"
-    spec = equal_prior_ensemble(alpha, beta)
+    spec = two_fold_spec(*equal_prior_cell(alpha, beta))
     assert np.abs(spec.psi0 - bloch_from_state_angle(alpha + beta)).max() <= 1e-13
     assert np.abs(spec.psi1 - bloch_from_state_angle(alpha - beta)).max() <= 1e-13
 
@@ -215,12 +224,12 @@ def test_success_equal_priors_on_any_rows():
     assert all(bits(rows[k]) == bits(success_equal_priors(m0[k], m1[k])) for k in range(500))
 
 
-def test_equal_prior_ensemble_rows():
+def test_equal_prior_spec_rows():
     alpha, beta = np.array(list(itertools.product(ALPHA, (0.0, 0.3, math.pi / 2)))).T
-    spec = equal_prior_ensemble(alpha, beta)
+    spec = two_fold_spec(*equal_prior_cell(alpha, beta))
     assert spec.eta0.shape == alpha.shape and (spec.eta0 == 0.5).all()
     for k in range(len(alpha)):
-        one = equal_prior_ensemble(alpha[k], beta[k])
+        one = two_fold_spec(*equal_prior_cell(alpha[k], beta[k]))
         assert one.eta0 == 0.5
         assert bits(spec.psi0[k]) == bits(one.psi0) and bits(spec.psi1[k]) == bits(one.psi1)
 
