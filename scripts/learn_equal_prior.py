@@ -33,7 +33,10 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    spec = two_fold_spec(*equal_prior_cell(args.alpha, args.beta))
+    # Whole turns come off alpha before its half is taken for the target,
+    # and the reduced angle is the one reported.
+    alpha = reduce_angle(args.alpha)
+    spec = two_fold_spec(*equal_prior_cell(alpha, args.beta))
     gens = (RngStream(args.seed, 0).generator(), RngStream(args.seed, 1).generator())
     # Whole turns come off phi0 before the quarter turn is added, which a
     # huge phi0 would lose to rounding.
@@ -43,14 +46,14 @@ def main():
     alpha_hat = solve_alpha(delta0, delta1, phi0)
     phi_star = math.fmod(alpha_hat / 2.0 + math.pi / 4.0, math.pi)
 
-    target_phi = (args.alpha / 2.0 + math.pi / 4.0) % math.pi
+    target_phi = (alpha / 2.0 + math.pi / 4.0) % math.pi
     print(f"measured differences: delta({phi0:.4f}) = {delta0:+.6f}, "
           f"delta({phi0 + math.pi / 4:.4f}) = {delta1:+.6f}")
     threshold = weak_signal_threshold(args.shots)
     if weak_readings(delta0, delta1, threshold):
         print(f"weak signal: both readings lie within the 3/sqrt(N) noise floor "
               f"{threshold:.4f}, so alpha_hat below is noise")
-    print(f"alpha_hat = {alpha_hat:.6f}  (true {args.alpha:.6f})")
+    print(f"alpha_hat = {alpha_hat:.6f}  (true {alpha:.6f})")
     print(f"phi_star  = {phi_star:.6f}  (target {target_phi:.6f})")
     print(f"qubits consumed while learning: {2 * args.shots}")
 

@@ -32,12 +32,7 @@ from povmlearn.decomposition import (
     mixture_targets,
     success_prob,
 )
-from povmlearn.ensemble import (
-    EnsembleSpec,
-    RngStream,
-    estimate_pauli,
-    pauli_axes,
-)
+from povmlearn.ensemble import EnsembleSpec, RngStream, pauli_axes
 from povmlearn.equal_prior import (
     delta_analytic,
     povm_axis_from_phi,

@@ -38,13 +38,15 @@ from povmlearn.bloch import (
     EPS_PHYS,
     Plane,
     any_row,
+    check_unit,
     every_row,
     first_row,
     perp_in_plane,
+    prob_plus_unchecked,
     reduce_angle,
     self_dot,
 )
-from povmlearn.ensemble import EnsembleSpec, estimate_pauli
+from povmlearn.ensemble import EnsembleSpec
 from povmlearn.errors import ContractViolation, InvalidPriors
 
 # Estimated separation cosines may be driven off [-1, 1] by shot noise;
@@ -243,16 +245,37 @@ def success_prob(eta0, theta, n_norm, plane: Plane = _PLANE_XZ):
     return np.minimum(ps, 1.0)[()]
 
 
-def learn_axis(spec: EnsembleSpec, axes, shots_per_axis: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read the ensemble along the ordered axes of a measurement frame
-    (estimate_pauli) and return the in-plane unit axis perpendicular to the
-    estimate (the setting on which both detectors fire equally, with zero z
-    component on a slice), the estimate and the readings.
+def learn_axis(spec: EnsembleSpec, axes, shots_per_axis: int, generators) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read the ensemble along the k ordered unit axes e_k of a measurement
+    frame (a k x 3 array) and return the in-plane unit axis perpendicular
+    to the estimate (the setting on which both detectors fire equally, with
+    zero z component on a slice), the estimate sum_k Delta_k e_k and the
+    readings Delta_k, one per axis on the last axis.
+
+    Each member is unlabeled, in the mixture state, so the +1 count of
+    shots_per_axis members along e_k is one Binomial(shots, (1 + e_k.n)/2)
+    with n = spec.mixture, drawn by the k-th of `generators` (one per axis)
+    as one array over a batch's rows, and Delta_k = (2 count - shots)/shots.
+    On the frame of pauli_axes the estimate's coordinates are the readings.
 
     The two-fold scenarios read the frame of pauli_axes; the equal-prior
     scenario reads the x-z frame of its two settings, turned by phi0
     (equal_prior.povm_axis_from_phi).  A batch gets one axis per row; an
     estimate with no in-plane direction gets the zero vector.
     """
-    n_hat, readings = estimate_pauli(spec, axes, shots_per_axis, rng)
-    return perp_in_plane(n_hat, spec.plane), n_hat, readings
+    frame = np.asarray(axes, dtype=float)
+    if frame.ndim != 2 or frame.shape[1] != 3 or not len(frame):
+        raise ContractViolation(f"measurement frame must hold one 3-vector per axis, got shape {frame.shape}")
+    frame = check_unit(frame, "measurement axis")
+    shots = int(shots_per_axis)
+    if shots < 1:
+        raise ContractViolation(f"shots must be >= 1, got {shots}")
+    generators = list(generators)
+    if len(generators) != len(frame):
+        raise ContractViolation(f"expected {len(frame)} generators, one per axis, got {len(generators)}")
+    # Every axis's +1 probability in one pass: one per row of a batch.
+    n = spec.mixture
+    prob = prob_plus_unchecked(frame.reshape(len(frame), *(1,) * (n.ndim - 1), 3), n)
+    readings = [(2 * g.binomial(shots, p) - shots) / shots for g, p in zip(generators, prob)]
+    n_hat = sum(np.multiply.outer(d, e) for d, e in zip(readings, frame))
+    return perp_in_plane(n_hat, spec.plane), n_hat, np.stack(readings, axis=-1)

@@ -1,19 +1,19 @@
-"""Hidden two-state qubit ensembles and simulated destructive measurements.
+"""Hidden two-state qubit ensembles and the random streams they are sampled from.
 
 An EnsembleSpec is the ground truth of a simulation: two pure Bloch vectors
 with prior probabilities, confined to a declared plane, for one ensemble or
 for a batch of rows with one ensemble each.  It is validated once, when it
 is built, and is immutable afterwards: its fields are read-only copies of
 the caller's values.  Learners never see the ground truth directly; they
-only get measurement counts.  Every simulated shot consumes one fresh
-ensemble member, so the qubit budget of a procedure is the sum of its
-measurement sizes.  A learner sees unlabeled members, each in the mixture
-state rho = eta0 rho0 + eta1 rho1, so EnsembleSpec.expectation (and
-estimate_pauli, along each axis of a frame) draws a +1 count as one
-binomial from the ensemble Bloch vector, which a spec computes once.
-Holdout classification (evaluate.classify_holdout) likewise draws its
-correct count as one binomial per row.  Each draw is one array over the
-rows of a batch.
+only get measurement counts, drawn by two functions.  Every simulated shot
+consumes one fresh ensemble member, so the qubit budget of a procedure is
+the sum of its measurement sizes.  A learner sees unlabeled members, each
+in the mixture state rho = eta0 rho0 + eta1 rho1, so
+decomposition.learn_axis draws the +1 count along each axis of a frame as
+one binomial from the ensemble Bloch vector (EnsembleSpec.mixture, which a
+spec computes once).  Holdout classification (evaluate.classify_holdout)
+draws its correct count of labelled members as one binomial per row.  Each
+draw is one array over the rows of a batch.
 
 Randomness is addressed by (seed, stream id): RngStream builds a stream's
 generator as PCG64 seeded by numpy's SeedSequence(seed, spawn_key=(id,)),
@@ -34,10 +34,8 @@ from povmlearn.bloch import (
     UNIT_Y,
     UNIT_Z,
     Plane,
-    check_unit,
     every_row,
     first_row,
-    prob_plus_unchecked,
     row_norm,
 )
 from povmlearn.errors import ContractViolation
@@ -82,8 +80,8 @@ class EnsembleSpec:
     A spec is one ensemble, or a batch of rows with one ensemble each: then
     eta0 is a 1-D array and psi0 and psi1 hold one state per row.
     Validated once at construction, every row; the fields are read-only
-    copies, so the checks hold for the spec's lifetime and measurements
-    need not redo them.  Specs compare and hash by identity.
+    copies, so the checks hold for the spec's lifetime and the draws need
+    not redo them.  Specs compare and hash by identity.
     """
 
     eta0: float | np.ndarray
@@ -126,45 +124,9 @@ class EnsembleSpec:
         n.flags.writeable = False
         return n
 
-    def check_measurement(self, axis, shots: int, what: str = "measurement axis"):
-        """A unit measurement axis, one 3-vector shared by every row or one
-        per row of a batch, and a shot budget of at least 1.  A shared axis
-        is checked once; the probabilities broadcast it over the rows."""
-        axis = np.asarray(axis, dtype=float)
-        if axis.shape != self.psi0.shape and axis.shape != (3,):
-            raise ContractViolation(f"{what} must be one 3-vector or one per row, got shape {axis.shape}")
-        axis = check_unit(axis, what)
-        shots = int(shots)
-        if shots < 1:
-            raise ContractViolation(f"shots must be >= 1, got {shots}")
-        return axis, shots
-
-    def expectation(self, axis, shots: int, rng: np.random.Generator):
-        """Empirical expectation (n_plus - n_minus)/shots of `shots` fresh
-        unlabeled members measured along a unit axis, per row for a batch.
-
-        Each member is in the mixture state, so the +1 count is one draw of
-        Binomial(shots, (1 + axis.n)/2) with n the ensemble Bloch vector
-        (mixture): one binomial call on the single generator `rng`, which
-        for a batch draws one array over its rows, in row order.
-        """
-        axis, shots = self.check_measurement(axis, shots)
-        return (2 * rng.binomial(shots, prob_plus_unchecked(axis, self.mixture)) - shots) / shots
-
-
-def role_generators(rng, count: int) -> list:
-    """One generator per learning role (axis or setting), in order: a single
-    generator serves every role, otherwise `rng` holds `count` generators."""
-    if isinstance(rng, np.random.Generator):
-        return [rng] * count
-    entries = list(rng)
-    if len(entries) != count:
-        raise ContractViolation(f"expected {count} generators, one per axis, got {len(entries)}")
-    return entries
-
 
 def pauli_axes(plane: Plane) -> list[np.ndarray]:
-    """The frame estimate_pauli reads on a plane, in stream order: first
+    """The frame learn_axis reads on a plane, in stream order: first
     plane axis, second plane axis, then (constant-z only) the offset axis.
     On the x-z plane the y estimate is pinned to zero by the plane
     constraint; a constant-z plane also measures z and keeps it alongside
@@ -172,21 +134,3 @@ def pauli_axes(plane: Plane) -> list[np.ndarray]:
     if plane.kind == "xz":
         return [UNIT_X, UNIT_Z]
     return [UNIT_X, UNIT_Y, UNIT_Z]
-
-
-def estimate_pauli(spec: EnsembleSpec, axes, shots_per_axis: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate the ensemble Bloch vector from its readings along the
-    ordered axes of a measurement frame, consuming shots_per_axis members
-    per axis; one estimate per row for a batch.
-
-    Each reading Delta_k is the expectation along axis e_k, one binomial
-    (EnsembleSpec.expectation), and the estimate is sum_k Delta_k e_k.
-    On the frame of pauli_axes that sum adds only exact zeros, so the
-    estimate's coordinates are the readings themselves.  Returns the
-    estimate and the readings, one per axis on the last axis.  `rng` is
-    one generator or one per axis in axis order (role_generators), which
-    lets callers give each axis an independent stream.
-    """
-    readings = [spec.expectation(axis, shots_per_axis, g) for axis, g in zip(axes, role_generators(rng, len(axes)))]
-    n_hat = sum(np.multiply.outer(d, axis) for d, axis in zip(readings, axes))
-    return n_hat, np.stack(readings, axis=-1)

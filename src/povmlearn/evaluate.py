@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from povmlearn.bloch import any_row, every_row, first_row, prob_plus_unchecked
+from povmlearn.bloch import any_row, check_unit, every_row, first_row, prob_plus_unchecked
 from povmlearn.ensemble import EnsembleSpec
 from povmlearn.errors import ContractViolation
 
@@ -60,9 +60,16 @@ def classify_holdout(spec: EnsembleSpec, axis, n_holdout: int, rng: np.random.Ge
     Every qubit is correct independently with probability correct_prob, so
     the count is one draw of Binomial(n_holdout, correct_prob): exactly the
     distribution of drawing the hidden label and then the outcome qubit by
-    qubit, from one binomial call on the single generator `rng`.
+    qubit, from one binomial call on the single generator `rng`.  A shared
+    axis is checked once and broadcast over the rows.
     """
-    axis, shots = spec.check_measurement(axis, n_holdout, "classification axis")
+    axis = np.asarray(axis, dtype=float)
+    if axis.shape != spec.psi0.shape and axis.shape != (3,):
+        raise ContractViolation(f"classification axis must be one 3-vector or one per row, got shape {axis.shape}")
+    axis = check_unit(axis, "classification axis")
+    shots = int(n_holdout)
+    if shots < 1:
+        raise ContractViolation(f"shots must be >= 1, got {shots}")
     return rng.binomial(shots, correct_prob(spec, axis))
 
 

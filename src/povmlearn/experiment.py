@@ -44,6 +44,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
@@ -109,12 +110,12 @@ CSV_COLUMNS = (
 # _ID_STRIDE * (index of the role in _ROLES): ids 0, 3, 6, 9 and 12, the
 # ids of each role's first draw under the three-draw layouts before it.
 # The case role draws one uniform per row, a learning role the +1 count of
-# its unlabeled qubits (EnsembleSpec.expectation) and the holdout the
-# correct count of its labelled qubits (classify_holdout).  Learning axes
-# take axis0, axis1, axis2 in pauli_axes order (or the two angle
-# settings), so the slice pipeline's extra z measurement has its own
-# stream and the nz = 0 reduction stays exact count for count.  Each
-# stream draws one array over all rows of a run or sweep, in row order.
+# its unlabeled qubits (learn_axis) and the holdout the correct count of its
+# labelled qubits (classify_holdout).  Learning axes take axis0, axis1,
+# axis2 in pauli_axes order (or the two angle settings), so the slice
+# pipeline's extra z measurement has its own stream and the nz = 0
+# reduction stays exact count for count.  Each stream draws one array over
+# all rows of a run or sweep, in row order.
 _ROLES = ("case", "axis0", "axis1", "axis2", "holdout")
 _ID_STRIDE = 3
 
@@ -541,10 +542,12 @@ def render_results(columns: dict[str, list], fmt: str = "csv") -> str:
     return "[\n" + ",\n".join([template % c for c in rows]) + "\n]\n"
 
 
-def emit_results(columns: dict[str, list], fmt: str = "csv", path: str | None = None) -> None:
+def emit_results(columns: dict[str, list], fmt: str = "csv", path: str | os.PathLike | None = None) -> None:
     """Write a rendered result record to a file, or stdout when path is None.
 
-    Identical records and format produce byte-identical files.
+    Identical records and format produce byte-identical files.  A file that
+    cannot be written raises OSError naming the path as given, a str or a
+    Path alike.
     """
     text = render_results(columns, fmt)
     if path is None:
@@ -554,4 +557,4 @@ def emit_results(columns: dict[str, list], fmt: str = "csv", path: str | None = 
         with open(path, "w", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise OSError(f"cannot write results to {path!r}: {exc}") from exc
+        raise OSError(f"cannot write results to {os.fspath(path)!r}: {exc}") from exc

@@ -1,4 +1,5 @@
-"""Shared test utilities: circular comparisons, result rows and acceptance bookkeeping."""
+"""Shared test utilities: circular comparisons, frame generators, result rows
+and acceptance bookkeeping."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import time
 from contextlib import contextmanager
 from types import SimpleNamespace
 
+from povmlearn.ensemble import RngStream
+
 TAU = 2.0 * math.pi
 
 
@@ -14,6 +17,12 @@ def circ_diff(a: float, b: float, period: float = TAU) -> float:
     """Minimal circular distance between two angles of the given period."""
     d = math.fmod(abs(float(a) - float(b)), period)
     return min(d, period - d)
+
+
+def frame_generators(seed: int, count: int, first: int = 0) -> list:
+    """One generator per axis of a measurement frame, as learn_axis takes
+    them: the streams (seed, first), (seed, first + 1), ... in axis order."""
+    return [RngStream(seed, first + k).generator() for k in range(count)]
 
 
 def as_rows(columns: dict) -> list[SimpleNamespace]:

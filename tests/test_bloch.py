@@ -27,6 +27,7 @@ from povmlearn.bloch import (
     row_norm,
     wrap_angle,
 )
+from povmlearn.decomposition import learn_axis
 from povmlearn.ensemble import EnsembleSpec, pauli_axes
 from povmlearn.errors import ContractViolation
 
@@ -57,7 +58,7 @@ def prob_plus(s, n):
 
 class TestProbPlus:
     """The +1 probability; the checks on its inputs live where the axis and
-    the state enter: EnsembleSpec.check_measurement and the EnsembleSpec
+    the state enter: learn_axis and classify_holdout, and the EnsembleSpec
     constructor."""
 
     def test_eigenstate(self):
@@ -72,7 +73,7 @@ class TestProbPlus:
     def test_nonunit_axis_rejected(self):
         spec = EnsembleSpec(0.5, [0, 0, 1], [0, 0, 1], Plane.xz())
         with pytest.raises(ContractViolation, match="unit length"):
-            spec.expectation([0, 0, 0.5], 10, np.random.default_rng(0))
+            learn_axis(spec, [[0, 0, 0.5]], 10, [np.random.default_rng(0)])
 
     def test_unphysical_state_rejected(self):
         with pytest.raises(ContractViolation, match="pure"):

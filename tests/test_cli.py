@@ -18,6 +18,7 @@ from povmlearn.cli import main
 from povmlearn.decomposition import two_fold_spec
 from povmlearn.ensemble import EnsembleSpec
 from povmlearn.errors import ContractViolation
+from povmlearn.experiment import ExperimentConfig, emit_results, run_experiment
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -61,6 +62,18 @@ class TestRun:
         assert path.exists()
         assert "wrote" in out  # summary stays on stdout when rows go to a file
         assert len(path.read_text().splitlines()) == 4
+
+    def test_unwritable_out_names_the_path_as_given(self, capsys, tmp_path):
+        # The CLI hands the library a Path; the message names it as typed,
+        # never as PosixPath(...), and the exit code is the I/O one.
+        path = str(tmp_path / "missing" / "x.csv")
+        code, out, err = run_cli(capsys, "run", "--trials", "1", "--out", path)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write results to {path!r}: ")
+        columns = run_experiment(ExperimentConfig(trials=1, shots_learn=10, shots_holdout=10))
+        for given in (path, Path(path)):
+            with pytest.raises(OSError, match=f"^cannot write results to {re.escape(repr(path))}: "):
+                emit_results(columns, "csv", given)
 
     def test_constz_scenario(self, capsys):
         code, out, _ = run_cli(

@@ -20,9 +20,11 @@ from povmlearn.decomposition import (
     mixture_targets,
     success_prob,
 )
-from povmlearn.ensemble import EnsembleSpec, RngStream, pauli_axes
+from povmlearn.ensemble import EnsembleSpec, pauli_axes
 from povmlearn.errors import ContractViolation
 from povmlearn.helstrom import success_equal_priors
+
+from helpers import frame_generators
 
 slice_instances = st.tuples(
     st.floats(0.05, 0.95),            # eta0
@@ -202,17 +204,17 @@ class TestLearnAxisConstZ:
         # +90 degree rotation convention; tight at a large shot budget.
         r = math.sqrt(1 - 0.36)
         spec = EnsembleSpec(1.0, [r, 0, 0.6], [r, 0, 0.6], Plane.const_z(0.6))
-        axis, _, _ = learn_axis(spec, pauli_axes(spec.plane), 100_000, RngStream(0).generator())
+        axis, _, _ = learn_axis(spec, pauli_axes(spec.plane), 100_000, frame_generators(0, 3))
         assert np.allclose(axis, [0, 1, 0], atol=0.02)
         spec = EnsembleSpec(1.0, [0, r, 0.6], [0, r, 0.6], Plane.const_z(0.6))
-        axis, _, _ = learn_axis(spec, pauli_axes(spec.plane), 100_000, RngStream(0).generator())
+        axis, _, _ = learn_axis(spec, pauli_axes(spec.plane), 100_000, frame_generators(0, 3))
         assert np.allclose(axis, [-1, 0, 0], atol=0.02)
 
     def test_axis_properties(self):
         plane, n, _ = make_n(0.6, 1.0, 0.7, 0.4)
         pair = decompose(n, 1.0, 0.6, "A", plane)
         spec = EnsembleSpec(0.6, pair.n0, pair.n1, plane)
-        axis, n_hat, _ = learn_axis(spec, pauli_axes(spec.plane), 100_000, RngStream(5).generator())
+        axis, n_hat, _ = learn_axis(spec, pauli_axes(spec.plane), 100_000, frame_generators(5, 3))
         assert axis[2] == 0.0
         assert abs(row_norm(axis) - 1.0) <= 1e-12
         # The slice learner measures z as a third axis and keeps the reading.

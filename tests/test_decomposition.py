@@ -16,11 +16,11 @@ from povmlearn.decomposition import (
     mixture_targets,
     success_prob,
 )
-from povmlearn.ensemble import EnsembleSpec, RngStream, pauli_axes
+from povmlearn.ensemble import EnsembleSpec, pauli_axes
 from povmlearn.errors import ContractViolation, InvalidPriors
 from povmlearn.helstrom import success_equal_priors
 
-from helpers import circ_diff
+from helpers import circ_diff, frame_generators
 
 INV_SQRT2 = 0.7071067811865476
 
@@ -263,17 +263,17 @@ class TestLearnAxisEqualCounts:
         # A single-state ensemble pins one Pauli component exactly; the
         # other still carries coin-flip noise, so allow a few sigma of it.
         spec = EnsembleSpec(1.0, [1, 0, 0], [1, 0, 0], Plane.xz())
-        axis, _, _ = learn_axis(spec, pauli_axes(spec.plane), 100_000, RngStream(0).generator())
+        axis, _, _ = learn_axis(spec, pauli_axes(spec.plane), 100_000, frame_generators(0, 2))
         assert np.allclose(axis, [0, 0, 1], atol=0.02)
         spec = EnsembleSpec(1.0, [0, 0, 1], [0, 0, 1], Plane.xz())
-        axis, _, _ = learn_axis(spec, pauli_axes(spec.plane), 100_000, RngStream(0).generator())
+        axis, _, _ = learn_axis(spec, pauli_axes(spec.plane), 100_000, frame_generators(0, 2))
         assert np.allclose(axis, [-1, 0, 0], atol=0.02)
 
     def test_orthogonal_to_estimate_by_construction(self):
         n, _ = make_n(0.6, 1.0, 0.7)
         pair = decompose(n, 1.0, 0.6, "A")
         spec = EnsembleSpec(0.6, pair.n0, pair.n1, Plane.xz())
-        axis, n_hat, _ = learn_axis(spec, pauli_axes(spec.plane), 100_000, RngStream(1).generator())
+        axis, n_hat, _ = learn_axis(spec, pauli_axes(spec.plane), 100_000, frame_generators(1, 2))
         assert abs(row_norm(axis) - 1.0) <= 1e-12
         assert abs(axis[1]) == 0.0
         assert abs(float(np.dot(axis, n_hat))) <= 1e-12
@@ -285,7 +285,7 @@ class TestLearnAxisEqualCounts:
         target = perp_in_plane(n, Plane.xz())
         hits = 0
         for seed in range(50):
-            axis, _, _ = learn_axis(spec, pauli_axes(spec.plane), 1_000_000, RngStream(seed, 3).generator())
+            axis, _, _ = learn_axis(spec, pauli_axes(spec.plane), 1_000_000, frame_generators(seed, 2, first=3))
             err = min(row_norm(axis - target), row_norm(axis + target))
             if err <= 0.01:
                 hits += 1

@@ -1,4 +1,4 @@
-"""Ensemble generation and simulated destructive measurements."""
+"""Ensemble generation, random streams, and the unlabeled draw of learn_axis."""
 
 import dataclasses
 import math
@@ -8,10 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from povmlearn.bloch import EPS_DEGENERATE, Plane, bloch_from_state_angle
-from povmlearn.decomposition import ensemble_vector
-from povmlearn.ensemble import EnsembleSpec, RngStream, estimate_pauli, pauli_axes
+from povmlearn import decomposition
+from povmlearn.bloch import EPS_DEGENERATE, Plane, bloch_from_state_angle, perp_in_plane, prob_plus_unchecked
+from povmlearn.decomposition import ensemble_vector, equal_prior_cell, learn_axis, two_fold_spec
+from povmlearn.ensemble import EnsembleSpec, RngStream, pauli_axes
+from povmlearn.equal_prior import povm_axis_from_phi
 from povmlearn.errors import ContractViolation
+
+from helpers import frame_generators
 
 
 def xz_spec(eta0=0.5, g0=0.3, g1=1.1):
@@ -42,7 +46,13 @@ class BinomialRecorder:
 
 def recorded(seed, axes):
     """One recording generator per axis."""
-    return [BinomialRecorder(RngStream(seed, k).generator()) for k in range(axes)]
+    return [BinomialRecorder(g) for g in frame_generators(seed, axes)]
+
+
+def reading(spec, axis, shots, gen):
+    """The reading (n_plus - n_minus)/shots along one axis: learn_axis on
+    the one-axis frame, one per row for a batch."""
+    return learn_axis(spec, [axis], shots, [gen])[2][..., 0]
 
 
 class TestEnsembleSpec:
@@ -123,45 +133,43 @@ class TestEnsembleSpec:
         assert "..." not in str(batched.value)
 
 
-class TestExpectationRows:
+class TestDrawRows:
     def test_batch_of_one_matches_single_draw(self):
         # One generator draws a number or an array of one row alike.
         spec = xz_spec(eta0=0.7)
-        single = spec.expectation([1, 0, 0], 1000, RngStream(5, 3).generator())
-        rows = batch(spec, 1).expectation([1, 0, 0], 1000, RngStream(5, 3).generator())
+        single = reading(spec, [1, 0, 0], 1000, RngStream(5, 3).generator())
+        rows = reading(batch(spec, 1), [1, 0, 0], 1000, RngStream(5, 3).generator())
         assert rows.tolist() == [single]
 
-    def test_rows_draw_in_row_order(self):
-        # Each call draws one array in row order, so the leading rows of a
-        # batch are a shorter batch, along one axis or one axis per row.
-        spec = xz_spec(eta0=0.6)
-        axes = bloch_from_state_angle(np.linspace(0.0, 3.0, 8))
-        for axis in (axes, axes[0]):
-            long = batch(spec, 8).expectation(axis, 500, RngStream(9, 0).generator())
-            short = batch(spec, 5).expectation(axis if axis.ndim == 1 else axis[:5], 500, RngStream(9, 0).generator())
-            assert long[:5].tolist() == short.tolist()
+    def test_rejects_nonunit_axis_and_zero_shots(self):
+        with pytest.raises(ContractViolation, match=r"^measurement axis must be unit length, got \|v\| = 0.5$"):
+            reading(xz_spec(), [0.5, 0, 0], 10, RngStream(0).generator())
+        with pytest.raises(ContractViolation, match=r"^shots must be >= 1, got 0$"):
+            reading(xz_spec(), [1, 0, 0], 0, RngStream(0).generator())
 
-    def test_rejects_nonunit_axis_and_empty_batch(self):
-        with pytest.raises(ContractViolation, match="probe axis"):
-            xz_spec().check_measurement([0.5, 0, 0], 10, what="probe axis")
-        with pytest.raises(ContractViolation, match="shots"):
-            xz_spec().expectation([1, 0, 0], 0, RngStream(0).generator())
-
-    def test_axis_per_row_only_for_a_batch_of_as_many_rows(self):
+    def test_frame_is_k_axes_of_three_components(self):
+        # A lone 3-vector, unit 2-vectors and one axis per row are no frame,
+        # alone or for a batch; nor is a frame of no axes.
         axes = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        for spec in (xz_spec(), batch(xz_spec(), 3)):
-            # A unit 2-vector is no axis either, alone or for a batch.
-            for bad in (axes, axes[0, :2]):
-                with pytest.raises(ContractViolation, match="one per row"):
-                    spec.expectation(bad, 10, RngStream(0).generator())
-        assert batch(xz_spec(), 2).expectation(axes, 10, RngStream(0).generator()).shape == (2,)
+        for spec in (xz_spec(), batch(xz_spec(), 2)):
+            for bad in (axes[0], axes[:, :2], np.stack([axes, axes]), axes[:0]):
+                with pytest.raises(ContractViolation, match="measurement frame must hold one 3-vector per axis"):
+                    learn_axis(spec, bad, 10, frame_generators(0, len(bad)))
 
-    def test_shared_axis_is_checked_once(self):
-        # One 3-vector for every row is checked as itself, not as one copy
-        # per row; the measured rows still get one probability each.
-        axis, _ = batch(xz_spec(), 4).check_measurement(np.array([0.0, 0.0, 1.0]), 10)
-        assert axis.shape == (3,)
-        assert batch(xz_spec(), 4).expectation(axis, 10, RngStream(0).generator()).shape == (4,)
+    def test_frame_is_checked_once(self, monkeypatch):
+        # The whole k x 3 frame goes through one unit check, however many
+        # axes and rows; the draws still give one reading per axis and row.
+        calls = []
+
+        def check_unit(v, what):
+            calls.append((v.shape, what))
+            return v
+
+        monkeypatch.setattr(decomposition, "check_unit", check_unit)
+        spec = batch(xz_spec(), 4)
+        _, n_hat, readings = learn_axis(spec, pauli_axes(spec.plane), 10, frame_generators(0, 2))
+        assert calls == [((2, 3), "measurement axis")]
+        assert n_hat.shape == (4, 3) and readings.shape == (4, 2)
 
     def test_mixture_is_computed_once_per_spec(self):
         # The ensemble Bloch vector eta0 psi0 + eta1 psi1, one per row, by
@@ -172,6 +180,66 @@ class TestExpectationRows:
         assert spec.mixture is spec.mixture
         with pytest.raises(ValueError):
             spec.mixture[0, 0] = 0.0
+
+
+def reference_learn(spec, frame, shots, generators):
+    """learn_axis's reference, one axis at a time: a binomial of the axis's
+    +1 probability (prob_plus_unchecked on the mixture) from that axis's own
+    generator, its reading (2 count - shots)/shots, the estimate
+    sum_k Delta_k e_k and its in-plane perpendicular."""
+    frame = [np.asarray(e, dtype=float) for e in frame]
+    readings = [
+        (2 * g.binomial(shots, prob_plus_unchecked(e, spec.mixture)) - shots) / shots
+        for e, g in zip(frame, generators)
+    ]
+    n_hat = sum(np.multiply.outer(d, e) for d, e in zip(readings, frame))
+    return perp_in_plane(n_hat, spec.plane), n_hat, np.stack(readings, axis=-1)
+
+
+FRAMES = ("xz-pauli", "const-z-pauli", "equal-prior-turned", "one-axis")
+
+
+def frame_case(name, t):
+    """A spec and the frame it is read on, with parameters set by t: one
+    ensemble for a number, one row per entry for an array (the const-z
+    rows then lie in one slice each)."""
+    if name == "equal-prior-turned":
+        phi0 = 1.1
+        frame = [povm_axis_from_phi(phi0), povm_axis_from_phi(phi0 + 0.25 * math.pi)]
+        return two_fold_spec(*equal_prior_cell(6.0 * t, 1.4 * t)), frame
+    case = np.where(np.arange(np.size(t)) % 2, "B", "A") if np.ndim(t) else "A"
+    plane = Plane.const_z(0.9 * t - 0.4) if name == "const-z-pauli" else Plane.xz()
+    spec = two_fold_spec(0.2 + 0.6 * t, 0.3 + 2.5 * t, 6.0 * t, case, plane)
+    return spec, [bloch_from_state_angle(0.9)] if name == "one-axis" else pauli_axes(plane)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestLearnAxisReference:
+    """learn_axis draws its whole frame in one pass and equals the per-axis
+    loop bit for bit: readings, estimate and perpendicular."""
+
+    @pytest.mark.parametrize("t", [0.37, np.linspace(0.05, 0.95, 7)], ids=["single", "batch"])
+    @pytest.mark.parametrize("name", FRAMES)
+    def test_matches_the_per_axis_loop(self, name, t):
+        spec, frame = frame_case(name, t)
+        got = learn_axis(spec, frame, 1000, frame_generators(11, len(frame)))
+        want = reference_learn(spec, frame, 1000, frame_generators(11, len(frame)))
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("name", FRAMES)
+    def test_leading_rows_are_a_shorter_batch(self, name):
+        # Each axis draws one array in row order, so a batch's leading rows
+        # learn exactly what the shorter batch of those rows learns.
+        t = np.linspace(0.05, 0.95, 9)
+        long_spec, frame = frame_case(name, t)
+        short_spec, _ = frame_case(name, t[:5])
+        long = learn_axis(long_spec, frame, 500, frame_generators(9, len(frame)))
+        short = learn_axis(short_spec, frame, 500, frame_generators(9, len(frame)))
+        assert all(same_bits(a[:5], b) for a, b in zip(long, short))
 
 
 class TestEnsembleBloch:
@@ -278,19 +346,19 @@ class TestStreamStates:
         assert RngStream(1, np.uint64(2**64 - 1)).stream_id == 2**64 - 1
 
 
-class TestMeasureShots:
-    """EnsembleSpec.expectation: one measurement batch per row."""
+class TestUnlabeledDraw:
+    """learn_axis on a one-axis frame: one measurement batch per row."""
 
     def test_eigenstate_all_plus(self):
         spec = EnsembleSpec(1.0, [0, 0, 1], [1, 0, 0], Plane.xz())
-        assert spec.expectation([0, 0, 1], 100, RngStream(1).generator()) == 1.0
+        assert reading(spec, [0, 0, 1], 100, RngStream(1).generator()) == 1.0
 
     def test_symmetric_axis_is_chance_level(self):
-        mean = xz_spec().expectation([0, 1, 0], 100_000, RngStream(2).generator())
+        mean = reading(xz_spec(), [0, 1, 0], 100_000, RngStream(2).generator())
         assert abs(mean) <= 5 * math.sqrt(1.0 / 100_000)
 
     def test_counts_lie_within_budget(self):
-        plus = (batch(xz_spec(), 50).expectation([1, 0, 0], 997, RngStream(3).generator()) + 1) * 997 / 2
+        plus = (reading(batch(xz_spec(), 50), [1, 0, 0], 997, RngStream(3).generator()) + 1) * 997 / 2
         # A whole count, up to the rounding of (2 k - N) / N and back.
         assert np.all(np.abs(plus - np.rint(plus)) <= 1e-9)
         assert np.all((0 <= np.rint(plus)) & (np.rint(plus) <= 997))
@@ -301,7 +369,7 @@ class TestMeasureShots:
         spec = xz_spec(eta0=0.7, g0=0.2, g1=1.3)
         axis = bloch_from_state_angle(0.9)
         p = 0.7 * (0.5 + 0.5 * math.cos(0.9 - 0.2)) + 0.3 * (0.5 + 0.5 * math.cos(0.9 - 1.3))
-        freq = (1 + batch(spec, 100).expectation(axis, 10_000, RngStream(0, 0).generator())) / 2
+        freq = (1 + reading(batch(spec, 100), axis, 10_000, RngStream(0, 0).generator())) / 2
         assert np.sum(np.abs(freq - p) <= 5 * math.sqrt(p * (1 - p) / 10_000)) >= 99
 
     @pytest.mark.parametrize(
@@ -316,57 +384,57 @@ class TestMeasureShots:
         ids=["xz", "const-z"],
     )
     def test_mixture_draw_has_the_labelled_distribution(self, spec, axis):
-        # The +1 count of N unlabeled members (expectation, one binomial from
-        # the ensemble Bloch vector) is that of N labelled members,
-        # Binomial(N, eta0 p0 + eta1 p1).  Over 10^5 rows at N = 8, its
-        # histogram's chi-squared against that pmf (9 bins, 8 degrees of
-        # freedom) stays below 26.12, its 0.1% tail.
+        # The +1 count of N unlabeled members (learn_axis on a one-axis
+        # frame, one binomial from the ensemble Bloch vector) is that of N
+        # labelled members, Binomial(N, eta0 p0 + eta1 p1).  Over 10^5 rows
+        # at N = 8, its histogram's chi-squared against that pmf (9 bins, 8
+        # degrees of freedom) stays below 26.12, its 0.1% tail.
         shots, rows = 8, 100_000
         p0, p1 = (0.5 + 0.5 * float(np.dot(axis, psi)) for psi in (spec.psi0, spec.psi1))
         p = spec.eta0 * p0 + (1 - spec.eta0) * p1
         expected = rows * np.array([math.comb(shots, k) * p**k * (1 - p) ** (shots - k) for k in range(shots + 1)])
         assert expected.min() >= 5
         many = batch(spec, rows)
-        mixture = np.rint((many.expectation(axis, shots, RngStream(21, 0).generator()) + 1) * shots / 2)
+        mixture = np.rint((reading(many, axis, shots, RngStream(21, 0).generator()) + 1) * shots / 2)
         observed = np.bincount(mixture.astype(int), minlength=shots + 1)
         assert float(np.sum((observed - expected) ** 2 / expected)) < 26.12
 
     def test_determinism(self):
         spec = batch(xz_spec(), 6)
-        a = spec.expectation([1, 0, 0], 1000, RngStream(5, 2).generator())
-        b = spec.expectation([1, 0, 0], 1000, RngStream(5, 2).generator())
+        a = reading(spec, [1, 0, 0], 1000, RngStream(5, 2).generator())
+        b = reading(spec, [1, 0, 0], 1000, RngStream(5, 2).generator())
         assert np.array_equal(a, b)
 
     def test_shots_must_be_positive(self):
         with pytest.raises(ContractViolation):
-            xz_spec().expectation([1, 0, 0], 0, RngStream(0).generator())
+            reading(xz_spec(), [1, 0, 0], 0, RngStream(0).generator())
 
     def test_nonunit_axis_rejected(self):
         with pytest.raises(ContractViolation):
-            xz_spec().expectation([0.5, 0, 0], 10, RngStream(0).generator())
-        axes = np.array([[1.0, 0, 0], [0.5, 0, 0]])
-        with pytest.raises(ContractViolation):
-            batch(xz_spec(), 2).expectation(axes, 10, RngStream(0).generator())
+            reading(xz_spec(), [0.5, 0, 0], 10, RngStream(0).generator())
+        frame = np.array([[1.0, 0, 0], [0.5, 0, 0]])
+        with pytest.raises(ContractViolation, match=r"\|v\| = 0.5"):
+            learn_axis(batch(xz_spec(), 2), frame, 10, frame_generators(0, 2))
 
 
-def pauli_estimate(spec, shots, rng):
-    """The estimate of estimate_pauli on the spec's Pauli frame."""
-    return estimate_pauli(spec, pauli_axes(spec.plane), shots, rng)[0]
+def pauli_estimate(spec, shots, generators):
+    """The estimate of learn_axis on the spec's Pauli frame."""
+    return learn_axis(spec, pauli_axes(spec.plane), shots, generators)[1]
 
 
-class TestEstimatePauli:
+class TestFrameEstimate:
     def test_pure_z_ensemble_is_exact(self):
         spec = EnsembleSpec(0.5, [0, 0, 1], [0, 0, 1], Plane.xz())
-        n_hat = pauli_estimate(spec, 500, RngStream(0).generator())
+        n_hat = pauli_estimate(spec, 500, frame_generators(0, 2))
         assert n_hat[2] == 1.0
-        assert pauli_estimate(batch(spec, 3), 500, RngStream(0).generator())[:, 2].tolist() == [1.0] * 3
+        assert pauli_estimate(batch(spec, 3), 500, frame_generators(0, 2))[:, 2].tolist() == [1.0] * 3
 
     def test_xz_estimate_zeroes_y(self):
         gens = recorded(1, 2)
         n_hat = pauli_estimate(xz_spec(), 1000, gens)
         assert n_hat[1] == 0.0
         assert [g.shots for g in gens] == [[1000], [1000]]
-        assert np.all(pauli_estimate(batch(xz_spec(), 4), 1000, RngStream(1).generator())[:, 1] == 0.0)
+        assert np.all(pauli_estimate(batch(xz_spec(), 4), 1000, frame_generators(1, 2))[:, 1] == 0.0)
 
     def test_constz_measures_three_axes(self):
         plane = Plane.const_z(0.4)
@@ -380,12 +448,12 @@ class TestEstimatePauli:
     def test_component_error_bound(self):
         spec = xz_spec(eta0=0.5, g0=0.3, g1=1.1)
         n = spec.eta0 * spec.psi0 + (1 - spec.eta0) * spec.psi1
-        n_hat = pauli_estimate(batch(spec, 100), 10_000, RngStream(0, 1).generator())
+        n_hat = pauli_estimate(batch(spec, 100), 10_000, frame_generators(0, 2, first=1))
         assert np.sum(np.max(np.abs(n_hat - n), axis=1) <= 5.0 / math.sqrt(10_000)) >= 99
 
     def test_large_shot_limit(self):
         spec = xz_spec(eta0=0.65, g0=0.2, g1=1.4)
-        n_hat = pauli_estimate(spec, 10_000_000, RngStream(9).generator())
+        n_hat = pauli_estimate(spec, 10_000_000, frame_generators(9, 2))
         assert float(np.max(np.abs(n_hat - (spec.eta0 * spec.psi0 + (1 - spec.eta0) * spec.psi1)))) <= 2e-3
 
     def test_per_axis_generators(self):
@@ -397,8 +465,11 @@ class TestEstimatePauli:
         assert np.array_equal(est1, est2)
 
     def test_wrong_generator_count_rejected(self):
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match=r"^expected 2 generators, one per axis, got 1$"):
             pauli_estimate(xz_spec(), 100, [RngStream(0).generator()])
+        # One generator is no longer shared by every axis.
+        with pytest.raises(TypeError):
+            pauli_estimate(xz_spec(), 100, RngStream(0).generator())
 
     def test_budget_accounting_is_exact(self):
         # One binomial of the whole per-axis budget on each axis.
@@ -410,9 +481,9 @@ class TestEstimatePauli:
         # On the Pauli frame the estimate's plane coordinates are the
         # readings bit for bit; on any frame it is sum_k Delta_k e_k.
         spec = batch(xz_spec(), 5)
-        n_hat, readings = estimate_pauli(spec, pauli_axes(spec.plane), 1000, RngStream(2).generator())
+        _, n_hat, readings = learn_axis(spec, pauli_axes(spec.plane), 1000, frame_generators(2, 2))
         assert readings.shape == (5, 2) and np.array_equal(spec.plane.coords(n_hat), readings)
         c, s = math.cos(0.4), math.sin(0.4)
         frame = [np.array([c, 0.0, s]), np.array([-s, 0.0, c])]
-        n_hat, readings = estimate_pauli(spec, frame, 1000, RngStream(2).generator())
+        _, n_hat, readings = learn_axis(spec, frame, 1000, frame_generators(2, 2))
         assert np.array_equal(n_hat, readings[:, :1] * frame[0] + readings[:, 1:] * frame[1])

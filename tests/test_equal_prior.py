@@ -108,8 +108,9 @@ class TestSolveAlpha:
 
 
 def estimate_delta(spec, phi, shots, rng):
-    """Empirical detector difference at setting phi."""
-    return spec.expectation(povm_axis_from_phi(phi), shots, rng)
+    """Empirical detector difference at setting phi: learn_axis's reading
+    on the one-axis frame of that setting."""
+    return learn_axis(spec, [povm_axis_from_phi(phi)], shots, [rng])[2][0]
 
 
 class TestEstimateDelta:

@@ -44,3 +44,20 @@ def test_learn_equal_prior_reduces_a_huge_phi0(monkeypatch, capsys):
     assert len(huge) == 2
     assert huge == learned(math.fmod(1e300, 2 * math.pi))
     assert huge[0].endswith("(true 1.047198)") and abs(float(huge[0].split()[2]) - math.pi / 3) < 0.05
+
+
+def test_learn_equal_prior_reduces_a_huge_alpha(monkeypatch, capsys):
+    # Whole turns come off alpha before the target phi* = alpha/2 + pi/4 is
+    # formed, and the reduced alpha is printed as the true one, so a huge
+    # alpha reports exactly as its reduced angle does.
+    def learned(alpha):
+        args = ("--alpha", repr(alpha), "--shots", "20000", "--holdout", "1000", "--seed", "2")
+        lines = run_script(monkeypatch, capsys, "learn_equal_prior.py", *args)
+        return [line for line in lines if line.startswith(("alpha_hat = ", "phi_star  = "))]
+
+    reduced = math.fmod(1e300, 2 * math.pi)
+    huge = learned(1e300)
+    assert len(huge) == 2
+    assert huge == learned(reduced)
+    assert huge[0].endswith(f"(true {reduced:.6f})")
+    assert huge[1].endswith(f"(target {(reduced / 2 + math.pi / 4) % math.pi:.6f})")
