@@ -11,10 +11,11 @@ the closed-form optimum (1 + sin(beta)) / 2.
 import argparse
 import math
 
-from povmlearn.bloch import reduce_angle
+from povmlearn.bloch import check_domain, reduce_angle
 from povmlearn.decomposition import equal_prior_cell, learn_axis, two_fold_spec
 from povmlearn.ensemble import RngStream
 from povmlearn.equal_prior import povm_axis_from_phi, solve_alpha, weak_readings, weak_signal_threshold
+from povmlearn.errors import ContractViolation
 from povmlearn.evaluate import classify_holdout, score
 
 
@@ -32,6 +33,13 @@ def main():
                         help="held-out qubits to classify")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    # A bad value is a usage error, reported before any draw.
+    try:
+        for name in ("alpha", "beta", "phi0", "seed", "shots"):
+            check_domain(name, getattr(args, name))
+        check_domain("shots", args.holdout, "holdout")
+    except ContractViolation as exc:
+        parser.exit(2, f"error: {exc}\n")
 
     # Whole turns come off alpha before its half is taken for the target,
     # and the reduced angle is the one reported.

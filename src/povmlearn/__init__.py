@@ -40,7 +40,7 @@ from povmlearn.equal_prior import (
     weak_readings,
     weak_signal_threshold,
 )
-from povmlearn.errors import ContractViolation, DegenerateEnsemble, DiscriminationError, InvalidPriors
+from povmlearn.errors import ContractViolation, DegenerateEnsemble, DiscriminationError
 from povmlearn.evaluate import EvalReport, classify_holdout, folded_success, score
 from povmlearn.experiment import (
     CSV_COLUMNS,

@@ -114,6 +114,32 @@ def check_unit(v, what: str = "vector") -> np.ndarray:
     return v
 
 
+_FINITE = (np.isfinite, "be finite")
+# The one domain of each named parameter, which every entry that takes it
+# checks (check_domain): a test giving one flag per row, and its text.
+_DOMAINS = {
+    "alpha": _FINITE,
+    "phi0": _FINITE,
+    "direction": _FINITE,
+    "eta0": (lambda v: (0.0 < v) & (v < 1.0), "lie in (0, 1)"),
+    "beta": (lambda v: (0.0 <= v) & (v <= math.pi / 2 + 1e-12), "lie in [0, pi/2]"),
+    "theta": (lambda v: (0.0 <= v) & (v <= math.pi + 1e-12), "lie in [0, pi]"),
+    "nz": (lambda v: (-1.0 < v) & (v < 1.0), "lie in (-1, 1)"),
+    "seed": (lambda v: v >= 0, "be a nonnegative integer"),
+    "shots": (lambda v: v >= 1, "be >= 1"),
+}
+
+
+def check_domain(name: str, value, label: str | None = None) -> None:
+    """Refuse a value of the named parameter outside its domain: a number,
+    or an array with one value per row, whose message names the first bad
+    value.  The message calls the parameter label, name by default."""
+    test, domain = _DOMAINS[name]
+    ok = test(value)
+    if not every_row(ok):
+        raise ContractViolation(f"{label or name} must {domain}, got {first_row(np.logical_not(ok), value)}")
+
+
 # Per plane kind: the slice of a 3-vector's last axis that holds its plane
 # coordinates (first axis, second axis), and the index of the offset axis.
 _PLANE_SLOTS = {"xz": (np.s_[..., ::2], 1), "constz": (np.s_[..., :2], 2)}
@@ -141,9 +167,7 @@ class Plane:
     @classmethod
     def const_z(cls, nz) -> "Plane":
         nz = np.array(nz, dtype=float)
-        ok = abs(nz) < 1.0
-        if not every_row(ok):
-            raise ContractViolation(f"constant-z plane needs |nz| < 1, got {first_row(np.logical_not(ok), nz)}")
+        check_domain("nz", nz)
         nz.flags.writeable = False
         return cls("constz", nz)
 

@@ -38,6 +38,7 @@ from povmlearn.bloch import (
     EPS_PHYS,
     Plane,
     any_row,
+    check_domain,
     check_unit,
     every_row,
     first_row,
@@ -47,7 +48,7 @@ from povmlearn.bloch import (
     self_dot,
 )
 from povmlearn.ensemble import EnsembleSpec
-from povmlearn.errors import ContractViolation, InvalidPriors
+from povmlearn.errors import ContractViolation
 
 # Estimated separation cosines may be driven off [-1, 1] by shot noise;
 # values within this slack are clamped, anything beyond is an error.
@@ -75,14 +76,10 @@ class MixtureTargets:
 
 
 def _check_cell(eta0, theta=None) -> None:
-    """Priors (eta0, 1 - eta0) interior, then separation angles in [0, pi]
-    unless theta is None; in every row for arrays."""
-    ok = (0.0 < eta0) & (eta0 < 1.0)
-    if not every_row(ok):
-        raise InvalidPriors(f"priors must be interior, got eta0 = {first_row(np.logical_not(ok), eta0)}")
-    ok = True if theta is None else (-1e-12 <= theta) & (theta <= math.pi + 1e-12)
-    if not every_row(ok):
-        raise ContractViolation(f"separation angle must lie in [0, pi], got {first_row(np.logical_not(ok), theta)}")
+    """Check eta0, then theta unless it is None (check_domain), every row."""
+    check_domain("eta0", eta0)
+    if theta is not None:
+        check_domain("theta", theta)
 
 
 def _check_case(case):
@@ -150,6 +147,7 @@ def two_fold_spec(eta0, theta, direction, case, plane: Plane = _PLANE_XZ) -> Ens
     is reduced (reduce_angle) before the offsets are added, which a huge
     angle would lose.  One value of each argument (and of the plane's nz)
     per row gives a batch; a degenerate cell keeps its true pair."""
+    check_domain("direction", direction)
     _check_cell(eta0, theta)
     eta1, sgn, rho = 1.0 - eta0, _check_case(case), np.sqrt(plane.radius_sq)
     half = np.cos(0.5 * theta)
@@ -268,8 +266,7 @@ def learn_axis(spec: EnsembleSpec, axes, shots_per_axis: int, generators) -> tup
         raise ContractViolation(f"measurement frame must hold one 3-vector per axis, got shape {frame.shape}")
     frame = check_unit(frame, "measurement axis")
     shots = int(shots_per_axis)
-    if shots < 1:
-        raise ContractViolation(f"shots must be >= 1, got {shots}")
+    check_domain("shots", shots)
     generators = list(generators)
     if len(generators) != len(frame):
         raise ContractViolation(f"expected {len(frame)} generators, one per axis, got {len(generators)}")

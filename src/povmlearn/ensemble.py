@@ -34,18 +34,12 @@ from povmlearn.bloch import (
     UNIT_Y,
     UNIT_Z,
     Plane,
+    check_domain,
     every_row,
     first_row,
     row_norm,
 )
 from povmlearn.errors import ContractViolation
-
-
-def check_seed(seed: int) -> None:
-    """Refuse a negative seed as a usage error; numpy would raise a
-    ValueError."""
-    if int(seed) < 0:
-        raise ContractViolation(f"seed must be a nonnegative integer, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +56,7 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
+        check_domain("seed", self.seed)
         k = self.stream_id
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= int(k) < 2**64:
             raise ContractViolation(f"stream ids must be integers in [0, 2^64), got {k!r}")

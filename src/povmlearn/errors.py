@@ -9,9 +9,5 @@ class ContractViolation(DiscriminationError):
     """An argument violates a documented precondition (bad norm, wrong plane, ...)."""
 
 
-class InvalidPriors(DiscriminationError):
-    """Prior probabilities are outside the domain a procedure requires."""
-
-
 class DegenerateEnsemble(DiscriminationError):
     """The ensemble Bloch vector is too short to define a direction."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from povmlearn.bloch import any_row, check_unit, every_row, first_row, prob_plus_unchecked
+from povmlearn.bloch import any_row, check_domain, check_unit, every_row, first_row, prob_plus_unchecked
 from povmlearn.ensemble import EnsembleSpec
 from povmlearn.errors import ContractViolation
 
@@ -68,8 +68,7 @@ def classify_holdout(spec: EnsembleSpec, axis, n_holdout: int, rng: np.random.Ge
         raise ContractViolation(f"classification axis must be one 3-vector or one per row, got shape {axis.shape}")
     axis = check_unit(axis, "classification axis")
     shots = int(n_holdout)
-    if shots < 1:
-        raise ContractViolation(f"shots must be >= 1, got {shots}")
+    check_domain("shots", shots)
     return rng.binomial(shots, correct_prob(spec, axis))
 
 

@@ -25,7 +25,7 @@ two-fold cells (decomposition.equal_prior_cell maps an equal-prior one):
 two_fold_cell over the cells, and decomposition.two_fold_spec, the batch
 spec the rows sample from, over the rows.  A degenerate cell's truth is
 NaN, and its rows draw with its true pair.  A sweep takes its cells as
-columns: one value per cell of each swept parameter, each checked once.
+columns: one value per cell of each swept parameter, checked as one array.
 
 All three scenarios learn through one function, learn_axis, on a
 measurement frame: the Pauli axes of the plane, or for equal-prior-xz
@@ -52,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from povmlearn.bloch import UNIT_X, Plane, plane_angle, reduce_angle, row_norm
+from povmlearn.bloch import UNIT_X, Plane, any_row, check_domain, plane_angle, reduce_angle, row_norm
 from povmlearn.decomposition import (
     EPS_CLAMP,
     cos_theta,
@@ -63,7 +63,7 @@ from povmlearn.decomposition import (
     success_prob,
     two_fold_spec,
 )
-from povmlearn.ensemble import EnsembleSpec, RngStream, check_seed, pauli_axes
+from povmlearn.ensemble import EnsembleSpec, RngStream, pauli_axes
 from povmlearn.equal_prior import povm_axis_from_phi, solve_alpha, weak_readings, weak_signal_threshold
 from povmlearn.errors import ContractViolation
 from povmlearn.evaluate import classify_holdout, score
@@ -123,26 +123,13 @@ _OK, _OUT_OF_RANGE, _DEGENERATE, _WEAK = "ok", "cos_theta_out_of_range", "degene
 _XZ = Plane.xz()
 
 
-# Domain of each real parameter: (test, what the message says it must do).
-_DOMAINS = {
-    "alpha": (math.isfinite, "be finite"),
-    "phi0": (math.isfinite, "be finite"),
-    "eta0": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
-    "beta": (lambda v: 0.0 <= v <= math.pi / 2 + 1e-12, "lie in [0, pi/2]"),
-    "theta": (lambda v: 0.0 <= v <= math.pi + 1e-12, "lie in [0, pi]"),
-    "nz": (lambda v: -1.0 < v < 1.0, "lie in (-1, 1)"),
-}
-
-
 def _check_field(scenario: str, name: str, value) -> None:
-    """Raise ContractViolation when a real parameter value lies outside its
-    domain.  A domain holds regardless of which scenario consumes the field,
-    so an out-of-range value never passes silently as an unused flag; the
-    equal-prior scenario also pins eta0 to 0.5."""
-    ok, domain = _DOMAINS[name]
-    if not ok(value):
-        raise ContractViolation(f"{name} must {domain}, got {value}")
-    if name == "eta0" and scenario == "equal-prior-xz" and abs(value - 0.5) > 1e-12:
+    """Refuse a real parameter value, or a column of values, outside its
+    domain (check_domain).  A domain holds whichever scenario consumes the
+    field, so an out-of-range value never passes silently as an unused
+    flag; the equal-prior scenario also pins eta0 to 0.5."""
+    check_domain(name, value)
+    if name == "eta0" and scenario == "equal-prior-xz" and any_row(abs(value - 0.5) > 1e-12):
         raise ContractViolation("the equal-prior scenario requires eta0 = 0.5")
 
 
@@ -185,8 +172,8 @@ class ExperimentConfig:
             # numpy's binomial draws take a budget as a signed 64-bit integer.
             if name.startswith("shots") and value >= 2**63:
                 raise ContractViolation(f"{name} must be < 2**63, got {value}")
-        check_seed(self.seed)
-        for name in _DOMAINS:
+        check_domain("seed", self.seed)
+        for name in ("alpha", "phi0", "eta0", "beta", "theta", "nz"):
             _check_field(self.scenario, name, getattr(self, name))
 
 
@@ -379,11 +366,10 @@ def sweep(base: ExperimentConfig, grid: dict[str, Sequence[float]]) -> dict[str,
     values = {k: [float(v) for v in grid[k]] for k in keys}
     if not all(values.values()):
         return {name: [] for name in _RECORD_COLUMNS}
-    # The first cell is validated whole, then every other swept value once.
+    # The first cell is validated whole, then each swept column as one array.
     replace(base, **{k: v[0] for k, v in values.items()}).validate()
     for k, v in values.items():
-        for value in v[1:]:
-            _check_field(base.scenario, k, value)
+        _check_field(base.scenario, k, np.array(v))
     unread = [k for k in keys if k not in _READS[base.scenario]]
     if unread:
         raise ContractViolation(f"cannot sweep over {unread}, which the {base.scenario} scenario does not read")

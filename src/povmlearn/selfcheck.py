@@ -18,6 +18,7 @@ import numpy as np
 from povmlearn.bloch import (
     Plane,
     angle_dist,
+    check_domain,
     check_unit,
     every_row,
     perp_in_plane,
@@ -27,7 +28,6 @@ from povmlearn.bloch import (
     wrap_angle,
 )
 from povmlearn.decomposition import cos_theta, decompose, ensemble_vector, mixture_targets, success_prob
-from povmlearn.ensemble import check_seed
 from povmlearn.equal_prior import delta_analytic, povm_axis_from_phi, solve_alpha
 from povmlearn.errors import ContractViolation
 from povmlearn.helstrom import helstrom, success_equal_priors
@@ -72,7 +72,7 @@ def oracle_battery(n_instances: int = 10_000, seed: int = 12345) -> list[CheckOu
     call of helstrom over all instances."""
     if n_instances < 1:
         raise ContractViolation(f"the oracle battery needs at least 1 instance, got {n_instances}")
-    check_seed(seed)
+    check_domain("seed", seed)
     rng = np.random.default_rng(seed)
     eta0, theta, q, n = _random_instances(rng, n_instances)
     t = mixture_targets(n, theta, eta0)
@@ -106,7 +106,7 @@ def invariant_battery(seed: int = 12345) -> list[CheckOutcome]:
     """Library-wide invariant battery; pure computation, no file I/O.  Each
     check compares a whole array of instances (a grid, or one draw of
     random rows) and reports the worst row."""
-    check_seed(seed)
+    check_domain("seed", seed)
     rng = np.random.default_rng(seed)
     outcomes = []
 

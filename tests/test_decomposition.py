@@ -17,7 +17,7 @@ from povmlearn.decomposition import (
     success_prob,
 )
 from povmlearn.ensemble import EnsembleSpec, pauli_axes
-from povmlearn.errors import ContractViolation, InvalidPriors
+from povmlearn.errors import ContractViolation
 from povmlearn.helstrom import success_equal_priors
 
 from helpers import circ_diff, frame_generators
@@ -58,7 +58,7 @@ class TestCosTheta:
         assert math.isnan(cos_theta(1.2, 0.5, tol=0.02))
 
     def test_rejects_bad_priors(self):
-        with pytest.raises(InvalidPriors):
+        with pytest.raises(ContractViolation, match=r"^eta0 must lie in \(0, 1\), got 0.0$"):
             cos_theta(0.5, 0.0)
 
     @given(consistent_instances)

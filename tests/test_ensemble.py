@@ -287,6 +287,14 @@ class TestRngStream:
         assert g.bit_generator.state == ref.bit_generator.state
         assert np.array_equal(g.random(5), ref.random(5))
 
+    def test_bad_seed_is_refused_when_built(self):
+        # As a bad stream id is: numpy would refuse the seed only when the
+        # generator is built, with a ValueError.
+        with pytest.raises(ContractViolation, match=r"^seed must be a nonnegative integer, got -1$"):
+            RngStream(-1, 0)
+        with pytest.raises(ContractViolation, match=r"^stream ids must be integers"):
+            RngStream(0, -1)
+
 
 def reference_generator(seed, stream_id):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_id,)))

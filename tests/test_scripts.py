@@ -5,6 +5,10 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
+from povmlearn.ensemble import RngStream
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -61,3 +65,31 @@ def test_learn_equal_prior_reduces_a_huge_alpha(monkeypatch, capsys):
     assert huge == learned(reduced)
     assert huge[0].endswith(f"(true {reduced:.6f})")
     assert huge[1].endswith(f"(target {(reduced / 2 + math.pi / 4) % math.pi:.6f})")
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (("--seed", "-1"), "seed must be a nonnegative integer, got -1"),
+        (("--beta", "2"), "beta must lie in [0, pi/2], got 2.0"),
+        (("--beta", "-0.5"), "beta must lie in [0, pi/2], got -0.5"),
+        (("--alpha", "nan"), "alpha must be finite, got nan"),
+        (("--phi0", "inf"), "phi0 must be finite, got inf"),
+        (("--shots", "0"), "shots must be >= 1, got 0"),
+        (("--holdout", "0"), "holdout must be >= 1, got 0"),
+    ],
+)
+def test_learn_equal_prior_refuses_a_bad_value(monkeypatch, capsys, args, error):
+    # A bad value is a usage error: exit 2 with one error line on stderr,
+    # before any generator is built or any line printed.
+    def no_draw(self):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(RngStream, "generator", no_draw)
+    monkeypatch.setattr(sys, "argv", ["learn_equal_prior.py", *args])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / "learn_equal_prior.py"), run_name="__main__")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"

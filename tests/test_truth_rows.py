@@ -28,7 +28,7 @@ from povmlearn.decomposition import (
     success_prob,
     two_fold_spec,
 )
-from povmlearn.errors import ContractViolation, InvalidPriors
+from povmlearn.errors import ContractViolation
 from povmlearn.experiment import two_fold_cell
 from povmlearn.helstrom import success_equal_priors
 
@@ -240,9 +240,9 @@ def test_batch_contract_errors_still_raise():
     n, _, _ = two_fold_cell(eta0, theta, np.array([0.0, 1.0]))
     # Each refusal names the first bad row; two directions for one prior
     # are two rows, never one state from each.
-    with pytest.raises(InvalidPriors, match="got eta0 = 1.0"):
+    with pytest.raises(ContractViolation, match=r"^eta0 must lie in \(0, 1\), got 1.0$"):
         two_fold_spec(np.array([0.6, 1.0, 0.0]), 1.0, 0.0, "A")
-    with pytest.raises(ContractViolation, match="separation angle must lie in \\[0, pi\\], got 3.5"):
+    with pytest.raises(ContractViolation, match=r"^theta must lie in \[0, pi\], got 3.5$"):
         two_fold_spec(eta0, np.array([1.0, 3.5]), 0.0, "A")
     with pytest.raises(ContractViolation, match="branch must be 'A' or 'B', got 'C'"):
         two_fold_spec(eta0, theta, 0.0, ["A", "C"])
@@ -250,7 +250,7 @@ def test_batch_contract_errors_still_raise():
         two_fold_spec(0.6, 1.0, np.array([0.1, 0.2]), "A")
     with pytest.raises(ContractViolation, match="branch"):
         decompose(n, theta, eta0, ["A", "C"])
-    with pytest.raises(ContractViolation, match="separation angle"):
+    with pytest.raises(ContractViolation, match=r"^theta must lie in \[0, pi\], got 3.5$"):
         mixture_targets(n, np.array([1.0, 3.5]), eta0)
     with pytest.raises(ContractViolation, match="slice radius"):
         mixture_targets(n * np.array([[1.0], [3.0]]), theta, eta0)
