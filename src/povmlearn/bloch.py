@@ -114,9 +114,23 @@ def check_unit(v, what: str = "vector") -> np.ndarray:
     return v
 
 
+def _integer_in(low, high=math.inf):
+    """The test of an integer domain [low, high): one flag per row.  A Python
+    int of any size or a numpy integer counts as an integer; a bool, a
+    float or anything else fails every row."""
+
+    def test(v):
+        if not isinstance(v, bool) and (isinstance(v, (int, np.integer)) or np.asarray(v).dtype.kind in "iu"):
+            return (low <= v) & (v < high)
+        return np.zeros(np.shape(v), dtype=bool)
+
+    return test
+
+
 _FINITE = (np.isfinite, "be finite")
 # The one domain of each named parameter, which every entry that takes it
 # checks (check_domain): a test giving one flag per row, and its text.
+# numpy's binomial draws take a shot budget as a signed 64-bit integer.
 _DOMAINS = {
     "alpha": _FINITE,
     "phi0": _FINITE,
@@ -125,8 +139,9 @@ _DOMAINS = {
     "beta": (lambda v: (0.0 <= v) & (v <= math.pi / 2 + 1e-12), "lie in [0, pi/2]"),
     "theta": (lambda v: (0.0 <= v) & (v <= math.pi + 1e-12), "lie in [0, pi]"),
     "nz": (lambda v: (-1.0 < v) & (v < 1.0), "lie in (-1, 1)"),
-    "seed": (lambda v: v >= 0, "be a nonnegative integer"),
-    "shots": (lambda v: v >= 1, "be >= 1"),
+    "seed": (_integer_in(0), "be a nonnegative integer"),
+    "shots": (_integer_in(1, 2**63), "be an integer in [1, 2**63)"),
+    "trials": (_integer_in(1), "be a positive integer"),
 }
 
 

@@ -24,8 +24,8 @@ random.  Every scenario builds it once per run or sweep, as arrays, from
 two-fold cells (decomposition.equal_prior_cell maps an equal-prior one):
 two_fold_cell over the cells, and decomposition.two_fold_spec, the batch
 spec the rows sample from, over the rows.  A degenerate cell's truth is
-NaN, and its rows draw with its true pair.  A sweep takes its cells as
-columns: one value per cell of each swept parameter, checked as one array.
+NaN, and its rows draw with its true pair.  A run or sweep is validated
+once, each swept field as its column: one value per cell.
 
 All three scenarios learn through one function, learn_axis, on a
 measurement frame: the Pauli axes of the plane, or for equal-prior-xz
@@ -123,16 +123,6 @@ _OK, _OUT_OF_RANGE, _DEGENERATE, _WEAK = "ok", "cos_theta_out_of_range", "degene
 _XZ = Plane.xz()
 
 
-def _check_field(scenario: str, name: str, value) -> None:
-    """Refuse a real parameter value, or a column of values, outside its
-    domain (check_domain).  A domain holds whichever scenario consumes the
-    field, so an out-of-range value never passes silently as an unused
-    flag; the equal-prior scenario also pins eta0 to 0.5."""
-    check_domain(name, value)
-    if name == "eta0" and scenario == "equal-prior-xz" and any_row(abs(value - 0.5) > 1e-12):
-        raise ContractViolation("the equal-prior scenario requires eta0 = 0.5")
-
-
 @dataclass
 class ExperimentConfig:
     """One experiment cell: a scenario, its ground-truth parameters, budgets.
@@ -159,22 +149,21 @@ class ExperimentConfig:
     out: str | None = None
 
     def validate(self) -> None:
+        """Refuse a config with a field outside its domain (check_domain); a
+        real field may hold a column, one value per cell of a sweep.  A
+        domain holds whichever scenario consumes the field, so an
+        out-of-range value never passes silently as an unused flag; the
+        equal-prior scenario also pins eta0 to 0.5."""
         if self.scenario not in SCENARIOS:
             raise ContractViolation(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.fmt not in FORMATS:
             raise ContractViolation(f"format must be one of {FORMATS}, got {self.fmt!r}")
-        for name in ("shots_learn", "shots_holdout", "trials", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ContractViolation(f"{name} must be an integer, got {value!r}")
-            if name != "seed" and value < 1:
-                raise ContractViolation(f"{name} must be >= 1, got {value}")
-            # numpy's binomial draws take a budget as a signed 64-bit integer.
-            if name.startswith("shots") and value >= 2**63:
-                raise ContractViolation(f"{name} must be < 2**63, got {value}")
-        check_domain("seed", self.seed)
-        for name in ("alpha", "phi0", "eta0", "beta", "theta", "nz"):
-            _check_field(self.scenario, name, getattr(self, name))
+        for name in ("shots_learn", "shots_holdout"):
+            check_domain("shots", getattr(self, name), name)
+        for name in ("trials", "seed", "alpha", "phi0", "eta0", "beta", "theta", "nz"):
+            check_domain(name, getattr(self, name))
+        if self.scenario == "equal-prior-xz" and any_row(abs(self.eta0 - 0.5) > 1e-12):
+            raise ContractViolation("the equal-prior scenario requires eta0 = 0.5")
 
 
 def two_fold_cell(eta0, theta, direction, plane: Plane = _XZ):
@@ -191,16 +180,6 @@ def two_fold_cell(eta0, theta, direction, plane: Plane = _XZ):
     lost = np.isnan(analytic) | np.isnan(oracle)
     plane.coords(n)[lost] = np.nan
     return n, np.where(lost, np.nan, analytic)[()], np.where(lost, np.nan, oracle)[()]
-
-
-def _truth(cell_of, eta0, theta, direction, case, plane: Plane = _XZ):
-    """Each row's truth from one eta0, theta, direction (and nz) per cell:
-    its hidden spec (two_fold_spec over the rows), whether its cell has a
-    direction, and its success and oracle value (two_fold_cell)."""
-    _, analytic, oracle = two_fold_cell(eta0, theta, direction, plane)
-    rows = plane if plane.kind == "xz" else Plane.const_z(plane.nz[cell_of])
-    spec = two_fold_spec(eta0[cell_of], theta[cell_of], direction[cell_of], case, rows)
-    return spec, ~np.isnan(analytic)[cell_of], analytic[cell_of], oracle[cell_of]
 
 
 def _role_streams(seed: int, roles: Sequence[str]) -> dict:
@@ -253,63 +232,50 @@ def _report(base: ExperimentConfig, spec: EnsembleSpec, axis, readings, alpha_ha
     }
 
 
-@dataclass(frozen=True)
-class _Grid:
-    """The cells of a run or sweep: base's settings, one value per cell of
-    each swept parameter, and the cell of each row."""
-
-    base: ExperimentConfig
-    swept: dict[str, list[float]]
-    count: int
-    cell_of: np.ndarray
-
-    def cells(self, key: str) -> np.ndarray:
-        """A parameter's value in each cell, as floats."""
-        if key in self.swept:
-            return np.array(self.swept[key])
-        return np.full(self.count, float(getattr(self.base, key)))
-
-    def column(self, key: str, convert=None):
-        """A parameter's output column: its value in each row's cell when it
-        is swept, else one base value (of any number type) for every row;
-        converted when a conversion is given."""
-        if key in self.swept:
-            values = np.array(self.swept[key])[self.cell_of].tolist()
-            return values if convert is None else [convert(v) for v in values]
-        value = getattr(self.base, key)
-        return value if convert is None else convert(value)
-
-
-def _rows(grid: _Grid) -> dict:
-    """The record columns of every row of a grid but the trial index.  The
-    scenarios differ only in data: the roles drawn (equal priors draw no
+def _rows(config: ExperimentConfig, cells: int) -> dict:
+    """The record columns of every row of config's cells but the trial index:
+    config.trials rows per cell, in cell order.  A swept field of config
+    holds one value per cell, any other field the value every cell shares.
+    The scenarios differ only in data: the roles drawn (equal priors draw no
     case), the cell (equal_prior_cell maps an equal-prior one), the plane,
     the learning frame, the sign of the learned axis, how alpha_hat is read
     and whether cos_theta bounds the status, and the descriptive columns."""
-    base = grid.base
-    equal, constz = base.scenario == "equal-prior-xz", base.scenario == "const-z"
+    cell_of = np.repeat(np.arange(cells), int(config.trials))
+
+    def per_cell(key):
+        return np.full(cells, getattr(config, key), dtype=float)
+
+    def per_row(value, convert=lambda v: v):
+        # A swept field's value in each row's cell, else its one value.
+        return value[cell_of].tolist() if np.ndim(value) else convert(value)
+
+    equal, constz = config.scenario == "equal-prior-xz", config.scenario == "const-z"
     axis_roles = ("axis0", "axis1", "axis2") if constz else ("axis0", "axis1")
-    streams = _role_streams(base.seed, (*axis_roles, "holdout") if equal else ("case", *axis_roles, "holdout"))
+    streams = _role_streams(config.seed, (*axis_roles, "holdout") if equal else ("case", *axis_roles, "holdout"))
     if equal:
         # An equal-prior cell's ensemble vector has length cos(beta), so
         # antipodal states (beta = pi/2) leave degenerate rows.
-        cell, plane = equal_prior_cell(grid.cells("alpha"), grid.cells("beta")), _XZ
+        (eta0, theta, direction, case), plane = equal_prior_cell(per_cell("alpha"), per_cell("beta")), _XZ
         # The settings phi0 and phi0 + pi/4 read the ensemble along an x-z
         # frame turned by phi0, reduced first so that a huge phi0 keeps its
         # quarter turn.
-        phi0 = reduce_angle(base.phi0)
+        phi0 = reduce_angle(config.phi0)
         frame = (povm_axis_from_phi(phi0), povm_axis_from_phi(phi0 + 0.25 * math.pi))
-        columns = {"case": None, "eta0": 0.5, "theta_true": grid.column("beta", lambda b: 2.0 * b),
-                   "beta_true": grid.column("beta"), "n_z": 0.0}
+        columns = {"case": None, "eta0": 0.5, "theta_true": per_row(2.0 * config.beta),
+                   "beta_true": per_row(config.beta), "n_z": 0.0}
     else:
-        case = np.where(streams["case"].random(len(grid.cell_of)) >= 0.5, "B", "A")
-        cell = (*map(grid.cells, ("eta0", "theta", "alpha")), case)
-        plane = Plane.const_z(grid.cells("nz")) if constz else _XZ
+        case = np.where(streams["case"].random(len(cell_of)) >= 0.5, "B", "A")
+        eta0, theta, direction = map(per_cell, ("eta0", "theta", "alpha"))
+        plane = Plane.const_z(per_cell("nz")) if constz else _XZ
         frame = pauli_axes(plane)
-        columns = {"case": case.tolist(), "eta0": grid.column("eta0"), "theta_true": grid.column("theta"),
-                   "beta_true": None, "n_z": grid.column("nz", float) if constz else 0.0}
-    spec, *truth = _truth(grid.cell_of, *cell, plane)
-    axis, n_hat, readings = learn_axis(spec, frame, base.shots_learn, [streams[r] for r in axis_roles])
+        columns = {"case": case.tolist(), "eta0": per_row(config.eta0), "theta_true": per_row(config.theta),
+                   "beta_true": None, "n_z": per_row(config.nz, float) if constz else 0.0}
+    # Truth: each cell's success and oracle value, then the hidden spec of
+    # each row, drawn from its cell with its case.
+    _, analytic, oracle = two_fold_cell(eta0, theta, direction, plane)
+    rows = plane if plane.kind == "xz" else Plane.const_z(plane.nz[cell_of])
+    spec = two_fold_spec(eta0[cell_of], theta[cell_of], direction[cell_of], case, rows)
+    axis, n_hat, readings = learn_axis(spec, frame, config.shots_learn, [streams[r] for r in axis_roles])
     if equal:
         # The learned perpendicular, negated, is the axis of
         # phi* = alpha_hat/2 + pi/4; 0.0 - axis writes no -0.0.
@@ -319,29 +285,19 @@ def _rows(grid: _Grid) -> dict:
         # z of a slice is not used.
         alpha_hat, u = plane_angle(n_hat, spec.plane), spec.plane.coords(n_hat)
         in_range = ~np.isnan(cos_theta(row_norm(u), spec.eta0, tol=EPS_CLAMP, plane=spec.plane))
+    reached = ~np.isnan(analytic)[cell_of]
     return {
-        "scenario": base.scenario,
-        "alpha_true": grid.column("alpha"),
+        "scenario": config.scenario,
+        "alpha_true": per_row(config.alpha),
         **columns,
-        **_report(base, spec, axis, readings, alpha_hat, *truth, in_range, streams["holdout"]),
+        **_report(config, spec, axis, readings, alpha_hat, reached, analytic[cell_of], oracle[cell_of], in_range,
+                  streams["holdout"]),
     }
 
 
 # The columns of a result record: the CSV columns, then the holdout
 # qubits each row classified correctly (None where it reports no score).
 _RECORD_COLUMNS = (*CSV_COLUMNS, "holdout_correct")
-
-
-def _simulate(base: ExperimentConfig, swept: dict[str, list[float]], cells: int) -> dict[str, list]:
-    """The engine: the result record of all cells, base.trials rows per cell
-    in cell order, each role's streams drawing one array over them.  `swept`
-    holds one value per cell of each swept parameter; the others take
-    base's value.  Nothing is kept after it returns."""
-    count = cells * int(base.trials)
-    grid = _Grid(base, swept, cells, np.repeat(np.arange(cells), int(base.trials)))
-    columns = {"trial": list(range(count)), **_rows(grid)}
-    # A value that every row shares is expanded to one entry per row.
-    return {name: v if isinstance(v := columns[name], list) else [v] * count for name in _RECORD_COLUMNS}
 
 
 def run_experiment(config: ExperimentConfig) -> dict[str, list]:
@@ -363,18 +319,20 @@ def sweep(base: ExperimentConfig, grid: dict[str, Sequence[float]]) -> dict[str,
     unknown = set(grid) - set(keys)
     if unknown:
         raise ContractViolation(f"cannot sweep over {sorted(unknown)}")
-    values = {k: [float(v) for v in grid[k]] for k in keys}
-    if not all(values.values()):
-        return {name: [] for name in _RECORD_COLUMNS}
-    # The first cell is validated whole, then each swept column as one array.
-    replace(base, **{k: v[0] for k, v in values.items()}).validate()
-    for k, v in values.items():
-        _check_field(base.scenario, k, np.array(v))
+    combos = list(itertools.product(*([float(v) for v in grid[k]] for k in keys)))
+    # Each swept field holds its column, one value per cell, and the whole
+    # config is validated once, also when a column is empty.
+    config = replace(base, **{k: np.array(column) for k, column in zip(keys, zip(*combos))})
+    config.validate()
     unread = [k for k in keys if k not in _READS[base.scenario]]
     if unread:
         raise ContractViolation(f"cannot sweep over {unread}, which the {base.scenario} scenario does not read")
-    combos = list(itertools.product(*values.values()))
-    return _simulate(base, dict(zip(keys, map(list, zip(*combos)))), len(combos))
+    if not combos:
+        return {name: [] for name in _RECORD_COLUMNS}
+    count = len(combos) * int(base.trials)
+    columns = {"trial": list(range(count)), **_rows(config, len(combos))}
+    # A value that every row shares is expanded to one entry per row.
+    return {name: v if isinstance(v := columns[name], list) else [v] * count for name in _RECORD_COLUMNS}
 
 
 def summarize(columns: dict[str, list]) -> dict:

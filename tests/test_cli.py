@@ -380,7 +380,7 @@ class TestUsage:
         path = tmp_path / "rows.csv"
         code, out, err = run_cli(capsys, command, flag, str(2**63), "--trials", "1", "--out", str(path))
         assert code == 2
-        assert err == f"error: {flag[2:].replace('-', '_')} must be < 2**63, got {2**63}\n"
+        assert err == f"error: {flag[2:].replace('-', '_')} must be an integer in [1, 2**63), got {2**63}\n"
         assert out == ""
         assert not path.exists()
         code, _, _ = run_cli(capsys, command, flag, str(2**63 - 1), "--trials", "1", "--out", str(path))

@@ -40,7 +40,8 @@ DOMAIN = {
     "theta": "lie in [0, pi]",
     "nz": "lie in (-1, 1)",
     "seed": "be a nonnegative integer",
-    "shots": "be >= 1",
+    "shots": "be an integer in [1, 2**63)",
+    "trials": "be a positive integer",
 }
 
 # Bad values of each name, on both sides of its domain where it has two.
@@ -52,8 +53,9 @@ BAD = {
     "beta": (-1e-13, 2.0, math.nan),
     "theta": (-1e-13, 3.5, math.nan),
     "nz": (-1.0, 1.0, 1.5, math.nan),
-    "seed": (-1,),
-    "shots": (0, -3),
+    "seed": (-1, 1.5, True),
+    "shots": (0, -3, 2**63),
+    "trials": (0, -2, 2.7, True),
 }
 
 # The scenario that reads each swept name, and good values for its column.
@@ -65,7 +67,7 @@ SWEPT = {
     "nz": ("const-z", [-0.5, 0.0, 0.5]),
 }
 CONFIG_SCENARIO = {**{name: scenario for name, (scenario, _) in SWEPT.items()}, "phi0": "equal-prior-xz",
-                   "seed": "const-z"}
+                   "seed": "const-z", "trials": "unequal-prior-xz"}
 
 _N, _ = ensemble_vector(0.6, 1.0, 0.3)
 _SPEC = two_fold_spec(0.6, 1.0, 0.3, "A")
@@ -108,7 +110,7 @@ def refused(call, text):
 
 
 def small(scenario, **fields):
-    return ExperimentConfig(scenario=scenario, trials=1, shots_learn=100, shots_holdout=100, **fields)
+    return ExperimentConfig(**{"scenario": scenario, "trials": 1, "shots_learn": 100, "shots_holdout": 100, **fields})
 
 
 CASES = [(name, bad) for name, values in BAD.items() for bad in values]
@@ -171,4 +173,6 @@ def test_the_domain_edges_are_accepted():
     check_domain("nz", np.array([-0.999, 0.0, 0.999]))
     check_domain("seed", 2**70)
     check_domain("shots", 1)
+    check_domain("shots", 2**63 - 1)
+    check_domain("trials", 1)
     two_fold_spec(np.full(2, 0.6), np.array([0.0, math.pi]), 0.3, "A")

@@ -144,7 +144,7 @@ class TestDrawRows:
     def test_rejects_nonunit_axis_and_zero_shots(self):
         with pytest.raises(ContractViolation, match=r"^measurement axis must be unit length, got \|v\| = 0.5$"):
             reading(xz_spec(), [0.5, 0, 0], 10, RngStream(0).generator())
-        with pytest.raises(ContractViolation, match=r"^shots must be >= 1, got 0$"):
+        with pytest.raises(ContractViolation, match=r"^shots must be an integer in \[1, 2\*\*63\), got 0$"):
             reading(xz_spec(), [1, 0, 0], 0, RngStream(0).generator())
 
     def test_frame_is_k_axes_of_three_components(self):

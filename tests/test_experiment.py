@@ -61,8 +61,29 @@ class TestConfigValidation:
     def test_budgets_and_seed_must_be_integers(self, name, value):
         # A float budget would sample its floor but report the float, and a
         # float seed would reach numpy's TypeError.
-        with pytest.raises(ContractViolation, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        domain = {"trials": "a positive integer", "seed": "a nonnegative integer"}.get(name, "an integer in [1, 2**63)")
+        with pytest.raises(ContractViolation, match="^" + re.escape(f"{name} must be {domain}, got {value}") + "$"):
             run_experiment(ExperimentConfig(**{name: value}))
+
+    def test_sweep_checks_each_field_once(self, monkeypatch):
+        # The whole config is validated once, each swept field as its column
+        # of 64000 cells; a budget is checked under its own name.
+        calls = count_calls(monkeypatch, "check_domain")
+        base = ExperimentConfig(scenario="unequal-prior-xz", trials=1, shots_learn=100, shots_holdout=100)
+        columns = {key: np.linspace(low, high, 40) for key, low, high in
+                   [("eta0", 0.1, 0.9), ("theta", 0.1, 3.0), ("alpha", 0.0, 6.0)]}
+        assert len(sweep(base, columns)["trial"]) == 40**3
+        names = [args[2] if len(args) > 2 else args[0] for args in calls]
+        fields = ("shots_learn", "shots_holdout", "trials", "seed", "alpha", "phi0", "eta0", "beta", "theta", "nz")
+        assert sorted(names) == sorted(fields)
+        assert [np.size(args[1]) for args in calls if args[0] in columns] == [40**3] * 3
+
+    def test_empty_sweep_still_validates(self):
+        # A sweep with an empty column has no cell, but its config is checked.
+        with pytest.raises(ContractViolation, match=r"^trials must be a positive integer, got 0$"):
+            sweep(ExperimentConfig(trials=0), {"alpha": []})
+        with pytest.raises(ContractViolation, match=r"^cannot sweep over \['nz'\], which the equal-prior-xz"):
+            sweep(ExperimentConfig(), {"nz": []})
 
     def test_numpy_integers_are_integers(self):
         ExperimentConfig(shots_learn=np.int64(100), trials=np.int32(2), seed=np.uint8(3)).validate()

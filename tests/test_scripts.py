@@ -75,8 +75,10 @@ def test_learn_equal_prior_reduces_a_huge_alpha(monkeypatch, capsys):
         (("--beta", "-0.5"), "beta must lie in [0, pi/2], got -0.5"),
         (("--alpha", "nan"), "alpha must be finite, got nan"),
         (("--phi0", "inf"), "phi0 must be finite, got inf"),
-        (("--shots", "0"), "shots must be >= 1, got 0"),
-        (("--holdout", "0"), "holdout must be >= 1, got 0"),
+        (("--shots", "0"), "shots must be an integer in [1, 2**63), got 0"),
+        (("--holdout", "0"), "holdout must be an integer in [1, 2**63), got 0"),
+        (("--shots", str(2**63)), f"shots must be an integer in [1, 2**63), got {2**63}"),
+        (("--holdout", str(2**63)), f"holdout must be an integer in [1, 2**63), got {2**63}"),
     ],
 )
 def test_learn_equal_prior_refuses_a_bad_value(monkeypatch, capsys, args, error):
