@@ -71,9 +71,9 @@ def main():
 
     analytic = 0.5 * (1.0 + math.sin(args.beta))
     correct = classify_holdout(spec, axis, args.holdout, RngStream(args.seed, 2).generator())
-    report = score(correct, args.holdout, analytic)
-    print(f"holdout success: {report.empirical_success:.6f} over {args.holdout} qubits")
-    print(f"closed-form optimum: {analytic:.6f}  (z = {report.z_score:+.2f})")
+    success, z = score(correct, args.holdout, analytic)
+    print(f"holdout success: {success:.6f} over {args.holdout} qubits")
+    print(f"closed-form optimum: {analytic:.6f}  (z = {z:+.2f})")
 
 
 if __name__ == "__main__":

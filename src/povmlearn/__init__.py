@@ -23,8 +23,6 @@ from povmlearn.bloch import (
 )
 from povmlearn.decomposition import (
     EPS_CLAMP,
-    DecompositionPair,
-    MixtureTargets,
     cos_theta,
     decompose,
     ensemble_vector,
@@ -41,7 +39,7 @@ from povmlearn.equal_prior import (
     weak_signal_threshold,
 )
 from povmlearn.errors import ContractViolation, DegenerateEnsemble, DiscriminationError
-from povmlearn.evaluate import EvalReport, classify_holdout, folded_success, score
+from povmlearn.evaluate import classify_holdout, folded_success, score
 from povmlearn.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,

@@ -142,17 +142,21 @@ _DOMAINS = {
     "seed": (_integer_in(0), "be a nonnegative integer"),
     "shots": (_integer_in(1, 2**63), "be an integer in [1, 2**63)"),
     "trials": (_integer_in(1), "be a positive integer"),
+    "stream_id": (_integer_in(0, 2**64), "be an integer in [0, 2**64)"),
 }
 
 
 def check_domain(name: str, value, label: str | None = None) -> None:
     """Refuse a value of the named parameter outside its domain: a number,
     or an array with one value per row, whose message names the first bad
-    value.  The message calls the parameter label, name by default."""
+    value, a string quoted.  The message calls the parameter label, name by
+    default."""
     test, domain = _DOMAINS[name]
     ok = test(value)
     if not every_row(ok):
-        raise ContractViolation(f"{label or name} must {domain}, got {first_row(np.logical_not(ok), value)}")
+        bad = first_row(np.logical_not(ok), value)
+        shown = repr(str(bad)) if isinstance(bad, str) else bad
+        raise ContractViolation(f"{label or name} must {domain}, got {shown}")
 
 
 # Per plane kind: the slice of a 3-vector's last axis that holds its plane

@@ -29,7 +29,6 @@ cell, and decompose recovers the pair from the cell's ensemble vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,24 +54,6 @@ from povmlearn.errors import ContractViolation
 EPS_CLAMP = 0.02
 
 _PLANE_XZ = Plane.xz()
-
-
-@dataclass(frozen=True)
-class DecompositionPair:
-    """The two pure states of one decomposition branch, one pair per row
-    for a batch."""
-
-    n0: np.ndarray
-    n1: np.ndarray
-
-
-@dataclass(frozen=True)
-class MixtureTargets:
-    """Branch-averaged mixtures the measurement actually discriminates, one
-    pair per row for a batch."""
-
-    m0: np.ndarray
-    m1: np.ndarray
 
 
 def _check_cell(eta0, theta=None) -> None:
@@ -186,8 +167,8 @@ def cos_theta(n_norm, eta0, tol: float = EPS_PHYS, plane: Plane = _PLANE_XZ):
     return np.where(np.abs(c) > 1.0 + tol, np.nan, np.clip(c, -1.0, 1.0))[()]
 
 
-def decompose(n, theta, eta0, case, plane: Plane = _PLANE_XZ) -> DecompositionPair:
-    """Recover the pure-state pair of one branch from (n, theta, eta0).
+def decompose(n, theta, eta0, case, plane: Plane = _PLANE_XZ) -> tuple[np.ndarray, np.ndarray]:
+    """Recover the pure-state pair (n0, n1) of one branch from (n, theta, eta0).
 
     Solving n = eta0*n0 + eta1*n1 (eta1 = 1 - eta0) with n1 rotated by
     -theta (branch A) or +theta (branch B) from n0 inverts to a
@@ -205,14 +186,15 @@ def decompose(n, theta, eta0, case, plane: Plane = _PLANE_XZ) -> DecompositionPa
     ct, st = np.cos(theta), np.sin(theta)
     a0, sb1 = eta0 + eta1 * ct, sgn * (eta1 * st)
     a1, sb0 = eta1 + eta0 * ct, sgn * (eta0 * st)
-    return DecompositionPair(
-        n0=plane.embed(prefactor * (a0 * u0 - sb1 * u1), prefactor * (sb1 * u0 + a0 * u1)),
-        n1=plane.embed(prefactor * (a1 * u0 + sb0 * u1), prefactor * (-sb0 * u0 + a1 * u1)),
+    return (
+        plane.embed(prefactor * (a0 * u0 - sb1 * u1), prefactor * (sb1 * u0 + a0 * u1)),
+        plane.embed(prefactor * (a1 * u0 + sb0 * u1), prefactor * (-sb0 * u0 + a1 * u1)),
     )
 
 
-def mixture_targets(n, theta, eta0, plane: Plane = _PLANE_XZ) -> MixtureTargets:
-    """Branch-averaged mixtures m0, m1 = n +- (2 eta0 eta1 sin(theta) rho^2/|u|) n_perp.
+def mixture_targets(n, theta, eta0, plane: Plane = _PLANE_XZ) -> tuple[np.ndarray, np.ndarray]:
+    """Branch-averaged mixtures (m0, m1) = n +- (2 eta0 eta1 sin(theta) rho^2/|u|) n_perp,
+    the pair the measurement actually discriminates.
 
     n_perp = (-u2, u1)/|u| is the in-plane perpendicular, so the offset is
     written componentwise over |u|^2; eta1 = 1 - eta0.  Every argument may
@@ -222,9 +204,9 @@ def mixture_targets(n, theta, eta0, plane: Plane = _PLANE_XZ) -> MixtureTargets:
     _check_cell(eta0, theta)
     u0, u1, uu = _slice_coords(n, plane)
     shift = 2.0 * eta0 * (1.0 - eta0) * np.sin(theta) * plane.radius_sq
-    return MixtureTargets(
-        m0=plane.embed((u0 * uu - shift * u1) / uu, (shift * u0 + u1 * uu) / uu),
-        m1=plane.embed((u0 * uu + shift * u1) / uu, (-shift * u0 + u1 * uu) / uu),
+    return (
+        plane.embed((u0 * uu - shift * u1) / uu, (shift * u0 + u1 * uu) / uu),
+        plane.embed((u0 * uu + shift * u1) / uu, (-shift * u0 + u1 * uu) / uu),
     )
 
 
@@ -265,8 +247,8 @@ def learn_axis(spec: EnsembleSpec, axes, shots_per_axis: int, generators) -> tup
     if frame.ndim != 2 or frame.shape[1] != 3 or not len(frame):
         raise ContractViolation(f"measurement frame must hold one 3-vector per axis, got shape {frame.shape}")
     frame = check_unit(frame, "measurement axis")
+    check_domain("shots", shots_per_axis)
     shots = int(shots_per_axis)
-    check_domain("shots", shots)
     generators = list(generators)
     if len(generators) != len(frame):
         raise ContractViolation(f"expected {len(frame)} generators, one per axis, got {len(generators)}")

@@ -17,8 +17,9 @@ draw is one array over the rows of a batch.
 
 Randomness is addressed by (seed, stream id): RngStream builds a stream's
 generator as PCG64 seeded by numpy's SeedSequence(seed, spawn_key=(id,)),
-as in numpy's parallel-RNG guide.  There is no seed-word builder of our
-own, and numpy.random is loaded only when a generator is built.
+as in numpy's parallel-RNG guide, once its seed and id pass their rows of
+the domain table (bloch.check_domain).  There is no seed-word builder of
+our own, and numpy.random is loaded only when a generator is built.
 """
 
 from __future__ import annotations
@@ -57,9 +58,7 @@ class RngStream:
 
     def __post_init__(self):
         check_domain("seed", self.seed)
-        k = self.stream_id
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= int(k) < 2**64:
-            raise ContractViolation(f"stream ids must be integers in [0, 2^64), got {k!r}")
+        check_domain("stream_id", self.stream_id)
 
     def generator(self) -> np.random.Generator:
         # Spelled out rather than default_rng(ss): the same bits, a little

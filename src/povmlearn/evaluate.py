@@ -20,7 +20,6 @@ a single classification gives numpy scalars, by the same code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,15 +28,6 @@ from povmlearn.ensemble import EnsembleSpec
 from povmlearn.errors import ContractViolation
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """Holdout score: the orientation-maximized empirical success and its
-    z-score."""
-
-    empirical_success: float | np.ndarray
-    z_score: float | np.ndarray
 
 
 def correct_prob(spec: EnsembleSpec, axis: np.ndarray):
@@ -67,9 +57,8 @@ def classify_holdout(spec: EnsembleSpec, axis, n_holdout: int, rng: np.random.Ge
     if axis.shape != spec.psi0.shape and axis.shape != (3,):
         raise ContractViolation(f"classification axis must be one 3-vector or one per row, got shape {axis.shape}")
     axis = check_unit(axis, "classification axis")
-    shots = int(n_holdout)
-    check_domain("shots", shots)
-    return rng.binomial(shots, correct_prob(spec, axis))
+    check_domain("shots", n_holdout)
+    return rng.binomial(int(n_holdout), correct_prob(spec, axis))
 
 
 def folded_success(p: float, n: int) -> tuple[float, float]:
@@ -93,18 +82,17 @@ def folded_success(p: float, n: int) -> tuple[float, float]:
     return 0.5 + mean_abs, math.sqrt(max(delta * delta + var - mean_abs * mean_abs, 0.0))
 
 
-def score(correct, n, analytic_ps) -> EvalReport:
+def score(correct, n, analytic_ps):
     """Score `correct` of n classified qubits (a count, or one per row of a
-    batch) against an analytic success target (one per row for a batch).
+    batch) against an analytic success target (one per row for a batch):
+    the orientation-maximized empirical success and its z-score.
 
     The orientation-maximized empirical success is folded at 1/2, so the
     z-score compares it with the mean and sd of the folded normal around the
     target (folded_success), which are computed once per distinct target.
     A zero-variance target (analytic 0 or 1) yields z = 0 by convention.
     """
-    n = int(n)
-    if n < 1:
-        raise ContractViolation(f"cannot score an empty holdout, got n = {n}")
+    check_domain("shots", n)
     correct = np.asarray(correct)
     ok = (0 <= correct) & (correct <= n)
     if not every_row(ok):
@@ -120,4 +108,4 @@ def score(correct, n, analytic_ps) -> EvalReport:
     mean, sd = moments.T[:, np.searchsorted(keys, analytic)]
     # [()] unwraps the 0-d results of a single classification.
     z = np.divide(empirical - mean, sd, out=np.zeros_like(empirical), where=sd > 0.0)[()]
-    return EvalReport(empirical_success=empirical, z_score=z)
+    return empirical, z

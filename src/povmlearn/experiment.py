@@ -174,9 +174,8 @@ def two_fold_cell(eta0, theta, direction, plane: Plane = _XZ):
     give every cell's truth in one pass; a degenerate cell, alone or in a
     batch, has NaN in all three (the in-plane coordinates of its vector)."""
     n, r = ensemble_vector(eta0, theta, direction, plane)
-    targets = mixture_targets(n, theta, eta0, plane)
+    oracle = success_equal_priors(*mixture_targets(n, theta, eta0, plane))
     analytic = success_prob(eta0, theta, r, plane)
-    oracle = success_equal_priors(targets.m0, targets.m1)
     lost = np.isnan(analytic) | np.isnan(oracle)
     plane.coords(n)[lost] = np.nan
     return n, np.where(lost, np.nan, analytic)[()], np.where(lost, np.nan, oracle)[()]
@@ -213,15 +212,15 @@ def _report(base: ExperimentConfig, spec: EnsembleSpec, axis, readings, alpha_ha
     ok = scored & in_range
     n, budget = base.shots_holdout, readings.shape[-1] * base.shots_learn
     correct = classify_holdout(spec, np.where(has_axis[:, None], axis, UNIT_X), n, gen)
-    report = score(correct, n, np.where(reached, analytic, 0.5))
+    success, z = score(correct, n, np.where(reached, analytic, 0.5))
     reach, keep = reached.tolist(), scored.tolist()
     return {
         **{name: _masked(keep, part) for name, part in zip(("axis_x", "axis_y", "axis_z"), axis.T.tolist())},
         "alpha_hat": _masked(keep, alpha_hat.tolist()),
-        "success_emp": _masked(keep, report.empirical_success.tolist()),
+        "success_emp": _masked(keep, success.tolist()),
         "success_analytic": _masked(reach, analytic.tolist()),
         "success_oracle": _masked(reach, oracle.tolist()),
-        "z_score": _masked(keep, report.z_score.tolist()),
+        "z_score": _masked(keep, z.tolist()),
         "shots_learn": [budget if r else 0 for r in reach],
         "shots_holdout": [n if k else 0 for k in keep],
         "holdout_correct": _masked(keep, np.maximum(correct, n - correct).tolist()),

@@ -121,11 +121,11 @@ def test_criterion_3_equal_prior_classification(capfd):
         gens = (RngStream(7, 0).generator(), RngStream(7, 1).generator())
         axis, _ = _learn_at_phi0_zero(spec, gens)
         correct = classify_holdout(spec, axis, 100_000, RngStream(7, 2).generator())
-        report = score(correct, 100_000, EQUAL_PRIOR_SUCCESS)
+        success, z = score(correct, 100_000, EQUAL_PRIOR_SUCCESS)
         sigma = math.sqrt(EQUAL_PRIOR_SUCCESS * (1 - EQUAL_PRIOR_SUCCESS) / 100_000)
         elapsed = time.perf_counter() - start
-        assert abs(report.empirical_success - EQUAL_PRIOR_SUCCESS) <= 5 * sigma, (
-            f"empirical {report.empirical_success:.5f} vs 0.75 (z = {report.z_score:.2f})"
+        assert abs(success - EQUAL_PRIOR_SUCCESS) <= 5 * sigma, (
+            f"empirical {success:.5f} vs 0.75 (z = {z:.2f})"
         )
         assert elapsed < 30.0, f"took {elapsed:.2f}s"
 
@@ -168,9 +168,9 @@ def test_criterion_5_oracle_equivalence(capfd):
     with capfd.disabled(), criterion(5, "closed-form axis rule equals the oracle"):
         start = time.perf_counter()
         eta0, theta, q, n = (np.array(column) for column in zip(*_instances(505, 10_000)))
-        t = mixture_targets(n, theta, eta0)
-        worst_purity = np.abs(row_norm(t.m0) - row_norm(t.m1)).max()
-        success, axis = helstrom(t.m0, t.m1)
+        m0, m1 = mixture_targets(n, theta, eta0)
+        worst_purity = np.abs(row_norm(m0) - row_norm(m1)).max()
+        success, axis = helstrom(m0, m1)
         n_perp = perp_in_plane(n, Plane.xz())
         worst_axis = np.minimum(row_norm(axis - n_perp), row_norm(axis + n_perp)).max()
         worst_success = np.abs(success - success_prob(eta0, theta, q)).max()
@@ -186,12 +186,12 @@ def test_criterion_6_round_trip_and_ambiguity_collapse(capfd):
         worst_recombine = worst_unit = 0.0
         for eta0, theta, _, n in _instances(606, 10_000):
             for case in ("A", "B"):
-                pair = decompose(n, theta, eta0, case)
+                n0, n1 = decompose(n, theta, eta0, case)
                 worst_recombine = max(
-                    worst_recombine, row_norm(eta0 * pair.n0 + (1.0 - eta0) * pair.n1 - n)
+                    worst_recombine, row_norm(eta0 * n0 + (1.0 - eta0) * n1 - n)
                 )
                 worst_unit = max(
-                    worst_unit, abs(row_norm(pair.n0) - 1.0), abs(row_norm(pair.n1) - 1.0)
+                    worst_unit, abs(row_norm(n0) - 1.0), abs(row_norm(n1) - 1.0)
                 )
         assert worst_recombine <= 1e-12, f"recombination error {worst_recombine:.3g}"
         assert worst_unit <= 1e-12, f"unit-norm error {worst_unit:.3g}"
@@ -201,9 +201,9 @@ def test_criterion_6_round_trip_and_ambiguity_collapse(capfd):
                 n = np.array([q * math.cos(direction), 0.0, q * math.sin(direction)])
                 gaps = []
                 for delta in (0.0, 0.01, 0.05, 0.1):
-                    a = decompose(n, theta, 0.5 + delta, "A")
-                    b = decompose(n, theta, 0.5 + delta, "B")
-                    gaps.append(row_norm(a.n0 - b.n1))
+                    a0, a1 = decompose(n, theta, 0.5 + delta, "A")
+                    b0, b1 = decompose(n, theta, 0.5 + delta, "B")
+                    gaps.append(row_norm(a0 - b1))
                 assert gaps[0] <= 1e-12, f"gap {gaps[0]:.3g} at equal priors"
                 assert all(g1 < g2 for g1, g2 in zip(gaps, gaps[1:])), (
                     f"gaps not increasing at theta={theta}: {gaps}"

@@ -114,32 +114,32 @@ class TestDecomposeConstZ:
         eta0, theta, direction, nz = inst
         eta1 = 1.0 - eta0
         plane, n, _ = make_n(eta0, theta, direction, nz)
-        pair = decompose(n, theta, eta0, case, plane)
-        assert row_norm(eta0 * pair.n0 + eta1 * pair.n1 - n) <= 1e-11
-        assert abs(row_norm(pair.n0) - 1.0) <= 1e-11
-        assert abs(row_norm(pair.n1) - 1.0) <= 1e-11
-        assert pair.n0[2] == pytest.approx(nz, abs=1e-12)
-        assert pair.n1[2] == pytest.approx(nz, abs=1e-12)
+        n0, n1 = decompose(n, theta, eta0, case, plane)
+        assert row_norm(eta0 * n0 + eta1 * n1 - n) <= 1e-11
+        assert abs(row_norm(n0) - 1.0) <= 1e-11
+        assert abs(row_norm(n1) - 1.0) <= 1e-11
+        assert n0[2] == pytest.approx(nz, abs=1e-12)
+        assert n1[2] == pytest.approx(nz, abs=1e-12)
 
     def test_coincident_states(self):
-        pair = decompose([0.8, 0.0, 0.6], 0.0, 0.7, "A", Plane.const_z(0.6))
-        assert np.allclose(pair.n0, [0.8, 0.0, 0.6], atol=1e-12)
-        assert np.allclose(pair.n1, [0.8, 0.0, 0.6], atol=1e-12)
+        n0, n1 = decompose([0.8, 0.0, 0.6], 0.0, 0.7, "A", Plane.const_z(0.6))
+        assert np.allclose(n0, [0.8, 0.0, 0.6], atol=1e-12)
+        assert np.allclose(n1, [0.8, 0.0, 0.6], atol=1e-12)
 
     def test_zero_offset_matches_plane_decomposition_bitwise(self):
         for eta0, theta, direction in [(0.6, 1.0, 0.3), (0.8, 2.2, 4.1), (0.5, 0.4, 5.9)]:
             plane, m, _ = make_n(eta0, theta, direction, 0.0)
             n = np.array([m[0], 0.0, m[1]])
             for case in ("A", "B"):
-                flat = decompose(n, theta, eta0, case, Plane.xz())
-                sliced = decompose(m, theta, eta0, case, plane)
-                assert sliced.n0[0] == flat.n0[0] and sliced.n0[1] == flat.n0[2]
-                assert sliced.n1[0] == flat.n1[0] and sliced.n1[1] == flat.n1[2]
-                assert sliced.n0[2] == 0.0 and sliced.n1[2] == 0.0
+                flat0, flat1 = decompose(n, theta, eta0, case, Plane.xz())
+                sliced0, sliced1 = decompose(m, theta, eta0, case, plane)
+                assert sliced0[0] == flat0[0] and sliced0[1] == flat0[2]
+                assert sliced1[0] == flat1[0] and sliced1[1] == flat1[2]
+                assert sliced0[2] == 0.0 and sliced1[2] == 0.0
 
     def test_degenerate_gives_nan_states_on_the_slice(self):
-        pair = decompose([0.0, 0.0, 0.5], 1.0, 0.5, "A", Plane.const_z(0.5))
-        for state in (pair.n0, pair.n1):
+        n0, n1 = decompose([0.0, 0.0, 0.5], 1.0, 0.5, "A", Plane.const_z(0.5))
+        for state in (n0, n1):
             assert np.isnan(state[:2]).all() and state[2] == 0.5
 
 
@@ -149,34 +149,34 @@ class TestMixtureTargetsConstZ:
         radius = math.sqrt(1.0 - 0.3 * 0.3)
         direction = np.array([0.5, 0.2, 0.0]) / row_norm(np.array([0.5, 0.2, 0.0]))
         full = radius * direction + np.array([0.0, 0.0, 0.3])
-        t = mixture_targets(full, 0.0, 0.6, Plane.const_z(0.3))
-        assert row_norm(t.m0 - full) <= 1e-12
-        assert row_norm(t.m1 - full) <= 1e-12
+        m0, m1 = mixture_targets(full, 0.0, 0.6, Plane.const_z(0.3))
+        assert row_norm(m0 - full) <= 1e-12
+        assert row_norm(m1 - full) <= 1e-12
 
     def test_zero_offset_matches_plane_targets(self):
         plane, m, _ = make_n(0.65, 1.1, 0.9, 0.0)
         n = np.array([m[0], 0.0, m[1]])
-        flat = mixture_targets(n, 1.1, 0.65, Plane.xz())
-        sliced = mixture_targets(m, 1.1, 0.65, plane)
-        assert sliced.m0[0] == flat.m0[0] and sliced.m0[1] == flat.m0[2]
-        assert sliced.m1[0] == flat.m1[0] and sliced.m1[1] == flat.m1[2]
-        assert sliced.m0[2] == 0.0 and sliced.m1[2] == 0.0
+        flat0, flat1 = mixture_targets(n, 1.1, 0.65, Plane.xz())
+        sliced0, sliced1 = mixture_targets(m, 1.1, 0.65, plane)
+        assert sliced0[0] == flat0[0] and sliced0[1] == flat0[2]
+        assert sliced1[0] == flat1[0] and sliced1[1] == flat1[2]
+        assert sliced0[2] == 0.0 and sliced1[2] == 0.0
 
     def test_equal_priors_yield_branch_state(self):
         plane, n, _ = make_n(0.5, 0.8, 0.2, 0.4)
-        t = mixture_targets(n, 0.8, 0.5, plane)
-        pair = decompose(n, 0.8, 0.5, "A", plane)
-        assert row_norm(t.m0 - pair.n0) <= 1e-12
+        m0, m1 = mixture_targets(n, 0.8, 0.5, plane)
+        n0, n1 = decompose(n, 0.8, 0.5, "A", plane)
+        assert row_norm(m0 - n0) <= 1e-12
 
     @given(slice_instances)
     @settings(max_examples=200)
     def test_equal_purity_and_common_offset(self, inst):
         eta0, theta, direction, nz = inst
         plane, n, _ = make_n(eta0, theta, direction, nz)
-        t = mixture_targets(n, theta, eta0, plane)
-        assert abs(row_norm(t.m0) - row_norm(t.m1)) <= 1e-12
-        assert t.m0[2] == pytest.approx(nz, abs=1e-12)
-        assert t.m1[2] == pytest.approx(nz, abs=1e-12)
+        m0, m1 = mixture_targets(n, theta, eta0, plane)
+        assert abs(row_norm(m0) - row_norm(m1)) <= 1e-12
+        assert m0[2] == pytest.approx(nz, abs=1e-12)
+        assert m1[2] == pytest.approx(nz, abs=1e-12)
 
 
 class TestSuccessProbConstZ:
@@ -185,9 +185,9 @@ class TestSuccessProbConstZ:
     def test_matches_oracle_on_slice_targets(self, inst):
         eta0, theta, direction, nz = inst
         plane, n, r_norm = make_n(eta0, theta, direction, nz)
-        t = mixture_targets(n, theta, eta0, plane)
+        m0, m1 = mixture_targets(n, theta, eta0, plane)
         ours = success_prob(eta0, theta, r_norm, plane)
-        assert abs(ours - success_equal_priors(t.m0, t.m1)) <= 1e-12
+        assert abs(ours - success_equal_priors(m0, m1)) <= 1e-12
 
     def test_zero_offset_reduction(self):
         assert success_prob(0.6, 1.0, 0.55, Plane.const_z(0.0)) == success_prob(
@@ -212,8 +212,8 @@ class TestLearnAxisConstZ:
 
     def test_axis_properties(self):
         plane, n, _ = make_n(0.6, 1.0, 0.7, 0.4)
-        pair = decompose(n, 1.0, 0.6, "A", plane)
-        spec = EnsembleSpec(0.6, pair.n0, pair.n1, plane)
+        n0, n1 = decompose(n, 1.0, 0.6, "A", plane)
+        spec = EnsembleSpec(0.6, n0, n1, plane)
         axis, n_hat, _ = learn_axis(spec, pauli_axes(spec.plane), 100_000, frame_generators(5, 3))
         assert axis[2] == 0.0
         assert abs(row_norm(axis) - 1.0) <= 1e-12

@@ -73,26 +73,26 @@ class TestCosTheta:
 
 class TestDecompose:
     def test_reference_case_a(self):
-        pair = decompose([INV_SQRT2, 0, 0], math.pi / 2, 0.5, "A")
-        assert np.allclose(pair.n0, [INV_SQRT2, 0, INV_SQRT2], atol=1e-12)
-        assert np.allclose(pair.n1, [INV_SQRT2, 0, -INV_SQRT2], atol=1e-12)
+        n0, n1 = decompose([INV_SQRT2, 0, 0], math.pi / 2, 0.5, "A")
+        assert np.allclose(n0, [INV_SQRT2, 0, INV_SQRT2], atol=1e-12)
+        assert np.allclose(n1, [INV_SQRT2, 0, -INV_SQRT2], atol=1e-12)
 
     def test_reference_case_b_swaps_at_equal_priors(self):
-        pair = decompose([INV_SQRT2, 0, 0], math.pi / 2, 0.5, "B")
-        assert np.allclose(pair.n0, [INV_SQRT2, 0, -INV_SQRT2], atol=1e-12)
-        assert np.allclose(pair.n1, [INV_SQRT2, 0, INV_SQRT2], atol=1e-12)
+        n0, n1 = decompose([INV_SQRT2, 0, 0], math.pi / 2, 0.5, "B")
+        assert np.allclose(n0, [INV_SQRT2, 0, -INV_SQRT2], atol=1e-12)
+        assert np.allclose(n1, [INV_SQRT2, 0, INV_SQRT2], atol=1e-12)
 
     def test_coincident_states(self):
         # theta = 0 forces |n| = 1: the mixture of two equal unit vectors.
         n = np.array([0.6, 0.0, 0.8])
         for case in ("A", "B"):
-            pair = decompose(n, 0.0, 0.6, case)
-            assert np.allclose(pair.n0, n, atol=1e-12)
-            assert np.allclose(pair.n1, n, atol=1e-12)
+            n0, n1 = decompose(n, 0.0, 0.6, case)
+            assert np.allclose(n0, n, atol=1e-12)
+            assert np.allclose(n1, n, atol=1e-12)
 
     def test_degenerate_vector_gives_nan_states(self):
-        pair = decompose([0.0, 0.0, 0.0], 1.0, 0.5, "A")
-        assert np.isnan(pair.n0[::2]).all() and np.isnan(pair.n1[::2]).all()
+        n0, n1 = decompose([0.0, 0.0, 0.0], 1.0, 0.5, "A")
+        assert np.isnan(n0[::2]).all() and np.isnan(n1[::2]).all()
 
     def test_bad_case_rejected(self):
         with pytest.raises(ContractViolation):
@@ -117,29 +117,29 @@ class TestDecompose:
         eta0, theta, direction = inst
         eta1 = 1.0 - eta0
         n, _ = make_n(eta0, theta, direction)
-        pair = decompose(n, theta, eta0, case)
-        assert row_norm(eta0 * pair.n0 + eta1 * pair.n1 - n) <= 1e-11
-        assert abs(row_norm(pair.n0) - 1.0) <= 1e-11
-        assert abs(row_norm(pair.n1) - 1.0) <= 1e-11
+        n0, n1 = decompose(n, theta, eta0, case)
+        assert row_norm(eta0 * n0 + eta1 * n1 - n) <= 1e-11
+        assert abs(row_norm(n0) - 1.0) <= 1e-11
+        assert abs(row_norm(n1) - 1.0) <= 1e-11
         plane = Plane.xz()
-        gap = circ_diff(plane_angle(pair.n0, plane), plane_angle(pair.n1, plane))
+        gap = circ_diff(plane_angle(n0, plane), plane_angle(n1, plane))
         assert abs(gap - theta) <= 1e-9
 
     def test_branches_mirror_about_n(self):
         n, _ = make_n(0.7, 1.1, 0.4)
-        a = decompose(n, 1.1, 0.7, "A")
-        b = decompose(n, 1.1, 0.7, "B")
+        a0, a1 = decompose(n, 1.1, 0.7, "A")
+        b0, b1 = decompose(n, 1.1, 0.7, "B")
         plane = Plane.xz()
         mid = plane_angle(n, plane)
-        assert circ_diff(plane_angle(a.n0, plane) - mid, mid - plane_angle(b.n0, plane)) <= 1e-9
+        assert circ_diff(plane_angle(a0, plane) - mid, mid - plane_angle(b0, plane)) <= 1e-9
 
     def test_ambiguity_collapse_profile(self):
         n, _ = make_n(0.5, 1.2, 0.4)
         gaps = []
         for delta in (0.0, 0.01, 0.05, 0.1):
-            a = decompose(n, 1.2, 0.5 + delta, "A")
-            b = decompose(n, 1.2, 0.5 + delta, "B")
-            gaps.append(row_norm(a.n0 - b.n1))
+            a0, a1 = decompose(n, 1.2, 0.5 + delta, "A")
+            b0, b1 = decompose(n, 1.2, 0.5 + delta, "B")
+            gaps.append(row_norm(a0 - b1))
         assert gaps[0] <= 1e-12
         assert gaps == sorted(gaps)
         assert gaps[1] > 1e-4
@@ -147,41 +147,41 @@ class TestDecompose:
 
 class TestMixtureTargets:
     def test_reference_instance(self):
-        t = mixture_targets([INV_SQRT2, 0, 0], math.pi / 2, 0.5)
-        assert np.allclose(t.m0, [INV_SQRT2, 0, INV_SQRT2], atol=1e-12)
-        assert np.allclose(t.m1, [INV_SQRT2, 0, -INV_SQRT2], atol=1e-12)
+        m0, m1 = mixture_targets([INV_SQRT2, 0, 0], math.pi / 2, 0.5)
+        assert np.allclose(m0, [INV_SQRT2, 0, INV_SQRT2], atol=1e-12)
+        assert np.allclose(m1, [INV_SQRT2, 0, -INV_SQRT2], atol=1e-12)
 
     def test_coincident_states(self):
         n = np.array([0.4, 0.0, 0.2])
-        t = mixture_targets(n, 0.0, 0.6)
-        assert np.allclose(t.m0, n, atol=1e-15)
-        assert np.allclose(t.m1, n, atol=1e-15)
+        m0, m1 = mixture_targets(n, 0.0, 0.6)
+        assert np.allclose(m0, n, atol=1e-15)
+        assert np.allclose(m1, n, atol=1e-15)
 
     def test_equal_priors_yield_pure_targets(self):
         n, _ = make_n(0.5, 0.9, 1.3)
-        t = mixture_targets(n, 0.9, 0.5)
-        pair = decompose(n, 0.9, 0.5, "A")
-        assert row_norm(t.m0 - pair.n0) <= 1e-12
-        assert row_norm(t.m1 - pair.n1) <= 1e-12
+        m0, m1 = mixture_targets(n, 0.9, 0.5)
+        n0, n1 = decompose(n, 0.9, 0.5, "A")
+        assert row_norm(m0 - n0) <= 1e-12
+        assert row_norm(m1 - n1) <= 1e-12
 
     @given(consistent_instances)
     @settings(max_examples=300)
     def test_equal_purity_and_midpoint(self, inst):
         eta0, theta, direction = inst
         n, _ = make_n(eta0, theta, direction)
-        t = mixture_targets(n, theta, eta0)
-        assert abs(row_norm(t.m0) - row_norm(t.m1)) <= 1e-12
-        assert row_norm(0.5 * (t.m0 + t.m1) - n) <= 1e-12
+        m0, m1 = mixture_targets(n, theta, eta0)
+        assert abs(row_norm(m0) - row_norm(m1)) <= 1e-12
+        assert row_norm(0.5 * (m0 + m1) - n) <= 1e-12
 
     def test_targets_average_the_branches(self):
         eta0, theta = 0.65, 1.3
         eta1 = 1.0 - eta0
         n, _ = make_n(eta0, theta, 0.8)
-        a = decompose(n, theta, eta0, "A")
-        b = decompose(n, theta, eta0, "B")
-        t = mixture_targets(n, theta, eta0)
-        assert row_norm(t.m0 - (eta0 * a.n0 + eta1 * b.n1)) <= 1e-12
-        assert row_norm(t.m1 - (eta1 * a.n1 + eta0 * b.n0)) <= 1e-12
+        a0, a1 = decompose(n, theta, eta0, "A")
+        b0, b1 = decompose(n, theta, eta0, "B")
+        m0, m1 = mixture_targets(n, theta, eta0)
+        assert row_norm(m0 - (eta0 * a0 + eta1 * b1)) <= 1e-12
+        assert row_norm(m1 - (eta1 * a1 + eta0 * b0)) <= 1e-12
 
     @given(consistent_instances, st.one_of(st.just(None), st.floats(-0.9, 0.9)))
     @settings(max_examples=300)
@@ -194,11 +194,11 @@ class TestMixtureTargets:
         _, q = make_n(eta0, theta, direction)
         r = math.sqrt(plane.radius_sq) * q
         n = plane.embed(r * math.cos(direction), r * math.sin(direction))
-        a = decompose(n, theta, eta0, "A", plane)
-        b = decompose(n, theta, eta0, "B", plane)
-        t = mixture_targets(n, theta, eta0, plane)
-        assert row_norm(t.m0 - (eta0 * a.n0 + eta1 * b.n1)) <= 1e-12
-        assert row_norm(t.m1 - (eta1 * a.n1 + eta0 * b.n0)) <= 1e-12
+        a0, a1 = decompose(n, theta, eta0, "A", plane)
+        b0, b1 = decompose(n, theta, eta0, "B", plane)
+        m0, m1 = mixture_targets(n, theta, eta0, plane)
+        assert row_norm(m0 - (eta0 * a0 + eta1 * b1)) <= 1e-12
+        assert row_norm(m1 - (eta1 * a1 + eta0 * b0)) <= 1e-12
 
 
 class TestSuccessProb:
@@ -245,8 +245,8 @@ class TestSuccessProb:
     def test_matches_oracle_on_targets(self, inst):
         eta0, theta, direction = inst
         n, q = make_n(eta0, theta, direction)
-        t = mixture_targets(n, theta, eta0)
-        assert abs(success_prob(eta0, theta, q) - success_equal_priors(t.m0, t.m1)) <= 1e-12
+        m0, m1 = mixture_targets(n, theta, eta0)
+        assert abs(success_prob(eta0, theta, q) - success_equal_priors(m0, m1)) <= 1e-12
 
     def test_equal_priors_maximize_success_at_fixed_theta(self):
         for theta in (0.5, 1.2, 2.4):
@@ -271,8 +271,8 @@ class TestLearnAxisEqualCounts:
 
     def test_orthogonal_to_estimate_by_construction(self):
         n, _ = make_n(0.6, 1.0, 0.7)
-        pair = decompose(n, 1.0, 0.6, "A")
-        spec = EnsembleSpec(0.6, pair.n0, pair.n1, Plane.xz())
+        n0, n1 = decompose(n, 1.0, 0.6, "A")
+        spec = EnsembleSpec(0.6, n0, n1, Plane.xz())
         axis, n_hat, _ = learn_axis(spec, pauli_axes(spec.plane), 100_000, frame_generators(1, 2))
         assert abs(row_norm(axis) - 1.0) <= 1e-12
         assert abs(axis[1]) == 0.0
@@ -280,8 +280,8 @@ class TestLearnAxisEqualCounts:
 
     def test_angular_accuracy_at_large_budget(self):
         n, _ = make_n(0.6, 1.2, 0.54)
-        pair = decompose(n, 1.2, 0.6, "A")
-        spec = EnsembleSpec(0.6, pair.n0, pair.n1, Plane.xz())
+        n0, n1 = decompose(n, 1.2, 0.6, "A")
+        spec = EnsembleSpec(0.6, n0, n1, Plane.xz())
         target = perp_in_plane(n, Plane.xz())
         hits = 0
         for seed in range(50):

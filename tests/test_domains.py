@@ -25,7 +25,7 @@ from povmlearn.decomposition import (
 )
 from povmlearn.ensemble import RngStream, pauli_axes
 from povmlearn.errors import ContractViolation
-from povmlearn.evaluate import classify_holdout
+from povmlearn.evaluate import classify_holdout, score
 from povmlearn.experiment import ExperimentConfig, sweep
 from povmlearn.selfcheck import invariant_battery, oracle_battery
 
@@ -42,6 +42,7 @@ DOMAIN = {
     "seed": "be a nonnegative integer",
     "shots": "be an integer in [1, 2**63)",
     "trials": "be a positive integer",
+    "stream_id": "be an integer in [0, 2**64)",
 }
 
 # Bad values of each name, on both sides of its domain where it has two.
@@ -54,8 +55,10 @@ BAD = {
     "theta": (-1e-13, 3.5, math.nan),
     "nz": (-1.0, 1.0, 1.5, math.nan),
     "seed": (-1, 1.5, True),
-    "shots": (0, -3, 2**63),
+    # A float or a bool budget is refused as given, never truncated first.
+    "shots": (0, -3, 2**63, 100.7, True, np.float64(50.0)),
     "trials": (0, -2, 2.7, True),
+    "stream_id": (-1, 2**64, 1.5, True),
 }
 
 # The scenario that reads each swept name, and good values for its column.
@@ -93,7 +96,9 @@ LIBRARY = {
     "shots": [
         lambda v: learn_axis(_SPEC, pauli_axes(Plane.xz()), v, frame_generators(0, 2)),
         lambda v: classify_holdout(_SPEC, [1.0, 0.0, 0.0], v, RngStream(0, 12).generator()),
+        lambda v: score(1, v, 0.7),
     ],
+    "stream_id": [lambda v: RngStream(0, v)],
 }
 
 

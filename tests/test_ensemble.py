@@ -292,7 +292,7 @@ class TestRngStream:
         # generator is built, with a ValueError.
         with pytest.raises(ContractViolation, match=r"^seed must be a nonnegative integer, got -1$"):
             RngStream(-1, 0)
-        with pytest.raises(ContractViolation, match=r"^stream ids must be integers"):
+        with pytest.raises(ContractViolation, match=r"^stream_id must be an integer in \[0, 2\*\*64\), got -1$"):
             RngStream(0, -1)
 
 
@@ -349,7 +349,7 @@ class TestStreamStates:
     def test_rejects_ids_that_are_not_uint64(self):
         # A float id is refused, never rounded; numpy.uint64 ids are taken.
         for stream_id in (-1, 2**64, 1.0, np.float64(3), True, "3"):
-            with pytest.raises(ContractViolation, match="stream ids"):
+            with pytest.raises(ContractViolation, match=r"^stream_id must be an integer in \[0, 2\*\*64\), got "):
                 RngStream(1, stream_id)
         assert RngStream(1, np.uint64(2**64 - 1)).stream_id == 2**64 - 1
 

@@ -62,7 +62,7 @@ class TestConfigValidation:
         # A float budget would sample its floor but report the float, and a
         # float seed would reach numpy's TypeError.
         domain = {"trials": "a positive integer", "seed": "a nonnegative integer"}.get(name, "an integer in [1, 2**63)")
-        with pytest.raises(ContractViolation, match="^" + re.escape(f"{name} must be {domain}, got {value}") + "$"):
+        with pytest.raises(ContractViolation, match="^" + re.escape(f"{name} must be {domain}, got {value!r}") + "$"):
             run_experiment(ExperimentConfig(**{name: value}))
 
     def test_sweep_checks_each_field_once(self, monkeypatch):

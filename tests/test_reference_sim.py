@@ -70,8 +70,8 @@ def naive_trial(rng, cfg):
     else:
         plane = Plane.const_z(cfg.nz) if cfg.scenario == "const-z" else Plane.xz()
         case = "A" if rng.random() < 0.5 else "B"
-        pair = decompose(ensemble_vector(cfg.eta0, cfg.theta, cfg.alpha, plane)[0], cfg.theta, cfg.eta0, case, plane)
-        eta0, psi0, psi1 = cfg.eta0, pair.n0, pair.n1
+        n0, n1 = decompose(ensemble_vector(cfg.eta0, cfg.theta, cfg.alpha, plane)[0], cfg.theta, cfg.eta0, case, plane)
+        eta0, psi0, psi1 = cfg.eta0, n0, n1
         means = []
         for axis in np.eye(3)[[0, 2] if plane.kind == "xz" else [0, 1, 2]]:
             _, plus = measure(rng, eta0, psi0, psi1, axis, SHOTS)

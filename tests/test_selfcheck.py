@@ -43,7 +43,7 @@ def count_calls(monkeypatch, names=TRUTH) -> dict[str, int]:
 def test_oracle_battery_calls_each_truth_function_once(monkeypatch, n_instances):
     counts = count_calls(monkeypatch)
     outcomes = selfcheck.oracle_battery(n_instances, seed=5)
-    assert all(o.passed for o in outcomes)
+    assert all(passed for _, passed, _ in outcomes)
     assert counts == dict.fromkeys(TRUTH, 1)
 
 
@@ -53,14 +53,14 @@ def test_oracle_battery_calls_helstrom_once(monkeypatch, n_instances):
     # per check over all instances, and the oracle one helstrom call.
     counts = count_calls(monkeypatch, ("perp_in_plane", "helstrom"))
     outcomes = selfcheck.oracle_battery(n_instances, seed=5)
-    assert all(o.passed for o in outcomes)
+    assert all(passed for _, passed, _ in outcomes)
     assert counts == {"perp_in_plane": 2, "helstrom": 1}
 
 
 def test_invariant_battery_calls_truth_once_per_check(monkeypatch):
     counts = count_calls(monkeypatch)
     outcomes = selfcheck.invariant_battery(seed=5)
-    assert all(o.passed for o in outcomes)
+    assert all(passed for _, passed, _ in outcomes)
     # One instance draw each for the round trip, the axis-rule success and
     # the nz = 0 slice, one per plane (three) for the branch averages, and
     # the equal-prior instances of the branch ceiling.  mixture_targets: the
@@ -78,7 +78,7 @@ def test_invariant_battery_calls_each_helper_a_fixed_number_of_times(monkeypatch
     names = ("rotate_in_plane", "delta_analytic", "solve_alpha", "perp_in_plane", "wrap_angle", "helstrom")
     counts = count_calls(monkeypatch, names)
     outcomes = selfcheck.invariant_battery(seed=5)
-    assert all(o.passed for o in outcomes)
+    assert all(passed for _, passed, _ in outcomes)
     assert counts == {"rotate_in_plane": 2, "delta_analytic": 3, "solve_alpha": 1, "perp_in_plane": 1, "wrap_angle": 1, "helstrom": 4}
 
 

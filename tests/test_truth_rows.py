@@ -78,16 +78,16 @@ def test_ensemble_vector(grid):
 def test_mixture_targets_success_prob_and_oracle(grid):
     eta0, theta, alpha, plane, planes = grid
     n, r = ensemble_vector(eta0, theta, alpha, plane)
-    t = mixture_targets(n, theta, eta0, plane)
+    m0, m1 = mixture_targets(n, theta, eta0, plane)
     ps = success_prob(eta0, theta, r, plane)
-    oracle = success_equal_priors(t.m0, t.m1)
+    oracle = success_equal_priors(m0, m1)
     lost = np.isnan(oracle)
-    assert lost.any() and np.isnan(plane.coords(t.m0)[lost]).all() and np.isnan(ps[lost]).all()
+    assert lost.any() and np.isnan(plane.coords(m0)[lost]).all() and np.isnan(ps[lost]).all()
     for k, p in enumerate(planes):
-        t1 = mixture_targets(n[k], theta[k], eta0[k], p)
+        one0, one1 = mixture_targets(n[k], theta[k], eta0[k], p)
         ps1 = success_prob(eta0[k], theta[k], r[k], p)
-        assert bits(t.m0[k]) == bits(t1.m0) and bits(t.m1[k]) == bits(t1.m1)
-        assert bits(oracle[k]) == bits(success_equal_priors(t1.m0, t1.m1))
+        assert bits(m0[k]) == bits(one0) and bits(m1[k]) == bits(one1)
+        assert bits(oracle[k]) == bits(success_equal_priors(one0, one1))
         assert isinstance(ps1, float) and bits(ps[k]) == bits(ps1)
 
 
@@ -107,11 +107,11 @@ def test_decompose(grid, case):
     eta0, theta, alpha, plane, planes = grid
     n, _ = ensemble_vector(eta0, theta, alpha, plane)
     cases = [CASES[k % 2] for k in range(len(eta0))] if case == "rows" else [case] * len(eta0)
-    pair = decompose(n, theta, eta0, cases if case == "rows" else case, plane)
-    assert np.isnan(plane.coords(pair.n0)).any()
+    n0, n1 = decompose(n, theta, eta0, cases if case == "rows" else case, plane)
+    assert np.isnan(plane.coords(n0)).any()
     for k, p in enumerate(planes):
-        one = decompose(n[k], theta[k], eta0[k], cases[k], p)
-        assert bits(pair.n0[k]) == bits(one.n0) and bits(pair.n1[k]) == bits(one.n1)
+        one0, one1 = decompose(n[k], theta[k], eta0[k], cases[k], p)
+        assert bits(n0[k]) == bits(one0) and bits(n1[k]) == bits(one1)
 
 
 def test_two_fold_cell_marks_exactly_the_degenerate_cells(grid):
@@ -148,9 +148,9 @@ def test_two_fold_spec_is_the_pair_decompose_recovers(grid, case):
     n, analytic, _ = two_fold_cell(eta0, theta, alpha, plane)
     kept = ~np.isnan(analytic)
     assert kept.sum() >= 0.9 * len(eta0)
-    spec, pair = two_fold_spec(eta0, theta, alpha, case, plane), decompose(n, theta, eta0, case, plane)
-    assert np.abs(spec.psi0 - pair.n0)[kept].max() <= 1e-14
-    assert np.abs(spec.psi1 - pair.n1)[kept].max() <= 1e-14
+    spec, (n0, n1) = two_fold_spec(eta0, theta, alpha, case, plane), decompose(n, theta, eta0, case, plane)
+    assert np.abs(spec.psi0 - n0)[kept].max() <= 1e-14
+    assert np.abs(spec.psi1 - n1)[kept].max() <= 1e-14
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -213,8 +213,8 @@ def test_near_antipodal_cells_build_both_branches(eta0, theta, alpha, nz):
         spec, spec_rows = two_fold_spec(eta0, theta, alpha, case, plane), two_fold_spec(*cell, [case] * 2, rows)
         assert bits(spec_rows.psi0[0]) == bits(spec.psi0) and bits(spec_rows.psi1[0]) == bits(spec.psi1)
         if r > EPS_DEGENERATE:
-            pair = decompose(n, theta, eta0, case, plane)
-            assert max(np.abs(pair.n0 - spec.psi0).max(), np.abs(pair.n1 - spec.psi1).max()) <= 1e-9
+            n0, n1 = decompose(n, theta, eta0, case, plane)
+            assert max(np.abs(n0 - spec.psi0).max(), np.abs(n1 - spec.psi1).max()) <= 1e-9
 
 
 def test_success_equal_priors_on_any_rows():
