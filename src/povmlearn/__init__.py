@@ -18,7 +18,6 @@ from povmlearn.bloch import (
     bloch_from_state_angle,
     perp_in_plane,
     plane_angle,
-    rotate_in_plane,
     wrap_angle,
 )
 from povmlearn.decomposition import (
@@ -38,7 +37,7 @@ from povmlearn.equal_prior import (
     weak_readings,
     weak_signal_threshold,
 )
-from povmlearn.errors import ContractViolation, DegenerateEnsemble, DiscriminationError
+from povmlearn.errors import ContractViolation, DiscriminationError
 from povmlearn.evaluate import classify_holdout, folded_success, score
 from povmlearn.experiment import (
     CSV_COLUMNS,
@@ -48,4 +47,4 @@ from povmlearn.experiment import (
     summarize,
     sweep,
 )
-from povmlearn.helstrom import helstrom, success_equal_priors
+from povmlearn.helstrom import helstrom

@@ -83,17 +83,19 @@ def row_norm(v):
 
 
 # The ufunc reductions below are np.all and np.any without their Python
-# dispatch layer, which costs more than the reduction on a run's masks.
+# dispatch layer, which costs more than the reduction on a run's masks; a
+# single flag is read as it is, since even the ufunc costs more than that.
+_FLAG = (bool, np.bool_)
 
 
 def every_row(mask) -> bool:
     """Whether a boolean mask (a flag, or one per row) holds on every row."""
-    return bool(np.logical_and.reduce(mask, axis=None))
+    return bool(mask) if isinstance(mask, _FLAG) else bool(np.logical_and.reduce(mask, axis=None))
 
 
 def any_row(mask) -> bool:
     """Whether a boolean mask (a flag, or one per row) holds on some row."""
-    return bool(np.logical_or.reduce(mask, axis=None))
+    return bool(mask) if isinstance(mask, _FLAG) else bool(np.logical_or.reduce(mask, axis=None))
 
 
 def first_row(mask, value):
@@ -115,19 +117,31 @@ def check_unit(v, what: str = "vector") -> np.ndarray:
 
 
 def _integer_in(low, high=math.inf):
-    """The test of an integer domain [low, high): one flag per row.  A Python
-    int of any size or a numpy integer counts as an integer; a bool, a
-    float or anything else fails every row."""
+    """The test of an integer domain [low, high), which takes one integer: a
+    Python int of any size or a numpy integer.  A bool, a float, an array
+    or anything else fails."""
 
     def test(v):
-        if not isinstance(v, bool) and (isinstance(v, (int, np.integer)) or np.asarray(v).dtype.kind in "iu"):
-            return (low <= v) & (v < high)
-        return np.zeros(np.shape(v), dtype=bool)
+        return not isinstance(v, bool) and isinstance(v, (int, np.integer)) and low <= v < high
 
     return test
 
 
-_FINITE = (np.isfinite, "be finite")
+def _real(test):
+    """The test of a real domain: one flag per row of a number or an array
+    of numbers.  A value that is not numeric (a string, say) fails whole."""
+
+    def checked(v):
+        if not isinstance(v, (int, float, np.integer, np.floating)):
+            v = np.asarray(v)
+            if v.dtype.kind not in "biuf":
+                return False
+        return test(v)
+
+    return checked
+
+
+_FINITE = (_real(np.isfinite), "be finite")
 # The one domain of each named parameter, which every entry that takes it
 # checks (check_domain): a test giving one flag per row, and its text.
 # numpy's binomial draws take a shot budget as a signed 64-bit integer.
@@ -135,27 +149,30 @@ _DOMAINS = {
     "alpha": _FINITE,
     "phi0": _FINITE,
     "direction": _FINITE,
-    "eta0": (lambda v: (0.0 < v) & (v < 1.0), "lie in (0, 1)"),
-    "beta": (lambda v: (0.0 <= v) & (v <= math.pi / 2 + 1e-12), "lie in [0, pi/2]"),
-    "theta": (lambda v: (0.0 <= v) & (v <= math.pi + 1e-12), "lie in [0, pi]"),
-    "nz": (lambda v: (-1.0 < v) & (v < 1.0), "lie in (-1, 1)"),
+    "eta0": (_real(lambda v: (0.0 < v) & (v < 1.0)), "lie in (0, 1)"),
+    "prior": (_real(lambda v: (0.0 <= v) & (v <= 1.0)), "lie in [0, 1]"),
+    "beta": (_real(lambda v: (0.0 <= v) & (v <= math.pi / 2 + 1e-12)), "lie in [0, pi/2]"),
+    "theta": (_real(lambda v: (0.0 <= v) & (v <= math.pi + 1e-12)), "lie in [0, pi]"),
+    "nz": (_real(lambda v: (-1.0 < v) & (v < 1.0)), "lie in (-1, 1)"),
     "seed": (_integer_in(0), "be a nonnegative integer"),
     "shots": (_integer_in(1, 2**63), "be an integer in [1, 2**63)"),
     "trials": (_integer_in(1), "be a positive integer"),
+    "instances": (_integer_in(1), "be a positive integer"),
     "stream_id": (_integer_in(0, 2**64), "be an integer in [0, 2**64)"),
 }
 
 
 def check_domain(name: str, value, label: str | None = None) -> None:
-    """Refuse a value of the named parameter outside its domain: a number,
-    or an array with one value per row, whose message names the first bad
-    value, a string quoted.  The message calls the parameter label, name by
-    default."""
+    """Refuse a value of the named parameter outside its domain: one number,
+    or for a real parameter an array with one value per row, whose message
+    names the first bad value.  A value that fails whole, such as a string
+    or an array given for an integer, is shown by its repr.  The message
+    calls the parameter label, name by default."""
     test, domain = _DOMAINS[name]
     ok = test(value)
     if not every_row(ok):
         bad = first_row(np.logical_not(ok), value)
-        shown = repr(str(bad)) if isinstance(bad, str) else bad
+        shown = bad if isinstance(bad, (int, float, np.number, np.bool_)) else repr(bad)
         raise ContractViolation(f"{label or name} must {domain}, got {shown}")
 
 
@@ -185,8 +202,8 @@ class Plane:
 
     @classmethod
     def const_z(cls, nz) -> "Plane":
-        nz = np.array(nz, dtype=float)
         check_domain("nz", nz)
+        nz = np.array(nz, dtype=float)
         nz.flags.writeable = False
         return cls("constz", nz)
 
@@ -234,19 +251,6 @@ def prob_plus_unchecked(s: np.ndarray, n: np.ndarray):
     probability per row.  Roundoff overshoot is clipped; the complement
     0.5 - 0.5*d clips symmetrically."""
     return np.minimum(np.maximum(0.5 + 0.5 * row_dot(s, n), 0.0), 1.0)
-
-
-def rotate_in_plane(v, plane: Plane, angle) -> np.ndarray:
-    """Rotate an in-plane vector counterclockwise by `angle` within its
-    plane; rows of vectors turn by one angle per row or by a shared one,
-    each row as that vector alone."""
-    v = np.asarray(v, dtype=float)
-    ok = plane.on_plane(v)
-    if not every_row(ok):
-        raise ContractViolation(f"vector {first_row(np.logical_not(ok), v)} does not lie in the {plane.kind} plane")
-    u = plane.coords(v)
-    c, s = np.cos(angle), np.sin(angle)
-    return plane.embed(c * u[..., 0] - s * u[..., 1], s * u[..., 0] + c * u[..., 1])
 
 
 def perp_in_plane(n, plane: Plane) -> np.ndarray:

@@ -87,9 +87,7 @@ class EnsembleSpec:
         eta0 = np.array(self.eta0, dtype=float)
         if eta0.ndim > 1 or eta0.size == 0:
             raise ContractViolation(f"priors must be one number or a nonempty 1-D array, got shape {eta0.shape}")
-        ok = (0.0 <= eta0) & (eta0 <= 1.0)
-        if not every_row(ok):
-            raise ContractViolation(f"priors must be in [0, 1], got eta0 = {first_row(np.logical_not(ok), eta0)}")
+        check_domain("prior", self.eta0)
         if eta0.ndim:
             eta0.flags.writeable = False
         object.__setattr__(self, "eta0", eta0 if eta0.ndim else float(eta0))

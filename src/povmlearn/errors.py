@@ -7,7 +7,3 @@ class DiscriminationError(Exception):
 
 class ContractViolation(DiscriminationError):
     """An argument violates a documented precondition (bad norm, wrong plane, ...)."""
-
-
-class DegenerateEnsemble(DiscriminationError):
-    """The ensemble Bloch vector is too short to define a direction."""

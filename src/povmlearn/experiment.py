@@ -19,11 +19,12 @@ binomial per row too.  A run or sweep builds 3, 4 or 5 generators
 (equal-prior-xz, unequal-prior-xz, const-z).
 
 Ground truth (the hidden spec, the closed-form success and the oracle
-value) is fixed by a cell's parameters and the row's case, and is never
-random.  Every scenario builds it once per run or sweep, as arrays, from
-two-fold cells (decomposition.equal_prior_cell maps an equal-prior one):
-two_fold_cell over the cells, and decomposition.two_fold_spec, the batch
-spec the rows sample from, over the rows.  A degenerate cell's truth is
+value, helstrom's success on the cell's mixture targets) is fixed by a
+cell's parameters and the row's case, and is never random.  Every
+scenario builds it once per run or sweep, as arrays, from two-fold cells
+(decomposition.equal_prior_cell maps an equal-prior one): two_fold_cell
+over the cells, and decomposition.two_fold_spec, the batch spec the rows
+sample from, over the rows.  A degenerate cell's truth is
 NaN, and its rows draw with its true pair.  A run or sweep is validated
 once, each swept field as its column: one value per cell.
 
@@ -67,7 +68,7 @@ from povmlearn.ensemble import EnsembleSpec, RngStream, pauli_axes
 from povmlearn.equal_prior import povm_axis_from_phi, solve_alpha, weak_readings, weak_signal_threshold
 from povmlearn.errors import ContractViolation
 from povmlearn.evaluate import classify_holdout, score
-from povmlearn.helstrom import success_equal_priors
+from povmlearn.helstrom import helstrom
 
 SCENARIOS = ("equal-prior-xz", "unequal-prior-xz", "const-z")
 
@@ -170,11 +171,12 @@ def two_fold_cell(eta0, theta, direction, plane: Plane = _XZ):
     """Case-independent truth of a two-fold cell, shared by both branches:
     the ensemble vector in `plane` along `direction` (plane coordinates)
     with the norm implied by (eta0, theta), its closed-form success and its
-    oracle value.  Arrays of parameters (and a plane with one nz per cell)
-    give every cell's truth in one pass; a degenerate cell, alone or in a
-    batch, has NaN in all three (the in-plane coordinates of its vector)."""
+    oracle value (helstrom on its mixture targets).  Arrays of parameters
+    (and a plane with one nz per cell) give every cell's truth in one pass;
+    a degenerate cell, alone or in a batch, has NaN in all three (the
+    in-plane coordinates of its vector)."""
     n, r = ensemble_vector(eta0, theta, direction, plane)
-    oracle = success_equal_priors(*mixture_targets(n, theta, eta0, plane))
+    oracle = helstrom(*mixture_targets(n, theta, eta0, plane))[0]
     analytic = success_prob(eta0, theta, r, plane)
     lost = np.isnan(analytic) | np.isnan(oracle)
     plane.coords(n)[lost] = np.nan

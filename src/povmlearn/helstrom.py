@@ -11,16 +11,16 @@ learners and the closed form use, and diagonalizes it in closed form from
 its entries: a Hermitian [[a, b], [conj(b), d]] has eigenvalues m +- r,
 with m = (a + d)/2, h = (a - d)/2 and r = hypot(h, |b|), and the projector
 onto the larger one is (Gamma - (m - r) I)/(2r) = (I + (Re b, -Im b,
-h).sigma/r)/2.  No step iterates, and each is elementwise.
-success_equal_priors keeps the Bloch form for the engine.
+h).sigma/r)/2.  No step iterates, and each is elementwise.  A pair whose
+Gamma has no eigenvalue gap, such as two equal states at equal priors, has
+no optimal axis: it gets the zero axis and keeps its success.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from povmlearn.bloch import EPS_DEGENERATE, any_row, first_row, row_norm
-from povmlearn.errors import DegenerateEnsemble
+from povmlearn.bloch import EPS_DEGENERATE
 
 
 def _density_matrix(n) -> np.ndarray:
@@ -46,33 +46,29 @@ def helstrom(m0, m1, eta0=0.5):
     """Minimum-error discrimination of the states with Bloch vectors m0 and
     m1, at priors eta0 and 1 - eta0: (success, axis), where axis is the
     Bloch vector of the projector onto Gamma's eigenvector of larger
-    eigenvalue, the one detector 0 points along.  With rows of vectors (and
-    eta0 one number or one per row) both come back one per row, from the
-    closed-form spectrum of each row's Gamma, elementwise; each row has the
-    bits of its pair alone.
+    eigenvalue, the one detector 0 points along.  m0 and m1 have one
+    shape: with rows of vectors (and eta0 one number or one per row) both
+    results come back one per row, from the closed-form spectrum of each
+    row's Gamma, elementwise; each row has the bits of its pair alone.
 
     A pair whose two eigenvalues of Gamma lie within the degeneracy
-    tolerance has no optimal axis and raises DegenerateEnsemble; a batch
-    names its first such row, with the message that row raises alone.
+    tolerance (gap 2r at most EPS_DEGENERATE) has no optimal axis and gets
+    the zero axis, alone or as a row; its success is still the trace-norm
+    value, 1/2 where Gamma = 0.  A NaN pair gets NaN success and the zero
+    axis.
     """
     eta0 = np.asarray(eta0, dtype=float)[..., None, None]
-    gamma = eta0 * _density_matrix(m0) - (1.0 - eta0) * _density_matrix(m1)
+    # One call over the stacked pair costs less than one call per state.
+    rho0, rho1 = _density_matrix(np.array((m0, m1), dtype=float))
+    gamma = eta0 * rho0 - (1.0 - eta0) * rho1
     a, d, b = gamma[..., 0, 0].real, gamma[..., 1, 1].real, gamma[..., 0, 1]
     mid, half = 0.5 * (a + d), 0.5 * (a - d)
     r = np.hypot(half, np.abs(b))
-    gap = 2.0 * r
-    bad = gap <= EPS_DEGENERATE
-    if any_row(bad):
-        raise DegenerateEnsemble(f"states are indistinguishable: eigenvalue gap of Gamma = {first_row(bad, gap):.3g}")
-    axis = np.stack((b.real, -b.imag, half), axis=-1) / r[..., None]
+    keep = 2.0 * r > EPS_DEGENERATE
+    axis = np.empty(r.shape + (3,))
+    axis[..., 0], axis[..., 1], axis[..., 2] = b.real, -b.imag, half
+    # A degenerate or NaN row divides by 1.0, not by its r, which may be
+    # 0.0, and then gets the zero axis.
+    axis /= np.where(keep, r, 1.0)[..., None]
+    axis[~keep] = 0.0
     return 0.5 * (1.0 + np.abs(mid - r) + np.abs(mid + r)), axis
-
-
-def success_equal_priors(m0, m1):
-    """Best achievable success probability 1/2 + |m0 - m1|/4 for a 50/50
-    mixture of m0 and m1, in Bloch form: the success of helstrom(m0, m1),
-    and the same formula for pairs helstrom refuses as degenerate.  One per
-    row for rows of vectors, each bit for bit the value of its pair alone
-    (row_norm)."""
-    diff = np.asarray(m0, dtype=float) - np.asarray(m1, dtype=float)
-    return 0.5 + 0.5 * (0.5 * row_norm(diff))

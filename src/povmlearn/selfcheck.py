@@ -22,14 +22,12 @@ from povmlearn.bloch import (
     every_row,
     perp_in_plane,
     plane_angle,
-    rotate_in_plane,
     row_norm,
     wrap_angle,
 )
 from povmlearn.decomposition import cos_theta, decompose, ensemble_vector, mixture_targets, success_prob
 from povmlearn.equal_prior import delta_analytic, povm_axis_from_phi, solve_alpha
-from povmlearn.errors import ContractViolation
-from povmlearn.helstrom import helstrom, success_equal_priors
+from povmlearn.helstrom import helstrom
 
 _XZ = Plane.xz()
 
@@ -62,8 +60,7 @@ def oracle_battery(n_instances: int = 10_000, seed: int = 12345) -> list[tuple[s
     the geometry the oracle is checked against from one array call of
     perp_in_plane per check, and the oracle's success and axis from one
     call of helstrom over all instances."""
-    if n_instances < 1:
-        raise ContractViolation(f"the oracle battery needs at least 1 instance, got {n_instances}")
+    check_domain("instances", n_instances)
     check_domain("seed", seed)
     rng = np.random.default_rng(seed)
     eta0, theta, q, n = _random_instances(rng, n_instances)
@@ -118,12 +115,6 @@ def invariant_battery(seed: int = 12345) -> list[tuple[str, bool, str]]:
     worst = _axis_match(axis, perp_in_plane(n, _XZ)).max()
     outcomes.append(("optimal setting is the ensemble perpendicular", worst <= 1e-12, f"worst {worst:.3g}"))
 
-    a, b = rng.uniform([0.0, -10.0], [2.0 * math.pi, 10.0], size=(500, 2)).T
-    v = _XZ.embed(np.cos(a), np.sin(a))
-    turned = rotate_in_plane(v, _XZ, b)
-    worst = max(row_norm(rotate_in_plane(turned, _XZ, -b) - v).max(), np.abs(row_norm(turned) - 1.0).max())
-    outcomes.append(("in-plane rotations compose and preserve norm", worst <= 1e-12, f"worst {worst:.3g}"))
-
     worst = 0.0
     least_gap = math.inf
     eta0, theta, q, n = _random_instances(rng, 2000)
@@ -166,10 +157,6 @@ def invariant_battery(seed: int = 12345) -> list[tuple[str, bool, str]]:
             f"gap at equal priors {gap[0]:.3g}",
         )
     )
-
-    eta0, theta, q, n = _random_instances(rng, 2000)
-    worst = np.abs(success_prob(eta0, theta, q) - success_equal_priors(*mixture_targets(n, theta, eta0))).max()
-    outcomes.append(("axis-rule success equals the oracle bound", worst <= 1e-12, f"worst {worst:.3g}"))
 
     worst = 0.0
     slice0 = Plane.const_z(0.0)

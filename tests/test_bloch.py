@@ -23,7 +23,6 @@ from povmlearn.bloch import (
     plane_angle,
     prob_plus_unchecked,
     reduce_angle,
-    rotate_in_plane,
     row_norm,
     wrap_angle,
 )
@@ -153,34 +152,6 @@ class TestPlane:
         assert np.allclose(plane.embed(*plane.coords(v)), v, atol=1e-15)
 
 
-class TestRotateInPlane:
-    def test_quarter_turn(self):
-        out = rotate_in_plane([1, 0, 0], Plane.xz(), math.pi / 2)
-        assert np.allclose(out, [0, 0, 1], atol=1e-15)
-
-    def test_quarter_turn_continued(self):
-        out = rotate_in_plane([0, 0, 1], Plane.xz(), math.pi / 2)
-        assert np.allclose(out, [-1, 0, 0], atol=1e-15)
-
-    def test_identity(self):
-        out = rotate_in_plane([0.8, 0, 0.6], Plane.xz(), 0.0)
-        assert np.allclose(out, [0.8, 0, 0.6], atol=1e-15)
-
-    def test_out_of_plane_rejected(self):
-        with pytest.raises(ContractViolation):
-            rotate_in_plane([0.1, 0.5, 0.2], Plane.xz(), 0.3)
-
-    @given(angles, angles, st.floats(0.05, 1.0))
-    @settings(max_examples=200)
-    def test_composes_additively_and_preserves_norm(self, a, b, r):
-        plane = Plane.xz()
-        v = np.array([r, 0.0, 0.0])
-        once = rotate_in_plane(rotate_in_plane(v, plane, a), plane, b)
-        both = rotate_in_plane(v, plane, a + b)
-        assert row_norm(once - both) <= 1e-12 * max(1.0, abs(a) + abs(b))
-        assert abs(row_norm(once) - r) <= 1e-12
-
-
 def where_divide_perp(n, plane):
     """perp_in_plane as a where=-divide of the reversed coordinates into a
     view of the zeroed output, then a sign flip: the reference of the
@@ -257,7 +228,7 @@ class TestPerpInPlane:
         plane = Plane.xz()
         for a in np.linspace(0.0, 2 * math.pi, 37):
             v = np.array([math.cos(a), 0.0, math.sin(a)])
-            expected = rotate_in_plane(v, plane, math.pi / 2)
+            expected = np.array([-math.sin(a), 0.0, math.cos(a)])
             assert row_norm(perp_in_plane(v, plane) - expected) <= 1e-12
 
 
@@ -376,31 +347,6 @@ class TestRows:
         assert plane.radius_sq.tolist() == (1.0 - nz * nz).tolist()
         with pytest.raises(ContractViolation):
             Plane.const_z(np.array([0.2, 1.0]))
-
-    @pytest.mark.parametrize("kind", ["xz", "constz"])
-    def test_rotate_matches_one_at_a_time(self, kind):
-        # One angle per row or one shared angle; on a slice, one nz per row.
-        rng = np.random.default_rng(12)
-        nz = rng.uniform(-0.9, 0.9, size=40)
-        u = rng.uniform(-0.4, 0.4, size=(40, 2))
-        angles = rng.uniform(-10.0, 10.0, size=40)
-        plane = Plane.xz() if kind == "xz" else Plane.const_z(nz)
-        row_planes = [Plane.xz() if kind == "xz" else Plane.const_z(z) for z in nz]
-        v = plane.embed(*u.T)
-        for angle in (angles, 0.7):
-            out = rotate_in_plane(v, plane, angle)
-            assert out.shape == v.shape
-            for k, row in enumerate(v):
-                one = rotate_in_plane(row, row_planes[k], angles[k] if np.ndim(angle) else angle)
-                assert out[k].tobytes() == one.tobytes()
-
-    def test_rotate_names_the_first_off_plane_row(self):
-        v = np.array([[0.6, 0.0, 0.8], [0.1, 0.5, 0.2], [0.3, -0.25, 0.0]])
-        with pytest.raises(ContractViolation) as one:
-            rotate_in_plane(v[1], Plane.xz(), 0.2)
-        with pytest.raises(ContractViolation) as rows:
-            rotate_in_plane(v, Plane.xz(), np.array([0.1, 0.2, 0.3]))
-        assert str(rows.value) == str(one.value) == "vector [0.1 0.5 0.2] does not lie in the xz plane"
 
     def test_check_unit_checks_every_row(self):
         rows = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])

@@ -322,7 +322,7 @@ class TestBatteries:
         code, out, err = run_cli(capsys, "oracle-check", "--instances", instances)
         assert code == 2
         assert "PASS" not in out
-        assert "at least 1 instance" in err
+        assert err == f"error: instances must be a positive integer, got {instances}\n"
 
     def test_selftest_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest", "--seed", "1")

@@ -22,7 +22,7 @@ from povmlearn.decomposition import (
 )
 from povmlearn.ensemble import EnsembleSpec, pauli_axes
 from povmlearn.errors import ContractViolation
-from povmlearn.helstrom import success_equal_priors
+from povmlearn.helstrom import helstrom
 
 from helpers import frame_generators
 
@@ -187,7 +187,9 @@ class TestSuccessProbConstZ:
         plane, n, r_norm = make_n(eta0, theta, direction, nz)
         m0, m1 = mixture_targets(n, theta, eta0, plane)
         ours = success_prob(eta0, theta, r_norm, plane)
-        assert abs(ours - success_equal_priors(m0, m1)) <= 1e-12
+        # Helstrom at equal priors: 1/2 + |m0 - m1|/4 in Bloch form.
+        assert abs(ours - (0.5 + 0.25 * row_norm(m0 - m1))) <= 1e-12
+        assert abs(ours - helstrom(m0, m1)[0]) <= 1e-12
 
     def test_zero_offset_reduction(self):
         assert success_prob(0.6, 1.0, 0.55, Plane.const_z(0.0)) == success_prob(

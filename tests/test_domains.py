@@ -3,7 +3,9 @@ every entry that takes it.
 
 The message is "{name} must {domain}, got {first bad value}", whether the
 value reaches the config, a swept column at any place, or a library
-function; a column or a batch names its first bad value.
+function; a column or a batch names its first bad value.  An integer
+parameter takes one number, so an array is refused whole, and so is a
+value that is not numeric; such a value is shown by its repr.
 """
 
 import math
@@ -23,7 +25,7 @@ from povmlearn.decomposition import (
     success_prob,
     two_fold_spec,
 )
-from povmlearn.ensemble import RngStream, pauli_axes
+from povmlearn.ensemble import EnsembleSpec, RngStream, pauli_axes
 from povmlearn.errors import ContractViolation
 from povmlearn.evaluate import classify_holdout, score
 from povmlearn.experiment import ExperimentConfig, sweep
@@ -36,29 +38,35 @@ DOMAIN = {
     "phi0": "be finite",
     "direction": "be finite",
     "eta0": "lie in (0, 1)",
+    "prior": "lie in [0, 1]",
     "beta": "lie in [0, pi/2]",
     "theta": "lie in [0, pi]",
     "nz": "lie in (-1, 1)",
     "seed": "be a nonnegative integer",
     "shots": "be an integer in [1, 2**63)",
     "trials": "be a positive integer",
+    "instances": "be a positive integer",
     "stream_id": "be an integer in [0, 2**64)",
 }
+INTEGER = {"seed", "shots", "trials", "instances", "stream_id"}
 
 # Bad values of each name, on both sides of its domain where it has two.
 BAD = {
     "alpha": (math.nan, math.inf, -math.inf),
-    "phi0": (math.nan, -math.inf),
-    "direction": (math.nan, math.inf, -math.inf),
+    "phi0": (math.nan, -math.inf, "0.5"),
+    "direction": (math.nan, math.inf, -math.inf, "x"),
     "eta0": (0.0, 1.0, -0.2, math.nan),
+    "prior": (-0.1, 1.5, math.nan),
     "beta": (-1e-13, 2.0, math.nan),
     "theta": (-1e-13, 3.5, math.nan),
     "nz": (-1.0, 1.0, 1.5, math.nan),
-    "seed": (-1, 1.5, True),
+    # An integer is one number: a 0-d or a longer array is refused whole.
+    "seed": (-1, 1.5, True, np.array(3)),
     # A float or a bool budget is refused as given, never truncated first.
-    "shots": (0, -3, 2**63, 100.7, True, np.float64(50.0)),
-    "trials": (0, -2, 2.7, True),
-    "stream_id": (-1, 2**64, 1.5, True),
+    "shots": (0, -3, 2**63, 100.7, True, np.float64(50.0), np.array(500), np.array([500, 600])),
+    "trials": (0, -2, 2.7, True, [1, 2]),
+    "instances": (0, -1, 2.5, True, np.array(3)),
+    "stream_id": (-1, 2**64, 1.5, True, np.array(3), np.array([1, 2])),
 }
 
 # The scenario that reads each swept name, and good values for its column.
@@ -71,6 +79,8 @@ SWEPT = {
 }
 CONFIG_SCENARIO = {**{name: scenario for name, (scenario, _) in SWEPT.items()}, "phi0": "equal-prior-xz",
                    "seed": "const-z", "trials": "unequal-prior-xz"}
+
+_PURE = np.array([1.0, 0.0, 0.0])
 
 _N, _ = ensemble_vector(0.6, 1.0, 0.3)
 _SPEC = two_fold_spec(0.6, 1.0, 0.3, "A")
@@ -91,6 +101,7 @@ LIBRARY = {
         lambda v: success_prob(0.6, v, 0.5),
         lambda v: decompose(_N, v, 0.6, "A"),
     ],
+    "prior": [lambda v: EnsembleSpec(v, _PURE, -_PURE, Plane.xz())],
     "nz": [Plane.const_z],
     "seed": [lambda v: RngStream(v, 0), lambda v: oracle_battery(10, v), invariant_battery],
     "shots": [
@@ -98,12 +109,14 @@ LIBRARY = {
         lambda v: classify_holdout(_SPEC, [1.0, 0.0, 0.0], v, RngStream(0, 12).generator()),
         lambda v: score(1, v, 0.7),
     ],
+    "instances": [oracle_battery],
     "stream_id": [lambda v: RngStream(0, v)],
 }
 
 
 def message(name, bad):
-    return f"{name} must {DOMAIN[name]}, got {bad}"
+    shown = bad if isinstance(bad, (int, float, np.number)) else repr(bad)
+    return f"{name} must {DOMAIN[name]}, got {shown}"
 
 
 def refused(call, text):
@@ -124,12 +137,22 @@ CASES = [(name, bad) for name, values in BAD.items() for bad in values]
 @pytest.mark.parametrize("name, bad", CASES)
 def test_check_domain_message(name, bad):
     refused(lambda: check_domain(name, bad), message(name, bad))
-    refused(lambda: check_domain(name, np.array([bad])), message(name, bad))
+    # A real parameter's numeric column names its bad row; any other
+    # column is refused whole.
+    column = np.array([bad])
+    whole = name in INTEGER or column.dtype.kind not in "biuf"
+    refused(lambda: check_domain(name, column), message(name, column if whole else bad))
 
 
 @pytest.mark.parametrize("name, bad", [(n, b) for n, b in CASES if n in CONFIG_SCENARIO])
 def test_config_gives_the_message(name, bad):
     refused(small(CONFIG_SCENARIO[name], **{name: bad}).validate, message(name, bad))
+
+
+def test_config_refuses_what_is_not_one_number_where_an_integer_is_due():
+    refused(small("const-z", shots_learn=np.array([500, 600])).validate,
+            "shots_learn must be an integer in [1, 2**63), got array([500, 600])")
+    refused(small("const-z", eta0="0.5").validate, "eta0 must lie in (0, 1), got '0.5'")
 
 
 @pytest.mark.parametrize("place", [0, 1, 2])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,7 +103,7 @@ class TestEnsembleSpec:
             EnsembleSpec(rows.eta0, rows.psi0, bad_state, Plane.xz())
         bad_prior = rows.eta0.copy()
         bad_prior[2] = 1.5
-        with pytest.raises(ContractViolation, match="priors"):
+        with pytest.raises(ContractViolation, match=re.escape("prior must lie in [0, 1], got 1.5")):
             EnsembleSpec(bad_prior, rows.psi0, rows.psi1, Plane.xz())
         with pytest.raises(ContractViolation, match="shape"):
             EnsembleSpec(rows.eta0, rows.psi0[:3], rows.psi1, Plane.xz())

@@ -17,9 +17,10 @@ import pytest
 import povmlearn.experiment as experiment
 from povmlearn import bloch
 from povmlearn.bloch import Plane
-from povmlearn.decomposition import ensemble_vector, equal_prior_cell, success_prob, two_fold_spec
+from povmlearn.decomposition import ensemble_vector, equal_prior_cell, mixture_targets, success_prob, two_fold_spec
 from povmlearn.ensemble import RngStream
 from povmlearn.errors import ContractViolation
+from povmlearn.helstrom import helstrom
 from povmlearn.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -331,18 +332,33 @@ class TestTruthOncePerCell:
     @pytest.mark.parametrize(
         "scenario, key, truth",
         [
-            ("equal-prior-xz", "beta", {"mixture_targets", "success_prob", "success_equal_priors"}),
-            ("const-z", "eta0", {"mixture_targets", "success_prob", "success_equal_priors"}),
+            ("equal-prior-xz", "beta", {"mixture_targets", "success_prob", "helstrom"}),
+            ("const-z", "eta0", {"mixture_targets", "success_prob", "helstrom"}),
         ],
         ids=["equal-prior-xz", "const-z"],
     )
     def test_sweep_calls_each_truth_function_once(self, monkeypatch, scenario, key, truth):
-        names = ("mixture_targets", "success_prob", "success_equal_priors")
+        names = ("mixture_targets", "success_prob", "helstrom")
         calls = {name: count_calls(monkeypatch, name) for name in names}
         base = ExperimentConfig(scenario=scenario, **{**BASE, "trials": 2})
         rows = as_rows(sweep(base, {"alpha": [0.0, 1.0, 2.0], key: [0.2, 0.3, 0.4, 0.5]}))
         assert len(rows) == 24
         assert {name: len(c) for name, c in calls.items()} == {name: int(name in truth) for name in names}
+
+    def test_oracle_comes_from_helstrom_on_coincident_and_degenerate_cells(self, monkeypatch):
+        # theta = 0 at equal priors: the two states coincide, Gamma = 0 and
+        # the oracle is 1/2.  theta = pi: no ensemble direction, so the
+        # cell is degenerate.  theta = 1.2: an ordinary cell.
+        calls = count_calls(monkeypatch, "helstrom")
+        base = ExperimentConfig(scenario="unequal-prior-xz", eta0=0.5, trials=3, shots_learn=2000,
+                                shots_holdout=500, seed=4)
+        thetas = [0.0, math.pi, 1.2]
+        rows = as_rows(sweep(base, {"theta": thetas}))
+        assert len(calls) == 1
+        n, _ = ensemble_vector(0.5, 1.2, base.alpha)
+        ordinary = float(helstrom(*mixture_targets(n, 1.2, 0.5))[0])
+        assert [r.success_oracle for r in rows] == [0.5] * 3 + [None] * 3 + [ordinary] * 3
+        assert [r.status for r in rows] == ["ok"] * 3 + ["degenerate_ensemble"] * 3 + ["ok"] * 3
 
     def test_degenerate_truth_is_not_stored(self, monkeypatch):
         calls = count_calls(monkeypatch, "two_fold_cell")

@@ -4,15 +4,15 @@ LAPACK's eigh of the same matrices."""
 
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from povmlearn.bloch import EPS_DEGENERATE, check_unit
-from povmlearn.errors import DegenerateEnsemble
-from povmlearn.helstrom import _density_matrix, helstrom, success_equal_priors
+from povmlearn.bloch import EPS_DEGENERATE, check_unit, row_norm
+from povmlearn.helstrom import _density_matrix, helstrom
 
 # The module itself: the package exports the function under its name.
 HELSTROM_MODULE = importlib.import_module("povmlearn.helstrom")
@@ -39,6 +39,12 @@ def pauli_sum(n):
     n = np.asarray(n, dtype=float)
     x, y, z = (n[..., k, None, None] for k in range(3))
     return 0.5 * (np.eye(2, dtype=complex) + x * PAULI[0] + y * PAULI[1] + z * PAULI[2])
+
+
+def bloch_form(m0, m1):
+    """Equal-prior success 1/2 + |m0 - m1|/4 in Bloch form."""
+    diff = np.asarray(m0, dtype=float) - np.asarray(m1, dtype=float)
+    return 0.5 + 0.25 * math.sqrt(diff.dot(diff))
 
 
 def lapack_helstrom(m0, m1, eta0):
@@ -70,13 +76,34 @@ class TestHelstrom:
         success, _ = helstrom([0.3, 0, 0.2], [0.3, 0, 0.2 + 5e-5])
         assert success == pytest.approx(0.5, abs=1e-4)
 
-    def test_degenerate_is_error_for_direct_calls(self):
-        with pytest.raises(DegenerateEnsemble):
-            helstrom([0.3, 0, 0.2], [0.3, 0, 0.2])
+    def test_coincident_pair_has_half_and_the_zero_axis(self):
+        # Gamma = 0: no eigenvalue gap, so no axis, and no division by r = 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            success, axis = helstrom([0.3, 0, 0.2], [0.3, 0, 0.2])
+            assert success == 0.5 and axis.tolist() == [0.0, 0.0, 0.0]
+            success, axis = helstrom([0.1, 0, 0], [0.1, 0, 0])
+            assert success == 0.5 and axis.tolist() == [0.0, 0.0, 0.0]
 
-    def test_success_equal_priors_shortcut(self):
-        assert success_equal_priors([0, 0, 1], [0, 0, -1]) == pytest.approx(1.0, abs=1e-12)
-        assert success_equal_priors([0.1, 0, 0], [0.1, 0, 0]) == 0.5
+    def test_gap_within_tolerance_has_the_zero_axis(self):
+        # Eigenvalue gap 5e-7, below EPS_DEGENERATE: the zero axis, and the
+        # trace-norm success of the pair.
+        m0, m1 = [0.3, 0.1, 0.2], [0.3, 0.1, 0.2 + 1e-6]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            success, axis = helstrom(m0, m1)
+        assert axis.tolist() == [0.0, 0.0, 0.0]
+        assert success == pytest.approx(0.5 + 2.5e-7, abs=1e-15)
+
+    def test_nan_pair_has_nan_success_and_the_zero_axis(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            success, axis = helstrom([math.nan, 0, 0.2], [0.3, 0, 0.2])
+        assert math.isnan(success) and axis.tolist() == [0.0, 0.0, 0.0]
+
+    def test_equal_prior_success_is_the_bloch_form(self):
+        for m0, m1 in (([0, 0, 1], [0, 0, -1]), ([0.1, 0, 0], [0.1, 0, 0]), ([0.6, 0, 0.3], [-0.2, 0, 0.5])):
+            assert helstrom(m0, m1)[0] == pytest.approx(bloch_form(m0, m1), abs=1e-15)
 
     def test_monotone_in_separation(self):
         base = np.array([0.2, 0.0, 0.1])
@@ -97,17 +124,19 @@ class TestHelstrom:
         assert np.abs(success - 0.5 * (1.0 + np.maximum(np.abs(2.0 * eta0 - 1.0), v_norm))).max() <= 1e-15
         assert np.abs(axis - v / v_norm[:, None]).max() <= 1e-12
 
-    def test_degenerate_rows_name_the_first(self):
+    def test_degenerate_rows_have_the_bits_of_their_pair(self):
         rows0 = np.tile([0.3, 0.1, 0.2], (6, 1))
         rows1 = rows0 + [0.0, 0.4, 0.0]
         rows1[2] = rows0[2] + [0.0, 0.0, 1e-6]  # eigenvalue gap 5e-7
         rows1[4] = rows0[4]  # eigenvalue gap 0
-        with pytest.raises(DegenerateEnsemble) as alone:
-            helstrom(rows0[2], rows1[2])
-        with pytest.raises(DegenerateEnsemble) as batch:
-            helstrom(rows0, rows1)
-        assert str(batch.value) == str(alone.value)
-        assert "5e-07" in str(batch.value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            success, axis = helstrom(rows0, rows1)
+            for k in range(6):
+                one_success, one_axis = helstrom(rows0[k], rows1[k])
+                assert success[k].tobytes() == one_success.tobytes() and axis[k].tobytes() == one_axis.tobytes()
+        assert axis[2].tolist() == axis[4].tolist() == [0.0, 0.0, 0.0] and success[4] == 0.5
+        assert np.all(np.abs(row_norm(axis[[0, 1, 3, 5]]) - 1.0) <= 1e-15)
 
 
 @given(BLOCH_BALL, BLOCH_BALL)
@@ -119,7 +148,7 @@ def test_complex_gamma_matches_the_bloch_form(m0, m1):
     dist = math.sqrt(diff.dot(diff))
     assume(dist >= 1e-3)
     success, axis = helstrom(m0, m1)
-    assert abs(success - success_equal_priors(m0, m1)) <= 1e-15
+    assert abs(success - bloch_form(m0, m1)) <= 1e-15
     assert np.abs(axis - diff / dist).max() <= 1e-12
 
 
@@ -149,8 +178,8 @@ def test_closed_form_matches_lapack_eigh(rows):
     m0, m1 = (np.array([row[k] for row in rows]) for k in (0, 1))
     eta0 = np.array([row[2] for row in rows])
     ref_success, ref_axis, ref_gap = lapack_helstrom(m0, m1, eta0)
-    # Rows near the degeneracy tolerance would raise for the whole batch.
-    assume(ref_gap.min() > 10 * EPS_DEGENERATE)
+    # Every row's success, degenerate rows too; the axis where the gap is
+    # wide enough to fix it.
     success, axis = helstrom(m0, m1, eta0)
     assert np.abs(success - ref_success).max() <= 1e-15
     wide = ref_gap >= 1e-3

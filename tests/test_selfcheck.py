@@ -61,25 +61,23 @@ def test_invariant_battery_calls_truth_once_per_check(monkeypatch):
     counts = count_calls(monkeypatch)
     outcomes = selfcheck.invariant_battery(seed=5)
     assert all(passed for _, passed, _ in outcomes)
-    # One instance draw each for the round trip, the axis-rule success and
-    # the nz = 0 slice, one per plane (three) for the branch averages, and
-    # the equal-prior instances of the branch ceiling.  mixture_targets: the
-    # axis-rule check and one per plane of the branch averages;
-    # success_prob: the branch ceiling at drawn and at equal priors, the
-    # axis-rule check and the two planes the slice check compares.
-    assert counts == {"ensemble_vector": 7, "mixture_targets": 4, "success_prob": 5}
+    # One instance draw each for the round trip and the nz = 0 slice, one
+    # per plane (three) for the branch averages, and the equal-prior
+    # instances of the branch ceiling.  mixture_targets: one per plane of
+    # the branch averages; success_prob: the branch ceiling at drawn and at
+    # equal priors, and the two planes the slice check compares.
+    assert counts == {"ensemble_vector": 6, "mixture_targets": 3, "success_prob": 4}
 
 
 def test_invariant_battery_calls_each_helper_a_fixed_number_of_times(monkeypatch):
     # Every check runs over all of its instances in one array call: the
-    # grid and the optimum take three delta_analytic calls, the rotations
-    # two rotate_in_plane calls (forward and back), and the branch ceiling
-    # one helstrom call per branch at drawn and at equal priors.
-    names = ("rotate_in_plane", "delta_analytic", "solve_alpha", "perp_in_plane", "wrap_angle", "helstrom")
+    # grid and the optimum take three delta_analytic calls, and the branch
+    # ceiling one helstrom call per branch at drawn and at equal priors.
+    names = ("delta_analytic", "solve_alpha", "perp_in_plane", "wrap_angle", "helstrom")
     counts = count_calls(monkeypatch, names)
     outcomes = selfcheck.invariant_battery(seed=5)
     assert all(passed for _, passed, _ in outcomes)
-    assert counts == {"rotate_in_plane": 2, "delta_analytic": 3, "solve_alpha": 1, "perp_in_plane": 1, "wrap_angle": 1, "helstrom": 4}
+    assert counts == {"delta_analytic": 3, "solve_alpha": 1, "perp_in_plane": 1, "wrap_angle": 1, "helstrom": 4}
 
 
 def scalar_instances(rng, count, plane):
@@ -96,11 +94,10 @@ def scalar_instances(rng, count, plane):
 
 
 # (low, high) of each further draw of invariant_battery: zero detector
-# difference, optimal setting, rotations and angle wrapping.
+# difference, optimal setting and angle wrapping.
 BATTERY_DRAWS = (
     ((0.0, 0.0), (2.0 * math.pi, math.pi / 2)),
     ((0.0, 0.0), (2.0 * math.pi, math.pi / 2 - 0.05)),
-    ((0.0, -10.0), (2.0 * math.pi, 10.0)),
     ((-20.0,), (20.0,)),
 )
 

@@ -30,7 +30,7 @@ from povmlearn.decomposition import (
 )
 from povmlearn.errors import ContractViolation
 from povmlearn.experiment import two_fold_cell
-from povmlearn.helstrom import success_equal_priors
+from povmlearn.helstrom import helstrom
 
 # At theta = pi, |u| = rho |eta0 - eta1|: eta0 = 1/2 + 5e-7 (1 +- 1%) puts it
 # about 1% below and above EPS_DEGENERATE on the x-z plane and the nz = 0
@@ -80,14 +80,16 @@ def test_mixture_targets_success_prob_and_oracle(grid):
     n, r = ensemble_vector(eta0, theta, alpha, plane)
     m0, m1 = mixture_targets(n, theta, eta0, plane)
     ps = success_prob(eta0, theta, r, plane)
-    oracle = success_equal_priors(m0, m1)
+    oracle = helstrom(m0, m1)[0]
     lost = np.isnan(oracle)
+    # The equal-prior oracle is 1/2 + |m0 - m1|/4 in Bloch form.
+    assert np.abs(oracle - (0.5 + 0.25 * row_norm(m0 - m1)))[~lost].max() <= 1e-15
     assert lost.any() and np.isnan(plane.coords(m0)[lost]).all() and np.isnan(ps[lost]).all()
     for k, p in enumerate(planes):
         one0, one1 = mixture_targets(n[k], theta[k], eta0[k], p)
         ps1 = success_prob(eta0[k], theta[k], r[k], p)
         assert bits(m0[k]) == bits(one0) and bits(m1[k]) == bits(one1)
-        assert bits(oracle[k]) == bits(success_equal_priors(one0, one1))
+        assert bits(oracle[k]) == bits(helstrom(one0, one1)[0])
         assert isinstance(ps1, float) and bits(ps[k]) == bits(ps1)
 
 
@@ -217,11 +219,12 @@ def test_near_antipodal_cells_build_both_branches(eta0, theta, alpha, nz):
             assert max(np.abs(n0 - spec.psi0).max(), np.abs(n1 - spec.psi1).max()) <= 1e-9
 
 
-def test_success_equal_priors_on_any_rows():
+def test_oracle_on_any_rows():
     rng = np.random.default_rng(3)
     m0, m1 = rng.normal(size=(2, 500, 3))
-    rows = success_equal_priors(m0, m1)
-    assert all(bits(rows[k]) == bits(success_equal_priors(m0[k], m1[k])) for k in range(500))
+    rows = helstrom(m0, m1)[0]
+    assert np.abs(rows - (0.5 + 0.25 * row_norm(m0 - m1))).max() <= 1e-15
+    assert all(bits(rows[k]) == bits(helstrom(m0[k], m1[k])[0]) for k in range(500))
 
 
 def test_equal_prior_spec_rows():
