@@ -37,7 +37,7 @@ from povmlearn.equal_prior import (
     weak_readings,
     weak_signal_threshold,
 )
-from povmlearn.errors import ContractViolation, DiscriminationError
+from povmlearn.errors import ContractViolation
 from povmlearn.evaluate import classify_holdout, folded_success, score
 from povmlearn.experiment import (
     CSV_COLUMNS,

@@ -129,13 +129,20 @@ def _integer_in(low, high=math.inf):
 
 def _real(test):
     """The test of a real domain: one flag per row of a number or an array
-    of numbers.  A value that is not numeric (a string, say) fails whole."""
+    of numbers.  A Python int is tested as the double that holds it.  A
+    value that is not numeric (a string, a ragged list, an int too large
+    for a double) fails whole."""
 
     def checked(v):
-        if not isinstance(v, (int, float, np.integer, np.floating)):
-            v = np.asarray(v)
-            if v.dtype.kind not in "biuf":
-                return False
+        try:
+            if isinstance(v, int):
+                v = float(v)
+            elif not isinstance(v, (float, np.integer, np.floating)):
+                v = np.asarray(v)
+                if v.dtype.kind not in "biuf":
+                    return False
+        except (OverflowError, ValueError):
+            return False
         return test(v)
 
     return checked

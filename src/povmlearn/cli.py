@@ -14,7 +14,7 @@ the explicit flags, which therefore win.  A negative value works after
 its flag in both spellings, ``--alpha -1e-3`` and ``--alpha=-1e-3``.
 
 Exit codes: 0 success (including recoverable per-trial statuses), 2 for
-usage and configuration errors (any DiscriminationError), 1 for I/O
+usage and configuration errors (any ContractViolation), 1 for I/O
 failures.  Any other exception is a bug and propagates with its traceback.
 """
 
@@ -27,7 +27,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from povmlearn.errors import ContractViolation, DiscriminationError
+from povmlearn.errors import ContractViolation
 from povmlearn.experiment import (
     FORMATS,
     SCENARIOS,
@@ -285,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         return handlers[args.command](args)
-    except DiscriminationError as exc:
+    except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,9 +1,5 @@
-"""Exception types shared across the library."""
+"""The exception type of the library."""
 
 
-class DiscriminationError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class ContractViolation(DiscriminationError):
+class ContractViolation(Exception):
     """An argument violates a documented precondition (bad norm, wrong plane, ...)."""

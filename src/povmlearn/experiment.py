@@ -85,27 +85,30 @@ _READS = {
     "const-z": ("eta0", "theta", "alpha", "nz"),
 }
 
-CSV_COLUMNS = (
-    "trial",
-    "scenario",
-    "case",
-    "eta0",
-    "theta_true",
-    "alpha_true",
-    "beta_true",
-    "n_z",
-    "axis_x",
-    "axis_y",
-    "axis_z",
-    "alpha_hat",
-    "success_emp",
-    "success_analytic",
-    "success_oracle",
-    "z_score",
-    "shots_learn",
-    "shots_holdout",
-    "status",
-)
+# The record columns and the kind of each, which decides how its cells are
+# written (render_results): integers, text, or floats.
+_COLUMN_KINDS = {
+    "trial": "int",
+    "scenario": "str",
+    "case": "str",
+    "eta0": "float",
+    "theta_true": "float",
+    "alpha_true": "float",
+    "beta_true": "float",
+    "n_z": "float",
+    "axis_x": "float",
+    "axis_y": "float",
+    "axis_z": "float",
+    "alpha_hat": "float",
+    "success_emp": "float",
+    "success_analytic": "float",
+    "success_oracle": "float",
+    "z_score": "float",
+    "shots_learn": "int",
+    "shots_holdout": "int",
+    "status": "str",
+}
+CSV_COLUMNS = tuple(_COLUMN_KINDS)
 
 # Stream layout v4: one stream per role, with stream id
 # _ID_STRIDE * (index of the role in _ROLES): ids 0, 3, 6, 9 and 12, the
@@ -246,9 +249,9 @@ def _rows(config: ExperimentConfig, cells: int) -> dict:
     def per_cell(key):
         return np.full(cells, getattr(config, key), dtype=float)
 
-    def per_row(value, convert=lambda v: v):
+    def per_row(value):
         # A swept field's value in each row's cell, else its one value.
-        return value[cell_of].tolist() if np.ndim(value) else convert(value)
+        return value[cell_of].tolist() if np.ndim(value) else value
 
     equal, constz = config.scenario == "equal-prior-xz", config.scenario == "const-z"
     axis_roles = ("axis0", "axis1", "axis2") if constz else ("axis0", "axis1")
@@ -270,7 +273,7 @@ def _rows(config: ExperimentConfig, cells: int) -> dict:
         plane = Plane.const_z(per_cell("nz")) if constz else _XZ
         frame = pauli_axes(plane)
         columns = {"case": case.tolist(), "eta0": per_row(config.eta0), "theta_true": per_row(config.theta),
-                   "beta_true": None, "n_z": per_row(config.nz, float) if constz else 0.0}
+                   "beta_true": None, "n_z": per_row(config.nz) if constz else 0.0}
     # Truth: each cell's success and oracle value, then the hidden spec of
     # each row, drawn from its cell with its case.
     _, analytic, oracle = two_fold_cell(eta0, theta, direction, plane)
@@ -355,42 +358,34 @@ def summarize(columns: dict[str, list]) -> dict:
     }
 
 
-def _kind(t: type) -> str:
-    """How a cell of type t is written: as null, str, int or float."""
-    if t is type(None):
-        return "null"
-    if issubclass(t, str):
-        return "str"
-    if issubclass(t, (int, np.integer)):
-        return "int"
-    return "float"
+# The types a cell of each kind may have, None included, and their name in
+# the message that refuses any other type; a bool is no number here.
+_KIND_TYPES = {"int": ((int, np.integer, type(None)), "integers"), "str": ((str, type(None)), "strings"),
+               "float": ((int, float, np.integer, np.floating, type(None)), "real numbers")}
 
 
 def _is_shared(column: list) -> bool:
-    """Whether every cell of a column is written as its first is: all equal,
-    of one type, and of one sign at zero (0.0 == -0.0, 1 == 1.0)."""
+    """Whether every cell of a column is written as its first is: all equal
+    (1 == 1.0, written alike by the column's kind) and of one sign at zero
+    (0.0 == -0.0)."""
     first = column[0]
-    if column.count(first) != len(column) or len(set(map(type, column))) > 1:
-        return False
-    return bool(first) or _kind(type(first)) != "float" or len({math.copysign(1.0, x) for x in column}) == 1
+    return column.count(first) == len(column) and (first != 0 or len({math.copysign(1.0, x) for x in column}) == 1)
 
 
-# CSV: empty for None (%.0s consumes the cell and writes nothing), strings
-# as they are, integers in full, anything else as a float at 12
-# significant digits.  No cell needs quoting: floats and integers hold no
-# comma, quote or newline, and render_results checks that no string does.
-_CSV_SPEC = {"null": "%.0s", "str": "%s", "int": "%d", "float": "%.12g"}
+# CSV: empty for None, strings as they are, integers in full, and floats at
+# 12 significant digits.  No cell needs quoting: numbers hold no comma,
+# quote or newline, and render_results checks that no string does.
+_CSV_SPEC = {"str": "%s", "int": "%d", "float": "%.12g"}
 
 
-def _csv_column(column: list) -> tuple[str, list]:
+def _csv_column(column: list, kind: str, types: set) -> tuple[str, list]:
     """The spec of a varying CSV column in the row template, and the cells
-    that fill it: the column itself under its kind's spec when it holds
-    one kind, else the text of each cell under %s (a column with None, or
-    with an integer in a float field)."""
-    kinds = {_kind(t) for t in set(map(type, column))}
-    if len(kinds) == 1 and "null" not in kinds:
-        return _CSV_SPEC[kinds.pop()], column
-    return "%s", [_CSV_SPEC[_kind(type(v))] % v for v in column]
+    that fill it: the column itself under its kind's spec, or, when it holds
+    None, the text of each cell under %s."""
+    spec = _CSV_SPEC[kind]
+    if type(None) not in types:
+        return spec, column
+    return "%s", ["" if v is None else spec % v for v in column]
 
 
 # JSON: the text json.dumps(indent=2) writes for each cell; a float is the
@@ -414,13 +409,7 @@ def _json_float(x) -> str:
     return text if "." in text else text + ".0"
 
 
-_JSON_CELL = {
-    "null": lambda v: "null",
-    "str": encode_basestring_ascii,
-    "int": "%d".__mod__,
-    "float": _json_float,
-}
-# A column of one kind (and None) is written in one comprehension.  A float
+# Each kind's column (and None) is written in one comprehension.  A float
 # '%.12g' text with a point and no exponent is already its JSON text, and
 # one with neither (nor the n of nan or inf) is a whole number that only
 # lacks its '.0' (_json_float).
@@ -438,26 +427,19 @@ _JSON_COLUMN = {
 _JSON_OBJECT = "  {\n" + ",\n".join(f"    {encode_basestring_ascii(k)}: %s" for k in CSV_COLUMNS) + "\n  }"
 
 
-def _json_column(column: list) -> list:
-    """The JSON text of each cell of a column."""
-    kinds = {_kind(t) for t in set(map(type, column))} - {"null"}
-    if len(kinds) == 1:
-        return _JSON_COLUMN[kinds.pop()](column)
-    # Cells of several kinds (an integer in a float field): each by its own.
-    return [_JSON_CELL[_kind(type(v))](v) for v in column]
-
-
 def render_results(columns: dict[str, list], fmt: str = "csv") -> str:
     """Render the CSV_COLUMNS of a result record to CSV or JSON text; both
     carry the same fields, floats at 12 significant digits, empty/null for
     inapplicable values.
 
-    The bytes are those of csv.writer (lineterminator "\\n") and of
-    json.dumps(indent=2) over the rows' cells.  A column whose cells are
-    all written alike is written once, into the row template; each row is
-    then one %-format over its varying cells.  CSV builds that template
-    once, from the kind of each varying column, and JSON formats those
-    cells a column at a time."""
+    Each column's kind (_COLUMN_KINDS) decides how its cells are written: a
+    float column writes any real number, a Python or numpy int or float, as
+    a float; an integer column takes integers, a text column strings, and
+    any cell may be None.  A cell of another type is refused, its column
+    named.  The bytes are those of csv.writer (lineterminator "\\n") and of
+    json.dumps(indent=2) over the cells so written.  A column whose cells
+    are all written alike is written once, into the row template; each row
+    is then one %-format over the cells of the other columns."""
     table = [columns[name] for name in CSV_COLUMNS]
     if len(set(map(len, table))) > 1:
         raise ContractViolation("the columns of a result record differ in length")
@@ -465,13 +447,22 @@ def render_results(columns: dict[str, list], fmt: str = "csv") -> str:
         raise ContractViolation("no result rows to emit")
     if fmt not in FORMATS:
         raise ContractViolation(f"format must be one of {FORMATS}, got {fmt!r}")
-    write = (lambda v: _CSV_SPEC[_kind(type(v))] % v) if fmt == "csv" else (lambda v: _JSON_CELL[_kind(type(v))](v))
+    types = [set(map(type, c)) for c in table]
+    kinds = _COLUMN_KINDS.values()
+    for name, kind, column, t in zip(CSV_COLUMNS, kinds, table, types):
+        allowed, what = _KIND_TYPES[kind]
+        wrong = {u for u in t if u is bool or not issubclass(u, allowed)}
+        if wrong:
+            bad = next(v for v in column if type(v) in wrong)
+            raise ContractViolation(f"the {name} column holds {what}, got {bad!r}")
+    write = (lambda v, kind: "" if v is None else _CSV_SPEC[kind] % v) if fmt == "csv" else (
+        lambda v, kind: _JSON_COLUMN[kind]((v,))[0])
     # The text of each shared column, % escaped for the row template.
-    shared = [write(c[0]).replace("%", "%%") if _is_shared(c) else None for c in table]
-    varying = [c for c, text in zip(table, shared) if text is None]
+    shared = [write(c[0], kind).replace("%", "%%") if _is_shared(c) else None for c, kind in zip(table, kinds)]
+    varying = [(c, kind, t) for c, kind, t, text in zip(table, kinds, types, shared) if text is None]
     # With no varying column, every row is the template itself.
     if fmt == "csv":
-        specs, cells = zip(*map(_csv_column, varying)) if varying else ((), ())
+        specs, cells = zip(*(_csv_column(*v) for v in varying)) if varying else ((), ())
         spec = iter(specs)
         template = ",".join(next(spec) if text is None else text for text in shared)
         rows = zip(*cells) if cells else [()] * len(table[0])
@@ -483,7 +474,7 @@ def render_results(columns: dict[str, list], fmt: str = "csv") -> str:
             raise ContractViolation("a string cell holds a comma, quote or newline")
         return text
     template = _JSON_OBJECT % tuple("%s" if text is None else text for text in shared)
-    rows = zip(*map(_json_column, varying)) if varying else [()] * len(table[0])
+    rows = zip(*(_JSON_COLUMN[kind](c) for c, kind, _ in varying)) if varying else [()] * len(table[0])
     return "[\n" + ",\n".join([template % c for c in rows]) + "\n]\n"
 
 

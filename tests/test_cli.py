@@ -388,7 +388,7 @@ class TestUsage:
         assert path.exists()
 
     def test_library_bug_is_not_a_config_error(self, monkeypatch):
-        # Only DiscriminationError maps to exit 2; anything else is a bug and
+        # Only ContractViolation maps to exit 2; anything else is a bug and
         # must surface with its traceback.
         def broken(config):
             raise TypeError("library bug")

@@ -28,7 +28,7 @@ from povmlearn.decomposition import (
 from povmlearn.ensemble import EnsembleSpec, RngStream, pauli_axes
 from povmlearn.errors import ContractViolation
 from povmlearn.evaluate import classify_holdout, score
-from povmlearn.experiment import ExperimentConfig, sweep
+from povmlearn.experiment import FORMATS, SCENARIOS, ExperimentConfig, render_results, run_experiment, sweep
 from povmlearn.selfcheck import invariant_battery, oracle_battery
 
 from helpers import frame_generators
@@ -53,8 +53,9 @@ INTEGER = {"seed", "shots", "trials", "instances", "stream_id"}
 # Bad values of each name, on both sides of its domain where it has two.
 BAD = {
     "alpha": (math.nan, math.inf, -math.inf),
-    "phi0": (math.nan, -math.inf, "0.5"),
-    "direction": (math.nan, math.inf, -math.inf, "x"),
+    # An int too large for a double is not finite.
+    "phi0": (math.nan, -math.inf, "0.5", 10**400),
+    "direction": (math.nan, math.inf, -math.inf, "x", -(10**400)),
     "eta0": (0.0, 1.0, -0.2, math.nan),
     "prior": (-0.1, 1.5, math.nan),
     "beta": (-1e-13, 2.0, math.nan),
@@ -134,7 +135,14 @@ def small(scenario, **fields):
 CASES = [(name, bad) for name, values in BAD.items() for bad in values]
 
 
-@pytest.mark.parametrize("name, bad", CASES)
+def case_id(value):
+    """A short test id for a power of ten of hundreds of digits, else pytest's own."""
+    if type(value) is int and abs(value) > 2**64:
+        return f"{'-' if value < 0 else ''}10**{len(str(abs(value))) - 1}"
+    return None
+
+
+@pytest.mark.parametrize("name, bad", CASES, ids=case_id)
 def test_check_domain_message(name, bad):
     refused(lambda: check_domain(name, bad), message(name, bad))
     # A real parameter's numeric column names its bad row; any other
@@ -144,7 +152,7 @@ def test_check_domain_message(name, bad):
     refused(lambda: check_domain(name, column), message(name, column if whole else bad))
 
 
-@pytest.mark.parametrize("name, bad", [(n, b) for n, b in CASES if n in CONFIG_SCENARIO])
+@pytest.mark.parametrize("name, bad", [(n, b) for n, b in CASES if n in CONFIG_SCENARIO], ids=case_id)
 def test_config_gives_the_message(name, bad):
     refused(small(CONFIG_SCENARIO[name], **{name: bad}).validate, message(name, bad))
 
@@ -172,7 +180,7 @@ def test_swept_column_names_its_first_bad_value(name):
     refused(lambda: sweep(small(scenario), {name: [column[0], second, first]}), message(name, second))
 
 
-@pytest.mark.parametrize("name, bad", [(n, b) for n, b in CASES if n in LIBRARY])
+@pytest.mark.parametrize("name, bad", [(n, b) for n, b in CASES if n in LIBRARY], ids=case_id)
 def test_library_gives_the_message(name, bad):
     for call in LIBRARY[name]:
         refused(lambda: call(bad), message(name, bad))
@@ -195,7 +203,30 @@ def test_two_fold_spec_refuses_a_slightly_negative_theta_as_the_config_does():
     refused(lambda: two_fold_spec(0.6, -1e-13, 0.3, "A"), "theta must lie in [0, pi], got -1e-13")
 
 
+@pytest.mark.parametrize("name", ["alpha", "phi0", "direction", "eta0", "prior", "beta", "theta", "nz"])
+@pytest.mark.parametrize("bad", [[[0.1], [0.2, 0.3]], 10**400, -(10**400)], ids=["ragged", "10**400", "-10**400"])
+def test_a_real_parameter_refuses_what_a_double_array_cannot_hold(name, bad):
+    # numpy would raise its own ValueError or TypeError on these.
+    refused(lambda: check_domain(name, bad), message(name, bad))
+
+
+def test_the_config_refuses_a_ragged_column():
+    refused(small("unequal-prior-xz", eta0=[[0.1], [0.2, 0.3]]).validate,
+            "eta0 must lie in (0, 1), got [[0.1], [0.2, 0.3]]")
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_an_integer_angle_that_a_double_holds_runs_as_that_double(scenario):
+    # 2**64 is beyond numpy's integer types; it is finite all the same.
+    runs = [run_experiment(small(scenario, alpha=alpha, phi0=alpha, trials=3)) for alpha in (2**64, float(2**64))]
+    for fmt in FORMATS:
+        assert render_results(runs[0], fmt) == render_results(runs[1], fmt)
+
+
 def test_the_domain_edges_are_accepted():
+    check_domain("alpha", 2**64)
+    check_domain("phi0", 2**64)
+    check_domain("direction", 10**20)
     check_domain("theta", np.array([0.0, math.pi, math.pi + 1e-12]))
     check_domain("beta", np.array([0.0, math.pi / 2, math.pi / 2 + 1e-12]))
     check_domain("nz", np.array([-0.999, 0.0, 0.999]))

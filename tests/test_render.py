@@ -7,7 +7,9 @@ alike once, into the row template, and fills that template row by row with
 the cells of the other columns.  It must give the same bytes for every record,
 including every pattern of empty cells the four statuses produce, floats at
 the edges of the double range, and columns whose cells are equal but not
-written alike (0.0 and -0.0, 1 and 1.0).
+written alike (0.0 and -0.0).  Each column's kind decides how its cells are
+written: an integer in a float column is written as a float, and a cell of
+another kind is refused.
 """
 
 import csv
@@ -15,6 +17,7 @@ import functools
 import io
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +32,7 @@ from povmlearn.experiment import (
     FORMATS,
     SCENARIOS,
     ExperimentConfig,
+    _COLUMN_KINDS,
     _json_float,
     render_results,
     run_experiment,
@@ -52,26 +56,27 @@ def record(**cells) -> dict:
 
 
 # --- reference renderer -----------------------------------------------------
+# The kind of each column, as the README's output schema states it.
+
+INT_COLUMNS = ("trial", "shots_learn", "shots_holdout")
+TEXT_COLUMNS = ("scenario", "case", "status")
+KIND = {name: "int" if name in INT_COLUMNS else "str" if name in TEXT_COLUMNS else "float" for name in CSV_COLUMNS}
 
 
 def _fmt_float(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _csv_cell(value) -> str:
+def _csv_cell(name, value) -> str:
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _fmt_float(value)
+    return {"str": str, "int": lambda v: str(int(v)), "float": _fmt_float}[KIND[name]](value)
 
 
-def _json_value(value):
-    if value is None or isinstance(value, (str, int, np.integer)):
-        return int(value) if isinstance(value, np.integer) else value
-    return float(_fmt_float(value))
+def _json_value(name, value):
+    if value is None:
+        return None
+    return {"str": str, "int": int, "float": lambda v: float(_fmt_float(v))}[KIND[name]](value)
 
 
 def reference_render(columns: dict, fmt: str) -> str:
@@ -81,9 +86,9 @@ def reference_render(columns: dict, fmt: str) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for rec in records:
-            writer.writerow([_csv_cell(getattr(rec, k)) for k in CSV_COLUMNS])
+            writer.writerow([_csv_cell(k, getattr(rec, k)) for k in CSV_COLUMNS])
         return buf.getvalue()
-    payload = [{k: _json_value(getattr(rec, k)) for k in CSV_COLUMNS} for rec in records]
+    payload = [{k: _json_value(k, getattr(rec, k)) for k in CSV_COLUMNS} for rec in records]
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -201,7 +206,7 @@ floats = st.one_of(
 float_cells = floats | floats.map(np.float64)
 int_cells = st.integers(0, 2**63 - 1) | st.integers(0, 2**63 - 1).map(np.int64)
 # A float field may also hold an integer (ExperimentConfig(theta=1) from a
-# library caller); it is written as an integer.
+# library caller); it is written as a float.
 number_cells = float_cells | int_cells
 
 FLOAT_FIELDS = (
@@ -240,25 +245,35 @@ def test_generated_rows_match_reference(columns):
 
 # --- repeated values ---------------------------------------------------------
 # A column whose cells are all written alike is written once.  Equal cells
-# are not always written alike: 0.0 and -0.0, 1 and 1.0 (and np.int64(1)
-# and np.float64(1.0)) compare equal, and NaN is not equal to itself, even
-# when one NaN object fills a column.  The strings hold a '%' for the row
-# template to escape.
+# are not always written alike: 0.0 and -0.0 compare equal, and NaN is not
+# equal to itself, even when one NaN object fills a column.  Equal cells of
+# other types are written alike by their column's kind: 1 and 1.0 (and
+# np.int64(1) and np.float64(1.0)) in a float column.  The strings hold a
+# '%' for the row template to escape.
 
 _NAN = math.nan
-POOL = (0.0, -0.0, 1, 1.0, np.int64(1), np.float64(1.0), _NAN, np.float64("nan"), None, 0.5, "A", "5%", "%s")
-pool_cells = st.sampled_from(POOL) | st.builds(float, st.just("nan"))
+POOL = {
+    "float": (0.0, -0.0, 1, 1.0, np.int64(1), np.float64(1.0), _NAN, np.float64("nan"), None, 0.5),
+    "int": (0, 1, np.int64(1), np.int64(0), 2**63 - 1, None),
+    "str": ("A", "5%", "%s", None),
+}
+pool_cells = {
+    "float": st.sampled_from(POOL["float"]) | st.builds(float, st.just("nan")),
+    "int": st.sampled_from(POOL["int"]),
+    "str": st.sampled_from(POOL["str"]),
+}
 
 
 @st.composite
 def repeated_records(draw) -> dict:
-    """A record of 1-40 rows whose every column holds two cells of POOL (or
-    a NaN of its own), each object in the rows a bit mask picks, so that
-    many columns repeat one value or one object."""
+    """A record of 1-40 rows whose every column holds two cells of its
+    kind's POOL (or a NaN of its own), each object in the rows a bit mask
+    picks, so that many columns repeat one value or one object."""
     n = draw(st.integers(1, 40))
     columns = {}
     for name in CSV_COLUMNS:
-        first, other, mask = draw(pool_cells), draw(pool_cells), draw(st.integers(0, 2**n - 1))
+        cells = pool_cells[KIND[name]]
+        first, other, mask = draw(cells), draw(cells), draw(st.integers(0, 2**n - 1))
         columns[name] = [other if mask >> i & 1 else first for i in range(n)]
     return columns
 
@@ -281,13 +296,15 @@ def test_all_shared_record(fmt, rows):
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize(
-    "first, last",
-    [(0.0, -0.0), (-0.0, 0.0), (1.0, 1), (1, 1.0), (np.float64(1.0), np.int64(1)), (0.5, None), (None, 0.5),
-     ("A", "B"), (_NAN, float("nan"))],
+    "kind, first, last",
+    [("float", 0.0, -0.0), ("float", -0.0, 0.0), ("float", 1.0, 1), ("float", 1, 1.0),
+     ("float", np.float64(1.0), np.int64(1)), ("float", 0.5, None), ("float", None, 0.5),
+     ("float", _NAN, float("nan")), ("int", 1, np.int64(1)), ("int", 3, None), ("str", "A", "B"),
+     ("str", None, "A")],
 )
-def test_column_shared_but_for_its_last_row(fmt, first, last):
+def test_column_shared_but_for_its_last_row(fmt, kind, first, last):
     base = {k: [getattr(status_rows()[0], k)] * 50 for k in CSV_COLUMNS}
-    for name in CSV_COLUMNS:
+    for name in (k for k in CSV_COLUMNS if KIND[k] == kind):
         columns = {**base, name: [first] * 49 + [last]}
         assert render_results(columns, fmt) == reference_render(columns, fmt), name
 
@@ -317,6 +334,46 @@ def test_csv_rejects_a_string_cell_that_needs_quoting(text):
     r = record(trial=1, scenario="const-z", case="A", eta0=0.5, n_z=0.0, status=text)
     with pytest.raises(ContractViolation):
         render_results(r, "csv")
+
+
+# --- column kinds --------------------------------------------------------------
+
+
+def test_schema_kinds_are_the_renderers():
+    assert KIND == _COLUMN_KINDS
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("grid", [{"theta": [1]}, {"alpha": [0]}, {"theta": [1], "alpha": [0]}])
+def test_run_and_its_one_cell_sweep_write_equal_bytes(fmt, grid):
+    # A library caller's integer theta is a float like the swept 1.0.
+    config = ExperimentConfig(scenario="unequal-prior-xz", eta0=0.6, theta=1, alpha=0, trials=2, shots_learn=2000,
+                              shots_holdout=500, seed=1)
+    run = render_results(run_experiment(config), fmt)
+    assert run == render_results(sweep(config, grid), fmt)
+    assert run == reference_render(run_experiment(config), fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize(
+    "name, cell, text",
+    [
+        # '%d' would write 1.
+        ("shots_learn", 1.5, "the shots_learn column holds integers, got 1.5"),
+        ("trial", True, "the trial column holds integers, got True"),
+        ("eta0", "0.5", "the eta0 column holds real numbers, got '0.5'"),
+        ("alpha_hat", np.bool_(True), "the alpha_hat column holds real numbers, got np.True_"),
+        ("status", 3, "the status column holds strings, got 3"),
+    ],
+)
+def test_a_cell_of_another_kind_is_refused_by_its_column(fmt, name, cell, text):
+    r = record(trial=1, scenario="const-z", case="A", eta0=0.5, n_z=0.0)
+    for place in range(3):
+        # The first such cell is named, wherever it sits and whatever follows it.
+        columns = {k: v * 3 for k, v in r.items()}
+        columns[name] = [*columns[name][:place], cell, *[None] * (2 - place)]
+        with pytest.raises(ContractViolation, match="^" + re.escape(text) + "$"):
+            render_results(columns, fmt)
 
 
 @settings(max_examples=1000)
@@ -385,8 +442,8 @@ def test_json_float_cases(value, text, kind):
 
 @pytest.mark.parametrize("value", [0, 7, -3, 2**53 + 1, np.int64(12)])
 def test_json_float_of_an_integer_value(value):
-    # A float field holding an integer is written as one (render_results),
-    # but the float writer itself must still agree with json.dumps.
+    # A float field holding an integer is written as a float (render_results),
+    # and the float writer agrees with json.dumps on it.
     assert _json_float(value) == json.dumps(float("%.12g" % value))
 
 

@@ -5,7 +5,14 @@ import io
 import re
 from pathlib import Path
 
-from povmlearn.experiment import CSV_COLUMNS, SCENARIOS, ExperimentConfig, render_results, run_experiment
+from povmlearn.experiment import (
+    CSV_COLUMNS,
+    SCENARIOS,
+    ExperimentConfig,
+    _COLUMN_KINDS,
+    render_results,
+    run_experiment,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -59,3 +66,12 @@ def test_scenario_only_columns_are_empty_elsewhere():
                 for name in names:
                     assert row[name] == "", f"{name} is set on a {row['scenario']} row"
     assert annotated >= 1
+
+
+def test_kinds_named_in_the_schema_are_those_the_code_writes():
+    section = " ".join(README.read_text().split("## Output schema", 1)[1].split("\n## ", 1)[0].split())
+    found = re.search(r"((?:`\w+`,? (?:and )?)+)are integers, and ((?:`\w+`,? (?:and )?)+)are text\.", section)
+    assert found is not None
+    named = {kind: re.findall(r"`(\w+)`", group) for kind, group in zip(("int", "str"), found.groups())}
+    assert {kind: [k for k, v in _COLUMN_KINDS.items() if v == kind] for kind in ("int", "str")} == named
+    assert set(_COLUMN_KINDS.values()) == {"int", "str", "float"}
