@@ -116,13 +116,28 @@ def check_unit(v, what: str = "vector") -> np.ndarray:
     return v
 
 
+# The number rule: the types of an integer, and of a real number (an
+# integer or a float).  A bool is neither, though Python's bool is an int.
+INTEGERS = (int, np.integer)
+REALS = (int, float, np.integer, np.floating)
+
+
+def shown(value) -> str:
+    """A refused value as a message writes it: a number as str writes it,
+    anything else by its repr, and a value too long to write (an int of
+    thousands of digits) by its type in angle brackets."""
+    try:
+        return str(value) if isinstance(value, REALS) else repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to write>"
+
+
 def _integer_in(low, high=math.inf):
-    """The test of an integer domain [low, high), which takes one integer: a
-    Python int of any size or a numpy integer.  A bool, a float, an array
-    or anything else fails."""
+    """The test of an integer domain [low, high), which takes one integer of
+    any size.  Anything else, an array included, fails."""
 
     def test(v):
-        return not isinstance(v, bool) and isinstance(v, (int, np.integer)) and low <= v < high
+        return not isinstance(v, bool) and isinstance(v, INTEGERS) and low <= v < high
 
     return test
 
@@ -130,16 +145,18 @@ def _integer_in(low, high=math.inf):
 def _real(test):
     """The test of a real domain: one flag per row of a number or an array
     of numbers.  A Python int is tested as the double that holds it.  A
-    value that is not numeric (a string, a ragged list, an int too large
-    for a double) fails whole."""
+    value that is not numeric (a bool, a string, a ragged list, an int too
+    large for a double) fails whole."""
 
     def checked(v):
+        if isinstance(v, bool):
+            return False
         try:
             if isinstance(v, int):
                 v = float(v)
-            elif not isinstance(v, (float, np.integer, np.floating)):
+            elif not isinstance(v, REALS):
                 v = np.asarray(v)
-                if v.dtype.kind not in "biuf":
+                if v.dtype.kind not in "iuf":
                     return False
         except (OverflowError, ValueError):
             return False
@@ -172,15 +189,13 @@ _DOMAINS = {
 def check_domain(name: str, value, label: str | None = None) -> None:
     """Refuse a value of the named parameter outside its domain: one number,
     or for a real parameter an array with one value per row, whose message
-    names the first bad value.  A value that fails whole, such as a string
-    or an array given for an integer, is shown by its repr.  The message
+    names the first bad value (shown).  A value that fails whole, such as a
+    string or an array given for an integer, is shown whole.  The message
     calls the parameter label, name by default."""
     test, domain = _DOMAINS[name]
     ok = test(value)
     if not every_row(ok):
-        bad = first_row(np.logical_not(ok), value)
-        shown = bad if isinstance(bad, (int, float, np.number, np.bool_)) else repr(bad)
-        raise ContractViolation(f"{label or name} must {domain}, got {shown}")
+        raise ContractViolation(f"{label or name} must {domain}, got {shown(first_row(np.logical_not(ok), value))}")
 
 
 # Per plane kind: the slice of a 3-vector's last axis that holds its plane

@@ -44,18 +44,17 @@ def correct_prob(spec: EnsembleSpec, axis: np.ndarray):
 
 def classify_holdout(spec: EnsembleSpec, axis, n_holdout: int, rng: np.random.Generator):
     """Measure n_holdout fresh labelled qubits along a unit axis (one axis
-    per row for a batch, or one shared by every row) and return how many
-    were classified correctly, one count per row.
+    per row of the spec) and return how many were classified correctly, one
+    count per row.
 
     Every qubit is correct independently with probability correct_prob, so
     the count is one draw of Binomial(n_holdout, correct_prob): exactly the
     distribution of drawing the hidden label and then the outcome qubit by
-    qubit, from one binomial call on the single generator `rng`.  A shared
-    axis is checked once and broadcast over the rows.
+    qubit, from one binomial call on the single generator `rng`.
     """
     axis = np.asarray(axis, dtype=float)
-    if axis.shape != spec.psi0.shape and axis.shape != (3,):
-        raise ContractViolation(f"classification axis must be one 3-vector or one per row, got shape {axis.shape}")
+    if axis.shape != spec.psi0.shape:
+        raise ContractViolation(f"classification axis must be one 3-vector per row of the spec, got shape {axis.shape}")
     axis = check_unit(axis, "classification axis")
     check_domain("shots", n_holdout)
     return rng.binomial(int(n_holdout), correct_prob(spec, axis))

@@ -53,7 +53,18 @@ from typing import Sequence
 
 import numpy as np
 
-from povmlearn.bloch import UNIT_X, Plane, any_row, check_domain, plane_angle, reduce_angle, row_norm
+from povmlearn.bloch import (
+    INTEGERS,
+    REALS,
+    UNIT_X,
+    Plane,
+    any_row,
+    check_domain,
+    plane_angle,
+    reduce_angle,
+    row_norm,
+    shown,
+)
 from povmlearn.decomposition import (
     EPS_CLAMP,
     cos_theta,
@@ -323,6 +334,13 @@ def sweep(base: ExperimentConfig, grid: dict[str, Sequence[float]]) -> dict[str,
     unknown = set(grid) - set(keys)
     if unknown:
         raise ContractViolation(f"cannot sweep over {sorted(unknown)}")
+    # Each swept value is one number, checked as given, as the config field
+    # would be, before it is read as a double.
+    for k in keys:
+        for v in grid[k]:
+            check_domain(k, v)
+            if np.ndim(v):
+                raise ContractViolation(f"a swept {k} value must be one number, got {shown(v)}")
     combos = list(itertools.product(*([float(v) for v in grid[k]] for k in keys)))
     # Each swept field holds its column, one value per cell, and the whole
     # config is validated once, also when a column is empty.
@@ -360,8 +378,8 @@ def summarize(columns: dict[str, list]) -> dict:
 
 # The types a cell of each kind may have, None included, and their name in
 # the message that refuses any other type; a bool is no number here.
-_KIND_TYPES = {"int": ((int, np.integer, type(None)), "integers"), "str": ((str, type(None)), "strings"),
-               "float": ((int, float, np.integer, np.floating, type(None)), "real numbers")}
+_KIND_TYPES = {"int": ((*INTEGERS, type(None)), "integers"), "str": ((str, type(None)), "strings"),
+               "float": ((*REALS, type(None)), "real numbers")}
 
 
 def _is_shared(column: list) -> bool:
@@ -452,9 +470,12 @@ def render_results(columns: dict[str, list], fmt: str = "csv") -> str:
     for name, kind, column, t in zip(CSV_COLUMNS, kinds, table, types):
         allowed, what = _KIND_TYPES[kind]
         wrong = {u for u in t if u is bool or not issubclass(u, allowed)}
-        if wrong:
-            bad = next(v for v in column if type(v) in wrong)
-            raise ContractViolation(f"the {name} column holds {what}, got {bad!r}")
+        # A float column writes an int as a double, which a huge int outgrows.
+        huge = kind == "float" and int in t
+        if wrong or huge:
+            for v in column:
+                if type(v) in wrong or huge and type(v) is int and abs(v) > sys.float_info.max:
+                    raise ContractViolation(f"the {name} column holds {what}, got {shown(v)}")
     write = (lambda v, kind: "" if v is None else _CSV_SPEC[kind] % v) if fmt == "csv" else (
         lambda v, kind: _JSON_COLUMN[kind]((v,))[0])
     # The text of each shared column, % escaped for the row template.

@@ -348,6 +348,17 @@ def test_import_does_not_load_numpy_random():
     assert result.stdout.strip() == "False"
 
 
+def test_package_holds_no_names_and_a_module_loads_only_its_imports():
+    # Each name is imported from its module: the package namespace holds
+    # only __version__, and importing one module runs no other but its own
+    # imports.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = ("import sys, povmlearn; print(sorted(n for n in vars(povmlearn) if not n.startswith('_')))\n"
+            "import povmlearn.bloch; print(sorted(m for m in sys.modules if m.split('.')[0] == 'povmlearn'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines() == ["[]", "['povmlearn', 'povmlearn.bloch', 'povmlearn.errors']"]
+
+
 def test_parser_does_not_load_selfcheck():
     # Only oracle-check and selftest run the batteries, so a run or sweep
     # process never compiles selfcheck.

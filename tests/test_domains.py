@@ -52,15 +52,15 @@ INTEGER = {"seed", "shots", "trials", "instances", "stream_id"}
 
 # Bad values of each name, on both sides of its domain where it has two.
 BAD = {
-    "alpha": (math.nan, math.inf, -math.inf),
-    # An int too large for a double is not finite.
+    # An int too large for a double is not finite, and a bool is no number.
+    "alpha": (math.nan, math.inf, -math.inf, 10**400, True),
     "phi0": (math.nan, -math.inf, "0.5", 10**400),
     "direction": (math.nan, math.inf, -math.inf, "x", -(10**400)),
-    "eta0": (0.0, 1.0, -0.2, math.nan),
+    "eta0": (0.0, 1.0, -0.2, math.nan, "0.6"),
     "prior": (-0.1, 1.5, math.nan),
     "beta": (-1e-13, 2.0, math.nan),
     "theta": (-1e-13, 3.5, math.nan),
-    "nz": (-1.0, 1.0, 1.5, math.nan),
+    "nz": (-1.0, 1.0, 1.5, math.nan, np.True_),
     # An integer is one number: a 0-d or a longer array is refused whole.
     "seed": (-1, 1.5, True, np.array(3)),
     # A float or a bool budget is refused as given, never truncated first.
@@ -146,9 +146,9 @@ def case_id(value):
 def test_check_domain_message(name, bad):
     refused(lambda: check_domain(name, bad), message(name, bad))
     # A real parameter's numeric column names its bad row; any other
-    # column is refused whole.
+    # column, a bool one included, is refused whole.
     column = np.array([bad])
-    whole = name in INTEGER or column.dtype.kind not in "biuf"
+    whole = name in INTEGER or column.dtype.kind not in "iuf"
     refused(lambda: check_domain(name, column), message(name, column if whole else bad))
 
 
@@ -164,7 +164,7 @@ def test_config_refuses_what_is_not_one_number_where_an_integer_is_due():
 
 
 @pytest.mark.parametrize("place", [0, 1, 2])
-@pytest.mark.parametrize("name, bad", [(n, b) for n, b in CASES if n in SWEPT])
+@pytest.mark.parametrize("name, bad", [(n, b) for n, b in CASES if n in SWEPT], ids=case_id)
 def test_swept_column_gives_the_message_at_every_place(name, bad, place):
     scenario, column = SWEPT[name]
     column = list(column)
@@ -215,12 +215,36 @@ def test_the_config_refuses_a_ragged_column():
             "eta0 must lie in (0, 1), got [[0.1], [0.2, 0.3]]")
 
 
+@pytest.mark.parametrize("bad", [[[0.1], [0.2, 0.3]], "0.6", True, 10**400], ids=["ragged", "text", "bool", "10**400"])
+def test_a_swept_value_is_refused_as_the_config_field_is(bad):
+    # The value reaches the domain table as given, never read as a double first.
+    refused(lambda: sweep(small("unequal-prior-xz"), {"eta0": [0.6, bad]}), message("eta0", bad))
+    refused(small("unequal-prior-xz", eta0=bad).validate, message("eta0", bad))
+
+
+def test_a_swept_value_is_one_number():
+    refused(lambda: sweep(small("unequal-prior-xz"), {"eta0": [[0.6, 0.7]]}),
+            "a swept eta0 value must be one number, got [0.6, 0.7]")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_domain("alpha", 10**5000),
+    small("const-z", alpha=10**5000).validate,
+    lambda: sweep(small("const-z"), {"alpha": [10**5000]}),
+], ids=["check_domain", "config", "sweep"])
+def test_an_int_too_long_to_write_is_shown_by_its_type(call):
+    refused(call, "alpha must be finite, got <int too long to write>")
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_an_integer_angle_that_a_double_holds_runs_as_that_double(scenario):
-    # 2**64 is beyond numpy's integer types; it is finite all the same.
+    # 2**64 is beyond numpy's integer types; it is finite all the same,
+    # as a config field and as a swept value.
     runs = [run_experiment(small(scenario, alpha=alpha, phi0=alpha, trials=3)) for alpha in (2**64, float(2**64))]
     for fmt in FORMATS:
         assert render_results(runs[0], fmt) == render_results(runs[1], fmt)
+    swept = [sweep(small(scenario, trials=3), {"alpha": [alpha]}) for alpha in (2**64, float(2**64))]
+    assert render_results(swept[0]) == render_results(swept[1])
 
 
 def test_the_domain_edges_are_accepted():

@@ -78,6 +78,15 @@ class TestClassifyHoldout:
         with pytest.raises(ContractViolation, match="classification axis"):
             classify_holdout(equal_spec(), [0.5, 0, 0], 10, RngStream(0).generator())
 
+    def test_batch_takes_one_axis_per_row(self):
+        # A batch's axis is one 3-vector per row of its spec; one 3-vector
+        # for a two-row spec is refused.
+        spec = equal_spec()
+        rows = EnsembleSpec(np.full(2, 0.5), np.tile(spec.psi0, (2, 1)), np.tile(spec.psi1, (2, 1)), Plane.xz())
+        with pytest.raises(ContractViolation, match=r"^classification axis must be one 3-vector per row of the spec, "
+                                                    r"got shape \(3,\)$"):
+            classify_holdout(rows, [0.0, 0.0, 1.0], 10, RngStream(0).generator())
+
     def test_count_is_one_binomial_of_the_correct_prob(self):
         # One binomial call of the whole budget, at the labelled two-term
         # probability, on the one generator.
@@ -123,7 +132,7 @@ class TestCorrectProb:
             assert correct_prob(spec, np.array(axis)) == pytest.approx(reference_prob(spec, axis), abs=1e-15)
 
     def test_count_has_the_binomial_mean_and_variance(self):
-        # Over 10^5 rows at one spec and one shared axis, the correct count's
+        # Over 10^5 rows at one spec and one axis, the correct count's
         # sample mean and variance lie within 5 Monte Carlo standard errors
         # of n p and n p (1 - p), with p the labelled two-term probability.
         pair = equal_spec(beta=0.4)
@@ -132,7 +141,7 @@ class TestCorrectProb:
         shots, rows = 50, 100_000
         many = EnsembleSpec(np.full(rows, 0.7), np.tile(spec.psi0, (rows, 1)), np.tile(spec.psi1, (rows, 1)),
                             Plane.xz())
-        counts = classify_holdout(many, axis, shots, RngStream(31).generator())
+        counts = classify_holdout(many, np.broadcast_to(axis, many.psi0.shape), shots, RngStream(31).generator())
         assert counts.shape == (rows,)
         p = reference_prob(spec, axis)
         mean, var = shots * p, shots * p * (1 - p)
@@ -241,5 +250,3 @@ class TestScoreRows:
         assert long.shape == (3,)
         assert np.all((0 <= long) & (long <= 500))
         assert classify_holdout(rows(2), axes[:2], 500, RngStream(4, 9).generator()).tolist() == long[:2].tolist()
-        shared = classify_holdout(rows(3), axes[0], 500, RngStream(4, 9).generator())
-        assert shared.shape == (3,) and shared[0] == long[0]

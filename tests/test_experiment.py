@@ -67,17 +67,20 @@ class TestConfigValidation:
             run_experiment(ExperimentConfig(**{name: value}))
 
     def test_sweep_checks_each_field_once(self, monkeypatch):
-        # The whole config is validated once, each swept field as its column
-        # of 64000 cells; a budget is checked under its own name.
+        # Each swept value is checked once as given, then the whole config
+        # once, each swept field as its column of 64000 cells; a budget is
+        # checked under its own name.
         calls = count_calls(monkeypatch, "check_domain")
         base = ExperimentConfig(scenario="unequal-prior-xz", trials=1, shots_learn=100, shots_holdout=100)
         columns = {key: np.linspace(low, high, 40) for key, low, high in
                    [("eta0", 0.1, 0.9), ("theta", 0.1, 3.0), ("alpha", 0.0, 6.0)]}
         assert len(sweep(base, columns)["trial"]) == 40**3
-        names = [args[2] if len(args) > 2 else args[0] for args in calls]
+        values, config = calls[:120], calls[120:]
+        assert values == [(key, v) for key, column in columns.items() for v in column]
+        names = [args[2] if len(args) > 2 else args[0] for args in config]
         fields = ("shots_learn", "shots_holdout", "trials", "seed", "alpha", "phi0", "eta0", "beta", "theta", "nz")
         assert sorted(names) == sorted(fields)
-        assert [np.size(args[1]) for args in calls if args[0] in columns] == [40**3] * 3
+        assert [np.size(args[1]) for args in config if args[0] in columns] == [40**3] * 3
 
     def test_empty_sweep_still_validates(self):
         # A sweep with an empty column has no cell, but its config is checked.

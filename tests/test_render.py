@@ -364,6 +364,8 @@ def test_run_and_its_one_cell_sweep_write_equal_bytes(fmt, grid):
         ("eta0", "0.5", "the eta0 column holds real numbers, got '0.5'"),
         ("alpha_hat", np.bool_(True), "the alpha_hat column holds real numbers, got np.True_"),
         ("status", 3, "the status column holds strings, got 3"),
+        # A number is shown as the domain table shows it (bloch.shown).
+        ("shots_holdout", np.float64(2.5), "the shots_holdout column holds integers, got 2.5"),
     ],
 )
 def test_a_cell_of_another_kind_is_refused_by_its_column(fmt, name, cell, text):
@@ -374,6 +376,19 @@ def test_a_cell_of_another_kind_is_refused_by_its_column(fmt, name, cell, text):
         columns[name] = [*columns[name][:place], cell, *[None] * (2 - place)]
         with pytest.raises(ContractViolation, match="^" + re.escape(text) + "$"):
             render_results(columns, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("huge, text", [(10**400, str(10**400)), (-(10**5000), "<int too long to write>")],
+                         ids=["10**400", "-10**5000"])
+def test_a_float_column_refuses_an_int_beyond_every_double(fmt, huge, text):
+    # '%.12g' would raise OverflowError on it; an int that a double holds
+    # before it is written as that double.
+    columns = {k: v * 3 for k, v in record(trial=1, scenario="const-z", case="A", eta0=0.5, n_z=0.0).items()}
+    columns["eta0"] = [0.5, 2**64, huge]
+    message = f"the eta0 column holds real numbers, got {text}"
+    with pytest.raises(ContractViolation, match="^" + re.escape(message) + "$"):
+        render_results(columns, fmt)
 
 
 @settings(max_examples=1000)
