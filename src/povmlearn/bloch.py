@@ -242,22 +242,25 @@ class Plane:
     def embed(self, first, second) -> np.ndarray:
         """The 3-vectors in the plane with plane coordinates (first, second):
         one vector for two numbers, one per row for two columns.  The
-        coordinates are written straight into zeroed vectors, then a
-        constant-z plane's nz as the offset component."""
+        coordinates are written straight into zeroed vectors, then nz (0.0
+        on the x-z plane) as the offset component."""
         out = np.zeros((*np.broadcast(first, second).shape, 3))
         u = self.coords(out)
         u[..., 0], u[..., 1] = first, second
-        if self.kind == "constz":
-            out[..., 2] = self.nz
+        out[..., _PLANE_SLOTS[self.kind][1]] = self.nz
         return out
 
     def on_plane(self, v):
-        """Whether v lies in the plane, within EPS_PHYS: a flag for one
-        vector, one per row."""
-        off = np.asarray(v, dtype=float)[..., _PLANE_SLOTS[self.kind][1]]
-        if self.kind == "constz":
-            off = off - self.nz
-        return abs(off) <= EPS_PHYS
+        """Whether v lies in the plane, its offset within EPS_PHYS of nz: a flag per vector (row)."""
+        return abs(np.asarray(v, dtype=float)[..., _PLANE_SLOTS[self.kind][1]] - self.nz) <= EPS_PHYS
+
+    def check(self, v, what: str) -> np.ndarray:
+        """Return v as a float array once it lies in the plane (on_plane); else refuse its first row off it."""
+        v = np.asarray(v, dtype=float)
+        ok = self.on_plane(v)
+        if not every_row(ok):
+            raise ContractViolation(f"{what} {first_row(np.logical_not(ok), v)} does not lie in the {self.kind} plane")
+        return v
 
 
 def bloch_from_state_angle(gamma) -> np.ndarray:

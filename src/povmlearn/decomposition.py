@@ -85,12 +85,7 @@ def _slice_coords(n, plane: Plane):
     direction (or holding NaN), alone or as a row, gets |u|^2 = NaN, and so
     NaN in every value derived from it.
     """
-    n = np.asarray(n, dtype=float)
-    ok = plane.on_plane(n)
-    if not every_row(ok):
-        bad = first_row(np.logical_not(ok), n)
-        raise ContractViolation(f"ensemble vector {bad} does not lie in the {plane.kind} plane")
-    u = plane.coords(n)
+    u = plane.coords(plane.check(n, "ensemble vector"))
     uu = self_dot(u)
     r, radius = np.sqrt(uu), np.sqrt(plane.radius_sq)
     over = r > radius * (1.0 + EPS_CLAMP)

@@ -3,12 +3,12 @@
 An EnsembleSpec is the ground truth of a simulation: two pure Bloch vectors
 with prior probabilities, confined to a declared plane, for one ensemble or
 for a batch of rows with one ensemble each.  It is validated once, when it
-is built, and is immutable afterwards: its fields are read-only copies of
-the caller's values.  Learners never see the ground truth directly; they
-only get measurement counts, drawn by two functions.  Every simulated shot
-consumes one fresh ensemble member, so the qubit budget of a procedure is
-the sum of its measurement sizes.  A learner sees unlabeled members, each
-in the mixture state rho = eta0 rho0 + eta1 rho1, so
+is built, by bloch's rules, and is immutable afterwards: its fields are
+read-only copies of the caller's values.  Learners never see the ground
+truth directly; they only get measurement counts, drawn by two functions.
+Every simulated shot consumes one fresh ensemble member, so the qubit budget
+of a procedure is the sum of its measurement sizes.  A learner sees
+unlabeled members, each in the mixture state rho = eta0 rho0 + eta1 rho1, so
 decomposition.learn_axis draws the +1 count along each axis of a frame as
 one binomial from the ensemble Bloch vector (EnsembleSpec.mixture, which a
 spec computes once).  Holdout classification (evaluate.classify_holdout)
@@ -30,15 +30,12 @@ from functools import cached_property
 import numpy as np
 
 from povmlearn.bloch import (
-    EPS_PHYS,
     UNIT_X,
     UNIT_Y,
     UNIT_Z,
     Plane,
     check_domain,
-    every_row,
-    first_row,
-    row_norm,
+    check_unit,
 )
 from povmlearn.errors import ContractViolation
 
@@ -73,9 +70,9 @@ class EnsembleSpec:
 
     A spec is one ensemble, or a batch of rows with one ensemble each: then
     eta0 is a 1-D array and psi0 and psi1 hold one state per row.
-    Validated once at construction, every row; the fields are read-only
-    copies, so the checks hold for the spec's lifetime and the draws need
-    not redo them.  Specs compare and hash by identity.
+    Validated once at construction, every row, the prior as given; the
+    fields are read-only copies, so the checks hold for the spec's lifetime
+    and the draws need not redo them.  Specs compare and hash by identity.
     """
 
     eta0: float | np.ndarray
@@ -84,26 +81,17 @@ class EnsembleSpec:
     plane: Plane
 
     def __post_init__(self):
+        check_domain("prior", self.eta0)
         eta0 = np.array(self.eta0, dtype=float)
         if eta0.ndim > 1 or eta0.size == 0:
             raise ContractViolation(f"priors must be one number or a nonempty 1-D array, got shape {eta0.shape}")
-        check_domain("prior", self.eta0)
-        if eta0.ndim:
-            eta0.flags.writeable = False
+        eta0.flags.writeable = False
         object.__setattr__(self, "eta0", eta0 if eta0.ndim else float(eta0))
         for name in ("psi0", "psi1"):
             psi = np.array(getattr(self, name), dtype=float)
             if psi.shape != eta0.shape + (3,):
                 raise ContractViolation(f"{name} must be a Bloch 3-vector per row, got shape {psi.shape}")
-            # A failed check names the first row that fails it.
-            r = row_norm(psi)
-            ok = abs(r - 1.0) <= EPS_PHYS
-            if not every_row(ok):
-                raise ContractViolation(f"{name} must be pure (unit norm), |n| = {first_row(np.logical_not(ok), r)}")
-            ok = self.plane.on_plane(psi)
-            if not every_row(ok):
-                bad = first_row(np.logical_not(ok), psi)
-                raise ContractViolation(f"{name} = {bad} violates the {self.plane.kind} plane constraint")
+            self.plane.check(check_unit(psi, name), name)
             psi.flags.writeable = False
             object.__setattr__(self, name, psi)
 

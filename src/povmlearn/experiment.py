@@ -377,7 +377,7 @@ def summarize(columns: dict[str, list]) -> dict:
 
 
 # The types a cell of each kind may have, None included, and their name in
-# the message that refuses any other type; a bool is no number here.
+# the message that refuses any other type, or a cell the kind cannot write.
 _KIND_TYPES = {"int": ((*INTEGERS, type(None)), "integers"), "str": ((str, type(None)), "strings"),
                "float": ((*REALS, type(None)), "real numbers")}
 
@@ -453,11 +453,13 @@ def render_results(columns: dict[str, list], fmt: str = "csv") -> str:
     Each column's kind (_COLUMN_KINDS) decides how its cells are written: a
     float column writes any real number, a Python or numpy int or float, as
     a float; an integer column takes integers, a text column strings, and
-    any cell may be None.  A cell of another type is refused, its column
-    named.  The bytes are those of csv.writer (lineterminator "\\n") and of
-    json.dumps(indent=2) over the cells so written.  A column whose cells
-    are all written alike is written once, into the row template; each row
-    is then one %-format over the cells of the other columns."""
+    any cell may be None.  A cell of another type, or one that its kind
+    cannot write (an int beyond every double in a float column, or of more
+    than 4300 digits), is refused, its column named.  The bytes are those
+    of csv.writer (lineterminator "\\n") and of json.dumps(indent=2) over
+    the cells so written.  A column whose cells are all written alike is
+    written once, into the row template; each row is then one %-format
+    over the cells of the other columns."""
     table = [columns[name] for name in CSV_COLUMNS]
     if len(set(map(len, table))) > 1:
         raise ContractViolation("the columns of a result record differ in length")
@@ -468,14 +470,24 @@ def render_results(columns: dict[str, list], fmt: str = "csv") -> str:
     types = [set(map(type, c)) for c in table]
     kinds = _COLUMN_KINDS.values()
     for name, kind, column, t in zip(CSV_COLUMNS, kinds, table, types):
-        allowed, what = _KIND_TYPES[kind]
-        wrong = {u for u in t if u is bool or not issubclass(u, allowed)}
-        # A float column writes an int as a double, which a huge int outgrows.
-        huge = kind == "float" and int in t
-        if wrong or huge:
-            for v in column:
-                if type(v) in wrong or huge and type(v) is int and abs(v) > sys.float_info.max:
-                    raise ContractViolation(f"the {name} column holds {what}, got {shown(v)}")
+        wrong = {u for u in t if u is bool or not issubclass(u, _KIND_TYPES[kind][0])}
+        for v in column if wrong else ():
+            if type(v) in wrong:
+                raise ContractViolation(f"the {name} column holds {_KIND_TYPES[kind][1]}, got {shown(v)}")
+    try:
+        return _render(table, kinds, types, fmt)
+    except (OverflowError, ValueError):
+        # Only an int can fail its kind's spec, in CSV and JSON alike; the cells are scanned only now.
+        for name, kind, v in ((n, k, v) for n, k, c in zip(CSV_COLUMNS, kinds, table) for v in c):
+            try:
+                _CSV_SPEC[kind] % (0 if v is None else v)
+            except (OverflowError, ValueError):
+                raise ContractViolation(f"the {name} column holds {_KIND_TYPES[kind][1]}, got {shown(v)}") from None
+        raise
+
+
+def _render(table: list[list], kinds, types: list[set], fmt: str) -> str:
+    """The text of render_results over cells of their columns' types."""
     write = (lambda v, kind: "" if v is None else _CSV_SPEC[kind] % v) if fmt == "csv" else (
         lambda v, kind: _JSON_COLUMN[kind]((v,))[0])
     # The text of each shared column, % escaped for the row template.

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from povmlearn.bloch import EPS_DEGENERATE
+from povmlearn.bloch import EPS_DEGENERATE, check_domain
 
 
 def _density_matrix(n) -> np.ndarray:
@@ -55,8 +55,9 @@ def helstrom(m0, m1, eta0=0.5):
     tolerance (gap 2r at most EPS_DEGENERATE) has no optimal axis and gets
     the zero axis, alone or as a row; its success is still the trace-norm
     value, 1/2 where Gamma = 0.  A NaN pair gets NaN success and the zero
-    axis.
+    axis.  A prior outside [0, 1] is refused (the domain table's prior).
     """
+    check_domain("prior", eta0)
     eta0 = np.asarray(eta0, dtype=float)[..., None, None]
     # One call over the stacked pair costs less than one call per state.
     rho0, rho1 = _density_matrix(np.array((m0, m1), dtype=float))

@@ -1,6 +1,7 @@
 """Geometry layer: angle handling, plane constraints, probabilities, perps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from povmlearn.bloch import (
     row_norm,
     wrap_angle,
 )
-from povmlearn.decomposition import learn_axis
+from povmlearn.decomposition import ensemble_vector, learn_axis, mixture_targets
 from povmlearn.ensemble import EnsembleSpec, pauli_axes
 from povmlearn.errors import ContractViolation
 
@@ -75,7 +76,7 @@ class TestProbPlus:
             learn_axis(spec, [[0, 0, 0.5]], 10, [np.random.default_rng(0)])
 
     def test_unphysical_state_rejected(self):
-        with pytest.raises(ContractViolation, match="pure"):
+        with pytest.raises(ContractViolation, match="unit length"):
             EnsembleSpec(0.5, [0, 0, 1.5], [0, 0, 1], Plane.xz())
 
     def test_exact_complement_on_geometric_inputs(self):
@@ -347,6 +348,28 @@ class TestRows:
         assert plane.radius_sq.tolist() == (1.0 - nz * nz).tolist()
         with pytest.raises(ContractViolation):
             Plane.const_z(np.array([0.2, 1.0]))
+
+    @pytest.mark.parametrize(
+        "plane, off_state, offset_axis",
+        [(Plane.xz(), [0.0, 1.0, 0.0], UNIT_Y), (Plane.const_z(0.6), [0.0, 0.6, 0.8], UNIT_Z)],
+        ids=["xz", "constz"],
+    )
+    def test_one_plane_refusal_names_the_first_bad_row(self, plane, off_state, offset_axis):
+        # A spec's state and decomposition's ensemble vector are refused by
+        # Plane.check alone, with one message: a batch names its first row
+        # off the plane as that row alone does.  -v is off the plane as v is.
+        state = plane.embed(math.sqrt(plane.radius_sq), 0.0)
+        n, _ = ensemble_vector(0.6, 1.0, 0.3, plane)
+        assert plane.check(state.tolist(), "psi").tolist() == state.tolist()
+        off_state, off_n = np.array(off_state), n + 1e-3 * offset_axis
+        for v in (off_state, np.array([state, state, off_state, state, -off_state])):
+            text = f"psi1 {off_state} does not lie in the {plane.kind} plane"
+            with pytest.raises(ContractViolation, match="^" + re.escape(text) + "$"):
+                EnsembleSpec(np.full(v.shape[:-1], 0.6)[()], np.broadcast_to(state, v.shape), v, plane)
+        for v in (off_n, np.array([n, off_n, n, -off_n])):
+            text = f"ensemble vector {off_n} does not lie in the {plane.kind} plane"
+            with pytest.raises(ContractViolation, match="^" + re.escape(text) + "$"):
+                mixture_targets(v, 1.0, 0.6, plane)
 
     def test_check_unit_checks_every_row(self):
         rows = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])

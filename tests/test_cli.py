@@ -123,7 +123,7 @@ class TestRun:
         with pytest.raises(ContractViolation) as single:
             EnsembleSpec(0.6, psi0[250], spec.psi1[250], spec.plane)
         assert str(batched.value) == str(single.value)
-        assert re.fullmatch(r"psi0 must be pure \(unit norm\), \|n\| = 1\.00\d+", str(batched.value))
+        assert re.fullmatch(r"psi0 must be unit length, got \|v\| = 1\.00\d+", str(batched.value))
 
     def test_unwritable_out_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -29,6 +29,7 @@ from povmlearn.ensemble import EnsembleSpec, RngStream, pauli_axes
 from povmlearn.errors import ContractViolation
 from povmlearn.evaluate import classify_holdout, score
 from povmlearn.experiment import FORMATS, SCENARIOS, ExperimentConfig, render_results, run_experiment, sweep
+from povmlearn.helstrom import helstrom
 from povmlearn.selfcheck import invariant_battery, oracle_battery
 
 from helpers import frame_generators
@@ -57,7 +58,9 @@ BAD = {
     "phi0": (math.nan, -math.inf, "0.5", 10**400),
     "direction": (math.nan, math.inf, -math.inf, "x", -(10**400)),
     "eta0": (0.0, 1.0, -0.2, math.nan, "0.6"),
-    "prior": (-0.1, 1.5, math.nan),
+    # A prior is checked as given: text, an int too large for a double and a
+    # bool are refused, never converted first.
+    "prior": (-0.1, 1.5, math.nan, "x", 10**400, True, [0.2, "x"]),
     "beta": (-1e-13, 2.0, math.nan),
     "theta": (-1e-13, 3.5, math.nan),
     "nz": (-1.0, 1.0, 1.5, math.nan, np.True_),
@@ -102,7 +105,7 @@ LIBRARY = {
         lambda v: success_prob(0.6, v, 0.5),
         lambda v: decompose(_N, v, 0.6, "A"),
     ],
-    "prior": [lambda v: EnsembleSpec(v, _PURE, -_PURE, Plane.xz())],
+    "prior": [lambda v: EnsembleSpec(v, _PURE, -_PURE, Plane.xz()), lambda v: helstrom(_PURE, -_PURE, v)],
     "nz": [Plane.const_z],
     "seed": [lambda v: RngStream(v, 0), lambda v: oracle_battery(10, v), invariant_battery],
     "shots": [

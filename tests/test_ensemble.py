@@ -96,10 +96,10 @@ class TestEnsembleSpec:
         assert not rows.psi0.flags.writeable and not rows.eta0.flags.writeable
         bad_state = rows.psi1.copy()
         bad_state[2] = [0.0, 0.0, 0.9]
-        with pytest.raises(ContractViolation, match="pure"):
+        with pytest.raises(ContractViolation, match="unit length"):
             EnsembleSpec(rows.eta0, rows.psi0, bad_state, Plane.xz())
         bad_state[2] = [0.0, 1.0, 0.0]
-        with pytest.raises(ContractViolation, match="plane"):
+        with pytest.raises(ContractViolation, match=re.escape("psi1 [0. 1. 0.] does not lie in the xz plane")):
             EnsembleSpec(rows.eta0, rows.psi0, bad_state, Plane.xz())
         bad_prior = rows.eta0.copy()
         bad_prior[2] = 1.5

@@ -391,6 +391,18 @@ def test_a_float_column_refuses_an_int_beyond_every_double(fmt, huge, text):
         render_results(columns, fmt)
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("rows", [1, 3], ids=["shared", "varying"])
+def test_an_integer_column_refuses_an_int_too_long_to_write(fmt, rows):
+    # '%d' would raise ValueError past Python's 4300-digit limit; the column
+    # is named whether its cells are written once (shared) or row by row.
+    columns = {k: v * rows for k, v in record(trial=1, scenario="const-z", case="A", eta0=0.5, n_z=0.0).items()}
+    columns["trial"] = [10**4000] * (rows - 1) + [10**5000]
+    message = "the trial column holds integers, got <int too long to write>"
+    with pytest.raises(ContractViolation, match="^" + re.escape(message) + "$"):
+        render_results(columns, fmt)
+
+
 @settings(max_examples=1000)
 @given(st.floats())
 @example(0.0)
