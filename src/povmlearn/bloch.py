@@ -62,24 +62,12 @@ def angle_dist(a, b):
     return np.minimum(d, _TAU - d)[()]
 
 
-def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot product of arrays of 3-vectors, summed in component order."""
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
-
-
-def self_dot(v):
-    """v . v as `v @ v` sums it, for one vector or for each row of an array
-    of vectors.  Each row takes the same dot product as a single vector, so
-    a row and its single-vector call agree bit for bit; a plain row sum
-    (row_dot) may round differently."""
-    v = np.asarray(v, dtype=float)
-    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
-
-
 def row_norm(v):
     """Euclidean norm of a vector, or of each row of an array of vectors,
-    bit for bit the norm of that row alone (self_dot)."""
-    return np.sqrt(self_dot(v))
+    from np.vecdot, which takes every row's dot product as it takes a
+    single vector's, so a row's norm is bit for bit that row's norm alone."""
+    v = np.asarray(v, dtype=float)
+    return np.sqrt(np.vecdot(v, v))
 
 
 # The ufunc reductions below are np.all and np.any without their Python
@@ -106,9 +94,10 @@ def first_row(mask, value):
 
 
 def check_unit(v, what: str = "vector") -> np.ndarray:
-    """Return v as an array after verifying |v| = 1 within EPS_PHYS; a 2-D v
-    holds one vector per row, and every row is checked."""
-    v = np.asarray(v, dtype=float)
+    """Return v as a float array (real_vectors) after verifying |v| = 1
+    within EPS_PHYS; a 2-D v holds one vector per row, and every row is
+    checked."""
+    v = real_vectors(v, what)
     r = row_norm(v)
     ok = abs(r - 1.0) <= EPS_PHYS
     if not every_row(ok):
@@ -130,6 +119,18 @@ def shown(value) -> str:
         return str(value) if isinstance(value, REALS) else repr(value)
     except ValueError:
         return f"<{type(value).__name__} too long to write>"
+
+
+def real_vectors(v, what: str) -> np.ndarray:
+    """v as a float array, once its array holds integers or floats; else
+    (text, a ragged list, None, bools) refuse v whole, shown."""
+    try:
+        a = np.asarray(v)
+    except ValueError:
+        a = None
+    if a is None or a.dtype.kind not in "iuf":
+        raise ContractViolation(f"{what} must hold real 3-vectors, got {shown(v)}")
+    return np.asarray(a, dtype=float)
 
 
 def _integer_in(low, high=math.inf):
@@ -242,9 +243,9 @@ class Plane:
     def embed(self, first, second) -> np.ndarray:
         """The 3-vectors in the plane with plane coordinates (first, second):
         one vector for two numbers, one per row for two columns.  The
-        coordinates are written straight into zeroed vectors, then nz (0.0
-        on the x-z plane) as the offset component."""
-        out = np.zeros((*np.broadcast(first, second).shape, 3))
+        coordinates are written straight into new vectors, then nz (0.0 on
+        the x-z plane) as the offset component, so every slot is written."""
+        out = np.empty((*np.broadcast(first, second).shape, 3))
         u = self.coords(out)
         u[..., 0], u[..., 1] = first, second
         out[..., _PLANE_SLOTS[self.kind][1]] = self.nz
@@ -255,8 +256,9 @@ class Plane:
         return abs(np.asarray(v, dtype=float)[..., _PLANE_SLOTS[self.kind][1]] - self.nz) <= EPS_PHYS
 
     def check(self, v, what: str) -> np.ndarray:
-        """Return v as a float array once it lies in the plane (on_plane); else refuse its first row off it."""
-        v = np.asarray(v, dtype=float)
+        """Return v as a float array (real_vectors) once it lies in the plane
+        (on_plane); else refuse its first row off it."""
+        v = real_vectors(v, what)
         ok = self.on_plane(v)
         if not every_row(ok):
             raise ContractViolation(f"{what} {first_row(np.logical_not(ok), v)} does not lie in the {self.kind} plane")
@@ -273,9 +275,10 @@ def bloch_from_state_angle(gamma) -> np.ndarray:
 def prob_plus_unchecked(s: np.ndarray, n: np.ndarray):
     """Probability (1 + s.n)/2 of the +1 outcome along a float unit axis s on
     a Bloch vector n already validated; with rows on either side, one
-    probability per row.  Roundoff overshoot is clipped; the complement
-    0.5 - 0.5*d clips symmetrically."""
-    return np.minimum(np.maximum(0.5 + 0.5 * row_dot(s, n), 0.0), 1.0)
+    probability per row, each row's s.n from np.vecdot as that row alone
+    takes it.  Roundoff overshoot is clipped; the complement 0.5 - 0.5*d
+    clips symmetrically."""
+    return np.minimum(np.maximum(0.5 + 0.5 * np.vecdot(s, n), 0.0), 1.0)
 
 
 def perp_in_plane(n, plane: Plane) -> np.ndarray:

@@ -43,8 +43,8 @@ from povmlearn.bloch import (
     first_row,
     perp_in_plane,
     prob_plus_unchecked,
+    real_vectors,
     reduce_angle,
-    self_dot,
 )
 from povmlearn.ensemble import EnsembleSpec
 from povmlearn.errors import ContractViolation
@@ -78,7 +78,7 @@ def _check_case(case):
 
 def _slice_coords(n, plane: Plane):
     """Plane coordinates (u1, u2) of an ensemble vector n and |u|^2
-    (self_dot): numbers for one vector, one column per coordinate for rows.
+    (np.vecdot): numbers for one vector, one column per coordinate for rows.
 
     n must lie in the plane, with an in-plane norm no larger than the slice
     radius (up to the shot-noise slack).  An n too short to define a
@@ -86,7 +86,7 @@ def _slice_coords(n, plane: Plane):
     NaN in every value derived from it.
     """
     u = plane.coords(plane.check(n, "ensemble vector"))
-    uu = self_dot(u)
+    uu = np.vecdot(u, u)
     r, radius = np.sqrt(uu), np.sqrt(plane.radius_sq)
     over = r > radius * (1.0 + EPS_CLAMP)
     if any_row(over):
@@ -106,8 +106,8 @@ def ensemble_vector(eta0, theta, direction, plane: Plane = _PLANE_XZ) -> tuple[n
     plane's nz) may hold one value per row, giving one vector and norm per
     row."""
     eta1 = 1.0 - eta0
-    half = np.cos(0.5 * theta)
-    q = np.sqrt((eta0 - eta1) * (eta0 - eta1) + 4.0 * eta0 * eta1 * half * half)
+    half, gap = np.cos(0.5 * theta), eta0 - eta1
+    q = np.sqrt(gap * gap + 4.0 * eta0 * eta1 * half * half)
     r = np.sqrt(plane.radius_sq) * q
     direction = reduce_angle(direction)
     return plane.embed(r * np.cos(direction), r * np.sin(direction)), r
@@ -199,9 +199,11 @@ def mixture_targets(n, theta, eta0, plane: Plane = _PLANE_XZ) -> tuple[np.ndarra
     _check_cell(eta0, theta)
     u0, u1, uu = _slice_coords(n, plane)
     shift = 2.0 * eta0 * (1.0 - eta0) * np.sin(theta) * plane.radius_sq
+    # Each product once: m1's terms are m0's with the shift negated.
+    a0, a1, s0, s1 = u0 * uu, u1 * uu, shift * u0, shift * u1
     return (
-        plane.embed((u0 * uu - shift * u1) / uu, (shift * u0 + u1 * uu) / uu),
-        plane.embed((u0 * uu + shift * u1) / uu, (-shift * u0 + u1 * uu) / uu),
+        plane.embed((a0 - s1) / uu, (s0 + a1) / uu),
+        plane.embed((a0 + s1) / uu, (a1 - s0) / uu),
     )
 
 
@@ -238,7 +240,7 @@ def learn_axis(spec: EnsembleSpec, axes, shots_per_axis: int, generators) -> tup
     (equal_prior.povm_axis_from_phi).  A batch gets one axis per row; an
     estimate with no in-plane direction gets the zero vector.
     """
-    frame = np.asarray(axes, dtype=float)
+    frame = real_vectors(axes, "measurement frame")
     if frame.ndim != 2 or frame.shape[1] != 3 or not len(frame):
         raise ContractViolation(f"measurement frame must hold one 3-vector per axis, got shape {frame.shape}")
     frame = check_unit(frame, "measurement axis")

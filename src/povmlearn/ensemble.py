@@ -36,6 +36,7 @@ from povmlearn.bloch import (
     Plane,
     check_domain,
     check_unit,
+    real_vectors,
 )
 from povmlearn.errors import ContractViolation
 
@@ -88,7 +89,7 @@ class EnsembleSpec:
         eta0.flags.writeable = False
         object.__setattr__(self, "eta0", eta0 if eta0.ndim else float(eta0))
         for name in ("psi0", "psi1"):
-            psi = np.array(getattr(self, name), dtype=float)
+            psi = real_vectors(getattr(self, name), name).copy()
             if psi.shape != eta0.shape + (3,):
                 raise ContractViolation(f"{name} must be a Bloch 3-vector per row, got shape {psi.shape}")
             self.plane.check(check_unit(psi, name), name)

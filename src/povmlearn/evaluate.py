@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from povmlearn.bloch import any_row, check_domain, check_unit, every_row, first_row, prob_plus_unchecked
+from povmlearn.bloch import any_row, check_domain, check_unit, every_row, first_row, prob_plus_unchecked, real_vectors
 from povmlearn.ensemble import EnsembleSpec
 from povmlearn.errors import ContractViolation
 
@@ -52,7 +52,7 @@ def classify_holdout(spec: EnsembleSpec, axis, n_holdout: int, rng: np.random.Ge
     distribution of drawing the hidden label and then the outcome qubit by
     qubit, from one binomial call on the single generator `rng`.
     """
-    axis = np.asarray(axis, dtype=float)
+    axis = real_vectors(axis, "classification axis")
     if axis.shape != spec.psi0.shape:
         raise ContractViolation(f"classification axis must be one 3-vector per row of the spec, got shape {axis.shape}")
     axis = check_unit(axis, "classification axis")

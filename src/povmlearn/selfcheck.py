@@ -40,14 +40,23 @@ def _axis_match(axis, reference):
     return np.minimum(*row_norm(np.array((axis - reference, axis + reference))))
 
 
+def _block(rng: np.random.Generator, low, high, count: int) -> np.ndarray:
+    """`count` rows of uniform draws on [low, high), one column per bound, as
+    numpy's uniform evaluates each, low + (high - low) U, without its
+    broadcasting path: the bits and generator state of rng.uniform."""
+    low = np.asarray(low, dtype=float)
+    return low + (np.asarray(high, dtype=float) - low) * rng.random((count, len(low)))
+
+
+# The bounds of (eta0, theta, direction) of a random instance.
+_INSTANCE = np.array([0.05, 0.05, 0.0]), np.array([0.95, math.pi - 0.05, 2.0 * math.pi])
+
+
 def _random_instances(rng: np.random.Generator, count: int, plane: Plane = _XZ):
     """Arrays (eta0, theta, |u|, n) of `count` consistent instances in a
     plane, away from degeneracy, one row per instance; |u| is the in-plane
-    norm of n.  The parameters are drawn as one (count, 3) array, whose bits
-    and generator state are those of `count` interleaved scalar draws of
-    (eta0, theta, direction)."""
-    low, high = [0.05, 0.05, 0.0], [0.95, math.pi - 0.05, 2.0 * math.pi]
-    eta0, theta, direction = rng.uniform(low, high, size=(count, 3)).T
+    norm of n.  The parameters are drawn as one (count, 3) block (_block)."""
+    eta0, theta, direction = _block(rng, *_INSTANCE, count).T
     n, r = ensemble_vector(eta0, theta, direction, plane)
     return eta0, theta, r, n
 
@@ -74,8 +83,7 @@ def oracle_battery(n_instances: int = 10_000, seed: int = 12345) -> list[tuple[s
     worst_converse = _axis_match(perp_in_plane(m0 + m1, _XZ), axes).max()
     # Detector firing rates of each oracle axis on its 50/50 mixture, with
     # the dot product of one row alone.
-    mid = 0.5 * (m0 + m1)
-    p0 = 0.5 * (1.0 + (axes[:, None, :] @ mid[:, :, None])[:, 0, 0])
+    p0 = 0.5 * (1.0 + np.vecdot(axes, 0.5 * (m0 + m1)))
     worst_balance = np.abs(p0 - (1.0 - p0)).max()
     # Success in order of the state gap, ties broken by success.
     ordered = success[np.lexsort((success, row_norm(m0 - m1)))]
@@ -105,11 +113,11 @@ def invariant_battery(seed: int = 12345) -> list[tuple[str, bool, str]]:
     worst = angle_dist(solve_alpha(d0, d1, phi0), alpha).max()
     outcomes.append(("angle inversion over the branch grid", worst <= 1e-10, f"worst {worst:.3g}"))
 
-    alpha, beta = rng.uniform([0.0, 0.0], [2.0 * math.pi, math.pi / 2], size=(500, 2)).T
+    alpha, beta = _block(rng, [0.0, 0.0], [2.0 * math.pi, math.pi / 2], 500).T
     worst = np.abs(delta_analytic(alpha, beta, 0.5 * alpha + math.pi / 4)).max()
     outcomes.append(("zero detector difference at the optimum", worst <= 1e-12, f"worst {worst:.3g}"))
 
-    alpha, beta = rng.uniform([0.0, 0.0], [2.0 * math.pi, math.pi / 2 - 0.05], size=(500, 2)).T
+    alpha, beta = _block(rng, [0.0, 0.0], [2.0 * math.pi, math.pi / 2 - 0.05], 500).T
     n = 0.5 * (povm_axis_from_phi(0.5 * (alpha + beta)) + povm_axis_from_phi(0.5 * (alpha - beta)))
     axis = povm_axis_from_phi(0.5 * alpha + math.pi / 4)
     worst = _axis_match(axis, perp_in_plane(n, _XZ)).max()
@@ -187,7 +195,7 @@ def invariant_battery(seed: int = 12345) -> list[tuple[str, bool, str]]:
         )
     outcomes.append(("closed-form mixture targets equal the branch averages", worst <= 1e-12, f"worst {worst:.3g}"))
 
-    a = rng.uniform([-20.0], [20.0], size=(500, 1))
+    a = _block(rng, [-20.0], [20.0], 500)
     w = wrap_angle(a)
     ok = every_row((0.0 <= w) & (w < 2.0 * math.pi) & (angle_dist(w, a) <= 1e-9))
     outcomes.append(("angle wrapping lands in [0, 2 pi)", ok, "500 samples"))

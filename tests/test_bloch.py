@@ -260,6 +260,18 @@ class TestNorm:
         # exactly, not merely to rounding.
         assert row_norm(v) == float(np.linalg.norm(np.array(v)))
 
+    def test_rows_equal_their_single_vector_calls_bit_for_bit(self):
+        # np.vecdot takes each row's dot product as it takes one vector's, so
+        # a batch and a loop over its rows give the same bits.
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=(2000, 3)) * rng.uniform(1e-3, 1e3, size=(2000, 1))
+        s = v / np.linalg.norm(v, axis=1)[:, None]
+        n = rng.normal(size=(2000, 3)) / 2.0
+        norms, probs = row_norm(v), prob_plus_unchecked(s, n)
+        assert norms.shape == probs.shape == (2000,)
+        assert norms.tobytes() == np.array([row_norm(row) for row in v]).tobytes()
+        assert probs.tobytes() == np.array([prob_plus_unchecked(a, b) for a, b in zip(s, n)]).tobytes()
+
 
 class TestRowReductions:
     """every_row, any_row and first_row read a single flag, a numpy flag or

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from povmlearn.bloch import Plane, check_domain
+from povmlearn.bloch import Plane, check_domain, check_unit
 from povmlearn.decomposition import (
     cos_theta,
     decompose,
@@ -118,6 +118,23 @@ LIBRARY = {
 }
 
 
+# A vector argument that is not an array of integers or floats, at each
+# entry that converts one: (what the message calls it, the call, the value).
+VECTORS = {
+    "spec-text-state": ("psi0", lambda v: EnsembleSpec(0.5, v, -_PURE, Plane.xz()), "abc"),
+    "spec-ragged-state": ("psi1", lambda v: EnsembleSpec(0.5, _PURE, v, Plane.xz()), [[1, 0], [0]]),
+    "text-ensemble-vector": ("ensemble vector", lambda v: mixture_targets(v, 1.0, 0.6), "abc"),
+    "text-frame": ("measurement frame", lambda v: learn_axis(_SPEC, v, 100, frame_generators(0, 2)), ["x", "z"]),
+    "none-axis": (
+        "classification axis",
+        lambda v: classify_holdout(_SPEC, v, 100, RngStream(0, 12).generator()),
+        [None, 0.0, 1.0],
+    ),
+    "bool-vector": ("vector", check_unit, [True, False, False]),
+    "none-plane-vector": ("state", lambda v: Plane.xz().check(v, "state"), None),
+}
+
+
 def message(name, bad):
     shown = bad if isinstance(bad, (int, float, np.number)) else repr(bad)
     return f"{name} must {DOMAIN[name]}, got {shown}"
@@ -187,6 +204,13 @@ def test_swept_column_names_its_first_bad_value(name):
 def test_library_gives_the_message(name, bad):
     for call in LIBRARY[name]:
         refused(lambda: call(bad), message(name, bad))
+
+
+@pytest.mark.parametrize("case", sorted(VECTORS))
+def test_a_vector_must_hold_real_numbers(case):
+    # numpy would raise its own ValueError, or read bools as 0 and 1.
+    what, call, bad = VECTORS[case]
+    refused(lambda: call(bad), f"{what} must hold real 3-vectors, got {bad!r}")
 
 
 @pytest.mark.parametrize("name", ["eta0", "theta", "direction"])

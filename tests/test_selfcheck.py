@@ -5,9 +5,9 @@ array call of ensemble_vector, mixture_targets and success_prob per check,
 so the number of truth calls does not grow with the instance count;
 oracle_battery calls helstrom, the oracle under test, once over all of its
 instances, and invariant_battery calls every geometry helper a fixed
-number of times.  Each one (count, k) draw of instance parameters must
-equal the interleaved scalar draws it replaced bit for bit, which keeps
-the battery goldens unchanged.
+number of times.  Each one (count, k) block draw of instance parameters
+must equal the interleaved scalar draws it replaced, and numpy's uniform,
+bit for bit, which keeps the battery goldens unchanged.
 """
 
 import math
@@ -123,8 +123,22 @@ def test_one_array_draw_equals_interleaved_scalar_draws(seed, count, nz, bounds)
     low, high = bounds
     rng_rows, rng_one = np.random.default_rng(seed), np.random.default_rng(seed)
     rows = [[rng_rows.uniform(lo, hi) for lo, hi in zip(low, high)] for _ in range(count)]
-    assert rng_one.uniform(low, high, size=(count, len(low))).tobytes() == np.array(rows).tobytes()
+    assert selfcheck._block(rng_one, low, high, count).tobytes() == np.array(rows).tobytes()
     assert rng_one.random(4).tobytes() == rng_rows.random(4).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("count", [1, 500, 2000])
+@pytest.mark.parametrize("bounds", [selfcheck._INSTANCE, *BATTERY_DRAWS], ids=["instance", "optimum", "setting", "wrap"])
+def test_block_draw_is_numpys_uniform_bit_for_bit(seed, count, bounds):
+    # low + (high - low) U is the formula numpy's uniform evaluates; a numpy
+    # whose uniform fuses the multiply and the add fails here, before any
+    # battery golden does.
+    low, high = bounds
+    rng_block, rng_uniform = np.random.default_rng(seed), np.random.default_rng(seed)
+    block = selfcheck._block(rng_block, low, high, count)
+    assert block.tobytes() == rng_uniform.uniform(low, high, size=(count, len(low))).tobytes()
+    assert rng_block.random() == rng_uniform.random()
 
 
 def two_norm_axis_match(axis, reference):
