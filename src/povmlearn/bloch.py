@@ -94,10 +94,10 @@ def first_row(mask, value):
 
 
 def check_unit(v, what: str = "vector") -> np.ndarray:
-    """Return v as a float array (real_vectors) after verifying |v| = 1
-    within EPS_PHYS; a 2-D v holds one vector per row, and every row is
-    checked."""
-    v = real_vectors(v, what)
+    """Return v as a float array of 3-vectors (real_vectors, shaped) after
+    verifying |v| = 1 within EPS_PHYS; a 2-D v holds one vector per row,
+    and every row is checked."""
+    v = real_vectors(v, what, shaped=True)
     r = row_norm(v)
     ok = abs(r - 1.0) <= EPS_PHYS
     if not every_row(ok):
@@ -121,14 +121,17 @@ def shown(value) -> str:
         return f"<{type(value).__name__} too long to write>"
 
 
-def real_vectors(v, what: str) -> np.ndarray:
-    """v as a float array, once its array holds integers or floats; else
-    (text, a ragged list, None, bools) refuse v whole, shown."""
+def real_vectors(v, what: str, shaped: bool = False) -> np.ndarray:
+    """v as a float array, once its array holds integers or floats and, if
+    shaped, has a last axis of length 3; else (text, a ragged list, None,
+    bools, and if shaped a number or a vector of another length) refuse v
+    whole, shown.  A caller whose own message names the shape checks it
+    itself, unshaped."""
     try:
         a = np.asarray(v)
     except ValueError:
         a = None
-    if a is None or a.dtype.kind not in "iuf":
+    if a is None or a.dtype.kind not in "iuf" or shaped and (a.ndim == 0 or a.shape[-1] != 3):
         raise ContractViolation(f"{what} must hold real 3-vectors, got {shown(v)}")
     return np.asarray(a, dtype=float)
 
@@ -256,9 +259,9 @@ class Plane:
         return abs(np.asarray(v, dtype=float)[..., _PLANE_SLOTS[self.kind][1]] - self.nz) <= EPS_PHYS
 
     def check(self, v, what: str) -> np.ndarray:
-        """Return v as a float array (real_vectors) once it lies in the plane
-        (on_plane); else refuse its first row off it."""
-        v = real_vectors(v, what)
+        """Return v as a float array of 3-vectors (real_vectors, shaped) once
+        it lies in the plane (on_plane); else refuse its first row off it."""
+        v = real_vectors(v, what, shaped=True)
         ok = self.on_plane(v)
         if not every_row(ok):
             raise ContractViolation(f"{what} {first_row(np.logical_not(ok), v)} does not lie in the {self.kind} plane")

@@ -132,6 +132,12 @@ VECTORS = {
     ),
     "bool-vector": ("vector", check_unit, [True, False, False]),
     "none-plane-vector": ("state", lambda v: Plane.xz().check(v, "state"), None),
+    # A number, or a vector whose last axis is not 3 long, is no 3-vector.
+    "two-vector-unit": ("vector", check_unit, [1.0, 0.0]),
+    "number-unit": ("vector", check_unit, 1.0),
+    "two-vector-plane": ("v", lambda v: Plane.xz().check(v, "v"), [1.0, 0.0]),
+    "number-plane": ("v", lambda v: Plane.xz().check(v, "v"), 1.0),
+    "two-ensemble-vector": ("ensemble vector", lambda v: mixture_targets(v, 1.0, 0.6), [0.3, 0.0]),
 }
 
 

@@ -6,6 +6,8 @@ sampled counts, stream layout, arithmetic or rendering shows up here.
 Every entry of GOLDEN_STDOUT is a verification battery whose stdout must
 equal its fixture file the same way; the batteries print rounding-level
 residues, so a change to the shared geometry shows up there too.
+SAMPLER_DRAWS pins numpy's binomial sampler, which the run and sweep
+bytes rest on, so a failure there says when numpy changed it.
 After a deliberate change of output, rewrite the fixture with
 
     python tests/test_golden.py --regen
@@ -95,6 +97,30 @@ GOLDEN_STDOUT = {
 }
 
 
+# numpy's Generator.binomial draws every learning and holdout count, and
+# numpy may change a Generator method's stream between versions (NEP 19;
+# SeedSequence and PCG64 stay fixed).  Name -> (PCG64 seed, n, p, draws):
+# a scalar p and one p per row, as the engine draws, in both of numpy's
+# regimes: inversion where n*min(p, 1 - p) is below 30, BTPE above it.
+# The goldens draw in both: most counts by BTPE, and by inversion the
+# holdout of a near-certain row (run-equal-prior-xz-weak.csv: 200 qubits
+# at a success near 0.9987).
+SAMPLER_DRAWS = {
+    "inversion, scalar p": (0, 20, 0.3, [7, 5, 3, 2, 8, 9, 6, 7, 6, 9, 8, 1, 8, 2, 7, 4, 8, 6, 5, 6, 2, 4, 7, 7]),
+    "BTPE, scalar p": (1, 2000, 0.4, [
+        789, 766, 800, 834, 785, 799, 790, 801, 786, 751, 822, 766,
+        827, 804, 797, 778, 826, 802, 826, 798, 772, 807, 776, 808,
+    ]),
+    "inversion, p per row": (2, 40, (0.05, 0.95), [
+        1, 3, 7, 4, 9, 11, 9, 8, 13, 17, 18, 16, 21, 21, 25, 24, 21, 27, 31, 34, 34, 35, 34, 37,
+    ]),
+    "BTPE, p per row": (3, 2000, (0.1, 0.9), [
+        197, 260, 357, 387, 480, 549, 606, 717, 713, 831, 890, 934,
+        1015, 1105, 1190, 1258, 1353, 1377, 1458, 1503, 1581, 1642, 1751, 1783,
+    ]),
+}
+
+
 def platform() -> str:
     """numpy's version and the CPU features it dispatches to on this
     machine: a pin can move with either (numpy's float64 arctan2 and arccos
@@ -155,6 +181,21 @@ def test_weak_runs_pin_weak_signal_beside_ok(name):
     with open(GOLDEN_DIR / name, newline="") as fh:
         statuses = {r["status"] for r in csv.DictReader(fh)}
     assert statuses == {"ok", "weak_signal"}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_DRAWS))
+def test_binomial_sampler_draws_its_pinned_counts(name):
+    import numpy as np
+
+    seed, n, p, expected = SAMPLER_DRAWS[name]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    # A (low, high) p is one p per row, evenly spaced over the draws.
+    draws = rng.binomial(n, p, len(expected)) if np.ndim(p) == 0 else rng.binomial(n, np.linspace(*p, len(expected)))
+    assert draws.tolist() == expected, (
+        f"numpy's Generator.binomial sampler changed ({name}) under {platform()}: the run and sweep goldens "
+        "pin its draws, and may be regenerated with a declared change once tests/test_reference_sim.py "
+        "and tests/test_calibration.py pass"
+    )
 
 
 def test_platform_names_numpy_and_its_cpu_features():

@@ -1,5 +1,10 @@
-"""Smoke tests of the demo scripts, run in process at small budgets."""
+"""Tests of the demo script, run in process at small budgets.  The script
+prints row 0 of the engine's equal-prior-xz run, whose rows the engine's
+own tests check (test_experiment.TestHugeAngles covers a huge alpha and
+phi0 at equal priors), so these check what the script adds: its lines,
+its printed target and its refusals."""
 
+import csv
 import math
 import runpy
 import sys
@@ -7,47 +12,63 @@ from pathlib import Path
 
 import pytest
 
+from povmlearn.cli import main as cli_main
 from povmlearn.ensemble import RngStream
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(monkeypatch, capsys, name, *args):
-    monkeypatch.setattr(sys, "argv", [name, *args])
-    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+def run_script(monkeypatch, capsys, *args):
+    monkeypatch.setattr(sys, "argv", ["learn_equal_prior.py", *args])
+    runpy.run_path(str(SCRIPTS / "learn_equal_prior.py"), run_name="__main__")
     return capsys.readouterr().out.splitlines()
 
 
-def test_learn_equal_prior_script(monkeypatch, capsys):
-    lines = run_script(monkeypatch, capsys, "learn_equal_prior.py", "--shots", "2000", "--holdout", "1000")
-    assert lines[0].startswith("measured differences: delta(0.0000) = ")
-    assert "qubits consumed while learning: 4000" in lines
-    assert any(line.startswith("holdout success: ") and line.endswith(" over 1000 qubits") for line in lines)
-    assert lines[-1].startswith("closed-form optimum: 0.750000  (z = ")
+def cli_row(tmp_path, *args):
+    """Row 0 of `povmlearn run --scenario equal-prior-xz --trials 1` at the
+    script's flags, as the CSV writes its cells."""
+    out = tmp_path / "row.csv"
+    assert cli_main(["run", "--scenario", "equal-prior-xz", "--trials", "1", *args, "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        return next(csv.DictReader(fh))
 
 
-def test_learn_equal_prior_on_weak_data(monkeypatch, capsys):
-    # Near-orthogonal states at a small budget: the readings sit inside the
-    # noise floor, and the script says so instead of failing.
-    args = ("--beta", "1.5", "--shots", "400", "--holdout", "1000", "--seed", "1")
-    lines = run_script(monkeypatch, capsys, "learn_equal_prior.py", *args)
-    assert lines[1] == "weak signal: both readings lie within the 3/sqrt(N) noise floor 0.1500, so alpha_hat below is noise"
-    assert lines[2].startswith("alpha_hat = ")
-    assert lines[-1].startswith("closed-form optimum: ")
+def line(lines, prefix):
+    """The one printed line that starts with prefix."""
+    (found,) = [text for text in lines if text.startswith(prefix)]
+    return found
 
 
-def test_learn_equal_prior_reduces_a_huge_phi0(monkeypatch, capsys):
-    # Whole turns come off phi0 before the quarter turn is added, so a huge
-    # phi0 learns as its reduced angle does.
-    def learned(phi0):
-        args = ("--phi0", repr(phi0), "--shots", "20000", "--holdout", "1000", "--seed", "2")
-        lines = run_script(monkeypatch, capsys, "learn_equal_prior.py", *args)
-        return [line for line in lines if line.startswith(("alpha_hat = ", "phi_star  = "))]
+def printed(text, spec=".6f"):
+    """A CSV cell as the script prints it: n/a where the cell is empty."""
+    return "n/a" if text == "" else format(float(text), spec)
 
-    huge = learned(1e300)
-    assert len(huge) == 2
-    assert huge == learned(math.fmod(1e300, 2 * math.pi))
-    assert huge[0].endswith("(true 1.047198)") and abs(float(huge[0].split()[2]) - math.pi / 3) < 0.05
+
+@pytest.mark.parametrize(
+    "args, status",
+    [
+        (("--shots-learn", "2000", "--shots-holdout", "1000"), "ok"),
+        # Near-orthogonal states at a small budget: both readings sit inside
+        # the noise floor, and the row reports no estimate.
+        (("--beta", "1.5", "--shots-learn", "400", "--shots-holdout", "1000", "--seed", "1"), "weak_signal"),
+    ],
+)
+def test_learn_equal_prior_prints_the_cli_row(monkeypatch, capsys, tmp_path, args, status):
+    lines = run_script(monkeypatch, capsys, *args)
+    row = cli_row(tmp_path, *args)
+    assert row["status"] == status and lines[0] == f"status: {status}"
+    weak = "weak signal: both readings lie within the 3/sqrt(N) noise floor, so the row reports no estimate"
+    assert (weak in lines) == (status == "weak_signal")
+    assert line(lines, "alpha_hat = ").startswith(f"alpha_hat = {printed(row['alpha_hat'])}  (true ")
+    axis = ", ".join(printed(row[k], "+.6f") for k in ("axis_x", "axis_y", "axis_z"))
+    assert line(lines, "measurement axis: ") == f"measurement axis: ({axis})"
+    assert line(lines, "qubits consumed ") == f"qubits consumed while learning: {row['shots_learn']}"
+    assert line(lines, "holdout success: ") == (
+        f"holdout success: {printed(row['success_emp'])} over {row['shots_holdout']} qubits"
+    )
+    assert line(lines, "closed-form optimum: ") == (
+        f"closed-form optimum: {printed(row['success_analytic'])}  (z = {printed(row['z_score'], '+.6f')})"
+    )
 
 
 def test_learn_equal_prior_reduces_a_huge_alpha(monkeypatch, capsys):
@@ -55,9 +76,9 @@ def test_learn_equal_prior_reduces_a_huge_alpha(monkeypatch, capsys):
     # formed, and the reduced alpha is printed as the true one, so a huge
     # alpha reports exactly as its reduced angle does.
     def learned(alpha):
-        args = ("--alpha", repr(alpha), "--shots", "20000", "--holdout", "1000", "--seed", "2")
-        lines = run_script(monkeypatch, capsys, "learn_equal_prior.py", *args)
-        return [line for line in lines if line.startswith(("alpha_hat = ", "phi_star  = "))]
+        args = ("--alpha", repr(alpha), "--shots-learn", "20000", "--shots-holdout", "1000", "--seed", "2")
+        lines = run_script(monkeypatch, capsys, *args)
+        return [text for text in lines if text.startswith(("alpha_hat = ", "phi_star  = "))]
 
     reduced = math.fmod(1e300, 2 * math.pi)
     huge = learned(1e300)
@@ -75,10 +96,10 @@ def test_learn_equal_prior_reduces_a_huge_alpha(monkeypatch, capsys):
         (("--beta", "-0.5"), "beta must lie in [0, pi/2], got -0.5"),
         (("--alpha", "nan"), "alpha must be finite, got nan"),
         (("--phi0", "inf"), "phi0 must be finite, got inf"),
-        (("--shots", "0"), "shots must be an integer in [1, 2**63), got 0"),
-        (("--holdout", "0"), "holdout must be an integer in [1, 2**63), got 0"),
-        (("--shots", str(2**63)), f"shots must be an integer in [1, 2**63), got {2**63}"),
-        (("--holdout", str(2**63)), f"holdout must be an integer in [1, 2**63), got {2**63}"),
+        (("--shots-learn", "0"), "shots_learn must be an integer in [1, 2**63), got 0"),
+        (("--shots-holdout", "0"), "shots_holdout must be an integer in [1, 2**63), got 0"),
+        (("--shots-learn", str(2**63)), f"shots_learn must be an integer in [1, 2**63), got {2**63}"),
+        (("--shots-holdout", str(2**63)), f"shots_holdout must be an integer in [1, 2**63), got {2**63}"),
     ],
 )
 def test_learn_equal_prior_refuses_a_bad_value(monkeypatch, capsys, args, error):
@@ -88,9 +109,8 @@ def test_learn_equal_prior_refuses_a_bad_value(monkeypatch, capsys, args, error)
         raise AssertionError("a generator was built")
 
     monkeypatch.setattr(RngStream, "generator", no_draw)
-    monkeypatch.setattr(sys, "argv", ["learn_equal_prior.py", *args])
     with pytest.raises(SystemExit) as exc:
-        runpy.run_path(str(SCRIPTS / "learn_equal_prior.py"), run_name="__main__")
+        run_script(monkeypatch, capsys, *args)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
