@@ -193,13 +193,17 @@ _DOMAINS = {
 def check_domain(name: str, value, label: str | None = None) -> None:
     """Refuse a value of the named parameter outside its domain: one number,
     or for a real parameter an array with one value per row, whose message
-    names the first bad value (shown).  A value that fails whole, such as a
-    string or an array given for an integer, is shown whole.  The message
-    calls the parameter label, name by default."""
+    names the first bad value (shown), a 0-d array's by its number.  A
+    value that fails whole, such as a string or an array given for an
+    integer, is shown whole.  The message calls the parameter label, name
+    by default."""
     test, domain = _DOMAINS[name]
     ok = test(value)
     if not every_row(ok):
-        raise ContractViolation(f"{label or name} must {domain}, got {shown(first_row(np.logical_not(ok), value))}")
+        bad = first_row(np.logical_not(ok), value)
+        # A numpy flag of a 0-d array comes only from a real row's test of its number.
+        bad = bad[()] if isinstance(ok, np.bool_) and isinstance(bad, np.ndarray) else bad
+        raise ContractViolation(f"{label or name} must {domain}, got {shown(bad)}")
 
 
 # Per plane kind: the slice of a 3-vector's last axis that holds its plane

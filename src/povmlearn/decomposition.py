@@ -24,6 +24,22 @@ The forward map sits beside its inverse: two_fold_spec builds the hidden
 pair of a two-fold cell (eta0, theta, direction, case) from its angles,
 equal_prior_cell maps the 50/50 pair at state angles alpha +- beta to its
 cell, and decompose recovers the pair from the cell's ensemble vector.
+
+That 50/50 pair is the first case, read at two settings.  The +1 outcome
+at setting phi projects onto cos(phi)|0> + sin(phi)|1>, of Bloch axis
+(sin 2 phi, 0, cos 2 phi) (povm_axis_from_phi), and the detector-count
+difference on the ensemble is
+
+    Delta(phi) = p_plus - p_minus = cos(alpha - 2 phi) * cos(beta)
+
+(delta_analytic).  Settings phi0 and phi0 + pi/4 read cos and sin of one
+argument, so the two-argument arctangent recovers alpha with its quadrant
+(solve_alpha), which a ratio tan(alpha - 2 phi0) would lose.  Their axes
+are an x-z frame turned by phi0 with Delta_k = e_k . n, so the learning is
+learn_axis on that frame: the estimate has state angle alpha_hat, and its
+perpendicular, negated, is the axis of the minimum-error setting
+phi* = alpha/2 + pi/4, which fires both detectors equally often; beta is
+never needed.
 """
 
 from __future__ import annotations
@@ -37,6 +53,7 @@ from povmlearn.bloch import (
     EPS_PHYS,
     Plane,
     any_row,
+    bloch_from_state_angle,
     check_domain,
     check_unit,
     every_row,
@@ -45,6 +62,7 @@ from povmlearn.bloch import (
     prob_plus_unchecked,
     real_vectors,
     reduce_angle,
+    wrap_angle,
 )
 from povmlearn.ensemble import EnsembleSpec
 from povmlearn.errors import ContractViolation
@@ -143,6 +161,31 @@ def equal_prior_cell(alpha, beta):
     return np.full(np.broadcast(alpha, beta).shape, 0.5)[()], 2.0 * beta, 0.5 * math.pi - reduce_angle(alpha), "B"
 
 
+def povm_axis_from_phi(phi) -> np.ndarray:
+    """Bloch axis (sin 2 phi, 0, cos 2 phi) of the +1 projector at setting
+    phi; one axis per row for an array of settings."""
+    return bloch_from_state_angle(np.multiply(2.0, phi))
+
+
+def delta_analytic(alpha, beta, phi):
+    """Noise-free detector difference cos(alpha - 2 phi) * cos(beta); one
+    per row for arrays of angles."""
+    return np.cos(alpha - 2.0 * phi) * np.cos(beta)
+
+
+def solve_alpha(delta0, delta1, phi0):
+    """Invert two quarter-turn-separated detector differences to alpha.
+
+    delta0 is the reading at phi0 and delta1 at phi0 + pi/4; these are
+    proportional to cos and sin of (alpha - 2 phi0) with a common positive
+    factor, so alpha = 2 phi0 + atan2(delta1, delta0), wrapped to [0, 2 pi).
+    Every pair of readings gets an angle, one per row for rows of readings;
+    the angle of a pair within the noise floor is noise, and the engine
+    marks its row weak_signal and reports no angle.
+    """
+    return wrap_angle(2.0 * phi0 + np.arctan2(delta1, delta0))
+
+
 def cos_theta(n_norm, eta0, tol: float = EPS_PHYS, plane: Plane = _PLANE_XZ):
     """Separation cosine between the two pure states, from the in-plane norm
     |u| of the ensemble vector and the prior eta0 (eta1 = 1 - eta0).
@@ -237,7 +280,7 @@ def learn_axis(spec: EnsembleSpec, axes, shots_per_axis: int, generators) -> tup
 
     The two-fold scenarios read the frame of pauli_axes; the equal-prior
     scenario reads the x-z frame of its two settings, turned by phi0
-    (equal_prior.povm_axis_from_phi).  A batch gets one axis per row; an
+    (povm_axis_from_phi).  A batch gets one axis per row; an
     estimate with no in-plane direction gets the zero vector.
     """
     frame = real_vectors(axes, "measurement frame")

@@ -32,12 +32,12 @@ All three scenarios learn through one function, learn_axis, on a
 measurement frame: the Pauli axes of the plane, or for equal-prior-xz
 the axes of the settings phi0 and phi0 + pi/4, an x-z frame turned by
 phi0.  One row builder (_rows) serves every scenario, which gives it its
-data, and the rows report alike (_report).  The two-fold scenarios share
-one pipeline on a Plane: unequal-prior-xz runs it on the x-z plane,
-const-z on the slice z = nz, and the scenario only chooses the plane.
-The slice pipeline measures one extra axis (z), whose stream comes after
-the two in-plane ones, so at nz = 0 it draws exactly the counts of the
-x-z pipeline for the corresponding measurements.
+data, and decides every row's status in one place.  The two-fold
+scenarios share one pipeline on a Plane: unequal-prior-xz runs it on the
+x-z plane, const-z on the slice z = nz, and the scenario only chooses
+the plane.  The slice pipeline measures one extra axis (z), whose stream
+comes after the two in-plane ones, so at nz = 0 it draws exactly the
+counts of the x-z pipeline for the corresponding measurements.
 """
 
 from __future__ import annotations
@@ -72,11 +72,12 @@ from povmlearn.decomposition import (
     equal_prior_cell,
     learn_axis,
     mixture_targets,
+    povm_axis_from_phi,
+    solve_alpha,
     success_prob,
     two_fold_spec,
 )
-from povmlearn.ensemble import EnsembleSpec, RngStream, pauli_axes
-from povmlearn.equal_prior import povm_axis_from_phi, solve_alpha, weak_readings, weak_signal_threshold
+from povmlearn.ensemble import RngStream, pauli_axes
 from povmlearn.errors import ContractViolation
 from povmlearn.evaluate import classify_holdout, score
 from povmlearn.helstrom import helstrom
@@ -183,18 +184,16 @@ class ExperimentConfig:
 
 def two_fold_cell(eta0, theta, direction, plane: Plane = _XZ):
     """Case-independent truth of a two-fold cell, shared by both branches:
-    the ensemble vector in `plane` along `direction` (plane coordinates)
-    with the norm implied by (eta0, theta), its closed-form success and its
-    oracle value (helstrom on its mixture targets).  Arrays of parameters
-    (and a plane with one nz per cell) give every cell's truth in one pass;
-    a degenerate cell, alone or in a batch, has NaN in all three (the
-    in-plane coordinates of its vector)."""
+    the closed-form success and the oracle value (helstrom on the mixture
+    targets) of its ensemble vector, in `plane` along `direction` (plane
+    coordinates) with the norm implied by (eta0, theta).  Arrays of
+    parameters (and a plane with one nz per cell) give every cell's truth
+    in one pass; a degenerate cell, alone or in a batch, has NaN in both."""
     n, r = ensemble_vector(eta0, theta, direction, plane)
     oracle = helstrom(*mixture_targets(n, theta, eta0, plane))[0]
     analytic = success_prob(eta0, theta, r, plane)
     lost = np.isnan(analytic) | np.isnan(oracle)
-    plane.coords(n)[lost] = np.nan
-    return n, np.where(lost, np.nan, analytic)[()], np.where(lost, np.nan, oracle)[()]
+    return np.where(lost, np.nan, analytic)[()], np.where(lost, np.nan, oracle)[()]
 
 
 def _role_streams(seed: int, roles: Sequence[str]) -> dict:
@@ -210,43 +209,6 @@ def _masked(keep: list, values: list) -> list:
     return [v if k else None for v, k in zip(values, keep)]
 
 
-def _report(base: ExperimentConfig, spec: EnsembleSpec, axis, readings, alpha_hat, reached, analytic, oracle,
-            in_range, gen) -> dict:
-    """The columns every scenario fills alike from its truth (reached marks
-    the rows whose ensemble vector has a direction) and what it learned
-    (learn_axis).  A row is degenerate when its truth or its estimate has no
-    in-plane direction, weak when its first two readings sit within the
-    noise floor, where their direction is meaningless, and out of range
-    where in_range (a mask, or True) fails.  Every row draws its holdout
-    qubits: along the first plane axis where its axis is zero, and against
-    chance where it has no truth.  Only the rows neither degenerate nor
-    weak report their score, axis and alpha_hat."""
-    has_axis = axis.any(axis=-1)
-    learned = reached & has_axis
-    weak = weak_readings(readings[..., 0], readings[..., 1], weak_signal_threshold(base.shots_learn))
-    scored = learned & ~weak
-    ok = scored & in_range
-    n, budget = base.shots_holdout, readings.shape[-1] * base.shots_learn
-    correct = classify_holdout(spec, np.where(has_axis[:, None], axis, UNIT_X), n, gen)
-    success, z = score(correct, n, np.where(reached, analytic, 0.5))
-    reach, keep = reached.tolist(), scored.tolist()
-    return {
-        **{name: _masked(keep, part) for name, part in zip(("axis_x", "axis_y", "axis_z"), axis.T.tolist())},
-        "alpha_hat": _masked(keep, alpha_hat.tolist()),
-        "success_emp": _masked(keep, success.tolist()),
-        "success_analytic": _masked(reach, analytic.tolist()),
-        "success_oracle": _masked(reach, oracle.tolist()),
-        "z_score": _masked(keep, z.tolist()),
-        "shots_learn": [budget if r else 0 for r in reach],
-        "shots_holdout": [n if k else 0 for k in keep],
-        "holdout_correct": _masked(keep, np.maximum(correct, n - correct).tolist()),
-        "status": [
-            _OK if o else _DEGENERATE if not d else _WEAK if w else _OUT_OF_RANGE
-            for o, d, w in zip(ok.tolist(), learned.tolist(), weak.tolist())
-        ],
-    }
-
-
 def _rows(config: ExperimentConfig, cells: int) -> dict:
     """The record columns of every row of config's cells but the trial index:
     config.trials rows per cell, in cell order.  A swept field of config
@@ -254,7 +216,16 @@ def _rows(config: ExperimentConfig, cells: int) -> dict:
     The scenarios differ only in data: the roles drawn (equal priors draw no
     case), the cell (equal_prior_cell maps an equal-prior one), the plane,
     the learning frame, the sign of the learned axis, how alpha_hat is read
-    and whether cos_theta bounds the status, and the descriptive columns."""
+    and whether cos_theta bounds the status, and the descriptive columns.
+
+    The status of every row is decided here.  A row is degenerate when its
+    truth or its estimate has no in-plane direction, weak when its first
+    two readings both sit within the noise floor 3/sqrt(shots_learn),
+    where their direction is meaningless (a slice's z reading is not
+    used), and out of range where in_range fails.  Every row draws its
+    holdout qubits: along the first plane axis where its axis is zero,
+    and against chance where it has no truth.  Only the rows neither
+    degenerate nor weak report their score, axis and alpha_hat."""
     cell_of = np.repeat(np.arange(cells), int(config.trials))
 
     def per_cell(key):
@@ -285,9 +256,9 @@ def _rows(config: ExperimentConfig, cells: int) -> dict:
         frame = pauli_axes(plane)
         columns = {"case": case.tolist(), "eta0": per_row(config.eta0), "theta_true": per_row(config.theta),
                    "beta_true": None, "n_z": per_row(config.nz) if constz else 0.0}
-    # Truth: each cell's success and oracle value, then the hidden spec of
-    # each row, drawn from its cell with its case.
-    _, analytic, oracle = two_fold_cell(eta0, theta, direction, plane)
+    # Truth: each cell's success and oracle value, read in each row, then
+    # the hidden spec of each row, drawn from its cell with its case.
+    analytic, oracle = (truth[cell_of] for truth in two_fold_cell(eta0, theta, direction, plane))
     rows = plane if plane.kind == "xz" else Plane.const_z(plane.nz[cell_of])
     spec = two_fold_spec(eta0[cell_of], theta[cell_of], direction[cell_of], case, rows)
     axis, n_hat, readings = learn_axis(spec, frame, config.shots_learn, [streams[r] for r in axis_roles])
@@ -300,13 +271,32 @@ def _rows(config: ExperimentConfig, cells: int) -> dict:
         # z of a slice is not used.
         alpha_hat, u = plane_angle(n_hat, spec.plane), spec.plane.coords(n_hat)
         in_range = ~np.isnan(cos_theta(row_norm(u), spec.eta0, tol=EPS_CLAMP, plane=spec.plane))
-    reached = ~np.isnan(analytic)[cell_of]
+    reached, has_axis = ~np.isnan(analytic), axis.any(axis=-1)
+    learned = reached & has_axis
+    weak = np.maximum(np.abs(readings[..., 0]), np.abs(readings[..., 1])) <= 3.0 / math.sqrt(config.shots_learn)
+    scored = learned & ~weak
+    ok = scored & in_range
+    n, budget = config.shots_holdout, readings.shape[-1] * config.shots_learn
+    correct = classify_holdout(spec, np.where(has_axis[:, None], axis, UNIT_X), n, streams["holdout"])
+    success, z = score(correct, n, np.where(reached, analytic, 0.5))
+    reach, keep = reached.tolist(), scored.tolist()
     return {
         "scenario": config.scenario,
         "alpha_true": per_row(config.alpha),
         **columns,
-        **_report(config, spec, axis, readings, alpha_hat, reached, analytic[cell_of], oracle[cell_of], in_range,
-                  streams["holdout"]),
+        **{name: _masked(keep, part) for name, part in zip(("axis_x", "axis_y", "axis_z"), axis.T.tolist())},
+        "alpha_hat": _masked(keep, alpha_hat.tolist()),
+        "success_emp": _masked(keep, success.tolist()),
+        "success_analytic": _masked(reach, analytic.tolist()),
+        "success_oracle": _masked(reach, oracle.tolist()),
+        "z_score": _masked(keep, z.tolist()),
+        "shots_learn": [budget if r else 0 for r in reach],
+        "shots_holdout": [n if k else 0 for k in keep],
+        "holdout_correct": _masked(keep, np.maximum(correct, n - correct).tolist()),
+        "status": [
+            _OK if o else _DEGENERATE if not d else _WEAK if w else _OUT_OF_RANGE
+            for o, d, w in zip(ok.tolist(), learned.tolist(), weak.tolist())
+        ],
     }
 
 

@@ -25,8 +25,16 @@ from povmlearn.bloch import (
     row_norm,
     wrap_angle,
 )
-from povmlearn.decomposition import cos_theta, decompose, ensemble_vector, mixture_targets, success_prob
-from povmlearn.equal_prior import delta_analytic, povm_axis_from_phi, solve_alpha
+from povmlearn.decomposition import (
+    cos_theta,
+    decompose,
+    delta_analytic,
+    ensemble_vector,
+    mixture_targets,
+    povm_axis_from_phi,
+    solve_alpha,
+    success_prob,
+)
 from povmlearn.helstrom import helstrom
 
 _XZ = Plane.xz()

@@ -19,14 +19,16 @@ from povmlearn.cli import main as cli_main
 from povmlearn.decomposition import (
     cos_theta,
     decompose,
+    delta_analytic,
     equal_prior_cell,
     learn_axis,
     mixture_targets,
+    povm_axis_from_phi,
+    solve_alpha,
     success_prob,
     two_fold_spec,
 )
 from povmlearn.ensemble import RngStream
-from povmlearn.equal_prior import delta_analytic, povm_axis_from_phi, solve_alpha
 from povmlearn.evaluate import classify_holdout, score
 from povmlearn.experiment import ExperimentConfig, run_experiment, sweep
 from povmlearn.helstrom import helstrom

@@ -361,11 +361,14 @@ def test_package_holds_no_names_and_a_module_loads_only_its_imports():
 
 def test_parser_does_not_load_selfcheck():
     # Only oracle-check and selftest run the batteries, so a run or sweep
-    # process never compiles selfcheck.
+    # process never compiles selfcheck; the parser loads exactly the
+    # modules of the engine and its CLI.
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    code = "import sys, povmlearn.cli; povmlearn.cli.build_parser(); print('povmlearn.selfcheck' in sys.modules)"
+    code = ("import sys, povmlearn.cli; povmlearn.cli.build_parser(); "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'povmlearn'))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    names = ("bloch", "cli", "decomposition", "ensemble", "errors", "evaluate", "experiment", "helstrom")
+    assert result.stdout.split() == ["povmlearn", *(f"povmlearn.{name}" for name in names)]
 
 
 class TestUsage:

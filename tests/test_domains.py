@@ -231,6 +231,13 @@ def test_plane_batch_names_its_first_bad_nz():
     refused(lambda: Plane.const_z([0.2, 1.0, -1.0]), message("nz", 1.0))
 
 
+def test_a_real_parameter_shows_a_0d_array_as_its_number():
+    # A 0-d array is one number of a real row; an integer row refuses it
+    # whole (BAD), since its number may lie inside the domain.
+    refused(lambda: check_domain("eta0", np.array(1.5)), "eta0 must lie in (0, 1), got 1.5")
+    refused(lambda: Plane.const_z(np.array(1.5)), "nz must lie in (-1, 1), got 1.5")
+
+
 def test_two_fold_spec_refuses_a_slightly_negative_theta_as_the_config_does():
     refused(lambda: small("unequal-prior-xz", theta=-1e-13).validate(), "theta must lie in [0, pi], got -1e-13")
     refused(lambda: two_fold_spec(0.6, -1e-13, 0.3, "A"), "theta must lie in [0, pi], got -1e-13")

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from povmlearn import decomposition
 from povmlearn.bloch import EPS_DEGENERATE, Plane, bloch_from_state_angle, perp_in_plane, prob_plus_unchecked
-from povmlearn.decomposition import ensemble_vector, equal_prior_cell, learn_axis, two_fold_spec
+from povmlearn.decomposition import ensemble_vector, equal_prior_cell, learn_axis, povm_axis_from_phi, two_fold_spec
 from povmlearn.ensemble import EnsembleSpec, RngStream, pauli_axes
-from povmlearn.equal_prior import povm_axis_from_phi
 from povmlearn.errors import ContractViolation
 
 from helpers import frame_generators

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from povmlearn.bloch import Plane, perp_in_plane
 from povmlearn.ensemble import EnsembleSpec, RngStream
-from povmlearn.decomposition import equal_prior_cell, learn_axis, two_fold_spec
-from povmlearn.equal_prior import (
+from povmlearn.decomposition import (
     delta_analytic,
+    equal_prior_cell,
+    learn_axis,
     povm_axis_from_phi,
     solve_alpha,
-    weak_readings,
-    weak_signal_threshold,
+    two_fold_spec,
 )
 
 from helpers import circ_diff
@@ -90,9 +90,8 @@ class TestSolveAlpha:
             assert circ_diff(solve_alpha(d0, d1, 0.25), alpha) <= 1e-12
 
     def test_weak_readings_still_get_an_angle(self):
-        # The angle of readings inside the noise floor is noise; the caller
-        # reads weak_readings to mask it.
-        assert weak_readings(1e-4, -2e-4, 3e-3)
+        # The angle of readings inside the noise floor is noise; the engine
+        # marks their row weak_signal and reports no angle.
         assert solve_alpha(1e-4, -2e-4, 0.0) == 2.0 * math.pi + math.atan2(-2e-4, 1e-4)
 
     @given(
@@ -177,8 +176,8 @@ class TestLearnEqualPrior:
         assert min(np.linalg.norm(axis - perp), np.linalg.norm(axis + perp)) <= 5e-3
 
     def test_weak_signal_near_orthogonal_states(self):
+        # The readings sit within the noise floor, and still get an angle.
         _, d0, d1, _ = learn(two_fold_spec(*equal_prior_cell(1.0, 1.45)), 0.0, 400, 9)
-        assert weak_readings(d0, d1, weak_signal_threshold(400))
         assert 0.0 <= solve_alpha(d0, d1, 0.0) < 2.0 * math.pi
 
 
@@ -200,17 +199,7 @@ class TestLearnRows:
                 assert row[0].tobytes() == np.asarray(single).tobytes()
             assert used == used_one
 
-    def test_rows_learn_their_own_angle_and_mark_weak_rows(self):
+    def test_rows_learn_their_own_angle(self):
         alphas = [0.5, 2.4, 4.0, 5.9]
         _, d0, d1, _ = learn(self.rows(alphas, 0.5), 0.3, 1_000_000, 5)
         assert all(circ_diff(a, b) <= 1e-2 for a, b in zip(solve_alpha(d0, d1, 0.3).tolist(), alphas))
-        assert not weak_readings(d0, d1, weak_signal_threshold(1_000_000)).any()
-        _, d0, d1, _ = learn(self.rows([1.0] * 20, 1.45), 0.0, 400, 9)
-        weak = weak_readings(d0, d1, weak_signal_threshold(400))
-        assert weak.any()
-        assert np.all(weak == (np.maximum(np.abs(d0), np.abs(d1)) <= 3.0 / 20.0))
-
-
-class TestWeakSignalThreshold:
-    def test_scales_inversely_with_root_shots(self):
-        assert weak_signal_threshold(900) == pytest.approx(0.1, abs=1e-15)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from povmlearn.bloch import Plane, bloch_from_state_angle, perp_in_plane
-from povmlearn.decomposition import two_fold_spec
+from povmlearn.decomposition import ensemble_vector, two_fold_spec
 from povmlearn.ensemble import EnsembleSpec, RngStream
 from povmlearn.errors import ContractViolation
 from povmlearn.evaluate import classify_holdout, correct_prob, folded_success, score
@@ -119,7 +119,7 @@ class TestCorrectProb:
         theta = rng.uniform(0.05, math.pi - 0.05, rows)
         alpha = rng.uniform(0.0, 2 * math.pi, rows)
         plane = Plane.const_z(rng.uniform(-0.9, 0.9, rows)) if plane_kind == "constz" else Plane.xz()
-        n, analytic, _ = two_fold_cell(eta0, theta, alpha, plane)
+        (n, _), (analytic, _) = ensemble_vector(eta0, theta, alpha, plane), two_fold_cell(eta0, theta, alpha, plane)
         reached = ~np.isnan(analytic)
         assert reached.sum() >= 990
         spec = two_fold_spec(eta0, theta, alpha, np.full(rows, case), plane)

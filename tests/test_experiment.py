@@ -17,8 +17,16 @@ import pytest
 import povmlearn.experiment as experiment
 from povmlearn import bloch
 from povmlearn.bloch import Plane
-from povmlearn.decomposition import ensemble_vector, equal_prior_cell, mixture_targets, success_prob, two_fold_spec
-from povmlearn.ensemble import RngStream
+from povmlearn.decomposition import (
+    ensemble_vector,
+    equal_prior_cell,
+    learn_axis,
+    mixture_targets,
+    povm_axis_from_phi,
+    success_prob,
+    two_fold_spec,
+)
+from povmlearn.ensemble import RngStream, pauli_axes
 from povmlearn.errors import ContractViolation
 from povmlearn.helstrom import helstrom
 from povmlearn.experiment import (
@@ -281,6 +289,51 @@ class TestRunExperiment:
             assert r.success_analytic == 0.5
             assert r.success_oracle == 0.5
             assert abs(r.success_emp - 0.5) <= 0.05
+
+
+def redrawn_readings(cfg: ExperimentConfig, columns: dict) -> np.ndarray:
+    """The readings of every row of a run, drawn again as the engine draws
+    them: learn_axis on the rows' spec and the scenario's frame, from the
+    _role_streams generators of its learning axes."""
+    full = np.full(len(columns["trial"]), 1.0)
+    roles = ("axis0", "axis1", "axis2") if cfg.scenario == "const-z" else ("axis0", "axis1")
+    if cfg.scenario == "equal-prior-xz":
+        spec = two_fold_spec(*equal_prior_cell(cfg.alpha * full, cfg.beta * full))
+        frame = (povm_axis_from_phi(cfg.phi0), povm_axis_from_phi(cfg.phi0 + 0.25 * math.pi))
+    else:
+        plane = Plane.const_z(cfg.nz * full) if cfg.scenario == "const-z" else Plane.xz()
+        spec = two_fold_spec(cfg.eta0 * full, cfg.theta * full, cfg.alpha * full, columns["case"], plane)
+        frame = pauli_axes(plane)
+    streams = experiment._role_streams(cfg.seed, roles)
+    return learn_axis(spec, frame, cfg.shots_learn, [streams[role] for role in roles])[2]
+
+
+class TestWeakRule:
+    """The engine's one weak rule, for every scenario: a row with a
+    direction is weak_signal exactly when both of its first two readings
+    lie within 3/sqrt(shots_learn); a const-z row's z reading is not used.
+    At 400 shots the floor is 0.15, which a reading (2 count - 400)/400
+    meets exactly at a count of 230 or 170."""
+
+    # Cells whose larger in-plane reading has a mean near the floor, so
+    # that rows fall on both sides of it and on it.
+    CELLS = {
+        "equal-prior-xz": dict(scenario="equal-prior-xz", beta=1.4, phi0=0.3),
+        "unequal-prior-xz": dict(scenario="unequal-prior-xz", eta0=0.5, theta=2.8),
+        "const-z": dict(scenario="const-z", eta0=0.5, theta=2.8, nz=0.4),
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(CELLS))
+    def test_weak_exactly_at_or_below_the_floor(self, scenario):
+        cfg = ExperimentConfig(**self.CELLS[scenario], shots_learn=400, shots_holdout=100, trials=400, seed=7)
+        columns = run_experiment(cfg)
+        readings = redrawn_readings(cfg, columns)
+        top = np.maximum(np.abs(readings[:, 0]), np.abs(readings[:, 1]))
+        status = np.array(columns["status"])
+        kept = status != "degenerate_ensemble"
+        assert kept.sum() >= 395 and (top[kept] == 0.15).any()
+        assert ((status == "weak_signal") == (top <= 0.15))[kept].all()
+        assert 50 <= (status == "weak_signal").sum() <= 350
 
 
 def count_calls(monkeypatch, name):

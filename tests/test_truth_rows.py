@@ -118,15 +118,13 @@ def test_decompose(grid, case):
 
 def test_two_fold_cell_marks_exactly_the_degenerate_cells(grid):
     eta0, theta, alpha, plane, planes = grid
-    n, analytic, oracle = two_fold_cell(eta0, theta, alpha, plane)
+    analytic, oracle = two_fold_cell(eta0, theta, alpha, plane)
     marked = np.isnan(analytic)
     assert 0 < marked.sum() < len(eta0)
     assert (np.isnan(oracle) == marked).all()
-    assert np.isnan(plane.coords(n)[marked]).all()
     for k, p in enumerate(planes):
         one = two_fold_cell(eta0[k], theta[k], alpha[k], p)
-        assert bits(n[k]) == bits(one[0])
-        assert bits(analytic[k]) == bits(one[1]) and bits(oracle[k]) == bits(one[2])
+        assert bits(analytic[k]) == bits(one[0]) and bits(oracle[k]) == bits(one[1])
 
 
 @pytest.mark.parametrize("case", [*CASES, "rows"])
@@ -147,7 +145,7 @@ def test_two_fold_spec_is_the_pair_decompose_recovers(grid, case):
     # On every cell with an ensemble direction, the pair built forward from
     # the cell's angles is the pair decompose recovers from its vector.
     eta0, theta, alpha, plane, _ = grid
-    n, analytic, _ = two_fold_cell(eta0, theta, alpha, plane)
+    (n, _), (analytic, _) = ensemble_vector(eta0, theta, alpha, plane), two_fold_cell(eta0, theta, alpha, plane)
     kept = ~np.isnan(analytic)
     assert kept.sum() >= 0.9 * len(eta0)
     spec, (n0, n1) = two_fold_spec(eta0, theta, alpha, case, plane), decompose(n, theta, eta0, case, plane)
@@ -162,7 +160,7 @@ def test_degenerate_cells_keep_a_pure_pair(grid, case):
     # a mixture whose in-plane norm is at most EPS_DEGENERATE, and
     # antipodal in the plane at eta0 = 1/2.
     eta0, theta, alpha, plane, _ = grid
-    _, analytic, _ = two_fold_cell(eta0, theta, alpha, plane)
+    analytic, _ = two_fold_cell(eta0, theta, alpha, plane)
     lost = np.isnan(analytic)
     assert set(theta[lost]) == {math.pi} and {0.5, NEAR_HALF[0]} <= set(eta0[lost]) <= {0.5, *NEAR_HALF}
     spec = two_fold_spec(eta0, theta, alpha, case, plane)
@@ -202,11 +200,11 @@ def test_near_antipodal_cells_build_both_branches(eta0, theta, alpha, nz):
     # spec checks them), and has the bits of its row in a batch.
     plane = Plane.xz() if nz is None else Plane.const_z(nz)
     rows = Plane.xz() if nz is None else Plane.const_z([nz, nz])
-    _, r = ensemble_vector(eta0, theta, alpha, plane)
+    n, r = ensemble_vector(eta0, theta, alpha, plane)
     cell = (np.array([eta0, 0.7]), np.array([theta, 1.0]), np.array([alpha, 0.3]))
     one, batch = two_fold_cell(eta0, theta, alpha, plane), two_fold_cell(*cell, rows)
     assert all(bits(b[0]) == bits(o) for b, o in zip(batch, one))
-    n, analytic, _ = one
+    analytic, _ = one
     if r <= EPS_DEGENERATE:
         assert np.isnan(analytic)
     else:
@@ -240,7 +238,7 @@ def test_equal_prior_spec_rows():
 def test_batch_contract_errors_still_raise():
     eta0 = np.array([0.6, 0.7])
     theta = np.array([1.0, 1.2])
-    n, _, _ = two_fold_cell(eta0, theta, np.array([0.0, 1.0]))
+    n, _ = ensemble_vector(eta0, theta, np.array([0.0, 1.0]))
     # Each refusal names the first bad row; two directions for one prior
     # are two rows, never one state from each.
     with pytest.raises(ContractViolation, match=r"^eta0 must lie in \(0, 1\), got 1.0$"):
