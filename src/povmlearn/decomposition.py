@@ -67,8 +67,9 @@ from povmlearn.bloch import (
 from povmlearn.ensemble import EnsembleSpec
 from povmlearn.errors import ContractViolation
 
-# Estimated separation cosines may be driven off [-1, 1] by shot noise;
-# values within this slack are clamped, anything beyond is an error.
+# Shot noise may drive an estimated separation cosine off [-1, 1]: cos_theta
+# clamps it within this slack and is NaN beyond (the engine's status
+# cos_theta_out_of_range).  Only _slice_coords raises, past radius*(1 + slack).
 EPS_CLAMP = 0.02
 
 _PLANE_XZ = Plane.xz()

@@ -292,17 +292,11 @@ def _rows(config: ExperimentConfig, cells: int) -> dict:
         "z_score": _masked(keep, z.tolist()),
         "shots_learn": [budget if r else 0 for r in reach],
         "shots_holdout": [n if k else 0 for k in keep],
-        "holdout_correct": _masked(keep, np.maximum(correct, n - correct).tolist()),
         "status": [
             _OK if o else _DEGENERATE if not d else _WEAK if w else _OUT_OF_RANGE
             for o, d, w in zip(ok.tolist(), learned.tolist(), weak.tolist())
         ],
     }
-
-
-# The columns of a result record: the CSV columns, then the holdout
-# qubits each row classified correctly (None where it reports no score).
-_RECORD_COLUMNS = (*CSV_COLUMNS, "holdout_correct")
 
 
 def run_experiment(config: ExperimentConfig) -> dict[str, list]:
@@ -315,11 +309,13 @@ def sweep(base: ExperimentConfig, grid: dict[str, Sequence[float]]) -> dict[str,
     """Cartesian sweep over parameter value lists, base.trials rows per cell
     in cell order, with globally unique trial indices.  All cells draw from
     the same role streams, one array per stream over every row.  A grid
-    key the scenario does not read is refused, since its cells would repeat.
+    key the scenario does not read is refused, since its cells would repeat,
+    and so is an entry that is not a list of values (text, None, a number).
 
-    The result record maps each CSV_COLUMNS name, then holdout_correct, to
-    a list with one entry per row; None marks a value that the row's status
-    leaves empty."""
+    The result record is what render_results writes: each CSV_COLUMNS name,
+    in order, maps to a list with one entry per row, None where the row's
+    status leaves a value empty.  One check (_check_record) refuses a
+    malformed record for its readers, render_results and summarize."""
     keys = [k for k in SWEEP_KEYS if k in grid]
     unknown = set(grid) - set(keys)
     if unknown:
@@ -327,7 +323,10 @@ def sweep(base: ExperimentConfig, grid: dict[str, Sequence[float]]) -> dict[str,
     # Each swept value is one number, checked as given, as the config field
     # would be, before it is read as a double.
     for k in keys:
-        for v in grid[k]:
+        if isinstance(values := grid[k], (str, bytes)) or not np.iterable(values):
+            bad = values[()] if isinstance(values, np.ndarray) else values
+            raise ContractViolation(f"a swept {k} takes a list of values, got {shown(bad)}")
+        for v in values:
             check_domain(k, v)
             if np.ndim(v):
                 raise ContractViolation(f"a swept {k} value must be one number, got {shown(v)}")
@@ -340,26 +339,44 @@ def sweep(base: ExperimentConfig, grid: dict[str, Sequence[float]]) -> dict[str,
     if unread:
         raise ContractViolation(f"cannot sweep over {unread}, which the {base.scenario} scenario does not read")
     if not combos:
-        return {name: [] for name in _RECORD_COLUMNS}
+        return {name: [] for name in CSV_COLUMNS}
     count = len(combos) * int(base.trials)
     columns = {"trial": list(range(count)), **_rows(config, len(combos))}
     # A value that every row shares is expanded to one entry per row.
-    return {name: v if isinstance(v := columns[name], list) else [v] * count for name in _RECORD_COLUMNS}
+    return {name: v if isinstance(v := columns[name], list) else [v] * count for name in CSV_COLUMNS}
+
+
+def _check_record(columns: dict) -> list:
+    """The CSV_COLUMNS of a result record, in order, once each is there, is
+    a list or tuple, and all have one length; else the record is refused,
+    the column at fault named."""
+    table = []
+    for name in CSV_COLUMNS:
+        if not isinstance(column := columns.get(name), (list, tuple)):
+            got = type(column).__name__ if name in columns else "no such column"
+            raise ContractViolation(f"the {name} column of a result record must be a list or tuple, got {got}")
+        if table and len(column) != len(table[0]):
+            raise ContractViolation(f"the {name} and trial columns differ in length, {len(column)} and {len(table[0])}")
+        table.append(column)
+    return table
 
 
 def summarize(columns: dict[str, list]) -> dict:
-    """Aggregate counts of a result record, and pooled success over the
-    rows that report a score."""
+    """Aggregate counts of a result record (_check_record), and pooled
+    success over the rows that report a score: their success_emp weighted
+    by shots_holdout.  That is their share of correct holdout qubits, up to
+    rounding, so the written record gives it again."""
+    _check_record(columns)
     scored = [v is not None for v in columns["success_emp"]]
-    correct, holdout, analytic, z = (
+    success, holdout, analytic, z = (
         list(itertools.compress(columns[name], scored))
-        for name in ("holdout_correct", "shots_holdout", "success_analytic", "z_score")
+        for name in ("success_emp", "shots_holdout", "success_analytic", "z_score")
     )
     pooled_total = sum(holdout)
     return {
         "trials": len(columns["trial"]),
         "statuses": dict(collections.Counter(columns["status"])),
-        "pooled_success": sum(correct) / pooled_total if pooled_total else None,
+        "pooled_success": sum(s * h for s, h in zip(success, holdout)) / pooled_total if pooled_total else None,
         "mean_analytic": sum(analytic) / len(analytic) if analytic else None,
         "max_abs_z": max(map(abs, z), default=None),
         "qubits_used": sum(columns["shots_learn"]) + sum(columns["shots_holdout"]),
@@ -401,26 +418,19 @@ def _csv_column(column: list, kind: str, types: set) -> tuple[str, list]:
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_float(x) -> str:
-    """The shortest repr of float('%.12g' % x), as json.dumps writes it.
-
-    A finite '%.12g' text without an exponent is that repr already, save a
-    missing '.0': a decimal of at most 15 significant digits reads back as
-    a double whose shortest repr has the same digits, and both '%g' and
-    repr write a decimal exponent in [-4, 12) positionally.  Other texts
-    (an exponent, nan, inf) go through float and repr.
-    """
-    text = "%.12g" % x
-    if "e" in text or "n" in text:
-        text = float.__repr__(float(text))
-        return _JSON_NONFINITE.get(text, text)
-    return text if "." in text else text + ".0"
+def _json_float(text: str) -> str:
+    """The JSON text of a '%.12g' text with an exponent, nan or inf: the
+    shortest repr of its value, as json.dumps writes it."""
+    text = float.__repr__(float(text))
+    return _JSON_NONFINITE.get(text, text)
 
 
-# Each kind's column (and None) is written in one comprehension.  A float
-# '%.12g' text with a point and no exponent is already its JSON text, and
-# one with neither (nor the n of nan or inf) is a whole number that only
-# lacks its '.0' (_json_float).
+# Each kind's column (and None) is written in one comprehension.  A finite
+# float's '%.12g' text without an exponent is the shortest repr of its value
+# already, save a missing '.0': a decimal of at most 15 significant digits
+# reads back as a double whose shortest repr has the same digits, and both
+# '%g' and repr write a decimal exponent in [-4, 12) positionally.  Other
+# texts (an exponent, nan, inf) go through float and repr (_json_float).
 _JSON_COLUMN = {
     "str": lambda c: ["null" if v is None else encode_basestring_ascii(v) for v in c],
     "int": lambda c: ["null" if v is None else "%d" % v for v in c],
@@ -428,7 +438,7 @@ _JSON_COLUMN = {
         "null" if v is None
         else t if "." in (t := "%.12g" % v) and "e" not in t
         else t + ".0" if "e" not in t and "n" not in t
-        else _json_float(v)
+        else _json_float(t)
         for v in c
     ],
 }
@@ -449,10 +459,9 @@ def render_results(columns: dict[str, list], fmt: str = "csv") -> str:
     of csv.writer (lineterminator "\\n") and of json.dumps(indent=2) over
     the cells so written.  A column whose cells are all written alike is
     written once, into the row template; each row is then one %-format
-    over the cells of the other columns."""
-    table = [columns[name] for name in CSV_COLUMNS]
-    if len(set(map(len, table))) > 1:
-        raise ContractViolation("the columns of a result record differ in length")
+    over the cells of the other columns.  A malformed record (a column
+    missing, not a list or tuple, or of another length) is refused first."""
+    table = _check_record(columns)
     if not table[0]:
         raise ContractViolation("no result rows to emit")
     if fmt not in FORMATS:

@@ -154,7 +154,8 @@ def test_criterion_4_success_probability_sweep(capfd):
         for (eta0, theta), target in SWEEP_CELLS.items():
             cell = [r for r in rows if r.eta0 == eta0 and r.theta_true == theta]
             assert len(cell) == 200
-            correct = sum(r.holdout_correct for r in cell)
+            # A row's folded correct count is success_emp * shots_holdout.
+            correct = sum(r.success_emp * r.shots_holdout for r in cell)
             total = sum(r.shots_holdout for r in cell)
             pooled = correct / total
             sigma = math.sqrt(target * (1 - target) / total)
@@ -231,8 +232,9 @@ def test_criterion_7_constant_z_reduction(capfd):
             assert abs(f.axis_x - s.axis_x) <= 1e-12
             assert abs(f.axis_z - s.axis_y) <= 1e-12
             assert s.axis_z == 0.0
-            # Sampled counts are identical, not merely close.
-            assert f.holdout_correct == s.holdout_correct
+            # Sampled counts are identical, not merely close: equal
+            # success_emp at equal shots_holdout is an equal correct count.
+            assert f.shots_holdout == s.shots_holdout
             assert f.success_emp == s.success_emp
         # The separation cosine at coincident-state inputs must be exactly 1;
         # the variant without the factor 2 in the denominator would give 2.

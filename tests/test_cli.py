@@ -143,6 +143,32 @@ class TestRun:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    # Two runs of mixed statuses: the printed pooled success and statuses.
+    MIXED = {
+        ("--scenario", "equal-prior-xz", "--beta", "1.5", "--shots-learn", "400", "--shots-holdout", "1000",
+         "--trials", "40", "--seed", "1"): ("0.993000", "ok=1, weak_signal=39"),
+        ("--scenario", "unequal-prior-xz", "--eta0", "0.55", "--theta", "3.1", "--shots-learn", "2000",
+         "--shots-holdout", "500", "--trials", "40", "--seed", "3"): ("0.608824", "ok=34, weak_signal=6"),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", MIXED, ids=["equal-prior-xz", "unequal-prior-xz"])
+    def test_pooled_success_is_the_shot_weighted_success_of_the_file(self, capsys, tmp_path, argv, fmt):
+        # The summary reads only columns that the --out file holds, so its
+        # pooled success can be recomputed from the file.
+        path = tmp_path / f"rows.{fmt}"
+        code, out, _ = run_cli(capsys, "run", *argv, "--format", fmt, "--out", str(path))
+        assert code == 0
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh)) if fmt == "csv" else json.load(fh)
+        scored = [r for r in rows if r["success_emp"] not in ("", None)]
+        pooled = sum(float(r["success_emp"]) * int(r["shots_holdout"]) for r in scored) / sum(
+            int(r["shots_holdout"]) for r in scored)
+        printed, statuses = self.MIXED[argv]
+        assert f"trials: 40 ({statuses})" in out
+        assert f"pooled empirical success: {pooled:.6f} " in out
+        assert f"{pooled:.6f}" == printed
+
 
 class TestConfigFile:
     def test_config_file_supplies_defaults(self, capsys, tmp_path):

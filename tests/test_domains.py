@@ -267,6 +267,20 @@ def test_a_swept_value_is_one_number():
             "a swept eta0 value must be one number, got [0.6, 0.7]")
 
 
+@pytest.mark.parametrize("entry, text", [
+    ("0.6", "'0.6'"), (b"0.6", "b'0.6'"), (None, "None"), (0.6, "0.6"), (np.array(0.6), "0.6"), (2, "2"),
+], ids=["str", "bytes", "None", "float", "0-d array", "int"])
+@pytest.mark.parametrize("key", ["eta0", "alpha"])
+def test_a_grid_entry_that_is_not_a_list_of_values_is_refused(key, entry, text):
+    # Walked, text would be read a character at a time, and its first refused.
+    refused(lambda: sweep(small("unequal-prior-xz"), {key: entry}), f"a swept {key} takes a list of values, got {text}")
+
+
+@pytest.mark.parametrize("entry", [[0.6, 0.7], (0.6, 0.7), np.array([0.6, 0.7])], ids=["list", "tuple", "array"])
+def test_a_grid_entry_of_values_sweeps_them(entry):
+    assert sweep(small("unequal-prior-xz", trials=2), {"eta0": entry})["eta0"] == [0.6, 0.6, 0.7, 0.7]
+
+
 @pytest.mark.parametrize("call", [
     lambda: check_domain("alpha", 10**5000),
     small("const-z", alpha=10**5000).validate,

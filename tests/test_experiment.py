@@ -503,8 +503,9 @@ SCENARIO_CELLS = {
 
 
 class TestResultRecord:
-    """run_experiment and sweep return a columns record: each CSV column,
-    then holdout_correct, as a list with one entry per row."""
+    """run_experiment and sweep return a columns record of exactly the
+    columns they write: each CSV column, in order, as a list with one entry
+    per row."""
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIO_CELLS))
     def test_run_and_sweep_return_one_entry_per_row_in_each_column(self, scenario):
@@ -515,7 +516,7 @@ class TestResultRecord:
             0: sweep(cfg, {"alpha": []}),
         }
         for count, columns in records.items():
-            assert list(columns) == [*CSV_COLUMNS, "holdout_correct"]
+            assert list(columns) == list(CSV_COLUMNS)
             assert all(type(column) is list and len(column) == count for column in columns.values())
 
 

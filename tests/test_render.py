@@ -33,9 +33,10 @@ from povmlearn.experiment import (
     SCENARIOS,
     ExperimentConfig,
     _COLUMN_KINDS,
-    _json_float,
+    _JSON_COLUMN,
     render_results,
     run_experiment,
+    summarize,
     sweep,
 )
 
@@ -178,14 +179,48 @@ def test_long_run_matches_reference(fmt, config, statuses):
     assert render_results(columns, fmt) == reference_render(columns, fmt)
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
+# Both readers of a record refuse a malformed one through one check, its
+# column named: never a KeyError, an AttributeError or a summary.
+READERS = {"csv": functools.partial(render_results, fmt="csv"), "json": functools.partial(render_results, fmt="json"),
+           "summarize": summarize}
+
+
+@pytest.mark.parametrize("reader", READERS)
 @pytest.mark.parametrize("column", ["trial", "axis_y", "status"])
-def test_columns_of_different_lengths_are_rejected(fmt, column):
-    # zip would drop the rows past the shortest column without a word.
+def test_columns_of_different_lengths_are_rejected(reader, column):
+    # zip would drop the rows past the shortest column without a word.  The
+    # message names the first column whose length differs from trial's.
     columns = columns_of(status_rows())
     columns[column] = columns[column][:-1]
-    with pytest.raises(ContractViolation, match="differ in length"):
-        render_results(columns, fmt)
+    named = "scenario" if column == "trial" else column
+    with pytest.raises(ContractViolation, match=f"^the {named} and trial columns differ in length"):
+        READERS[reader](columns)
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("column", ["trial", "success_emp", "status"])
+def test_a_record_without_a_column_is_rejected(reader, column):
+    columns = columns_of(status_rows())
+    del columns[column]
+    with pytest.raises(ContractViolation, match=f"^the {column} column of a result record must be a list or tuple, "
+                                                 "got no such column$"):
+        READERS[reader](columns)
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("column", ["trial", "success_emp", "shots_holdout"])
+def test_a_column_that_is_not_a_list_or_tuple_is_rejected(reader, column):
+    columns = columns_of(status_rows())
+    columns[column] = np.array(columns[column])
+    with pytest.raises(ContractViolation, match=f"^the {column} column of a result record must be a list or tuple, "
+                                                 "got ndarray$"):
+        READERS[reader](columns)
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_a_record_of_tuples_is_read_as_one_of_lists(reader):
+    columns = columns_of(status_rows())
+    assert READERS[reader]({k: tuple(v) for k, v in columns.items()}) == READERS[reader](columns)
 
 
 # --- generated rows ------------------------------------------------------------
@@ -420,9 +455,9 @@ def test_percent_format_equals_format_spec(x):
 
 
 # --- JSON floats ------------------------------------------------------------
-# _json_float writes a finite, exponent-free '%.12g' text as it is (plus
-# '.0' when it has no point) and sends every other text through repr.  The
-# expected text is json.dumps of the 12-digit value.
+# The JSON float writer keeps a finite, exponent-free '%.12g' text as it is
+# (plus '.0' when it has no point) and sends every other text through repr
+# (_json_float).  The expected text is json.dumps of the 12-digit value.
 
 JSON_FLOAT_CASES = (
     # '%g' writes an exponent from 1e12 on, repr from 1e16 on.
@@ -459,22 +494,25 @@ JSON_FLOAT_CASES = (
 )
 
 
+def json_float(x) -> str:
+    """The JSON text of x in a float column."""
+    return _JSON_COLUMN["float"]([x])[0]
 
 
 @pytest.mark.parametrize("value, text", JSON_FLOAT_CASES, ids=[repr(v) for v, _ in JSON_FLOAT_CASES])
 @pytest.mark.parametrize("kind", [float, np.float64])
 def test_json_float_cases(value, text, kind):
-    assert _json_float(kind(value)) == text == json.dumps(float("%.12g" % value))
+    assert json_float(kind(value)) == text == json.dumps(float("%.12g" % value))
 
 
 @pytest.mark.parametrize("value", [0, 7, -3, 2**53 + 1, np.int64(12)])
 def test_json_float_of_an_integer_value(value):
     # A float field holding an integer is written as a float (render_results),
     # and the float writer agrees with json.dumps on it.
-    assert _json_float(value) == json.dumps(float("%.12g" % value))
+    assert json_float(value) == json.dumps(float("%.12g" % value))
 
 
 @settings(max_examples=2000)
 @given(st.floats() | st.floats(1e-6, 1e17) | st.floats(-1e17, -1e-6))
 def test_json_float_equals_the_shortest_repr(x):
-    assert _json_float(x) == json.dumps(float("%.12g" % x))
+    assert json_float(x) == json.dumps(float("%.12g" % x))
