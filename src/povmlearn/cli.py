@@ -8,7 +8,8 @@ Subcommands:
 * ``selftest``     full library invariant battery
 
 The run and sweep flags are the fields of ExperimentConfig, one flag per
-field, and argparse converts every value.  A ``--config`` file's
+field, then the two output flags ``--format`` and ``--out``; argparse
+converts every value.  A ``--config`` file's
 ``key = value`` lines are parsed as the flags of the same names, ahead of
 the explicit flags, which therefore win.  A negative value works after
 its flag in both spellings, ``--alpha -1e-3`` and ``--alpha=-1e-3``.
@@ -39,18 +40,12 @@ from povmlearn.experiment import (
     sweep,
 )
 
-# Options of the fields whose values are not numbers.
-_FIELD_OPTIONS = {
-    "scenario": {"choices": SCENARIOS},
-    "fmt": {"choices": FORMATS},
-    "out": {"type": Path, "metavar": "FILE", "help": "output path (default: stdout)"},
-}
 _METAVARS = {float: "V", int: "N"}
 
 
 def _flag(name: str) -> str:
     """The run/sweep flag of an ExperimentConfig field."""
-    return "--format" if name == "fmt" else "--" + name.replace("_", "-")
+    return "--" + name.replace("_", "-")
 
 
 def _float_list(text: str) -> list[float]:
@@ -65,9 +60,9 @@ def _float_list(text: str) -> list[float]:
 # argparse names the type by its __name__ in a usage error.
 _float_list.__name__ = "float list"
 
-# The flags of the ExperimentConfig fields, which are also the keys a
-# config file may set.
-_FIELD_FLAGS = frozenset(_flag(f.name) for f in fields(ExperimentConfig))
+# The flags of the ExperimentConfig fields and the two output flags, which
+# are also the keys a config file may set.
+_FIELD_FLAGS = frozenset(_flag(f.name) for f in fields(ExperimentConfig)) | {"--format", "--out"}
 
 # The int flags of the two batteries, with their defaults.
 _BATTERY_FLAGS = {
@@ -90,19 +85,21 @@ _NEGATIVE_VALUE = re.compile(r"-(?:[0-9.]|(?:inf|infinity|nan)(?:,|$))", re.IGNO
 
 def _add_common_options(parser: argparse.ArgumentParser, sweep_mode: bool) -> None:
     """--config, then one flag per ExperimentConfig field, converted by the
-    type of the field's default; under sweep a SWEEP_KEYS field takes a
-    comma-separated list."""
+    type of the field's default (under sweep a SWEEP_KEYS field takes a
+    comma-separated list), then --format and --out."""
     parser.add_argument("--config", type=Path, metavar="FILE",
                         help="key=value file with defaults; explicit flags win")
     for f in fields(ExperimentConfig):
-        if f.name in _FIELD_OPTIONS:
-            options = _FIELD_OPTIONS[f.name]
+        if f.name == "scenario":
+            options = {"choices": SCENARIOS}
         elif sweep_mode and f.name in SWEEP_KEYS:
             options = {"type": _float_list, "metavar": "V[,V...]",
                        "help": f"{f.name} value or comma-separated list to sweep"}
         else:
             options = {"type": type(f.default), "metavar": _METAVARS[type(f.default)]}
         parser.add_argument(_flag(f.name), dest=f.name, **options)
+    parser.add_argument("--format", dest="fmt", choices=FORMATS, default="csv")
+    parser.add_argument("--out", type=Path, metavar="FILE", help="output path (default: stdout)")
 
 
 @functools.cache
@@ -218,8 +215,8 @@ def _fmt_opt(value, spec: str) -> str:
     return "n/a" if value is None else format(value, spec)
 
 
-def _emit_and_summarize(columns: dict[str, list], config: ExperimentConfig) -> None:
-    emit_results(columns, config.fmt, config.out)
+def _emit_and_summarize(columns: dict[str, list], args: argparse.Namespace) -> None:
+    emit_results(columns, args.fmt, args.out)
     summary = summarize(columns)
     statuses = ", ".join(f"{k}={v}" for k, v in sorted(summary["statuses"].items()))
     lines = [
@@ -231,50 +228,44 @@ def _emit_and_summarize(columns: dict[str, list], config: ExperimentConfig) -> N
     ]
     # Keep machine-readable rows separable from the human summary: the
     # summary goes to stderr whenever the rows went to stdout.
-    stream = sys.stderr if config.out is None else sys.stdout
-    if config.out is not None:
-        lines.insert(0, f"wrote {config.out}")
+    stream = sys.stderr if args.out is None else sys.stdout
+    if args.out is not None:
+        lines.insert(0, f"wrote {args.out}")
     print("\n".join(lines), file=stream)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config, _ = _config_and_grid(args)
-    _emit_and_summarize(run_experiment(config), config)
+    _emit_and_summarize(run_experiment(config), args)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config, grid = _config_and_grid(args)
-    _emit_and_summarize(sweep(config, grid), config)
+    _emit_and_summarize(sweep(config, grid), args)
     return 0
 
 
-def _cmd_oracle_check(args: argparse.Namespace) -> int:
+def _cmd_battery(args: argparse.Namespace) -> int:
+    """oracle-check runs the oracle battery; selftest runs it on 2000
+    instances, then the invariant battery."""
     # Imported here, so that a run or sweep process never loads the batteries.
     from povmlearn import selfcheck
 
-    text, passed = selfcheck.render(selfcheck.oracle_battery(args.instances, args.seed))
-    sys.stdout.write(text)
-    return 0 if passed else 2
-
-
-def _cmd_selftest(args: argparse.Namespace) -> int:
-    from povmlearn import selfcheck  # as in _cmd_oracle_check
-
-    outcomes = selfcheck.oracle_battery(2000, args.seed) + selfcheck.invariant_battery(args.seed)
+    if args.command == "oracle-check":
+        outcomes = selfcheck.oracle_battery(args.instances, args.seed)
+    else:
+        outcomes = selfcheck.oracle_battery(2000, args.seed) + selfcheck.invariant_battery(args.seed)
     text, passed = selfcheck.render(outcomes)
     sys.stdout.write(text)
     return 0 if passed else 2
 
 
+_HANDLERS = {"run": _cmd_run, "sweep": _cmd_sweep, "oracle-check": _cmd_battery, "selftest": _cmd_battery}
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    handlers = {
-        "run": _cmd_run,
-        "sweep": _cmd_sweep,
-        "oracle-check": _cmd_oracle_check,
-        "selftest": _cmd_selftest,
-    }
     try:
         try:
             args = _parse(argv)
@@ -284,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
                 args = _parse([args.command, *_parse_config_file(args.config), *argv[1:]])
         except SystemExit as exc:
             return int(exc.code or 0)
-        return handlers[args.command](args)
+        return _HANDLERS[args.command](args)
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -161,8 +161,6 @@ class ExperimentConfig:
     shots_holdout: int = 10_000
     trials: int = 10
     seed: int = 0
-    fmt: str = "csv"
-    out: str | None = None
 
     def validate(self) -> None:
         """Refuse a config with a field outside its domain (check_domain); a
@@ -172,8 +170,6 @@ class ExperimentConfig:
         equal-prior scenario also pins eta0 to 0.5."""
         if self.scenario not in SCENARIOS:
             raise ContractViolation(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        if self.fmt not in FORMATS:
-            raise ContractViolation(f"format must be one of {FORMATS}, got {self.fmt!r}")
         for name in ("shots_learn", "shots_holdout"):
             check_domain("shots", getattr(self, name), name)
         for name in ("trials", "seed", "alpha", "phi0", "eta0", "beta", "theta", "nz"):

@@ -69,7 +69,7 @@ def _random_instances(rng: np.random.Generator, count: int, plane: Plane = _XZ):
     return eta0, theta, r, n
 
 
-def oracle_battery(n_instances: int = 10_000, seed: int = 12345) -> list[tuple[str, bool, str]]:
+def oracle_battery(n_instances: int, seed: int) -> list[tuple[str, bool, str]]:
     """Property battery for the minimum-error oracle on random instances.
 
     The ground truth of every instance (ensemble vector, mixture targets and
@@ -107,7 +107,7 @@ def oracle_battery(n_instances: int = 10_000, seed: int = 12345) -> list[tuple[s
     ]
 
 
-def invariant_battery(seed: int = 12345) -> list[tuple[str, bool, str]]:
+def invariant_battery(seed: int) -> list[tuple[str, bool, str]]:
     """Library-wide invariant battery; pure computation, no file I/O.  Each
     check compares a whole array of instances (a grid, or one draw of
     random rows) and reports the worst row."""

@@ -246,6 +246,19 @@ class TestConfigFile:
         assert code == 0
         assert [r["eta0"] for r in json.loads(out)] == [0.7, 0.7]
 
+    # The two output keys, as the flags --out and --format.
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_key_writes_the_record_to_its_file(self, capsys, tmp_path, fmt):
+        path = tmp_path / f"rows.{fmt}"
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text(("format = json\n" if fmt == "json" else "") + f"out = {path}\n")
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg), *COMMON)
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == f"wrote {path}"
+        code, expected, _ = run_cli(capsys, "run", "--format", fmt, *COMMON)
+        assert code == 0
+        assert path.read_text() == expected
+
 
 class TestSweep:
     def test_comma_lists_form_a_grid(self, capsys):
@@ -402,6 +415,14 @@ class TestUsage:
         code, _, _ = run_cli(capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unknown_format_is_usage_error_and_writes_nothing(self, capsys, tmp_path, command):
+        path = tmp_path / "rows.yaml"
+        code, out, err = run_cli(capsys, command, "--format", "yaml", "--out", str(path), *COMMON)
+        assert code == 2 and out == ""
+        assert f"povmlearn {command}: error: argument --format: invalid choice: 'yaml'" in err
+        assert not path.exists()
+
     def test_help_exits_zero(self, capsys):
         code, _, _ = run_cli(capsys, "--help")
         assert code == 0
@@ -444,7 +465,8 @@ def _subparser(command: str) -> argparse.ArgumentParser:
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_run_and_sweep_flags_are_the_config_fields(command):
-    # One flag per ExperimentConfig field, in field order, after --config.
+    # One flag per ExperimentConfig field, in field order, after --config;
+    # then the two output flags.
     flags = [s for a in _subparser(command)._actions for s in a.option_strings]
     assert flags == [
         "-h", "--help", "--config", "--scenario", "--alpha", "--beta", "--eta0", "--theta", "--nz",

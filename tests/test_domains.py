@@ -113,7 +113,7 @@ LIBRARY = {
         lambda v: classify_holdout(_SPEC, [1.0, 0.0, 0.0], v, RngStream(0, 12).generator()),
         lambda v: score(1, v, 0.7),
     ],
-    "instances": [oracle_battery],
+    "instances": [lambda v: oracle_battery(v, 0)],
     "stream_id": [lambda v: RngStream(0, v)],
 }
 

@@ -122,10 +122,6 @@ class TestConfigValidation:
         with pytest.raises(ContractViolation):
             ExperimentConfig(scenario="const-z", nz=1.0).validate()
 
-    def test_format_domain(self):
-        with pytest.raises(ContractViolation):
-            ExperimentConfig(fmt="yaml").validate()
-
 
 class TestScenarioBuilders:
     def test_equal_prior_states(self):
