@@ -3,8 +3,8 @@
 
 Builds the engine's one-trial equal-prior-xz ExperimentConfig from the
 flags, runs it and prints row 0: its status, alpha_hat beside the true
-alpha, phi* = alpha_hat/2 + pi/4 mod pi beside its target (alpha reduced
-by whole turns, and printed reduced), the qubits consumed while learning,
+alpha, phi* = alpha_hat/2 + pi/4 mod pi beside its target (alpha printed on
+[0, 2*pi), as alpha_hat is), the qubits consumed while learning,
 the measurement axis, the holdout success and the closed-form optimum
 with the row's z-score; n/a where the row's status leaves a cell empty.
 ExperimentConfig.validate refuses a bad value before any draw: exit 2
@@ -14,7 +14,7 @@ with one line such as `error: beta must lie in [0, pi/2], got 2.0`.
 import argparse
 import math
 
-from povmlearn.bloch import reduce_angle
+from povmlearn.bloch import wrap_angle
 from povmlearn.errors import ContractViolation
 from povmlearn.experiment import ExperimentConfig, run_experiment
 
@@ -47,7 +47,7 @@ def main():
     print(f"status: {row['status']}")
     if row["status"] == "weak_signal":
         print("weak signal: both readings lie within the 3/sqrt(N) noise floor, so the row reports no estimate")
-    alpha, alpha_hat = reduce_angle(args.alpha), row["alpha_hat"]
+    alpha, alpha_hat = wrap_angle(args.alpha), row["alpha_hat"]
     print(f"alpha_hat = {cell(alpha_hat)}  (true {alpha:.6f})")
     print(f"phi_star  = {cell(None if alpha_hat is None else setting(alpha_hat))}  (target {setting(alpha):.6f})")
     print(f"qubits consumed while learning: {row['shots_learn']}")

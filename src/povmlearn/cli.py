@@ -151,7 +151,7 @@ def _parse_config_file(path: Path) -> list[str]:
         if "=" not in stripped:
             raise ContractViolation(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        flag = "--" + key.replace("_", "-")
+        flag = _flag(key)
         if flag not in _FIELD_FLAGS:
             raise ContractViolation(f"{path}:{lineno}: unknown config key {key!r}")
         tokens.append(f"{flag}={value}")

@@ -178,7 +178,7 @@ class ExperimentConfig:
             raise ContractViolation("the equal-prior scenario requires eta0 = 0.5")
 
 
-def two_fold_cell(eta0, theta, direction, plane: Plane = _XZ):
+def two_fold_cell(eta0, theta, direction, plane: Plane):
     """Case-independent truth of a two-fold cell, shared by both branches:
     the closed-form success and the oracle value (helstrom on the mixture
     targets) of its ensemble vector, in `plane` along `direction` (plane

@@ -52,6 +52,25 @@ class TestRun:
         assert code == 0
         payload = json.loads(out)
         assert len(payload) == 3
+        # Each column's kind decides the JSON type of its cells, on a run of
+        # ok and weak_signal rows: the three integer columns hold ints, the
+        # three text columns str or null, and every other column a float or
+        # null.
+        code, out, _ = run_cli(
+            capsys, "run", "--scenario", "equal-prior-xz", "--beta", "1.5", "--shots-learn", "400",
+            "--shots-holdout", "1000", "--trials", "40", "--seed", "1", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert {row["status"] for row in payload} == {"ok", "weak_signal"}
+        for row in payload:
+            for name, cell in row.items():
+                if name in ("trial", "shots_learn", "shots_holdout"):
+                    assert type(cell) is int, (name, cell)
+                elif name in ("scenario", "case", "status"):
+                    assert cell is None or type(cell) is str, (name, cell)
+                else:
+                    assert cell is None or type(cell) is float, (name, cell)
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "rows.csv"
@@ -245,6 +264,11 @@ class TestConfigFile:
         code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--eta0", "0.7")
         assert code == 0
         assert [r["eta0"] for r in json.loads(out)] == [0.7, 0.7]
+        path = tmp_path / "rows.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--format", "csv", "--out", str(path))
+        assert code == 0
+        with open(path, newline="") as fh:
+            assert [r["eta0"] for r in csv.DictReader(fh)] == ["0.5", "0.5", "0.6", "0.6"]
 
     # The two output keys, as the flags --out and --format.
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -380,9 +404,9 @@ class TestBatteries:
 
 def test_import_does_not_load_numpy_random():
     # numpy.random costs a noticeable part of start-up; it loads only when a
-    # generator is built.
+    # generator is built, not by the import or the parser.
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    code = "import sys, povmlearn.cli; print('numpy.random' in sys.modules)"
+    code = "import sys, povmlearn.cli; povmlearn.cli.build_parser(); print('numpy.random' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
 
@@ -423,6 +447,11 @@ class TestUsage:
         assert f"povmlearn {command}: error: argument --format: invalid choice: 'yaml'" in err
         assert not path.exists()
 
+    def test_unknown_flag_is_the_top_level_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--bogus")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "povmlearn: error: unrecognized arguments: --bogus"
+
     def test_help_exits_zero(self, capsys):
         code, _, _ = run_cli(capsys, "--help")
         assert code == 0
@@ -447,6 +476,13 @@ class TestUsage:
         code, _, _ = run_cli(capsys, command, flag, str(2**63 - 1), "--trials", "1", "--out", str(path))
         assert code == 0
         assert path.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("flag", ["--shots-learn", "--shots-holdout"])
+    def test_zero_shot_budget_is_config_error(self, capsys, command, flag):
+        code, out, err = run_cli(capsys, command, flag, "0", "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag[2:].replace('-', '_')} must be an integer in [1, 2**63), got 0\n"
 
     def test_library_bug_is_not_a_config_error(self, monkeypatch):
         # Only ContractViolation maps to exit 2; anything else is a bug and

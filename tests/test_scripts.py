@@ -73,7 +73,7 @@ def test_learn_equal_prior_prints_the_cli_row(monkeypatch, capsys, tmp_path, arg
 
 def test_learn_equal_prior_reduces_a_huge_alpha(monkeypatch, capsys):
     # Whole turns come off alpha before the target phi* = alpha/2 + pi/4 is
-    # formed, and the reduced alpha is printed as the true one, so a huge
+    # formed, and alpha is printed on [0, 2 pi) as the true one, so a huge
     # alpha reports exactly as its reduced angle does.
     def learned(alpha):
         args = ("--alpha", repr(alpha), "--shots-learn", "20000", "--shots-holdout", "1000", "--seed", "2")
@@ -86,6 +86,19 @@ def test_learn_equal_prior_reduces_a_huge_alpha(monkeypatch, capsys):
     assert huge == learned(reduced)
     assert huge[0].endswith(f"(true {reduced:.6f})")
     assert huge[1].endswith(f"(target {(reduced / 2 + math.pi / 4) % math.pi:.6f})")
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -1e300])
+def test_learn_equal_prior_prints_alpha_on_the_range_of_alpha_hat(monkeypatch, capsys, alpha):
+    # alpha_hat lies in [0, 2 pi), so the true alpha is printed there too: a
+    # negative alpha and its estimate read side by side, not a turn apart.
+    wrapped = math.fmod(alpha, 2 * math.pi) + 2 * math.pi
+    lines = run_script(monkeypatch, capsys, f"--alpha={alpha!r}", "--shots-learn", "20000",
+                       "--shots-holdout", "1000", "--seed", "2")
+    text = line(lines, "alpha_hat = ")
+    assert text.endswith(f"  (true {wrapped:.6f})")
+    assert abs(float(text.split()[2]) - wrapped) < 0.05
+    assert line(lines, "phi_star  = ").endswith(f"(target {(wrapped / 2 + math.pi / 4) % math.pi:.6f})")
 
 
 @pytest.mark.parametrize(
