@@ -16,7 +16,7 @@ import pytest
 from povmlearn import cli
 from povmlearn.cli import main
 from povmlearn.decomposition import two_fold_spec
-from povmlearn.ensemble import EnsembleSpec
+from povmlearn.ensemble import EnsembleSpec, RngStream
 from povmlearn.errors import ContractViolation
 from povmlearn.experiment import ExperimentConfig, emit_results, run_experiment
 
@@ -484,6 +484,27 @@ class TestUsage:
         assert (code, out) == (2, "")
         assert err == f"error: {flag[2:].replace('-', '_')} must be an integer in [1, 2**63), got 0\n"
 
+    @pytest.mark.parametrize("args, error", [
+        (("--seed", "-1"), "seed must be a nonnegative integer, got -1"),
+        (("--beta", "2"), "beta must lie in [0, pi/2], got 2.0"),
+        (("--beta", "-0.5"), "beta must lie in [0, pi/2], got -0.5"),
+        (("--alpha", "nan"), "alpha must be finite, got nan"),
+        (("--phi0", "inf"), "phi0 must be finite, got inf"),
+        (("--shots-learn", "0"), "shots_learn must be an integer in [1, 2**63), got 0"),
+        (("--shots-holdout", "0"), "shots_holdout must be an integer in [1, 2**63), got 0"),
+        (("--shots-learn", str(2**63)), f"shots_learn must be an integer in [1, 2**63), got {2**63}"),
+        (("--shots-holdout", str(2**63)), f"shots_holdout must be an integer in [1, 2**63), got {2**63}"),
+    ])
+    def test_bad_value_is_refused_before_any_generator_is_built(self, capsys, monkeypatch, args, error):
+        # ExperimentConfig.validate refuses it: exit 2, nothing on stdout and
+        # one error line on stderr, before any draw.
+        def no_draw(self):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(RngStream, "generator", no_draw)
+        argv = ("run", "--scenario", "equal-prior-xz", "--trials", "1", *args)
+        assert run_cli(capsys, *argv) == (2, "", f"error: {error}\n")
+
     def test_library_bug_is_not_a_config_error(self, monkeypatch):
         # Only ContractViolation maps to exit 2; anything else is a bug and
         # must surface with its traceback.
@@ -594,7 +615,9 @@ class TestSubcommandParse:
 class TestNegativeValues:
     """A negative value after its flag, in either spelling."""
 
-    @pytest.mark.parametrize("command, flag, value", [("run", "--alpha", "-1e-3"), ("sweep", "--nz", "-0.9,0.9")])
+    @pytest.mark.parametrize("command, flag, value", [
+        ("run", "--alpha", "-1e-3"), ("run", "--alpha", "-1e300"), ("sweep", "--nz", "-0.9,0.9"),
+    ])
     def test_separate_value_equals_joined_value(self, capsys, command, flag, value):
         head = (command, "--scenario", "const-z", *COMMON)
         joined = run_cli(capsys, *head, f"{flag}={value}")

@@ -22,6 +22,7 @@ from povmlearn.decomposition import (
 )
 from povmlearn.ensemble import EnsembleSpec, pauli_axes
 from povmlearn.errors import ContractViolation
+from povmlearn.experiment import ExperimentConfig, render_results, run_experiment
 from povmlearn.helstrom import helstrom
 
 from helpers import frame_generators
@@ -221,3 +222,24 @@ class TestLearnAxisConstZ:
         assert abs(row_norm(axis) - 1.0) <= 1e-12
         # The slice learner measures z as a third axis and keeps the reading.
         assert abs(n_hat[2] - 0.4) <= 5.0 / math.sqrt(100_000)
+
+
+@pytest.mark.parametrize("eta0, theta", [(0.6, 1.2), (0.55, 3.1)])
+@pytest.mark.parametrize("nz", [0.3, 0.9])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mirrored_slice_writes_the_same_cells_but_n_z(seed, nz, eta0, theta):
+    # Mirroring the slice through z = 0 flips the states' z component, which
+    # the in-plane axis does not see, and the z reading, drawn from its own
+    # stream and not used; all else reads nz through 1 - nz*nz.  Both runs
+    # do the same arithmetic, so every CSV cell but n_z is equal on any CPU,
+    # a -0.0 included, since the rendered text is compared.
+    def columns(offset):
+        config = ExperimentConfig(scenario="const-z", eta0=eta0, theta=theta, nz=offset, shots_learn=2000,
+                                  shots_holdout=500, trials=50, seed=seed)
+        header, *rows = render_results(run_experiment(config)).splitlines()
+        return dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+
+    plus, minus = columns(nz), columns(-nz)
+    assert (plus.pop("n_z"), minus.pop("n_z")) == ((repr(nz),) * 50, (repr(-nz),) * 50)
+    for name in plus:
+        assert minus[name] == plus[name], name

@@ -1,10 +1,13 @@
-"""The README's output-schema table matches what the code writes."""
+"""The README matches what the code writes: its output-schema table and
+its first-case command."""
 
 import csv
 import io
+import math
 import re
 from pathlib import Path
 
+from povmlearn.cli import main as cli_main
 from povmlearn.experiment import (
     CSV_COLUMNS,
     SCENARIOS,
@@ -13,6 +16,8 @@ from povmlearn.experiment import (
     render_results,
     run_experiment,
 )
+
+from helpers import circ_diff
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -75,3 +80,18 @@ def test_kinds_named_in_the_schema_are_those_the_code_writes():
     named = {kind: re.findall(r"`(\w+)`", group) for kind, group in zip(("int", "str"), found.groups())}
     assert {kind: [k for k, v in _COLUMN_KINDS.items() if v == kind] for kind in ("int", "str")} == named
     assert set(_COLUMN_KINDS.values()) == {"int", "str", "float"}
+
+
+FIRST_CASE = ("run", "--scenario", "equal-prior-xz", "--trials", "1", "--alpha", "1.0472", "--beta", "0.5236",
+              "--seed", "0")
+
+
+def test_first_case_command_learns_the_optimal_setting(capsys):
+    # The README's command, run as written: its one row is ok, and
+    # phi* = alpha_hat/2 + pi/4 mod pi lies within 0.01 of its target.
+    assert "povmlearn " + " ".join(FIRST_CASE) in README.read_text().splitlines()
+    assert cli_main(list(FIRST_CASE)) == 0
+    (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert row["status"] == "ok"
+    phi_star = float(row["alpha_hat"]) / 2 + math.pi / 4
+    assert circ_diff(phi_star, float(row["alpha_true"]) / 2 + math.pi / 4, math.pi) <= 0.01
