@@ -40,6 +40,7 @@ from povmlearn.experiment import (
 )
 
 from helpers import as_rows
+from test_golden import GOLDEN_DIR, GOLDEN_RUNS, render
 
 BASE = dict(shots_learn=5_000, shots_holdout=2_000, trials=4, seed=42)
 
@@ -333,6 +334,13 @@ class TestWeakRule:
 
 
 def count_calls(monkeypatch, name):
+    """Empty the engine's cell-truth memo, so that the count does not depend
+    on the cells earlier tests ran, then watch povmlearn.experiment.<name>."""
+    experiment._kept_truth.cache_clear()
+    return watch(monkeypatch, name)
+
+
+def watch(monkeypatch, name):
     """Wrap povmlearn.experiment.<name> and return its list of call args."""
     calls = []
     fn = getattr(experiment, name)
@@ -396,6 +404,17 @@ class TestTruthOncePerCell:
         rows = as_rows(sweep(base, {"alpha": [0.0, 1.0, 2.0], key: [0.2, 0.3, 0.4, 0.5]}))
         assert len(rows) == 24
         assert {name: len(c) for name, c in calls.items()} == {name: int(name in truth) for name in names}
+
+    def test_a_warm_memo_does_not_change_the_counts(self, monkeypatch):
+        # The const-z sweep above, run once before its calls are counted:
+        # count_calls empties the memo, so the count is that of a cold run.
+        grid = {"alpha": [0.0, 1.0, 2.0], "eta0": [0.2, 0.3, 0.4, 0.5]}
+        base = ExperimentConfig(scenario="const-z", **{**BASE, "trials": 2})
+        sweep(base, grid)
+        names = ("mixture_targets", "success_prob", "helstrom")
+        calls = {name: count_calls(monkeypatch, name) for name in names}
+        assert len(sweep(base, grid)["trial"]) == 24
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(names, 1)
 
     def test_oracle_comes_from_helstrom_on_coincident_and_degenerate_cells(self, monkeypatch):
         # theta = 0 at equal priors: the two states coincide, Gamma = 0 and
@@ -567,6 +586,129 @@ class TestStreamLayout:
             assert len(rows) == 5
         gc.collect()
         assert len(built) == 3 + 4 + 5 and all(ref() is None for ref in held)
+
+
+def cold(cfg: ExperimentConfig, grid: dict | None = None, fmt: str = "csv") -> str:
+    """The text of cfg's run, or of its sweep over grid, from an empty
+    cell-truth memo."""
+    experiment._kept_truth.cache_clear()
+    return render_results(sweep(cfg, grid or {}), fmt)
+
+
+class TestCellTruthMemo:
+    """The engine keeps the truth of the last _TRUTH_SLOTS sets of cells it
+    computed, read-only and keyed by their exact bytes (_cell_truth): a
+    repeated set skips two_fold_cell, and no output byte depends on what
+    the memo holds."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIO_CELLS))
+    def test_warm_run_and_sweep_write_the_cold_bytes(self, monkeypatch, scenario, fmt):
+        cfg = ExperimentConfig(**SCENARIO_CELLS[scenario], trials=6, **SMALL)
+        grid = {"alpha": [0.0, 1.0, 2.0]}
+        texts = cold(cfg, fmt=fmt), cold(cfg, grid, fmt)
+        run_experiment(cfg)
+        calls = watch(monkeypatch, "two_fold_cell")
+        assert (render_results(run_experiment(cfg), fmt), render_results(sweep(cfg, grid), fmt)) == texts
+        assert calls == []
+
+    def test_seeds_of_one_cell_share_one_helstrom_call(self, monkeypatch):
+        calls = count_calls(monkeypatch, "helstrom")
+        cfg = ExperimentConfig(scenario="unequal-prior-xz", eta0=0.6, trials=3, **SMALL)
+        for seed in (1, 2):
+            run_experiment(replace(cfg, seed=seed))
+        assert len(calls) == 1
+
+    def test_signed_zero_alpha_is_its_own_cell(self):
+        cfg = ExperimentConfig(scenario="unequal-prior-xz", eta0=0.6, trials=5, **SMALL)
+        cells = replace(cfg, alpha=0.0), replace(cfg, alpha=-0.0)
+        texts = [cold(c) for c in cells]
+        experiment._kept_truth.cache_clear()
+        assert [render_results(run_experiment(c)) for c in cells] == texts
+        assert experiment._kept_truth.cache_info().currsize == 2
+
+    def test_first_cell_keeps_its_golden_bytes_after_nine_others(self, monkeypatch, tmp_path):
+        # Nine other cells evict the first, whose truth is then computed anew.
+        name = "run-unequal-prior-xz.csv"
+        experiment._kept_truth.cache_clear()
+        first = render(GOLDEN_RUNS[name], tmp_path / "cold.csv")
+        for k in range(1, 10):
+            run_experiment(ExperimentConfig(scenario="unequal-prior-xz", eta0=0.6, theta=1.2, alpha=0.7 + 0.1 * k,
+                                            trials=1, **SMALL))
+        calls = watch(monkeypatch, "two_fold_cell")
+        assert render(GOLDEN_RUNS[name], tmp_path / "warm.csv") == first == (GOLDEN_DIR / name).read_bytes()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "scenario, field, grid",
+        [
+            ("unequal-prior-xz", {"eta0": 1.5}, {}),
+            ("unequal-prior-xz", {}, {"theta": [1.2, 4.0]}),
+            ("const-z", {}, {"nz": [0.3, 1.0]}),
+        ],
+    )
+    def test_refused_config_is_refused_alike_when_warm(self, scenario, field, grid):
+        cfg = ExperimentConfig(scenario=scenario, eta0=0.6, theta=1.2, nz=0.3, trials=2, **SMALL)
+        cold(cfg)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ContractViolation) as err:
+                sweep(replace(cfg, **field), grid)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] and experiment._kept_truth.cache_info().currsize == 1
+
+    def test_an_exception_is_raised_and_never_kept(self, monkeypatch):
+        def broken(*args):
+            raise ZeroDivisionError("no truth")
+
+        cfg = ExperimentConfig(scenario="const-z", eta0=0.6, nz=0.3, trials=2, **SMALL)
+        text = cold(cfg)
+        experiment._kept_truth.cache_clear()
+        monkeypatch.setattr(experiment, "two_fold_cell", broken)
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError, match="no truth"):
+                run_experiment(cfg)
+        assert experiment._kept_truth.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert render_results(run_experiment(cfg)) == text
+
+    def test_degenerate_cell_stays_degenerate_when_warm(self, monkeypatch):
+        cfg = ExperimentConfig(scenario="unequal-prior-xz", eta0=0.5, theta=math.pi, trials=3, **SMALL)
+        text = cold(cfg)
+        calls = watch(monkeypatch, "two_fold_cell")
+        columns = run_experiment(cfg)
+        assert calls == [] and set(columns["status"]) == {"degenerate_ensemble"}
+        assert render_results(columns) == text
+
+    def test_memo_holds_at_most_eight_read_only_truths(self, monkeypatch):
+        experiment._kept_truth.cache_clear()
+        cells = [ExperimentConfig(scenario="const-z", eta0=0.6, nz=0.3, alpha=0.1 * k, trials=1, **SMALL)
+                 for k in range(13)]
+        for k, cfg in enumerate(cells[:12]):
+            run_experiment(cfg)
+            assert experiment._kept_truth.cache_info().currsize == min(k + 1, 8, experiment._TRUTH_SLOTS)
+        cell = (np.array([0.6]), np.array([1.2]), np.array([0.7]), Plane.const_z(np.array([0.3])))
+        truth = experiment._cell_truth(*cell)
+        assert experiment._cell_truth(*cell) is truth and not any(part.flags.writeable for part in truth)
+        with pytest.raises(ValueError):
+            truth[0][0] = 0.5
+        experiment._kept_truth.cache_clear()
+        for cfg in cells[4:12]:
+            run_experiment(cfg)
+        # The least recently read set goes first: cells 4 to 11 are kept,
+        # and cell 4, read again, outlives cell 5.
+        calls = watch(monkeypatch, "two_fold_cell")
+        for k in (4, 12, 4, 5):
+            run_experiment(cells[k])
+        assert [args[2].tolist() for args in calls] == [[cells[12].alpha], [cells[5].alpha]]
+        assert experiment._kept_truth.cache_info().currsize == 8
+
+    def test_public_truth_functions_compute_on_every_call(self, monkeypatch):
+        calls = count_calls(monkeypatch, "helstrom")
+        cell = (np.array([0.6]), np.array([1.2]), np.array([0.7]), Plane.xz())
+        first, second = experiment.two_fold_cell(*cell), experiment.two_fold_cell(*cell)
+        assert len(calls) == 2 and experiment._kept_truth.cache_info().currsize == 0
+        assert all(part.flags.writeable for part in (*first, *second))
 
 
 class TestHugeAngles:
