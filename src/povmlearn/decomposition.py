@@ -20,6 +20,16 @@ straddle n symmetrically with equal purity, and the in-plane axis
 perpendicular to n, which fires both detectors equally often, is the
 minimum-error measurement for that pair.
 
+Each closed form reads one vector, Helstrom's w = eta0 psi0 - eta1 psi1
+(eta0 rho0 - eta1 rho1 = ((eta0 - eta1) I + w.sigma)/2).  Its in-plane
+parts along n_hat and along the perpendicular n_hat_perp are w_par =
+(eta0 - eta1) rho^2/|u| and w_perp = +-2 eta0 eta1 sin(theta) rho^2/|u|,
+signed by the branch, from one kernel, _helstrom_vector.  Its readers:
+decompose gives the pair (n + w)/(2 eta0) and (n - w)/(2 eta1),
+mixture_targets the targets n +- |w_perp| n_hat_perp, and success_prob
+the axis rule's success (1 + |w_perp|)/2.  helstrom, the oracle, builds
+its operator from density matrices instead.
+
 The forward map sits beside its inverse: two_fold_spec builds the hidden
 pair of a two-fold cell (eta0, theta, direction, case) from its angles,
 equal_prior_cell maps the 50/50 pair at state angles alpha +- beta to its
@@ -69,7 +79,7 @@ from povmlearn.errors import ContractViolation
 
 # Shot noise may drive an estimated separation cosine off [-1, 1]: cos_theta
 # clamps it within this slack and is NaN beyond (the engine's status
-# cos_theta_out_of_range).  Only _slice_coords raises, past radius*(1 + slack).
+# cos_theta_out_of_range).  Only _cell_frame raises, past radius*(1 + slack).
 EPS_CLAMP = 0.02
 
 _PLANE_XZ = Plane.xz()
@@ -93,25 +103,6 @@ def _check_case(case):
             f"decomposition branch must be 'A' or 'B', got {first_row(np.logical_not(ok), case).tolist()!r}"
         )
     return np.where(b, -1.0, 1.0)[()]
-
-
-def _slice_coords(n, plane: Plane):
-    """Plane coordinates (u1, u2) of an ensemble vector n and |u|^2
-    (np.vecdot): numbers for one vector, one column per coordinate for rows.
-
-    n must lie in the plane, with an in-plane norm no larger than the slice
-    radius (up to the shot-noise slack).  An n too short to define a
-    direction (or holding NaN), alone or as a row, gets |u|^2 = NaN, and so
-    NaN in every value derived from it.
-    """
-    u = plane.coords(plane.check(n, "ensemble vector"))
-    uu = np.vecdot(u, u)
-    r, radius = np.sqrt(uu), np.sqrt(plane.radius_sq)
-    over = r > radius * (1.0 + EPS_CLAMP)
-    if any_row(over):
-        r, radius = first_row(over, r), first_row(over, radius)
-        raise ContractViolation(f"in-plane norm {r:.6g} exceeds the slice radius {radius:.6g}")
-    return u[..., 0], u[..., 1], np.where(r > EPS_DEGENERATE, uu, np.nan)
 
 
 def ensemble_vector(eta0, theta, direction, plane: Plane = _PLANE_XZ) -> tuple[np.ndarray, float | np.ndarray]:
@@ -206,59 +197,65 @@ def cos_theta(n_norm, eta0, tol: float = EPS_PHYS, plane: Plane = _PLANE_XZ):
     return np.where(np.abs(c) > 1.0 + tol, np.nan, np.clip(c, -1.0, 1.0))[()]
 
 
-def decompose(n, theta, eta0, case, plane: Plane = _PLANE_XZ) -> tuple[np.ndarray, np.ndarray]:
-    """Recover the pure-state pair (n0, n1) of one branch from (n, theta, eta0).
-
-    Solving n = eta0*n0 + eta1*n1 (eta1 = 1 - eta0) with n1 rotated by
-    -theta (branch A) or +theta (branch B) from n0 inverts to a
-    rotation-scaling of u for each state.  For inputs with |u| consistent
-    with (theta, eta0) the outputs are unit vectors in the plane recombining
-    to n under the priors.  Every argument may hold one value per row (n one
-    vector per row, case one branch name per row); an n with no in-plane
-    direction gets NaN states.
-    """
-    _check_cell(eta0, theta)
+def _helstrom_vector(eta0, theta, norm, plane: Plane):
+    """The parts (w_par, w_perp) of branch A's Helstrom vector along n_hat and
+    n_hat_perp from n's in-plane norm |u|, NaN if too short (B negates w_perp).
+    w_perp is twice a product: 0.5 + 0.5 w_perp is 0.5 plus it exactly."""
     eta1 = 1.0 - eta0
-    sgn = _check_case(case)
-    u0, u1, uu = _slice_coords(n, plane)
-    prefactor = plane.radius_sq / uu
-    ct, st = np.cos(theta), np.sin(theta)
-    a0, sb1 = eta0 + eta1 * ct, sgn * (eta1 * st)
-    a1, sb0 = eta1 + eta0 * ct, sgn * (eta0 * st)
-    return (
-        plane.embed(prefactor * (a0 * u0 - sb1 * u1), prefactor * (sb1 * u0 + a0 * u1)),
-        plane.embed(prefactor * (a1 * u0 + sb0 * u1), prefactor * (-sb0 * u0 + a1 * u1)),
-    )
+    norm = np.where(norm > EPS_DEGENERATE, norm, np.nan)
+    return (eta0 - eta1) * plane.radius_sq / norm, 2.0 * (eta0 * eta1 * np.sin(theta) * plane.radius_sq / norm)
+
+
+def _cell_frame(n, theta, eta0, plane: Plane, case=None):
+    """The kernel at an ensemble vector n in the plane, its in-plane norm at
+    most the slice radius (up to the shot-noise slack): columns u1, u2 of n's
+    plane coordinates, p1, p2 of n_hat_perp (perp_in_plane; n_hat is (p2,
+    -p1)), w_par, and w_perp signed by branch `case` (A's if None)."""
+    _check_cell(eta0, theta)
+    sgn = None if case is None else _check_case(case)
+    n = plane.check(n, "ensemble vector")
+    u, p = plane.coords(n), plane.coords(perp_in_plane(n, plane))
+    u1, u2, p1, p2 = u[..., 0], u[..., 1], p[..., 0], p[..., 1]
+    # |u| = u . n_hat, 0.0 in a row perp_in_plane finds too short.
+    r, radius = u1 * p2 - u2 * p1, np.sqrt(plane.radius_sq)
+    over = r > radius * (1.0 + EPS_CLAMP)
+    if any_row(over):
+        r, radius = first_row(over, r), first_row(over, radius)
+        raise ContractViolation(f"in-plane norm {r:.6g} exceeds the slice radius {radius:.6g}")
+    w_par, w_perp = _helstrom_vector(eta0, theta, r, plane)
+    return u1, u2, p1, p2, w_par, w_perp if sgn is None else sgn * w_perp
+
+
+def decompose(n, theta, eta0, case, plane: Plane = _PLANE_XZ) -> tuple[np.ndarray, np.ndarray]:
+    """Recover the pure-state pair (n0, n1) = ((n + w)/(2 eta0), (n - w)/(2 eta1))
+    of one branch from (n, theta, eta0), w the branch's Helstrom vector: the
+    unit vectors in the plane with n = eta0 n0 + eta1 n1 (eta1 = 1 - eta0),
+    n1 at in-plane angle -theta (branch A) or +theta (branch B) from n0, for
+    |u| consistent with (theta, eta0).  Every argument may hold one value per
+    row (n one vector per row, case one branch name per row); an n with no
+    in-plane direction gets NaN states."""
+    u1, u2, p1, p2, w_par, w_perp = _cell_frame(n, theta, eta0, plane, case)
+    w1, w2 = w_par * p2 + w_perp * p1, w_perp * p2 - w_par * p1
+    h0, h1 = 2.0 * eta0, 2.0 * (1.0 - eta0)
+    return plane.embed((u1 + w1) / h0, (u2 + w2) / h0), plane.embed((u1 - w1) / h1, (u2 - w2) / h1)
 
 
 def mixture_targets(n, theta, eta0, plane: Plane = _PLANE_XZ) -> tuple[np.ndarray, np.ndarray]:
-    """Branch-averaged mixtures (m0, m1) = n +- (2 eta0 eta1 sin(theta) rho^2/|u|) n_perp,
-    the pair the measurement actually discriminates.
-
-    n_perp = (-u2, u1)/|u| is the in-plane perpendicular, so the offset is
-    written componentwise over |u|^2; eta1 = 1 - eta0.  Every argument may
-    hold one value per row; an n with no in-plane direction gets NaN
-    targets.
-    """
-    _check_cell(eta0, theta)
-    u0, u1, uu = _slice_coords(n, plane)
-    shift = 2.0 * eta0 * (1.0 - eta0) * np.sin(theta) * plane.radius_sq
-    # Each product once: m1's terms are m0's with the shift negated.
-    a0, a1, s0, s1 = u0 * uu, u1 * uu, shift * u0, shift * u1
-    return (
-        plane.embed((a0 - s1) / uu, (s0 + a1) / uu),
-        plane.embed((a0 + s1) / uu, (a1 - s0) / uu),
-    )
+    """Branch-averaged mixtures (m0, m1) = n +- w_perp n_hat_perp, the pair
+    the measurement actually discriminates.  Every argument may hold one
+    value per row; an n with no in-plane direction gets NaN targets."""
+    u1, u2, p1, p2, _, w_perp = _cell_frame(n, theta, eta0, plane)
+    s1, s2 = w_perp * p1, w_perp * p2
+    return plane.embed(u1 + s1, u2 + s2), plane.embed(u1 - s1, u2 - s2)
 
 
 def success_prob(eta0, theta, n_norm, plane: Plane = _PLANE_XZ):
-    """Optimal success probability 1/2 + eta0 eta1 sin(theta) rho^2/|u| of the
-    axis rule, from the prior eta0 (eta1 = 1 - eta0) and the in-plane norm |u|
-    of the ensemble vector.  Every argument may hold one value per row; a
-    |u| too small for a target gets NaN."""
+    """Optimal success probability (1 + w_perp)/2 = 1/2 + eta0 eta1 sin(theta)
+    rho^2/|u| of the axis rule, from the prior eta0 (eta1 = 1 - eta0) and
+    the in-plane norm |u| of the ensemble vector.  Every argument may hold
+    one value per row; a |u| too small for a target gets NaN."""
     _check_cell(eta0, theta)
-    n_norm = np.where(n_norm > EPS_DEGENERATE, n_norm, np.nan)
-    ps = 0.5 + eta0 * (1.0 - eta0) * np.sin(theta) * plane.radius_sq / n_norm
+    ps = 0.5 + 0.5 * _helstrom_vector(eta0, theta, n_norm, plane)[1]
     over = ps > 1.0 + EPS_PHYS
     if any_row(over):
         p = float(first_row(over, ps))

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from povmlearn.bloch import EPS_DEGENERATE, check_domain
+from povmlearn.bloch import EPS_DEGENERATE, check_domain, real_vectors
+from povmlearn.errors import ContractViolation
 
 
 def _density_matrix(n) -> np.ndarray:
@@ -55,12 +56,16 @@ def helstrom(m0, m1, eta0=0.5):
     tolerance (gap 2r at most EPS_DEGENERATE) has no optimal axis and gets
     the zero axis, alone or as a row; its success is still the trace-norm
     value, 1/2 where Gamma = 0.  A NaN pair gets NaN success and the zero
-    axis.  A prior outside [0, 1] is refused (the domain table's prior).
+    axis.  A prior outside [0, 1] is refused (the domain table's prior), and
+    so is a pair that is not two arrays of real 3-vectors of one shape.
     """
     check_domain("prior", eta0)
+    m0, m1 = real_vectors(m0, "m0", shaped=True), real_vectors(m1, "m1", shaped=True)
+    if m0.shape != m1.shape:
+        raise ContractViolation(f"m0 and m1 must have one shape, got {m0.shape} and {m1.shape}")
     eta0 = np.asarray(eta0, dtype=float)[..., None, None]
     # One call over the stacked pair costs less than one call per state.
-    rho0, rho1 = _density_matrix(np.array((m0, m1), dtype=float))
+    rho0, rho1 = _density_matrix(np.array((m0, m1)))
     gamma = eta0 * rho0 - (1.0 - eta0) * rho1
     a, d, b = gamma[..., 0, 0].real, gamma[..., 1, 1].real, gamma[..., 0, 1]
     mid, half = 0.5 * (a + d), 0.5 * (a - d)

@@ -15,6 +15,7 @@ from povmlearn.decomposition import (
     learn_axis,
     mixture_targets,
     success_prob,
+    two_fold_spec,
 )
 from povmlearn.ensemble import EnsembleSpec, pauli_axes
 from povmlearn.errors import ContractViolation
@@ -176,28 +177,27 @@ class TestMixtureTargets:
         eta0, theta = 0.65, 1.3
         eta1 = 1.0 - eta0
         n, _ = make_n(eta0, theta, 0.8)
-        a0, a1 = decompose(n, theta, eta0, "A")
-        b0, b1 = decompose(n, theta, eta0, "B")
+        a, b = (two_fold_spec(eta0, theta, 0.8, case) for case in ("A", "B"))
         m0, m1 = mixture_targets(n, theta, eta0)
-        assert row_norm(m0 - (eta0 * a0 + eta1 * b1)) <= 1e-12
-        assert row_norm(m1 - (eta1 * a1 + eta0 * b0)) <= 1e-12
+        assert row_norm(m0 - (eta0 * a.psi0 + eta1 * b.psi1)) <= 1e-12
+        assert row_norm(m1 - (eta1 * a.psi1 + eta0 * b.psi0)) <= 1e-12
 
     @given(consistent_instances, st.one_of(st.just(None), st.floats(-0.9, 0.9)))
     @settings(max_examples=300)
     def test_closed_form_equals_branch_average_on_both_planes(self, inst, nz):
         # The library builds m0, m1 from the closed form only; the branch
-        # average (A.n0 with B.n1, A.n1 with B.n0) is the definition.
+        # average (A.n0 with B.n1, A.n1 with B.n0) is the definition, its
+        # pairs built forward from their angles.
         eta0, theta, direction = inst
         eta1 = 1.0 - eta0
         plane = Plane.xz() if nz is None else Plane.const_z(nz)
         _, q = make_n(eta0, theta, direction)
         r = math.sqrt(plane.radius_sq) * q
         n = plane.embed(r * math.cos(direction), r * math.sin(direction))
-        a0, a1 = decompose(n, theta, eta0, "A", plane)
-        b0, b1 = decompose(n, theta, eta0, "B", plane)
+        a, b = (two_fold_spec(eta0, theta, direction, case, plane) for case in ("A", "B"))
         m0, m1 = mixture_targets(n, theta, eta0, plane)
-        assert row_norm(m0 - (eta0 * a0 + eta1 * b1)) <= 1e-12
-        assert row_norm(m1 - (eta1 * a1 + eta0 * b0)) <= 1e-12
+        assert row_norm(m0 - (eta0 * a.psi0 + eta1 * b.psi1)) <= 1e-12
+        assert row_norm(m1 - (eta1 * a.psi1 + eta0 * b.psi0)) <= 1e-12
 
 
 class TestSuccessProb:

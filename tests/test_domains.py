@@ -138,6 +138,11 @@ VECTORS = {
     "two-vector-plane": ("v", lambda v: Plane.xz().check(v, "v"), [1.0, 0.0]),
     "number-plane": ("v", lambda v: Plane.xz().check(v, "v"), 1.0),
     "two-ensemble-vector": ("ensemble vector", lambda v: mixture_targets(v, 1.0, 0.6), [0.3, 0.0]),
+    # helstrom's pair: numpy would raise IndexError on 2-vectors, its own
+    # ValueError on text, and read bools as 0 and 1.
+    "two-vector-helstrom": ("m0", lambda v: helstrom(v, [0.0, 1.0]), [1.0, 0.0]),
+    "text-helstrom": ("m1", lambda v: helstrom(_PURE, v), "abc"),
+    "bool-helstrom": ("m0", lambda v: helstrom(v, [0, 0, 1]), [True, False, False]),
 }
 
 
@@ -217,6 +222,15 @@ def test_a_vector_must_hold_real_numbers(case):
     # numpy would raise its own ValueError, or read bools as 0 and 1.
     what, call, bad = VECTORS[case]
     refused(lambda: call(bad), f"{what} must hold real 3-vectors, got {bad!r}")
+
+
+@pytest.mark.parametrize("m0, m1, shapes", [
+    (_PURE, [_PURE, -_PURE], "(3,) and (2, 3)"),
+    ([_PURE, -_PURE], [_PURE, -_PURE, _PURE], "(2, 3) and (3, 3)"),
+], ids=["one-and-rows", "other-row-counts"])
+def test_helstrom_refuses_a_pair_of_two_shapes(m0, m1, shapes):
+    # numpy would raise its own ValueError on the ragged stack.
+    refused(lambda: helstrom(m0, m1), f"m0 and m1 must have one shape, got {shapes}")
 
 
 @pytest.mark.parametrize("name", ["eta0", "theta", "direction"])

@@ -89,7 +89,7 @@ def scalar_instances(rng, count, plane):
         theta = rng.uniform(0.05, math.pi - 0.05)
         direction = rng.uniform(0.0, 2.0 * math.pi)
         n, r = ensemble_vector(eta0, theta, direction, plane)
-        rows.append((eta0, theta, r, n))
+        rows.append((eta0, theta, direction, r, n))
     return rows
 
 
@@ -113,10 +113,10 @@ def test_one_array_draw_equals_interleaved_scalar_draws(seed, count, nz, bounds)
     plane = Plane.xz() if nz is None else Plane.const_z(nz)
     rng_rows, rng_one = np.random.default_rng(seed), np.random.default_rng(seed)
     rows = scalar_instances(rng_rows, count, plane)
-    eta0, theta, r, n = selfcheck._random_instances(rng_one, count, plane)
-    assert eta0.shape == theta.shape == r.shape == (count,) and n.shape == (count, 3)
-    for k, (eta0_k, theta_k, r_k, n_k) in enumerate(rows):
-        assert eta0[k] == eta0_k and theta[k] == theta_k
+    eta0, theta, direction, r, n = selfcheck._random_instances(rng_one, count, plane)
+    assert eta0.shape == theta.shape == direction.shape == r.shape == (count,) and n.shape == (count, 3)
+    for k, (eta0_k, theta_k, direction_k, r_k, n_k) in enumerate(rows):
+        assert eta0[k] == eta0_k and theta[k] == theta_k and direction[k] == direction_k
         assert r[k].tobytes() == np.float64(r_k).tobytes() and n[k].tobytes() == n_k.tobytes()
     # The generator is left where the scalar draws leave it.
     assert rng_one.random(4).tobytes() == rng_rows.random(4).tobytes()
