@@ -4,7 +4,9 @@ An EnsembleSpec is the ground truth of a simulation: two pure Bloch vectors
 with prior probabilities, confined to a declared plane, for one ensemble or
 for a batch of rows with one ensemble each.  It is validated once, when it
 is built, by bloch's rules, and is immutable afterwards: its fields are
-read-only copies of the caller's values.  Learners never see the ground
+read-only copies of the caller's values.  EnsembleSpec.take gathers rows of
+a batch already checked, by index and without a second check, which is how
+the engine gives each row its cell's pair.  Learners never see the ground
 truth directly; they only get measurement counts, drawn by two functions.
 Every simulated shot consumes one fresh ensemble member, so the qubit budget
 of a procedure is the sum of its measurement sizes.  A learner sees
@@ -73,7 +75,9 @@ class EnsembleSpec:
     eta0 is a 1-D array and psi0 and psi1 hold one state per row.
     Validated once at construction, every row, the prior as given; the
     fields are read-only copies, so the checks hold for the spec's lifetime
-    and the draws need not redo them.  Specs compare and hash by identity.
+    and the draws need not redo them.  For the same reason take gathers
+    rows of a batch into a new batch without checking them again.  Specs
+    compare and hash by identity.
     """
 
     eta0: float | np.ndarray
@@ -104,6 +108,25 @@ class EnsembleSpec:
         n = eta0 * self.psi0 + (1.0 - eta0) * self.psi1
         n.flags.writeable = False
         return n
+
+    def take(self, rows) -> "EnsembleSpec":
+        """The batch of this batch's rows at the indices `rows`, in their
+        order, not checked again: each of its rows is, bit for bit, a row
+        this spec passed when it was built.  eta0, psi0, psi1, the mixture
+        and a plane's nz per row are gathered, all read-only."""
+        def gathered(part):
+            part = part.take(rows, axis=0)
+            part.flags.writeable = False
+            return part
+
+        spec, plane = object.__new__(EnsembleSpec), self.plane
+        if np.ndim(plane.nz):
+            plane = Plane(plane.kind, gathered(plane.nz))
+        # Straight into the instance: the fields bypass the frozen
+        # __setattr__, and the mixture is the cached_property's value.
+        spec.__dict__.update(eta0=gathered(self.eta0), psi0=gathered(self.psi0), psi1=gathered(self.psi1),
+                             plane=plane, mixture=gathered(self.mixture))
+        return spec
 
 
 def pauli_axes(plane: Plane) -> list[np.ndarray]:

@@ -22,15 +22,18 @@ Ground truth (the hidden spec, the closed-form success and the oracle
 value, helstrom's success on the cell's mixture targets) is fixed by a
 cell's parameters and the row's case, and is never random.  Every
 scenario builds it as arrays from two-fold cells
-(decomposition.equal_prior_cell maps an equal-prior one): two_fold_cell
-over the cells, once per process for a given set of cells, and
-decomposition.two_fold_spec, the batch spec the rows sample from, over
-the rows of each run or sweep.  The engine keeps the cell truths it has
-computed (_cell_truth): at most _TRUTH_SLOTS sets of cells, read-only and
-keyed by their exact bytes, so a repeated set skips two_fold_cell and
-no output depends on what is kept; a process that makes one engine
-call, as each CLI invocation does, computes its truth in full.  A
-degenerate cell's truth is NaN, and its rows draw with its true pair.
+(decomposition.equal_prior_cell maps an equal-prior one), once per
+process for a given set of cells: two_fold_cell over the cells, and
+decomposition.two_fold_spec over both branches of every cell, the
+pairs the rows sample from.  Each row gathers its pair, its cell's in
+its case's branch (EnsembleSpec.take), so no spec is built or checked
+over the rows.  The engine keeps the cell truths it has computed
+(_cell_truth): at most _TRUTH_SLOTS sets of cells, read-only and keyed
+by their exact bytes, so a repeated set skips two_fold_cell and
+two_fold_spec, and no output depends on what is kept; a process that
+makes one engine call, as each CLI invocation does, computes its truth
+in full.  A degenerate cell's truth is NaN, and its rows draw with its
+true pair.
 A run or sweep is validated once, each swept field as its column: one
 value per cell.
 
@@ -203,8 +206,10 @@ _TRUTH_SLOTS = 8
 
 
 def _cell_truth(eta0, theta, direction, plane: Plane):
-    """two_fold_cell(eta0, theta, direction, plane) for validated cells,
-    kept for the next call on the same cells.  The key is the plane's kind
+    """The truth of validated 1-D cells, kept for the next call on the same
+    cells: two_fold_cell(eta0, theta, direction, plane), then the hidden
+    spec of both branches, two_fold_spec over 2 * cells rows, every cell in
+    branch A and then every cell in branch B.  The key is the plane's kind
     and the shape and float64 bytes of each cell array and of the plane's
     nz, so cells that differ in any bit (alpha = -0.0 against 0.0) are
     other cells."""
@@ -214,15 +219,19 @@ def _cell_truth(eta0, theta, direction, plane: Plane):
 
 @functools.lru_cache(maxsize=_TRUTH_SLOTS)
 def _kept_truth(kind, *cells):
-    """The module's two_fold_cell on the cells rebuilt from _cell_truth's
-    key, both arrays read-only.  The slice's nz comes back read-only from
-    its bytes and is not checked again.  lru_cache keeps the last
-    _TRUTH_SLOTS results and never an exception."""
+    """The module's two_fold_cell and two_fold_spec on the cells rebuilt
+    from _cell_truth's key: (analytic, oracle, branches), all read-only.
+    The slice's nz comes back read-only from its bytes and is not checked
+    again.  lru_cache keeps the last _TRUTH_SLOTS results and never an
+    exception."""
     eta0, theta, direction, nz = (np.frombuffer(data).reshape(shape) for shape, data in cells)
-    truth = two_fold_cell(eta0, theta, direction, _XZ if kind == "xz" else Plane(kind, nz))
-    for part in truth:
-        part.flags.writeable = False
-    return truth
+    analytic, oracle = two_fold_cell(eta0, theta, direction, _XZ if kind == "xz" else Plane(kind, nz))
+    analytic.flags.writeable = oracle.flags.writeable = False
+    case = np.array(["A", "B"]).repeat(len(eta0))
+    eta0, theta, direction, nz = (np.concatenate((v, v)) for v in (eta0, theta, direction, np.atleast_1d(nz)))
+    nz.flags.writeable = False
+    branches = two_fold_spec(eta0, theta, direction, case, _XZ if kind == "xz" else Plane(kind, nz))
+    return analytic, oracle, branches
 
 
 def _role_streams(seed: int, roles: Sequence[str]) -> dict:
@@ -256,9 +265,11 @@ def _rows(config: ExperimentConfig, cells: int) -> dict:
     and against chance where it has no truth.  Only the rows neither
     degenerate nor weak report their score, axis and alpha_hat.
 
-    The cells' truth comes from _cell_truth: two_fold_cell once per process
-    for a given set of cells, while the engine keeps it; the rows' spec is
-    built anew on every call."""
+    The cells' truth comes from _cell_truth: two_fold_cell and the spec of
+    both branches once per process for a given set of cells, while the
+    engine keeps it.  Each row reads its cell's values and takes its pair
+    from the branches (EnsembleSpec.take), so no spec is built or checked
+    over the rows."""
     cell_of = np.repeat(np.arange(cells), int(config.trials))
 
     def per_cell(key):
@@ -289,11 +300,11 @@ def _rows(config: ExperimentConfig, cells: int) -> dict:
         frame = pauli_axes(plane)
         columns = {"case": case.tolist(), "eta0": per_row(config.eta0), "theta_true": per_row(config.theta),
                    "beta_true": None, "n_z": per_row(config.nz) if constz else 0.0}
-    # Truth: each cell's success and oracle value, read in each row, then
-    # the hidden spec of each row, drawn from its cell with its case.
-    analytic, oracle = (truth[cell_of] for truth in _cell_truth(eta0, theta, direction, plane))
-    rows = plane if plane.kind == "xz" else Plane.const_z(plane.nz[cell_of])
-    spec = two_fold_spec(eta0[cell_of], theta[cell_of], direction[cell_of], case, rows)
+    # Truth: each cell's success and oracle value, read in each row, and
+    # the hidden pair of each row, its cell's in its case's branch.
+    analytic, oracle, branches = _cell_truth(eta0, theta, direction, plane)
+    analytic, oracle = analytic[cell_of], oracle[cell_of]
+    spec = branches.take(cell_of + cells * (case == "B"))
     axis, n_hat, readings = learn_axis(spec, frame, config.shots_learn, [streams[r] for r in axis_roles])
     if equal:
         # The learned perpendicular, negated, is the axis of

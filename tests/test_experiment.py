@@ -26,7 +26,7 @@ from povmlearn.decomposition import (
     success_prob,
     two_fold_spec,
 )
-from povmlearn.ensemble import RngStream, pauli_axes
+from povmlearn.ensemble import EnsembleSpec, RngStream, pauli_axes
 from povmlearn.errors import ContractViolation
 from povmlearn.helstrom import helstrom
 from povmlearn.experiment import (
@@ -357,25 +357,37 @@ class TestTruthOncePerCell:
     """Ground truth is a function of (cell, case) only.  The engine computes
     it for every cell of a run or sweep in one array pass, for every
     scenario: one call of two_fold_cell over the cells and one of
-    two_fold_spec over the rows, each two-fold row with its own case and
-    every equal-prior row in branch B."""
+    two_fold_spec over both branches of every cell, A then B, while the
+    engine does not keep them.  Each two-fold row takes the pair of its own
+    case, and every equal-prior row the pair of branch B."""
 
     @pytest.mark.parametrize("scenario", ["equal-prior-xz", "unequal-prior-xz", "const-z"])
     def test_run_builds_truth_once_per_cell_and_once_over_the_rows(self, monkeypatch, scenario):
         cells = count_calls(monkeypatch, "two_fold_cell")
         specs = count_calls(monkeypatch, "two_fold_spec")
+        taken = []
+        take = EnsembleSpec.take
+        monkeypatch.setattr(EnsembleSpec, "take", lambda spec, rows: taken.append(rows) or take(spec, rows))
         cfg = ExperimentConfig(scenario=scenario, eta0=0.5 if scenario == "equal-prior-xz" else 0.6, nz=0.3,
                                **{**BASE, "trials": 40})
         rows = as_rows(run_experiment(cfg))
         assert len(rows) == 40
         assert len(cells) == 1 and cells[0][0].tolist() == [cfg.eta0]
-        assert len(specs) == 1 and specs[0][0].tolist() == [cfg.eta0] * 40
+        assert len(specs) == 1 and specs[0][0].tolist() == [cfg.eta0] * 2 and specs[0][3].tolist() == ["A", "B"]
+        assert specs[0][1].tolist() == cells[0][1].tolist() * 2 and specs[0][2].tolist() == cells[0][2].tolist() * 2
+        plane = specs[0][4]
+        assert plane.kind == cells[0][3].kind
+        assert np.asarray(plane.nz).tolist() == ([cfg.nz] * 2 if scenario == "const-z" else 0.0)
+        assert len(taken) == 1
         if scenario == "equal-prior-xz":
-            assert {r.case for r in rows} == {None} and specs[0][3] == "B"
+            assert {r.case for r in rows} == {None} and taken[0].tolist() == [1] * 40
             assert cells[0][1].tolist() == [2.0 * cfg.beta] and cells[0][2].tolist() == [math.pi / 2 - cfg.alpha]
         else:
             assert {r.case for r in rows} == {"A", "B"}
-            assert list(specs[0][3]) == [r.case for r in rows]
+            assert taken[0].tolist() == [int(r.case == "B") for r in rows]
+        # A warm run builds neither the cell's truth nor its spec again.
+        assert as_rows(run_experiment(cfg)) == rows
+        assert len(cells) == 1 and len(specs) == 1 and len(taken) == 2
 
     def test_sweep_builds_truth_per_cell(self, monkeypatch):
         calls = count_calls(monkeypatch, "two_fold_cell")
@@ -639,6 +651,44 @@ class TestCellTruthMemo:
         assert render(GOLDEN_RUNS[name], tmp_path / "warm.csv") == first == (GOLDEN_DIR / name).read_bytes()
         assert len(calls) == 1
 
+    # Cells in the engine's layout for each scenario, with the nz of each
+    # const-z cell and the index of the degenerate cell: eta0 = 1/2 and
+    # theta = pi, or antipodal equal priors at beta = pi/2.  Each scenario
+    # holds alpha = 1e17, and the const-z rows lie in three slices.
+    TWO_FOLD = np.array([0.6, 0.5, 0.3, 0.5]), np.array([1.2, math.pi, 0.4, 2.0]), np.array([0.7, 0.0, 1e17, -2.5])
+    GATHERED = {
+        "equal-prior-xz": (equal_prior_cell(np.array([math.pi / 3, 1e17, 0.9]), np.array([0.5, 0.2, math.pi / 2])),
+                           None, 2),
+        "unequal-prior-xz": ((*TWO_FOLD, None), None, 1),
+        "const-z": ((*TWO_FOLD, None), np.array([0.3, -0.5, 0.0, 0.3]), 1),
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(GATHERED))
+    def test_gathered_rows_are_the_spec_built_over_them_bit_for_bit(self, scenario):
+        (eta0, theta, direction, case), nz, degenerate = self.GATHERED[scenario]
+        cells = len(eta0)
+        cell_of = np.repeat(np.arange(cells), 3)
+        if case is None:
+            case = np.resize(["A", "B", "B", "A", "A"], len(cell_of))
+        plane = Plane.xz() if nz is None else Plane.const_z(nz)
+        experiment._kept_truth.cache_clear()
+        analytic, _, branches = experiment._cell_truth(eta0, theta, direction, plane)
+        assert np.isnan(analytic).nonzero()[0].tolist() == [degenerate]
+        taken = branches.take(cell_of + cells * (case == "B"))
+        rows = plane if nz is None else Plane.const_z(nz[cell_of])
+        built = two_fold_spec(eta0[cell_of], theta[cell_of], direction[cell_of], case, rows)
+        def parts(spec):
+            # The x-z plane has no nz per row, and is kept as it is.
+            return spec.eta0, spec.psi0, spec.psi1, spec.mixture, *(() if nz is None else (spec.plane.nz,))
+
+        for part, expected in zip(parts(taken), parts(built), strict=True):
+            assert part.shape == expected.shape and part.tobytes() == expected.tobytes()
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[...] = 0.5
+        assert taken.plane.kind == plane.kind
+        assert taken.plane.nz == 0.0 if nz is None else np.unique(taken.plane.nz).size == 3
+
     @pytest.mark.parametrize(
         "scenario, field, grid",
         [
@@ -689,9 +739,13 @@ class TestCellTruthMemo:
             assert experiment._kept_truth.cache_info().currsize == min(k + 1, 8, experiment._TRUTH_SLOTS)
         cell = (np.array([0.6]), np.array([1.2]), np.array([0.7]), Plane.const_z(np.array([0.3])))
         truth = experiment._cell_truth(*cell)
-        assert experiment._cell_truth(*cell) is truth and not any(part.flags.writeable for part in truth)
+        analytic, oracle, branches = truth
+        arrays = (analytic, oracle, branches.eta0, branches.psi0, branches.psi1, branches.mixture, branches.plane.nz)
+        assert experiment._cell_truth(*cell) is truth and not any(part.flags.writeable for part in arrays)
         with pytest.raises(ValueError):
             truth[0][0] = 0.5
+        with pytest.raises(ValueError):
+            branches.psi0[1, 0] = 0.5
         experiment._kept_truth.cache_clear()
         for cfg in cells[4:12]:
             run_experiment(cfg)
