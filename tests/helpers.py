@@ -8,6 +8,9 @@ import time
 from contextlib import contextmanager
 from types import SimpleNamespace
 
+import numpy as np
+
+from povmlearn import selfcheck
 from povmlearn.ensemble import RngStream
 
 TAU = 2.0 * math.pi
@@ -29,6 +32,21 @@ def as_rows(columns: dict) -> list[SimpleNamespace]:
     """The rows of a result record, one namespace per row with an attribute
     per column."""
     return [SimpleNamespace(**dict(zip(columns, cells))) for cells in zip(*columns.values())]
+
+
+def patch_oracle(monkeypatch, change):
+    """Replace the oracle the batteries check, selfcheck.helstrom, by the
+    real one with its (success, axes) passed through
+    change(success, axes, m0, m1)."""
+    real = selfcheck.helstrom
+    monkeypatch.setattr(selfcheck, "helstrom", lambda m0, m1: change(*real(m0, m1), m0, m1))
+
+
+def turned_axis(success, axes, m0, m1, angle=1e-9):
+    """The oracle's axes turned by angle in the x-z plane."""
+    x, y, z = np.moveaxis(axes, -1, 0)
+    c, s = math.cos(angle), math.sin(angle)
+    return success, np.stack((c * x + s * z, y, c * z - s * x), axis=-1)
 
 
 @contextmanager

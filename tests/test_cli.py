@@ -20,6 +20,8 @@ from povmlearn.ensemble import EnsembleSpec, RngStream
 from povmlearn.errors import ContractViolation
 from povmlearn.experiment import ExperimentConfig, emit_results, run_experiment
 
+from helpers import patch_oracle, turned_axis
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -378,7 +380,13 @@ class TestBatteries:
         code, out, _ = run_cli(capsys, "oracle-check", "--instances", "500", "--seed", "1")
         assert code == 0
         assert "FAIL" not in out
-        assert out.count("PASS") == 6
+        assert out.count("PASS") == 5
+
+    def test_oracle_check_fails_a_turned_axis(self, capsys, monkeypatch):
+        patch_oracle(monkeypatch, turned_axis)
+        code, out, _ = run_cli(capsys, "oracle-check", "--instances", "500", "--seed", "1")
+        assert code == 2
+        assert "\nFAIL  oracle axis is the in-plane perpendicular (worst " in out
 
     @pytest.mark.parametrize("instances", ["0", "-1"])
     def test_oracle_check_rejects_empty_battery(self, capsys, instances):

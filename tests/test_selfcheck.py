@@ -5,7 +5,8 @@ array call of ensemble_vector, mixture_targets and success_prob per check,
 so the number of truth calls does not grow with the instance count;
 oracle_battery calls helstrom, the oracle under test, once over all of its
 instances, and invariant_battery calls every geometry helper a fixed
-number of times.  Each one (count, k) block draw of instance parameters
+number of times.  Every line of oracle_battery fails when the oracle or
+its truth is broken by 1e-9.  Each one (count, k) block draw of instance parameters
 must equal the interleaved scalar draws it replaced, and numpy's uniform,
 bit for bit, which keeps the battery goldens unchanged.
 """
@@ -20,6 +21,8 @@ from hypothesis import strategies as st
 from povmlearn import selfcheck
 from povmlearn.bloch import Plane, row_norm
 from povmlearn.decomposition import ensemble_vector
+
+from helpers import patch_oracle, turned_axis
 
 TRUTH = ("ensemble_vector", "mixture_targets", "success_prob")
 
@@ -49,12 +52,64 @@ def test_oracle_battery_calls_each_truth_function_once(monkeypatch, n_instances)
 
 @pytest.mark.parametrize("n_instances", [1, 37, 500])
 def test_oracle_battery_calls_helstrom_once(monkeypatch, n_instances):
-    # The geometry the oracle is checked against is one perp_in_plane call
-    # per check over all instances, and the oracle one helstrom call.
+    # The perpendicular the oracle axis is checked against is one
+    # perp_in_plane call over all instances, and the oracle one helstrom
+    # call.
     counts = count_calls(monkeypatch, ("perp_in_plane", "helstrom"))
     outcomes = selfcheck.oracle_battery(n_instances, seed=5)
     assert all(passed for _, passed, _ in outcomes)
-    assert counts == {"perp_in_plane": 2, "helstrom": 1}
+    assert counts == {"perp_in_plane": 1, "helstrom": 1}
+
+
+def failing_lines(n_instances, seed=5) -> set[str]:
+    """The names of the oracle battery's lines that fail."""
+    return {name for name, passed, _ in selfcheck.oracle_battery(n_instances, seed) if not passed}
+
+
+# Each line of the oracle battery can fail: the oracle or its truth broken
+# by 1e-9, above the battery's 1e-12 tolerance, fails the line that checks
+# that property.
+
+
+@pytest.mark.parametrize("n_instances", [1, 500])
+def test_oracle_battery_fails_a_turned_axis(monkeypatch, n_instances):
+    patch_oracle(monkeypatch, turned_axis)
+    assert failing_lines(n_instances) == {
+        "oracle axis is the in-plane perpendicular",
+        "detectors balance at the oracle axis",
+    }
+
+
+@pytest.mark.parametrize("n_instances", [1, 500])
+def test_oracle_battery_fails_a_shifted_success(monkeypatch, n_instances):
+    patch_oracle(monkeypatch, lambda success, axes, m0, m1: (success + 1e-9, axes))
+    assert failing_lines(n_instances) == {"oracle success matches the closed form"}
+
+
+@pytest.mark.parametrize("n_instances", [1, 500])
+def test_oracle_battery_fails_unequal_purities(monkeypatch, n_instances):
+    real = selfcheck.mixture_targets
+
+    def shrunk_m1(*args):
+        m0, m1 = real(*args)
+        return m0, (1.0 - 1e-9) * m1
+
+    monkeypatch.setattr(selfcheck, "mixture_targets", shrunk_m1)
+    assert "equal-purity of mixture targets" in failing_lines(n_instances)
+
+
+def reversed_in_gap(success, axes, m0, m1):
+    """The same successes, handed out in decreasing order of the state gap."""
+    reordered = np.empty_like(success)
+    reordered[np.argsort(row_norm(m0 - m1))] = np.sort(success)[::-1]
+    return reordered, axes
+
+
+@pytest.mark.parametrize("n_instances", [1, 2, 37, 500])
+def test_oracle_battery_fails_a_success_out_of_gap_order(monkeypatch, n_instances):
+    # One instance has no pair to compare, so its line still passes.
+    patch_oracle(monkeypatch, reversed_in_gap)
+    assert ("success is monotone in the state gap" in failing_lines(n_instances)) == (n_instances > 1)
 
 
 def test_invariant_battery_calls_truth_once_per_check(monkeypatch):
