@@ -137,15 +137,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_config_file(path: Path) -> list[str]:
     """A flat ``key = value`` file as ``--key=value`` tokens, one per line;
-    blank lines and ``#`` comments are ignored.  A key is the name of a
-    run/sweep flag, with ``-`` and ``_`` interchangeable."""
+    blank lines and comments, from a ``#`` that starts a line or follows
+    whitespace, are ignored.  A key is the name of a run/sweep flag, with
+    ``-`` and ``_`` interchangeable."""
     try:
         text = path.read_text()
     except OSError as exc:
         raise OSError(f"cannot read config file {path}: {exc}") from exc
     tokens: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:

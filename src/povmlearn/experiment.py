@@ -441,24 +441,6 @@ def _is_shared(column: list) -> bool:
     return column.count(first) == len(column) and (first != 0 or len({math.copysign(1.0, x) for x in column}) == 1)
 
 
-# CSV: empty for None, strings as they are, integers in full, and floats at
-# 12 significant digits.  No cell needs quoting: numbers hold no comma,
-# quote or newline, and render_results checks that no string does.
-_CSV_SPEC = {"str": "%s", "int": "%d", "float": "%.12g"}
-
-
-def _csv_column(column: list, kind: str, types: set) -> tuple[str, list]:
-    """The spec of a varying CSV column in the row template, and the cells
-    that fill it: the column itself under its kind's spec, or, when it holds
-    None, the text of each cell under %s."""
-    spec = _CSV_SPEC[kind]
-    if type(None) not in types:
-        return spec, column
-    return "%s", ["" if v is None else spec % v for v in column]
-
-
-# JSON: the text json.dumps(indent=2) writes for each cell; a float is the
-# shortest repr of its 12-significant-digit value.
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -469,22 +451,32 @@ def _json_float(text: str) -> str:
     return _JSON_NONFINITE.get(text, text)
 
 
-# Each kind's column (and None) is written in one comprehension.  A finite
-# float's '%.12g' text without an exponent is the shortest repr of its value
-# already, save a missing '.0': a decimal of at most 15 significant digits
-# reads back as a double whose shortest repr has the same digits, and both
-# '%g' and repr write a decimal exponent in [-4, 12) positionally.  Other
-# texts (an exponent, nan, inf) go through float and repr (_json_float).
-_JSON_COLUMN = {
-    "str": lambda c: ["null" if v is None else encode_basestring_ascii(v) for v in c],
-    "int": lambda c: ["null" if v is None else "%d" % v for v in c],
-    "float": lambda c: [
-        "null" if v is None
-        else t if "." in (t := "%.12g" % v) and "e" not in t
-        else t + ".0" if "e" not in t and "n" not in t
-        else _json_float(t)
-        for v in c
-    ],
+# One table per format: for each kind, the texts of a column's cells, and
+# the kind's spec if the format's row template formats its cells itself.
+_WRITERS = {
+    "csv": {
+        "str": (lambda c: ["" if v is None else v for v in c], "%s"),
+        "int": (lambda c: ["" if v is None else "%d" % v for v in c], "%d"),
+        "float": (lambda c: ["" if v is None else "%.12g" % v for v in c], "%.12g"),
+    },
+    # The text json.dumps(indent=2) writes for each cell; a float is the
+    # shortest repr of its 12-significant-digit value.  A finite float's
+    # '%.12g' text without an exponent is that repr already, save a missing
+    # '.0': a decimal of at most 15 significant digits reads back as a double
+    # whose shortest repr has the same digits, and both '%g' and repr write a
+    # decimal exponent in [-4, 12) positionally.  Other texts (an exponent,
+    # nan, inf) go through float and repr (_json_float).
+    "json": {
+        "str": (lambda c: ["null" if v is None else encode_basestring_ascii(v) for v in c], None),
+        "int": (lambda c: ["null" if v is None else "%d" % v for v in c], "%d"),
+        "float": (lambda c: [
+            "null" if v is None
+            else t if "." in (t := "%.12g" % v) and "e" not in t
+            else t + ".0" if "e" not in t and "n" not in t
+            else _json_float(t)
+            for v in c
+        ], None),
+    },
 }
 _JSON_OBJECT = "  {\n" + ",\n".join(f"    {encode_basestring_ascii(k)}: %s" for k in CSV_COLUMNS) + "\n  }"
 
@@ -517,41 +509,38 @@ def render_results(columns: dict[str, list], fmt: str = "csv") -> str:
         for v in column if wrong else ():
             if type(v) in wrong:
                 raise ContractViolation(f"the {name} column holds {_KIND_TYPES[kind][1]}, got {shown(v)}")
+    template, varying = [], []
     try:
-        return _render(table, kinds, types, fmt)
+        for column, kind, t in zip(table, kinds, types):
+            cells, spec = _WRITERS[fmt][kind]
+            if _is_shared(column):
+                # Written once, % escaped for the row template.
+                template.append(cells(column[:1])[0].replace("%", "%%"))
+            elif spec and type(None) not in t:
+                template.append(spec)
+                varying.append(column)
+            else:
+                template.append("%s")
+                varying.append(cells(column))
+        template = ",".join(template) if fmt == "csv" else _JSON_OBJECT % tuple(template)
+        # With no varying column, every row is the template itself.
+        rows = [template % c for c in zip(*varying)] if varying else [template % ()] * len(table[0])
     except (OverflowError, ValueError):
         # Only an int can fail its kind's spec, in CSV and JSON alike; the cells are scanned only now.
         for name, kind, v in ((n, k, v) for n, k, c in zip(CSV_COLUMNS, kinds, table) for v in c):
             try:
-                _CSV_SPEC[kind] % (0 if v is None else v)
+                _WRITERS["csv"][kind][1] % (0 if v is None else v)
             except (OverflowError, ValueError):
                 raise ContractViolation(f"the {name} column holds {_KIND_TYPES[kind][1]}, got {shown(v)}") from None
         raise
-
-
-def _render(table: list[list], kinds, types: list[set], fmt: str) -> str:
-    """The text of render_results over cells of their columns' types."""
-    write = (lambda v, kind: "" if v is None else _CSV_SPEC[kind] % v) if fmt == "csv" else (
-        lambda v, kind: _JSON_COLUMN[kind]((v,))[0])
-    # The text of each shared column, % escaped for the row template.
-    shared = [write(c[0], kind).replace("%", "%%") if _is_shared(c) else None for c, kind in zip(table, kinds)]
-    varying = [(c, kind, t) for c, kind, t, text in zip(table, kinds, types, shared) if text is None]
-    # With no varying column, every row is the template itself.
-    if fmt == "csv":
-        specs, cells = zip(*(_csv_column(*v) for v in varying)) if varying else ((), ())
-        spec = iter(specs)
-        template = ",".join(next(spec) if text is None else text for text in shared)
-        rows = zip(*cells) if cells else [()] * len(table[0])
-        lines = [",".join(CSV_COLUMNS)]
-        lines += [template % c for c in rows]
-        text = "\n".join(lines) + "\n"
-        # A comma, quote or newline inside a string cell would need CSV quoting.
-        if text.count(",") != len(lines) * (len(CSV_COLUMNS) - 1) or '"' in text or text.count("\n") != len(lines):
-            raise ContractViolation("a string cell holds a comma, quote or newline")
-        return text
-    template = _JSON_OBJECT % tuple("%s" if text is None else text for text in shared)
-    rows = zip(*(_JSON_COLUMN[kind](c) for c, kind, _ in varying)) if varying else [()] * len(table[0])
-    return "[\n" + ",\n".join([template % c for c in rows]) + "\n]\n"
+    if fmt == "json":
+        return "[\n" + ",\n".join(rows) + "\n]\n"
+    lines = [",".join(CSV_COLUMNS), *rows]
+    text = "\n".join(lines) + "\n"
+    # No number holds a comma, quote or newline; a string cell that did would need CSV quoting.
+    if text.count(",") != len(lines) * (len(CSV_COLUMNS) - 1) or '"' in text or text.count("\n") != len(lines):
+        raise ContractViolation("a string cell holds a comma, quote or newline")
+    return text
 
 
 def emit_results(columns: dict[str, list], fmt: str = "csv", path: str | os.PathLike | None = None) -> None:

@@ -10,14 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from povmlearn import cli
 from povmlearn.cli import main
-from povmlearn.decomposition import two_fold_spec
-from povmlearn.ensemble import EnsembleSpec, RngStream
-from povmlearn.errors import ContractViolation
+from povmlearn.ensemble import RngStream
 from povmlearn.experiment import ExperimentConfig, emit_results, run_experiment
 
 from helpers import patch_oracle, turned_axis
@@ -129,22 +126,6 @@ class TestRun:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 3 and all(r["status"] == "weak_signal" for r in rows)
         assert all(0.5 < float(r["success_analytic"]) <= 1.0 for r in rows)
-
-    def test_invalid_cell_reports_one_state_norm(self):
-        # A run's hidden spec is one batch spec over its trials, and the CLI
-        # prints a refused spec's message as its one error line.  One impure
-        # state in a row of 400 names that row's norm alone, as a spec of the
-        # row alone does, not one norm per row.
-        eta0 = np.full(400, 0.6)
-        spec = two_fold_spec(eta0, np.full(400, 1.2), np.full(400, 0.7), "A")
-        psi0 = spec.psi0.copy()
-        psi0[250] *= 1.001
-        with pytest.raises(ContractViolation) as batched:
-            EnsembleSpec(eta0, psi0, spec.psi1, spec.plane)
-        with pytest.raises(ContractViolation) as single:
-            EnsembleSpec(0.6, psi0[250], spec.psi1[250], spec.plane)
-        assert str(batched.value) == str(single.value)
-        assert re.fullmatch(r"psi0 must be unit length, got \|v\| = 1\.00\d+", str(batched.value))
 
     def test_unwritable_out_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -284,6 +265,17 @@ class TestConfigFile:
         code, expected, _ = run_cli(capsys, "run", "--format", fmt, *COMMON)
         assert code == 0
         assert path.read_text() == expected
+
+    def test_a_hash_starts_a_comment_only_at_a_line_start_or_after_whitespace(self, capsys, tmp_path):
+        # A value is parsed as its flag's value, a '#' in it included.
+        path = tmp_path / "res#1.csv"
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text(f"# whole-line comment\nscenario = unequal-prior-xz\neta0 = 0.7  # note\nout = {path}\n")
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg), *COMMON)
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == f"wrote {path}"
+        with open(path, newline="") as fh:
+            assert [r["eta0"] for r in csv.DictReader(fh)] == ["0.7"] * 3
 
 
 class TestSweep:

@@ -110,27 +110,36 @@ class TestEnsembleSpec:
             EnsembleSpec(rows.eta0[:0], rows.psi0[:0], rows.psi1[:0], Plane.xz())
 
     @pytest.mark.parametrize(
-        "field, first, second",
+        "count, field, changes, message",
         [
-            ("eta0", 1.25, 1.5),
-            ("psi1", [0.0, 0.0, 1.0 + 2e-5], [0.0, 0.0, 0.5]),
-            ("psi1", [0.6, 0.8, 0.0], [0.0, 1.0, 0.0]),
+            (1200, "eta0", {600: 1.25, 900: 1.5}, r"prior must lie in \[0, 1\], got 1\.25"),
+            (1200, "psi1", {600: [0.0, 0.0, 1.0 + 2e-5], 900: [0.0, 0.0, 0.5]},
+             r"psi1 must be unit length, got \|v\| = 1\.00002"),
+            (1200, "psi1", {600: [0.6, 0.8, 0.0], 900: [0.0, 1.0, 0.0]},
+             r"psi1 \[0\.6 0\.8 0\. \] does not lie in the xz plane"),
+            # One impure state (xz_spec's psi0, scaled by 1.001) names that
+            # row's norm alone, not one norm per row.
+            (400, "psi0", {250: 1.001 * bloch_from_state_angle(0.3)},
+             r"psi0 must be unit length, got \|v\| = 1\.00\d+"),
         ],
-        ids=["priors", "purity", "plane"],
+        ids=["priors", "purity", "plane", "impure-row-of-400"],
     )
-    def test_failed_batch_check_names_the_first_failing_row(self, field, first, second):
+    def test_failed_batch_check_names_the_first_failing_row(self, count, field, changes, message):
         # The message is the one the first failing row raises alone, however
         # many rows the batch holds.
-        rows = batch(xz_spec(eta0=0.7), 1200)
+        rows = batch(xz_spec(eta0=0.7), count)
         fields = {name: getattr(rows, name).copy() for name in ("eta0", "psi0", "psi1")}
-        fields[field][[600, 900]] = [first, second]
+        for row, value in changes.items():
+            fields[field][row] = value
         eta0, psi0, psi1 = fields["eta0"], fields["psi0"], fields["psi1"]
+        first = min(changes)
         with pytest.raises(ContractViolation) as single:
-            EnsembleSpec(eta0[600], psi0[600], psi1[600], Plane.xz())
+            EnsembleSpec(eta0[first], psi0[first], psi1[first], Plane.xz())
         with pytest.raises(ContractViolation) as batched:
             EnsembleSpec(eta0, psi0, psi1, Plane.xz())
         assert str(batched.value) == str(single.value)
         assert "..." not in str(batched.value)
+        assert re.fullmatch(message, str(batched.value))
 
 
 class TestDrawRows:

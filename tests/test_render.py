@@ -2,19 +2,22 @@
 
 The reference is the straightforward one: the record's rows, each a
 namespace of cells, then csv.writer or json.dumps(indent=2).  render_results
-works a column at a time: it writes a column whose cells are all written
-alike once, into the row template, and fills that template row by row with
-the cells of the other columns.  It must give the same bytes for every record,
-including every pattern of empty cells the four statuses produce, floats at
-the edges of the double range, and columns whose cells are equal but not
-written alike (0.0 and -0.0).  Each column's kind decides how its cells are
-written: an integer in a float column is written as a float, and a cell of
-another kind is refused.
+decides each column once, from one table per format: a column whose cells
+are all written alike goes into the row template as text, one whose kind
+the template formats itself (every kind in CSV, integers in JSON) and that
+holds no None gets that kind's spec, and any other gets its cells' texts.
+One %-format per row then fills the template.  It must give the same bytes
+for every record, including every pattern of empty cells the four statuses
+produce, floats at the edges of the double range, and columns whose cells
+are equal but not written alike (0.0 and -0.0).  Each column's kind decides
+how its cells are written: an integer in a float column is written as a
+float, and a cell of another kind is refused, before any cell is written.
 """
 
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import re
@@ -33,7 +36,7 @@ from povmlearn.experiment import (
     SCENARIOS,
     ExperimentConfig,
     _COLUMN_KINDS,
-    _JSON_COLUMN,
+    _WRITERS,
     render_results,
     run_experiment,
     summarize,
@@ -335,7 +338,9 @@ def test_all_shared_record(fmt, rows):
     [("float", 0.0, -0.0), ("float", -0.0, 0.0), ("float", 1.0, 1), ("float", 1, 1.0),
      ("float", np.float64(1.0), np.int64(1)), ("float", 0.5, None), ("float", None, 0.5),
      ("float", _NAN, float("nan")), ("int", 1, np.int64(1)), ("int", 3, None), ("str", "A", "B"),
-     ("str", None, "A")],
+     ("str", None, "A"),
+     # JSON's row template formats an integer column without None itself.
+     ("int", np.int64(7), 2**63 - 1), ("int", 2**63 - 1, None), ("int", None, np.int64(7))],
 )
 def test_column_shared_but_for_its_last_row(fmt, kind, first, last):
     base = {k: [getattr(status_rows()[0], k)] * 50 for k in CSV_COLUMNS}
@@ -405,9 +410,11 @@ def test_run_and_its_one_cell_sweep_write_equal_bytes(fmt, grid):
 )
 def test_a_cell_of_another_kind_is_refused_by_its_column(fmt, name, cell, text):
     r = record(trial=1, scenario="const-z", case="A", eta0=0.5, n_z=0.0)
-    for place in range(3):
-        # The first such cell is named, wherever it sits and whatever follows it.
+    for place, eta0 in itertools.product(range(3), [0.5, 10**400]):
+        # The first such cell is named, wherever it sits and whatever follows it,
+        # even after an int that an earlier float column cannot write.
         columns = {k: v * 3 for k, v in r.items()}
+        columns["eta0"] = [eta0] * 3
         columns[name] = [*columns[name][:place], cell, *[None] * (2 - place)]
         with pytest.raises(ContractViolation, match="^" + re.escape(text) + "$"):
             render_results(columns, fmt)
@@ -496,7 +503,7 @@ JSON_FLOAT_CASES = (
 
 def json_float(x) -> str:
     """The JSON text of x in a float column."""
-    return _JSON_COLUMN["float"]([x])[0]
+    return _WRITERS["json"]["float"][0]([x])[0]
 
 
 @pytest.mark.parametrize("value, text", JSON_FLOAT_CASES, ids=[repr(v) for v, _ in JSON_FLOAT_CASES])
