@@ -8,8 +8,10 @@ Subcommands:
 * ``selftest``     full library invariant battery
 
 The run and sweep flags are the fields of ExperimentConfig, one flag per
-field, then the two output flags ``--format`` and ``--out``; argparse
-converts every value.  A ``--config`` file's
+field, then the two output flags ``--format`` and ``--out``; one table
+defines every subcommand's flags.  An argv of exact flags and their values
+is read from that table, and argparse reads any other, so it alone writes
+help and usage errors.  A ``--config`` file's
 ``key = value`` lines are parsed as the flags of the same names, ahead of
 the explicit flags, which therefore win.  A negative value works after
 its flag in both spellings, ``--alpha -1e-3`` and ``--alpha=-1e-3``.
@@ -25,8 +27,10 @@ import argparse
 import functools
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import fields
 from pathlib import Path
+from typing import NamedTuple
 
 from povmlearn.errors import ContractViolation
 from povmlearn.experiment import (
@@ -60,46 +64,66 @@ def _float_list(text: str) -> list[float]:
 # argparse names the type by its __name__ in a usage error.
 _float_list.__name__ = "float list"
 
+
+class _Flag(NamedTuple):
+    """A value flag: its namespace attribute, the function that converts
+    its value, the values it allows (None: any), its default, and its help
+    text's metavar and line."""
+
+    dest: str
+    type: Callable[[str], object]
+    choices: tuple[str, ...] | None = None
+    default: object = None
+    metavar: str | None = None
+    help: str | None = None
+
+
+def _trial_flags(sweep_mode: bool) -> dict[str, _Flag]:
+    """--config, then one flag per ExperimentConfig field, converted by the
+    type of the field's default (under sweep a SWEEP_KEYS field takes a
+    comma-separated list), then --format and --out."""
+    table = {"--config": _Flag("config", Path, metavar="FILE",
+                               help="key=value file with defaults; explicit flags win")}
+    for f in fields(ExperimentConfig):
+        if f.name == "scenario":
+            spec = _Flag(f.name, str, choices=SCENARIOS)
+        elif sweep_mode and f.name in SWEEP_KEYS:
+            spec = _Flag(f.name, _float_list, metavar="V[,V...]",
+                         help=f"{f.name} value or comma-separated list to sweep")
+        else:
+            spec = _Flag(f.name, type(f.default), metavar=_METAVARS[type(f.default)])
+        table[_flag(f.name)] = spec
+    table["--format"] = _Flag("fmt", str, choices=FORMATS, default="csv")
+    table["--out"] = _Flag("out", Path, metavar="FILE", help="output path (default: stdout)")
+    return table
+
+
+_SEED = _Flag("seed", int, default=12345, metavar="N")
+
+# Each subcommand's help line and its flags that take a value: every flag
+# but -h/--help, each defined here once.
+_COMMANDS = {
+    "run": ("simulate one scenario", _trial_flags(sweep_mode=False)),
+    "sweep": ("simulate a parameter grid", _trial_flags(sweep_mode=True)),
+    "oracle-check": ("verify the minimum-error oracle",
+                     {"--instances": _Flag("instances", int, default=10_000, metavar="N"), "--seed": _SEED}),
+    "selftest": ("run the library invariant battery", {"--seed": _SEED}),
+}
+_FLAGS = {command: flags for command, (_, flags) in _COMMANDS.items()}
+_VALUE_FLAGS = {command: frozenset(flags) for command, flags in _FLAGS.items()}
+
+# The namespace of each subcommand given no flags.
+_DEFAULTS = {command: {"command": command, **{spec.dest: spec.default for spec in flags.values()}}
+             for command, flags in _FLAGS.items()}
+
 # The flags of the ExperimentConfig fields and the two output flags, which
 # are also the keys a config file may set.
-_FIELD_FLAGS = frozenset(_flag(f.name) for f in fields(ExperimentConfig)) | {"--format", "--out"}
-
-# The int flags of the two batteries, with their defaults.
-_BATTERY_FLAGS = {
-    "oracle-check": {"--instances": 10_000, "--seed": 12345},
-    "selftest": {"--seed": 12345},
-}
-
-# Each subcommand's flags that take a value: all but -h/--help.
-_VALUE_FLAGS = {
-    "run": _FIELD_FLAGS | {"--config"},
-    "sweep": _FIELD_FLAGS | {"--config"},
-    **{command: frozenset(flags) for command, flags in _BATTERY_FLAGS.items()},
-}
+_FIELD_FLAGS = _VALUE_FLAGS["run"] - {"--config"}
 
 # A token argparse may take for a flag although it is a negative value:
 # its negative-number pattern misses -1e-3, -0.9,0.9 and the infinities and
 # NaNs float() reads (-inf, -Infinity, -nan), alone or first in a list.
 _NEGATIVE_VALUE = re.compile(r"-(?:[0-9.]|(?:inf|infinity|nan)(?:,|$))", re.IGNORECASE)
-
-
-def _add_common_options(parser: argparse.ArgumentParser, sweep_mode: bool) -> None:
-    """--config, then one flag per ExperimentConfig field, converted by the
-    type of the field's default (under sweep a SWEEP_KEYS field takes a
-    comma-separated list), then --format and --out."""
-    parser.add_argument("--config", type=Path, metavar="FILE",
-                        help="key=value file with defaults; explicit flags win")
-    for f in fields(ExperimentConfig):
-        if f.name == "scenario":
-            options = {"choices": SCENARIOS}
-        elif sweep_mode and f.name in SWEEP_KEYS:
-            options = {"type": _float_list, "metavar": "V[,V...]",
-                       "help": f"{f.name} value or comma-separated list to sweep"}
-        else:
-            options = {"type": type(f.default), "metavar": _METAVARS[type(f.default)]}
-        parser.add_argument(_flag(f.name), dest=f.name, **options)
-    parser.add_argument("--format", dest="fmt", choices=FORMATS, default="csv")
-    parser.add_argument("--out", type=Path, metavar="FILE", help="output path (default: stdout)")
 
 
 @functools.cache
@@ -114,19 +138,10 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
                     "minimum-error bound.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="simulate one scenario")
-    _add_common_options(p_run, sweep_mode=False)
-
-    p_sweep = sub.add_parser("sweep", help="simulate a parameter grid")
-    _add_common_options(p_sweep, sweep_mode=True)
-
-    sub.add_parser("oracle-check", help="verify the minimum-error oracle")
-    sub.add_parser("selftest", help="run the library invariant battery")
-    for command, flags in _BATTERY_FLAGS.items():
-        for flag, default in flags.items():
-            sub.choices[command].add_argument(flag, type=int, default=default, metavar="N")
-
+    for command, (help_line, flags) in _COMMANDS.items():
+        p_command = sub.add_parser(command, help=help_line)
+        for flag, spec in flags.items():
+            p_command.add_argument(flag, **spec._asdict())
     return parser, sub.choices
 
 
@@ -136,13 +151,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_config_file(path: Path) -> list[str]:
-    """A flat ``key = value`` file as ``--key=value`` tokens, one per line;
-    blank lines and comments, from a ``#`` that starts a line or follows
-    whitespace, are ignored.  A key is the name of a run/sweep flag, with
-    ``-`` and ``_`` interchangeable."""
+    """A flat ``key = value`` UTF-8 file as ``--key=value`` tokens, one per
+    line; blank lines and comments, from a ``#`` that starts a line or
+    follows whitespace, are ignored.  A key is the name of a run/sweep flag,
+    with ``-`` and ``_`` interchangeable."""
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        # ValueError: text that is not UTF-8, or a NUL in the path.
         raise OSError(f"cannot read config file {path}: {exc}") from exc
     tokens: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -155,6 +171,9 @@ def _parse_config_file(path: Path) -> list[str]:
         flag = _flag(key)
         if flag not in _FIELD_FLAGS:
             raise ContractViolation(f"{path}:{lineno}: unknown config key {key!r}")
+        if "\0" in value:
+            # No path or number holds one; open() would refuse it as a bug.
+            raise ContractViolation(f"{path}:{lineno}: NUL byte in the value of {key!r}")
         tokens.append(f"{flag}={value}")
     return tokens
 
@@ -172,27 +191,48 @@ def _join_negative_values(tokens: list[str], value_flags: frozenset[str]) -> lis
     return joined
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """What build_parser().parse_args(argv) gives, with a subcommand's
-    flags read by that subcommand's parser alone.
+def _read_plain(command: str, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives for a subcommand's tokens when each is
+    an exact value flag of it with its value, as ``--flag value`` or
+    ``--flag=value``; otherwise None.  A separate value that starts with
+    '-' is read only where the join would make it the flag's: a negative
+    value.  Each value is converted by its flag's type and checked against
+    its choices, and a value either refuses is None too."""
+    flags = _FLAGS[command]
+    values = dict(_DEFAULTS[command])
+    tokens = iter(tokens)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        spec = flags.get(flag)
+        if spec is None:
+            return None
+        if not eq:
+            value = next(tokens, None)
+            if value is None or (value[:1] == "-" and not _NEGATIVE_VALUE.match(value)):
+                return None
+        try:
+            value = spec.type(value)
+        except ValueError:
+            return None
+        if spec.choices is not None and value not in spec.choices:
+            return None
+        values[spec.dest] = value
+    return argparse.Namespace(**values)
 
-    When argv starts with a subcommand, the top-level pass only sets
-    command, hands every later token to the subcommand's parser and
-    reports what that left over.  Here the subcommand's parser reads them
-    into a namespace that already holds command, and the top-level parser
-    reports the leftovers, so the namespace, messages and exit codes are
-    the same.  Negative values are first joined to their flags, which
-    argparse would otherwise report as missing.  Any other argv (no
-    command, an unknown one, a top-level -h) goes through the full
-    parser."""
-    parser, commands = _parsers()
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """What build_parser().parse_args(argv) gives, with negative values
+    first joined to their flags, which argparse would otherwise report as
+    missing.  A subcommand's plain argv, its value flags and their values
+    alone, is read by _read_plain; argparse reads any other (help, an
+    abbreviation, an unknown flag or command, a bad value) and so writes
+    every help text and usage error."""
     command = argv[0] if argv else None
-    if command not in commands:
-        return parser.parse_args(argv)
-    tokens = _join_negative_values(argv[1:], _VALUE_FLAGS[command])
-    args, extras = commands[command].parse_known_args(tokens, argparse.Namespace(command=command))
-    if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
+    if command not in _FLAGS:
+        return build_parser().parse_args(argv)
+    args = _read_plain(command, argv[1:])
+    if args is None:
+        args = build_parser().parse_args([command, *_join_negative_values(argv[1:], _VALUE_FLAGS[command])])
     return args
 
 
@@ -272,7 +312,8 @@ def main(argv: list[str] | None = None) -> int:
             args = _parse(argv)
             if getattr(args, "config", None) is not None:
                 # argv[0] is the subcommand.  The file's flags go ahead of
-                # the explicit ones, which win: argparse keeps the last value.
+                # the explicit ones, which win: a repeated flag keeps its
+                # last value.
                 args = _parse([args.command, *_parse_config_file(args.config), *argv[1:]])
         except SystemExit as exc:
             return int(exc.code or 0)

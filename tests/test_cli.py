@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from povmlearn import cli
 from povmlearn.cli import main
@@ -206,6 +208,20 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "run", "--config", str(tmp_path / "nope.cfg"))
         assert code == 1
         assert "nope.cfg" in err
+
+    def test_config_file_that_is_not_utf8_is_io_error(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"eta0 = 0.6\xff\n")
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read config file {cfg}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_nul_byte_in_a_value_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("trials = 1\nout = a\0b.csv\n")
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}:2: NUL byte in the value of 'out'\n"
 
     def test_malformed_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -532,8 +548,9 @@ def test_run_and_sweep_flags_are_the_config_fields(command):
 
 
 class TestParserReuse:
-    """main builds the parser once per process, and a call leaves nothing
-    in it that a later call could see."""
+    """main builds the parser only for an argv the flag table does not
+    read, once per process, and a call leaves nothing in it that a later
+    call could see."""
 
     RUN = ("run", "--scenario", "const-z", "--eta0", "0.6", "--nz", "0.25",
            "--trials", "2", "--shots-learn", "500", "--shots-holdout", "200")
@@ -543,6 +560,10 @@ class TestParserReuse:
         for _ in range(3):
             assert run_cli(capsys, *self.RUN)[0] == 0
         assert run_cli(capsys, "oracle-check", "--instances", "5")[0] == 0
+        assert cli._parsers.cache_info().misses == 0
+        assert run_cli(capsys, "run", "--help")[0] == 0
+        assert run_cli(capsys, "run", "--trials", "x")[0] == 2
+        assert run_cli(capsys, *self.RUN)[0] == 0
         assert cli._parsers.cache_info().misses == 1
         assert cli.build_parser() is cli.build_parser()
 
@@ -563,8 +584,8 @@ class TestParserReuse:
 
 
 class TestSubcommandParse:
-    """An argv that starts with a subcommand is parsed by that subcommand's
-    parser alone, and gives what the full parser gives."""
+    """An argv of a subcommand's value flags is read from the flag table,
+    argparse reads any other, and either gives what the full parser gives."""
 
     ARGVS = {
         "run": ("run", "--scenario", "const-z", "--eta0", "0.6", "--nz", "0.25", *COMMON),
@@ -598,13 +619,55 @@ class TestSubcommandParse:
         monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
         assert outcome == run_cli(capsys, *argv)
 
-    @pytest.mark.parametrize("name", ["run", "sweep", "oracle-check", "unknown-flag", "config-overridden"])
+    @pytest.mark.parametrize(
+        "name", ["run", "run-json", "sweep", "oracle-check", "selftest", "unknown-flag", "config-overridden"])
     def test_known_subcommand_skips_the_top_level_pass(self, capsys, monkeypatch, argv_of, name):
-        def top_level_pass(*args, **kwargs):
-            raise AssertionError("the top-level parser parsed a subcommand's argv")
+        # A plain argv, config file tokens included, calls no argparse
+        # parser; an unknown flag goes to argparse, which reports it.
+        parsed = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
 
-        monkeypatch.setattr(cli.build_parser(), "parse_known_args", top_level_pass)
-        assert run_cli(capsys, *argv_of(name))[0] == (2 if name == "unknown-flag" else 0)
+        def counted(parser, *args, **kwargs):
+            parsed.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        code = run_cli(capsys, *argv_of(name))[0]
+        assert (code, bool(parsed)) == ((2, True) if name == "unknown-flag" else (0, False))
+
+    # Tokens the reader must refuse or read as argparse does: flags of other
+    # subcommands, abbreviations, help, unknown flags, the separator, words
+    # that only start like a negative value, and negative values out of place.
+    ODD_TOKENS = ("-h", "--help", "--", "-", "", "--bogus", "--bogus=1", "-info", "-nano", "-x", "x", "-1",
+                  "--sc", "--sce=const-z", "--shots", "--inst=5", "--se", "--form=json", "--instances", "--config")
+    # Values: good and bad for each type and choice, every spelling of a
+    # negative value the join covers, and values holding '=' or a space.
+    VALUES = ("0.6", "1", "20", "2.5", "1e3", "x", "", "0.5,0.6", "0.5,x", "const-z", "json", "csv", "a=b",
+              "a b", "-1", "-0.5", "-.5", "-1e-3", "-1e300", "-inf", "-Infinity", "-NaN", "-0.9,0.9",
+              "-inf,0.5", "-1 2", "-info", "-x y", "--trials")
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "oracle-check", "selftest"])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_read_argv_is_what_argparse_reads(self, command, data):
+        # Half the values are numbers every int, float, list or path flag
+        # reads, so that many argvs are read whole.
+        flag = st.sampled_from(sorted(cli._VALUE_FLAGS[command]))
+        value = st.sampled_from(self.VALUES) | st.sampled_from(("3", "-2", "0.25", "-0.75"))
+        pair = st.tuples(flag, value)
+        piece = st.one_of(pair.map(list), pair.map(lambda p: ["=".join(p)]),
+                          st.sampled_from(self.ODD_TOKENS).map(lambda token: [token]))
+        tokens = [token for pieces in data.draw(st.lists(piece, max_size=4)) for token in pieces]
+        args = cli._read_plain(command, tokens)
+        if args is None:
+            return
+        joined = [command, *cli._join_negative_values(tokens, cli._VALUE_FLAGS[command])]
+        try:
+            expected = cli.build_parser().parse_args(joined)
+        except SystemExit as exc:
+            pytest.fail(f"read {tokens!r}, which argparse refuses with exit {exc.code}")
+        # By repr: a NaN equals no NaN, and 0.0 and -0.0 or 1 and 1.0 are equal.
+        assert repr(sorted(vars(args).items())) == repr(sorted(vars(expected).items()))
 
     @pytest.mark.parametrize("command", ["run", "sweep", "oracle-check", "selftest"])
     def test_value_flags_are_the_subcommand_flags(self, command):

@@ -326,4 +326,11 @@ def test_the_domain_edges_are_accepted():
     check_domain("shots", 1)
     check_domain("shots", 2**63 - 1)
     check_domain("trials", 1)
+    check_domain("instances", 1)
+    check_domain("stream_id", 2**64 - 1)
+    # A prior may be 0 or 1: every qubit is then in one state, told apart surely.
+    check_domain("prior", np.array([0.0, 1.0]))
+    for prior in (0.0, 1.0):
+        EnsembleSpec(prior, _PURE, -_PURE, Plane.xz())
+        assert helstrom(_PURE, -_PURE, prior)[0] == 1.0
     two_fold_spec(np.full(2, 0.6), np.array([0.0, math.pi]), 0.3, "A")
